@@ -31,10 +31,8 @@ Part 4 times the fused ingest kernel
 (``repro/fastframe/kernels.partition_ingest``) against a faithful
 reimplementation of the composed legacy passes across group
 cardinalities straddling the bucketing threshold (asserting
-byte-identical output), and sweeps ``task_batch`` ∈ {1, 3, auto} over
-the parallel dashboard gather (asserting interval parity).  The
-``kernel`` JSON entry records the fused-vs-legacy sweep, the bucketing
-crossover, and the batching sweep.
+byte-identical output).  The ``kernel`` JSON entry records the
+fused-vs-legacy sweep and the bucketing crossover.
 
 Part 5 times Anderson's pooled CSR sample buffers against the per-view
 buffer baseline (one ``SampleState`` per view, the pre-CSR pool layout):
@@ -214,7 +212,6 @@ def _dashboard_connection(
     scramble: Scramble,
     parallelism: int = 1,
     engine: str = "auto",
-    task_batch: int | None = None,
 ):
     return connect(
         scramble,
@@ -224,7 +221,6 @@ def _dashboard_connection(
         rng=np.random.default_rng(9),
         parallelism=parallelism,
         engine=engine,
-        task_batch=task_batch,
     )
 
 
@@ -441,10 +437,6 @@ def run_kernel() -> dict:
     lookup) on the full-scan all-pass slice, across group cardinalities
     straddling ``BUCKET_MAX_CARDINALITY`` — the bucketing crossover.
     Asserts byte-identical ``view_idx``/``values`` at every point.
-
-    Also sweeps ``task_batch`` ∈ {1, 3, auto} over the parallel
-    dashboard gather, asserting interval parity across batch sizes and
-    recording how batching moves wall and worker-summed partition wall.
     """
     from repro.fastframe.kernels import (
         BUCKET_MAX_CARDINALITY,
@@ -512,54 +504,12 @@ def run_kernel() -> dict:
     winning = [e["groups"] for e in sweep if e["bucketed"] and e["speedup"] > 1.0]
     crossover = max(winning) if winning else 0
 
-    # task_batch sweep over the parallel dashboard gather: batching
-    # amortizes attach + IPC per window without changing a byte.
-    scramble = _dashboard_scramble()
-    start_block = 0
-    conn = _dashboard_connection(scramble, parallelism=PARALLELISM, engine="pool")
-    conn.gather(_dashboard_handles(conn), start_block=start_block)  # warm
-    batch_sweep = []
-    reference = None
-    for task_batch in (1, 3, None):
-        wall_s = float("inf")
-        batch = None
-        for _ in range(REPS):
-            conn = _dashboard_connection(
-                scramble,
-                parallelism=PARALLELISM,
-                engine="pool",
-                task_batch=task_batch,
-            )
-            handles = _dashboard_handles(conn)
-            start = time.perf_counter()
-            batch = conn.gather(handles, start_block=start_block)
-            wall_s = min(wall_s, time.perf_counter() - start)
-        if reference is None:
-            reference = batch
-        else:
-            for result, ref_result in zip(batch, reference):
-                _assert_intervals_match(result, ref_result)
-        batch_sweep.append(
-            {
-                "task_batch": "auto" if task_batch is None else task_batch,
-                "gather_s": round(wall_s, 6),
-                "partition_wall_s": round(batch.metrics.partition_wall_s, 6),
-                "delta_bytes_returned": int(batch.metrics.delta_bytes_returned),
-            }
-        )
-        print(
-            f"kernel: task_batch={batch_sweep[-1]['task_batch']:>4}  "
-            f"gather={wall_s:.3f}s  partition_wall="
-            f"{batch.metrics.partition_wall_s:.3f}s (worker-summed)"
-        )
     return {
         "rows": n,
         "bucket_max_cardinality": BUCKET_MAX_CARDINALITY,
         "bucket_crossover_groups": crossover,
         "fused_vs_legacy": sweep,
         "byte_identity": True,  # asserted per cardinality above
-        "task_batch_sweep": batch_sweep,
-        "task_batch_parity": True,  # asserted ≤1e-9 across the sweep
     }
 
 

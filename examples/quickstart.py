@@ -4,11 +4,8 @@ Builds a synthetic flights scramble, asks for the average departure delay
 of flights out of ORD with a relative-accuracy contract, and compares the
 approximate answer (and its certified interval) against exact evaluation.
 
-This script intentionally sticks to the pre-1.1 eager API through the
-top-level deprecation shims (``repro.ApproximateExecutor``): it must keep
-working unchanged, warnings aside, as proof of backward compatibility.
-See ``examples/multiquery_session.py`` for the current
-``repro.connect()`` front door.
+One query on one connection; see ``examples/multiquery_session.py`` for
+many queries sharing a scan and a joint δ budget.
 
 Run:  python examples/quickstart.py
 """
@@ -20,9 +17,7 @@ import os
 import numpy as np
 
 import repro
-from repro.bounders import get_bounder
 from repro.datasets import make_flights_scramble
-from repro.fastframe import AggregateFunction, Eq, ExactExecutor, Query
 from repro.stopping import RelativeAccuracy
 
 ROWS = int(os.environ.get("REPRO_EXAMPLE_ROWS", "500000"))
@@ -32,27 +27,23 @@ def main() -> None:
     print(f"building a {ROWS:,}-row flights scramble ...")
     scramble = make_flights_scramble(rows=ROWS, seed=0)
 
-    # SELECT AVG(DepDelay) FROM flights WHERE Origin = 'ORD'
-    # stop once the relative error is certifiably below 30%.
-    query = Query(
-        AggregateFunction.AVG,
-        "DepDelay",
-        RelativeAccuracy(0.3),
-        predicate=Eq("Origin", "ORD"),
-        name="quickstart",
-    )
-
-    # The deprecated top-level alias: warns, then behaves identically.
-    executor = repro.ApproximateExecutor(
+    conn = repro.connect(
         scramble,
-        get_bounder("bernstein+rt"),  # the paper's best: no PMA, no PHOS
-        delta=1e-9,                    # failure probability of the interval
+        bounder="bernstein+rt",  # the paper's best: no PMA, no PHOS
+        delta=1e-9,              # failure probability of the interval
+        max_queries=1,           # ... all of it for this one query
         rng=np.random.default_rng(42),
     )
-    approx = executor.execute(query)
+    # Stop once the relative error is certifiably below 30%.
+    handle = conn.sql(
+        "SELECT AVG(DepDelay) FROM flights WHERE Origin = 'ORD'",
+        stopping=RelativeAccuracy(0.3),
+        name="quickstart",
+    )
+    approx = handle.result()
     group = approx.scalar()
 
-    exact = ExactExecutor(scramble).execute(query).scalar()
+    exact = repro.ExactExecutor(scramble).execute(handle.query).scalar()
 
     print(f"\napproximate AVG(DepDelay | ORD) = {group.estimate:.3f}")
     print(f"certified 1-1e-9 interval       = [{group.interval.lo:.3f}, {group.interval.hi:.3f}]")

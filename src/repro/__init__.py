@@ -48,12 +48,8 @@ Quickstart — open a connection, ask lazily, resolve with guarantees::
 
 Every interval issued on the connection is simultaneously valid with
 probability at least ``1 − delta`` (the §4.1 union bound, audited by
-``conn.audit()``).  The pre-1.x eager constructors
-(``repro.ApproximateExecutor``, ``repro.Session``) remain available as
-deprecated aliases of the same engines.
+``conn.audit()``).
 """
-
-import warnings as _warnings
 
 from repro.api import (
     Connection,
@@ -79,16 +75,13 @@ from repro.fastframe import (
     open_block_scramble,
     write_block_store,
 )
-from repro.fastframe import ApproximateExecutor as _ApproximateExecutor
-from repro.fastframe import Session as _Session
 from repro.sql import parse_query, parse_statements
 from repro.stats import DEFAULT_DELTA, DeltaBudget
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AggregateFunction",
-    "ApproximateExecutor",
     "BlockStoreError",
     "Connection",
     "DEFAULT_DELTA",
@@ -106,7 +99,6 @@ __all__ = [
     "RangeTrimBounder",
     "RoundUpdate",
     "Scramble",
-    "Session",
     "StorageCounters",
     "Table",
     "__version__",
@@ -119,37 +111,3 @@ __all__ = [
     "write_block_store",
 ]
 
-
-def _deprecated_constructor(cls: type, replacement: str) -> type:
-    """A subclass that warns once per call site, then behaves identically.
-
-    ``isinstance`` checks against the real class keep working (the shim is
-    a subclass); only *construction* through the top-level alias warns.
-    """
-
-    class _Shim(cls):
-        def __init__(self, *args, **kwargs):
-            _warnings.warn(
-                f"repro.{cls.__name__} is deprecated; use {replacement} "
-                "(the connection/handle API) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            super().__init__(*args, **kwargs)
-
-    _Shim.__name__ = cls.__name__
-    _Shim.__qualname__ = cls.__qualname__
-    _Shim.__doc__ = cls.__doc__
-    _Shim.__module__ = __name__
-    return _Shim
-
-
-#: Deprecated: construct executors through :func:`connect` — a
-#: ``Connection`` allocates δ per query and enables shared-scan batching.
-ApproximateExecutor = _deprecated_constructor(
-    _ApproximateExecutor, "repro.connect()"
-)
-
-#: Deprecated: ``Session``'s eager execute() is subsumed by
-#: :func:`connect`'s lazy handles + ``gather()`` on the same δ ledger.
-Session = _deprecated_constructor(_Session, "repro.connect()")

@@ -15,8 +15,9 @@ The canonical way in::
     batch = conn.gather([late, ord_delay])   # ONE scan feeds both queries
     print(batch.savings, late.result().keys_above(9))
 
-See :mod:`repro.api.connection` for the execution model and
-:mod:`repro.api.builder` for the fluent builder grammar.
+See :mod:`repro.api.connection` for the execution model,
+:mod:`repro.api.builder` for the fluent builder grammar and
+:mod:`repro.api.ledger` for the joint δ budget.
 """
 
 from repro.api.builder import QueryBuilder
@@ -28,13 +29,17 @@ from repro.api.connection import (
     RoundUpdate,
     connect,
 )
+from repro.api.ledger import LEDGER_POLICIES, DeltaLedger, QueryLedgerEntry
 
 __all__ = [
     "Connection",
     "DEFAULT_BOUNDER",
+    "DeltaLedger",
     "GatherResult",
+    "LEDGER_POLICIES",
     "QueryBuilder",
     "QueryHandle",
+    "QueryLedgerEntry",
     "RoundUpdate",
     "connect",
 ]

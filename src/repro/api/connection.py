@@ -25,7 +25,7 @@ nothing until resolved.  A handle resolves three ways:
   the paper's blocks-fetched cost metric (§5.3).
 
 δ accounting is identical across all three paths: every execution is
-charged to the connection's :class:`~repro.fastframe.session.DeltaLedger`
+charged to the connection's :class:`~repro.api.ledger.DeltaLedger`
 *before* it runs, in resolution order, so ``gather([h1..hN])`` spends
 exactly what the same N queries would spend resolved sequentially, under
 either allocation policy.
@@ -33,19 +33,20 @@ either allocation policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
 
+from repro.api.ledger import DeltaLedger, QueryLedgerEntry
 from repro.bounders.base import ErrorBounder
 from repro.bounders.registry import get_bounder
+from repro.fastframe.config import ExecConfig
 from repro.fastframe.executor import (
     ApproximateExecutor,
     QueryRun,
     run_shared_scan,
 )
-from repro.fastframe.parallel import ParallelScanDriver, resolve_parallelism
 from repro.fastframe.query import (
     ExecutionMetrics,
     Query,
@@ -55,7 +56,6 @@ from repro.fastframe.query import (
 )
 from repro.fastframe.scan import SamplingStrategy, get_strategy
 from repro.fastframe.scramble import Scramble
-from repro.fastframe.session import DeltaLedger, QueryLedgerEntry
 from repro.fastframe.table import Table
 from repro.sql.compiler import parse_statements
 from repro.stats.delta import DEFAULT_DELTA
@@ -86,7 +86,6 @@ def connect(
     require_ssi: bool = True,
     parallelism: int | None = None,
     task_timeout: float | None = None,
-    task_batch: int | None = None,
     storage: str | None = None,
     cache_bytes: int | None = None,
     **executor_kwargs,
@@ -121,43 +120,12 @@ def connect(
         Multi-query guarantees need sample-size-independent bounders
         (§1); pass ``False`` only for single-shot ad-hoc use of a
         non-SSI bounder.
-    parallelism:
-        Worker processes for window ingest on every resolution path
-        (``result()``, ``rounds()``, ``gather()``).  ``None`` defers to
-        the ``REPRO_PARALLELISM`` environment variable, then 1.  Above 1
-        the scan is driven by the
-        :class:`~repro.fastframe.parallel.ParallelScanDriver` pipeline;
-        results and δ accounting are bit-identical to serial execution.
-    task_timeout:
-        Per-worker-task deadline in seconds for parallel ingest
-        (``None`` defers to ``REPRO_TASK_TIMEOUT``, then 60 s; ``0``
-        disables).  A timed-out or crashed task is re-dispatched with
-        backoff and, as the last resort, recomputed inline — recovery
-        never changes results, only the
-        :class:`~repro.fastframe.query.RecoveryCounters` surfaced on
-        round updates and the dashboard.
-    task_batch:
-        Partitions bundled into one worker task for parallel ingest
-        (``None`` defers to ``REPRO_TASK_BATCH``, then auto-sizes each
-        window to ``ceil(partitions / workers)`` so IPC and fault-plan
-        bookkeeping amortize).  Any batch size produces byte-identical
-        results; ``1`` forces one partition per task.
-    storage:
-        Column storage backend — ``"memory"`` (resident arrays, the
-        default) or ``"mmap"`` (spill the scramble to an out-of-core
-        block store and serve gathers as zero-copy views into the
-        mapping; see :mod:`repro.fastframe.storage`).  ``None`` defers
-        to the ``REPRO_STORAGE`` environment variable, then
-        ``"memory"``.  A scramble opened with
-        :func:`~repro.fastframe.storage.open_block_scramble` is already
-        store-backed whatever this says.  Results are byte-identical
-        across backends.
-    cache_bytes:
-        Byte budget for the block cache serving this connection's store
-        (``None`` defers to ``REPRO_CACHE_BYTES``, then the shared
-        256 MiB process-wide cache).  Connections over the same block
-        directory share one store and one cache, so a dashboard's second
-        connection reads the blocks the first already paid for.
+    parallelism, task_timeout, storage, cache_bytes:
+        Execution settings (``None`` = unset), resolved here, once, into
+        :attr:`Connection.config` — see
+        :class:`~repro.fastframe.config.ExecConfig` for meanings,
+        environment variables and defaults.  None of them changes a
+        result or the δ accounting.
     executor_kwargs:
         Passed through to each query's
         :class:`~repro.fastframe.executor.ApproximateExecutor`
@@ -175,7 +143,6 @@ def connect(
         require_ssi=require_ssi,
         parallelism=parallelism,
         task_timeout=task_timeout,
-        task_batch=task_batch,
         storage=storage,
         cache_bytes=cache_bytes,
         **executor_kwargs,
@@ -267,21 +234,8 @@ class QueryHandle:
             return self._result
         self._check_unconsumed()
         run, cursor = self.connection._begin(self, start_block)
-        workers = resolve_parallelism(self.connection.parallelism)
-        if workers > 1:
-            ParallelScanDriver(
-                [run],
-                cursor,
-                parallelism=workers,
-                solo=True,
-                task_timeout=self.connection.task_timeout,
-                task_batch=self.connection.task_batch,
-            ).run()
-        else:
-            for window, at_end in cursor.windows():
-                run.feed(window, at_end)
-                if run.finished:
-                    break
+        for _ in run.drive(cursor, self.connection.config):
+            pass
         return self._settle(run.finalize())
 
     def rounds(
@@ -305,30 +259,12 @@ class QueryHandle:
             )
         self._check_unconsumed()
         run, cursor = self.connection._begin(self, start_block)
-        workers = resolve_parallelism(self.connection.parallelism)
-
-        def passes() -> Iterator:
-            if workers > 1:
-                driver = ParallelScanDriver(
-                    [run],
-                    cursor,
-                    parallelism=workers,
-                    solo=True,
-                    task_timeout=self.connection.task_timeout,
-                    task_batch=self.connection.task_batch,
-                )
-                yield from driver.windows()
-                return
-            for window, at_end in cursor.windows():
-                run.feed(window, at_end)
-                yield window
-                if run.finished:
-                    break
+        config = self.connection.config
 
         def updates() -> Iterator[RoundUpdate]:
             seen_rounds = 0
             completed = False
-            pass_iter = passes()
+            pass_iter = run.drive(cursor, config)
             try:
                 for _ in pass_iter:
                     if run.metrics.rounds > seen_rounds:
@@ -339,7 +275,7 @@ class QueryHandle:
                             groups=run.group_snapshots(),
                             recovery=(
                                 run.metrics.recovery_snapshot()
-                                if workers > 1
+                                if config.parallelism > 1
                                 else None
                             ),
                             storage=(
@@ -451,7 +387,7 @@ class Connection:
     """One scramble, one joint δ budget, many lazy queries.
 
     Construct through :func:`connect`.  The connection owns the
-    :class:`~repro.fastframe.session.DeltaLedger` that every resolution
+    :class:`~repro.api.ledger.DeltaLedger` that every resolution
     path (:meth:`QueryHandle.result`, :meth:`QueryHandle.rounds`,
     :meth:`gather`) charges before executing, so the §4.1 union bound
     holds jointly across everything the connection ever runs.
@@ -470,17 +406,19 @@ class Connection:
         require_ssi: bool = True,
         parallelism: int | None = None,
         task_timeout: float | None = None,
-        task_batch: int | None = None,
         storage: str | None = None,
         cache_bytes: int | None = None,
         **executor_kwargs,
     ) -> None:
-        from repro.fastframe.storage import attach_block_storage, resolve_storage
+        from repro.fastframe.storage import attach_block_storage
 
+        config = ExecConfig.resolve(
+            parallelism=parallelism,
+            task_timeout=task_timeout,
+            storage=storage,
+            cache_bytes=cache_bytes,
+        )
         self.rng = rng or np.random.default_rng()
-        self.parallelism = parallelism
-        self.task_timeout = task_timeout
-        self.task_batch = task_batch
         if isinstance(source, Scramble):
             self.scramble = source
         elif isinstance(source, Table):
@@ -490,15 +428,16 @@ class Connection:
                 f"connect() expects a Scramble or a Table, got "
                 f"{type(source).__name__}"
             )
-        self.storage = resolve_storage(storage)
-        self.cache_bytes = cache_bytes
-        if self.scramble.storage is not None:
-            # Already store-backed (open_block_scramble, or a prior
-            # connection over the same scramble); just apply the budget.
-            if cache_bytes is not None:
-                self.scramble.storage.set_cache_budget(cache_bytes)
-        elif self.storage == "mmap":
-            attach_block_storage(self.scramble, cache_bytes=cache_bytes)
+        if self.scramble.storage is not None or config.storage == "mmap":
+            # A scramble that is already store-backed (open_block_scramble,
+            # or a prior connection's spill) keeps serving every gather
+            # from that store whatever was asked for; attach is idempotent
+            # and only applies the cache budget then.
+            attach_block_storage(self.scramble, cache_bytes=config.cache_bytes)
+            config = replace(config, storage="mmap")
+        #: The resolved :class:`~repro.fastframe.config.ExecConfig` every
+        #: resolution path on this connection runs under.
+        self.config = config
         self.bounder = get_bounder(bounder) if isinstance(bounder, str) else bounder
         if require_ssi and not self.bounder.ssi:
             raise ValueError(
@@ -608,13 +547,7 @@ class Connection:
         cursor = runs[0].executor.cursor(
             start_block, window_blocks=runs[0].window_blocks
         )
-        metrics = run_shared_scan(
-            runs,
-            cursor,
-            parallelism=self.parallelism,
-            task_timeout=self.task_timeout,
-            task_batch=self.task_batch,
-        )
+        metrics = run_shared_scan(runs, cursor, self.config)
         results = []
         for handle, run in zip(handles, runs):
             # Index-probe counters were merged into the gather metrics.
@@ -684,6 +617,7 @@ class Connection:
             strategy=self.strategy,
             delta=delta,
             rng=self.rng,
+            config=self.config,
             **self.executor_kwargs,
         )
 

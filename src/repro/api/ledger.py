@@ -1,4 +1,4 @@
-"""Multi-query δ ledgers and the legacy :class:`Session` front-end (§4.1).
+"""The multi-query δ ledger (§4.1).
 
 A scramble's "up-front shuffling cost need only be paid once in order to
 facilitate many queries, although care must be taken to set the error
@@ -26,12 +26,6 @@ and sequential execution spend identically) and
 :meth:`~DeltaLedger.settle`\\ d with its cost counters afterwards;
 :attr:`~DeltaLedger.spent_delta` and :meth:`~DeltaLedger.audit` expose the
 ledger.
-
-:class:`Session` is the original eager front door, kept for backward
-compatibility and rebuilt as a thin layer over
-:class:`repro.api.Connection` — the lazy connection/handle API that adds
-``gather()`` shared-scan batching.  New code should call
-:func:`repro.connect` directly.
 """
 
 from __future__ import annotations
@@ -39,15 +33,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.bounders.base import ErrorBounder
-from repro.fastframe.query import Query, QueryResult
-from repro.fastframe.scan import SamplingStrategy
-from repro.fastframe.scramble import Scramble
 from repro.stats.delta import DEFAULT_DELTA, optstop_round_delta
 
-__all__ = ["DeltaLedger", "Session", "QueryLedgerEntry", "LEDGER_POLICIES"]
+__all__ = ["DeltaLedger", "QueryLedgerEntry", "LEDGER_POLICIES"]
 
 #: Per-query δ allocation policies a ledger supports.
 LEDGER_POLICIES = ("even", "harmonic")
@@ -189,114 +177,5 @@ class DeltaLedger:
         return (
             f"DeltaLedger(policy={self.policy!r}, "
             f"queries_run={self.queries_run}, "
-            f"spent={self.spent_delta:.3g} of {self.session_delta:.3g})"
-        )
-
-
-class Session:
-    """Runs a sequence of queries against one scramble under a joint δ.
-
-    The original eager multi-query front end, preserved for backward
-    compatibility: each :meth:`execute` call charges the ledger and runs
-    immediately.  Internally it is a thin layer over
-    :class:`repro.api.Connection`; prefer :func:`repro.connect` in new
-    code — it adds lazy query handles and shared-scan ``gather()``
-    batching on the same ledger semantics.
-
-    Parameters
-    ----------
-    scramble:
-        The shared pre-shuffled store.
-    bounder:
-        Error bounder used for every query in the session.
-    session_delta:
-        Total error probability for *all* queries combined.
-    policy:
-        ``"even"`` (requires ``max_queries``) or ``"harmonic"`` (open
-        ended); see the module docstring.
-    max_queries:
-        Declared query capacity for the ``"even"`` policy.
-    strategy, alpha, count_method, round_rows, rng:
-        Passed through to each query's
-        :class:`~repro.fastframe.executor.ApproximateExecutor`.
-    """
-
-    def __init__(
-        self,
-        scramble: Scramble,
-        bounder: ErrorBounder,
-        session_delta: float = DEFAULT_DELTA,
-        policy: str = "even",
-        max_queries: int = 100,
-        strategy: SamplingStrategy | None = None,
-        rng: np.random.Generator | None = None,
-        **executor_kwargs,
-    ) -> None:
-        # Imported here: repro.api sits above fastframe in the layering.
-        from repro.api.connection import Connection
-
-        self._connection = Connection(
-            scramble,
-            bounder=bounder,
-            delta=session_delta,
-            policy=policy,
-            max_queries=max_queries,
-            strategy=strategy,
-            rng=rng,
-            **executor_kwargs,
-        )
-        self.scramble = scramble
-        self.bounder = self._connection.bounder
-        self.strategy = strategy
-        self.rng = self._connection.rng
-        self.executor_kwargs = executor_kwargs
-
-    # ------------------------------------------------------------------
-
-    @property
-    def connection(self):
-        """The underlying :class:`repro.api.Connection`."""
-        return self._connection
-
-    @property
-    def ledger(self) -> DeltaLedger:
-        return self._connection.ledger
-
-    @property
-    def session_delta(self) -> float:
-        return self.ledger.session_delta
-
-    @property
-    def policy(self) -> str:
-        return self.ledger.policy
-
-    @property
-    def max_queries(self) -> int:
-        return self.ledger.max_queries
-
-    @property
-    def queries_run(self) -> int:
-        return self.ledger.queries_run
-
-    @property
-    def spent_delta(self) -> float:
-        """Total error probability consumed so far (union bound)."""
-        return self.ledger.spent_delta
-
-    def next_query_delta(self) -> float:
-        """The δ the next query will receive under the session policy."""
-        return self.ledger.next_delta()
-
-    def execute(self, query: Query, start_block: int | None = None) -> QueryResult:
-        """Run one query, charging its δ to the session ledger."""
-        return self._connection.query(query).result(start_block=start_block)
-
-    def audit(self) -> tuple[QueryLedgerEntry, ...]:
-        """The ledger: per-query δ allocations in execution order."""
-        return self.ledger.audit()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Session(policy={self.policy!r}, queries_run={self.queries_run}, "
             f"spent={self.spent_delta:.3g} of {self.session_delta:.3g})"
         )

@@ -52,6 +52,7 @@ from repro.experiments.coverage import (
     run_coverage_experiment,
 )
 from repro.api import connect
+from repro.fastframe.config import STORAGE_BACKENDS
 from repro.fastframe.scan import EVALUATED_STRATEGIES
 from repro.sql import parse_query, parse_statements
 from repro.stopping import AbsoluteAccuracy, RelativeAccuracy, SamplesTaken
@@ -172,48 +173,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", default="harmonic", choices=("even", "harmonic"),
         help="per-query delta allocation policy for the joint budget",
     )
+    # The four execution settings: connect() resolves them once into the
+    # connection's ExecConfig (flag, else environment variable, else
+    # default — repro.fastframe.config.ExecConfig documents each).
+    # None of them changes a result.
     dashboard.add_argument(
         "--parallelism", type=int, default=None,
-        help=(
-            "worker processes for window ingest (default: "
-            "$REPRO_PARALLELISM, then 1); results are bit-identical to "
-            "serial execution"
-        ),
+        help="worker processes for window ingest (ExecConfig.parallelism)",
     )
     dashboard.add_argument(
         "--task-timeout", type=float, default=None,
-        help=(
-            "per-worker-task deadline in seconds (default: "
-            "$REPRO_TASK_TIMEOUT, then 60; 0 disables); timed-out or "
-            "crashed tasks are re-dispatched and, as a last resort, "
-            "recomputed inline — results stay bit-identical"
-        ),
+        help="per-worker-task deadline in seconds (ExecConfig.task_timeout)",
     )
     dashboard.add_argument(
-        "--task-batch", type=int, default=None,
-        help=(
-            "partitions bundled into one worker task (default: "
-            "$REPRO_TASK_BATCH, then auto-sized per window to "
-            "ceil(partitions / workers)); any batch size produces "
-            "byte-identical results"
-        ),
-    )
-    dashboard.add_argument(
-        "--storage", default=None, choices=("memory", "mmap"),
-        help=(
-            "column storage backend (default: $REPRO_STORAGE, then "
-            "memory); mmap spills the scramble to an out-of-core block "
-            "store and serves gathers as zero-copy views — results are "
-            "byte-identical across backends"
-        ),
+        "--storage", default=None, choices=STORAGE_BACKENDS,
+        help="column storage backend (ExecConfig.storage)",
     )
     dashboard.add_argument(
         "--cache-bytes", type=int, default=None,
-        help=(
-            "block-cache byte budget for mmap storage (default: "
-            "$REPRO_CACHE_BYTES, then a shared 256 MiB process-wide "
-            "cache)"
-        ),
+        help="private block-cache byte budget (ExecConfig.cache_bytes)",
     )
     return parser
 
@@ -330,7 +308,6 @@ def _cmd_dashboard(args, out) -> int:
         rng=np.random.default_rng(args.seed),
         parallelism=args.parallelism,
         task_timeout=args.task_timeout,
-        task_batch=args.task_batch,
         storage=args.storage,
         cache_bytes=args.cache_bytes,
     )

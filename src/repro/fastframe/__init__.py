@@ -3,12 +3,14 @@
 Covers the storage/executor substrates S11-S18 plus the COUNT methods
 (S27), the related-work baselines (outlier index S28, priority sampling
 S29, stratified samples S36), snowflake join views (S31), insertion
-maintenance (S32), multi-query sessions (S34), and the approximate-vs-exact
-planner (S35).  See DESIGN.md for the full inventory.
+maintenance (S32), and the approximate-vs-exact planner (S35); the
+multi-query δ ledger (S34) lives with the connection in :mod:`repro.api`.
+See DESIGN.md for the full inventory.
 """
 
 from repro.fastframe.bitmap import LOOKAHEAD_BATCH_BLOCKS, BlockBitmapIndex
 from repro.fastframe.catalog import Catalog, ColumnKind, RangeBounds
+from repro.fastframe.config import ExecConfig
 from repro.fastframe.count import (
     SelectivityState,
     count_interval,
@@ -64,12 +66,6 @@ from repro.fastframe.scan import (
     get_strategy,
 )
 from repro.fastframe.scramble import DEFAULT_BLOCK_SIZE, Scramble
-from repro.fastframe.session import (
-    LEDGER_POLICIES,
-    DeltaLedger,
-    QueryLedgerEntry,
-    Session,
-)
 from repro.fastframe.snowflake import Dimension, ForeignKey, denormalize
 from repro.fastframe.storage import (
     DEFAULT_CACHE_BYTES,
@@ -82,8 +78,6 @@ from repro.fastframe.storage import (
     attach_block_storage,
     open_block_scramble,
     open_block_store,
-    resolve_cache_bytes,
-    resolve_storage,
     write_block_store,
 )
 from repro.fastframe.stratified import (
@@ -111,10 +105,10 @@ __all__ = [
     "DEFAULT_CACHE_BYTES",
     "DEFAULT_ROUND_ROWS",
     "DEFAULT_STORE_BLOCK_ROWS",
-    "DeltaLedger",
     "ENGINES",
     "Dimension",
     "EVALUATED_STRATEGIES",
+    "ExecConfig",
     "Eq",
     "ForeignKey",
     "ExactExecutor",
@@ -122,7 +116,6 @@ __all__ = [
     "GroupResult",
     "In",
     "InMemoryStore",
-    "LEDGER_POLICIES",
     "LOOKAHEAD_BATCH_BLOCKS",
     "MmapBlockStore",
     "Not",
@@ -134,12 +127,10 @@ __all__ = [
     "QueryPlanner",
     "PrioritySampleIndex",
     "Query",
-    "QueryLedgerEntry",
     "QueryResult",
     "QueryRun",
     "RangeBounds",
     "RecoveryCounters",
-    "Session",
     "SamplingStrategy",
     "ScanCursor",
     "ScanStrategy",
@@ -167,8 +158,6 @@ __all__ = [
     "hypergeometric_upper_bound_population_batch",
     "open_block_scramble",
     "open_block_store",
-    "resolve_cache_bytes",
-    "resolve_storage",
     "run_shared_scan",
     "selectivity_interval",
     "sum_interval",

@@ -69,6 +69,7 @@ import numpy as np
 
 from repro.bounders.base import ErrorBounder, Interval
 from repro.fastframe.bitmap import BlockBitmapIndex
+from repro.fastframe.config import ExecConfig
 from repro.fastframe.count import (
     DEFAULT_ALPHA,
     SelectivityState,
@@ -200,26 +201,11 @@ class ApproximateExecutor:
         for the per-view-object reference implementation, or ``"auto"``
         (default) to pick per query by view count.  Semantics are identical
         within floating-point tolerance.
-    parallelism:
-        Worker processes for window ingest (``None`` defers to the
-        ``REPRO_PARALLELISM`` environment variable, then 1).  Above 1,
-        :meth:`execute` pipelines the scan through
-        :class:`~repro.fastframe.parallel.ParallelScanDriver`: block
-        selection for the next window overlaps ingest of the current one,
-        and per-query window slices are partitioned in worker processes
-        over shared-memory frame buffers.  Results (and every metric
-        except wall time) are bit-identical to serial execution.
-    task_timeout:
-        Per-worker-task deadline in seconds for parallel ingest
-        (``None`` defers to ``REPRO_TASK_TIMEOUT``, then 60; ``0``
-        disables).  Timed-out or crashed tasks are re-dispatched and,
-        as a last resort, recomputed inline — still bit-identical.
-    task_batch:
-        Partitions batched into one worker task for parallel ingest
-        (``None`` defers to ``REPRO_TASK_BATCH``, then auto: window
-        partition count ÷ parallelism).  Batching amortizes IPC and
-        fault-plan bookkeeping; deltas still fold in serial (window,
-        query) order, so results are bit-identical at any batch size.
+    config:
+        The :class:`~repro.fastframe.config.ExecConfig` that
+        :meth:`execute` drives the scan under (``None`` resolves one from
+        the environment here, once).  Results and every metric except
+        wall time are bit-identical under any configuration.
     round_cadence:
         Adaptive OptStop round cadence for the pool engine (default 1
         preserves the every-round behavior byte-for-byte).  At ``k > 1``
@@ -243,9 +229,7 @@ class ApproximateExecutor:
         count_method: str = "serfling",
         rng: np.random.Generator | None = None,
         engine: str = "auto",
-        parallelism: int | None = None,
-        task_timeout: float | None = None,
-        task_batch: int | None = None,
+        config: ExecConfig | None = None,
         round_cadence: int = 1,
     ) -> None:
         if count_method not in COUNT_METHODS:
@@ -269,9 +253,7 @@ class ApproximateExecutor:
         self.alpha = alpha
         self.count_method = count_method
         self.engine = engine
-        self.parallelism = parallelism
-        self.task_timeout = task_timeout
-        self.task_batch = task_batch
+        self.config = ExecConfig.resolve() if config is None else config
         self.round_cadence = int(round_cadence)
         (
             self._count_interval,
@@ -367,41 +349,12 @@ class ApproximateExecutor:
     # Execution
     # ------------------------------------------------------------------
 
-    def execute(
-        self,
-        query: Query,
-        start_block: int | None = None,
-        parallelism: int | None = None,
-    ) -> QueryResult:
-        """Run a query to its stopping condition (or data exhaustion).
-
-        ``parallelism`` overrides the executor-level knob for this one
-        execution (``None`` inherits it); above 1 the scan is driven by
-        the parallel ingest pipeline, with bit-identical results — the
-        executor's ``task_timeout`` bounds each worker task's deadline
-        (recovery falls back to inline recompute, still bit-identical).
-        """
-        from repro.fastframe.parallel import ParallelScanDriver, resolve_parallelism
-
+    def execute(self, query: Query, start_block: int | None = None) -> QueryResult:
+        """Run a query to its stopping condition (or data exhaustion)."""
         run = QueryRun(self, query)
         cursor = self.cursor(start_block, window_blocks=run.window_blocks)
-        workers = resolve_parallelism(
-            self.parallelism if parallelism is None else parallelism
-        )
-        if workers > 1:
-            ParallelScanDriver(
-                [run],
-                cursor,
-                parallelism=workers,
-                solo=True,
-                task_timeout=self.task_timeout,
-                task_batch=self.task_batch,
-            ).run()
-        else:
-            for window, at_end in cursor.windows():
-                run.feed(window, at_end)
-                if run.finished:
-                    break
+        for _ in run.drive(cursor, self.config):
+            pass
         return run.finalize()
 
     def cursor(
@@ -908,8 +861,8 @@ class QueryRun:
     out of a materialized :class:`~repro.fastframe.window.WindowFrame`.
     That split makes the same state machine serve two drivers:
 
-    * :meth:`ApproximateExecutor.execute` (and the connection's
-      ``result()``/``rounds()`` paths) — one run, one private
+    * :meth:`drive` (behind :meth:`ApproximateExecutor.execute` and the
+      connection's ``result()``/``rounds()``) — one run, one private
       :class:`~repro.fastframe.scan.ScanCursor`; :meth:`feed` builds a
       frame over the run's own mask and consumes it;
     * :func:`run_shared_scan` — many runs (one per dashboard query) fed
@@ -1232,6 +1185,27 @@ class QueryRun:
         self._storage_tracker.drain(self.metrics)
         return mask
 
+    def drive(self, cursor: ScanCursor, config: ExecConfig):
+        """Drive this run alone off a private cursor until it finishes.
+
+        A generator yielding once per consumed window, so progressive
+        callers can read run state between windows.  The one place that
+        chooses between the serial :meth:`feed` loop and the solo
+        :class:`~repro.fastframe.parallel.ParallelScanDriver`; closing
+        the generator closes the parallel driver's window iterator
+        (which reconciles its prefetched selection) before returning.
+        """
+        if config.parallelism > 1:
+            from repro.fastframe.parallel import ParallelScanDriver
+
+            yield from ParallelScanDriver([self], cursor, config, solo=True).windows()
+            return
+        for window, at_end in cursor.windows():
+            self.feed(window, at_end)
+            yield window
+            if self.finished:
+                break
+
     def group_snapshots(self) -> dict:
         """Decoded per-group snapshots of the run's current intervals.
 
@@ -1327,9 +1301,7 @@ def validate_shared_runs(runs: list[QueryRun], cursor: ScanCursor) -> None:
 def run_shared_scan(
     runs: list[QueryRun],
     cursor: ScanCursor,
-    parallelism: int | None = None,
-    task_timeout: float | None = None,
-    task_batch: int | None = None,
+    config: ExecConfig | None = None,
 ) -> ExecutionMetrics:
     """Drive many query runs from one scan cursor (the gather hot loop).
 
@@ -1357,28 +1329,20 @@ def run_shared_scan(
     stopping condition before the scramble ran out;
     ``bounds_recomputed`` sums the runs' incremental round work.
 
-    ``parallelism`` above 1 (``None`` defers to ``REPRO_PARALLELISM``)
-    routes the same loop through
+    ``config.parallelism`` above 1 (``None`` takes the config the runs'
+    executor was built with) routes the same loop through
     :class:`~repro.fastframe.parallel.ParallelScanDriver`: per-query
     window slices are partitioned in worker processes and folded back in
     deterministic order, so results and metrics (except wall time) are
-    bit-identical to the serial loop below.  ``task_batch`` groups
-    several per-query partitions into one worker task (``None`` defers
-    to ``REPRO_TASK_BATCH``, then auto) — still bit-identical, the fold
-    order never changes.
+    bit-identical to the serial loop below.
     """
-    from repro.fastframe.parallel import ParallelScanDriver, resolve_parallelism
-
     validate_shared_runs(runs, cursor)
-    workers = resolve_parallelism(parallelism)
-    if workers > 1:
-        return ParallelScanDriver(
-            runs,
-            cursor,
-            parallelism=workers,
-            task_timeout=task_timeout,
-            task_batch=task_batch,
-        ).run()
+    if config is None:
+        config = runs[0].executor.config
+    if config.parallelism > 1:
+        from repro.fastframe.parallel import ParallelScanDriver
+
+        return ParallelScanDriver(runs, cursor, config).run()
     from repro.fastframe.storage import storage_tracker
 
     scramble = cursor.scramble

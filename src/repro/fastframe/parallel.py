@@ -16,20 +16,18 @@ window-frame architecture exposes:
   group code, per-view bincount statistics) is independent of every other
   run's.  The driver exports the frame's buffers (row ids, value arrays,
   combined group codes, predicate masks) to POSIX shared memory once,
-  groups the offloadable partitions into *task batches* (``task_batch``
-  partitions per worker task; ``None`` auto-sizes to
-  ``ceil(partitions / workers)`` so one window costs one task per
-  worker), and submits the batches to a persistent process pool; workers
-  attach the frame once per batch and return one per-view bincount
-  :class:`~repro.fastframe.kernels.IngestDelta` per partition.  For
-  delta-capable
-  bounders (``ErrorBounder.supports_delta``) the worker also runs the
-  bounder's pure ``partition_delta`` kernel, and — when every view is
-  settling — drops the O(rows) ``view_idx``/``values`` arrays from the
-  return payload entirely: only O(views) delta arrays cross IPC
-  (``ExecutionMetrics.delta_bytes_returned`` counts what ships, and the
-  ``partition_wall_s``/``merge_wall_s`` counters split the ingest wall
-  between the two stages).
+  groups the offloadable partitions into *task batches*
+  (``ceil(partitions / workers)`` per worker task, so one window costs
+  one task per worker), and submits the batches to a persistent process
+  pool; workers attach the frame once per batch and return one per-view
+  bincount :class:`~repro.fastframe.kernels.IngestDelta` per partition.
+  For delta-capable bounders (``ErrorBounder.supports_delta``) the
+  worker also runs the bounder's pure ``partition_delta`` kernel, and —
+  when every view is settling — drops the O(rows) ``view_idx``/``values``
+  arrays from the return payload entirely: only O(views) delta arrays
+  cross IPC (``ExecutionMetrics.delta_bytes_returned`` counts what
+  ships, and the ``partition_wall_s``/``merge_wall_s`` counters split the
+  ingest wall between the two stages).
 
 **Why results are bit-identical to serial.**  Workers only run the *pure*
 half of ingest (:func:`~repro.fastframe.kernels.partition_ingest` and
@@ -41,7 +39,7 @@ deltas into each run's :class:`~repro.fastframe.viewpool.ViewPool` via
 window-then-run order — the exact order the serial loop uses.  Batching
 changes only how deltas travel (several per task instead of one), never
 the deltas themselves or the fold order, so pool state is byte-identical
-at any ``parallelism`` × ``task_batch``.  Prefetched
+at any ``parallelism`` and batch size.  Prefetched
 block selections are charged to metrics only when consumed, and the probe
 counters of a selection that is discarded (its run retired meanwhile) are
 reconciled, so every :class:`~repro.fastframe.query.ExecutionMetrics`
@@ -58,7 +56,7 @@ fully inline execution with identical semantics.
 **Fault tolerance.**  Because every worker task is a *pure recompute*
 of inputs the main process still holds, any failure is recoverable with
 byte-identical results.  Each task batch carries a deadline
-(``task_timeout`` / ``REPRO_TASK_TIMEOUT``, covering the whole batch); a
+(``ExecConfig.task_timeout``, covering the whole batch); a
 timed-out or crashed batch is re-dispatched whole up to
 :data:`MAX_TASK_ATTEMPTS` times under exponential backoff, and as the
 always-correct last resort every slice in it is recomputed in-process
@@ -70,25 +68,20 @@ permanently to inline execution.  Every recovery action is counted in
 ``inline_fallbacks`` / ``pool_rebuilds`` / ``shm_cleanup_failures``).
 Deterministic chaos for all of this lives in :mod:`repro.testing.faults`.
 
-``parallelism`` resolution: an explicit knob wins; ``None`` defers to the
-``REPRO_PARALLELISM`` environment variable (the CI matrix leg sets it to
-2 to run the whole tier-1 suite through this driver), then 1.
-``task_timeout`` resolves the same way through ``REPRO_TASK_TIMEOUT``
-(seconds; ``0`` or negative disables the deadline), and ``task_batch``
-through ``REPRO_TASK_BATCH`` (partitions per worker task; unset, ``0``
-or negative means auto-size per window).
+Worker count and task deadline come from the caller's
+:class:`~repro.fastframe.config.ExecConfig`.
 """
 
 from __future__ import annotations
 
 import atexit
-import os
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
 import numpy as np
 
+from repro.fastframe.config import ExecConfig
 from repro.fastframe.kernels import partition_ingest, partition_slice, slice_elements
 from repro.fastframe.query import ExecutionMetrics
 from repro.fastframe.window import (
@@ -104,33 +97,14 @@ from repro.testing.faults import (
 
 __all__ = [
     "ParallelScanDriver",
-    "resolve_parallelism",
-    "resolve_task_timeout",
-    "resolve_task_batch",
-    "REPRO_PARALLELISM_ENV",
-    "REPRO_TASK_TIMEOUT_ENV",
-    "REPRO_TASK_BATCH_ENV",
     "MIN_OFFLOAD_ELEMENTS",
     "MAX_TASK_ATTEMPTS",
     "MAX_POOL_REBUILDS",
 ]
 
-#: Environment variable consulted when no explicit parallelism is given.
-REPRO_PARALLELISM_ENV = "REPRO_PARALLELISM"
-
-#: Environment variable consulted when no explicit task timeout is given.
-REPRO_TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
-
-#: Environment variable consulted when no explicit task batch is given.
-REPRO_TASK_BATCH_ENV = "REPRO_TASK_BATCH"
-
 #: In-view elements below which a run's window slice is partitioned inline
 #: — at this size the sort+bincount costs less than a task round trip.
 MIN_OFFLOAD_ELEMENTS = 256
-
-#: Default per-task deadline (seconds).  Partition tasks are sub-second;
-#: a minute of silence means the worker is gone, not slow.
-DEFAULT_TASK_TIMEOUT_S = 60.0
 
 #: Dispatch attempts per task (first submit + re-dispatches) before the
 #: slice is recomputed inline.
@@ -152,52 +126,6 @@ POOL_REBUILD_BACKOFF_S = 0.1
 #: bug in the partition kernels — propagates: retrying a deterministic
 #: error would loop, and hiding it behind the inline path would mask it.
 RETRIABLE_TASK_ERRORS = (InjectedWorkerFault, MemoryError, OSError)
-
-
-def resolve_parallelism(parallelism: int | None) -> int:
-    """An explicit knob, else ``REPRO_PARALLELISM``, else 1 (min 1)."""
-    if parallelism is None:
-        raw = os.environ.get(REPRO_PARALLELISM_ENV, "").strip()
-        try:
-            parallelism = int(raw) if raw else 1
-        except ValueError:
-            parallelism = 1
-    return max(int(parallelism), 1)
-
-
-def resolve_task_timeout(task_timeout: float | None) -> float | None:
-    """An explicit knob, else ``REPRO_TASK_TIMEOUT``, else the default;
-    zero or negative means no deadline (``None``)."""
-    if task_timeout is None:
-        raw = os.environ.get(REPRO_TASK_TIMEOUT_ENV, "").strip()
-        if not raw:
-            return DEFAULT_TASK_TIMEOUT_S
-        try:
-            task_timeout = float(raw)
-        except ValueError:
-            return DEFAULT_TASK_TIMEOUT_S
-    task_timeout = float(task_timeout)
-    return task_timeout if task_timeout > 0 else None
-
-
-def resolve_task_batch(task_batch: int | None) -> int | None:
-    """An explicit knob, else ``REPRO_TASK_BATCH``, else ``None`` (auto).
-
-    ``None`` means auto-size per window: ``ceil(partitions / workers)``,
-    so every window costs at most one task round trip per worker.  Zero,
-    negative, or unparsable values also mean auto.  ``1`` disables
-    batching (one partition per task — exactly the pre-batching driver).
-    """
-    if task_batch is None:
-        raw = os.environ.get(REPRO_TASK_BATCH_ENV, "").strip()
-        if not raw:
-            return None
-        try:
-            task_batch = int(raw)
-        except ValueError:
-            return None
-    task_batch = int(task_batch)
-    return task_batch if task_batch >= 1 else None
 
 
 # ----------------------------------------------------------------------
@@ -375,35 +303,24 @@ class ParallelScanDriver:
         solo execution).
     cursor:
         The shared :class:`~repro.fastframe.scan.ScanCursor`.
-    parallelism:
-        Worker processes (>= 1; at 1 everything runs inline but the
-        pipeline structure is identical).
+    config:
+        The resolved :class:`~repro.fastframe.config.ExecConfig`: its
+        ``parallelism`` is the worker count (at 1 everything runs inline
+        but the pipeline structure is identical) and its ``task_timeout``
+        the deadline of one task batch.
     solo:
         Mirror the accounting of :meth:`QueryRun.feed` (frame gathers
         charged to the single run, bitmap counters left for
         ``run.finalize()``) instead of the batch accounting of
         :func:`~repro.fastframe.executor.run_shared_scan`.
-    task_timeout:
-        Per-task deadline in seconds, covering a whole batch (``None``
-        defers to ``REPRO_TASK_TIMEOUT``, then
-        :data:`DEFAULT_TASK_TIMEOUT_S`; zero/negative disables the
-        deadline).
-    task_batch:
-        Partitions bundled per worker task (``None`` defers to
-        ``REPRO_TASK_BATCH``, then auto-sizes each window to
-        ``ceil(partitions / workers)``).  Batch size never changes a
-        byte of any result — only how many deltas share one task round
-        trip.
     """
 
     def __init__(
         self,
         runs: list,
         cursor,
-        parallelism: int,
+        config: ExecConfig,
         solo: bool = False,
-        task_timeout: float | None = None,
-        task_batch: int | None = None,
     ) -> None:
         from repro.fastframe.executor import validate_shared_runs
 
@@ -412,10 +329,9 @@ class ParallelScanDriver:
             raise ValueError("solo mode drives exactly one run")
         self.runs = list(runs)
         self.cursor = cursor
-        self.workers = max(int(parallelism), 1)
+        self.workers = config.parallelism
         self.solo = solo
-        self.task_timeout = resolve_task_timeout(task_timeout)
-        self.task_batch = resolve_task_batch(task_batch)
+        self.task_timeout = config.task_timeout
         self.metrics = ExecutionMetrics()
         self._start_time = time.perf_counter()
         self._indexes = {}
@@ -562,7 +478,7 @@ class ParallelScanDriver:
             # Recovery happens inside _await_batch; whatever path computed
             # the delta, it is folded here, in this order — which is why
             # recovered runs stay byte-identical to serial at any
-            # parallelism × task_batch.
+            # parallelism and batch size.
             for run, mask, state in zip(live, masks, states):
                 result = None
                 if state.batch is not None:
@@ -697,11 +613,10 @@ class ParallelScanDriver:
 
     def _batch_size(self, n_offload: int) -> int:
         """Partitions per worker task for a window with ``n_offload``
-        offloadable partitions: the explicit/env knob, else
-        ``ceil(n_offload / workers)`` — the whole window costs at most
-        one task round trip per worker while every worker stays busy."""
-        if self.task_batch is not None:
-            return self.task_batch
+        offloadable partitions: ``ceil(n_offload / workers)`` — the
+        whole window costs at most one task round trip per worker while
+        every worker stays busy.  Batch size never changes a byte of any
+        result, only how many deltas share one round trip."""
         return max(1, -(-n_offload // self.workers))
 
     def _submit_batch(self, export, batch: _TaskBatch, live: list) -> bool:

@@ -309,8 +309,7 @@ class QueryResult:
     """Result of executing a :class:`Query`: per-group results + metrics.
 
     ``delta`` is the error probability the execution was charged.  It is
-    populated by the session layer (:class:`repro.api.Connection` /
-    :class:`~repro.fastframe.session.Session`), which allocates each query
+    populated by :class:`repro.api.Connection`, which allocates each query
     a slice of the joint session budget; a bare
     :class:`~repro.fastframe.executor.ApproximateExecutor` run leaves it
     ``None`` (the executor's own ``delta`` applies).

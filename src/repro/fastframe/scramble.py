@@ -206,7 +206,7 @@ class Scramble:
             )
         if self.storage is not None:
             # The spilled bytes would go stale; fall back to memory (a
-            # later connect() under REPRO_STORAGE=mmap re-spills).
+            # later connect(storage="mmap") re-spills).
             self.detach_storage()
         rng = rng or np.random.default_rng()
         added = self.table.append_rows(continuous, categorical)

@@ -28,11 +28,11 @@ Three mechanisms make the mmap path fast rather than merely possible:
   :class:`~repro.fastframe.query.ExecutionMetrics` are deterministic.
 * **Delta-fold neutrality** — gathers produce the same float64/int32
   bytes that were spilled, so execution over an mmap-backed scramble is
-  byte-identical to in-memory execution at any parallelism × task_batch.
+  byte-identical to in-memory execution at any parallelism.
 
-Environment knobs mirror the parallel layer: ``REPRO_STORAGE``
-(``memory`` | ``mmap``) selects the backend for ``connect()`` and
-``REPRO_CACHE_BYTES`` sets the default cache budget.
+Which backend a connection uses, and its cache budget, are the
+``storage`` and ``cache_bytes`` fields of
+:class:`~repro.fastframe.config.ExecConfig`.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ __all__ = [
     "attach_block_storage",
     "open_block_scramble",
     "open_block_store",
-    "resolve_cache_bytes",
-    "resolve_storage",
     "write_block_store",
     "DEFAULT_STORE_BLOCK_ROWS",
     "DEFAULT_CACHE_BYTES",
@@ -75,7 +73,7 @@ __all__ = [
 #: budget produces meaningful LRU behavior on test-sized data.
 DEFAULT_STORE_BLOCK_ROWS = 65536
 
-#: Default block-cache budget when ``REPRO_CACHE_BYTES`` is unset.
+#: Budget of the process-wide shared block cache.
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 
 #: Cap on cached entries regardless of byte budget: each cached block
@@ -87,38 +85,8 @@ MANIFEST_NAME = "MANIFEST.json"
 FORMAT_VERSION = 1
 STORE_KIND = "repro-block-store"
 
-_VALID_STORAGE = ("memory", "mmap")
-
-
 class BlockStoreError(RuntimeError):
     """A block directory is missing, incomplete, or inconsistent."""
-
-
-def resolve_storage(storage: str | None) -> str:
-    """Effective storage backend: explicit argument, else ``REPRO_STORAGE``.
-
-    Mirrors ``resolve_parallelism``: ``None`` defers to the environment,
-    and the unset default is the in-memory backend.
-    """
-    if storage is None:
-        storage = os.environ.get("REPRO_STORAGE") or "memory"
-    storage = str(storage).lower()
-    if storage not in _VALID_STORAGE:
-        raise ValueError(
-            f"unknown storage backend {storage!r}; expected one of {_VALID_STORAGE}"
-        )
-    return storage
-
-
-def resolve_cache_bytes(cache_bytes: int | None) -> int:
-    """Effective cache budget: explicit argument, else ``REPRO_CACHE_BYTES``."""
-    if cache_bytes is None:
-        raw = os.environ.get("REPRO_CACHE_BYTES")
-        cache_bytes = int(raw) if raw else DEFAULT_CACHE_BYTES
-    cache_bytes = int(cache_bytes)
-    if cache_bytes < 1:
-        raise ValueError(f"cache_bytes must be >= 1, got {cache_bytes}")
-    return cache_bytes
 
 
 @dataclass
@@ -263,11 +231,11 @@ _SHARED_CACHE_LOCK = threading.Lock()
 
 
 def shared_block_cache() -> BlockCache:
-    """The process-wide default block cache (budget from REPRO_CACHE_BYTES)."""
+    """The process-wide default block cache (:data:`DEFAULT_CACHE_BYTES`)."""
     global _SHARED_CACHE
     with _SHARED_CACHE_LOCK:
         if _SHARED_CACHE is None:
-            _SHARED_CACHE = BlockCache(resolve_cache_bytes(None))
+            _SHARED_CACHE = BlockCache(DEFAULT_CACHE_BYTES)
         return _SHARED_CACHE
 
 
@@ -659,11 +627,10 @@ class MmapBlockStore(ColumnStore):
     def set_cache_budget(self, cache_bytes: int) -> None:
         """Give this store a private cache with the requested budget.
 
-        Called when a connection passes an explicit ``cache_bytes``; the
+        Called when a connection's config carries a ``cache_bytes``; the
         default shared cache is left alone so one tenant's budget choice
         cannot evict every other store's working set.
         """
-        cache_bytes = resolve_cache_bytes(cache_bytes)
         if self._private_cache:
             self.stats.cache_evictions += self._cache.resize(cache_bytes)
         else:
@@ -872,8 +839,7 @@ def attach_block_storage(
     The in-memory arrays stay in place (mutation via ``insert_rows``
     detaches the store and proceeds in memory), but every value/code
     gather on the query hot path reads through the mmap store — this is
-    what ``REPRO_STORAGE=mmap`` turns on for every connection, letting
-    the whole test suite replay out-of-core.  Idempotent: an already
+    what ``storage="mmap"`` turns on for a connection.  Idempotent: an already
     attached scramble keeps its store (the cache budget is still
     applied when given).
     """

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro
 from repro.api import Connection, GatherResult, QueryHandle, connect
 from repro.bounders import get_bounder
 from repro.fastframe import (
@@ -14,7 +13,6 @@ from repro.fastframe import (
     Query,
     Scramble,
     ScanStrategy,
-    Session,
     Table,
 )
 from repro.stopping import (
@@ -534,41 +532,3 @@ class TestGather:
                 solo.groups[key].interval.lo, rel=1e-9, abs=1e-9
             )
 
-
-class TestBackwardCompatibility:
-    def test_top_level_shims_warn_but_work(self, scramble):
-        with pytest.warns(DeprecationWarning, match="repro.connect"):
-            executor = repro.ApproximateExecutor(
-                scramble,
-                get_bounder("bernstein+rt"),
-                delta=1e-6,
-                rng=np.random.default_rng(0),
-            )
-        query = Query(
-            AggregateFunction.AVG, "x", RelativeAccuracy(0.5), group_by=("g",)
-        )
-        result = executor.execute(query, start_block=0)
-        assert len(result.groups) == 8
-
-        with pytest.warns(DeprecationWarning, match="repro.connect"):
-            session = repro.Session(
-                scramble, get_bounder("bernstein+rt"), session_delta=1e-6
-            )
-        assert session.execute(query, start_block=0).groups
-
-    def test_session_is_rebuilt_on_connection(self, scramble):
-        session = Session(
-            scramble,
-            get_bounder("bernstein+rt"),
-            session_delta=1e-6,
-            policy="harmonic",
-            rng=np.random.default_rng(0),
-        )
-        assert isinstance(session.connection, Connection)
-        query = Query(
-            AggregateFunction.AVG, "x", RelativeAccuracy(0.5), name="compat"
-        )
-        session.execute(query, start_block=0)
-        assert session.queries_run == session.connection.queries_run == 1
-        assert session.audit()[0].name == "compat"
-        assert session.spent_delta == session.connection.spent_delta

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from repro.api import connect
-from repro.bounders import get_bounder
-from repro.fastframe import Scramble, Session, Table
+from repro.fastframe import Scramble, Table
 
 POLICIES = ("even", "harmonic")
 SESSION_DELTA = 1e-6
@@ -77,31 +76,6 @@ def test_gather_spends_exactly_sequential_deltas(scramble, policy):
     assert batched_deltas == _expected_deltas(policy, len(results))
     assert batched.spent_delta == sequential.spent_delta
     assert batch.results[0].delta == batched_deltas[0]
-
-
-@pytest.mark.parametrize("policy", POLICIES)
-def test_gather_spends_exactly_what_legacy_session_would(scramble, policy):
-    """The old Session front door and the new gather path share one ledger
-    semantics: identical allocations for identical query sequences."""
-    batched = _connection(scramble, policy)
-    handles = _dashboard(batched)
-    batched.gather(handles, start_block=7)
-
-    session = Session(
-        scramble,
-        get_bounder("bernstein+rt"),
-        session_delta=SESSION_DELTA,
-        policy=policy,
-        max_queries=10,
-        rng=np.random.default_rng(5),
-    )
-    for handle in _dashboard(session.connection):
-        session.execute(handle.query, start_block=7)
-
-    assert [e.delta for e in batched.audit()] == [
-        e.delta for e in session.audit()
-    ]
-    assert batched.spent_delta == session.spent_delta
 
 
 @pytest.mark.parametrize("policy", POLICIES)

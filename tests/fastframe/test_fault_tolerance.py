@@ -17,12 +17,9 @@ import pytest
 
 from repro.bounders.bernstein import EmpiricalBernsteinSerflingBounder
 from repro.bounders.range_trim import RangeTrimBounder
+from repro.fastframe.config import ExecConfig
 from repro.fastframe.executor import ApproximateExecutor, QueryRun, run_shared_scan
-from repro.fastframe.parallel import (
-    DEFAULT_TASK_TIMEOUT_S,
-    MAX_TASK_ATTEMPTS,
-    resolve_task_timeout,
-)
+from repro.fastframe.parallel import MAX_TASK_ATTEMPTS
 from repro.fastframe.query import AggregateFunction, Query, RecoveryCounters
 from repro.fastframe.scan import get_strategy
 from repro.fastframe.scramble import Scramble
@@ -128,7 +125,9 @@ def _run(scramble, parallelism, task_timeout=None):
     runs = [QueryRun(executor, query) for query in _queries()]
     cursor = executor.cursor(START_BLOCK, window_blocks=runs[0].window_blocks)
     batch = run_shared_scan(
-        runs, cursor, parallelism=parallelism, task_timeout=task_timeout
+        runs,
+        cursor,
+        ExecConfig.resolve(parallelism=parallelism, task_timeout=task_timeout),
     )
     results = [run.finalize(merge_index_counters=False) for run in runs]
     return (
@@ -379,26 +378,3 @@ class TestFaultPlanDeterminism:
         assert faults.active_fault_plan() is None
         assert faults.draw_task_fault() is None
 
-
-class TestTaskTimeoutResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "5")
-        assert resolve_task_timeout(12.5) == 12.5
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "7.5")
-        assert resolve_task_timeout(None) == 7.5
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
-        assert resolve_task_timeout(None) == DEFAULT_TASK_TIMEOUT_S
-
-    def test_zero_disables(self, monkeypatch):
-        assert resolve_task_timeout(0) is None
-        assert resolve_task_timeout(-3) is None
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0")
-        assert resolve_task_timeout(None) is None
-
-    def test_garbage_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "soon")
-        assert resolve_task_timeout(None) == DEFAULT_TASK_TIMEOUT_S

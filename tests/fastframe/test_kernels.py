@@ -13,10 +13,10 @@ Two contracts are pinned here:
   non-contiguous slices.
 
 * **Batching is invisible.**  Bundling several (query, window)
-  partitions into one worker task (``task_batch``) changes how deltas
+  partitions into one worker task changes how deltas
   travel, never the deltas or the fold order — pool state, results, and
   deterministic metrics must be byte-identical to serial at any
-  ``parallelism`` × ``task_batch``, including through whole-batch retry
+  ``parallelism`` × batch size, including through whole-batch retry
   and whole-batch inline-fallback recovery under injected mid-batch
   worker crashes.
 
@@ -36,6 +36,7 @@ from repro.fastframe.count import (
     count_interval_batch,
     upper_bound_population_batch,
 )
+from repro.fastframe.config import ExecConfig
 from repro.fastframe.exact import ExactExecutor
 from repro.fastframe.executor import ApproximateExecutor, QueryRun, run_shared_scan
 from repro.fastframe.kernels import (
@@ -46,10 +47,7 @@ from repro.fastframe.kernels import (
     partition_ingest,
     slice_elements,
 )
-from repro.fastframe.parallel import (
-    REPRO_TASK_BATCH_ENV,
-    resolve_task_batch,
-)
+from repro.fastframe.parallel import ParallelScanDriver
 from repro.fastframe.query import AggregateFunction, Query
 from repro.fastframe.scan import get_strategy
 from repro.fastframe.scramble import Scramble
@@ -285,32 +283,8 @@ class TestFusedEqualsComposed:
 
 
 # ----------------------------------------------------------------------
-# Part 2 — task_batch resolution + batched parity at parallelism 2
+# Part 2 — batched parity at parallelism 2
 # ----------------------------------------------------------------------
-
-
-class TestTaskBatchResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(REPRO_TASK_BATCH_ENV, "7")
-        assert resolve_task_batch(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(REPRO_TASK_BATCH_ENV, "5")
-        assert resolve_task_batch(None) == 5
-
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv(REPRO_TASK_BATCH_ENV, raising=False)
-        assert resolve_task_batch(None) is None
-
-    def test_zero_and_negative_mean_auto(self, monkeypatch):
-        assert resolve_task_batch(0) is None
-        assert resolve_task_batch(-4) is None
-        monkeypatch.setenv(REPRO_TASK_BATCH_ENV, "0")
-        assert resolve_task_batch(None) is None
-
-    def test_garbage_env_means_auto(self, monkeypatch):
-        monkeypatch.setenv(REPRO_TASK_BATCH_ENV, "several")
-        assert resolve_task_batch(None) is None
 
 
 START_BLOCK = 3
@@ -382,12 +356,19 @@ def _metrics_snapshot(metrics) -> tuple:
 
 
 def _run(scramble, parallelism, task_batch=None):
+    """One shared scan.  Batch size is not a user-facing option (the
+    driver sizes batches itself), so a test that needs a specific size
+    pins it on the driver object it constructs."""
     executor = _executor(scramble)
     runs = [QueryRun(executor, query) for query in _queries()]
     cursor = executor.cursor(START_BLOCK, window_blocks=runs[0].window_blocks)
-    batch = run_shared_scan(
-        runs, cursor, parallelism=parallelism, task_batch=task_batch
-    )
+    config = ExecConfig.resolve(parallelism=parallelism)
+    if task_batch is None:
+        batch = run_shared_scan(runs, cursor, config)
+    else:
+        driver = ParallelScanDriver(runs, cursor, config)
+        driver._batch_size = lambda n_offload: task_batch
+        batch = driver.run()
     results = [run.finalize(merge_index_counters=False) for run in runs]
     return (
         [_pool_snapshot(run.pool) for run in runs],
@@ -412,20 +393,14 @@ def _assert_identical(serial, other, context):
 
 
 class TestBatchedTaskParity:
-    """ISSUE acceptance: byte-identical pool state at any parallelism ×
-    task_batch — explicit 1/3/16 and the auto default."""
+    """Byte-identical pool state at any parallelism × batch size —
+    pinned 1/3/16 and the driver's own sizing."""
 
     @pytest.mark.parametrize("task_batch", [1, 3, 16, None])
     def test_batched_scan_byte_identical_to_serial(self, scramble, task_batch):
         serial = _run(scramble, parallelism=1)
         batched = _run(scramble, parallelism=2, task_batch=task_batch)
         _assert_identical(serial, batched, f"task_batch={task_batch}")
-
-    def test_env_batched_scan_byte_identical(self, scramble, monkeypatch):
-        serial = _run(scramble, parallelism=1)
-        monkeypatch.setenv(REPRO_TASK_BATCH_ENV, "3")
-        batched = _run(scramble, parallelism=2)
-        _assert_identical(serial, batched, "env task_batch=3")
 
 
 class TestBatchedFaultRecovery:

@@ -24,6 +24,7 @@ import pytest
 from repro.bounders.base import ErrorBounder, validate_bound_args
 from repro.bounders.bernstein import EmpiricalBernsteinSerflingBounder
 from repro.bounders.range_trim import RangeTrimBounder
+from repro.fastframe.config import ExecConfig
 from repro.fastframe.executor import ApproximateExecutor, QueryRun, run_shared_scan
 from repro.fastframe.parallel import ParallelScanDriver
 from repro.fastframe.query import AggregateFunction, Query
@@ -94,7 +95,7 @@ def scramble():
     return Scramble(table, rng=np.random.default_rng(12))
 
 
-def _executor(scramble, bounder, engine):
+def _executor(scramble, bounder, engine, parallelism=None):
     strategy = get_strategy("scan")
     strategy.window_blocks = 256
     return ApproximateExecutor(
@@ -105,6 +106,7 @@ def _executor(scramble, bounder, engine):
         round_rows=5_000,
         rng=np.random.default_rng(3),
         engine=engine,
+        config=ExecConfig.resolve(parallelism=parallelism),
     )
 
 
@@ -139,10 +141,8 @@ class TestThirdPartyBounderFallback:
             ("pool", "pool", 1),
             ("parallel", "pool", 2),
         ):
-            executor = _executor(scramble, MinimalBounder(), engine)
-            results[label] = executor.execute(
-                _query(), start_block=START_BLOCK, parallelism=parallelism
-            )
+            executor = _executor(scramble, MinimalBounder(), engine, parallelism)
+            results[label] = executor.execute(_query(), start_block=START_BLOCK)
         _assert_parity(results["scalar"], results["pool"], "scalar-vs-pool")
         _assert_parity(results["scalar"], results["parallel"], "scalar-vs-parallel")
         # The fallback protocol must have shipped the sorted per-row
@@ -166,8 +166,8 @@ class TestThirdPartyBounderFallback:
             return original(self, delta, window_rows, at_end)
 
         monkeypatch.setattr(QueryRun, "consume_delta", spy)
-        executor = _executor(scramble, MinimalBounder(), "pool")
-        executor.execute(_query(), start_block=START_BLOCK, parallelism=2)
+        executor = _executor(scramble, MinimalBounder(), "pool", parallelism=2)
+        executor.execute(_query(), start_block=START_BLOCK)
         assert seen
         assert all(not native for native, _, _ in seen)
         assert all(has_idx and has_values for _, has_idx, has_values in seen)
@@ -190,8 +190,8 @@ class TestNativeDeltaPayload:
 
         monkeypatch.setattr(QueryRun, "consume_delta", spy)
         bounder = RangeTrimBounder(EmpiricalBernsteinSerflingBounder())
-        executor = _executor(scramble, bounder, "pool")
-        executor.execute(_query(), start_block=START_BLOCK, parallelism=2)
+        executor = _executor(scramble, bounder, "pool", parallelism=2)
+        executor.execute(_query(), start_block=START_BLOCK)
         native = [entry for entry in seen if entry[0]]
         assert native, "no worker task shipped a native bounder delta"
         assert all(
@@ -200,8 +200,8 @@ class TestNativeDeltaPayload:
 
     def test_native_payload_smaller_than_fallback(self, scramble):
         def bytes_for(bounder):
-            executor = _executor(scramble, bounder, "pool")
-            result = executor.execute(_query(), start_block=START_BLOCK, parallelism=2)
+            executor = _executor(scramble, bounder, "pool", parallelism=2)
+            result = executor.execute(_query(), start_block=START_BLOCK)
             return result, result.metrics.delta_bytes_returned
 
         native_result, native_bytes = bytes_for(
@@ -229,7 +229,7 @@ class TestInlineDriverFallback:
         ]
         runs = [QueryRun(executor, query) for query in queries]
         cursor = executor.cursor(START_BLOCK, window_blocks=runs[0].window_blocks)
-        run_shared_scan(runs, cursor, parallelism=parallelism)
+        run_shared_scan(runs, cursor, ExecConfig.resolve(parallelism=parallelism))
         return [run.finalize(merge_index_counters=False) for run in runs]
 
     def test_no_process_pool_degrades_inline(self, scramble, monkeypatch):

@@ -3,7 +3,7 @@
 The storage layer's contract is strict: routing gathers through an
 mmap-backed block store must leave every query result — estimates,
 certified intervals, sample counts, δ spend — byte-identical to resident
-in-memory execution, at any parallelism × task_batch, because the store
+in-memory execution, at any parallelism, because the store
 serves the *same bytes* (float64/int32 round-trip exactly through the
 block files).  These tests pin that contract plus the cache/prefetch
 accounting and the partial-directory failure modes.
@@ -31,8 +31,6 @@ from repro.fastframe.storage import (
     attach_block_storage,
     open_block_scramble,
     open_block_store,
-    resolve_cache_bytes,
-    resolve_storage,
     table_from_store,
     write_block_store,
 )
@@ -373,27 +371,33 @@ def test_write_rejects_empty_and_unsafe_names(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Surfacing: env knobs, RoundUpdate, synthetic writer
+# Surfacing: Connection.config, RoundUpdate, synthetic writer
 # ----------------------------------------------------------------------
 
 
-def test_resolve_storage_env(monkeypatch):
-    monkeypatch.delenv("REPRO_STORAGE", raising=False)
-    assert resolve_storage(None) == "memory"
-    monkeypatch.setenv("REPRO_STORAGE", "mmap")
-    assert resolve_storage(None) == "mmap"
-    assert resolve_storage("memory") == "memory"  # explicit wins
-    with pytest.raises(ValueError, match="storage"):
-        resolve_storage("tape")
-
-
-def test_resolve_cache_bytes_env(monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE_BYTES", raising=False)
-    assert resolve_cache_bytes(123) == 123
-    monkeypatch.setenv("REPRO_CACHE_BYTES", "4096")
-    assert resolve_cache_bytes(None) == 4096
-    with pytest.raises(ValueError):
-        resolve_cache_bytes(0)
+def test_connection_reports_the_backend_it_uses():
+    """A store attached by one connection serves every later connection
+    over the same scramble, whatever that one asked for — and its config
+    and round updates say so."""
+    scramble = _scramble()
+    first = repro.connect(scramble, storage="mmap")
+    assert first.config.storage == "mmap"
+    try:
+        second = repro.connect(
+            scramble, delta=1e-6, rng=np.random.default_rng(17), storage="memory"
+        )
+        assert scramble.storage is not None
+        assert second.config.storage == "mmap"
+        handle = second.sql(
+            "SELECT Airline, AVG(DepDelay) FROM flights GROUP BY Airline",
+            stopping=SamplesTaken(6_000),
+        )
+        updates = list(handle.rounds(start_block=1))
+        assert updates
+        assert all(isinstance(u.storage, StorageCounters) for u in updates)
+    finally:
+        scramble.detach_storage()
+    assert repro.connect(scramble, storage="memory").config.storage == "memory"
 
 
 def test_round_updates_carry_storage_counters():

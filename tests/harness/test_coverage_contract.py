@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.bounders.registry import get_bounder
+from repro.fastframe.config import ExecConfig
 from repro.fastframe.executor import ApproximateExecutor
 from repro.fastframe.query import AggregateFunction, Query
 from repro.fastframe.scan import get_strategy
@@ -105,7 +106,7 @@ def _run_trials(aggregate: AggregateFunction, engine: str, parallelism: int):
             round_rows=case.round_rows,
             rng=np.random.default_rng(case.seed),
             engine=engine,
-            parallelism=parallelism,
+            config=ExecConfig.resolve(parallelism=parallelism),
         )
         result = executor.execute(case.query, start_block=case.start_block)
         stopped_early += int(result.metrics.stopped_early)

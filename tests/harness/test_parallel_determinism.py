@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.bounders.registry import get_bounder
+from repro.fastframe.config import ExecConfig
 from repro.fastframe.executor import ApproximateExecutor, QueryRun, run_shared_scan
 from repro.fastframe.query import AggregateFunction, ExecutionMetrics, Query
 from repro.fastframe.scan import get_strategy
@@ -64,7 +65,7 @@ def scramble():
     return Scramble(table, rng=np.random.default_rng(1))
 
 
-def _executor(scramble, strategy_name):
+def _executor(scramble, strategy_name, parallelism=None):
     strategy = get_strategy(strategy_name)
     strategy.window_blocks = 512  # several windows per scan
     return ApproximateExecutor(
@@ -75,6 +76,7 @@ def _executor(scramble, strategy_name):
         round_rows=6_000,
         rng=np.random.default_rng(7),
         engine="pool",
+        config=ExecConfig.resolve(parallelism=parallelism),
     )
 
 
@@ -140,7 +142,7 @@ def test_shared_scan_byte_identical_across_parallelism(scramble, strategy_name):
         executor = _executor(scramble, strategy_name)
         runs = [QueryRun(executor, query) for query in _dashboard_queries()]
         cursor = executor.cursor(START_BLOCK, window_blocks=runs[0].window_blocks)
-        batch = run_shared_scan(runs, cursor, parallelism=parallelism)
+        batch = run_shared_scan(runs, cursor, ExecConfig.resolve(parallelism=parallelism))
         for run in runs:
             run.finalize(merge_index_counters=False)
         snapshots[parallelism] = (
@@ -167,7 +169,7 @@ def test_mid_scan_retirement_happens(scramble):
     executor = _executor(scramble, "scan")
     runs = [QueryRun(executor, query) for query in _dashboard_queries()]
     cursor = executor.cursor(START_BLOCK, window_blocks=runs[0].window_blocks)
-    batch = run_shared_scan(runs, cursor, parallelism=2)
+    batch = run_shared_scan(runs, cursor, ExecConfig.resolve(parallelism=2))
     rows = [run.metrics.rows_read for run in runs]
     assert max(rows) == scramble.num_rows  # the full-scan anchor
     assert min(rows) < scramble.num_rows  # at least one early retirement
@@ -177,13 +179,11 @@ def test_mid_scan_retirement_happens(scramble):
 def test_solo_execute_byte_identical_across_parallelism(scramble):
     results = []
     for parallelism in PARALLELISMS:
-        executor = _executor(scramble, "scan")
+        executor = _executor(scramble, "scan", parallelism)
         query = Query(
             AggregateFunction.AVG, "x", RelativeAccuracy(0.1), group_by=("g",)
         )
-        results.append(
-            executor.execute(query, start_block=START_BLOCK, parallelism=parallelism)
-        )
+        results.append(executor.execute(query, start_block=START_BLOCK))
     reference = results[0]
     for result in results[1:]:
         assert _metrics_snapshot(result.metrics) == _metrics_snapshot(
@@ -237,7 +237,7 @@ def test_bounder_family_byte_identical_across_parallelism(
         )
         run = QueryRun(executor, query)
         cursor = executor.cursor(START_BLOCK, window_blocks=run.window_blocks)
-        run_shared_scan([run], cursor, parallelism=parallelism)
+        run_shared_scan([run], cursor, ExecConfig.resolve(parallelism=parallelism))
         run.finalize(merge_index_counters=False)
         snapshots[parallelism] = (
             _pool_snapshot(run.pool),
@@ -302,7 +302,7 @@ def test_quantile_family_byte_identical_across_parallelism(
         )
         run = QueryRun(executor, query)
         cursor = executor.cursor(START_BLOCK, window_blocks=run.window_blocks)
-        run_shared_scan([run], cursor, parallelism=parallelism)
+        run_shared_scan([run], cursor, ExecConfig.resolve(parallelism=parallelism))
         run.finalize(merge_index_counters=False)
         snapshots[parallelism] = (
             _pool_snapshot(run.pool),

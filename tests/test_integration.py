@@ -20,8 +20,11 @@ DELTA = 1e-6
 
 def test_package_exports_quickstart_symbols():
     assert repro.__version__
-    for name in ("ApproximateExecutor", "ExactExecutor", "Query", "get_bounder"):
+    for name in ("connect", "ExactExecutor", "Query", "get_bounder"):
         assert hasattr(repro, name)
+    # 2.0 removed the eager top-level constructors; connect() is the door.
+    for name in ("ApproximateExecutor", "Session"):
+        assert not hasattr(repro, name)
     # The out-of-core storage surface must survive packaging: everything
     # the examples and benches import off the top-level package.
     for name in (
