@@ -28,19 +28,25 @@ single-core host the pipeline still runs (correctness is the point of
 the entry); a wall-clock win is only expected with ≥ 2 cores.
 
 Part 4 times the fused ingest kernel
-(``repro/fastframe/kernels.partition_ingest``) against a faithful
-reimplementation of the composed legacy passes across group
-cardinalities straddling the bucketing threshold (asserting
-byte-identical output).  The ``kernel`` JSON entry records the
-fused-vs-legacy sweep and the bucketing crossover.
+(``repro/fastframe/kernels.partition_ingest``) across group cardinalities
+straddling the bucketing threshold.  The ``kernel`` JSON entry records the
+sweep.  (The comparison against a reimplementation of the pre-kernel
+composed passes was deleted once its 4-5x was on record in
+PERFORMANCE.md; ``tests/fastframe/test_kernels.py`` pins the bytes.)
 
-Part 5 times Anderson's pooled CSR sample buffers against the per-view
+Part 5 times RangeTrim's record-only clip (``RangeTrimBounder.
+_clip_segments``) at 10 / 200 / 1 400 views: ns per row and candidates
+per row for the first window (fresh views: every element is a candidate)
+and in steady state, asserting the clipped streams ``==`` a per-element
+Algorithm 6 loop.  The ``range_trim`` JSON entry records both.
+
+Part 6 times Anderson's pooled CSR sample buffers against the per-view
 buffer baseline (one ``SampleState`` per view, the pre-CSR pool layout):
 windowed sorted-stream ingest and the batched confidence-interval
 kernel, asserting ≤ 1e-9 parity between the layouts.  The ``anderson``
 JSON entry records both walls and the speedups.
 
-Part 6 spills the dashboard scramble to an mmap block store
+Part 7 spills the dashboard scramble to an mmap block store
 (``repro/fastframe/storage.py``) and runs the 6-query dashboard cold
 (every block read from disk) then warm (a second connection served by
 the shared cross-connection block cache), asserting interval parity
@@ -428,88 +434,134 @@ def run_parallel() -> dict:
 
 
 def run_kernel() -> dict:
-    """The fused ingest kernel vs the composed legacy passes.
+    """The fused ingest kernel across the bucketing crossover.
 
     Times :func:`~repro.fastframe.kernels.partition_ingest` (one fused
     slice → gather → sort → lookup pass, with low-cardinality bucketing)
-    against a faithful reimplementation of the pre-kernel composition
-    (boolean gather, int64 stable argsort, permutation gather, checked
-    lookup) on the full-scan all-pass slice, across group cardinalities
-    straddling ``BUCKET_MAX_CARDINALITY`` — the bucketing crossover.
-    Asserts byte-identical ``view_idx``/``values`` at every point.
+    on the full-scan all-pass slice, across group cardinalities
+    straddling ``BUCKET_MAX_CARDINALITY``.
     """
-    from repro.fastframe.kernels import (
-        BUCKET_MAX_CARDINALITY,
-        lookup_codes,
-        partition_ingest,
-        slice_elements,
-    )
+    from repro.fastframe.kernels import BUCKET_MAX_CARDINALITY, partition_ingest
 
     rng = np.random.default_rng(77)
     n = min(ROWS, 200_000)
     values = rng.normal(0.0, 1.0, n)
     pred = np.ones(n, dtype=bool)  # all-pass: the full-scan hot case
 
-    def legacy_partition(codes, combined):
-        """The pre-kernel composed passes, verbatim: gather the slice,
-        stable-sort the raw int64 codes, permute values, rank codes."""
-        window_slice = slice_elements(n, None, lambda: pred)
-        pick = window_slice.pick
-        view_values = values[pick]
-        view_combined = combined[pick]
-        order = np.argsort(view_combined, kind="stable")
-        return lookup_codes(codes, view_combined[order]), view_values[order]
-
-    def fused_partition(codes, combined):
-        return partition_ingest(
-            n,
-            None,
-            lambda: pred,
-            codes,
-            values_of=lambda pick: values[pick],
-            combined_of=lambda pick: combined[pick],
-        )
-
     sweep = []
     for groups in (8, 256, 4096, BUCKET_MAX_CARDINALITY, 2 * BUCKET_MAX_CARDINALITY):
         codes = np.arange(groups, dtype=np.int64)
         combined = rng.integers(0, groups, n).astype(np.int64)
-        legacy_s = fused_s = float("inf")
-        delta = legacy_idx = legacy_values = None
+        fused_s = float("inf")
         for _ in range(REPS):
             start = time.perf_counter()
-            legacy_idx, legacy_values = legacy_partition(codes, combined)
-            legacy_s = min(legacy_s, time.perf_counter() - start)
-            start = time.perf_counter()
-            delta = fused_partition(codes, combined)
+            delta = partition_ingest(
+                n,
+                None,
+                lambda: pred,
+                codes,
+                values_of=lambda pick: values[pick],
+                combined_of=lambda pick: combined[pick],
+            )
             fused_s = min(fused_s, time.perf_counter() - start)
-        # Byte-identity: the fused kernel is an optimization, not a
-        # different algorithm.
-        assert np.array_equal(delta.view_idx, legacy_idx)
-        assert np.array_equal(delta.values, legacy_values)
+        assert delta.n_in_view == n
         sweep.append(
             {
                 "groups": groups,
                 "bucketed": groups <= BUCKET_MAX_CARDINALITY,
-                "legacy_s": round(legacy_s, 6),
                 "fused_s": round(fused_s, 6),
-                "speedup": round(legacy_s / fused_s, 2),
+                "ns_per_row": round(1e9 * fused_s / n, 2),
             }
         )
         print(
-            f"kernel: groups={groups:>6}  legacy={legacy_s:.4f}s  "
-            f"fused={fused_s:.4f}s  speedup={sweep[-1]['speedup']:>5}x"
+            f"kernel: groups={groups:>6}  fused={fused_s:.4f}s  "
+            f"({sweep[-1]['ns_per_row']} ns/row)"
             f"{'  (bucketed)' if sweep[-1]['bucketed'] else ''}"
         )
-    winning = [e["groups"] for e in sweep if e["bucketed"] and e["speedup"] > 1.0]
-    crossover = max(winning) if winning else 0
-
     return {
         "rows": n,
         "bucket_max_cardinality": BUCKET_MAX_CARDINALITY,
-        "bucket_crossover_groups": crossover,
-        "fused_vs_legacy": sweep,
-        "byte_identity": True,  # asserted per cardinality above
+        "sweep": sweep,
+    }
+
+
+def _reference_clip(indices, values, carry_min, carry_max, counts):
+    """Per-element Algorithm 6 over one sorted stream: the fed elements'
+    view, ``min(v, prior max)`` and ``max(v, prior min)``, in plain Python."""
+    run_min, run_max = carry_min.tolist(), carry_max.tolist()
+    seen = counts.tolist()
+    fed, left, right = [], [], []
+    for view, value in zip(indices.tolist(), values.tolist()):
+        if seen[view]:
+            fed.append(view)
+            left.append(min(value, run_max[view]))
+            right.append(max(value, run_min[view]))
+        seen[view] += 1
+        run_max[view] = max(run_max[view], value)
+        run_min[view] = min(run_min[view], value)
+    return np.array(fed, dtype=np.int64), np.array(left), np.array(right)
+
+
+def run_range_trim() -> dict:
+    """RangeTrim's record-only clip: cost and candidate rate per window.
+
+    Replays windowed view-sorted streams through ``bernstein+rt``'s pool
+    and times the pure clip (``_clip_segments`` over the pool's
+    ``delta_context``) per window.  The first window meets fresh views —
+    every element is a candidate, the dense worst case; from the second
+    on only elements beyond a view's carried extrema are.  Every window's
+    clipped streams are asserted ``==`` the per-element reference.
+    """
+    bounder = get_bounder("bernstein+rt")
+    window = 25_000
+    num_windows = max(2, min(ROWS, 200_000) // window)
+    sweep = []
+    for views in (10, 200, 1400):
+        rng = np.random.default_rng(views)
+        pool = bounder.init_pool(views)
+        ns_per_row, candidates_per_row = [], []
+        for _ in range(num_windows):
+            indices = np.sort(rng.integers(0, views, window)).astype(np.int64)
+            values = rng.normal(100.0, 15.0, window)
+            carry_min, carry_max, counts, _, _ = bounder.delta_context(pool)
+            best = float("inf")
+            for _ in range(REPS):
+                start = time.perf_counter()
+                clipped = bounder._clip_segments(
+                    indices, values, carry_min, carry_max, counts
+                )
+                best = min(best, time.perf_counter() - start)
+            expected = _reference_clip(indices, values, carry_min, carry_max, counts)
+            for got, want in zip(clipped[3:], expected):
+                assert np.array_equal(got, want)
+            candidates = np.count_nonzero(
+                (values > carry_max[indices]) | (values < carry_min[indices])
+            )
+            ns_per_row.append(1e9 * best / window)
+            candidates_per_row.append(int(candidates) / window)
+            bounder.update_pool(pool, indices, values)
+        entry = {
+            "views": views,
+            "first_window_ns_per_row": round(ns_per_row[0], 2),
+            "first_window_candidates_per_row": round(candidates_per_row[0], 5),
+            "steady_ns_per_row": round(float(np.median(ns_per_row[1:])), 2),
+            "steady_candidates_per_row": round(
+                float(np.mean(candidates_per_row[1:])), 5
+            ),
+        }
+        sweep.append(entry)
+        print(
+            f"range-trim clip: views={views:>5}  first window "
+            f"{entry['first_window_ns_per_row']} ns/row "
+            f"({entry['first_window_candidates_per_row']} cand/row), steady "
+            f"{entry['steady_ns_per_row']} ns/row "
+            f"({entry['steady_candidates_per_row']} cand/row)"
+        )
+    return {
+        "window_rows": window,
+        "windows": num_windows,
+        "sweep": sweep,
+        "stream_parity": True,  # asserted == per window above
     }
 
 
@@ -772,6 +824,7 @@ def main() -> int:
     payload["dashboard"] = run_dashboard()
     payload["parallel"] = run_parallel()
     payload["kernel"] = run_kernel()
+    payload["range_trim"] = run_range_trim()
     payload["anderson"] = run_anderson()
     payload["quantile"] = run_quantile()
     payload["storage"] = run_storage()

@@ -21,4 +21,9 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=["numpy"],
+    # What the test-suite imports beyond the package's own dependencies;
+    # CI installs exactly this (`pip install -e ".[test]"`).
+    extras_require={
+        "test": ["pytest", "pytest-benchmark", "hypothesis", "scipy"],
+    },
 )

@@ -251,6 +251,20 @@ class ErrorBounder(ABC):
         for value in np.asarray(values, dtype=np.float64):
             self.update(state, float(value))
 
+    def update_batch_with_moments(
+        self, state: Any, values: np.ndarray, moments: tuple[int, float, float]
+    ) -> None:
+        """:meth:`update_batch` for a caller that already holds the batch's
+        :meth:`~repro.stats.streaming.MomentState.batch_moments`.
+
+        The scalar engine feeds one value segment to several moment
+        consumers per (view, window); it computes the triple once and hands
+        it down.  Moment-state bounders merge it instead of re-reducing
+        ``values``; everything else — including any bounder that only
+        implements ``update_batch(state, values)`` — ignores it here.
+        """
+        self.update_batch(state, values)
+
     @abstractmethod
     def lbound(self, state: Any, a: float, b: float, n: int, delta: float) -> float:
         """(1 − δ) confidence lower bound for ``AVG(D)``.
@@ -512,6 +526,9 @@ class MomentPoolBounderMixin:
         from repro.stats.streaming import MomentPool
 
         return MomentPool(size)
+
+    def update_batch_with_moments(self, state, values: np.ndarray, moments) -> None:
+        state.merge_moments(*moments)
 
     def update_pool(self, pool, indices: np.ndarray, values: np.ndarray) -> None:
         pool.update_indexed(indices, values)

@@ -29,7 +29,6 @@ queried with dataset size ``N − 1``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -111,65 +110,64 @@ class RangeTrimDelta(BounderDelta):
         )
 
 
-def _segmented_prior_extrema(
-    values: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    carry_max: np.ndarray,
-    carry_min: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element *exclusive* running max/min within segments, with carry.
+#: ``(is_candidate, running extremum, clip)`` ufuncs of the two clip sides:
+#: ``S_l`` is fed ``min(v, prior max)``, ``S_r`` is fed ``max(v, prior min)``.
+_CLIP_AT_MAX = (np.greater, np.maximum, np.minimum)
+_CLIP_AT_MIN = (np.less, np.minimum, np.maximum)
 
-    ``prior_max[j]`` for the ``k``-th element of segment ``i`` is
-    ``max(carry_max[i], values of the segment's first k − 1 elements)`` —
-    exactly the "extrema of all earlier samples" that Algorithm 6 clips
-    against.  Per-segment sliced accumulation when segments are few (the
-    low-cardinality hot case: two in-place sweeps per segment, no index
-    scatter), dense 2-D accumulation when many segments make the padding
-    affordable, per-segment again for pathologically skewed sizes — all
-    exact (max/min prefixes round nothing), so the paths are
-    bit-interchangeable.
+
+def _record_clip(values: np.ndarray, carry, side, indices: np.ndarray | None = None):
+    """One side of Algorithm 6's clip over a stream, touching records only.
+
+    Each element is clipped against the running extremum of its view
+    *before* it: ``carry`` (the extremum carried from earlier windows),
+    then the view's earlier elements of this stream.  ``indices`` is the
+    view per element of a view-sorted stream and ``carry`` the per-view
+    array it indexes; a single-view stream passes ``indices=None`` and a
+    float ``carry``.
+
+    The clip changes ``v`` only where ``v`` is a strict new record of its
+    view, and a record must beat the carry, so one compare against the
+    carry finds every *candidate*; the exclusive running extremum is then
+    computed over the candidates alone — an element at or inside the carry
+    can neither be clipped nor move the extremum a later candidate is
+    clipped against.  Under a scramble a view holding ``n`` earlier samples
+    yields ``m / (n + 1)`` expected candidates from ``m`` new ones whatever
+    the data; when every element is a candidate (fresh views, sorted
+    input) this is the dense segmented scan.  Max/min prefixes round
+    nothing, so the result equals the per-element clip exactly.  Returns
+    ``values`` itself (not a copy) when there is no candidate.
     """
-    total = values.size
-    lengths = ends - starts
-    num_segments = starts.size
-    longest = int(lengths.max()) if num_segments else 0
-    prior_max = np.empty(total, dtype=np.float64)
-    prior_min = np.empty(total, dtype=np.float64)
-    if (
-        num_segments > 64
-        and num_segments * (longest + 1) <= max(4 * total, 4096)
-    ):
-        rows = np.repeat(np.arange(num_segments, dtype=np.int64), lengths)
-        cols = np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
-        grid = np.full((num_segments, longest + 1), -math.inf, dtype=np.float64)
-        grid[:, 0] = carry_max
-        grid[rows, cols + 1] = values
-        np.maximum.accumulate(grid, axis=1, out=grid)
-        prior_max[:] = grid[rows, cols]
-        grid = np.full((num_segments, longest + 1), math.inf, dtype=np.float64)
-        grid[:, 0] = carry_min
-        grid[rows, cols + 1] = values
-        np.minimum.accumulate(grid, axis=1, out=grid)
-        prior_min[:] = grid[rows, cols]
+    is_candidate, extremum, clip = side
+    mask = is_candidate(values, carry if indices is None else carry[indices])
+    hits = np.count_nonzero(mask)
+    if hits == 0:
+        return values
+    if hits == values.size:
+        # Fresh views, sorted input: the dense scan, no gather or scatter.
+        records, views = values, indices
     else:
-        for i in range(num_segments):
-            start, end = int(starts[i]), int(ends[i])
-            segment = values[start:end]
-            prior_max[start] = carry_max[i]
-            prior_min[start] = carry_min[i]
-            if end - start > 1:
-                np.maximum(
-                    np.maximum.accumulate(segment[:-1]),
-                    carry_max[i],
-                    out=prior_max[start + 1 : end],
-                )
-                np.minimum(
-                    np.minimum.accumulate(segment[:-1]),
-                    carry_min[i],
-                    out=prior_min[start + 1 : end],
-                )
-    return prior_max, prior_min
+        candidates = np.flatnonzero(mask)
+        records = values[candidates]
+        views = None if indices is None else indices[candidates]
+    # Exclusive running extremum per view: the carry for a view's first
+    # candidate, the inclusive scan shifted by one for the rest (every
+    # candidate already beats the carry, so the carry drops out of it).
+    if views is None:
+        prior = np.full(records.size, carry)
+        runs = ((0, records.size),) if records.size > 1 else ()
+    else:
+        prior = carry[views]
+        starts, ends = segment_bounds(views)
+        longer = np.flatnonzero(ends - starts > 1)
+        runs = zip(starts[longer].tolist(), ends[longer].tolist())
+    for start, end in runs:
+        extremum.accumulate(records[start : end - 1], out=prior[start + 1 : end])
+    if records is values:
+        return clip(records, prior)
+    clipped = values.copy()
+    clipped[candidates] = clip(records, prior)
+    return clipped
 
 
 @dataclass
@@ -238,29 +236,38 @@ class RangeTrimBounder(ErrorBounder):
         """Vectorized, order-exact equivalent of per-element :meth:`update`.
 
         Element ``i`` must be clipped against the extrema of all *earlier*
-        elements (previous batches plus ``values[:i]``); this is computed
-        with shifted running min/max accumulations.
+        elements (previous batches plus ``values[:i]``); only running
+        records can be, so the clip runs over those alone
+        (:func:`_record_clip`).
         """
+        self.update_batch_with_moments(state, values, None)
+
+    def update_batch_with_moments(
+        self, state: RangeTrimState, values: np.ndarray, moments
+    ) -> None:
+        """:meth:`update_batch`, reusing the caller's batch moments when the
+        batch holds no record on either side — both clipped streams then
+        *are* the raw batch, so both inner states take the hand-down."""
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return
         if state.count == 0:
             self.update(state, float(values[0]))
             values = values[1:]
+            moments = None  # describes the batch including the seed
             if values.size == 0:
                 return
-        run_max = np.maximum.accumulate(values)
-        run_min = np.minimum.accumulate(values)
-        # prior_max[i] = max(extrema.max, values[:i]) — extrema *before* i.
-        prior_max = np.empty_like(values)
-        prior_max[0] = state.extrema.max
-        np.maximum(run_max[:-1], state.extrema.max, out=prior_max[1:])
-        prior_min = np.empty_like(values)
-        prior_min[0] = state.extrema.min
-        np.minimum(run_min[:-1], state.extrema.min, out=prior_min[1:])
-        self.inner.update_batch(state.left, np.minimum(values, prior_max))
-        self.inner.update_batch(state.right, np.maximum(values, prior_min))
-        state.extrema.update_batch(values)
+        extrema = state.extrema
+        left = _record_clip(values, extrema.max, _CLIP_AT_MAX)
+        right = _record_clip(values, extrema.min, _CLIP_AT_MIN)
+        if moments is not None and left is values and right is values:
+            # No record: the extrema stand and both streams are the batch.
+            self.inner.update_batch_with_moments(state.left, values, moments)
+            self.inner.update_batch_with_moments(state.right, values, moments)
+        else:
+            self.inner.update_batch(state.left, left)
+            self.inner.update_batch(state.right, right)
+            extrema.update_batch(values)
         state.count += values.size
 
     def sample_count(self, state: RangeTrimState) -> int:
@@ -375,17 +382,9 @@ class RangeTrimBounder(ErrorBounder):
                 self.inner.partition_delta(empty_i, empty_f, size, left_ctx),
                 self.inner.partition_delta(empty_i, empty_f, size, right_ctx),
             )
-        slots, starts, ends, feed, left_values, right_values = self._clip_segments(
+        slots, starts, ends, fed_indices, fed_left, fed_right = self._clip_segments(
             indices, values, carry_min, carry_max, pool_counts
         )
-        if feed.all():
-            # No fresh views this window (the steady state): every element
-            # feeds the inners, so skip four full boolean-mask copies.
-            fed_indices = indices
-            fed_left, fed_right = left_values, right_values
-        else:
-            fed_indices = indices[feed]
-            fed_left, fed_right = left_values[feed], right_values[feed]
         left = self.inner.partition_delta(fed_indices, fed_left, size, left_ctx)
         right = self.inner.partition_delta(fed_indices, fed_right, size, right_ctx)
         return RangeTrimDelta(
@@ -407,31 +406,27 @@ class RangeTrimBounder(ErrorBounder):
     ):
         """Algorithm 6's segmented clip over one sorted stream (pure).
 
-        The ONE copy of the clip arithmetic, shared by
-        :meth:`partition_delta` (reading a context snapshot) and the
-        legacy :meth:`update_pool` fallback (reading the pool directly):
-        segments the stream, computes each element's exclusive prior
-        extrema with the per-view carries, masks out the first-ever
+        The ONE copy of the pool clip, shared by :meth:`partition_delta`
+        (reading a context snapshot) and the legacy :meth:`update_pool`
+        fallback (reading the pool directly): segments the stream, clips
+        each element against the exclusive prior extrema of its view
+        (:func:`_record_clip`, per-view carries), and drops the first-ever
         sample of fresh views (Algorithm 4 lines 3-4: it only seeds the
-        extrema), and returns ``(slots, starts, ends, feed, left_values,
-        right_values)`` with the clipped streams.
+        extrema).  Returns ``(slots, starts, ends, fed_indices, fed_left,
+        fed_right)``: the stream's segmentation, then the two clipped
+        streams the inner bounders are fed with their view per element.
         """
         starts, ends = segment_bounds(indices)
         slots = indices[starts]
-        prior_max, prior_min = _segmented_prior_extrema(
-            values, starts, ends, carry_max[slots], carry_min[slots]
-        )
+        left_values = _record_clip(values, carry_max, _CLIP_AT_MAX, indices)
+        right_values = _record_clip(values, carry_min, _CLIP_AT_MIN, indices)
         seed_positions = starts[counts[slots] == 0]
+        if seed_positions.size == 0:
+            # No fresh view (the steady state): every element feeds.
+            return slots, starts, ends, indices, left_values, right_values
         feed = np.ones(indices.size, dtype=bool)
         feed[seed_positions] = False
-        return (
-            slots,
-            starts,
-            ends,
-            feed,
-            np.minimum(values, prior_max),
-            np.maximum(values, prior_min),
-        )
+        return slots, starts, ends, indices[feed], left_values[feed], right_values[feed]
 
     def merge_delta(self, pool: RangeTrimPool, delta: RangeTrimDelta) -> None:
         """O(present views) fold: inner merges, then extrema and counts —
@@ -465,11 +460,11 @@ class RangeTrimBounder(ErrorBounder):
                 ),
             )
             return
-        slots, starts, ends, feed, left_values, right_values = self._clip_segments(
+        slots, starts, ends, fed_indices, fed_left, fed_right = self._clip_segments(
             indices, values, pool.min, pool.max, pool.count
         )
-        self.inner.update_pool(pool.left, indices[feed], left_values[feed])
-        self.inner.update_pool(pool.right, indices[feed], right_values[feed])
+        self.inner.update_pool(pool.left, fed_indices, fed_left)
+        self.inner.update_pool(pool.right, fed_indices, fed_right)
         pool.max[slots] = np.maximum(pool.max[slots], np.maximum.reduceat(values, starts))
         pool.min[slots] = np.minimum(pool.min[slots], np.minimum.reduceat(values, starts))
         pool.count[slots] += ends - starts

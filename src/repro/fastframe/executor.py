@@ -339,12 +339,6 @@ class ApproximateExecutor:
             combined //= card
         return tuple(reversed(codes))
 
-    def _decode_key(self, codes: tuple[int, ...], group_by: tuple[str, ...]) -> tuple:
-        return tuple(
-            self.scramble.table.categorical(column).dictionary[code]
-            for column, code in zip(group_by, codes)
-        )
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -442,7 +436,10 @@ class ApproximateExecutor:
                 values = segment
                 in_view = 0 if values is None else values.size
                 if in_view:
-                    view.all_read_moments.update_batch(values)
+                    # One reduction of the segment serves every moment
+                    # consumer below (bit-equal to each reducing it itself).
+                    moments = MomentState.batch_moments(values)
+                    view.all_read_moments.merge_moments(*moments)
             else:
                 values = None
                 in_view = 0 if segment is None else int(segment)
@@ -452,8 +449,8 @@ class ApproximateExecutor:
                 continue  # frozen: rows stay unsettled for this view
             view.selectivity.observe(in_view, window_rows)
             if in_view and needs_values:
-                view.sample_moments.update_batch(values)
-                bounder.update_batch(view.bounder_state, values)
+                view.sample_moments.merge_moments(*moments)
+                bounder.update_batch_with_moments(view.bounder_state, values, moments)
 
     def _recompute_bounds(
         self,
@@ -625,7 +622,7 @@ class ApproximateExecutor:
         self,
         query: Query,
         view: _ViewState,
-        group_by: tuple[str, ...],
+        key: tuple,
         bounder: ErrorBounder | None = None,
     ) -> GroupResult:
         interval = view.interval
@@ -647,7 +644,7 @@ class ApproximateExecutor:
         elif query.aggregate is AggregateFunction.SUM and view.sample_moments.count:
             estimate = view.sample_moments.mean * count_estimate
         return GroupResult(
-            key=self._decode_key(view.key_codes, group_by),
+            key=key,
             estimate=estimate,
             interval=interval,
             count_interval=view.count_iv,
@@ -799,10 +796,14 @@ class ApproximateExecutor:
         self,
         query: Query,
         pool: ViewPool,
-        group_by: tuple[str, ...],
+        keys: list[tuple],
         bounder: ErrorBounder | None = None,
     ) -> dict:
-        """Materialize per-group results (the only O(views) Python loop)."""
+        """Materialize per-group results (the only O(views) Python loop).
+
+        ``keys`` is the decoded group key per pool row
+        (:meth:`QueryRun.group_keys`).
+        """
         bounder = self.bounder if bounder is None else bounder
         live = np.flatnonzero(~pool.dropped)
         lo = pool.iv_lo[live]
@@ -835,7 +836,7 @@ class ApproximateExecutor:
                 )
         groups = {}
         for position, row in enumerate(live):
-            key = self._decode_key(pool.key_codes[row], group_by)
+            key = keys[row]
             groups[key] = GroupResult(
                 key=key,
                 estimate=float(estimate[position]),
@@ -966,6 +967,7 @@ class QueryRun:
         self.satisfied = False
         self._scan_ended = False
         self._finalized: QueryResult | None = None
+        self._group_keys: list[tuple] | None = None
         # Solo-drive storage accounting: created on the first feed() so a
         # shared scan (which consumes frames directly) attributes block
         # I/O to the batch metrics instead, mirroring values_gathered.
@@ -1206,6 +1208,29 @@ class QueryRun:
             if self.finished:
                 break
 
+    def group_keys(self) -> list[tuple]:
+        """Decoded GROUP BY key per view, aligned with :attr:`domain` (the
+        pool's rows, the scalar ``views`` in order).
+
+        Decoded once per run, on first use: every round's
+        :meth:`group_snapshots` and the final result reuse the list.
+        """
+        if self._group_keys is None:
+            table = self.executor.scramble.table
+            dictionaries = [
+                table.categorical(column).dictionary for column in self.group_by
+            ]
+            key_codes = (
+                self.pool.key_codes
+                if self.pool is not None
+                else [view.key_codes for view in self.views.values()]
+            )
+            self._group_keys = [
+                tuple(d[code] for d, code in zip(dictionaries, codes))
+                for codes in key_codes
+            ]
+        return self._group_keys
+
     def group_snapshots(self) -> dict:
         """Decoded per-group snapshots of the run's current intervals.
 
@@ -1214,21 +1239,30 @@ class QueryRun:
         values, values are :class:`~repro.stopping.conditions.GroupSnapshot`.
         """
         ex = self.executor
+        keys = self.group_keys()
         if self.pool is not None:
             columns = ex._snapshot_columns(self.pool, self.bounds)
             return {
-                ex._decode_key(self.pool.key_codes[row], self.group_by): GroupSnapshot(
-                    interval=Interval(float(columns.lo[i]), float(columns.hi[i])),
-                    estimate=float(columns.estimate[i]),
-                    samples=int(columns.samples[i]),
-                    exhausted=bool(columns.exhausted[i]),
+                keys[row]: GroupSnapshot(
+                    interval=Interval(lo, hi),
+                    estimate=estimate,
+                    samples=samples,
+                    exhausted=exhausted,
                 )
-                for i, row in enumerate(columns.rows)
+                for row, lo, hi, estimate, samples, exhausted in zip(
+                    columns.rows.tolist(),
+                    columns.lo.tolist(),
+                    columns.hi.tolist(),
+                    columns.estimate.tolist(),
+                    columns.samples.tolist(),
+                    columns.exhausted.tolist(),
+                )
             }
         snapshots = ex._snapshots(self.views, self.bounds, self.query, self.bounder)
         return {
-            ex._decode_key(self.views[code].key_codes, self.group_by): snap
-            for code, snap in snapshots.items()
+            key: snapshots[code]
+            for key, code in zip(keys, self.views)
+            if code in snapshots
         }
 
     def finalize(self, merge_index_counters: bool = True) -> QueryResult:
@@ -1261,15 +1295,13 @@ class QueryRun:
         if self.pool is not None:
             ex._finalize_exhausted_pool(self.query, self.pool, bounder=self.bounder)
             groups = ex._pool_results(
-                self.query, self.pool, self.group_by, bounder=self.bounder
+                self.query, self.pool, self.group_keys(), bounder=self.bounder
             )
         else:
             ex._finalize_exhausted(self.query, self.views, bounder=self.bounder)
             groups = {
-                ex._decode_key(view.key_codes, self.group_by): ex._group_result(
-                    self.query, view, self.group_by, bounder=self.bounder
-                )
-                for view in self.views.values()
+                key: ex._group_result(self.query, view, key, bounder=self.bounder)
+                for key, view in zip(self.group_keys(), self.views.values())
                 if not view.dropped
             }
         if merge_index_counters:

@@ -454,6 +454,11 @@ def partition_ingest(
     )
     if native and delta.n_in_view:
         if bounder is not None:
+            if own_arrays and not delta.values.flags.owndata:
+                # A bounder delta may keep the stream itself (Anderson's
+                # and the quantile family's *is* the values; RangeTrim
+                # passes an unclipped stream through uncopied).
+                delta.values = delta.values.copy()
             delta.bounder_delta = bounder.partition_delta(
                 delta.view_idx, delta.values, max(codes.size, 1), bounder_ctx
             )

@@ -57,6 +57,19 @@ class MomentState:
         self.mean += delta / self.count
         self.m2 += delta * (value - self.mean)
 
+    @staticmethod
+    def batch_moments(values: np.ndarray) -> tuple[int, float, float]:
+        """``(n, mean, m2)`` of one non-empty batch — what :meth:`update_batch`
+        merges.
+
+        A pure function of the values, so a caller feeding the same batch to
+        several states computes it once and hands the triple to each state's
+        :meth:`merge_moments`: every state ends up bit-identical to one that
+        ran its own :meth:`update_batch`.
+        """
+        mean = float(values.mean())
+        return values.size, mean, float(np.square(values - mean).sum())
+
     def update_batch(self, values: np.ndarray) -> None:
         """Incorporate a batch of values via a stable pairwise merge.
 
@@ -64,14 +77,10 @@ class MomentState:
         floating-point rounding, but vectorized.
         """
         values = np.asarray(values, dtype=np.float64)
-        n = values.size
-        if n == 0:
-            return
-        batch_mean = float(values.mean())
-        batch_m2 = float(np.square(values - batch_mean).sum())
-        self._merge(n, batch_mean, batch_m2)
+        if values.size:
+            self.merge_moments(*self.batch_moments(values))
 
-    def _merge(self, n: int, mean: float, m2: float) -> None:
+    def merge_moments(self, n: int, mean: float, m2: float) -> None:
         """Chan/Golub/LeVeque pairwise merge of another moment aggregate."""
         if n == 0:
             return
@@ -86,7 +95,7 @@ class MomentState:
 
     def merge(self, other: "MomentState") -> None:
         """Merge another :class:`MomentState` into this one."""
-        self._merge(other.count, other.mean, other.m2)
+        self.merge_moments(other.count, other.mean, other.m2)
 
     @property
     def variance(self) -> float:

@@ -119,24 +119,22 @@ def test_range_trim_pool_seed_semantics():
         assert hi[slot] == pytest.approx(expected.hi, rel=RTOL)
 
 
-def test_segmented_prior_extrema_fallback_matches_dense():
-    """The skewed-segment fallback path computes the same prior extrema."""
-    from repro.bounders.range_trim import _segmented_prior_extrema
+def test_record_clip_skewed_segments_match_brute_force():
+    """One huge segment plus many tiny ones: the record-only clip equals a
+    brute-force exclusive running max/min per element."""
+    from repro.bounders.range_trim import _CLIP_AT_MAX, _CLIP_AT_MIN, _record_clip
 
     rng = np.random.default_rng(7)
-    # One huge segment plus many tiny ones forces the non-dense branch when
-    # thresholds are exceeded; compare against a brute-force loop.
     lengths = [500, 1, 2, 1, 3]
     values = rng.normal(size=sum(lengths))
-    starts = np.cumsum([0] + lengths[:-1]).astype(np.int64)
-    ends = (starts + np.array(lengths)).astype(np.int64)
+    indices = np.repeat(np.arange(len(lengths)), lengths)
     carry_max = rng.normal(size=len(lengths))
     carry_min = carry_max - rng.uniform(0.5, 2.0, len(lengths))
-    got_max, got_min = _segmented_prior_extrema(values, starts, ends, carry_max, carry_min)
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        run_max, run_min = carry_max[i], carry_min[i]
-        for j in range(s, e):
-            assert got_max[j] == run_max
-            assert got_min[j] == run_min
-            run_max = max(run_max, values[j])
-            run_min = min(run_min, values[j])
+    got_left = _record_clip(values, carry_max, _CLIP_AT_MAX, indices)
+    got_right = _record_clip(values, carry_min, _CLIP_AT_MIN, indices)
+    run_max, run_min = carry_max.copy(), carry_min.copy()
+    for j, view in enumerate(indices):
+        assert got_left[j] == min(values[j], run_max[view])
+        assert got_right[j] == max(values[j], run_min[view])
+        run_max[view] = max(run_max[view], values[j])
+        run_min[view] = min(run_min[view], values[j])

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bounders.base import ErrorBounder
 from repro.bounders.bernstein import EmpiricalBernsteinSerflingBounder
 from repro.bounders.hoeffding import HoeffdingSerflingBounder
 from repro.bounders.range_trim import RangeTrimBounder
+from repro.stats.streaming import MomentState
 
 value_lists = st.lists(
     st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
@@ -197,3 +199,185 @@ class TestCorrectness:
         double.update_batch(state, np.linspace(0, 1, 50))
         ci = double.confidence_interval(state, 0, 1, 1_000, 0.1)
         assert 0.0 <= ci.lo <= ci.hi <= 1.0
+
+
+class _RecordingBounder(ErrorBounder):
+    """Inner bounder whose state is the list of values it was fed.
+
+    Scalar interface only, so ``RangeTrimBounder(_RecordingBounder())``
+    exposes the exact clipped streams: per-element through ``update``, per
+    batch through ``update_batch``, per window through the loop fall-back
+    of ``update_pool``.
+    """
+
+    def init_state(self):
+        return []
+
+    def update(self, state, value):
+        state.append(value)
+
+    def update_batch(self, state, values):
+        state.extend(np.asarray(values, dtype=np.float64).tolist())
+
+    def sample_count(self, state):
+        return len(state)
+
+    def lbound(self, state, a, b, n, delta):
+        return a
+
+    def rbound(self, state, a, b, n, delta):
+        return b
+
+
+#: Few distinct values (ties, repeated records) mixed with arbitrary floats
+#: and the infinities (which become +-inf carries for later windows).
+_clip_values = st.one_of(
+    st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, float("inf"), float("-inf")]),
+    st.floats(allow_nan=False, width=32),
+)
+_window = st.lists(st.tuples(st.integers(0, 3), _clip_values), max_size=40)
+
+
+def _sorted_stream(window):
+    """``(indices, values)`` sorted by view with ties in stream order."""
+    views = np.array([view for view, _ in window], dtype=np.int64)
+    values = np.array([value for _, value in window], dtype=np.float64)
+    order = np.argsort(views, kind="stable")
+    return views[order], values[order]
+
+
+def _assert_pool_equals_states(pool, states):
+    for slot, state in enumerate(states):
+        assert pool.left[slot] == state.left
+        assert pool.right[slot] == state.right
+        assert pool.count[slot] == state.count
+        assert pool.max[slot] == state.extrema.max
+        assert pool.min[slot] == state.extrema.min
+
+
+class TestRecordOnlyClip:
+    """The record-only clip is the per-element Algorithm 6, element for
+    element (``==``): clipped streams, which elements feed, extrema, counts."""
+
+    @given(st.lists(_window, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_property_pool_and_batch_equal_per_element_update(self, windows):
+        trimmed = RangeTrimBounder(_RecordingBounder())
+        pool = trimmed.init_pool(4)
+        batched = [trimmed.init_state() for _ in range(4)]
+        reference = [trimmed.init_state() for _ in range(4)]
+        for window in windows:
+            indices, values = _sorted_stream(window)
+            trimmed.update_pool(pool, indices, values)
+            for slot in range(4):
+                segment = values[indices == slot]
+                trimmed.update_batch(batched[slot], segment)
+                for value in segment:
+                    trimmed.update(reference[slot], float(value))
+            _assert_pool_equals_states(pool, reference)
+            for state, expected in zip(batched, reference):
+                assert state == expected
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_monotone_stream_is_all_records(self, direction):
+        """Sorted input: every element is a record on one side, none on
+        the other — the all-candidates worst case."""
+        trimmed = RangeTrimBounder(_RecordingBounder())
+        values = direction * np.arange(50.0)
+        state = trimmed.init_state()
+        trimmed.update_batch(state, values[:20])
+        trimmed.update_batch(state, values[20:])
+        clipped, raw = (state.left, state.right) if direction > 0 else (
+            state.right, state.left
+        )
+        assert clipped == values[:-1].tolist()  # each clipped to its predecessor
+        assert raw == values[1:].tolist()
+        assert state.count == 50
+
+    def test_fresh_views_seed_and_single_element_segments(self):
+        trimmed = RangeTrimBounder(_RecordingBounder())
+        pool = trimmed.init_pool(3)
+        # Every segment is a single element of a fresh view: all seeds.
+        trimmed.update_pool(pool, np.array([0, 1, 2]), np.array([5.0, 6.0, 7.0]))
+        assert pool.left == [[], [], []] and pool.right == [[], [], []]
+        assert pool.count.tolist() == [1, 1, 1]
+        assert pool.max.tolist() == pool.min.tolist() == [5.0, 6.0, 7.0]
+        # Single-element segments of seeded views: a record, a tie, no record.
+        trimmed.update_pool(pool, np.array([0, 1, 2]), np.array([9.0, 6.0, 7.0]))
+        assert pool.left == [[5.0], [6.0], [7.0]]
+        assert pool.right == [[9.0], [6.0], [7.0]]
+        assert pool.max.tolist() == [9.0, 6.0, 7.0]
+
+    def test_empty_input_is_a_noop(self):
+        trimmed = RangeTrimBounder(_RecordingBounder())
+        pool = trimmed.init_pool(2)
+        trimmed.update_pool(pool, np.zeros(0, dtype=np.int64), np.zeros(0))
+        state = trimmed.init_state()
+        trimmed.update_batch(state, np.zeros(0))
+        assert pool.count.tolist() == [0, 0] and pool.left == [[], []]
+        assert state == trimmed.init_state()
+
+
+class TestSharedMoments:
+    """The scalar engine reduces a segment once and hands the moments to
+    every consumer; each must end up bit-equal to reducing it itself."""
+
+    @pytest.mark.parametrize("inner_cls", [
+        EmpiricalBernsteinSerflingBounder, HoeffdingSerflingBounder,
+    ])
+    def test_no_record_batch_bit_equal_to_independent_updates(self, rng, inner_cls):
+        trimmed = RangeTrimBounder(inner_cls())
+        history = rng.normal(0.0, 10.0, 300)
+        batch = rng.uniform(history.min(), history.max(), 200)  # no record
+        shared_rt, alone_rt = trimmed.init_state(), trimmed.init_state()
+        shared = [MomentState(), MomentState()]
+        alone = [MomentState(), MomentState()]
+        for state in (shared_rt, alone_rt):
+            trimmed.update_batch(state, history)
+        for moments in (*shared, *alone):
+            moments.update_batch(history)
+
+        handed = MomentState.batch_moments(batch)
+        for moments in shared:
+            moments.merge_moments(*handed)
+        trimmed.update_batch_with_moments(shared_rt, batch, handed)
+        for moments in alone:
+            moments.update_batch(batch)
+        trimmed.inner.update_batch(alone_rt.left, batch)
+        trimmed.inner.update_batch(alone_rt.right, batch)
+
+        assert shared == alone
+        assert shared_rt.left == alone_rt.left
+        assert shared_rt.right == alone_rt.right
+        assert shared_rt.extrema == alone_rt.extrema
+        assert shared_rt.count == alone_rt.count + batch.size
+
+    def test_batch_with_a_record_ignores_the_hand_down(self, rng):
+        """A record makes the clipped streams differ from the batch, so the
+        handed-down moments (of the raw batch) must not reach the inners."""
+        trimmed = RangeTrimBounder(EmpiricalBernsteinSerflingBounder())
+        history = rng.normal(0.0, 1.0, 100)
+        batch = np.append(rng.normal(0.0, 1.0, 50), 1e6)
+        expected, got = trimmed.init_state(), trimmed.init_state()
+        for state in (expected, got):
+            trimmed.update_batch(state, history)
+        trimmed.update_batch(expected, batch)
+        trimmed.update_batch_with_moments(
+            got, batch, MomentState.batch_moments(batch)
+        )
+        assert got == expected
+        assert got.left.mean < 1e3 < got.right.mean
+
+    def test_seed_batch_ignores_the_hand_down(self, rng):
+        """A fresh state's first element only seeds the extrema, so the
+        moments of the whole batch do not describe what the inners see."""
+        trimmed = RangeTrimBounder(EmpiricalBernsteinSerflingBounder())
+        batch = np.full(20, 3.0)
+        batch[0] = 4.0
+        expected, got = trimmed.init_state(), trimmed.init_state()
+        trimmed.update_batch(expected, batch)
+        trimmed.update_batch_with_moments(
+            got, batch, MomentState.batch_moments(batch)
+        )
+        assert got == expected
+        assert got.right.count == 19

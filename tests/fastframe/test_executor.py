@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.bounders.registry import get_bounder
 from repro.expressions import col
 from repro.fastframe.exact import ExactExecutor
-from repro.fastframe.executor import ApproximateExecutor
+from repro.fastframe.executor import ApproximateExecutor, QueryRun
+from repro.fastframe.kernels import IngestDelta
 from repro.fastframe.predicate import Compare, Eq
 from repro.fastframe.query import AggregateFunction, Query
 from repro.fastframe.scan import get_strategy
@@ -215,6 +218,56 @@ class TestExpressionAggregates:
         exact = ExactExecutor(small_scramble).execute(query).scalar()
         result = make_executor(small_scramble).execute(query).scalar()
         assert result.interval.lo - 1e-6 <= exact.estimate <= result.interval.hi + 1e-6
+
+
+class TestScalarSharedMoments:
+    def test_no_record_window_bit_equal_to_four_independent_updates(self, rng):
+        """The scalar ingest reduces a view's segment once for all four
+        moment consumers (all-read, sample, RT-left, RT-right); a window
+        holding no record must leave each bit-equal to its own
+        ``update_batch`` over the segment."""
+        n = 600
+        table = Table(
+            continuous={"x": rng.normal(0.0, 5.0, n)},
+            categorical={"g": rng.integers(0, 3, n).astype(str)},
+        )
+        scramble = Scramble(table, rng=np.random.default_rng(1))
+        executor = ApproximateExecutor(
+            scramble, get_bounder("bernstein+rt"), delta=DELTA, engine="scalar"
+        )
+        query = Query(
+            AggregateFunction.AVG, "x", AbsoluteAccuracy(1e-9), group_by=("g",)
+        )
+        run = QueryRun(executor, query)
+
+        def ingest(view_idx, values):
+            executor._ingest_scalar_delta(
+                query, run.views, run.domain,
+                IngestDelta(values.size, values.size, view_idx, values),
+                values.size, run.freezes_groups, bounder=run.bounder,
+            )
+
+        view_idx = np.sort(rng.integers(0, 3, 300))
+        ingest(view_idx, rng.normal(0.0, 5.0, 300))
+        before = copy.deepcopy(run.views)
+        # Strictly inside every view's extrema: no record on either side.
+        lo = max(v.bounder_state.extrema.min for v in run.views.values())
+        hi = min(v.bounder_state.extrema.max for v in run.views.values())
+        values = rng.uniform(lo, hi, 300)
+        ingest(view_idx, values)
+
+        inner = run.bounder.inner
+        for position, (code, view) in enumerate(run.views.items()):
+            segment = values[view_idx == position]
+            expected = before[code]
+            expected.all_read_moments.update_batch(segment)
+            expected.sample_moments.update_batch(segment)
+            inner.update_batch(expected.bounder_state.left, segment)
+            inner.update_batch(expected.bounder_state.right, segment)
+            expected.bounder_state.count += segment.size
+            assert view.all_read_moments == expected.all_read_moments
+            assert view.sample_moments == expected.sample_moments
+            assert view.bounder_state == expected.bounder_state
 
 
 class TestEdgeCases:

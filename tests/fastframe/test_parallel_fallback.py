@@ -24,6 +24,7 @@ import pytest
 from repro.bounders.base import ErrorBounder, validate_bound_args
 from repro.bounders.bernstein import EmpiricalBernsteinSerflingBounder
 from repro.bounders.range_trim import RangeTrimBounder
+from repro.bounders.registry import get_bounder
 from repro.fastframe.config import ExecConfig
 from repro.fastframe.executor import ApproximateExecutor, QueryRun, run_shared_scan
 from repro.fastframe.parallel import ParallelScanDriver
@@ -74,6 +75,23 @@ class MinimalBounder(ErrorBounder):
         if state["count"] == 0:
             return b
         return self.estimate(state) + self._epsilon(state, a, b, delta)
+
+
+class BatchOnlyBounder(MinimalBounder):
+    """Third-party shape with a vectorized ``update_batch(state, values)``
+    and nothing else: it has never heard of the scalar engine's shared
+    moments, which must reach it as plain ``update_batch`` calls."""
+
+    name = "batch-only"
+
+    def __init__(self):
+        self.batches = 0
+
+    def update_batch(self, state, values) -> None:
+        values = np.asarray(values, dtype=np.float64)
+        self.batches += 1
+        state["count"] += values.size
+        state["total"] += float(values.sum())
 
 
 class _NoDeltaRangeTrim(RangeTrimBounder):
@@ -149,6 +167,22 @@ class TestThirdPartyBounderFallback:
         # values (no native delta exists for this bounder).
         assert results["parallel"].metrics.delta_bytes_returned > 0
 
+    @pytest.mark.parametrize("wrap", [lambda inner: inner, RangeTrimBounder])
+    def test_batch_only_bounder_ignores_moments_hand_down(self, scramble, wrap):
+        """The scalar engine hands every bounder the segment's moments;
+        one that only implements ``update_batch(state, values)`` — bare or
+        as RangeTrim's inner — must see exactly the values a per-element
+        bounder sees."""
+        batch_only = BatchOnlyBounder()
+        results = {
+            label: _executor(scramble, wrap(inner), "scalar", 1).execute(
+                _query(), start_block=START_BLOCK
+            )
+            for label, inner in (("loop", MinimalBounder()), ("batch", batch_only))
+        }
+        _assert_parity(results["loop"], results["batch"], "loop-vs-batch")
+        assert batch_only.batches > 0
+
     def test_fallback_deltas_keep_row_arrays(self, scramble, monkeypatch):
         """Worker deltas for a non-delta bounder must carry view_idx and
         values; apply_ingest replays them through update_pool."""
@@ -197,6 +231,20 @@ class TestNativeDeltaPayload:
         assert all(
             not has_idx and not has_values for _, has_idx, has_values in native
         ), "a native delta carried per-row arrays"
+
+    @pytest.mark.parametrize("name", ["anderson", "anderson+rt"])
+    def test_native_delta_owns_the_values_it_keeps(self, scramble, name):
+        """A single-view all-pass window reaches the kernel as a zero-copy
+        view of the shared-memory frame; a bounder delta that keeps the
+        stream (Anderson's segments, RangeTrim's unclipped pass-through)
+        must own it, or the worker dies pickling its result after the frame
+        closed and only the recovery layer saves the answer."""
+        query = Query(AggregateFunction.AVG, "x", AbsoluteAccuracy(1e-9))
+        result = _executor(scramble, get_bounder(name), "pool", 2).execute(
+            query, start_block=START_BLOCK
+        )
+        assert result.metrics.delta_bytes_returned > 0
+        assert not result.metrics.recovery_snapshot()
 
     def test_native_payload_smaller_than_fallback(self, scramble):
         def bytes_for(bounder):

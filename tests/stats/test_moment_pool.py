@@ -97,7 +97,7 @@ def test_merge_arrays_matches_pairwise_merge():
         m2s = rng.uniform(0, 100, size) * np.maximum(counts - 1, 0)
         pool.merge_arrays(counts, means, m2s)
         for slot in range(size):
-            states[slot]._merge(int(counts[slot]), float(means[slot]), float(m2s[slot]))
+            states[slot].merge_moments(int(counts[slot]), float(means[slot]), float(m2s[slot]))
     for slot, state in enumerate(states):
         assert pool.count[slot] == state.count
         assert pool.mean[slot] == pytest.approx(state.mean, rel=RTOL, abs=1e-12)
