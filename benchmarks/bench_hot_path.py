@@ -1,59 +1,35 @@
-"""Hot-path benchmark: vectorized pool engine vs the scalar reference,
-plus shared-scan gather vs sequential dashboard execution.
+"""Hot-path micro-benchmarks: vectorized pool engine vs the scalar
+reference, plus the kernels underneath them.
+
+Whole-query stories (shared-scan dashboards, parallel ingest, out-of-core
+storage) are ``benchmarks/e2e``'s — SQL text in, checked intervals out;
+this file times single layers.
 
 Part 1 times a full-scan AVG GROUP BY query (an unachievable accuracy
 target, so every row is ingested and every round recomputes bounds for
 every view) at 1, 10, 100, and 1000 groups, for both executor engines.
 
-Part 2 times the paper's dashboard workload through the connection
-front-end: a 6-query mix (HAVING thresholds, accuracy contracts, top-K,
-COUNT) resolved sequentially (one scan cursor per query) vs via
-``conn.gather()`` (one shared cursor + one window frame per pass feeding
-every query's view pool), reporting rows fetched, value elements
-gathered (once per shared window, not once per query), per-view bound
-recomputations (incremental rounds), and wall time for both paths — and
-asserting the per-query intervals are identical (≤ 1e-9) to sequential
-execution from the same start block.
-
-Part 3 times the same gathered dashboard serial
-(``parallelism=1``) vs parallel (``BENCH_PARALLELISM`` worker processes,
-default 2): the multi-core ingest pipeline of
-``repro/fastframe/parallel.py``.  Per-query intervals must again match
-the serial gather to ≤ 1e-9 (they are in fact bit-identical); the
-``parallel`` JSON entry records both wall times, the speedup, the core
-count, the asserted parity flag, and the worker-kernel stage split —
-worker partition wall vs main-process merge wall and the delta bytes
-shipped over IPC (native bounder deltas are O(views) per window).  On a
-single-core host the pipeline still runs (correctness is the point of
-the entry); a wall-clock win is only expected with ≥ 2 cores.
-
-Part 4 times the fused ingest kernel
+Part 2 times the fused ingest kernel
 (``repro/fastframe/kernels.partition_ingest``) across group cardinalities
 straddling the bucketing threshold.  The ``kernel`` JSON entry records the
 sweep.  (The comparison against a reimplementation of the pre-kernel
 composed passes was deleted once its 4-5x was on record in
 PERFORMANCE.md; ``tests/fastframe/test_kernels.py`` pins the bytes.)
 
-Part 5 times RangeTrim's record-only clip (``RangeTrimBounder.
+Part 3 times RangeTrim's record-only clip (``RangeTrimBounder.
 _clip_segments``) at 10 / 200 / 1 400 views: ns per row and candidates
 per row for the first window (fresh views: every element is a candidate)
 and in steady state, asserting the clipped streams ``==`` a per-element
 Algorithm 6 loop.  The ``range_trim`` JSON entry records both.
 
-Part 6 times Anderson's pooled CSR sample buffers against the per-view
+Part 4 times Anderson's pooled CSR sample buffers against the per-view
 buffer baseline (one ``SampleState`` per view, the pre-CSR pool layout):
 windowed sorted-stream ingest and the batched confidence-interval
 kernel, asserting ≤ 1e-9 parity between the layouts.  The ``anderson``
 JSON entry records both walls and the speedups.
 
-Part 7 spills the dashboard scramble to an mmap block store
-(``repro/fastframe/storage.py``) and runs the 6-query dashboard cold
-(every block read from disk) then warm (a second connection served by
-the shared cross-connection block cache), asserting interval parity
-with resident execution, a ≥ 50% byte saving on the warm connection,
-and the zero-copy gather contract (no whole-column materialization).
-The ``storage`` JSON entry records the spill/cold/warm walls and the
-block-I/O ledger.
+Part 5 (``quantile``) times the quantile bounder's pooled sample
+buffers and batched DKW-inversion bound kernel the same way.
 
 Emits ``BENCH_hot_path.json`` — the repository's performance trajectory
 (see PERFORMANCE.md).
@@ -86,7 +62,6 @@ import time
 
 import numpy as np
 
-from repro.api import connect
 from repro.bounders.registry import get_bounder
 from repro.fastframe.executor import ApproximateExecutor
 from repro.fastframe.query import AggregateFunction, Query
@@ -98,7 +73,6 @@ ROWS = int(os.environ.get("BENCH_HOT_PATH_ROWS", "400000"))
 REPS = int(os.environ.get("BENCH_HOT_PATH_REPS", "3"))
 BOUNDER = os.environ.get("BENCH_HOT_PATH_BOUNDER", "bernstein+rt")
 OUT = os.environ.get("BENCH_HOT_PATH_OUT", "BENCH_hot_path.json")
-PARALLELISM = max(int(os.environ.get("BENCH_PARALLELISM", "2")), 2)
 GROUP_COUNTS = (1, 10, 100, 1000)
 DELTA = 1e-9
 
@@ -184,253 +158,6 @@ def run() -> dict:
         "delta": DELTA,
         "results": results,
     }
-
-
-def _dashboard_scramble() -> Scramble:
-    rng = np.random.default_rng(42)
-    table = Table(
-        continuous={
-            "delay": rng.gamma(2.0, 6.0, ROWS) - 4.0,
-            "distance": rng.uniform(100.0, 2500.0, ROWS),
-        },
-        categorical={
-            "airline": rng.integers(0, 12, ROWS).astype(str),
-            "origin": rng.integers(0, 40, ROWS).astype(str),
-        },
-        range_pad=0.1,
-    )
-    return Scramble(table, rng=np.random.default_rng(43))
-
-
-def _dashboard_handles(conn):
-    """A 6-query dashboard: the paper's §4.1 multi-query session shape."""
-    return [
-        conn.table().group_by("airline").named("having-hi").avg("delay", above=9.0),
-        conn.table().group_by("airline").named("having-lo").avg("delay", above=7.5),
-        conn.table().where("origin", "7").named("origin-avg").avg("delay", rel=0.2),
-        conn.table().group_by("airline").named("top3").avg("delay", top=3),
-        conn.table().group_by("airline").named("counts").count(rel=0.05),
-        conn.table().named("distance").avg("distance", rel=0.01),
-    ]
-
-
-def _dashboard_connection(
-    scramble: Scramble,
-    parallelism: int = 1,
-    engine: str = "auto",
-):
-    return connect(
-        scramble,
-        bounder=BOUNDER,
-        delta=DELTA,
-        policy="harmonic",
-        rng=np.random.default_rng(9),
-        parallelism=parallelism,
-        engine=engine,
-    )
-
-
-def _assert_intervals_match(gathered, sequential) -> None:
-    """Statistical honesty: batching must not change any answer."""
-    assert gathered.metrics.rows_read == sequential.metrics.rows_read
-    assert set(gathered.groups) == set(sequential.groups)
-    for key, left in gathered.groups.items():
-        right = sequential.groups[key]
-        for x, y in (
-            (left.interval.lo, right.interval.lo),
-            (left.interval.hi, right.interval.hi),
-        ):
-            if np.isfinite(x) or np.isfinite(y):
-                assert abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y)), (key, x, y)
-            else:
-                assert x == y
-
-
-def run_dashboard() -> dict:
-    """Gather-vs-sequential on the 6-query dashboard (best of REPS)."""
-    scramble = _dashboard_scramble()
-    start_block = 0
-    # Warm load-time metadata so timings measure execution, not catalog builds.
-    conn = _dashboard_connection(scramble)
-    conn.gather(_dashboard_handles(conn), start_block=start_block)
-
-    sequential_s = float("inf")
-    shared_s = float("inf")
-    sequential_rows = shared_rows = 0
-    sequential_values = shared_values = 0
-    sequential_bounds = shared_bounds = 0
-    windows = 0
-    for _ in range(REPS):
-        conn = _dashboard_connection(scramble)
-        handles = _dashboard_handles(conn)
-        start = time.perf_counter()
-        results = [handle.result(start_block=start_block) for handle in handles]
-        sequential_s = min(sequential_s, time.perf_counter() - start)
-        sequential_rows = sum(r.metrics.rows_read for r in results)
-        sequential_values = sum(r.metrics.values_gathered for r in results)
-        sequential_bounds = sum(r.metrics.bounds_recomputed for r in results)
-
-        conn = _dashboard_connection(scramble)
-        handles = _dashboard_handles(conn)
-        start = time.perf_counter()
-        batch = conn.gather(handles, start_block=start_block)
-        shared_s = min(shared_s, time.perf_counter() - start)
-        shared_rows = batch.rows_read_shared
-        shared_values = batch.values_gathered
-        shared_bounds = batch.metrics.bounds_recomputed
-        windows = batch.metrics.rounds
-        for gathered, sequential in zip(batch.results, results):
-            _assert_intervals_match(gathered, sequential)
-    # The window frame gathers each distinct column once per shared
-    # window, however many of the 6 queries aggregate it.
-    assert 0 < shared_values < sequential_values
-    entry = {
-        "queries": 6,
-        "rows_read_sequential": sequential_rows,
-        "rows_read_shared": shared_rows,
-        "rows_saved_pct": round(100.0 * (1.0 - shared_rows / sequential_rows), 1),
-        "values_gathered_sequential": sequential_values,
-        "values_gathered_shared": shared_values,
-        "values_saved_pct": round(
-            100.0 * (1.0 - shared_values / sequential_values), 1
-        ),
-        "bounds_recomputed_sequential": sequential_bounds,
-        "bounds_recomputed_shared": shared_bounds,
-        "sequential_s": round(sequential_s, 6),
-        "gather_s": round(shared_s, 6),
-        "wall_speedup": round(sequential_s / shared_s, 2),
-        "shared_windows": windows,
-    }
-    print(
-        f"dashboard: sequential {sequential_rows:,} rows / {sequential_s:.3f}s, "
-        f"gather {shared_rows:,} rows / {shared_s:.3f}s "
-        f"({entry['rows_saved_pct']}% rows saved, {entry['wall_speedup']}x wall)"
-    )
-    print(
-        f"dashboard: values gathered {sequential_values:,} sequential vs "
-        f"{shared_values:,} shared ({entry['values_saved_pct']}% saved); "
-        f"bounds recomputed {sequential_bounds:,} vs {shared_bounds:,}"
-    )
-    return entry
-
-
-def run_parallel() -> dict:
-    """Serial vs parallel gather on the dashboard (best of REPS).
-
-    Wall-time speedup is hardware-bound (a 1-core host cannot win), but
-    interval parity is asserted unconditionally — the parallel pipeline
-    must be a pure performance knob.
-    """
-    scramble = _dashboard_scramble()
-    start_block = 0
-    # Pool engine on both sides: the worker-kernel protocol (partition in
-    # workers, O(views) delta merge in main) only drives pool runs, and
-    # the dashboard's GROUP BY cardinalities sit below the auto
-    # threshold, where auto would dispatch to the scalar loop.
-    engine = "pool"
-    # Warm load-time metadata and the worker pool (fork + first-task cost).
-    conn = _dashboard_connection(scramble, parallelism=PARALLELISM, engine=engine)
-    conn.gather(_dashboard_handles(conn), start_block=start_block)
-
-    serial_s = float("inf")
-    serial_batch = parallel_batch = None
-    for _ in range(REPS):
-        conn = _dashboard_connection(scramble, parallelism=1, engine=engine)
-        handles = _dashboard_handles(conn)
-        start = time.perf_counter()
-        serial_batch = conn.gather(handles, start_block=start_block)
-        serial_s = min(serial_s, time.perf_counter() - start)
-
-    # The fault-overhead comparison below is a percentage of a ~25ms
-    # gather, where best-of-3 is dominated by scheduler noise (it once
-    # reported −1.3%, i.e. the armed run "won").  Use the median of at
-    # least 5 paired reps for both sides of that ratio; the headline
-    # parallel_s stays best-of for comparability with serial_s.
-    fault_reps = max(REPS, 5)
-    parallel_times = []
-    for _ in range(fault_reps):
-        conn = _dashboard_connection(scramble, parallelism=PARALLELISM, engine=engine)
-        handles = _dashboard_handles(conn)
-        start = time.perf_counter()
-        parallel_batch = conn.gather(handles, start_block=start_block)
-        parallel_times.append(time.perf_counter() - start)
-    parallel_s = min(parallel_times)
-
-    # Fault-machinery overhead: the recovery layer (deadline-waited
-    # futures, per-dispatch chaos draws, attempt bookkeeping) must be
-    # ~free when no fault fires.  An armed zero-rate plan exercises the
-    # full draw path without ever injecting.
-    from repro.testing.faults import FaultPlan, install_fault_plan, reset_faults
-
-    armed_times = []
-    armed_batch = None
-    install_fault_plan(FaultPlan(rate=0.0))
-    try:
-        for _ in range(fault_reps):
-            conn = _dashboard_connection(
-                scramble, parallelism=PARALLELISM, engine=engine
-            )
-            handles = _dashboard_handles(conn)
-            start = time.perf_counter()
-            armed_batch = conn.gather(handles, start_block=start_block)
-            armed_times.append(time.perf_counter() - start)
-    finally:
-        reset_faults()
-    fault_armed_s = float(np.median(armed_times))
-    assert not armed_batch.metrics.recovery_snapshot(), (
-        "a zero-rate fault plan must never trigger recovery"
-    )
-
-    for parallel_result, serial_result in zip(parallel_batch, serial_batch):
-        _assert_intervals_match(parallel_result, serial_result)
-    for armed_result, serial_result in zip(armed_batch, serial_batch):
-        _assert_intervals_match(armed_result, serial_result)
-    assert parallel_batch.rows_read_shared == serial_batch.rows_read_shared
-    assert parallel_batch.values_gathered == serial_batch.values_gathered
-    cores = os.cpu_count() or 1
-    stage = parallel_batch.metrics
-    # Median-of-paired-medians, floored at 0: the machinery cannot make
-    # the gather *faster*, so a negative ratio is measurement noise by
-    # definition and reports as 0.0.
-    parallel_median_s = float(np.median(parallel_times))
-    fault_overhead_pct = round(
-        max(0.0, 100.0 * (fault_armed_s - parallel_median_s) / parallel_median_s),
-        1,
-    )
-    entry = {
-        "parallelism": PARALLELISM,
-        "cores": cores,
-        "queries": len(serial_batch.handles),
-        "serial_s": round(serial_s, 6),
-        "parallel_s": round(parallel_s, 6),
-        "speedup": round(serial_s / parallel_s, 2),
-        "interval_parity": True,  # asserted ≤1e-9 above
-        # Worker-kernel stage split of the LAST parallel rep: partition
-        # wall is summed across worker tasks (can exceed elapsed time),
-        # merge wall is the main process's delta folds.
-        "partition_wall_s": round(stage.partition_wall_s, 6),
-        "merge_wall_s": round(stage.merge_wall_s, 6),
-        "delta_bytes_returned": int(stage.delta_bytes_returned),
-        # Recovery machinery cost with injection disabled: armed
-        # zero-rate plan vs plain parallel, median of >= 5 paired reps
-        # each, floored at 0 (negative = noise).  The CI gate warns
-        # above 2%.
-        "fault_reps": fault_reps,
-        "fault_armed_s": round(fault_armed_s, 6),
-        "fault_overhead_pct": fault_overhead_pct,
-    }
-    print(
-        f"parallel ingest: serial gather {serial_s:.3f}s vs "
-        f"parallelism={PARALLELISM} {parallel_s:.3f}s "
-        f"({entry['speedup']}x on {cores} core(s)); intervals identical; "
-        f"stages: partition {stage.partition_wall_s:.3f}s (worker-summed) / "
-        f"merge {stage.merge_wall_s:.3f}s, "
-        f"{stage.delta_bytes_returned:,} delta bytes over IPC; "
-        f"fault machinery armed: {fault_armed_s:.3f}s median "
-        f"({fault_overhead_pct:.1f}% overhead floor-0, "
-        f"median of {fault_reps} paired reps, no faults fired)"
-    )
-    return entry
 
 
 def run_kernel() -> dict:
@@ -728,106 +455,12 @@ def run_quantile() -> dict:
     }
 
 
-def run_storage() -> dict:
-    """Out-of-core block storage: cold vs warm-cache dashboard.
-
-    Spills the dashboard scramble to an mmap block store and runs the
-    6-query dashboard on a *cold* connection (every demanded block read
-    from disk) and then on a second connection over the same directory
-    (the shared cross-connection cache serves the blocks the first one
-    paid for).  Asserts interval parity (≤ 1e-9; in fact byte-identical)
-    against resident in-memory execution, that the warm connection reads
-    ≥ 50% fewer bytes than the cold one, and that the gather path never
-    materializes a whole value column (zero-copy block views only).
-    """
-    import shutil
-    import tempfile
-
-    from repro.fastframe.storage import open_block_scramble, write_block_store
-
-    scramble = _dashboard_scramble()
-    start_block = 0
-    # Resident reference (also warms load-time metadata shapes).
-    conn = _dashboard_connection(scramble)
-    reference = conn.gather(_dashboard_handles(conn), start_block=start_block)
-
-    directory = tempfile.mkdtemp(prefix="repro-bench-store-")
-    try:
-        spill_start = time.perf_counter()
-        write_block_store(directory, scramble, block_rows=16_384)
-        spill_s = time.perf_counter() - spill_start
-
-        oc_scramble = open_block_scramble(directory)
-        store = oc_scramble.storage
-        try:
-            start = time.perf_counter()
-            conn = _dashboard_connection(oc_scramble)
-            cold_batch = conn.gather(_dashboard_handles(conn), start_block=start_block)
-            cold_s = time.perf_counter() - start
-            cold_bytes = store.stats.bytes_read
-            cold_blocks = store.stats.blocks_read
-
-            # Second connection over the same directory: the store
-            # registry + shared block cache serve it without re-reading.
-            start = time.perf_counter()
-            conn = _dashboard_connection(open_block_scramble(directory))
-            warm_batch = conn.gather(_dashboard_handles(conn), start_block=start_block)
-            warm_s = time.perf_counter() - start
-            warm_bytes = store.stats.bytes_read - cold_bytes
-
-            for batch in (cold_batch, warm_batch):
-                for oc_result, ref_result in zip(batch, reference):
-                    _assert_intervals_match(oc_result, ref_result)
-            assert cold_bytes > 0
-            assert warm_bytes <= 0.5 * cold_bytes, (warm_bytes, cold_bytes)
-            # Zero-copy contract: value gathers slice block views, they
-            # never fault whole columns in.
-            materialized = store.stats.materialized_columns
-            zero_copy = not {"delay", "distance"} & materialized
-            assert zero_copy, materialized
-            stats = store.stats
-            entry = {
-                "rows": ROWS,
-                "block_rows": 16_384,
-                "spill_s": round(spill_s, 6),
-                "cold_gather_s": round(cold_s, 6),
-                "warm_gather_s": round(warm_s, 6),
-                "cold_bytes_read": int(cold_bytes),
-                "cold_blocks_read": int(cold_blocks),
-                "warm_bytes_read": int(warm_bytes),
-                "warm_bytes_saved_pct": round(
-                    100.0 * (1.0 - warm_bytes / cold_bytes), 1
-                ),
-                "cache_hits": int(stats.cache_hits),
-                "cache_evictions": int(stats.cache_evictions),
-                "prefetch_hits": int(stats.prefetch_hits),
-                "interval_parity": True,  # asserted ≤1e-9 vs in-memory above
-                "zero_copy": zero_copy,
-            }
-            print(
-                f"storage: spill {spill_s:.3f}s; cold gather {cold_s:.3f}s "
-                f"({cold_bytes:,} bytes / {cold_blocks} blocks), warm gather "
-                f"{warm_s:.3f}s ({warm_bytes:,} bytes, "
-                f"{entry['warm_bytes_saved_pct']}% saved); "
-                f"{stats.cache_hits} cache hits, {stats.prefetch_hits} "
-                f"prefetch hits; intervals identical to in-memory"
-            )
-            return entry
-        finally:
-            store.close()
-    finally:
-        shutil.rmtree(directory, ignore_errors=True)
-
-
 def main() -> int:
     payload = run()
-    payload["dashboard"] = run_dashboard()
-    payload["parallel"] = run_parallel()
     payload["kernel"] = run_kernel()
     payload["range_trim"] = run_range_trim()
     payload["anderson"] = run_anderson()
     payload["quantile"] = run_quantile()
-    payload["storage"] = run_storage()
     with open(OUT, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

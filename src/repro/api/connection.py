@@ -129,8 +129,7 @@ def connect(
     executor_kwargs:
         Passed through to each query's
         :class:`~repro.fastframe.executor.ApproximateExecutor`
-        (``round_rows``, ``alpha``, ``count_method``, ``engine``,
-        ``round_cadence``, …).
+        (``round_rows``, ``alpha``, ``count_method``, ``engine``, …).
     """
     return Connection(
         source,

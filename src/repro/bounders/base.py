@@ -108,9 +108,6 @@ def iter_segments(sorted_indices: np.ndarray):
         yield int(start), int(end), int(sorted_indices[start])
 
 
-_iter_segments = iter_segments
-
-
 class Interval(NamedTuple):
     """A closed confidence interval ``[lo, hi]`` for an aggregate."""
 
@@ -317,7 +314,7 @@ class ErrorBounder(ABC):
         """
         indices = np.asarray(indices, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
-        for start, end, slot in _iter_segments(indices):
+        for start, end, slot in iter_segments(indices):
             self.update_batch(pool[slot], values[start:end])
 
     # ------------------------------------------------------------------

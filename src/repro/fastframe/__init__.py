@@ -72,8 +72,6 @@ from repro.fastframe.storage import (
     DEFAULT_STORE_BLOCK_ROWS,
     BlockCache,
     BlockStoreError,
-    ColumnStore,
-    InMemoryStore,
     MmapBlockStore,
     attach_block_storage,
     open_block_scramble,
@@ -99,7 +97,6 @@ __all__ = [
     "Catalog",
     "CategoricalColumn",
     "ColumnKind",
-    "ColumnStore",
     "Compare",
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_CACHE_BYTES",
@@ -115,7 +112,6 @@ __all__ = [
     "ExecutionMetrics",
     "GroupResult",
     "In",
-    "InMemoryStore",
     "LOOKAHEAD_BATCH_BLOCKS",
     "MmapBlockStore",
     "Not",

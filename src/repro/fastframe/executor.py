@@ -26,20 +26,31 @@ against a :class:`~repro.fastframe.scramble.Scramble`:
    skipping them is bit-identical.
 
 Two engines implement identical semantics (the parity test-suite pins
-their outputs to each other within floating-point tolerance):
+their outputs to each other within floating-point tolerance), as two
+subclasses of :class:`QueryRun`.  The run's driver-facing methods —
+select, consume, the round cadence, snapshots, finalize — are written
+once on the base class and call one hook per engine-specific step of
+Algorithm 5: ``_init_views`` (allocate per-view state), ``_ingest`` (fold
+a partitioned window), ``_recompute_bounds`` (per-view CIs at the decayed
+δ), ``_refresh_active`` (active set + stopping test),
+``_active_key_codes`` / ``_group_snapshots`` (state reads for block
+selection and progressive rounds), ``_finalize_exhausted`` (mark views
+whose every row is settled; their aggregates are exact) and ``_results``.
 
-* ``engine="pool"`` — the vectorized core: all per-view state lives in a
-  struct-of-arrays :class:`~repro.fastframe.viewpool.ViewPool`; ingest is a
-  few ``np.bincount`` passes per window and each round is a fixed number of
+* ``engine="pool"`` (``_PoolRun``) — the vectorized core: all per-view
+  state lives in a struct-of-arrays
+  :class:`~repro.fastframe.viewpool.ViewPool`; ingest is a few
+  ``np.bincount`` passes per window and each round is a fixed number of
   array expressions over all views at once ("the per-view bounder state is
   updated vectorized", §4.2).
-* ``engine="scalar"`` — the reference implementation: one ``_ViewState``
-  object per view, Python loops over views.  Kept as the executable
-  specification the pool engine is tested against, and for few-view
-  workloads where the loop is the faster of the two.
+* ``engine="scalar"`` (``_ScalarRun``) — the reference implementation: one
+  ``_ViewState`` object per view, Python loops over views.  Kept as the
+  executable specification the pool engine is tested against, and for
+  few-view workloads where the loop is the faster of the two.
 
-The default ``engine="auto"`` dispatches per query: pool at or above
-:data:`AUTO_POOL_THRESHOLD` aggregate views, scalar below.
+``QueryRun(executor, query)`` is the one constructor and the one place
+the choice is made: the default ``engine="auto"`` picks per query — pool
+at or above :data:`AUTO_POOL_THRESHOLD` aggregate views, scalar below.
 
 Error-probability accounting (δ = 1e-15 by default, as in §5.2):
 ``δ → ÷ #aggregate-views (§4.1) → × 6/π²k⁻² per round (Alg. 5) →
@@ -105,7 +116,7 @@ from repro.fastframe.viewpool import ViewPool
 from repro.fastframe.window import WindowFrame
 from repro.stats.delta import DEFAULT_DELTA, DeltaBudget
 from repro.stats.streaming import MomentState
-from repro.stopping.conditions import GroupSnapshot, SamplesTaken, SnapshotColumns
+from repro.stopping.conditions import GroupSnapshot, SamplesTaken
 from repro.stopping.optstop import RunningIntersection
 
 __all__ = [
@@ -206,16 +217,6 @@ class ApproximateExecutor:
         :meth:`execute` drives the scan under (``None`` resolves one from
         the environment here, once).  Results and every metric except
         wall time are bit-identical under any configuration.
-    round_cadence:
-        Adaptive OptStop round cadence for the pool engine (default 1
-        preserves the every-round behavior byte-for-byte).  At ``k > 1``
-        only every k-th round is a *full* round; in between, views the
-        stopping condition certifies as far from their target
-        (:meth:`~repro.stopping.conditions.StoppingCondition.far_mask`)
-        keep their last certified interval and stay dirty.  Deferring a
-        recompute is always sound — the old interval remains a valid
-        1−δ bound and the running intersection only ever narrows — so
-        stopping can fire later, never wrongly.
     """
 
     def __init__(
@@ -230,7 +231,6 @@ class ApproximateExecutor:
         rng: np.random.Generator | None = None,
         engine: str = "auto",
         config: ExecConfig | None = None,
-        round_cadence: int = 1,
     ) -> None:
         if count_method not in COUNT_METHODS:
             raise ValueError(
@@ -241,10 +241,6 @@ class ApproximateExecutor:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        if round_cadence < 1:
-            raise ValueError(
-                f"round_cadence must be >= 1, got {round_cadence}"
-            )
         self.scramble = scramble
         self.bounder = bounder
         self.strategy = strategy or ScanStrategy()
@@ -254,7 +250,6 @@ class ApproximateExecutor:
         self.count_method = count_method
         self.engine = engine
         self.config = ExecConfig.resolve() if config is None else config
-        self.round_cadence = int(round_cadence)
         (
             self._count_interval,
             self._upper_bound_population,
@@ -339,34 +334,6 @@ class ApproximateExecutor:
             combined //= card
         return tuple(reversed(codes))
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-
-    def execute(self, query: Query, start_block: int | None = None) -> QueryResult:
-        """Run a query to its stopping condition (or data exhaustion)."""
-        run = QueryRun(self, query)
-        cursor = self.cursor(start_block, window_blocks=run.window_blocks)
-        for _ in run.drive(cursor, self.config):
-            pass
-        return run.finalize()
-
-    def cursor(
-        self, start_block: int | None = None, window_blocks: int | None = None
-    ) -> ScanCursor:
-        """A fresh scan cursor (random start position unless pinned)."""
-        if start_block is None:
-            start_block = int(self.rng.integers(self.scramble.num_blocks))
-        return ScanCursor(
-            self.scramble,
-            start_block,
-            window_blocks or self.strategy.window_blocks,
-        )
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
     def _resolve_value_column(
         self, query: Query
     ) -> tuple[Callable[[np.ndarray], np.ndarray] | None, tuple[float, float]]:
@@ -393,471 +360,39 @@ class ApproximateExecutor:
         derived = column.range_bounds(bounds_by_column)
         return (lambda rows: column.evaluate(table, rows)), (derived.a, derived.b)
 
-    def _ingest_scalar_delta(
-        self,
-        query: Query,
-        views: dict[int, _ViewState],
-        domain: np.ndarray,
-        delta: IngestDelta,
-        window_rows: int,
-        freezes_groups: bool,
-        bounder: ErrorBounder | None = None,
-    ) -> None:
-        """Fold one partitioned window slice into the per-view states.
-
-        The scalar mirror of :meth:`ViewPool.apply_ingest`: it consumes
-        the same :class:`IngestDelta` the fused
-        :func:`~repro.fastframe.kernels.partition_ingest` kernel produces
-        for the pool engine, so the two engines share every byte of
-        slicing/gather/sort arithmetic and differ only in how per-view
-        state is stored.  The delta's ``view_idx`` is sorted with ties in
-        stream order, so each view's value segment arrives in exactly the
-        order the seed's per-view loop fed it (``delta.values`` is
-        ``None`` for COUNT queries, which only need segment lengths).
-        """
-        bounder = self.bounder if bounder is None else bounder
-        needs_values = query.aggregate is not AggregateFunction.COUNT
-        segments: dict[int, np.ndarray | int] = {}
-        if delta.n_in_view:
-            view_idx = delta.view_idx
-            boundaries = np.flatnonzero(np.diff(view_idx)) + 1
-            starts = np.concatenate(([0], boundaries))
-            ends = np.concatenate((boundaries, [view_idx.size]))
-            for start, end in zip(starts, ends):
-                segments[int(domain[view_idx[start]])] = (
-                    delta.values[start:end] if needs_values else int(end - start)
-                )
-
-        for code, view in views.items():
-            if view.dropped or view.exhausted:
-                continue
-            segment = segments.get(code)
-            if needs_values:
-                values = segment
-                in_view = 0 if values is None else values.size
-                if in_view:
-                    # One reduction of the segment serves every moment
-                    # consumer below (bit-equal to each reducing it itself).
-                    moments = MomentState.batch_moments(values)
-                    view.all_read_moments.merge_moments(*moments)
-            else:
-                values = None
-                in_view = 0 if segment is None else int(segment)
-                if in_view:
-                    view.all_read_moments.count += in_view
-            if freezes_groups and not view.active:
-                continue  # frozen: rows stay unsettled for this view
-            view.selectivity.observe(in_view, window_rows)
-            if in_view and needs_values:
-                view.sample_moments.merge_moments(*moments)
-                bounder.update_batch_with_moments(view.bounder_state, values, moments)
-
-    def _recompute_bounds(
-        self,
-        query: Query,
-        views: dict[int, _ViewState],
-        bounds: tuple[float, float],
-        view_budget: DeltaBudget,
-        round_index: int | None,
-        bounder: ErrorBounder | None = None,
-    ) -> int:
-        """One OptStop round: per-view CIs at the decayed δ (Algorithm 5).
-
-        Budget layout within a round: the COUNT interval (also used to drop
-        certified-empty views) and the value interval each receive half the
-        round budget; the value half is further split per Theorem 3
-        (``(1 − α)`` for N⁺, α for the bounder CI, δ/2 per side inside
-        ``confidence_interval``).
-
-        ``round_index=None`` is the fixed-sample-count mode (condition Ê):
-        the single end-of-run computation at the full, undecayed per-view
-        budget, covering every surviving view regardless of activity.
-
-        Returns the number of views whose bounds were recomputed.
-        """
-        a, b = bounds
-        bounder = self.bounder if bounder is None else bounder
-        scramble_rows = self.scramble.num_rows
-        single_shot = round_index is None
-        round_budget = (
-            view_budget if single_shot else view_budget.for_round(round_index)
-        )
-        recomputed = 0
-        for view in views.values():
-            if view.dropped or view.exhausted:
-                continue
-            if (
-                not single_shot
-                and self.strategy.uses_active_groups
-                and not view.active
-            ):
-                continue  # frozen views keep their last certified interval
-            recomputed += 1
-            if query.aggregate is AggregateFunction.COUNT:
-                count_budget, avg_budget = round_budget, None
-            else:
-                count_budget = avg_budget = round_budget.split_even(2)
-            view.count_iv = view.count_running.fold(
-                self._count_interval(view.selectivity, scramble_rows, count_budget.delta)
-            )
-            if view.count_iv.hi < 1.0:
-                # Certified empty: the view contributes no row, so its
-                # aggregate does not exist in the exact answer either.
-                view.dropped = True
-                continue
-            if query.aggregate is AggregateFunction.COUNT:
-                view.interval = view.count_iv
-                continue
-            _, ci_budget = avg_budget.split_unknown_n(self.alpha)
-            n_plus = self._upper_bound_population(
-                view.selectivity, scramble_rows, avg_budget.delta, alpha=self.alpha
-            )
-            avg_iv = view.running.fold(
-                bounder.confidence_interval(
-                    view.bounder_state, a, b, n_plus, ci_budget.delta
-                )
-            )
-            if query.aggregate is AggregateFunction.SUM:
-                view.interval = sum_interval(view.count_iv, avg_iv)
-            else:
-                # AVG — and the quantile family, whose bounder interval
-                # already certifies the view-level aggregate directly.
-                view.interval = avg_iv
-        return recomputed
-
-    def _snapshots(
-        self,
-        views: dict[int, _ViewState],
-        bounds: tuple[float, float],
-        query: Query | None = None,
-        bounder: ErrorBounder | None = None,
-    ) -> dict[int, GroupSnapshot]:
-        a, b = bounds
-        snapshots = {}
-        for code, view in views.items():
-            if view.dropped:
-                continue
-            interval = view.interval
-            if not np.isfinite(interval.lo) or not np.isfinite(interval.hi):
-                # Clamp per endpoint: a half-finite interval keeps its
-                # certified finite bound; only the trivial side falls back
-                # to the value range.
-                interval = Interval(
-                    interval.lo if np.isfinite(interval.lo) else a,
-                    interval.hi if np.isfinite(interval.hi) else b,
-                )
-            estimate = self._estimate(view, interval, query, bounder)
-            snapshots[code] = GroupSnapshot(
-                interval=interval,
-                estimate=estimate,
-                samples=view.sample_moments.count,
-                exhausted=view.exhausted,
-            )
-        return snapshots
-
-    def _estimate(
-        self,
-        view: _ViewState,
-        interval: Interval,
-        query: Query | None = None,
-        bounder: ErrorBounder | None = None,
-    ) -> float:
-        if view.sample_moments.count > 0:
-            if query is not None and query.aggregate.is_quantile:
-                return (self.bounder if bounder is None else bounder).estimate(
-                    view.bounder_state
-                )
-            return view.sample_moments.mean
-        return interval.midpoint
-
-    def _refresh_active(
-        self,
-        query: Query,
-        views: dict[int, _ViewState],
-        snapshots: dict[int, GroupSnapshot],
-    ) -> None:
-        active = query.stopping.active_groups(snapshots)
-        for code, view in views.items():
-            if view.dropped or view.exhausted:
-                view.active = False
-                continue
-            view.active = code in active
-
-    def _finalize_exhausted(
-        self,
-        query: Query,
-        views: dict[int, _ViewState],
-        bounder: ErrorBounder | None = None,
-    ) -> None:
-        """Mark views whose every row is settled; their aggregates are exact."""
-        bounder = self.bounder if bounder is None else bounder
-        scramble_rows = self.scramble.num_rows
-        for view in views.values():
-            if view.dropped:
-                continue
-            if view.selectivity.covered >= scramble_rows:
-                view.exhausted = True
-                if view.selectivity.in_view == 0:
-                    view.dropped = True
-                    continue
-                exact_count = float(view.selectivity.in_view)
-                view.count_iv = Interval(exact_count, exact_count)
-                if query.aggregate is AggregateFunction.COUNT:
-                    view.interval = view.count_iv
-                elif query.aggregate is AggregateFunction.AVG:
-                    exact = view.all_read_moments.mean
-                    view.interval = Interval(exact, exact)
-                elif query.aggregate.is_quantile:
-                    # Covered-row accounting only advances while the view
-                    # settles, so exhaustion implies the bounder state holds
-                    # the full view multiset: its sample quantile IS the
-                    # population quantile.
-                    exact = bounder.estimate(view.bounder_state)
-                    view.interval = Interval(exact, exact)
-                else:
-                    exact = view.all_read_moments.mean * exact_count
-                    view.interval = Interval(exact, exact)
-
-    def _group_result(
-        self,
-        query: Query,
-        view: _ViewState,
-        key: tuple,
-        bounder: ErrorBounder | None = None,
-    ) -> GroupResult:
-        interval = view.interval
-        if not np.isfinite(interval.lo) or not np.isfinite(interval.hi):
-            # Per-endpoint: keep a certified finite bound on one side even
-            # when the other side is still trivial.
-            interval = Interval(
-                interval.lo if np.isfinite(interval.lo) else -np.inf,
-                interval.hi if np.isfinite(interval.hi) else np.inf,
-            )
-        estimate = self._estimate(view, interval, query, bounder)
-        count_estimate = (
-            view.selectivity.in_view
-            / max(view.selectivity.covered, 1)
-            * self.scramble.num_rows
-        )
-        if query.aggregate is AggregateFunction.COUNT:
-            estimate = count_estimate
-        elif query.aggregate is AggregateFunction.SUM and view.sample_moments.count:
-            estimate = view.sample_moments.mean * count_estimate
-        return GroupResult(
-            key=key,
-            estimate=estimate,
-            interval=interval,
-            count_interval=view.count_iv,
-            samples=view.sample_moments.count,
-            exhausted=view.exhausted,
-        )
-
     # ------------------------------------------------------------------
-    # Pool-engine internals — array mirrors of the scalar methods above.
-    # Every step is a fixed number of numpy expressions over all views.
+    # Execution
     # ------------------------------------------------------------------
 
-    def _recompute_bounds_pool(
-        self,
-        query: Query,
-        pool: ViewPool,
-        bounds: tuple[float, float],
-        view_budget: DeltaBudget,
-        round_index: int | None,
-        defer: np.ndarray | None = None,
-        bounder: ErrorBounder | None = None,
-    ) -> int:
-        """One OptStop round over the dirty slice of the pool (Algorithm 5).
+    def execute(self, query: Query, start_block: int | None = None) -> QueryResult:
+        """Run a query to its stopping condition (or data exhaustion)."""
+        run = QueryRun(self, query)
+        cursor = self.cursor(start_block, window_blocks=run.window_blocks)
+        for _ in run.drive(cursor, self.config):
+            pass
+        return run.finalize()
 
-        Incremental rounds: only rows whose counters changed since their
-        last recomputation (``pool.dirty``) are touched — a clean row's
-        interval at the later round's smaller decayed δ would be wider,
-        so its running-intersection fold is a no-op and the last certified
-        interval stands.  ``round_index=None`` (the fixed-sample-count
-        single shot) recomputes every surviving view regardless of the
-        dirty mask.  ``defer`` (the adaptive round cadence) additionally
-        skips the masked rows *without clearing their dirty flag*, so the
-        next undeferred round brings them current.  Returns the number of
-        pool rows recomputed.
-        """
-        a, b = bounds
-        bounder = self.bounder if bounder is None else bounder
-        scramble_rows = self.scramble.num_rows
-        single_shot = round_index is None
-        round_budget = (
-            view_budget if single_shot else view_budget.for_round(round_index)
+    def cursor(
+        self, start_block: int | None = None, window_blocks: int | None = None
+    ) -> ScanCursor:
+        """A fresh scan cursor (random start position unless pinned)."""
+        if start_block is None:
+            start_block = int(self.rng.integers(self.scramble.num_blocks))
+        return ScanCursor(
+            self.scramble,
+            start_block,
+            window_blocks or self.strategy.window_blocks,
         )
-        recompute = ~pool.dropped & ~pool.exhausted
-        if not single_shot:
-            recompute &= pool.dirty
-            if self.strategy.uses_active_groups:
-                recompute &= pool.active
-            if defer is not None:
-                recompute &= ~defer
-        idx = np.flatnonzero(recompute)
-        if idx.size == 0:
-            return 0
-        # These rows' bounds are now being brought current; their snapshot
-        # columns go stale the moment the new intervals land.
-        pool.dirty[idx] = False
-        pool.snap_dirty[idx] = True
-        recomputed = int(idx.size)
-        if query.aggregate is AggregateFunction.COUNT:
-            count_budget, avg_budget = round_budget, None
-        else:
-            count_budget = avg_budget = round_budget.split_even(2)
-        count_lo, count_hi = self._count_interval_batch(
-            pool.in_view[idx], pool.covered[idx], scramble_rows, count_budget.delta
-        )
-        count_lo, count_hi = pool.fold_count(idx, count_lo, count_hi)
-        pool.civ_lo[idx] = count_lo
-        pool.civ_hi[idx] = count_hi
-        # Certified empty: the view contributes no row, so its aggregate
-        # does not exist in the exact answer either.
-        empty = count_hi < 1.0
-        if empty.any():
-            pool.dropped[idx[empty]] = True
-            idx = idx[~empty]
-            count_lo = count_lo[~empty]
-            count_hi = count_hi[~empty]
-            if idx.size == 0:
-                return recomputed
-        if query.aggregate is AggregateFunction.COUNT:
-            pool.iv_lo[idx] = count_lo
-            pool.iv_hi[idx] = count_hi
-            return recomputed
-        _, ci_budget = avg_budget.split_unknown_n(self.alpha)
-        n_plus = self._upper_bound_population_batch(
-            pool.in_view[idx], pool.covered[idx], scramble_rows,
-            avg_budget.delta, alpha=self.alpha,
-        )
-        avg_lo, avg_hi = bounder.confidence_interval_batch(
-            pool.bounder_pool, a, b, n_plus, ci_budget.delta, indices=idx
-        )
-        avg_lo, avg_hi = pool.fold_value(idx, avg_lo, avg_hi)
-        if query.aggregate is AggregateFunction.SUM:
-            sum_lo, sum_hi = sum_interval_batch(count_lo, count_hi, avg_lo, avg_hi)
-            pool.iv_lo[idx] = sum_lo
-            pool.iv_hi[idx] = sum_hi
-        else:
-            # AVG — and the quantile family, whose bounder interval already
-            # certifies the view-level aggregate directly.
-            pool.iv_lo[idx] = avg_lo
-            pool.iv_hi[idx] = avg_hi
-        return recomputed
-
-    def _snapshot_columns(
-        self, pool: ViewPool, bounds: tuple[float, float]
-    ) -> SnapshotColumns:
-        """Array mirror of :meth:`_snapshots` over the non-dropped views."""
-        a, b = bounds
-        return pool.snapshot_columns(a, b)
-
-    def _refresh_active_pool(
-        self, query: Query, pool: ViewPool, columns: SnapshotColumns
-    ) -> None:
-        active = query.stopping.active_mask(columns)
-        pool.active[:] = False
-        pool.active[columns.rows] = active & ~pool.exhausted[columns.rows]
-
-    def _finalize_exhausted_pool(
-        self, query: Query, pool: ViewPool, bounder: ErrorBounder | None = None
-    ) -> None:
-        """Mark views whose every row is settled; their aggregates are exact."""
-        bounder = self.bounder if bounder is None else bounder
-        scramble_rows = self.scramble.num_rows
-        done = ~pool.dropped & (pool.covered >= scramble_rows)
-        if not done.any():
-            return
-        pool.exhausted |= done
-        pool.dropped |= done & (pool.in_view == 0)
-        pool.snap_dirty |= done  # exact intervals land below
-        idx = np.flatnonzero(done & ~pool.dropped)
-        if idx.size == 0:
-            return
-        exact_count = pool.in_view[idx].astype(np.float64)
-        pool.civ_lo[idx] = exact_count
-        pool.civ_hi[idx] = exact_count
-        if query.aggregate is AggregateFunction.COUNT:
-            exact = exact_count
-        elif query.aggregate is AggregateFunction.AVG:
-            exact = pool.all_read.mean[idx]
-        elif query.aggregate.is_quantile:
-            # Covered rows only advance while the view settles, so the
-            # bounder pool holds the exhausted views' full row multisets:
-            # their sample quantiles ARE the population quantiles.
-            exact = bounder.estimate_batch(pool.bounder_pool, indices=idx)
-        else:
-            exact = pool.all_read.mean[idx] * exact_count
-        pool.iv_lo[idx] = exact
-        pool.iv_hi[idx] = exact
-
-    def _pool_results(
-        self,
-        query: Query,
-        pool: ViewPool,
-        keys: list[tuple],
-        bounder: ErrorBounder | None = None,
-    ) -> dict:
-        """Materialize per-group results (the only O(views) Python loop).
-
-        ``keys`` is the decoded group key per pool row
-        (:meth:`QueryRun.group_keys`).
-        """
-        bounder = self.bounder if bounder is None else bounder
-        live = np.flatnonzero(~pool.dropped)
-        lo = pool.iv_lo[live]
-        hi = pool.iv_hi[live]
-        # Per-endpoint clamp: a half-finite interval keeps its certified
-        # finite bound; only the trivial side is widened.
-        lo = np.where(np.isfinite(lo), lo, -np.inf)
-        hi = np.where(np.isfinite(hi), hi, np.inf)
-        samples = pool.sample.count[live]
-        count_estimate = (
-            pool.in_view[live]
-            / np.maximum(pool.covered[live], 1)
-            * self.scramble.num_rows
-        )
-        if query.aggregate is AggregateFunction.COUNT:
-            estimate = count_estimate
-        elif query.aggregate.is_quantile:
-            estimate = np.where(
-                samples > 0,
-                bounder.estimate_batch(pool.bounder_pool, indices=live),
-                0.5 * (lo + hi),
-            )
-        else:
-            estimate = np.where(
-                samples > 0, pool.sample.mean[live], 0.5 * (lo + hi)
-            )
-            if query.aggregate is AggregateFunction.SUM:
-                estimate = np.where(
-                    samples > 0, pool.sample.mean[live] * count_estimate, estimate
-                )
-        groups = {}
-        for position, row in enumerate(live):
-            key = keys[row]
-            groups[key] = GroupResult(
-                key=key,
-                estimate=float(estimate[position]),
-                interval=Interval(float(lo[position]), float(hi[position])),
-                count_interval=Interval(
-                    float(pool.civ_lo[row]), float(pool.civ_hi[row])
-                ),
-                samples=int(samples[position]),
-                exhausted=bool(pool.exhausted[row]),
-            )
-        return groups
 
 
 class QueryRun:
     """The steppable execution state of one query over a scramble.
 
     A run is the executor's unit of progress: it owns the per-view state
-    (a :class:`~repro.fastframe.viewpool.ViewPool` or the scalar
-    ``_ViewState`` dictionary, per the resolved engine), the δ budget, and
-    the round counters — but *not* the scan position.  Each window is
-    processed in two phases: :meth:`select_blocks` computes the run's
+    (laid out by the engine subclass ``QueryRun(executor, query)``
+    resolves to — see the module docstring), the δ budget, and the round
+    counters — but *not* the scan position.  Each window is processed in
+    two phases: :meth:`select_blocks` computes the run's
     block-fetch mask, then :meth:`consume` slices the run's private view
     out of a materialized :class:`~repro.fastframe.window.WindowFrame`.
     That split makes the same state machine serve two drivers:
@@ -880,9 +415,22 @@ class QueryRun:
     parity suite pins this.
     """
 
-    def __init__(
-        self, executor: ApproximateExecutor, query: Query
-    ) -> None:
+    #: The struct-of-arrays view state when the run is on the pool engine.
+    #: The parallel driver partitions in worker processes only for runs
+    #: that have one (a worker's delta merges into pool arrays).
+    pool: ViewPool | None = None
+
+    def __new__(cls, executor: ApproximateExecutor, query: Query):
+        if cls is QueryRun:
+            # The one place an engine is chosen.
+            engine = executor.engine
+            if engine == "auto":
+                views = executor._group_domain(query.group_by).size
+                engine = "pool" if views >= AUTO_POOL_THRESHOLD else "scalar"
+            cls = _PoolRun if engine == "pool" else _ScalarRun
+        return super().__new__(cls)
+
+    def __init__(self, executor: ApproximateExecutor, query: Query) -> None:
         ex = executor
         self.executor = ex
         self.query = query
@@ -909,6 +457,8 @@ class QueryRun:
         else:
             self.value_key = ("expression", id(query.column))
         self.group_by = query.group_by
+        # Building the domain also caches the scramble's full-table
+        # combined codes, so per-window frame slices never pay that build.
         self.domain = ex._group_domain(self.group_by)
         self.indexes = {
             column: ex.index_for(column) for column in self.group_by
@@ -919,10 +469,6 @@ class QueryRun:
         for column in self.predicate_requirements:
             self.indexes.setdefault(column, ex.index_for(column))
 
-        engine = ex.engine
-        if engine == "auto":
-            engine = "pool" if self.domain.size >= AUTO_POOL_THRESHOLD else "scalar"
-        self.engine = engine
         self.strategy = ex.strategy
         self.uses_active = ex.strategy.uses_active_groups
         self.freezes_groups = self.uses_active and bool(self.group_by)
@@ -931,36 +477,15 @@ class QueryRun:
         # and a single full-budget CI is issued at the end of the run.
         self.fixed_sample_mode = isinstance(query.stopping, SamplesTaken)
 
-        if engine == "pool":
-            key_codes = [
-                ex._split_combined(int(code), self.group_by)
-                for code in self.domain
-            ]
-            self.pool: ViewPool | None = ViewPool.build(
-                self.domain, key_codes, self.bounder
-            )
-            if query.aggregate.is_quantile:
-                pool, bounder = self.pool, self.bounder
-                self.pool.estimator = lambda rows: bounder.estimate_batch(
-                    pool.bounder_pool, indices=rows
-                )
-            self.views: dict[int, _ViewState] | None = None
-            num_views = max(self.pool.size, 1)
-            if self.group_by:
-                # Warm the scramble-cached full-table combined codes now so
-                # per-window frame slices never pay the build.
-                ex._combined_codes(self.group_by, rows=None)
-        else:
-            self.pool = None
-            self.views = {
-                int(code): _ViewState(
-                    key_codes=ex._split_combined(int(code), self.group_by),
-                    bounder_state=self.bounder.init_state(),
-                )
-                for code in self.domain
-            }
-            num_views = max(len(self.views), 1)
-        self.view_budget = DeltaBudget(ex.delta).split_even(num_views)
+        #: Per-column codes of each view's group key, aligned with
+        #: :attr:`domain` (and so with the engine's view order).
+        self.key_codes = [
+            ex._split_combined(int(code), self.group_by) for code in self.domain
+        ]
+        self._init_views()
+        self.view_budget = DeltaBudget(ex.delta).split_even(
+            max(self.domain.size, 1)
+        )
 
         self.rows_since_bound = 0
         self.round_index = 0
@@ -993,23 +518,11 @@ class QueryRun:
         window k+1 overlapping ingest of window k) and charge them via
         :meth:`charge_blocks` only when the mask is actually consumed.
         """
-        if self.pool is not None:
-            if self.uses_active:
-                active_rows = np.flatnonzero(self.pool.active & ~self.pool.dropped)
-                active_groups = [self.pool.key_codes[i] for i in active_rows]
-            else:
-                active_groups = []
-        else:
-            active_groups = [
-                view.key_codes
-                for view in self.views.values()
-                if view.active and not view.dropped
-            ]
         return ScanContext(
             indexes=self.indexes,
             predicate_requirements=self.predicate_requirements,
             group_columns=self.group_by,
-            active_groups=active_groups,
+            active_groups=self._active_key_codes() if self.uses_active else [],
         )
 
     def charge_blocks(self, window: np.ndarray, mask: np.ndarray) -> None:
@@ -1039,28 +552,18 @@ class QueryRun:
         the run never touches the scramble here.  Every ``round_rows``
         rows or at scan end (``at_end=True``), one OptStop round runs.
         """
-        ex = self.executor
-        # Both engines partition through the same fused kernel; they
-        # differ only in the merge half (pool arrays vs the per-view
-        # dict) and in the partition domain (the pool's codes vs the
-        # run's full group domain).
+        # Both engines partition through the same fused kernel over the
+        # same domain; they differ only in the merge half
+        # (:meth:`consume_delta`'s ``_ingest`` hook).
         delta = partition_ingest(
             frame.rows.size,
             frame.element_selector(mask),
             lambda: frame.predicate_mask(self.query.predicate),
-            self.pool.codes if self.pool is not None else self.domain,
+            self.domain,
             self.frame_values_of(frame),
             self.frame_combined_of(frame),
         )
-        if self.pool is not None:
-            self.consume_delta(delta, frame.window_rows, at_end)
-            return
-        self.metrics.rows_read += delta.n_read
-        ex._ingest_scalar_delta(
-            self.query, self.views, self.domain, delta,
-            frame.window_rows, self.freezes_groups, bounder=self.bounder,
-        )
-        self._finish_window(delta.n_read, at_end)
+        self.consume_delta(delta, frame.window_rows, at_end)
 
     def frame_values_of(self, frame: WindowFrame):
         """Lazy pick-slicer over the frame's shared value array, or
@@ -1072,8 +575,8 @@ class QueryRun:
 
     def frame_combined_of(self, frame: WindowFrame):
         """Lazy pick-slicer over the frame's combined group codes, or
-        ``None`` for single-view pools (which need no partitioning)."""
-        if self.pool is not None and self.pool.size <= 1:
+        ``None`` for single-view runs (which need no partitioning)."""
+        if self.domain.size <= 1:
             return None
         group_by = self.group_by
         ex = self.executor
@@ -1086,7 +589,7 @@ class QueryRun:
     ) -> None:
         """Phase 2 of a window from a pre-partitioned :class:`IngestDelta`.
 
-        The pool-engine merge half of :meth:`consume`: the delta carries
+        The merge half of :meth:`consume`: the delta carries
         this run's window slice already partitioned by view (built in
         place by :meth:`consume`, or shipped back from a parallel ingest
         worker that ran :func:`~repro.fastframe.kernels.partition_ingest`
@@ -1099,74 +602,27 @@ class QueryRun:
         deltas in window order is bit-identical to serial ingest because
         the delta arrays are exactly what the serial path computes in
         place.
+
+        Then the round cadence, shared by both engines: every
+        ``round_rows`` rows read or at scan end, one OptStop round —
+        recompute bounds, refresh the active set, test the stopping
+        condition.
         """
         self.metrics.rows_read += delta.n_read
-        self.pool.apply_ingest(
-            self.bounder, delta, window_rows, self.freezes_groups
-        )
-        self._finish_window(delta.n_read, at_end)
-
-    def _finish_window(self, n_read: int, at_end: bool) -> None:
-        """Shared round cadence after a window's rows were ingested."""
-        ex = self.executor
-        self.rows_since_bound += n_read
+        self._ingest(delta, window_rows)
+        self.rows_since_bound += delta.n_read
         if at_end:
             self._scan_ended = True
 
-        if self.rows_since_bound >= ex.round_rows or at_end:
+        if self.rows_since_bound >= self.executor.round_rows or at_end:
             self.rows_since_bound = 0
             self.round_index += 1
             self.metrics.rounds = self.round_index
-            if self.pool is not None:
-                if not self.fixed_sample_mode:
-                    self.metrics.bounds_recomputed += ex._recompute_bounds_pool(
-                        self.query, self.pool, self.bounds,
-                        self.view_budget, self.round_index,
-                        defer=self._cadence_defer_mask(at_end),
-                        bounder=self.bounder,
-                    )
-                columns = ex._snapshot_columns(self.pool, self.bounds)
-                ex._refresh_active_pool(self.query, self.pool, columns)
-                self.satisfied = self.query.stopping.satisfied_columns(columns)
-            else:
-                if not self.fixed_sample_mode:
-                    self.metrics.bounds_recomputed += ex._recompute_bounds(
-                        self.query, self.views, self.bounds,
-                        self.view_budget, self.round_index,
-                        bounder=self.bounder,
-                    )
-                snapshots = ex._snapshots(
-                    self.views, self.bounds, self.query, self.bounder
+            if not self.fixed_sample_mode:
+                self.metrics.bounds_recomputed += self._recompute_bounds(
+                    self.round_index
                 )
-                ex._refresh_active(self.query, self.views, snapshots)
-                self.satisfied = self.query.stopping.satisfied(snapshots)
-
-    def _cadence_defer_mask(self, at_end: bool) -> np.ndarray | None:
-        """Pool rows whose bound recompute this round may skip (or ``None``).
-
-        The adaptive round cadence (``round_cadence=k``): on rounds that
-        are not a multiple of ``k`` — and not the scan's last — views the
-        stopping condition certifies as *far* from its target keep their
-        last certified interval and stay dirty, so the next full round
-        picks them up.  Distance is judged on the current certified
-        snapshot (:meth:`~repro.stopping.conditions.StoppingCondition.
-        far_mask`); conditions without a distance notion return ``None``
-        and every view recomputes as usual.  Deferral is sound: the old
-        interval is still a valid 1−δ bound and a deferred view consumes
-        none of the round's δ budget, so stopping can only fire later.
-        """
-        ex = self.executor
-        if ex.round_cadence <= 1 or at_end:
-            return None
-        if self.round_index % ex.round_cadence == 0:
-            return None  # full round: every dirty view recomputes
-        columns = ex._snapshot_columns(self.pool, self.bounds)
-        far = self.query.stopping.far_mask(columns)
-        if far is None:
-            return None
-        defer = np.zeros(self.pool.size, dtype=bool)
-        defer[columns.rows] = far
-        return defer
+            self.satisfied = self._refresh_active()
 
     def feed(self, window: np.ndarray, at_end: bool) -> np.ndarray:
         """Process one lookahead window solo (select + materialize + consume).
@@ -1220,14 +676,9 @@ class QueryRun:
             dictionaries = [
                 table.categorical(column).dictionary for column in self.group_by
             ]
-            key_codes = (
-                self.pool.key_codes
-                if self.pool is not None
-                else [view.key_codes for view in self.views.values()]
-            )
             self._group_keys = [
                 tuple(d[code] for d, code in zip(dictionaries, codes))
-                for codes in key_codes
+                for codes in self.key_codes
             ]
         return self._group_keys
 
@@ -1238,32 +689,7 @@ class QueryRun:
         (:meth:`repro.api.QueryHandle.rounds`); keys are decoded group-by
         values, values are :class:`~repro.stopping.conditions.GroupSnapshot`.
         """
-        ex = self.executor
-        keys = self.group_keys()
-        if self.pool is not None:
-            columns = ex._snapshot_columns(self.pool, self.bounds)
-            return {
-                keys[row]: GroupSnapshot(
-                    interval=Interval(lo, hi),
-                    estimate=estimate,
-                    samples=samples,
-                    exhausted=exhausted,
-                )
-                for row, lo, hi, estimate, samples, exhausted in zip(
-                    columns.rows.tolist(),
-                    columns.lo.tolist(),
-                    columns.hi.tolist(),
-                    columns.estimate.tolist(),
-                    columns.samples.tolist(),
-                    columns.exhausted.tolist(),
-                )
-            }
-        snapshots = ex._snapshots(self.views, self.bounds, self.query, self.bounder)
-        return {
-            key: snapshots[code]
-            for key, code in zip(keys, self.views)
-            if code in snapshots
-        }
+        return self._group_snapshots(self.group_keys())
 
     def finalize(self, merge_index_counters: bool = True) -> QueryResult:
         """Seal the run and materialize its :class:`QueryResult`.
@@ -1274,36 +700,14 @@ class QueryRun:
         """
         if self._finalized is not None:
             return self._finalized
-        ex = self.executor
         if self.fixed_sample_mode:
             # The one interval this run issues, at the undecayed per-view
             # budget; computed for every surviving view regardless of its
             # (sample-count-based) active flag.
-            if self.pool is not None:
-                self.metrics.bounds_recomputed += ex._recompute_bounds_pool(
-                    self.query, self.pool, self.bounds,
-                    self.view_budget, round_index=None,
-                    bounder=self.bounder,
-                )
-            else:
-                self.metrics.bounds_recomputed += ex._recompute_bounds(
-                    self.query, self.views, self.bounds,
-                    self.view_budget, round_index=None,
-                    bounder=self.bounder,
-                )
+            self.metrics.bounds_recomputed += self._recompute_bounds(None)
         self.metrics.stopped_early = self.satisfied and not self._scan_ended
-        if self.pool is not None:
-            ex._finalize_exhausted_pool(self.query, self.pool, bounder=self.bounder)
-            groups = ex._pool_results(
-                self.query, self.pool, self.group_keys(), bounder=self.bounder
-            )
-        else:
-            ex._finalize_exhausted(self.query, self.views, bounder=self.bounder)
-            groups = {
-                key: ex._group_result(self.query, view, key, bounder=self.bounder)
-                for key, view in zip(self.group_keys(), self.views.values())
-                if not view.dropped
-            }
+        self._finalize_exhausted()
+        groups = self._results(self.group_keys())
         if merge_index_counters:
             self.metrics.merge_index_counters(self.indexes.values())
         self.metrics.wall_time_s = time.perf_counter() - self._start_time
@@ -1311,6 +715,471 @@ class QueryRun:
             query=self.query, groups=groups, metrics=self.metrics
         )
         return self._finalized
+
+    # -- engine hooks ---------------------------------------------------
+    # The eight hooks the module docstring lists are the subclasses'; each
+    # reads the run's own ``query`` / ``bounds`` / ``bounder`` /
+    # ``view_budget``.  Shared by both engines' ``_recompute_bounds``:
+
+    def _round_deltas(self, round_index: int | None) -> tuple[float, float | None]:
+        """``(interval δ, CI δ)`` of one view in one OptStop round.
+
+        Budget layout within a round: the COUNT interval (also used to drop
+        certified-empty views) and the value interval each receive half the
+        round budget — the first element; the value half is further split
+        per Theorem 3 (``(1 − α)`` for N⁺, which takes that share of the
+        half itself, α for the bounder CI — the second element — δ/2 per
+        side inside ``confidence_interval``).  A COUNT query issues no
+        value interval: its COUNT interval gets the whole round budget.
+
+        ``round_index=None`` is the fixed-sample-count mode (condition Ê):
+        the single end-of-run computation at the full, undecayed per-view
+        budget.
+        """
+        budget = (
+            self.view_budget
+            if round_index is None
+            else self.view_budget.for_round(round_index)
+        )
+        if self.query.aggregate is AggregateFunction.COUNT:
+            return budget.delta, None
+        half = budget.split_even(2)
+        _, ci_budget = half.split_unknown_n(self.executor.alpha)
+        return half.delta, ci_budget.delta
+
+
+class _ScalarRun(QueryRun):
+    """The scalar engine: one ``_ViewState`` per view, Python loops."""
+
+    def _init_views(self) -> None:
+        self.views: dict[int, _ViewState] = {
+            int(code): _ViewState(
+                key_codes=key_codes,
+                bounder_state=self.bounder.init_state(),
+            )
+            for code, key_codes in zip(self.domain, self.key_codes)
+        }
+
+    def _active_key_codes(self) -> list[tuple[int, ...]]:
+        return [
+            view.key_codes
+            for view in self.views.values()
+            if view.active and not view.dropped
+        ]
+
+    def _ingest(self, delta: IngestDelta, window_rows: int) -> None:
+        """Fold one partitioned window slice into the per-view states.
+
+        The scalar mirror of :meth:`ViewPool.apply_ingest`: it consumes
+        the same :class:`IngestDelta` the fused
+        :func:`~repro.fastframe.kernels.partition_ingest` kernel produces
+        for the pool engine, so the two engines share every byte of
+        slicing/gather/sort arithmetic and differ only in how per-view
+        state is stored.  The delta's ``view_idx`` is sorted with ties in
+        stream order, so each view's value segment arrives in exactly the
+        order the seed's per-view loop fed it (``delta.values`` is
+        ``None`` for COUNT queries, which only need segment lengths).
+        """
+        bounder = self.bounder
+        domain = self.domain
+        freezes_groups = self.freezes_groups
+        needs_values = self.query.aggregate is not AggregateFunction.COUNT
+        segments: dict[int, np.ndarray | int] = {}
+        if delta.n_in_view:
+            view_idx = delta.view_idx
+            boundaries = np.flatnonzero(np.diff(view_idx)) + 1
+            starts = np.concatenate(([0], boundaries))
+            ends = np.concatenate((boundaries, [view_idx.size]))
+            for start, end in zip(starts, ends):
+                segments[int(domain[view_idx[start]])] = (
+                    delta.values[start:end] if needs_values else int(end - start)
+                )
+
+        for code, view in self.views.items():
+            if view.dropped or view.exhausted:
+                continue
+            segment = segments.get(code)
+            if needs_values:
+                values = segment
+                in_view = 0 if values is None else values.size
+                if in_view:
+                    # One reduction of the segment serves every moment
+                    # consumer below (bit-equal to each reducing it itself).
+                    moments = MomentState.batch_moments(values)
+                    view.all_read_moments.merge_moments(*moments)
+            else:
+                values = None
+                in_view = 0 if segment is None else int(segment)
+                if in_view:
+                    view.all_read_moments.count += in_view
+            if freezes_groups and not view.active:
+                continue  # frozen: rows stay unsettled for this view
+            view.selectivity.observe(in_view, window_rows)
+            if in_view and needs_values:
+                view.sample_moments.merge_moments(*moments)
+                bounder.update_batch_with_moments(view.bounder_state, values, moments)
+
+    def _recompute_bounds(self, round_index: int | None) -> int:
+        """One OptStop round: per-view CIs at the decayed δ (Algorithm 5).
+
+        ``round_index=None`` is the fixed-sample-count single shot
+        (:meth:`_round_deltas`), covering every surviving view regardless
+        of activity.  Returns the number of views whose bounds were
+        recomputed.
+        """
+        ex = self.executor
+        a, b = self.bounds
+        aggregate = self.query.aggregate
+        scramble_rows = ex.scramble.num_rows
+        interval_delta, ci_delta = self._round_deltas(round_index)
+        skip_frozen = round_index is not None and self.uses_active
+        recomputed = 0
+        for view in self.views.values():
+            if view.dropped or view.exhausted:
+                continue
+            if skip_frozen and not view.active:
+                continue  # frozen views keep their last certified interval
+            recomputed += 1
+            view.count_iv = view.count_running.fold(
+                ex._count_interval(view.selectivity, scramble_rows, interval_delta)
+            )
+            if view.count_iv.hi < 1.0:
+                # Certified empty: the view contributes no row, so its
+                # aggregate does not exist in the exact answer either.
+                view.dropped = True
+                continue
+            if aggregate is AggregateFunction.COUNT:
+                view.interval = view.count_iv
+                continue
+            n_plus = ex._upper_bound_population(
+                view.selectivity, scramble_rows, interval_delta, alpha=ex.alpha
+            )
+            avg_iv = view.running.fold(
+                self.bounder.confidence_interval(
+                    view.bounder_state, a, b, n_plus, ci_delta
+                )
+            )
+            if aggregate is AggregateFunction.SUM:
+                view.interval = sum_interval(view.count_iv, avg_iv)
+            else:
+                # AVG — and the quantile family, whose bounder interval
+                # already certifies the view-level aggregate directly.
+                view.interval = avg_iv
+        return recomputed
+
+    def _snapshots(self) -> dict[int, GroupSnapshot]:
+        a, b = self.bounds
+        snapshots = {}
+        for code, view in self.views.items():
+            if view.dropped:
+                continue
+            interval = view.interval
+            if not np.isfinite(interval.lo) or not np.isfinite(interval.hi):
+                # Clamp per endpoint: a half-finite interval keeps its
+                # certified finite bound; only the trivial side falls back
+                # to the value range.
+                interval = Interval(
+                    interval.lo if np.isfinite(interval.lo) else a,
+                    interval.hi if np.isfinite(interval.hi) else b,
+                )
+            snapshots[code] = GroupSnapshot(
+                interval=interval,
+                estimate=self._estimate(view, interval),
+                samples=view.sample_moments.count,
+                exhausted=view.exhausted,
+            )
+        return snapshots
+
+    def _estimate(self, view: _ViewState, interval: Interval) -> float:
+        if view.sample_moments.count > 0:
+            if self.query.aggregate.is_quantile:
+                return self.bounder.estimate(view.bounder_state)
+            return view.sample_moments.mean
+        return interval.midpoint
+
+    def _refresh_active(self) -> bool:
+        snapshots = self._snapshots()
+        stopping = self.query.stopping
+        active = stopping.active_groups(snapshots)
+        for code, view in self.views.items():
+            if view.dropped or view.exhausted:
+                view.active = False
+                continue
+            view.active = code in active
+        return stopping.satisfied(snapshots)
+
+    def _group_snapshots(self, keys: list[tuple]) -> dict:
+        snapshots = self._snapshots()
+        return {
+            key: snapshots[code]
+            for key, code in zip(keys, self.views)
+            if code in snapshots
+        }
+
+    def _finalize_exhausted(self) -> None:
+        aggregate = self.query.aggregate
+        scramble_rows = self.executor.scramble.num_rows
+        for view in self.views.values():
+            if view.dropped:
+                continue
+            if view.selectivity.covered >= scramble_rows:
+                view.exhausted = True
+                if view.selectivity.in_view == 0:
+                    view.dropped = True
+                    continue
+                exact_count = float(view.selectivity.in_view)
+                view.count_iv = Interval(exact_count, exact_count)
+                if aggregate is AggregateFunction.COUNT:
+                    view.interval = view.count_iv
+                elif aggregate is AggregateFunction.AVG:
+                    exact = view.all_read_moments.mean
+                    view.interval = Interval(exact, exact)
+                elif aggregate.is_quantile:
+                    # Covered-row accounting only advances while the view
+                    # settles, so exhaustion implies the bounder state holds
+                    # the full view multiset: its sample quantile IS the
+                    # population quantile.
+                    exact = self.bounder.estimate(view.bounder_state)
+                    view.interval = Interval(exact, exact)
+                else:
+                    exact = view.all_read_moments.mean * exact_count
+                    view.interval = Interval(exact, exact)
+
+    def _results(self, keys: list[tuple]) -> dict:
+        return {
+            key: self._group_result(view, key)
+            for key, view in zip(keys, self.views.values())
+            if not view.dropped
+        }
+
+    def _group_result(self, view: _ViewState, key: tuple) -> GroupResult:
+        aggregate = self.query.aggregate
+        interval = view.interval
+        if not np.isfinite(interval.lo) or not np.isfinite(interval.hi):
+            # Per-endpoint: keep a certified finite bound on one side even
+            # when the other side is still trivial.
+            interval = Interval(
+                interval.lo if np.isfinite(interval.lo) else -np.inf,
+                interval.hi if np.isfinite(interval.hi) else np.inf,
+            )
+        estimate = self._estimate(view, interval)
+        count_estimate = (
+            view.selectivity.in_view
+            / max(view.selectivity.covered, 1)
+            * self.executor.scramble.num_rows
+        )
+        if aggregate is AggregateFunction.COUNT:
+            estimate = count_estimate
+        elif aggregate is AggregateFunction.SUM and view.sample_moments.count:
+            estimate = view.sample_moments.mean * count_estimate
+        return GroupResult(
+            key=key,
+            estimate=estimate,
+            interval=interval,
+            count_interval=view.count_iv,
+            samples=view.sample_moments.count,
+            exhausted=view.exhausted,
+        )
+
+
+class _PoolRun(QueryRun):
+    """The pool engine: array mirrors of :class:`_ScalarRun`'s hooks.
+    Every step is a fixed number of numpy expressions over all views."""
+
+    def _init_views(self) -> None:
+        self.pool = pool = ViewPool.build(self.domain, self.key_codes, self.bounder)
+        if self.query.aggregate.is_quantile:
+            bounder = self.bounder
+            pool.estimator = lambda rows: bounder.estimate_batch(
+                pool.bounder_pool, indices=rows
+            )
+
+    def _active_key_codes(self) -> list[tuple[int, ...]]:
+        active_rows = np.flatnonzero(self.pool.active & ~self.pool.dropped)
+        return [self.key_codes[i] for i in active_rows]
+
+    def _ingest(self, delta: IngestDelta, window_rows: int) -> None:
+        self.pool.apply_ingest(
+            self.bounder, delta, window_rows, self.freezes_groups
+        )
+
+    def _recompute_bounds(self, round_index: int | None) -> int:
+        """One OptStop round over the dirty slice of the pool (Algorithm 5).
+
+        Incremental rounds: only rows whose counters changed since their
+        last recomputation (``pool.dirty``) are touched — a clean row's
+        interval at the later round's smaller decayed δ would be wider,
+        so its running-intersection fold is a no-op and the last certified
+        interval stands.  ``round_index=None`` (the fixed-sample-count
+        single shot) recomputes every surviving view regardless of the
+        dirty mask.  Returns the number of pool rows recomputed.
+        """
+        ex = self.executor
+        pool = self.pool
+        a, b = self.bounds
+        aggregate = self.query.aggregate
+        scramble_rows = ex.scramble.num_rows
+        interval_delta, ci_delta = self._round_deltas(round_index)
+        recompute = ~pool.dropped & ~pool.exhausted
+        if round_index is not None:
+            recompute &= pool.dirty
+            if self.uses_active:
+                recompute &= pool.active
+        idx = np.flatnonzero(recompute)
+        if idx.size == 0:
+            return 0
+        # These rows' bounds are now being brought current; their snapshot
+        # columns go stale the moment the new intervals land.
+        pool.dirty[idx] = False
+        pool.snap_dirty[idx] = True
+        recomputed = int(idx.size)
+        count_lo, count_hi = ex._count_interval_batch(
+            pool.in_view[idx], pool.covered[idx], scramble_rows, interval_delta
+        )
+        count_lo, count_hi = pool.fold_count(idx, count_lo, count_hi)
+        pool.civ_lo[idx] = count_lo
+        pool.civ_hi[idx] = count_hi
+        # Certified empty: the view contributes no row, so its aggregate
+        # does not exist in the exact answer either.
+        empty = count_hi < 1.0
+        if empty.any():
+            pool.dropped[idx[empty]] = True
+            idx = idx[~empty]
+            count_lo = count_lo[~empty]
+            count_hi = count_hi[~empty]
+            if idx.size == 0:
+                return recomputed
+        if aggregate is AggregateFunction.COUNT:
+            pool.iv_lo[idx] = count_lo
+            pool.iv_hi[idx] = count_hi
+            return recomputed
+        n_plus = ex._upper_bound_population_batch(
+            pool.in_view[idx], pool.covered[idx], scramble_rows,
+            interval_delta, alpha=ex.alpha,
+        )
+        avg_lo, avg_hi = self.bounder.confidence_interval_batch(
+            pool.bounder_pool, a, b, n_plus, ci_delta, indices=idx
+        )
+        avg_lo, avg_hi = pool.fold_value(idx, avg_lo, avg_hi)
+        if aggregate is AggregateFunction.SUM:
+            sum_lo, sum_hi = sum_interval_batch(count_lo, count_hi, avg_lo, avg_hi)
+            pool.iv_lo[idx] = sum_lo
+            pool.iv_hi[idx] = sum_hi
+        else:
+            # AVG — and the quantile family, whose bounder interval already
+            # certifies the view-level aggregate directly.
+            pool.iv_lo[idx] = avg_lo
+            pool.iv_hi[idx] = avg_hi
+        return recomputed
+
+    def _refresh_active(self) -> bool:
+        pool = self.pool
+        stopping = self.query.stopping
+        columns = pool.snapshot_columns(*self.bounds)
+        active = stopping.active_mask(columns)
+        pool.active[:] = False
+        pool.active[columns.rows] = active & ~pool.exhausted[columns.rows]
+        return stopping.satisfied_columns(columns)
+
+    def _group_snapshots(self, keys: list[tuple]) -> dict:
+        columns = self.pool.snapshot_columns(*self.bounds)
+        return {
+            keys[row]: GroupSnapshot(
+                interval=Interval(lo, hi),
+                estimate=estimate,
+                samples=samples,
+                exhausted=exhausted,
+            )
+            for row, lo, hi, estimate, samples, exhausted in zip(
+                columns.rows.tolist(),
+                columns.lo.tolist(),
+                columns.hi.tolist(),
+                columns.estimate.tolist(),
+                columns.samples.tolist(),
+                columns.exhausted.tolist(),
+            )
+        }
+
+    def _finalize_exhausted(self) -> None:
+        pool = self.pool
+        aggregate = self.query.aggregate
+        done = ~pool.dropped & (pool.covered >= self.executor.scramble.num_rows)
+        if not done.any():
+            return
+        pool.exhausted |= done
+        pool.dropped |= done & (pool.in_view == 0)
+        pool.snap_dirty |= done  # exact intervals land below
+        idx = np.flatnonzero(done & ~pool.dropped)
+        if idx.size == 0:
+            return
+        exact_count = pool.in_view[idx].astype(np.float64)
+        pool.civ_lo[idx] = exact_count
+        pool.civ_hi[idx] = exact_count
+        if aggregate is AggregateFunction.COUNT:
+            exact = exact_count
+        elif aggregate is AggregateFunction.AVG:
+            exact = pool.all_read.mean[idx]
+        elif aggregate.is_quantile:
+            # Covered rows only advance while the view settles, so the
+            # bounder pool holds the exhausted views' full row multisets:
+            # their sample quantiles ARE the population quantiles.
+            exact = self.bounder.estimate_batch(pool.bounder_pool, indices=idx)
+        else:
+            exact = pool.all_read.mean[idx] * exact_count
+        pool.iv_lo[idx] = exact
+        pool.iv_hi[idx] = exact
+
+    def _results(self, keys: list[tuple]) -> dict:
+        """Materialize per-group results (the only O(views) Python loop).
+
+        ``keys`` is the decoded group key per pool row
+        (:meth:`QueryRun.group_keys`).
+        """
+        pool = self.pool
+        aggregate = self.query.aggregate
+        live = np.flatnonzero(~pool.dropped)
+        lo = pool.iv_lo[live]
+        hi = pool.iv_hi[live]
+        # Per-endpoint clamp: a half-finite interval keeps its certified
+        # finite bound; only the trivial side is widened.
+        lo = np.where(np.isfinite(lo), lo, -np.inf)
+        hi = np.where(np.isfinite(hi), hi, np.inf)
+        samples = pool.sample.count[live]
+        count_estimate = (
+            pool.in_view[live]
+            / np.maximum(pool.covered[live], 1)
+            * self.executor.scramble.num_rows
+        )
+        if aggregate is AggregateFunction.COUNT:
+            estimate = count_estimate
+        elif aggregate.is_quantile:
+            estimate = np.where(
+                samples > 0,
+                self.bounder.estimate_batch(pool.bounder_pool, indices=live),
+                0.5 * (lo + hi),
+            )
+        else:
+            estimate = np.where(
+                samples > 0, pool.sample.mean[live], 0.5 * (lo + hi)
+            )
+            if aggregate is AggregateFunction.SUM:
+                estimate = np.where(
+                    samples > 0, pool.sample.mean[live] * count_estimate, estimate
+                )
+        groups = {}
+        for position, row in enumerate(live):
+            key = keys[row]
+            groups[key] = GroupResult(
+                key=key,
+                estimate=float(estimate[position]),
+                interval=Interval(float(lo[position]), float(hi[position])),
+                count_interval=Interval(
+                    float(pool.civ_lo[row]), float(pool.civ_hi[row])
+                ),
+                samples=int(samples[position]),
+                exhausted=bool(pool.exhausted[row]),
+            )
+        return groups
 
 
 def validate_shared_runs(runs: list[QueryRun], cursor: ScanCursor) -> None:

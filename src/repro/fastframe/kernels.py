@@ -11,10 +11,8 @@ fix) had to land three times and be parity-tested three ways.
 
 :func:`partition_ingest` is now the single entry point all three layers
 call.  The primitives it composes (:func:`slice_elements`,
-:func:`partition_slice`, :func:`build_ingest_delta`,
-:func:`lookup_codes`, :class:`IngestDelta`, :class:`WindowSlice`)
-moved here from ``viewpool.py``; ``viewpool`` re-exports them so
-existing imports keep working, but the arithmetic exists exactly once —
+:func:`partition_slice`, :func:`lookup_codes`, :class:`IngestDelta`,
+:class:`WindowSlice`) live here, so the arithmetic exists exactly once —
 in this module.
 
 Fusion
@@ -67,7 +65,6 @@ __all__ = [
     "WindowSlice",
     "lookup_codes",
     "group_order",
-    "build_ingest_delta",
     "slice_elements",
     "partition_slice",
     "partition_ingest",
@@ -239,53 +236,6 @@ class IngestDelta:
             )
         else:
             self.counts = np.bincount(self.view_idx, minlength=size)
-
-
-def build_ingest_delta(
-    n_read: int,
-    n_in_view: int,
-    view_values: np.ndarray | None,
-    view_combined: np.ndarray | None,
-    codes: np.ndarray,
-    *,
-    needs_values: bool,
-    with_stats: bool = False,
-) -> IngestDelta:
-    """Partition one pre-gathered window slice into an :class:`IngestDelta`.
-
-    ``view_values`` / ``view_combined`` are the run's predicate-passing
-    elements of the window in scan order (``view_values`` is ``None`` for
-    COUNT queries; ``view_combined`` is ``None`` for single-view pools,
-    which need no partitioning).  ``codes`` is the pool's sorted combined
-    domain.  Pure function: safe to run in a worker process over
-    shared-memory buffers.  ``with_stats`` additionally pre-aggregates the
-    per-view bincount statistics (workers pay this O(rows) pass so the
-    main process's merge is O(views)).
-
-    Callers holding un-gathered window arrays should prefer
-    :func:`partition_ingest`, which fuses the gathers with the sort;
-    this entry point exists for pre-gathered arrays and shares
-    :func:`group_order` with the fused path, so both produce identical
-    bytes.
-    """
-    if n_in_view == 0:
-        return IngestDelta(n_read=n_read, n_in_view=0)
-    if view_combined is None or codes.size <= 1:
-        # Single view: no partitioning needed, keep stream order.
-        view_idx = np.zeros(n_in_view, dtype=np.int64)
-        ordered_values = view_values
-    else:
-        sort_order, view_idx = group_order(view_combined, codes)
-        ordered_values = view_values[sort_order] if needs_values else None
-    delta = IngestDelta(
-        n_read=n_read,
-        n_in_view=n_in_view,
-        view_idx=view_idx,
-        values=ordered_values,
-    )
-    if with_stats:
-        delta.ensure_stats(max(codes.size, 1), needs_values)
-    return delta
 
 
 @dataclass

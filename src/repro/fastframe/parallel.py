@@ -562,7 +562,7 @@ class ParallelScanDriver:
     def _worker_spec(
         self, run, frame: WindowFrame, mask: np.ndarray, state: _RunWindowState
     ) -> dict:
-        """The picklable per-task recipe for :func:`_partition_task`.
+        """The picklable per-task recipe for :func:`_partition_batch_task`.
 
         ``native`` is the drop-the-row-arrays gate: the worker's bounder
         delta (and precomputed stats) can replace ``view_idx``/``values``

@@ -104,20 +104,6 @@ class Scramble:
             )
         self.storage = None
 
-    @property
-    def store(self):
-        """The ColumnStore serving this scramble's gathers.
-
-        The attached block store when one is present, else an
-        :class:`~repro.fastframe.storage.InMemoryStore` view of the
-        resident arrays — the default backend, with zero behavior change.
-        """
-        if self.storage is not None:
-            return self.storage
-        from repro.fastframe.storage import InMemoryStore
-
-        return InMemoryStore(self.table)
-
     def column_values(self, name: str):
         """A continuous column for gather (store-backed when attached)."""
         if self.storage is not None:

@@ -3,16 +3,13 @@
 Everything upstream of this module thinks in *blocks*: the cursor walks
 the scramble in 1024-block lookahead windows, the bitmap index decides
 which blocks to fetch, and the unified ingest kernel consumes gathered
-row slices.  This module extends that block discipline down to disk: a
-:class:`ColumnStore` interface with two implementations —
-
-* :class:`InMemoryStore`, wrapping the resident numpy arrays a
-  :class:`~repro.fastframe.table.Table` already holds (the default;
-  zero behavior change), and
-* :class:`MmapBlockStore`, which persists each column as fixed-size
-  block files (continuous float64, categorical int32 codes with a
-  sidecar JSON dictionary) under a block directory and serves zero-copy
-  ``np.memmap`` views of individual block files on demand.
+row slices.  This module extends that block discipline down to disk:
+:class:`MmapBlockStore` persists each column as fixed-size block files
+(continuous float64, categorical int32 codes with a sidecar JSON
+dictionary) under a block directory and serves zero-copy ``np.memmap``
+views of individual block files on demand.  A scramble without one
+attached gathers from the resident numpy arrays its
+:class:`~repro.fastframe.table.Table` already holds (the default).
 
 Three mechanisms make the mmap path fast rather than merely possible:
 
@@ -55,8 +52,6 @@ from repro.fastframe.table import CategoricalColumn, Table
 __all__ = [
     "BlockCache",
     "BlockStoreError",
-    "ColumnStore",
-    "InMemoryStore",
     "MmapBlockStore",
     "StorageStats",
     "attach_block_storage",
@@ -239,68 +234,6 @@ def shared_block_cache() -> BlockCache:
         return _SHARED_CACHE
 
 
-class ColumnStore:
-    """Interface every storage backend implements.
-
-    A store owns the bytes of one permuted table: column names and
-    kinds, per-column value access, categorical dictionaries, and
-    catalog range bounds.  ``continuous``/``codes`` return 1-D
-    array-likes supporting numpy fancy indexing, which is all the
-    gather, predicate, and metadata paths require.
-    """
-
-    @property
-    def num_rows(self) -> int:
-        raise NotImplementedError
-
-    def continuous_columns(self) -> tuple[str, ...]:
-        raise NotImplementedError
-
-    def categorical_columns(self) -> tuple[str, ...]:
-        raise NotImplementedError
-
-    def continuous(self, name: str):
-        raise NotImplementedError
-
-    def codes(self, name: str):
-        raise NotImplementedError
-
-    def dictionary(self, name: str) -> tuple:
-        raise NotImplementedError
-
-    def bounds(self, name: str) -> RangeBounds:
-        raise NotImplementedError
-
-
-class InMemoryStore(ColumnStore):
-    """The default backend: the table's resident numpy arrays, as-is."""
-
-    def __init__(self, table: Table) -> None:
-        self._table = table
-
-    @property
-    def num_rows(self) -> int:
-        return self._table.num_rows
-
-    def continuous_columns(self) -> tuple[str, ...]:
-        return self._table.catalog.continuous_columns()
-
-    def categorical_columns(self) -> tuple[str, ...]:
-        return self._table.catalog.categorical_columns()
-
-    def continuous(self, name: str) -> np.ndarray:
-        return self._table.continuous(name)
-
-    def codes(self, name: str) -> np.ndarray:
-        return self._table.categorical(name).codes
-
-    def dictionary(self, name: str) -> tuple:
-        return self._table.categorical(name).dictionary
-
-    def bounds(self, name: str) -> RangeBounds:
-        return self._table.catalog.bounds(name)
-
-
 class BlockedColumnArray:
     """1-D ndarray-like over one column's block files.
 
@@ -480,7 +413,7 @@ def _write_column_blocks(
         chunk.tofile(_block_file(directory, name, block_id))
 
 
-class MmapBlockStore(ColumnStore):
+class MmapBlockStore:
     """Columns persisted as block files, served as zero-copy mmap views.
 
     Opened via :func:`open_block_store` (which deduplicates instances by
@@ -553,7 +486,7 @@ class MmapBlockStore(ColumnStore):
                     "is missing its sidecar dictionary.json"
                 )
 
-    # -- ColumnStore interface -------------------------------------------
+    # -- column access --------------------------------------------------
 
     @property
     def num_rows(self) -> int:
@@ -774,7 +707,7 @@ def open_block_store(
     return store
 
 
-def table_from_store(store: ColumnStore) -> Table:
+def table_from_store(store: MmapBlockStore) -> Table:
     """Build a Table whose columns read through a store (no validation scan).
 
     Bounds come from the store's manifest and codes/values are served as

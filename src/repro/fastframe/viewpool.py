@@ -65,32 +65,11 @@ from typing import Any
 import numpy as np
 
 from repro.bounders.base import ErrorBounder
-from repro.fastframe.kernels import (
-    IngestDelta,
-    WindowSlice,
-    build_ingest_delta,
-    lookup_codes,
-    partition_ingest,
-    partition_slice,
-    slice_elements,
-)
+from repro.fastframe.kernels import IngestDelta
 from repro.stats.streaming import MomentPool
 from repro.stopping.conditions import SnapshotColumns
 
-# The partition primitives live in :mod:`repro.fastframe.kernels` (the
-# ONE copy of the slicing/gather arithmetic); they are re-exported here
-# because this module is their historical home and the delta protocol's
-# documentation anchor.
-__all__ = [
-    "ViewPool",
-    "IngestDelta",
-    "WindowSlice",
-    "build_ingest_delta",
-    "slice_elements",
-    "partition_slice",
-    "partition_ingest",
-    "lookup_codes",
-]
+__all__ = ["ViewPool"]
 
 
 @dataclass
@@ -161,16 +140,6 @@ class ViewPool:
     @property
     def size(self) -> int:
         return self.codes.size
-
-    def lookup(self, combined: np.ndarray) -> np.ndarray:
-        """Pool row index per combined code (checked).
-
-        Raises :class:`KeyError` when any code is outside the pool's
-        domain — an unguarded ``searchsorted`` would silently return a
-        neighboring view's row and corrupt its counters (e.g. when an
-        insert widens a dictionary after the pool was built).
-        """
-        return lookup_codes(self.codes, combined)
 
     def mark_dirty(self, mask: np.ndarray) -> None:
         """Flag rows whose counters changed since the last OptStop round."""

@@ -180,27 +180,6 @@ class StoppingCondition(ABC):
         # The condition customizes `satisfied`; take the compatible route.
         return self.satisfied(columns.to_mapping())
 
-    #: Multiple of the stopping target beyond which a group counts as
-    #: *far* for the adaptive round cadence: its interval must shrink by
-    #: at least this factor before the condition could possibly fire for
-    #: it, so skipping intermediate recomputations cannot delay stopping.
-    FAR_FACTOR = 4.0
-
-    def far_mask(self, columns: SnapshotColumns) -> np.ndarray | None:
-        """Rows certifiably far from this condition's stopping target.
-
-        The adaptive round cadence (``round_cadence=k``) recomputes far
-        groups' bounds only every k-th round; groups near their target
-        still recompute every round so termination is never postponed by
-        more than the deferral itself.  ``None`` (the default) means the
-        condition has no usable distance notion and every group is
-        treated as near — the cadence then changes nothing.  Conditions
-        with a width-style target override this with a conservative test
-        (far ⊆ active: a far group could not have satisfied the
-        condition this round anyway).
-        """
-        return None
-
     @staticmethod
     def _live(groups: Mapping[GroupKey, GroupSnapshot]) -> dict[GroupKey, GroupSnapshot]:
         return {key: snap for key, snap in groups.items() if not snap.exhausted}
@@ -249,11 +228,6 @@ class AbsoluteAccuracy(StoppingCondition):
     def active_mask(self, columns: SnapshotColumns) -> np.ndarray:
         return ((columns.hi - columns.lo) >= self.epsilon) & ~columns.exhausted
 
-    def far_mask(self, columns: SnapshotColumns) -> np.ndarray:
-        """Groups whose width is still ≥ ``FAR_FACTOR`` × the target."""
-        width = columns.hi - columns.lo
-        return (width >= self.FAR_FACTOR * self.epsilon) & ~columns.exhausted
-
     def __repr__(self) -> str:
         return f"AbsoluteAccuracy(epsilon={self.epsilon})"
 
@@ -286,12 +260,6 @@ class RelativeAccuracy(StoppingCondition):
         safe_lo = np.where(straddles, 1.0, np.abs(lo))
         rel = np.maximum((hi - est) / safe_hi, (est - lo) / safe_lo)
         return np.where(straddles, math.inf, rel)
-
-    def far_mask(self, columns: SnapshotColumns) -> np.ndarray:
-        """Groups whose relative error is still ≥ ``FAR_FACTOR`` × the
-        target (straddling-zero groups are infinitely far)."""
-        rel = self._relative(columns)
-        return (rel >= self.FAR_FACTOR * self.epsilon) & ~columns.exhausted
 
     def __repr__(self) -> str:
         return f"RelativeAccuracy(epsilon={self.epsilon})"

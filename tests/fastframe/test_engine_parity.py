@@ -16,7 +16,11 @@ import numpy as np
 import pytest
 
 from repro.bounders.registry import get_bounder
-from repro.fastframe.executor import ApproximateExecutor
+from repro.fastframe.executor import (
+    AUTO_POOL_THRESHOLD,
+    ApproximateExecutor,
+    QueryRun,
+)
 from repro.fastframe.predicate import Eq
 from repro.fastframe.query import AggregateFunction, Query
 from repro.fastframe.scan import get_strategy
@@ -305,8 +309,6 @@ def test_unknown_engine_rejected(parity_scramble):
 
 def test_auto_engine_matches_both(parity_scramble):
     """`auto` must route to one of the two parity-locked engines."""
-    from repro.fastframe.executor import AUTO_POOL_THRESHOLD
-
     stopping = AbsoluteAccuracy(3.0)
     auto = _run_engine_override(parity_scramble, "auto", stopping)
     pool = _run_engine_override(parity_scramble, "pool", stopping)
@@ -316,3 +318,32 @@ def test_auto_engine_matches_both(parity_scramble):
 
 def _run_engine_override(scramble, engine, stopping):
     return _run(scramble, engine, AggregateFunction.AVG, "bernstein+rt", "scan", stopping)
+
+
+@pytest.mark.parametrize(
+    "views,auto_is_pool",
+    [(AUTO_POOL_THRESHOLD, True), (AUTO_POOL_THRESHOLD - 1, False)],
+)
+def test_auto_threshold_selects_engine(views, auto_is_pool):
+    """`auto` is the pool engine from exactly AUTO_POOL_THRESHOLD views up
+    and the scalar engine one view below; `pool` / `scalar` override it;
+    whichever engine runs, the intervals agree."""
+    rng = np.random.default_rng(5)
+    n = 12_000
+    table = Table(
+        continuous={"x": rng.gamma(2.0, 10.0, n)},
+        categorical={"g": (np.arange(n) % views).astype(str)},
+        range_pad=0.1,
+    )
+    scramble = Scramble(table, rng=np.random.default_rng(6))
+    stopping = AbsoluteAccuracy(3.0)
+    query = Query(AggregateFunction.AVG, "x", stopping, group_by=("g",))
+    on_pool = {"auto": auto_is_pool, "pool": True, "scalar": False}
+    for engine, expected in on_pool.items():
+        executor = ApproximateExecutor(scramble, get_bounder("bernstein+rt"), engine=engine)
+        run = QueryRun(executor, query)
+        assert run.domain.size == views
+        assert (run.pool is not None) == expected, engine
+    scalar = _run_engine_override(scramble, "scalar", stopping)
+    for engine in ("auto", "pool"):
+        _assert_parity(scalar, _run_engine_override(scramble, engine, stopping))

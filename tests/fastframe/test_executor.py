@@ -241,10 +241,9 @@ class TestScalarSharedMoments:
         run = QueryRun(executor, query)
 
         def ingest(view_idx, values):
-            executor._ingest_scalar_delta(
-                query, run.views, run.domain,
+            run._ingest(
                 IngestDelta(values.size, values.size, view_idx, values),
-                values.size, run.freezes_groups, bounder=run.bounder,
+                values.size,
             )
 
         view_idx = np.sort(rng.integers(0, 3, 300))

@@ -19,10 +19,6 @@ Two contracts are pinned here:
   ``parallelism`` × batch size, including through whole-batch retry
   and whole-batch inline-fallback recovery under injected mid-batch
   worker crashes.
-
-Plus the adaptive round cadence (``round_cadence``): byte-identical by
-default, sound (truth-covering, never cheaper than the target) when
-deferring far views.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from repro.fastframe.count import (
     upper_bound_population_batch,
 )
 from repro.fastframe.config import ExecConfig
-from repro.fastframe.exact import ExactExecutor
 from repro.fastframe.executor import ApproximateExecutor, QueryRun, run_shared_scan
 from repro.fastframe.kernels import (
     BUCKET_MAX_CARDINALITY,
@@ -55,10 +50,6 @@ from repro.fastframe.table import Table
 from repro.stopping.conditions import (
     AbsoluteAccuracy,
     RelativeAccuracy,
-    SamplesTaken,
-    SnapshotColumns,
-    StoppingCondition,
-    ThresholdSide,
 )
 from repro.testing import faults
 from repro.testing.faults import WORKER_RAISE, FaultPlan
@@ -437,130 +428,6 @@ class TestBatchedFaultRecovery:
         recovery = chaotic[3].recovery_snapshot()
         assert recovery.inline_fallbacks >= 1, recovery
         assert chaotic[3].delta_bytes_returned == 0
-
-
-# ----------------------------------------------------------------------
-# Part 3 — adaptive round cadence
-# ----------------------------------------------------------------------
-
-
-def _columns(lo, hi, exhausted=None) -> SnapshotColumns:
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    return SnapshotColumns(
-        keys=np.arange(lo.size, dtype=np.int64),
-        lo=lo,
-        hi=hi,
-        estimate=(lo + hi) / 2.0,
-        samples=np.full(lo.size, 50, dtype=np.int64),
-        exhausted=(
-            np.zeros(lo.size, dtype=bool) if exhausted is None
-            else np.asarray(exhausted, dtype=bool)
-        ),
-    )
-
-
-class TestRoundCadence:
-    def test_round_cadence_validation(self, scramble):
-        with pytest.raises(ValueError):
-            ApproximateExecutor(
-                scramble,
-                RangeTrimBounder(EmpiricalBernsteinSerflingBounder()),
-                round_cadence=0,
-            )
-
-    def test_far_mask_default_is_none(self):
-        columns = _columns([0.0, 1.0], [10.0, 2.0])
-        assert SamplesTaken(10).far_mask(columns) is None
-        assert ThresholdSide(5.0).far_mask(columns) is None
-        assert StoppingCondition.far_mask.__doc__  # documented contract
-
-    def test_absolute_accuracy_far_mask(self):
-        condition = AbsoluteAccuracy(1.0)
-        columns = _columns(
-            [0.0, 0.0, 0.0], [10.0, 2.0, 10.0], exhausted=[False, False, True]
-        )
-        far = condition.far_mask(columns)
-        # width 10 ≥ 4×1 → far; width 2 < 4 → near; exhausted → never far.
-        assert far.tolist() == [True, False, False]
-        # far ⊆ active: a far group could not have stopped this round.
-        assert (far & ~condition.active_mask(columns)).sum() == 0
-
-    def test_relative_accuracy_far_mask(self):
-        condition = RelativeAccuracy(0.05)
-        columns = _columns([10.0, 99.0, -1.0], [30.0, 101.0, 1.0])
-        far = condition.far_mask(columns)
-        # rel(10,30) is huge → far; rel(99,101) ≈ 0.02 < 0.2 → near;
-        # straddles zero → rel = inf → far.
-        assert far.tolist() == [True, False, True]
-        assert (far & ~condition.active_mask(columns)).sum() == 0
-
-    def _execute(self, scramble, query, **executor_kwargs):
-        strategy = get_strategy("scan")
-        strategy.window_blocks = 256
-        executor = ApproximateExecutor(
-            scramble,
-            RangeTrimBounder(EmpiricalBernsteinSerflingBounder()),
-            strategy=strategy,
-            delta=1e-6,
-            round_rows=5_000,
-            rng=np.random.default_rng(3),
-            engine="pool",
-            **executor_kwargs,
-        )
-        return executor.execute(query, start_block=START_BLOCK)
-
-    def _assert_results_identical(self, left, right):
-        assert set(left.groups) == set(right.groups)
-        for key, group in left.groups.items():
-            mirror = right.groups[key]
-            assert group.interval == mirror.interval, key
-            assert group.estimate == mirror.estimate, key
-            assert group.samples == mirror.samples, key
-        assert left.metrics.rows_read == right.metrics.rows_read
-        assert left.metrics.bounds_recomputed == right.metrics.bounds_recomputed
-
-    def test_default_cadence_is_byte_identical_to_one(self, scramble):
-        """Not passing the knob ≡ passing 1 ≡ the pre-cadence behavior."""
-        query = Query(
-            AggregateFunction.AVG, "x", AbsoluteAccuracy(0.5), group_by=("g",)
-        )
-        default = self._execute(scramble, query)
-        explicit = self._execute(scramble, query, round_cadence=1)
-        self._assert_results_identical(default, explicit)
-
-    def test_cadence_noop_without_distance_notion(self, scramble):
-        """Conditions with ``far_mask = None`` make any cadence a no-op:
-        byte-identical results and identical recompute counts."""
-        query = Query(AggregateFunction.AVG, "x", ThresholdSide(35.0))
-        baseline = self._execute(scramble, query)
-        cadenced = self._execute(scramble, query, round_cadence=3)
-        self._assert_results_identical(baseline, cadenced)
-
-    def test_cadence_defers_recomputes_and_stays_sound(self, scramble):
-        """cadence=3 must recompute strictly fewer bounds while every
-        final interval still covers the exact group mean (the 1−δ
-        contract is never weakened by deferral, only delayed)."""
-        query = Query(
-            AggregateFunction.AVG, "x", AbsoluteAccuracy(0.4), group_by=("g",)
-        )
-        baseline = self._execute(scramble, query)
-        cadenced = self._execute(scramble, query, round_cadence=3)
-        assert (
-            cadenced.metrics.bounds_recomputed
-            < baseline.metrics.bounds_recomputed
-        )
-        # Deferral can only postpone stopping, never hasten it.
-        assert cadenced.metrics.rows_read >= baseline.metrics.rows_read
-        exact = ExactExecutor(scramble).execute(query)
-        assert set(cadenced.groups) == set(exact.groups)
-        for key, group in cadenced.groups.items():
-            truth = exact.groups[key].estimate
-            slack = 1e-9 * max(1.0, abs(truth))
-            interval = group.interval
-            assert interval.lo - slack <= truth <= interval.hi + slack, key
-            # The stopping target was still reached.
-            assert interval.width <= 0.4 or group.exhausted, key
 
 
 class TestScalarDispatchMirrors:

@@ -26,7 +26,6 @@ from repro.fastframe.scramble import Scramble
 from repro.fastframe.storage import (
     BlockCache,
     BlockStoreError,
-    InMemoryStore,
     MmapBlockStore,
     attach_block_storage,
     open_block_scramble,
@@ -431,14 +430,6 @@ def test_round_updates_omit_storage_in_memory():
     updates = list(handle.rounds(start_block=1))
     assert updates
     assert all(u.storage is None for u in updates)
-
-
-def test_in_memory_store_wraps_table_arrays():
-    scramble = _scramble(rows=1_000)
-    store = scramble.store
-    assert isinstance(store, InMemoryStore)
-    assert store.continuous("DepDelay") is scramble.table.continuous("DepDelay")
-    assert store.num_rows == scramble.num_rows
 
 
 def test_write_synthetic_block_store_round_trips(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.bounders.registry import get_bounder
+from repro.fastframe.kernels import lookup_codes
 from repro.fastframe.viewpool import ViewPool
 
 
@@ -20,37 +21,37 @@ class TestCheckedLookup:
     def test_in_domain_codes_resolve(self):
         pool = _pool()
         np.testing.assert_array_equal(
-            pool.lookup(np.array([2, 9, 5, 2])), [0, 2, 1, 0]
+            lookup_codes(pool.codes, np.array([2, 9, 5, 2])), [0, 2, 1, 0]
         )
 
     def test_empty_lookup_is_fine(self):
         pool = _pool()
-        assert pool.lookup(np.array([], dtype=np.int64)).size == 0
+        assert lookup_codes(pool.codes, np.array([], dtype=np.int64)).size == 0
 
     def test_out_of_domain_between_codes_raises(self):
         # Pre-fix, searchsorted silently mapped 3 onto the row of code 5 —
         # corrupting a neighboring view's counters.
         pool = _pool()
         with pytest.raises(KeyError, match=r"\[3\]"):
-            pool.lookup(np.array([5, 3]))
+            lookup_codes(pool.codes, np.array([5, 3]))
 
     def test_below_domain_raises(self):
         pool = _pool()
         with pytest.raises(KeyError):
-            pool.lookup(np.array([1]))
+            lookup_codes(pool.codes, np.array([1]))
 
     def test_above_domain_raises(self):
         # searchsorted returns len(codes) here; unguarded, that index is
         # out of bounds for every downstream scatter.
         pool = _pool()
         with pytest.raises(KeyError):
-            pool.lookup(np.array([11]))
+            lookup_codes(pool.codes, np.array([11]))
 
     def test_miss_does_not_corrupt_neighbor(self):
         pool = _pool()
         before = pool.in_view.copy()
         with pytest.raises(KeyError):
-            pool.lookup(np.array([3]))
+            lookup_codes(pool.codes, np.array([3]))
         np.testing.assert_array_equal(pool.in_view, before)
 
 

@@ -259,9 +259,7 @@ class TestIncrementalRounds:
         # Force every row dirty WITHOUT changing any counter, then run the
         # next round: the fold must leave every certified interval alone.
         pool.dirty[:] = True
-        executor._recompute_bounds_pool(
-            query, pool, run.bounds, run.view_budget, run.round_index + 1
-        )
+        run._recompute_bounds(run.round_index + 1)
         for name, expected in before.items():
             np.testing.assert_array_equal(getattr(pool, name), expected, err_msg=name)
 
@@ -278,9 +276,7 @@ class TestIncrementalRounds:
                 break
         # The round just recomputed every dirty row and cleared the mask.
         assert not run.pool.dirty.any()
-        recomputed = executor._recompute_bounds_pool(
-            query, run.pool, run.bounds, run.view_budget, run.round_index + 1
-        )
+        recomputed = run._recompute_bounds(run.round_index + 1)
         assert recomputed == 0  # nothing changed since the last round
 
 
