@@ -32,7 +32,8 @@ Part 5 (``quantile``) times the quantile bounder's pooled sample
 buffers and batched DKW-inversion bound kernel the same way.
 
 Emits ``BENCH_hot_path.json`` — the repository's performance trajectory
-(see PERFORMANCE.md).
+(see PERFORMANCE.md) — and checks the emitted entries' keys, parity flags
+and sweep lengths (:func:`check_payload`; exits non-zero on any).
 
 Standalone script (not collected by pytest)::
 
@@ -455,6 +456,72 @@ def run_quantile() -> dict:
     }
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise SystemExit(f"BENCH_hot_path check failed: {message}")
+
+
+def check_payload(payload: dict) -> None:
+    """Structural checks on the emitted entries: keys, parity flags and
+    sweep lengths.  None is a timing, so they run on every invocation and
+    exit non-zero (the wall-clock targets in :func:`main` stay advisory
+    unless ``BENCH_HOT_PATH_STRICT=1``)."""
+    # The unified ingest kernel's entry must exist with its bucketing
+    # sweep (byte identity with the composed passes is pinned by
+    # tests/fastframe/test_kernels.py).
+    entry = payload["kernel"]
+    for key in ("bucket_max_cardinality", "sweep"):
+        _require(key in entry, f"kernel: missing metric {key}: {entry}")
+    _require(len(entry["sweep"]) >= 3, f"kernel: short sweep: {entry}")
+    _require(
+        any(point["bucketed"] for point in entry["sweep"]),
+        f"kernel: no bucketed point: {entry}",
+    )
+
+    # The record-only clip's entry must exist with its asserted ==
+    # stream-parity flag (clipped streams vs the per-element Algorithm 6
+    # loop), and steady-state windows must see far fewer candidates than
+    # the all-candidates first window.
+    entry = payload["range_trim"]
+    _require(entry.get("stream_parity") is True, f"range_trim: no parity: {entry}")
+    _require(len(entry["sweep"]) >= 3, f"range_trim: short sweep: {entry}")
+    for point in entry["sweep"]:
+        _require(
+            point["first_window_candidates_per_row"] == 1.0
+            and point["steady_candidates_per_row"] < 0.5
+            and point["steady_ns_per_row"] > 0,
+            f"range_trim: {point}",
+        )
+
+    # The pooled CSR sample-buffer entry must exist with both layout
+    # walls and its asserted ≤1e-9 CSR-vs-per-view-buffer parity flag.
+    entry = payload["anderson"]
+    for key in (
+        "views", "rows", "csr_ingest_s", "baseline_ingest_s",
+        "ingest_speedup", "csr_bound_s", "baseline_bound_s",
+        "bound_speedup",
+    ):
+        _require(
+            key in entry and entry[key] > 0,
+            f"anderson: missing metric {key}: {entry}",
+        )
+    _require(entry.get("layout_parity") is True, f"anderson: no parity: {entry}")
+
+    # The grouped quantile-rank entry must exist with its view sweep and
+    # the asserted *exact* pool-vs-scalar parity flag (both paths select
+    # order statistics of the same multiset: ==, not 1e-9).
+    entry = payload["quantile"]
+    for key in ("p", "rows", "sweep"):
+        _require(key in entry, f"quantile: missing metric {key}: {entry}")
+    _require(entry.get("pool_parity") is True, f"quantile: no parity: {entry}")
+    _require(len(entry["sweep"]) >= 3, f"quantile: short sweep: {entry}")
+    for point in entry["sweep"]:
+        _require(
+            point["pool_bound_s"] > 0 and point["scalar_bound_s"] > 0,
+            f"quantile: {point}",
+        )
+
+
 def main() -> int:
     payload = run()
     payload["kernel"] = run_kernel()
@@ -465,6 +532,7 @@ def main() -> int:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
     print(f"wrote {OUT}")
+    check_payload(payload)
     failed = False
     top = payload["results"][-1]
     if top["groups"] >= 1000 and top["speedup"] < 5.0:

@@ -20,10 +20,13 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    # `import repro.api` imports scipy.stats / scipy.optimize at module
+    # level (hypergeometric COUNT bounds, the asymptotic bounder,
+    # expression range bounds), so scipy is a hard dependency.
+    install_requires=["numpy", "scipy"],
     # What the test-suite imports beyond the package's own dependencies;
     # CI installs exactly this (`pip install -e ".[test]"`).
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis", "scipy"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
 )

@@ -232,7 +232,7 @@ class QueryHandle:
         if self._result is not None:
             return self._result
         self._check_unconsumed()
-        run, cursor = self.connection._begin(self, start_block)
+        (run,), cursor, _ = self.connection._begin([self], start_block)
         for _ in run.drive(cursor, self.connection.config):
             pass
         return self._settle(run.finalize())
@@ -257,7 +257,7 @@ class QueryHandle:
                 "re-run it progressively"
             )
         self._check_unconsumed()
-        run, cursor = self.connection._begin(self, start_block)
+        (run,), cursor, _ = self.connection._begin([self], start_block)
         config = self.connection.config
 
         def updates() -> Iterator[RoundUpdate]:
@@ -528,34 +528,13 @@ class Connection:
                     f"handle {handle.name!r} was already executed; gather() "
                     "takes fresh handles"
                 )
-        # Build (and thereby validate) every run against the *previewed*
-        # δ allocations BEFORE charging anything: a capacity overflow or a
-        # bad query (e.g. an unknown column surfacing at resolution) must
-        # neither strand spent δ on the ledger nor poison its co-gathered
-        # handles.  Allocation is deterministic in charge order, so the
-        # previewed δs are exactly what charge() then records.
-        deltas = self.ledger.preview(len(handles))
-        runs = [
-            QueryRun(self._executor(delta), handle.query)
-            for handle, delta in zip(handles, deltas)
-        ]
-        for handle in handles:
-            handle._entry = self.ledger.charge(handle.name)
-        if start_block is None:
-            start_block = int(self.rng.integers(self.scramble.num_blocks))
-        cursor = runs[0].executor.cursor(
-            start_block, window_blocks=runs[0].window_blocks
-        )
+        runs, cursor, start_block = self._begin(handles, start_block)
         metrics = run_shared_scan(runs, cursor, self.config)
-        results = []
-        for handle, run in zip(handles, runs):
-            # Index-probe counters were merged into the gather metrics.
-            results.append(handle._settle(run.finalize(merge_index_counters=False)))
-        # Re-snapshot after finalize: fixed-sample runs issue their one
-        # full-budget bound recomputation inside finalize().
-        metrics.bounds_recomputed = sum(
-            run.metrics.bounds_recomputed for run in runs
-        )
+        # Index-probe counters were merged into the gather metrics.
+        results = [
+            handle._settle(run.finalize(merge_index_counters=False))
+            for handle, run in zip(handles, runs)
+        ]
         return GatherResult(
             handles=tuple(handles),
             results=tuple(results),
@@ -594,20 +573,31 @@ class Connection:
 
     # ------------------------------------------------------------------
 
-    def _begin(self, handle: QueryHandle, start_block: int | None):
-        """Validate-then-charge startup shared by result() and rounds().
+    def _begin(self, handles: list[QueryHandle], start_block: int | None):
+        """Validate-then-charge startup of result(), rounds() and gather().
 
-        The run is constructed (resolving columns, building the view
-        pool — anything that can fail) against the previewed δ; the
-        ledger is charged only once construction succeeded, so a bad
-        query never spends error probability.
+        Returns ``(runs, cursor, start_block)``.  Every run is built (and
+        thereby validated: resolving columns, building the view pool —
+        anything that can fail) against the *previewed* δ allocations
+        BEFORE anything is charged: a capacity overflow or a bad query
+        (e.g. an unknown column surfacing at resolution) must neither
+        strand spent δ on the ledger nor poison its co-gathered handles.
+        Allocation is deterministic in charge order, so the previewed δs
+        are exactly what charge() then records.
         """
-        (delta,) = self.ledger.preview(1)
-        executor = self._executor(delta)
-        run = QueryRun(executor, handle.query)
-        cursor = executor.cursor(start_block, window_blocks=run.window_blocks)
-        handle._entry = self.ledger.charge(handle.name)
-        return run, cursor
+        deltas = self.ledger.preview(len(handles))
+        runs = [
+            QueryRun(self._executor(delta), handle.query)
+            for handle, delta in zip(handles, deltas)
+        ]
+        if start_block is None:
+            start_block = int(self.rng.integers(self.scramble.num_blocks))
+        cursor = runs[0].executor.cursor(
+            start_block, window_blocks=runs[0].window_blocks
+        )
+        for handle in handles:
+            handle._entry = self.ledger.charge(handle.name)
+        return runs, cursor, start_block
 
     def _executor(self, delta: float) -> ApproximateExecutor:
         return ApproximateExecutor(

@@ -50,6 +50,7 @@ __all__ = [
     "SampleState",
     "CSRSamplePool",
     "AndersonDelta",
+    "CSRPoolBounderMixin",
     "anderson_lower_bound",
 ]
 
@@ -229,39 +230,18 @@ class AndersonDelta(BounderDelta):
         return self.slots.nbytes + self.seg_counts.nbytes + self.values.nbytes
 
 
-def anderson_lower_bound(sample: np.ndarray, a: float, delta: float) -> float:
-    """Algorithm 3's Lbound: trimmed mean with ε mass pinned at ``a``.
+class CSRPoolBounderMixin:
+    """Sample-state and pool plumbing of the full-sample families.
 
-    Note the bound depends on ``a`` but *not* on the upper range bound — the
-    defining PHOS-free property.  When ε >= 1 (tiny samples at small δ) the
-    trivial bound ``a`` is returned.
-    """
-    sample = np.asarray(sample, dtype=np.float64)
-    m = sample.size
-    if m == 0:
-        return a
-    eps = dkw_epsilon(m, delta, two_sided=False)
-    if eps >= 1.0:
-        return a
-    # Keep values whose empirical CDF rank satisfies rank/m <= 1 - eps,
-    # i.e. the floor((1 - eps) * m) smallest values.
-    keep = int(math.floor((1.0 - eps) * m))
-    if keep <= 0:
-        return a
-    kept = np.partition(sample, keep - 1)[:keep]
-    return eps * a + (1.0 - eps) * float(kept.mean())
-
-
-class AndersonBounder(ErrorBounder):
-    """Anderson/DKW error bounder (Algorithm 3).
-
-    Works for sampling both with and without replacement (Theorem 1), and
-    — unlike the other bounders in this package — does not consult the
-    dataset size ``N`` at all, so it has no finite-population tightening.
+    The scalar state is a :class:`SampleState`, the pool a
+    :class:`CSRSamplePool` and the mergeable delta an
+    :class:`AndersonDelta` — all family-agnostic, so the Anderson and
+    quantile bounders share ingest (a vectorized segment append), the
+    worker-side partition→merge pair and the count reads, and differ only
+    in their bound kernels.
     """
 
-    name = "Anderson"
-    requires_sample_memory = True
+    supports_delta = True
 
     def init_state(self) -> SampleState:
         return SampleState()
@@ -274,30 +254,6 @@ class AndersonBounder(ErrorBounder):
 
     def sample_count(self, state: SampleState) -> int:
         return state.count
-
-    def estimate(self, state: SampleState) -> float:
-        if state.count == 0:
-            raise ValueError("no samples observed yet")
-        return float(state.values.mean())
-
-    def lbound(self, state: SampleState, a: float, b: float, n: int, delta: float) -> float:
-        validate_bound_args(a, b, n, delta)
-        return anderson_lower_bound(state.values, a, delta)
-
-    def rbound(self, state: SampleState, a: float, b: float, n: int, delta: float) -> float:
-        validate_bound_args(a, b, n, delta)
-        # Algorithm 3 line 11: reflect the sample about (a + b)/2.
-        return (a + b) - anderson_lower_bound((a + b) - state.values, a, delta)
-
-    # -- pool flavour ---------------------------------------------------
-    # The pool is a CSRSamplePool: one flat sample buffer with per-view
-    # offsets.  Ingest is a vectorized segment append; bounds batch
-    # np.partition row-wise over groups of equal-count views (ε and the
-    # trim cutoff depend only on (m, δ), so grouping by count is exact).
-    # The batch CI skips the per-call argument validation and bounds only
-    # the requested slots.
-
-    supports_delta = True
 
     def init_pool(self, size: int) -> CSRSamplePool:
         return CSRSamplePool(size)
@@ -324,6 +280,63 @@ class AndersonBounder(ErrorBounder):
         self, pool: CSRSamplePool, indices: np.ndarray, values: np.ndarray
     ) -> None:
         self.merge_delta(pool, self.partition_delta(indices, values, pool.size))
+
+
+def anderson_lower_bound(sample: np.ndarray, a: float, delta: float) -> float:
+    """Algorithm 3's Lbound: trimmed mean with ε mass pinned at ``a``.
+
+    Note the bound depends on ``a`` but *not* on the upper range bound — the
+    defining PHOS-free property.  When ε >= 1 (tiny samples at small δ) the
+    trivial bound ``a`` is returned.
+    """
+    sample = np.asarray(sample, dtype=np.float64)
+    m = sample.size
+    if m == 0:
+        return a
+    eps = dkw_epsilon(m, delta, two_sided=False)
+    if eps >= 1.0:
+        return a
+    # Keep values whose empirical CDF rank satisfies rank/m <= 1 - eps,
+    # i.e. the floor((1 - eps) * m) smallest values.
+    keep = int(math.floor((1.0 - eps) * m))
+    if keep <= 0:
+        return a
+    kept = np.partition(sample, keep - 1)[:keep]
+    return eps * a + (1.0 - eps) * float(kept.mean())
+
+
+class AndersonBounder(CSRPoolBounderMixin, ErrorBounder):
+    """Anderson/DKW error bounder (Algorithm 3).
+
+    Works for sampling both with and without replacement (Theorem 1), and
+    — unlike the other bounders in this package — does not consult the
+    dataset size ``N`` at all, so it has no finite-population tightening.
+    """
+
+    name = "Anderson"
+    requires_sample_memory = True
+
+    def estimate(self, state: SampleState) -> float:
+        if state.count == 0:
+            raise ValueError("no samples observed yet")
+        return float(state.values.mean())
+
+    def lbound(self, state: SampleState, a: float, b: float, n: int, delta: float) -> float:
+        validate_bound_args(a, b, n, delta)
+        return anderson_lower_bound(state.values, a, delta)
+
+    def rbound(self, state: SampleState, a: float, b: float, n: int, delta: float) -> float:
+        validate_bound_args(a, b, n, delta)
+        # Algorithm 3 line 11: reflect the sample about (a + b)/2.
+        return (a + b) - anderson_lower_bound((a + b) - state.values, a, delta)
+
+    # -- pool flavour ---------------------------------------------------
+    # The pool is a CSRSamplePool: one flat sample buffer with per-view
+    # offsets.  Ingest is a vectorized segment append (the mixin's); bounds
+    # batch np.partition row-wise over groups of equal-count views (ε and
+    # the trim cutoff depend only on (m, δ), so grouping by count is
+    # exact).  The batch CI skips the per-call argument validation and
+    # bounds only the requested slots.
 
     @staticmethod
     def _lower_bound_rows(matrix: np.ndarray, a_rows: np.ndarray, delta: float) -> np.ndarray:

@@ -32,15 +32,15 @@ import math
 
 import numpy as np
 
-from repro.bounders.anderson import AndersonDelta, CSRSamplePool, SampleState
-from repro.bounders.base import ErrorBounder, segment_bounds, validate_bound_args
+from repro.bounders.anderson import CSRPoolBounderMixin, CSRSamplePool, SampleState
+from repro.bounders.base import ErrorBounder, validate_bound_args
 from repro.cdfbounds.dkw import dkw_epsilon
 from repro.cdfbounds.quantile import quantile_rank
 
 __all__ = ["QuantileBounder"]
 
 
-class QuantileBounder(ErrorBounder):
+class QuantileBounder(CSRPoolBounderMixin, ErrorBounder):
     """(1 − δ) bounds on a view's ``p``-quantile by DKW-band inversion.
 
     Unlike the mean bounders this certifies ``F⁻¹(p)`` — the inverse-CDF
@@ -79,18 +79,6 @@ class QuantileBounder(ErrorBounder):
 
     # -- scalar flavour -------------------------------------------------
 
-    def init_state(self) -> SampleState:
-        return SampleState()
-
-    def update(self, state: SampleState, value: float) -> None:
-        state.append(value)
-
-    def update_batch(self, state: SampleState, values: np.ndarray) -> None:
-        state.extend(values)
-
-    def sample_count(self, state: SampleState) -> int:
-        return state.count
-
     def estimate(self, state: SampleState) -> float:
         """The sample ``p``-quantile ``x_(⌈p·m⌉)`` (exact at exhaustion)."""
         if state.count == 0:
@@ -120,35 +108,7 @@ class QuantileBounder(ErrorBounder):
 
     # -- pool flavour ---------------------------------------------------
     # The pool, the ingest scatter, and the mergeable delta are exactly
-    # Anderson's CSR machinery; only the bound kernel differs.
-
-    supports_delta = True
-
-    def init_pool(self, size: int) -> CSRSamplePool:
-        return CSRSamplePool(size)
-
-    def pool_counts(self, pool: CSRSamplePool) -> np.ndarray:
-        return pool.count.copy()
-
-    def pool_size(self, pool: CSRSamplePool) -> int:
-        return pool.size
-
-    def partition_delta(
-        self, indices: np.ndarray, values: np.ndarray, size: int, context=None
-    ) -> AndersonDelta:
-        """Compress the sorted stream into per-view segments (pure)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        starts, ends = segment_bounds(indices)
-        return AndersonDelta(indices[starts], ends - starts, values)
-
-    def merge_delta(self, pool: CSRSamplePool, delta: AndersonDelta) -> None:
-        pool.append_segments(delta.slots, delta.seg_counts, delta.values)
-
-    def update_pool(
-        self, pool: CSRSamplePool, indices: np.ndarray, values: np.ndarray
-    ) -> None:
-        self.merge_delta(pool, self.partition_delta(indices, values, pool.size))
+    # Anderson's CSR machinery (the mixin); only the bound kernel differs.
 
     def _rank_arrays(
         self, m: int, n_rows: np.ndarray, delta: float

@@ -4,8 +4,8 @@ The paper evaluates on the public Flights dataset [1] (32 GiB, 606M tuples,
 replicated 5×) with attributes Origin, Airline, DepDelay, DepTime, and
 DayOfWeek (§5.1, Table 3).  That dataset is not available offline, so this
 generator synthesizes a table with the same schema whose *distributional
-properties* reproduce every data-dependent effect the evaluation exercises
-(see DESIGN.md §3 for the substitution rationale):
+properties* reproduce every data-dependent effect the evaluation
+exercises:
 
 * **Airlines** — the ten carriers of Figure 7(b) with true mean departure
   delays spaced between ≈6.3 (NW) and ≈11.6 (HP) minutes, in the figure's
@@ -110,7 +110,7 @@ class FlightsConfig:
     #: outlier ranges at 606M rows; this reproduction scales the range so
     #: the same sample-complexity *regimes* (Bernstein terminates early,
     #: Hoeffding needs orders of magnitude more, Exact reads everything)
-    #: fall inside a laptop-scale 2-5M-row scramble (DESIGN.md §3).
+    #: fall inside a laptop-scale 2-5M-row scramble.
     catalog_bounds: RangeBounds = field(default_factory=lambda: RangeBounds(-60.0, 300.0))
     seed: int = 0
 

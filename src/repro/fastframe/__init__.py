@@ -5,7 +5,6 @@ Covers the storage/executor substrates S11-S18 plus the COUNT methods
 S29, stratified samples S36), snowflake join views (S31), insertion
 maintenance (S32), and the approximate-vs-exact planner (S35); the
 multi-query δ ledger (S34) lives with the connection in :mod:`repro.api`.
-See DESIGN.md for the full inventory.
 """
 
 from repro.fastframe.bitmap import LOOKAHEAD_BATCH_BLOCKS, BlockBitmapIndex

@@ -16,8 +16,8 @@ monotonicity property (§3.3).  The paper fixes α = 0.99.
 SUM CIs compose a COUNT CI with an AVG CI by union bound (§4.1); the
 paper's ``[c_l·g_l, c_r·g_r]`` product assumes a non-negative mean, so
 :func:`sum_interval` takes the interval hull over corner products, which is
-the correct generalization for signed aggregates (documented deviation,
-DESIGN.md §5).
+the correct generalization for signed aggregates (a deviation from the
+paper; :func:`sum_interval`'s docstring has the argument).
 """
 
 from __future__ import annotations

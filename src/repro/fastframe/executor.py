@@ -14,7 +14,9 @@ against a :class:`~repro.fastframe.scramble.Scramble`:
    error-bounder state, sample moments, and selectivity counters
    vectorized.  Under :func:`run_shared_scan` one frame serves every
    query of a dashboard batch, so value gathering is O(windows) instead
-   of O(queries × windows).
+   of O(queries × windows).  That loop is written once, for one run or
+   many, in :class:`ScanDriver`; its parallel subclass overrides only
+   what is parallel and :func:`scan_driver` picks between the two.
 3. Every ``round_rows`` rows read (B = 40,000 in the paper, §4.2), the
    executor recomputes per-group confidence intervals with OptStop's
    decayed error probability (Algorithm 5), folds them into each group's
@@ -111,6 +113,7 @@ from repro.fastframe.scan import (
     ScanStrategy,
 )
 from repro.fastframe.scramble import Scramble
+from repro.fastframe.storage import storage_tracker
 from repro.fastframe.kernels import IngestDelta, partition_ingest
 from repro.fastframe.viewpool import ViewPool
 from repro.fastframe.window import WindowFrame
@@ -122,6 +125,8 @@ from repro.stopping.optstop import RunningIntersection
 __all__ = [
     "ApproximateExecutor",
     "QueryRun",
+    "ScanDriver",
+    "scan_driver",
     "run_shared_scan",
     "DEFAULT_ROUND_ROWS",
     "COUNT_METHODS",
@@ -395,12 +400,13 @@ class QueryRun:
     two phases: :meth:`select_blocks` computes the run's
     block-fetch mask, then :meth:`consume` slices the run's private view
     out of a materialized :class:`~repro.fastframe.window.WindowFrame`.
-    That split makes the same state machine serve two drivers:
+    That split makes the same state machine serve both flavours of the
+    one window loop (:class:`ScanDriver`):
 
     * :meth:`drive` (behind :meth:`ApproximateExecutor.execute` and the
       connection's ``result()``/``rounds()``) — one run, one private
-      :class:`~repro.fastframe.scan.ScanCursor`; :meth:`feed` builds a
-      frame over the run's own mask and consumes it;
+      :class:`~repro.fastframe.scan.ScanCursor`; the solo driver builds
+      each frame over the run's own mask and charges it to the run;
     * :func:`run_shared_scan` — many runs (one per dashboard query) fed
       from a **single shared cursor**: the driver unions the runs' masks,
       materializes one frame per window (value arrays, combined group
@@ -493,10 +499,6 @@ class QueryRun:
         self._scan_ended = False
         self._finalized: QueryResult | None = None
         self._group_keys: list[tuple] | None = None
-        # Solo-drive storage accounting: created on the first feed() so a
-        # shared scan (which consumes frames directly) attributes block
-        # I/O to the batch metrics instead, mirroring values_gathered.
-        self._storage_tracker = None
 
     # -- driver interface ----------------------------------------------
 
@@ -624,45 +626,16 @@ class QueryRun:
                 )
             self.satisfied = self._refresh_active()
 
-    def feed(self, window: np.ndarray, at_end: bool) -> np.ndarray:
-        """Process one lookahead window solo (select + materialize + consume).
-
-        The single-query driver: builds a :class:`WindowFrame` over the
-        run's own block mask and consumes it — the same code path the
-        shared-scan driver takes, with a one-run union.  Returns the
-        boolean fetch mask over ``window``.
-        """
-        if self._storage_tracker is None:
-            from repro.fastframe.storage import storage_tracker
-
-            self._storage_tracker = storage_tracker(self.executor.scramble)
-        mask = self.select_blocks(window)
-        frame = WindowFrame(self.executor.scramble, window, mask)
-        self.consume(frame, mask, at_end)
-        self.metrics.values_gathered += frame.values_gathered
-        self._storage_tracker.drain(self.metrics)
-        return mask
-
     def drive(self, cursor: ScanCursor, config: ExecConfig):
         """Drive this run alone off a private cursor until it finishes.
 
         A generator yielding once per consumed window, so progressive
-        callers can read run state between windows.  The one place that
-        chooses between the serial :meth:`feed` loop and the solo
-        :class:`~repro.fastframe.parallel.ParallelScanDriver`; closing
-        the generator closes the parallel driver's window iterator
-        (which reconciles its prefetched selection) before returning.
+        callers can read run state between windows: the solo flavour of
+        whichever :class:`ScanDriver` :func:`scan_driver` picks.  Closing
+        the generator closes the driver's window iterator (the parallel
+        one reconciles its prefetched selection there) before returning.
         """
-        if config.parallelism > 1:
-            from repro.fastframe.parallel import ParallelScanDriver
-
-            yield from ParallelScanDriver([self], cursor, config, solo=True).windows()
-            return
-        for window, at_end in cursor.windows():
-            self.feed(window, at_end)
-            yield window
-            if self.finished:
-                break
+        yield from scan_driver([self], cursor, config, solo=True).windows()
 
     def group_keys(self) -> list[tuple]:
         """Decoded GROUP BY key per view, aligned with :attr:`domain` (the
@@ -1199,6 +1172,120 @@ def validate_shared_runs(runs: list[QueryRun], cursor: ScanCursor) -> None:
             )
 
 
+class ScanDriver:
+    """The window loop: one cursor, the runs it feeds, their accounting.
+
+    Each pass of :meth:`windows` takes the next lookahead window off
+    ``cursor``, collects every live run's block mask and hands them to
+    :meth:`_process`: union the masks, materialize **one**
+    :class:`~repro.fastframe.window.WindowFrame`, :meth:`_ingest` it into
+    every run, then the accounting tail — the one place the per-window
+    record is written.  :func:`run_shared_scan` documents what the batch
+    metrics mean.  ``solo=True`` is the one-run flavour with a query's own
+    accounting (:meth:`QueryRun.drive`): the frame's gathers and block I/O
+    are charged to the run, the run is not sealed on retirement and the
+    scramble-shared bitmap counters are left for ``run.finalize()``;
+    nobody reads a solo driver's batch metrics, so they stay untouched.
+
+    This is the lean serial loop.  The parallel driver subclasses it, not
+    the reverse, so serial execution pays for none of the parallel
+    per-window bookkeeping (PERFORMANCE.md, "Why two engines, and why
+    serial does not go through the driver"); it overrides only
+    :meth:`windows` (prefetched selection) and :meth:`_ingest` (fan-out).
+    """
+
+    def __init__(self, runs: list[QueryRun], cursor: ScanCursor, solo=False) -> None:
+        validate_shared_runs(runs, cursor)
+        if solo and len(runs) != 1:
+            raise ValueError("solo mode drives exactly one run")
+        self.runs = list(runs)
+        self.cursor = cursor
+        self.solo = solo
+        self.metrics = ExecutionMetrics()
+        self._start_time = time.perf_counter()
+        # Block I/O is a union-level cost like values_gathered, charged
+        # window by window.  Only main-process reads count: workers
+        # re-gather from their own store attachments and their stats die
+        # with the task.
+        self._storage_tracker = storage_tracker(cursor.scramble)
+
+    def run(self) -> ExecutionMetrics:
+        """Process every window to completion; return the batch metrics."""
+        for _ in self.windows():
+            pass
+        return self.finish()
+
+    def windows(self):
+        """Generator driving one window per iteration (the rounds() hook):
+        yields the window's block ids once every live run has consumed it,
+        so progressive-round callers can inspect run state between windows.
+        """
+        live = self.runs
+        for window, at_end in self.cursor.windows():
+            masks = [run.select_blocks(window) for run in live]
+            self._process(window, at_end, live, masks)
+            yield window
+            live = [run for run in live if not run.finished]
+            if not live:
+                break
+
+    def _process(self, window: np.ndarray, at_end: bool, live: list, masks: list):
+        """One window; ``masks`` are the ``live`` runs' charged block masks."""
+        # A lone run's mask is the union itself, which the frame's
+        # element_selector then recognises by identity.
+        union = masks[0] if len(masks) == 1 else np.logical_or.reduce(masks)
+        frame = WindowFrame(self.cursor.scramble, window, union)
+        self._ingest(frame, at_end, live, masks)
+        if self.solo:
+            metrics = live[0].metrics
+        else:
+            metrics = self.metrics
+            fetched = int(union.sum())
+            metrics.blocks_fetched += fetched
+            metrics.blocks_skipped += int(window.size - fetched)
+            metrics.rows_read += frame.rows.size
+            metrics.rounds += 1
+        metrics.values_gathered += frame.values_gathered
+        self._storage_tracker.drain(metrics)
+
+    def _ingest(self, frame: WindowFrame, at_end: bool, live: list, masks: list):
+        """Feed one frame to every live run, in run order."""
+        for run, mask in zip(live, masks):
+            run.consume(frame, mask, at_end)
+            if run.finished and not self.solo:
+                # Seal the run the moment it retires so its wall time
+                # spans construction → retirement, not the whole batch
+                # (finalize is cached; later calls return this result).
+                run.finalize(merge_index_counters=False)
+
+    def finish(self) -> ExecutionMetrics:
+        """Seal and return the batch metrics."""
+        metrics = self.metrics
+        metrics.stopped_early = all(run.satisfied for run in self.runs)
+        metrics.bounds_recomputed = sum(
+            run.metrics.bounds_recomputed for run in self.runs
+        )
+        if not self.solo:
+            # Solo accounting leaves the scramble-shared counters for the
+            # run's own finalize().
+            indexes: dict[str, BlockBitmapIndex] = {}
+            for run in self.runs:
+                indexes.update(run.indexes)
+            metrics.merge_index_counters(indexes.values())
+        metrics.wall_time_s = time.perf_counter() - self._start_time
+        return metrics
+
+
+def scan_driver(runs, cursor, config: ExecConfig, solo: bool = False) -> ScanDriver:
+    """The driver ``config`` asks for: the one place serial or parallel is
+    decided (the parallel module imports this one, hence the late import)."""
+    if config.parallelism > 1:
+        from repro.fastframe.parallel import ParallelScanDriver
+
+        return ParallelScanDriver(runs, cursor, config, solo)
+    return ScanDriver(runs, cursor, solo)
+
+
 def run_shared_scan(
     runs: list[QueryRun],
     cursor: ScanCursor,
@@ -1235,55 +1322,9 @@ def run_shared_scan(
     :class:`~repro.fastframe.parallel.ParallelScanDriver`: per-query
     window slices are partitioned in worker processes and folded back in
     deterministic order, so results and metrics (except wall time) are
-    bit-identical to the serial loop below.
+    bit-identical to the serial :class:`ScanDriver`.
     """
     validate_shared_runs(runs, cursor)
     if config is None:
         config = runs[0].executor.config
-    if config.parallelism > 1:
-        from repro.fastframe.parallel import ParallelScanDriver
-
-        return ParallelScanDriver(runs, cursor, config).run()
-    from repro.fastframe.storage import storage_tracker
-
-    scramble = cursor.scramble
-    metrics = ExecutionMetrics()
-    start_time = time.perf_counter()
-    indexes: dict[str, BlockBitmapIndex] = {}
-    for run in runs:
-        indexes.update(run.indexes)
-    # Block I/O is a union-level cost like values_gathered: the batch
-    # metrics carry it, per-run metrics record none in shared mode.
-    tracker = storage_tracker(scramble)
-
-    for window, at_end in cursor.windows():
-        live = [run for run in runs if not run.finished]
-        masks = [run.select_blocks(window) for run in live]
-        union = np.zeros(window.shape, dtype=bool)
-        for mask in masks:
-            union |= mask
-        frame = WindowFrame(scramble, window, union)
-        for run, mask in zip(live, masks):
-            run.consume(frame, mask, at_end)
-            if run.finished:
-                # Seal the run the moment it retires so its wall time
-                # spans construction → retirement, not the whole batch
-                # (finalize is cached; later calls return this result).
-                run.finalize(merge_index_counters=False)
-        fetched = int(union.sum())
-        metrics.blocks_fetched += fetched
-        metrics.blocks_skipped += int(window.size - fetched)
-        metrics.rows_read += frame.rows.size
-        metrics.values_gathered += frame.values_gathered
-        metrics.rounds += 1
-        tracker.drain(metrics)
-        if all(run.finished for run in runs):
-            break
-
-    metrics.stopped_early = all(run.satisfied for run in runs)
-    metrics.bounds_recomputed = sum(
-        run.metrics.bounds_recomputed for run in runs
-    )
-    metrics.merge_index_counters(indexes.values())
-    metrics.wall_time_s = time.perf_counter() - start_time
-    return metrics
+    return scan_driver(runs, cursor, config).run()

@@ -1,9 +1,12 @@
 """Parallel window ingest: pipeline block selection, fan consume to workers.
 
-:class:`ParallelScanDriver` is the multi-core counterpart of the serial
-loops in :mod:`repro.fastframe.executor` (``run_shared_scan`` and the solo
-``execute``/``rounds`` drivers).  It exploits the two parallel axes the
-window-frame architecture exposes:
+:class:`ParallelScanDriver` is the multi-core subclass of
+:class:`~repro.fastframe.executor.ScanDriver`, the one window loop behind
+``run_shared_scan`` and the solo ``execute``/``rounds`` drivers
+(:func:`~repro.fastframe.executor.scan_driver` picks it above
+``parallelism`` 1).  The base class owns the loop's shape, its accounting
+(batch and solo), ``run()`` and ``finish()``; this module holds only what
+is parallel, exploiting the two axes the window-frame architecture exposes:
 
 * **Pipelining** — block selection consults only bitmap metadata and (for
   non-active strategies) none of the run's evolving state, so selection
@@ -82,8 +85,8 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 import numpy as np
 
 from repro.fastframe.config import ExecConfig
+from repro.fastframe.executor import ScanDriver
 from repro.fastframe.kernels import partition_ingest, partition_slice, slice_elements
-from repro.fastframe.query import ExecutionMetrics
 from repro.fastframe.window import (
     WindowFrame,
     attach_shared_frame,
@@ -293,26 +296,14 @@ class _TaskBatch:
         self.results = None
 
 
-class ParallelScanDriver:
+class ParallelScanDriver(ScanDriver):
     """Drive query runs from one cursor with pipelined, multi-core ingest.
 
-    Parameters
-    ----------
-    runs:
-        The :class:`~repro.fastframe.executor.QueryRun` batch (one for
-        solo execution).
-    cursor:
-        The shared :class:`~repro.fastframe.scan.ScanCursor`.
-    config:
-        The resolved :class:`~repro.fastframe.config.ExecConfig`: its
-        ``parallelism`` is the worker count (at 1 everything runs inline
-        but the pipeline structure is identical) and its ``task_timeout``
-        the deadline of one task batch.
-    solo:
-        Mirror the accounting of :meth:`QueryRun.feed` (frame gathers
-        charged to the single run, bitmap counters left for
-        ``run.finalize()``) instead of the batch accounting of
-        :func:`~repro.fastframe.executor.run_shared_scan`.
+    ``runs``, ``cursor`` and ``solo`` are the base class's; ``config`` is
+    the resolved :class:`~repro.fastframe.config.ExecConfig`: its
+    ``parallelism`` is the worker count (at 1 everything runs inline but
+    the pipeline structure is identical) and its ``task_timeout`` the
+    deadline of one task batch.
     """
 
     def __init__(
@@ -322,29 +313,10 @@ class ParallelScanDriver:
         config: ExecConfig,
         solo: bool = False,
     ) -> None:
-        from repro.fastframe.executor import validate_shared_runs
-
-        validate_shared_runs(runs, cursor)
-        if solo and len(runs) != 1:
-            raise ValueError("solo mode drives exactly one run")
-        self.runs = list(runs)
-        self.cursor = cursor
+        super().__init__(runs, cursor, solo)
         self.workers = config.parallelism
-        self.solo = solo
         self.task_timeout = config.task_timeout
-        self.metrics = ExecutionMetrics()
-        self._start_time = time.perf_counter()
-        self._indexes = {}
-        for run in self.runs:
-            self._indexes.update(run.indexes)
         self._pool = _worker_pool(self.workers) if self.workers > 1 else None
-        # Out-of-core block I/O charged window-by-window to the batch
-        # metrics (and to the solo run, mirroring values_gathered).  Only
-        # main-process reads count: workers re-gather from their own
-        # store attachments and their stats die with the task.
-        from repro.fastframe.storage import storage_tracker
-
-        self._storage_tracker = storage_tracker(cursor.scramble)
         self._pool_rebuilds = 0
         #: Permanent inline degradation: set when pool recovery gives up.
         self._degraded = False
@@ -354,32 +326,25 @@ class ParallelScanDriver:
 
     # -- driving --------------------------------------------------------
 
-    def run(self) -> ExecutionMetrics:
-        """Process every window to completion; return the batch metrics."""
-        for _ in self.windows():
-            pass
-        return self.finish()
-
     def windows(self):
-        """Generator driving one window per iteration (the rounds() hook).
+        """The base loop with pipelined block selection.
 
-        Yields the window's block ids after the window has been fully
-        consumed by every live run, so progressive-round callers can
-        inspect run state between windows exactly as the serial loop
-        allows.  Closing the generator reconciles any prefetched
-        selection's probe counters.
+        Masks prefetched while the previous window was being ingested are
+        charged here, when consumed, so :meth:`_process` gets every live
+        run's charged mask as in the serial loop.  Closing the generator
+        reconciles any prefetched selection's probe counters.
         """
         cursor = self.cursor
         try:
             while not cursor.exhausted:
                 if self._prefetched is not None:
-                    window, at_end, masks, probe_deltas = self._prefetched
+                    window, at_end, pre_masks, probe_deltas = self._prefetched
                     self._prefetched = None
                     cursor.next_window()  # consume the peeked window
                 else:
                     window = cursor.next_window()
                     at_end = cursor.exhausted
-                    masks, probe_deltas = {}, {}
+                    pre_masks, probe_deltas = {}, {}
                 live = [run for run in self.runs if not run.finished]
                 # Selections prefetched for runs that retired meanwhile
                 # were never consumed: take their probes back so the
@@ -387,6 +352,14 @@ class ParallelScanDriver:
                 for run in self.runs:
                     if run.finished and id(run) in probe_deltas:
                         self._uncharge(probe_deltas.pop(id(run)))
+                masks = []
+                for run in live:
+                    mask = pre_masks.pop(id(run), None)
+                    if mask is None:
+                        mask = run.select_blocks(window)
+                    else:
+                        run.charge_blocks(window, mask)
+                    masks.append(mask)
                 self._process(window, at_end, live, masks)
                 yield window
                 if all(run.finished for run in self.runs):
@@ -394,37 +367,11 @@ class ParallelScanDriver:
         finally:
             self._discard_prefetched()
 
-    def finish(self) -> ExecutionMetrics:
-        """Seal the batch metrics (mirror of ``run_shared_scan``'s tail)."""
-        self.metrics.stopped_early = all(run.satisfied for run in self.runs)
-        self.metrics.bounds_recomputed = sum(
-            run.metrics.bounds_recomputed for run in self.runs
-        )
-        if not self.solo:
-            # Solo accounting leaves the scramble-shared counters for the
-            # run's own finalize(), exactly like the serial solo loop.
-            self.metrics.merge_index_counters(self._indexes.values())
-        self.metrics.wall_time_s = time.perf_counter() - self._start_time
-        return self.metrics
-
     # -- one window -----------------------------------------------------
 
-    def _process(
-        self, window: np.ndarray, at_end: bool, live: list, pre_masks: dict
+    def _ingest(
+        self, frame: WindowFrame, at_end: bool, live: list, masks: list
     ) -> None:
-        masks = []
-        for run in live:
-            mask = pre_masks.pop(id(run), None)
-            if mask is None:
-                mask = run.select_blocks(window)
-            else:
-                run.charge_blocks(window, mask)
-            masks.append(mask)
-        union = np.zeros(window.shape, dtype=bool)
-        for mask in masks:
-            union |= mask
-        frame = WindowFrame(self.cursor.scramble, window, union)
-
         # Phase 1 — slice main-side state and materialize frame inputs
         # under exactly the serial lazy conditions (values_gathered must
         # match the serial loop bit for bit).
@@ -519,18 +466,6 @@ class ParallelScanDriver:
         finally:
             if export is not None:
                 self.metrics.shm_cleanup_failures += export.close()
-
-        if self.solo:
-            live[0].metrics.values_gathered += frame.values_gathered
-            self._storage_tracker.drain(self.metrics, live[0].metrics)
-        else:
-            self._storage_tracker.drain(self.metrics)
-        fetched = int(union.sum())
-        self.metrics.blocks_fetched += fetched
-        self.metrics.blocks_skipped += int(window.size - fetched)
-        self.metrics.rows_read += frame.rows.size
-        self.metrics.values_gathered += frame.values_gathered
-        self.metrics.rounds += 1
 
     def _slice(self, run, frame: WindowFrame, mask: np.ndarray) -> _RunWindowState:
         """Main-side slice bookkeeping for one pool run (scalar runs are

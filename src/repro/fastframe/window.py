@@ -127,6 +127,9 @@ class WindowFrame:
         solo / identical-strategy case), so callers can skip the slice
         entirely.  ``mask`` must be a subset of the union mask.
         """
+        if mask is self.union_mask:
+            # A one-run driver's union: skip the O(window_blocks) compare.
+            return None
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != self.window.shape:
             raise ValueError(

@@ -507,6 +507,23 @@ class TestGather:
         assert conn.spent_delta == 0.0
         assert conn.gather(handles[:2], start_block=0).results
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_batch_bounds_recomputed_counts_fixed_sample_runs(
+        self, scramble, parallelism
+    ):
+        """Fixed-sample runs issue their one bound recomputation inside
+        finalize(); every run is sealed inside the scan loop, so the batch
+        sum taken at the end of the scan already includes it."""
+        conn = _connect(scramble, parallelism=parallelism)
+        handles = [
+            conn.table().group_by("g").avg("x", samples=200),
+            conn.table().avg("x", samples=200),
+        ]
+        batch = conn.gather(handles, start_block=3)
+        per_run = [result.metrics.bounds_recomputed for result in batch.results]
+        assert all(count > 0 for count in per_run)
+        assert batch.metrics.bounds_recomputed == sum(per_run)
+
     def test_gather_accepts_a_bare_handle(self, scramble):
         """conn.gather(conn.sql(text)) must work whatever the statement
         count — sql() returns a bare handle for one-statement scripts."""

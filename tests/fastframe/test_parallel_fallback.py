@@ -26,7 +26,13 @@ from repro.bounders.bernstein import EmpiricalBernsteinSerflingBounder
 from repro.bounders.range_trim import RangeTrimBounder
 from repro.bounders.registry import get_bounder
 from repro.fastframe.config import ExecConfig
-from repro.fastframe.executor import ApproximateExecutor, QueryRun, run_shared_scan
+from repro.fastframe.executor import (
+    ApproximateExecutor,
+    QueryRun,
+    ScanDriver,
+    run_shared_scan,
+    scan_driver,
+)
 from repro.fastframe.parallel import ParallelScanDriver
 from repro.fastframe.query import AggregateFunction, Query
 from repro.fastframe.scan import get_strategy
@@ -264,6 +270,21 @@ class TestNativeDeltaPayload:
         assert fallback_bytes > native_bytes, (native_bytes, fallback_bytes)
         # The fallback ships O(rows) of int64+float64; native is O(views).
         assert native_bytes < fallback_bytes / 4, (native_bytes, fallback_bytes)
+
+
+class TestDriverChoice:
+    @pytest.mark.parametrize("solo", [True, False])
+    def test_parallelism_picks_the_class(self, scramble, solo):
+        """Serial execution is the plain base loop — it never builds the
+        parallel driver's per-window bookkeeping."""
+        executor = _executor(scramble, get_bounder("bernstein+rt"), "pool")
+        for parallelism, expected in ((1, ScanDriver), (2, ParallelScanDriver)):
+            run = QueryRun(executor, _query())
+            cursor = executor.cursor(START_BLOCK, window_blocks=run.window_blocks)
+            config = ExecConfig.resolve(parallelism=parallelism)
+            driver = scan_driver([run], cursor, config, solo=solo)
+            assert type(driver) is expected
+            assert driver.solo is solo
 
 
 class TestInlineDriverFallback:

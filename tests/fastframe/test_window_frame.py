@@ -12,11 +12,17 @@ import numpy as np
 import pytest
 
 from repro.bounders.registry import get_bounder
-from repro.fastframe.executor import ApproximateExecutor, QueryRun, run_shared_scan
+from repro.fastframe.executor import (
+    ApproximateExecutor,
+    QueryRun,
+    run_shared_scan,
+    scan_driver,
+)
 from repro.fastframe.predicate import Eq, TruePredicate
 from repro.fastframe.query import AggregateFunction, Query
 from repro.fastframe.scan import get_strategy
 from repro.fastframe.scramble import Scramble
+from repro.fastframe.storage import attach_block_storage
 from repro.fastframe.table import Table
 from repro.fastframe.window import WindowFrame
 from repro.stopping.conditions import AbsoluteAccuracy, ThresholdSide
@@ -73,6 +79,8 @@ class TestFrameSlicing:
         mask = np.ones(window.shape, dtype=bool)
         frame = WindowFrame(scramble, window, mask)
         assert frame.element_selector(mask) is None
+        assert frame.element_selector(mask.copy()) is None  # equal
+        assert frame.element_selector(frame.union_mask) is None  # identical
 
     def test_element_selector_subset_slices_exactly(self, scramble):
         window = _window(scramble)
@@ -173,13 +181,41 @@ class TestSharedValueGathering:
         # In a shared scan the runs themselves gather nothing.
         assert all(run.metrics.values_gathered == 0 for run in runs)
 
-    def test_solo_runs_gather_per_query(self, scramble):
+    def test_solo_runs_gather_per_query(self, scramble, tmp_path):
         total = 0
         for query in self._full_scan_queries():
             result = _executor(scramble).execute(query, start_block=START_BLOCK)
             assert result.metrics.values_gathered == scramble.num_rows
             total += result.metrics.values_gathered
         assert total == 2 * scramble.num_rows
+
+        # A solo driver charges the frame's gathers and block I/O to the
+        # run and leaves its own metrics alone; a batch of one does the
+        # reverse — same intervals either way.
+        stored = Scramble(scramble.table, rng=np.random.default_rng(1))
+        attach_block_storage(stored, directory=tmp_path)
+        query = self._full_scan_queries()[0]
+
+        solo_run = QueryRun(_executor(stored), query)
+        cursor = solo_run.executor.cursor(START_BLOCK)
+        driver = scan_driver([solo_run], cursor, solo_run.executor.config, solo=True)
+        driver.run()
+        solo = solo_run.finalize()
+        assert driver.metrics.rows_read == driver.metrics.values_gathered == 0
+        assert not driver.metrics.storage_snapshot()
+        assert solo.metrics.values_gathered == stored.num_rows
+        assert solo.metrics.storage_snapshot()
+
+        batch_run = QueryRun(_executor(stored), query)
+        batch = run_shared_scan([batch_run], batch_run.executor.cursor(START_BLOCK))
+        gathered = batch_run.finalize(merge_index_counters=False)
+        assert batch.rows_read == batch.values_gathered == stored.num_rows
+        assert batch.storage_snapshot()
+        assert gathered.metrics.values_gathered == 0
+        assert not gathered.metrics.storage_snapshot()
+        assert solo.groups.keys() == gathered.groups.keys()
+        for key, group in solo.groups.items():
+            assert group.interval == gathered.groups[key].interval
 
     def test_count_queries_gather_no_values(self, scramble):
         query = Query(
@@ -246,8 +282,7 @@ class TestIncrementalRounds:
         )
         run = QueryRun(executor, query)
         cursor = executor.cursor(START_BLOCK, window_blocks=run.window_blocks)
-        for window, at_end in cursor.windows():
-            run.feed(window, at_end)
+        for _ in run.drive(cursor, executor.config):
             if run.round_index >= 2:
                 break
         pool = run.pool
@@ -270,8 +305,7 @@ class TestIncrementalRounds:
         )
         run = QueryRun(executor, query)
         cursor = executor.cursor(START_BLOCK, window_blocks=run.window_blocks)
-        for window, at_end in cursor.windows():
-            run.feed(window, at_end)
+        for _ in run.drive(cursor, executor.config):
             if run.round_index >= 1:
                 break
         # The round just recomputed every dirty row and cleared the mask.
@@ -281,19 +315,20 @@ class TestIncrementalRounds:
 
 
 class TestFramePathParity:
-    def test_feed_equals_two_phase_consume(self, scramble):
-        """feed() (solo driver) and select_blocks()+consume() (shared
-        driver) are the same code path: identical state after a window."""
+    def test_solo_window_equals_two_phase_consume(self, scramble):
+        """One window off the solo driver and select_blocks()+consume()
+        on a twin run are the same code path: identical state after it."""
         query = Query(
             AggregateFunction.AVG, "x", AbsoluteAccuracy(1e-9), group_by=("g",)
         )
-        solo = QueryRun(_executor(scramble), query)
+        executor = _executor(scramble)
+        solo = QueryRun(executor, query)
         shared = QueryRun(_executor(scramble), query)
-        window = _window(scramble, n_blocks=200)
-        solo.feed(window, at_end=False)
+        cursor = executor.cursor(0, window_blocks=solo.window_blocks)
+        window = next(solo.drive(cursor, executor.config))
         mask = shared.select_blocks(window)
         frame = WindowFrame(scramble, window, mask)
-        shared.consume(frame, mask, at_end=False)
+        shared.consume(frame, mask, at_end=cursor.exhausted)
         assert solo.metrics.rows_read == shared.metrics.rows_read
         np.testing.assert_array_equal(solo.pool.in_view, shared.pool.in_view)
         np.testing.assert_array_equal(solo.pool.covered, shared.pool.covered)
