@@ -33,6 +33,7 @@ either allocation policy.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
@@ -51,7 +52,6 @@ from repro.fastframe.query import (
     ExecutionMetrics,
     Query,
     QueryResult,
-    RecoveryCounters,
     StorageCounters,
 )
 from repro.fastframe.scan import SamplingStrategy, get_strategy
@@ -85,7 +85,6 @@ def connect(
     rng: np.random.Generator | None = None,
     require_ssi: bool = True,
     parallelism: int | None = None,
-    task_timeout: float | None = None,
     storage: str | None = None,
     cache_bytes: int | None = None,
     **executor_kwargs,
@@ -120,7 +119,7 @@ def connect(
         Multi-query guarantees need sample-size-independent bounders
         (§1); pass ``False`` only for single-shot ad-hoc use of a
         non-SSI bounder.
-    parallelism, task_timeout, storage, cache_bytes:
+    parallelism, storage, cache_bytes:
         Execution settings (``None`` = unset), resolved here, once, into
         :attr:`Connection.config` — see
         :class:`~repro.fastframe.config.ExecConfig` for meanings,
@@ -129,7 +128,8 @@ def connect(
     executor_kwargs:
         Passed through to each query's
         :class:`~repro.fastframe.executor.ApproximateExecutor`
-        (``round_rows``, ``alpha``, ``count_method``, ``engine``, …).
+        (``round_rows``, ``alpha``, ``count_method``, ``engine``, …);
+        a keyword it does not take raises :class:`TypeError` here.
     """
     return Connection(
         source,
@@ -141,7 +141,6 @@ def connect(
         rng=rng,
         require_ssi=require_ssi,
         parallelism=parallelism,
-        task_timeout=task_timeout,
         storage=storage,
         cache_bytes=cache_bytes,
         **executor_kwargs,
@@ -162,11 +161,6 @@ class RoundUpdate:
         Decoded group key →
         :class:`~repro.stopping.conditions.GroupSnapshot` (current
         certified interval, estimate, sample count, exhaustion flag).
-    recovery:
-        Cumulative :class:`~repro.fastframe.query.RecoveryCounters` as of
-        this round (truthy only if the parallel driver has recovered from
-        a straggler/crash/pool death so far) — ``None`` on serial
-        executions, where no recovery machinery runs.
     storage:
         Cumulative :class:`~repro.fastframe.query.StorageCounters` as of
         this round (block reads, cache hits/evictions, prefetch hits) —
@@ -177,7 +171,6 @@ class RoundUpdate:
     round_index: int
     rows_read: int
     groups: dict
-    recovery: RecoveryCounters | None = None
     storage: StorageCounters | None = None
 
 
@@ -272,11 +265,6 @@ class QueryHandle:
                             round_index=seen_rounds,
                             rows_read=run.metrics.rows_read,
                             groups=run.group_snapshots(),
-                            recovery=(
-                                run.metrics.recovery_snapshot()
-                                if config.parallelism > 1
-                                else None
-                            ),
                             storage=(
                                 run.metrics.storage_snapshot()
                                 if self.connection.scramble.storage is not None
@@ -404,18 +392,23 @@ class Connection:
         rng: np.random.Generator | None = None,
         require_ssi: bool = True,
         parallelism: int | None = None,
-        task_timeout: float | None = None,
         storage: str | None = None,
         cache_bytes: int | None = None,
         **executor_kwargs,
     ) -> None:
         from repro.fastframe.storage import attach_block_storage
 
+        try:
+            # Every handle builds its executor from these keywords: check
+            # them before anything happens, not at the first result()
+            # after a δ charge.
+            inspect.signature(ApproximateExecutor).bind_partial(
+                source, bounder, **executor_kwargs
+            )
+        except TypeError as error:
+            raise TypeError(f"connect() {error}") from None
         config = ExecConfig.resolve(
-            parallelism=parallelism,
-            task_timeout=task_timeout,
-            storage=storage,
-            cache_bytes=cache_bytes,
+            parallelism=parallelism, storage=storage, cache_bytes=cache_bytes
         )
         self.rng = rng or np.random.default_rng()
         if isinstance(source, Scramble):

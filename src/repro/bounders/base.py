@@ -19,17 +19,17 @@ them with numpy implementations whose per-slot results match the scalar
 path up to floating-point summation order.
 
 **Mergeable deltas.**  Pool ingest is further split at the pure/stateful
-boundary into a three-phase protocol so that the O(rows) half can run in a
-worker process:
+boundary into a three-phase protocol so that the O(rows) half can run on
+an ingest thread:
 
-* ``delta_context(pool)`` — a picklable, read-only snapshot of whatever
+* ``delta_context(pool)`` — a read-only view of whatever
   pool state the pure partition consults (``None`` for most families;
   RangeTrim's clip needs the per-view extrema and counts);
 * ``partition_delta(indices, values, size, context)`` — a **pure
   function** of one window's sorted ``(view_idx, values)`` stream that
   pre-aggregates it into a :class:`BounderDelta` (per-view moments,
   segmented extrema, or sample segments, per family);
-* ``merge_delta(pool, delta)`` — the O(views) main-process fold.
+* ``merge_delta(pool, delta)`` — the O(views) scanning-thread fold.
 
 ``update_pool(pool, indices, values)`` remains the mutate-in-place entry
 point and the **loop fall-back** for third-party bounders that implement
@@ -151,9 +151,8 @@ class BounderDelta:
     A delta is the pure, pre-aggregated form of one window's sorted
     ``(view_idx, values)`` stream for one bounder family — everything
     :meth:`ErrorBounder.merge_delta` needs to fold the window into a pool
-    without replaying the per-row values.  Deltas must be picklable (they
-    cross process boundaries) and expose :attr:`nbytes` so the parallel
-    driver can account the IPC payload
+    without replaying the per-row values.  Deltas expose :attr:`nbytes`
+    so the parallel driver can account what its ingest threads return
     (:attr:`~repro.fastframe.query.ExecutionMetrics.delta_bytes_returned`).
     """
 
@@ -330,10 +329,10 @@ class ErrorBounder(ABC):
     supports_delta: bool = False
 
     def delta_context(self, pool: Any) -> Any:
-        """Read-only, picklable snapshot of the pool state
-        :meth:`partition_delta` consults (``None`` for stateless
-        partitions).  Must stay valid until the window's delta is merged;
-        the executor guarantees no pool mutation in between.
+        """Read-only view of the pool state :meth:`partition_delta`
+        consults (``None`` for stateless partitions).  Must stay valid
+        until the window's delta is merged; the executor guarantees no
+        pool mutation in between.
         """
         return None
 
@@ -345,9 +344,9 @@ class ErrorBounder(ABC):
         ``indices`` must be sorted ascending with ties in stream order
         (the executor's stable sort guarantees this), ``size`` is the pool
         slot count, and ``context`` is this bounder's
-        :meth:`delta_context`.  **Pure**: must not touch any pool state,
-        so it is safe to run in a worker process over shared-memory
-        buffers.  The contract that keeps parallelism bit-identical:
+        :meth:`delta_context`.  **Pure**: must not touch any pool state
+        (nor any state of the bounder itself), so it is safe to run on an
+        ingest thread.  The contract that keeps parallelism bit-identical:
         ``merge_delta(pool, partition_delta(idx, vals, size, ctx))`` must
         execute the same float program as ``update_pool(pool, idx, vals)``.
         """

@@ -341,8 +341,8 @@ class RangeTrimBounder(ErrorBounder):
     def delta_context(self, pool: RangeTrimPool):
         """The clip context: per-view extrema + counts, plus inner contexts.
 
-        Read-only references — pickling snapshots them for worker tasks,
-        and the serial path reads them before any merge mutates the pool.
+        Read-only references: both the serial path and an ingest thread
+        read them before the window's merge mutates the pool.
         """
         return (
             pool.min,

@@ -173,17 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", default="harmonic", choices=("even", "harmonic"),
         help="per-query delta allocation policy for the joint budget",
     )
-    # The four execution settings: connect() resolves them once into the
+    # The three execution settings: connect() resolves them once into the
     # connection's ExecConfig (flag, else environment variable, else
     # default — repro.fastframe.config.ExecConfig documents each).
     # None of them changes a result.
     dashboard.add_argument(
         "--parallelism", type=int, default=None,
-        help="worker processes for window ingest (ExecConfig.parallelism)",
-    )
-    dashboard.add_argument(
-        "--task-timeout", type=float, default=None,
-        help="per-worker-task deadline in seconds (ExecConfig.task_timeout)",
+        help="ingest threads (ExecConfig.parallelism)",
     )
     dashboard.add_argument(
         "--storage", default=None, choices=STORAGE_BACKENDS,
@@ -307,7 +303,6 @@ def _cmd_dashboard(args, out) -> int:
         strategy=args.strategy,
         rng=np.random.default_rng(args.seed),
         parallelism=args.parallelism,
-        task_timeout=args.task_timeout,
         storage=args.storage,
         cache_bytes=args.cache_bytes,
     )
@@ -324,17 +319,6 @@ def _cmd_dashboard(args, out) -> int:
         f"window: {batch.values_gathered:,} elements",
         file=out,
     )
-    recovery = batch.metrics.recovery_snapshot()
-    if recovery:
-        print(
-            f"fault recovery: {recovery.tasks_retried} task(s) retried, "
-            f"{recovery.tasks_timed_out} timed out, "
-            f"{recovery.inline_fallbacks} inline fallback(s), "
-            f"{recovery.pool_rebuilds} pool rebuild(s), "
-            f"{recovery.shm_cleanup_failures} shm cleanup failure(s) — "
-            "results unaffected (recovered tasks recompute identical deltas)",
-            file=out,
-        )
     storage = batch.metrics.storage_snapshot()
     if storage:
         print(

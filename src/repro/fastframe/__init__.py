@@ -52,7 +52,6 @@ from repro.fastframe.query import (
     GroupResult,
     Query,
     QueryResult,
-    RecoveryCounters,
     StorageCounters,
 )
 from repro.fastframe.scan import (
@@ -125,7 +124,6 @@ __all__ = [
     "QueryResult",
     "QueryRun",
     "RangeBounds",
-    "RecoveryCounters",
     "SamplingStrategy",
     "ScanCursor",
     "ScanStrategy",

@@ -6,11 +6,7 @@ import operator
 import os
 from dataclasses import dataclass
 
-__all__ = ["ExecConfig", "DEFAULT_TASK_TIMEOUT_S", "STORAGE_BACKENDS"]
-
-#: Default per-task deadline (seconds).  Partition tasks are sub-second;
-#: a minute of silence means the worker is gone, not slow.
-DEFAULT_TASK_TIMEOUT_S = 60.0
+__all__ = ["ExecConfig", "STORAGE_BACKENDS"]
 
 STORAGE_BACKENDS = ("memory", "mmap")
 
@@ -20,11 +16,6 @@ def _positive_int(raw) -> int:
     if value < 1:
         raise ValueError
     return value
-
-
-def _deadline(raw) -> float | None:
-    value = float(raw)
-    return value if value > 0 else None
 
 
 def _backend(raw) -> str:
@@ -37,7 +28,6 @@ def _backend(raw) -> str:
 #: field → (environment variable, parser, what a valid value looks like)
 _FIELDS = {
     "parallelism": ("REPRO_PARALLELISM", _positive_int, "an integer >= 1"),
-    "task_timeout": ("REPRO_TASK_TIMEOUT", _deadline, "a number of seconds"),
     "storage": ("REPRO_STORAGE", _backend, f"one of {STORAGE_BACKENDS}"),
     "cache_bytes": ("REPRO_CACHE_BYTES", _positive_int, "an integer >= 1"),
 }
@@ -50,24 +40,17 @@ class ExecConfig:
     They change wall time and I/O only: every result, δ allocation and
     metric other than wall time is byte-identical across configurations.
     Built once per connection by :meth:`resolve` — the only function in
-    the package, outside :mod:`repro.testing`, that reads the process
-    environment — and handed down as one object.
+    the package that reads the process environment — and handed down as
+    one object.
 
     Attributes
     ----------
     parallelism:
-        Worker processes for window ingest (``REPRO_PARALLELISM``,
-        default 1).  Above 1 every resolution path (``result()``,
+        Ingest threads that partition window slices
+        (``REPRO_PARALLELISM``, default 1).  Above 1 every resolution path (``result()``,
         ``rounds()``, ``gather()``) is driven by
         :class:`~repro.fastframe.parallel.ParallelScanDriver`; at 1 the
-        serial loops run and no worker machinery is touched.
-    task_timeout:
-        Deadline in seconds for one worker task
-        (``REPRO_TASK_TIMEOUT``, default 60); ``None`` — which is what
-        zero or a negative number resolves to — means no deadline.  A
-        timed-out or crashed task is re-dispatched and, as the last
-        resort, recomputed inline; recovery shows only in
-        :class:`~repro.fastframe.query.RecoveryCounters`.
+        serial loops run and no thread pool is touched.
     storage:
         ``"memory"`` (resident arrays, the default) or ``"mmap"`` (the
         scramble is spilled to an out-of-core block store, see
@@ -83,7 +66,6 @@ class ExecConfig:
     """
 
     parallelism: int = 1
-    task_timeout: float | None = DEFAULT_TASK_TIMEOUT_S
     storage: str = "memory"
     cache_bytes: int | None = None
 
@@ -92,7 +74,6 @@ class ExecConfig:
         cls,
         *,
         parallelism: int | None = None,
-        task_timeout: float | None = None,
         storage: str | None = None,
         cache_bytes: int | None = None,
     ) -> "ExecConfig":
@@ -104,8 +85,7 @@ class ExecConfig:
         falls back to the default.
         """
         explicit = dict(
-            parallelism=parallelism, task_timeout=task_timeout,
-            storage=storage, cache_bytes=cache_bytes,
+            parallelism=parallelism, storage=storage, cache_bytes=cache_bytes
         )
         resolved = {}
         for name, (variable, parse, expected) in _FIELDS.items():

@@ -422,8 +422,8 @@ class QueryRun:
     """
 
     #: The struct-of-arrays view state when the run is on the pool engine.
-    #: The parallel driver partitions in worker processes only for runs
-    #: that have one (a worker's delta merges into pool arrays).
+    #: The parallel driver partitions on ingest threads only for runs
+    #: that have one (a thread's delta merges into pool arrays).
     pool: ViewPool | None = None
 
     def __new__(cls, executor: ApproximateExecutor, query: Query):
@@ -593,10 +593,11 @@ class QueryRun:
 
         The merge half of :meth:`consume`: the delta carries
         this run's window slice already partitioned by view (built in
-        place by :meth:`consume`, or shipped back from a parallel ingest
-        worker that ran :func:`~repro.fastframe.kernels.partition_ingest`
-        over shared-memory window buffers).  For delta-capable bounders
-        the worker may also have pre-partitioned the bounder-state update
+        place by :meth:`consume`, or returned by a parallel ingest thread
+        that ran :func:`~repro.fastframe.kernels.partition_ingest` over the
+        frame's arrays).  Always called on the scanning thread: the pool
+        it mutates is unlocked.  For delta-capable bounders the thread may
+        also have pre-partitioned the bounder-state update
         (``IngestDelta.bounder_delta``); when it did not,
         :meth:`~repro.fastframe.viewpool.ViewPool.apply_ingest` runs the
         *identical* ``partition_delta`` → ``merge_delta`` pair in place,
@@ -1204,16 +1205,21 @@ class ScanDriver:
         self.metrics = ExecutionMetrics()
         self._start_time = time.perf_counter()
         # Block I/O is a union-level cost like values_gathered, charged
-        # window by window.  Only main-process reads count: workers
-        # re-gather from their own store attachments and their stats die
-        # with the task.
+        # window by window.  Every store read happens on the scanning
+        # thread: ingest threads only read arrays it materialized.
         self._storage_tracker = storage_tracker(cursor.scramble)
 
     def run(self) -> ExecutionMetrics:
         """Process every window to completion; return the batch metrics."""
-        for _ in self.windows():
-            pass
-        return self.finish()
+        try:
+            for _ in self.windows():
+                pass
+        finally:
+            # Also when a window raises: finish() takes the scramble-shared
+            # probe counters, which would otherwise be charged to whichever
+            # query next runs over this scramble.
+            metrics = self.finish()
+        return metrics
 
     def windows(self):
         """Generator driving one window per iteration (the rounds() hook):
@@ -1320,7 +1326,7 @@ def run_shared_scan(
     ``config.parallelism`` above 1 (``None`` takes the config the runs'
     executor was built with) routes the same loop through
     :class:`~repro.fastframe.parallel.ParallelScanDriver`: per-query
-    window slices are partitioned in worker processes and folded back in
+    window slices are partitioned on ingest threads and folded back in
     deterministic order, so results and metrics (except wall time) are
     bit-identical to the serial :class:`ScanDriver`.
     """

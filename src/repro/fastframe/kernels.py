@@ -26,8 +26,8 @@ sweeps while producing byte-identical deltas:
   predicate: the common full-scan case), the boolean gathers
   ``values[pick]`` / ``combined[pick]`` are replaced by zero-copy views
   (``arr[:]``).  Nothing downstream mutates its inputs, so views are
-  safe; callers that ship a delta out of shared memory pass
-  ``own_arrays=True`` and the kernel re-materializes only what escapes.
+  safe — also in the parallel driver's deltas, whose frame arrays live
+  on in the same address space until the fold.
 * **Sort-fused value gather** — for multi-view value queries the legacy
   path gathered values twice (boolean gather, then permutation by sort
   order).  The kernel converts the pick mask to indices once and
@@ -87,7 +87,7 @@ def lookup_codes(codes: np.ndarray, combined: np.ndarray) -> np.ndarray:
     Raises :class:`KeyError` when any code is outside the domain — an
     unguarded ``searchsorted`` would silently return a neighboring view's
     row and corrupt its counters (e.g. when an insert widens a dictionary
-    after the pool was built).  Module-level so worker processes can map
+    after the pool was built).  Module-level so ingest threads can map
     codes without holding a :class:`~repro.fastframe.viewpool.ViewPool`.
     """
     combined = np.asarray(combined, dtype=np.int64)
@@ -153,7 +153,7 @@ def group_order(
 class IngestDelta:
     """One (query, window) slice, partitioned and ready to merge.
 
-    The unit of work a parallel ingest worker returns: everything
+    The unit of work a parallel ingest task returns: everything
     :meth:`~repro.fastframe.viewpool.ViewPool.apply_ingest` needs to
     fold the window into the pool without touching the window's row
     data again.
@@ -212,7 +212,7 @@ class IngestDelta:
         )
 
     def payload_nbytes(self) -> int:
-        """Bytes of array payload this delta carries across IPC."""
+        """Bytes of array payload this delta hands to the fold."""
         total = 0
         for array in (self.view_idx, self.values, self.counts, self.means, self.m2s):
             if array is not None:
@@ -266,8 +266,8 @@ def slice_elements(n_rows: int, sel, predicate_of) -> WindowSlice:
     (``None`` when the run's mask is the union); ``predicate_of`` lazily
     supplies the predicate mask — evaluated only when the run read
     anything, exactly the serial lazy condition.  The ONE copy of this
-    arithmetic: the serial consume path, the parallel driver, and the
-    worker processes all call it, so the engines cannot drift.
+    arithmetic: the serial consume path and the parallel driver both
+    call it, so the engines cannot drift.
     """
     n_read = int(n_rows) if sel is None else int(np.count_nonzero(sel))
     pick = None
@@ -351,7 +351,6 @@ def partition_ingest(
     bounder=None,
     bounder_ctx=None,
     native: bool = False,
-    own_arrays: bool = False,
 ) -> IngestDelta:
     """The whole ingest hot path, fused: slice → gather → sort → stats.
 
@@ -374,8 +373,8 @@ def partition_ingest(
     values_of, combined_of:
         Lazy gathers as in :func:`partition_slice`.
     with_stats:
-        Pre-aggregate per-view statistics (workers pay this O(rows)
-        pass so the main-process merge is O(views)).
+        Pre-aggregate per-view statistics (ingest threads pay this
+        O(rows) pass so the scanning thread's merge is O(views)).
     window_slice:
         A pre-counted :class:`WindowSlice` (drivers that sliced during
         task planning pass it to avoid recounting); computed via
@@ -387,11 +386,6 @@ def partition_ingest(
         the delta — the worker-native protocol from PR 5.  ``bounder``
         may be ``None`` for COUNT-style native deltas that ship
         pre-aggregated counts only.
-    own_arrays:
-        Force the returned row arrays to own their memory.  The fused
-        fast paths may return zero-copy views into the window buffers;
-        a delta that outlives those buffers (shipped over IPC from a
-        shared-memory frame) must re-materialize them.
     """
     if window_slice is None:
         window_slice = slice_elements(n_rows, sel, predicate_of)
@@ -404,11 +398,6 @@ def partition_ingest(
     )
     if native and delta.n_in_view:
         if bounder is not None:
-            if own_arrays and not delta.values.flags.owndata:
-                # A bounder delta may keep the stream itself (Anderson's
-                # and the quantile family's *is* the values; RangeTrim
-                # passes an unclipped stream through uncopied).
-                delta.values = delta.values.copy()
             delta.bounder_delta = bounder.partition_delta(
                 delta.view_idx, delta.values, max(codes.size, 1), bounder_ctx
             )
@@ -416,9 +405,4 @@ def partition_ingest(
         # don't.
         delta.view_idx = None
         delta.values = None
-    if own_arrays:
-        if delta.values is not None and not delta.values.flags.owndata:
-            delta.values = delta.values.copy()
-        if delta.view_idx is not None and not delta.view_idx.flags.owndata:
-            delta.view_idx = delta.view_idx.copy()
     return delta

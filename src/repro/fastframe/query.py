@@ -28,7 +28,6 @@ __all__ = [
     "Query",
     "GroupResult",
     "ExecutionMetrics",
-    "RecoveryCounters",
     "StorageCounters",
     "QueryResult",
 ]
@@ -175,35 +174,24 @@ class ExecutionMetrics:
     recomputations (the incremental-rounds work metric).
 
     Parallel-ingest accounting: ``delta_bytes_returned`` counts array
-    bytes shipped back by worker partition tasks (native bounder deltas
-    are O(views); the loop-fallback path ships the O(rows) sorted value
-    arrays — the difference is the IPC saving).  ``partition_wall_s`` /
-    ``merge_wall_s`` split the ingest wall between the workers'
+    bytes the ingest threads' partition tasks hand back to the fold
+    (native bounder deltas are O(views); the loop-fallback path returns
+    the O(rows) sorted value arrays).  ``partition_wall_s`` /
+    ``merge_wall_s`` split the ingest wall between the threads'
     partition stage (summed across tasks, so it can exceed elapsed time)
-    and the main process's delta-merge stage.  All three are zero for
+    and the scanning thread's delta-merge stage.  All three are zero for
     serial execution; the byte counter is deterministic at a fixed
     parallelism, the walls are timing (excluded from determinism
     contracts like ``wall_time_s``).
-
-    Fault-recovery accounting (all zero on a healthy run):
-    ``tasks_retried`` counts worker tasks re-dispatched after a retriable
-    failure; ``tasks_timed_out`` counts per-task deadline expiries
-    (stragglers); ``inline_fallbacks`` counts window slices recomputed
-    in-process after retries were exhausted (or the pool degraded);
-    ``pool_rebuilds`` counts broken-pool recoveries; and
-    ``shm_cleanup_failures`` counts shared-memory segments that would not
-    release at export close.  None of these counters participates in the
-    determinism contract — recovery changes *where* a delta is computed,
-    never its bytes.
 
     Out-of-core storage accounting (all zero for the in-memory backend):
     ``blocks_read`` / ``bytes_read`` count block-file opens charged by
     the mmap store's cache misses; ``cache_hits`` counts gathers served
     from the shared block cache; ``cache_evictions`` counts LRU drops
     under the byte budget; ``prefetch_hits`` counts demand reads whose
-    block the async prefetcher had already been scheduled to warm.  Like
-    the recovery counters, they describe where bytes came from, never
-    what they were — results are byte-identical across backends.
+    block the async prefetcher had already been scheduled to warm.  They
+    describe where bytes came from, never what they were — results are
+    byte-identical across backends.
     """
 
     rows_read: int = 0
@@ -219,11 +207,9 @@ class ExecutionMetrics:
     merge_wall_s: float = 0.0
     wall_time_s: float = 0.0
     stopped_early: bool = False
+    # Benchmark-only, always zero: benchmarks/e2e/run.py still reads them.
     tasks_retried: int = 0
-    tasks_timed_out: int = 0
     inline_fallbacks: int = 0
-    pool_rebuilds: int = 0
-    shm_cleanup_failures: int = 0
     blocks_read: int = 0
     bytes_read: int = 0
     cache_hits: int = 0
@@ -237,49 +223,16 @@ class ExecutionMetrics:
             self.batch_probes += index.batch_probe_count
             index.reset_counters()
 
-    def recovery_snapshot(self) -> "RecoveryCounters":
-        """The fault-recovery counters as one frozen record (truthy iff
-        any recovery happened) — what rounds() updates and the CLI
-        dashboard surface."""
-        return RecoveryCounters(
-            tasks_retried=self.tasks_retried,
-            tasks_timed_out=self.tasks_timed_out,
-            inline_fallbacks=self.inline_fallbacks,
-            pool_rebuilds=self.pool_rebuilds,
-            shm_cleanup_failures=self.shm_cleanup_failures,
-        )
-
     def storage_snapshot(self) -> "StorageCounters":
         """The out-of-core storage counters as one frozen record (truthy
         iff any block I/O happened) — what rounds() updates and the CLI
-        dashboard surface, mirroring :meth:`recovery_snapshot`."""
+        dashboard surface."""
         return StorageCounters(
             blocks_read=self.blocks_read,
             bytes_read=self.bytes_read,
             cache_hits=self.cache_hits,
             cache_evictions=self.cache_evictions,
             prefetch_hits=self.prefetch_hits,
-        )
-
-
-@dataclass(frozen=True)
-class RecoveryCounters:
-    """A frozen snapshot of :class:`ExecutionMetrics`' fault-recovery
-    counters; ``bool()`` is True exactly when any recovery happened."""
-
-    tasks_retried: int = 0
-    tasks_timed_out: int = 0
-    inline_fallbacks: int = 0
-    pool_rebuilds: int = 0
-    shm_cleanup_failures: int = 0
-
-    def __bool__(self) -> bool:
-        return bool(
-            self.tasks_retried
-            or self.tasks_timed_out
-            or self.inline_fallbacks
-            or self.pool_rebuilds
-            or self.shm_cleanup_failures
         )
 
 

@@ -44,11 +44,12 @@ pure *partition* step (the fused kernel in
 elements, stable-sort by group code, map codes to pool rows,
 pre-aggregate per-view bincount statistics) and a stateful *merge* step
 (:meth:`ViewPool.apply_ingest`).  The partition step touches no pool
-state, so a worker process can run it over shared-memory window buffers
-and ship the resulting :class:`IngestDelta` back; the main process then
-merges deltas in deterministic window order.  For delta-capable bounders
-(``ErrorBounder.supports_delta``) the worker additionally runs the
-bounder's own pure ``partition_delta`` over the sorted stream and ships
+state, so an ingest thread can run it over the window's arrays and hand
+the resulting :class:`IngestDelta` back; the scanning thread then merges
+deltas in deterministic window order (the pool itself is unlocked: only
+the scanning thread ever calls it).  For delta-capable bounders
+(``ErrorBounder.supports_delta``) the thread additionally runs the
+bounder's own pure ``partition_delta`` over the sorted stream and returns
 the O(views) :class:`~repro.bounders.base.BounderDelta` *instead of* the
 per-row ``view_idx``/``values`` arrays; :meth:`ViewPool.apply_ingest`
 folds it with ``merge_delta``.  Because the partition is a pure function

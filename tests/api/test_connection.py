@@ -90,6 +90,20 @@ class TestConnect:
         with pytest.raises(ValueError, match="max_queries"):
             _connect(scramble, max_queries=0)
 
+    @pytest.mark.parametrize("keyword", ["task_timeout", "round_rowz"])
+    def test_unknown_executor_keyword_fails_at_connect(self, scramble, keyword):
+        """A misspelt or removed keyword fails at connect(), naming
+        itself, before any handle is charged — not at the first
+        result(), phrased about a class the caller never called."""
+        with pytest.raises(TypeError, match=f"connect\\(\\).*'{keyword}'"):
+            _connect(scramble, **{keyword: 30})
+
+    def test_executor_keywords_still_accepted(self, scramble):
+        conn = _connect(scramble, round_rows=5_000, engine="pool")
+        assert conn.executor_kwargs == {"round_rows": 5_000, "engine": "pool"}
+        result = conn.table().avg("x", abs=5.0).result(start_block=0)
+        assert result.metrics.rows_read > 0
+
 
 class TestSqlHandles:
     def test_single_statement_returns_one_handle(self, scramble):

@@ -17,13 +17,11 @@ import pytest
 
 import repro
 from repro.datasets import make_flights_scramble
-from repro.fastframe.config import DEFAULT_TASK_TIMEOUT_S, ExecConfig
-from repro.fastframe.query import RecoveryCounters
+from repro.fastframe.config import ExecConfig
 from repro.stopping import SamplesTaken
 
 ENV = {
     "parallelism": "REPRO_PARALLELISM",
-    "task_timeout": "REPRO_TASK_TIMEOUT",
     "storage": "REPRO_STORAGE",
     "cache_bytes": "REPRO_CACHE_BYTES",
 }
@@ -31,7 +29,6 @@ ENV = {
 #: field → (good text, its resolved value, garbage texts)
 CASES = {
     "parallelism": ("3", 3, ("two", "0", "2.5")),
-    "task_timeout": ("7.5", 7.5, ("soon",)),
     "storage": ("MMAP", "mmap", ("tape",)),
     "cache_bytes": ("4096", 4096, ("big", "0", "-1")),
 }
@@ -59,7 +56,6 @@ def _typed(field, text):
 def test_defaults():
     assert ExecConfig.resolve() == ExecConfig(
         parallelism=1,
-        task_timeout=DEFAULT_TASK_TIMEOUT_S,
         storage="memory",
         cache_bytes=None,
     )
@@ -104,13 +100,6 @@ def test_explicit_wins_over_environment(monkeypatch, field):
     assert getattr(ExecConfig.resolve(**{field: _typed(field, text)}), field) == expected
 
 
-@pytest.mark.parametrize("value", [0, -3, "0"])
-def test_non_positive_task_timeout_means_no_deadline(monkeypatch, value):
-    assert ExecConfig.resolve(task_timeout=value).task_timeout is None
-    monkeypatch.setenv("REPRO_TASK_TIMEOUT", str(value))
-    assert ExecConfig.resolve().task_timeout is None
-
-
 # ----------------------------------------------------------------------
 # Resolved once, at connect()
 # ----------------------------------------------------------------------
@@ -137,7 +126,6 @@ def test_connection_ignores_the_environment_after_connect(monkeypatch):
     updates = list(_handle(conn).rounds(start_block=1))
     assert updates
     # Still the parallel driver, still resident arrays.
-    assert all(isinstance(u.recovery, RecoveryCounters) for u in updates)
     assert all(u.storage is None for u in updates)
     assert _handle(conn).result(start_block=1).metrics.delta_bytes_returned > 0
     batch = conn.gather([_handle(conn), _handle(conn)], start_block=1)
@@ -156,7 +144,7 @@ def test_serial_connection_stays_serial(monkeypatch):
     monkeypatch.setenv("REPRO_PARALLELISM", "2")
     monkeypatch.setenv("REPRO_STORAGE", "mmap")
     updates = list(_handle(conn).rounds(start_block=1))
-    assert updates and all(u.recovery is None for u in updates)
+    assert updates
     assert _handle(conn).result(start_block=1).metrics.delta_bytes_returned == 0
     batch = conn.gather([_handle(conn)], start_block=1)
     assert batch.metrics.delta_bytes_returned == 0
@@ -165,12 +153,11 @@ def test_serial_connection_stays_serial(monkeypatch):
 
 def test_exactly_one_environment_reader_in_src():
     """The next knob must go through ExecConfig.resolve, not add a
-    sixth reader (repro/testing's fault-plan variables are test-only)."""
+    second reader."""
     package = pathlib.Path(repro.__file__).parent
     readers = [
         f"{path.relative_to(package)}:{number}"
         for path in sorted(package.rglob("*.py"))
-        if "testing" not in path.relative_to(package).parts
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if re.search(r"os\.environ|getenv", line)
     ]

@@ -51,8 +51,6 @@ from repro.stopping.conditions import (
     AbsoluteAccuracy,
     RelativeAccuracy,
 )
-from repro.testing import faults
-from repro.testing.faults import WORKER_RAISE, FaultPlan
 
 from tests.support import bounder_pool_bytes
 
@@ -232,19 +230,13 @@ class TestFusedEqualsComposed:
             ), cardinality
 
     def test_all_pass_returns_views_and_own_arrays_copies(self):
-        """The all-pass elision may hand out views into the window
-        buffers; ``own_arrays=True`` must re-materialize exactly those."""
+        """The all-pass elision hands out views into the window buffers."""
         n_rows = 2_048
         pred = np.ones(n_rows, dtype=bool)
         values = np.arange(n_rows, dtype=np.float64)
         codes = np.array([5], dtype=np.int64)
         borrowed = _fused_partition(n_rows, None, pred, codes, values, None)
         assert not borrowed.values.flags.owndata  # the zero-copy fast path
-        owned = _fused_partition(
-            n_rows, None, pred, codes, values, None, own_arrays=True
-        )
-        assert owned.values.flags.owndata
-        assert owned.values.tobytes() == borrowed.values.tobytes()
 
     def test_native_drops_row_arrays(self):
         """``native=True`` ships per-view aggregates only (worker-native
@@ -392,42 +384,6 @@ class TestBatchedTaskParity:
         serial = _run(scramble, parallelism=1)
         batched = _run(scramble, parallelism=2, task_batch=task_batch)
         _assert_identical(serial, batched, f"task_batch={task_batch}")
-
-
-class TestBatchedFaultRecovery:
-    """Mid-batch worker crashes: the whole batch retries, then falls
-    back inline whole — results stay byte-identical either way."""
-
-    @pytest.fixture(autouse=True)
-    def clean_faults(self):
-        faults.reset_faults()
-        yield
-        faults.reset_faults()
-
-    def test_mid_batch_raise_retries_byte_identical(self, scramble):
-        """The injected directive rides the batch's *middle* spec, so the
-        crash lands after some partitions already completed — the
-        re-dispatch must recompute the whole batch, not resume it."""
-        serial = _run(scramble, parallelism=1)
-        faults.install_fault_plan(FaultPlan(at_task=1, kinds=(WORKER_RAISE,)))
-        chaotic = _run(scramble, parallelism=2, task_batch=16)
-        faults.reset_faults()
-        _assert_identical(serial, chaotic, "mid-batch raise")
-        recovery = chaotic[3].recovery_snapshot()
-        assert recovery.tasks_retried >= 1, recovery
-
-    def test_exhausted_batch_recomputes_inline_byte_identical(self, scramble):
-        """rate=1.0: every dispatch of every batch crashes mid-batch;
-        each batch burns its attempts and every member is recomputed
-        inline — still byte-identical, with nothing shipped over IPC."""
-        serial = _run(scramble, parallelism=1)
-        faults.install_fault_plan(FaultPlan(rate=1.0, kinds=(WORKER_RAISE,)))
-        chaotic = _run(scramble, parallelism=2, task_batch=3)
-        faults.reset_faults()
-        _assert_identical(serial, chaotic, "batch retry-exhaustion")
-        recovery = chaotic[3].recovery_snapshot()
-        assert recovery.inline_fallbacks >= 1, recovery
-        assert chaotic[3].delta_bytes_returned == 0
 
 
 class TestScalarDispatchMirrors:

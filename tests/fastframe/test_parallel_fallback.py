@@ -5,18 +5,21 @@ Three safety nets around the native-delta fast path:
 * a **third-party bounder** implementing only the scalar §2.2.2 interface
   (``init_state``/``update``/``lbound``/``rbound``) must produce
   ≤1e-9-parity results through the scalar, pool, and ``parallelism=2``
-  engines — the loop fall-backs plus the ship-the-sorted-values worker
+  engines — the loop fall-backs plus the return-the-sorted-values worker
   protocol keep working unchanged;
-* the **inline fallback** of ``ParallelScanDriver`` (no usable process
-  pool, or no shared memory) must stay byte-identical to serial;
+* the **thread boundary** of ``ParallelScanDriver``: ingest threads run
+  only the pure kernel, never the unlocked frame, store, cache or pool;
 * the worker **payload contract**: native deltas carry no per-row
-  arrays, and a run whose bounder lacks the protocol ships strictly more
-  bytes over IPC (``ExecutionMetrics.delta_bytes_returned``).
+  arrays, and a run whose bounder lacks the protocol returns strictly
+  more bytes (``ExecutionMetrics.delta_bytes_returned``).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -37,7 +40,14 @@ from repro.fastframe.parallel import ParallelScanDriver
 from repro.fastframe.query import AggregateFunction, Query
 from repro.fastframe.scan import get_strategy
 from repro.fastframe.scramble import Scramble
+from repro.fastframe.storage import (
+    BlockedColumnArray,
+    MmapBlockStore,
+    attach_block_storage,
+)
 from repro.fastframe.table import Table
+from repro.fastframe.viewpool import ViewPool
+from repro.fastframe.window import WindowFrame
 from repro.stopping.conditions import AbsoluteAccuracy, RelativeAccuracy
 
 RTOL = 1e-9
@@ -241,16 +251,19 @@ class TestNativeDeltaPayload:
     @pytest.mark.parametrize("name", ["anderson", "anderson+rt"])
     def test_native_delta_owns_the_values_it_keeps(self, scramble, name):
         """A single-view all-pass window reaches the kernel as a zero-copy
-        view of the shared-memory frame; a bounder delta that keeps the
+        view of the frame's value array; a bounder delta that keeps the
         stream (Anderson's segments, RangeTrim's unclipped pass-through)
-        must own it, or the worker dies pickling its result after the frame
-        closed and only the recovery layer saves the answer."""
+        carries that view into the fold, which must still see exactly the
+        serial stream."""
         query = Query(AggregateFunction.AVG, "x", AbsoluteAccuracy(1e-9))
-        result = _executor(scramble, get_bounder(name), "pool", 2).execute(
-            query, start_block=START_BLOCK
-        )
-        assert result.metrics.delta_bytes_returned > 0
-        assert not result.metrics.recovery_snapshot()
+        results = {
+            parallelism: _executor(
+                scramble, get_bounder(name), "pool", parallelism
+            ).execute(query, start_block=START_BLOCK)
+            for parallelism in (1, 2)
+        }
+        assert results[2].metrics.delta_bytes_returned > 0
+        _assert_parity(results[1], results[2], f"{name}: serial-vs-parallel")
 
     def test_native_payload_smaller_than_fallback(self, scramble):
         def bytes_for(bounder):
@@ -287,55 +300,104 @@ class TestDriverChoice:
             assert driver.solo is solo
 
 
-class TestInlineDriverFallback:
-    def _run(self, scramble, parallelism):
+class TestIngestThreads:
+    def test_threads_run_only_the_pure_kernel(self, tmp_path, monkeypatch):
+        """Everything unlocked — the block store and its cache, the
+        frame's memo dicts, the view pools, the runs — is touched by the
+        scanning thread alone; the offloaded partitions really ran on
+        other threads."""
+        rng = np.random.default_rng(21)
+        n = 40_000
+        table = Table(
+            continuous={"x": rng.normal(40.0, 12.0, n)},
+            categorical={"g": rng.integers(0, 20, n).astype(str)},
+            range_pad=0.1,
+        )
+        scramble = Scramble(table, rng=np.random.default_rng(22))
+        attach_block_storage(scramble, directory=tmp_path / "store")
         executor = _executor(
             scramble, RangeTrimBounder(EmpiricalBernsteinSerflingBounder()), "pool"
         )
-        queries = [
+        runs = [
+            QueryRun(executor, query)
+            for query in (
+                _query(),
+                Query(AggregateFunction.AVG, "x", RelativeAccuracy(0.2)),
+            )
+        ]
+        cursor = executor.cursor(START_BLOCK, window_blocks=runs[0].window_blocks)
+
+        callers: dict = {}
+
+        def record(owner, name):
+            original = getattr(owner, name)
+
+            def spy(*args, **kwargs):
+                callers.setdefault(name, set()).add(threading.get_ident())
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+
+        record(MmapBlockStore, "block")
+        record(BlockedColumnArray, "__getitem__")
+        for name in ("values", "combined_codes", "predicate_mask"):
+            record(WindowFrame, name)
+        record(ViewPool, "apply_ingest")
+        record(QueryRun, "consume_delta")
+        import repro.fastframe.parallel as parallel
+
+        record(parallel, "partition_ingest")
+
+        batch = run_shared_scan(runs, cursor, ExecConfig.resolve(parallelism=2))
+        assert batch.blocks_read + batch.cache_hits > 0  # the store served
+
+        scanning = {threading.get_ident()}
+        kernel_threads = callers.pop("partition_ingest")
+        assert kernel_threads - scanning, "no partition ran off the scanning thread"
+        assert set(callers) == {
+            "block",
+            "__getitem__",
+            "values",
+            "combined_codes",
+            "predicate_mask",
+            "apply_ingest",
+            "consume_delta",
+        }
+        for name, threads in callers.items():
+            assert threads == scanning, name
+
+    def test_more_threads_than_cores_stay_byte_identical(self, scramble):
+        """More ingest threads than cores on a short switch interval: a
+        task that raced the fold on shared state would show as a
+        diverging interval or sample count."""
+        queries = (
             _query(),
             Query(AggregateFunction.AVG, "x", RelativeAccuracy(0.2)),
-        ]
-        runs = [QueryRun(executor, query) for query in queries]
-        cursor = executor.cursor(START_BLOCK, window_blocks=runs[0].window_blocks)
-        run_shared_scan(runs, cursor, ExecConfig.resolve(parallelism=parallelism))
-        return [run.finalize(merge_index_counters=False) for run in runs]
-
-    def test_no_process_pool_degrades_inline(self, scramble, monkeypatch):
-        """A platform without a usable pool must run fully inline with
-        byte-identical results and zero IPC."""
-        serial = self._run(scramble, parallelism=1)
-        monkeypatch.setattr(
-            "repro.fastframe.parallel._worker_pool", lambda workers: None
+            Query(AggregateFunction.COUNT, None, RelativeAccuracy(0.1), group_by=("g",)),
         )
-        inline = self._run(scramble, parallelism=4)
-        for left, right in zip(serial, inline):
-            assert right.metrics.delta_bytes_returned == 0
+
+        def gather(parallelism):
+            executor = _executor(
+                scramble, RangeTrimBounder(EmpiricalBernsteinSerflingBounder()), "pool"
+            )
+            runs = [QueryRun(executor, query) for query in queries]
+            cursor = executor.cursor(START_BLOCK, window_blocks=runs[0].window_blocks)
+            run_shared_scan(runs, cursor, ExecConfig.resolve(parallelism=parallelism))
+            return [run.finalize(merge_index_counters=False) for run in runs]
+
+        serial = gather(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stressed = gather((os.cpu_count() or 1) + 1)
+        finally:
+            sys.setswitchinterval(interval)
+        for left, right in zip(serial, stressed):
+            assert right.metrics.delta_bytes_returned > 0
+            assert set(left.groups) == set(right.groups)
             for key, group in left.groups.items():
                 other = right.groups[key]
-                assert group.interval == other.interval
-                assert group.estimate == other.estimate
-                assert group.samples == other.samples
-
-    def test_no_shared_memory_degrades_inline(self, scramble, monkeypatch):
-        """Shared-memory export failure must fall back to inline
-        partitioning mid-flight, same results, zero IPC."""
-        serial = self._run(scramble, parallelism=1)
-
-        def broken_export(self):
-            raise OSError("no shared memory on this platform")
-
-        monkeypatch.setattr(
-            "repro.fastframe.window.WindowFrame.export_shared", broken_export
-        )
-        inline = self._run(scramble, parallelism=2)
-        for left, right in zip(serial, inline):
-            assert right.metrics.delta_bytes_returned == 0
-            # Degradation is counted, not silent: every window that would
-            # have offloaded recorded an inline fallback.
-            assert right.metrics.inline_fallbacks > 0
-            for key, group in left.groups.items():
-                other = right.groups[key]
-                assert group.interval == other.interval
-                assert group.estimate == other.estimate
-                assert group.samples == other.samples
+                assert group.interval == other.interval, key
+                assert group.count_interval == other.count_interval, key
+                assert group.estimate == other.estimate, key
+                assert group.samples == other.samples, key
