@@ -3,8 +3,8 @@
 Regenerates the paper's central ablation — Exact vs Hoeffding(-Serfling)
 vs Hoeffding+RT vs (empirical) Bernstein(-Serfling) vs Bernstein+RT on all
 nine flights queries, reporting wall time and the CPU-independent
-blocks-fetched metric (§5.3).  Paper reference values are recorded in
-EXPERIMENTS.md; at this substrate's scale, absolute speedups compress but
+blocks-fetched metric (§5.3).  README.md lists the commands that
+regenerate it; at this substrate's scale, absolute speedups compress but
 the ordering (Bernstein+RT ≥ Bernstein ≫ Hoeffding ≥ Exact, with RT's
 edge largest on sparse-group queries) is the reproduction target.
 """

@@ -2,7 +2,7 @@
 
 The bench scramble defaults to 2M rows (override with the
 ``REPRO_BENCH_ROWS`` environment variable; the paper-shape results sharpen
-with scale, see EXPERIMENTS.md).  Bitmap indexes and group domains are
+with scale, see README.md).  Bitmap indexes and group domains are
 prewarmed so benchmark timings measure query execution, not load-time
 metadata construction.
 """

@@ -12,7 +12,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="2.0.0",
+    version="3.0.0",
     description=(
         "Reproduction of 'Rapid Approximate Aggregation with "
         "Distribution-Sensitive Interval Guarantees' (ICDE 2021)"

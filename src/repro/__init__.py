@@ -66,7 +66,6 @@ from repro.fastframe import (
     ExactExecutor,
     MmapBlockStore,
     Query,
-    QueryPlanner,
     QueryResult,
     Scramble,
     StorageCounters,
@@ -78,7 +77,7 @@ from repro.fastframe import (
 from repro.sql import parse_query, parse_statements
 from repro.stats import DEFAULT_DELTA, DeltaBudget
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AggregateFunction",
@@ -94,7 +93,6 @@ __all__ = [
     "Query",
     "QueryBuilder",
     "QueryHandle",
-    "QueryPlanner",
     "QueryResult",
     "RangeTrimBounder",
     "RoundUpdate",

@@ -54,7 +54,7 @@ from repro.experiments.coverage import (
 from repro.api import connect
 from repro.fastframe.config import STORAGE_BACKENDS
 from repro.fastframe.scan import EVALUATED_STRATEGIES
-from repro.sql import parse_query, parse_statements
+from repro.sql import SqlCompileError, SqlSyntaxError, parse_query, parse_statements
 from repro.stopping import AbsoluteAccuracy, RelativeAccuracy, SamplesTaken
 
 __all__ = ["main", "build_parser", "parse_stopping"]
@@ -357,10 +357,27 @@ _COMMANDS = {
 }
 
 
+#: Errors a SQL command raises on bad user input (unparsable SQL, no
+#: stopping condition, an unknown column or dictionary value).
+_USER_INPUT_ERRORS = (SqlSyntaxError, SqlCompileError, KeyError)
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A ``query`` / ``dashboard`` user-input error prints one
+    ``repro: error: …`` message to stderr and returns 2, argparse's
+    usage-error status, instead of a traceback.
+    """
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args, out or sys.stdout)
+    command, out = _COMMANDS[args.command], out or sys.stdout
+    if args.command not in ("query", "dashboard"):
+        return command(args, out)
+    try:
+        return command(args, out)
+    except _USER_INPUT_ERRORS as exc:
+        print(f"repro: error: {exc.args[0]}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,10 +1,11 @@
 """FastFrame: the sampling-optimized in-memory column store.
 
-Covers the storage/executor substrates S11-S18 plus the COUNT methods
-(S27), the related-work baselines (outlier index S28, priority sampling
-S29, stratified samples S36), snowflake join views (S31), insertion
-maintenance (S32), and the approximate-vs-exact planner (S35); the
-multi-query δ ledger (S34) lives with the connection in :mod:`repro.api`.
+Tables and scrambles (with insertion maintenance), block bitmap indexes,
+the Scan / ActiveSync / ActivePeek strategies, the approximate executor
+(``QueryRun`` engines, ``ScanDriver`` window loop, threaded parallel
+ingest), COUNT/SUM interval composition, the exact reference executor,
+the out-of-core mmap block store, and snowflake join views; the
+multi-query δ ledger lives with the connection in :mod:`repro.api`.
 """
 
 from repro.fastframe.bitmap import LOOKAHEAD_BATCH_BLOCKS, BlockBitmapIndex
@@ -38,14 +39,7 @@ from repro.fastframe.hypergeometric import (
     hypergeometric_upper_bound_population,
     hypergeometric_upper_bound_population_batch,
 )
-from repro.fastframe.outlier_index import (
-    OutlierAvgResult,
-    OutlierIndexedStore,
-    compose_outlier_avg,
-)
-from repro.fastframe.planner import PlanEstimate, QueryPlanner
 from repro.fastframe.predicate import And, Compare, Eq, In, Not, Or, Predicate, TruePredicate
-from repro.fastframe.priority import PrioritySampleIndex
 from repro.fastframe.query import (
     AggregateFunction,
     ExecutionMetrics,
@@ -75,11 +69,6 @@ from repro.fastframe.storage import (
     open_block_scramble,
     open_block_store,
     write_block_store,
-)
-from repro.fastframe.stratified import (
-    StratifiedSampleStore,
-    StratumResult,
-    UnsupportedQueryError,
 )
 from repro.fastframe.table import CategoricalColumn, Table
 
@@ -114,12 +103,7 @@ __all__ = [
     "MmapBlockStore",
     "Not",
     "Or",
-    "OutlierAvgResult",
-    "OutlierIndexedStore",
-    "PlanEstimate",
     "Predicate",
-    "QueryPlanner",
-    "PrioritySampleIndex",
     "Query",
     "QueryResult",
     "QueryRun",
@@ -132,15 +116,11 @@ __all__ = [
     "Scramble",
     "SelectivityState",
     "StorageCounters",
-    "StratifiedSampleStore",
-    "StratumResult",
     "Table",
     "TruePredicate",
-    "UnsupportedQueryError",
     "ViewPool",
     "WindowFrame",
     "attach_block_storage",
-    "compose_outlier_avg",
     "count_interval",
     "count_interval_batch",
     "denormalize",

@@ -95,6 +95,33 @@ class TestCommands:
         assert code == 0
         assert out.getvalue().count("CI=[") >= 2
 
+    def test_query_misspelt_column_is_a_usage_error(self, capsys):
+        out = io.StringIO()
+        code = main(
+            [
+                "query",
+                "SELECT AVG(DepDelayy) FROM flights",
+                "--rows", "20000",
+                "--stopping", "rel:0.5",
+            ],
+            out=out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: column 'DepDelayy' is not in the catalog")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out.getvalue() == ""
+
+    def test_dashboard_without_stopping_condition_is_a_usage_error(self, capsys):
+        code = main(
+            ["dashboard", "SELECT AVG(DepDelay) FROM flights", "--rows", "20000"],
+            out=io.StringIO(),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: no stopping condition is implied")
+        assert err.count("\n") == 1
+
     def test_fig8_small(self):
         out = io.StringIO()
         code = main(

@@ -7,6 +7,8 @@ correctness against Exact — the workflow a downstream user runs.
 
 from __future__ import annotations
 
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,25 @@ def test_package_exports_quickstart_symbols():
 
     for name in fastframe.__all__:
         assert hasattr(fastframe, name), name
+    # 3.0 removed the related-work baselines and the advisory planner,
+    # which nothing connect() serves reached.
+    assert not hasattr(repro, "QueryPlanner")
+    assert "QueryPlanner" not in repro.__all__
+    for name in (
+        "OutlierAvgResult",
+        "OutlierIndexedStore",
+        "compose_outlier_avg",
+        "PlanEstimate",
+        "QueryPlanner",
+        "PrioritySampleIndex",
+        "StratifiedSampleStore",
+        "StratumResult",
+        "UnsupportedQueryError",
+    ):
+        assert not hasattr(fastframe, name), name
+        assert name not in fastframe.__all__, name
+    for module in ("stratified", "outlier_index", "priority", "planner"):
+        assert importlib.util.find_spec(f"repro.fastframe.{module}") is None, module
 
 
 @pytest.mark.parametrize("query_name", sorted(ALL_QUERIES))
