@@ -14,8 +14,7 @@ bytes the arrays held.
 
 Along the way it prints the block-I/O ledger the connection surfaces on
 its round updates: blocks and bytes read from disk, cache hits and
-evictions, and prefetch hits from the async page-warming that rides the
-scan's ``peek_window`` pipelining split.
+evictions.
 
 Run:  python examples/outofcore_dashboard.py
 """
@@ -128,9 +127,7 @@ def main() -> None:
                 f"({storage.bytes_read:,} bytes)\n"
                 f"  cache hits            : {storage.cache_hits:,}\n"
                 f"  cache evictions       : {storage.cache_evictions:,} "
-                "(budget smaller than the dataset)\n"
-                f"  prefetch hits         : {storage.prefetch_hits:,} "
-                "(blocks warmed off the peeked next window)"
+                "(budget smaller than the dataset)"
             )
         finally:
             scramble.storage.close()

@@ -163,7 +163,7 @@ class RoundUpdate:
         certified interval, estimate, sample count, exhaustion flag).
     storage:
         Cumulative :class:`~repro.fastframe.query.StorageCounters` as of
-        this round (block reads, cache hits/evictions, prefetch hits) —
+        this round (block reads, cache hits/evictions) —
         ``None`` when the scramble runs on resident in-memory arrays,
         where no block I/O happens.
     """
@@ -255,7 +255,6 @@ class QueryHandle:
 
         def updates() -> Iterator[RoundUpdate]:
             seen_rounds = 0
-            completed = False
             pass_iter = run.drive(cursor, config)
             try:
                 for _ in pass_iter:
@@ -271,25 +270,16 @@ class QueryHandle:
                                 else None
                             ),
                         )
-                completed = True
-                self._settle(run.finalize())
             finally:
-                if not completed:
-                    # Abandoned (or crashed) mid-stream.  Teardown order
-                    # matters: FIRST close the window driver explicitly —
-                    # a parallel driver reconciles any prefetched block
-                    # selection's probe counters in its own finally —
-                    # THEN seal the run, merging the scramble-shared
-                    # bitmap probe counters into THIS execution's metrics.
-                    # (Relying on the for-loop's iterator temp being
-                    # collected before this block is a CPython accident.)
-                    # Leaving the counters unmerged would double-count
-                    # them in whichever query next runs over the same
-                    # scramble.  The handle stays charged-but-unresolved
-                    # per the consumed-handle contract — only its
-                    # accounting is closed out.
-                    pass_iter.close()
-                    run.finalize()
+                # Abandoned (or crashed) mid-stream: closing the driver
+                # now, not whenever the iterator is collected, seals the
+                # run (QueryRun.drive's finally), so the scramble-shared
+                # probe counters are merged into THIS execution's metrics.
+                # The handle stays charged-but-unresolved per the
+                # consumed-handle contract — only its accounting is
+                # closed out.  (A no-op after a completed scan.)
+                pass_iter.close()
+            self._settle(run.finalize())
 
         return updates()
 

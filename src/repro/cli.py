@@ -324,8 +324,7 @@ def _cmd_dashboard(args, out) -> int:
         print(
             f"out-of-core storage: {storage.blocks_read} block(s) read "
             f"({storage.bytes_read:,} bytes), {storage.cache_hits} cache "
-            f"hit(s), {storage.cache_evictions} eviction(s), "
-            f"{storage.prefetch_hits} prefetch hit(s) — results "
+            f"hit(s), {storage.cache_evictions} eviction(s) — results "
             "byte-identical to in-memory execution",
             file=out,
         )

@@ -512,37 +512,24 @@ class QueryRun:
         """True once the run needs no further windows."""
         return self.satisfied or self._scan_ended
 
-    def scan_context(self) -> ScanContext:
-        """The run's current block-selection context (pure state read).
-
-        Exposed separately from :meth:`select_blocks` so the parallel
-        driver can compute *uncharged* lookahead masks (selection for
-        window k+1 overlapping ingest of window k) and charge them via
-        :meth:`charge_blocks` only when the mask is actually consumed.
-        """
-        return ScanContext(
-            indexes=self.indexes,
-            predicate_requirements=self.predicate_requirements,
-            group_columns=self.group_by,
-            active_groups=self._active_key_codes() if self.uses_active else [],
-        )
-
-    def charge_blocks(self, window: np.ndarray, mask: np.ndarray) -> None:
-        """Account a block-fetch mask to this run's metrics."""
-        fetched = int(mask.sum())
-        self.metrics.blocks_fetched += fetched
-        self.metrics.blocks_skipped += int(window.size - fetched)
-
     def select_blocks(self, window: np.ndarray) -> np.ndarray:
-        """Phase 1 of a window: this run's block-fetch mask.
+        """Phase 1 of a window: this run's block-fetch mask, charged.
 
         Computed from the run's own state (strategy, active groups,
         predicate requirements) without touching the scramble's data, so a
         shared-scan driver can collect every run's mask first and fetch
         the union once.
         """
-        mask = self.strategy.select_blocks(window, self.scan_context())
-        self.charge_blocks(window, mask)
+        context = ScanContext(
+            indexes=self.indexes,
+            predicate_requirements=self.predicate_requirements,
+            group_columns=self.group_by,
+            active_groups=self._active_key_codes() if self.uses_active else [],
+        )
+        mask = self.strategy.select_blocks(window, context)
+        fetched = int(mask.sum())
+        self.metrics.blocks_fetched += fetched
+        self.metrics.blocks_skipped += int(window.size - fetched)
         return mask
 
     def consume(self, frame: WindowFrame, mask: np.ndarray, at_end: bool) -> None:
@@ -633,10 +620,15 @@ class QueryRun:
         A generator yielding once per consumed window, so progressive
         callers can read run state between windows: the solo flavour of
         whichever :class:`ScanDriver` :func:`scan_driver` picks.  Closing
-        the generator closes the driver's window iterator (the parallel
-        one reconciles its prefetched selection there) before returning.
+        the generator, or an error mid-scan, seals the run with
+        :meth:`finalize` — which merges the scramble-shared bitmap probe
+        counters into this run, so none is left on the scramble's indexes
+        for whichever query runs next.
         """
-        yield from scan_driver([self], cursor, config, solo=True).windows()
+        try:
+            yield from scan_driver([self], cursor, config, solo=True).windows()
+        finally:
+            self.finalize()
 
     def group_keys(self) -> list[tuple]:
         """Decoded GROUP BY key per view, aligned with :attr:`domain` (the
@@ -1192,7 +1184,8 @@ class ScanDriver:
     the reverse, so serial execution pays for none of the parallel
     per-window bookkeeping (PERFORMANCE.md, "Why two engines, and why
     serial does not go through the driver"); it overrides only
-    :meth:`windows` (prefetched selection) and :meth:`_ingest` (fan-out).
+    :meth:`_ingest` (fan-out).  Each window's blocks are selected when the
+    window is taken off the cursor, never ahead of it.
     """
 
     def __init__(self, runs: list[QueryRun], cursor: ScanCursor, solo=False) -> None:

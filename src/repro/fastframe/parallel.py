@@ -1,39 +1,34 @@
-"""Parallel window ingest: pipeline block selection, fan consume to threads.
+"""Parallel window ingest: fan each window's per-query consume to threads.
 
 :class:`ParallelScanDriver` is the multi-core subclass of
 :class:`~repro.fastframe.executor.ScanDriver`, the one window loop behind
 ``run_shared_scan`` and the solo ``execute``/``rounds`` drivers
 (:func:`~repro.fastframe.executor.scan_driver` picks it above
-``parallelism`` 1).  The base class owns the loop's shape, its accounting
-(batch and solo), ``run()`` and ``finish()``; this module holds only what
-is parallel, exploiting the two axes the window-frame architecture exposes:
+``parallelism`` 1).  The base class owns the loop — cursor, block
+selection, frame, accounting, ``run()`` and ``finish()`` — and this
+subclass overrides only :meth:`ParallelScanDriver._ingest`, the one step
+that is parallel.  Block selection stays exactly serial: each window is
+selected when it is taken off the cursor, never ahead of it.
 
-* **Pipelining** — block selection consults only bitmap metadata and (for
-  non-active strategies) none of the run's evolving state, so selection
-  for window k+1 runs on the scanning thread *while ingest threads are
-  still partitioning window k* (the :meth:`ScanCursor.peek_window` half
-  of the prefetch/lookahead split).
-* **Per-query consume fan-out** — once a window's
-  :class:`~repro.fastframe.window.WindowFrame` is materialized, each
-  query run's consumption of it (predicate slice, gather, stable sort by
-  group code, per-view bincount statistics) is independent of every other
-  run's.  The scanning thread materializes every array a run will read
-  (predicate mask, value array, combined group codes) and counts its
-  slice, groups the offloadable partitions into *task batches*
-  (``ceil(partitions / workers)`` per task, so one window costs one task
-  per thread), and submits the batches to a persistent thread pool; each
-  task returns one per-view bincount
-  :class:`~repro.fastframe.kernels.IngestDelta` per partition.  The
-  partition kernels are numpy calls that release the GIL, so the threads
-  run them in parallel over the frame's own arrays — nothing is copied
-  and nothing crosses a process boundary.  For delta-capable bounders
-  (``ErrorBounder.supports_delta``) the task also runs the bounder's pure
-  ``partition_delta`` kernel and — when every view is settling — drops
-  the O(rows) ``view_idx``/``values`` arrays from the delta: only
-  O(views) delta arrays come back for the fold
-  (``ExecutionMetrics.delta_bytes_returned`` counts them, and the
-  ``partition_wall_s``/``merge_wall_s`` counters split the ingest wall
-  between the two stages).
+**Per-query consume fan-out.**  Once a window's
+:class:`~repro.fastframe.window.WindowFrame` is materialized, each query
+run's consumption of it (predicate slice, gather, stable sort by group
+code, per-view bincount statistics) is independent of every other run's.
+The scanning thread materializes every array a run will read (predicate
+mask, value array, combined group codes) and counts its slice, groups the
+offloadable partitions into *task batches* (``ceil(partitions / workers)``
+per task, so one window costs one task per thread), and submits the
+batches to a persistent thread pool; each task returns one per-view
+bincount :class:`~repro.fastframe.kernels.IngestDelta` per partition.  The
+partition kernels are numpy calls that release the GIL, so the threads run
+them in parallel over the frame's own arrays — nothing is copied and
+nothing crosses a process boundary.  For delta-capable bounders
+(``ErrorBounder.supports_delta``) the task also runs the bounder's pure
+``partition_delta`` kernel and — when every view is settling — drops the
+O(rows) ``view_idx``/``values`` arrays from the delta: only O(views) delta
+arrays come back for the fold (``ExecutionMetrics.delta_bytes_returned``
+counts them, and the ``partition_wall_s``/``merge_wall_s`` counters split
+the ingest wall between the two stages).
 
 **Why results are bit-identical to serial.**  Ingest threads only run the
 *pure* half of ingest (:func:`~repro.fastframe.kernels.partition_ingest`
@@ -45,11 +40,10 @@ happens on the scanning thread, which folds the deltas into each run's
 window-then-run order — the exact order the serial loop uses.  Batching
 changes only how deltas travel (several per task instead of one), never
 the deltas themselves or the fold order, so pool state is byte-identical
-at any ``parallelism`` and batch size.  Prefetched
-block selections are charged to metrics only when consumed, and the probe
-counters of a selection that is discarded (its run retired meanwhile) are
-reconciled, so every :class:`~repro.fastframe.query.ExecutionMetrics`
-counter except wall time is also identical.  The determinism suite
+at any ``parallelism`` and batch size.  Selection and its bitmap probes
+run in the inherited serial loop, so every
+:class:`~repro.fastframe.query.ExecutionMetrics` counter except wall time
+is also identical.  The determinism suite
 (``tests/harness/test_parallel_determinism.py``) pins byte-identical pool
 state and metrics across ``parallelism`` 1/2/4.
 
@@ -58,9 +52,10 @@ it by the scanning thread: materialized ndarrays, the counted
 :class:`~repro.fastframe.kernels.WindowSlice`, the pool's code domain and
 the bounder's ``delta_context``.  A task never calls into the frame's
 memo dicts, the block store or its cache, or a
-:class:`~repro.fastframe.viewpool.ViewPool`, so none of them needs a
-lock; and a run's pool (which its ``delta_context`` references) is only
-mutated by the fold, after the task that read it has returned.
+:class:`~repro.fastframe.viewpool.ViewPool`, so neither the memo dicts
+nor a pool needs a lock; and a run's pool (which its ``delta_context``
+references) is only mutated by the fold, after the task that read it has
+returned.
 
 Scalar-engine runs (and pool runs below :data:`MIN_OFFLOAD_ELEMENTS`
 in-view elements, where a task round trip would cost more than the
@@ -170,12 +165,12 @@ class _RunWindowState:
 
 
 class ParallelScanDriver(ScanDriver):
-    """Drive query runs from one cursor with pipelined, multi-core ingest.
+    """Drive query runs from one cursor with multi-core ingest.
 
     ``runs``, ``cursor`` and ``solo`` are the base class's; ``config`` is
     the resolved :class:`~repro.fastframe.config.ExecConfig`: its
     ``parallelism`` is the ingest thread count (at 1 everything runs
-    inline but the pipeline structure is identical).
+    inline through the same slice/fold phases).
     """
 
     def __init__(
@@ -188,52 +183,6 @@ class ParallelScanDriver(ScanDriver):
         super().__init__(runs, cursor, solo)
         self.workers = config.parallelism
         self._pool = _worker_pool(self.workers) if self.workers > 1 else None
-        # Prefetched next window: (window, at_end, {id(run): mask},
-        # {id(run): [(index, probe_delta, batch_delta), ...]}).
-        self._prefetched: tuple | None = None
-
-    # -- driving --------------------------------------------------------
-
-    def windows(self):
-        """The base loop with pipelined block selection.
-
-        Masks prefetched while the previous window was being ingested are
-        charged here, when consumed, so :meth:`_process` gets every live
-        run's charged mask as in the serial loop.  Closing the generator
-        reconciles any prefetched selection's probe counters.
-        """
-        cursor = self.cursor
-        try:
-            while not cursor.exhausted:
-                if self._prefetched is not None:
-                    window, at_end, pre_masks, probe_deltas = self._prefetched
-                    self._prefetched = None
-                    cursor.next_window()  # consume the peeked window
-                else:
-                    window = cursor.next_window()
-                    at_end = cursor.exhausted
-                    pre_masks, probe_deltas = {}, {}
-                live = [run for run in self.runs if not run.finished]
-                # Selections prefetched for runs that retired meanwhile
-                # were never consumed: take their probes back so the
-                # shared counters match what a serial scan would record.
-                for run in self.runs:
-                    if run.finished and id(run) in probe_deltas:
-                        self._uncharge(probe_deltas.pop(id(run)))
-                masks = []
-                for run in live:
-                    mask = pre_masks.pop(id(run), None)
-                    if mask is None:
-                        mask = run.select_blocks(window)
-                    else:
-                        run.charge_blocks(window, mask)
-                    masks.append(mask)
-                self._process(window, at_end, live, masks)
-                yield window
-                if all(run.finished for run in self.runs):
-                    break
-        finally:
-            self._discard_prefetched()
 
     # -- one window -----------------------------------------------------
 
@@ -265,14 +214,7 @@ class ParallelScanDriver(ScanDriver):
                     state.task = task
                     state.index_in_task = index
 
-            # Phase 3 — overlap: block selection for the next window runs
-            # while the threads partition this one.  Only strategies that
-            # ignore active groups select identically before/after this
-            # window's rounds, so only those are prefetched.
-            if not at_end:
-                self._prefetch(live)
-
-        # Phase 4 — fold, in deterministic run order (serial order):
+        # Phase 3 — fold, in deterministic run order (serial order):
         # whichever thread computed a delta, it is folded here, in this
         # order — which is why parallel runs stay byte-identical to
         # serial at any parallelism and batch size.
@@ -304,7 +246,7 @@ class ParallelScanDriver(ScanDriver):
 
     def _slice(self, run, frame: WindowFrame, mask: np.ndarray) -> _RunWindowState:
         """Scanning-thread slice bookkeeping for one pool run (scalar runs
-        are consumed whole in phase 4 and need none)."""
+        are consumed whole in phase 3 and need none)."""
         state = _RunWindowState()
         if run.pool is None:
             return state
@@ -338,7 +280,7 @@ class ParallelScanDriver(ScanDriver):
         precomputed stats) can replace ``view_idx``/``values`` only when
         every view is settling — a native delta is partitioned over the
         whole stream, and the pool's flags cannot change between this
-        submit and the window's fold (rounds run after phase 4), so the
+        submit and the window's fold (rounds run after phase 3), so the
         gate evaluated here still holds at merge time.  Value queries
         additionally need a delta-capable bounder; COUNT queries never
         feed the bounder, so their precomputed bincount suffices.
@@ -380,47 +322,3 @@ class ParallelScanDriver(ScanDriver):
         stays busy.  Batch size never changes a byte of any result, only
         how many deltas share one round trip."""
         return max(1, -(-n_offload // self.workers))
-
-    # -- prefetch -------------------------------------------------------
-
-    def _prefetch(self, live: list) -> None:
-        """Select blocks for the next window while the threads are busy.
-
-        Masks are computed *uncharged* (via ``run.scan_context()``) and
-        charged when consumed; per-run bitmap probe-counter deltas are
-        recorded so a discarded selection can be reconciled.
-        """
-        window = self.cursor.peek_window()
-        if window.size == 0:
-            return
-        at_end = self.cursor.peek_at_end()
-        masks: dict = {}
-        probe_deltas: dict = {}
-        for run in live:
-            if run.uses_active:
-                continue  # selection depends on this window's round
-            before = [
-                (index, index.probe_count, index.batch_probe_count)
-                for index in run.indexes.values()
-            ]
-            masks[id(run)] = run.strategy.select_blocks(window, run.scan_context())
-            probe_deltas[id(run)] = [
-                (index, index.probe_count - probes, index.batch_probe_count - batches)
-                for index, probes, batches in before
-            ]
-        if masks:
-            self._prefetched = (window, at_end, masks, probe_deltas)
-
-    def _uncharge(self, deltas: list) -> None:
-        """Take back the probe counts of a discarded prefetched selection."""
-        for index, probes, batches in deltas:
-            index.probe_count -= probes
-            index.batch_probe_count -= batches
-
-    def _discard_prefetched(self) -> None:
-        if self._prefetched is None:
-            return
-        _, _, _, probe_deltas = self._prefetched
-        for deltas in probe_deltas.values():
-            self._uncharge(deltas)
-        self._prefetched = None

@@ -188,10 +188,8 @@ class ExecutionMetrics:
     ``blocks_read`` / ``bytes_read`` count block-file opens charged by
     the mmap store's cache misses; ``cache_hits`` counts gathers served
     from the shared block cache; ``cache_evictions`` counts LRU drops
-    under the byte budget; ``prefetch_hits`` counts demand reads whose
-    block the async prefetcher had already been scheduled to warm.  They
-    describe where bytes came from, never what they were — results are
-    byte-identical across backends.
+    under the byte budget.  They describe where bytes came from, never
+    what they were — results are byte-identical across backends.
     """
 
     rows_read: int = 0
@@ -207,13 +205,13 @@ class ExecutionMetrics:
     merge_wall_s: float = 0.0
     wall_time_s: float = 0.0
     stopped_early: bool = False
-    # Benchmark-only, always zero: benchmarks/e2e/run.py still reads them.
-    tasks_retried: int = 0
-    inline_fallbacks: int = 0
     blocks_read: int = 0
     bytes_read: int = 0
     cache_hits: int = 0
     cache_evictions: int = 0
+    # Benchmark-only, always zero: benchmarks/e2e/run.py still reads them.
+    tasks_retried: int = 0
+    inline_fallbacks: int = 0
     prefetch_hits: int = 0
 
     def merge_index_counters(self, indexes) -> None:
@@ -232,7 +230,6 @@ class ExecutionMetrics:
             bytes_read=self.bytes_read,
             cache_hits=self.cache_hits,
             cache_evictions=self.cache_evictions,
-            prefetch_hits=self.prefetch_hits,
         )
 
 
@@ -245,15 +242,10 @@ class StorageCounters:
     bytes_read: int = 0
     cache_hits: int = 0
     cache_evictions: int = 0
-    prefetch_hits: int = 0
 
     def __bool__(self) -> bool:
         return bool(
-            self.blocks_read
-            or self.bytes_read
-            or self.cache_hits
-            or self.cache_evictions
-            or self.prefetch_hits
+            self.blocks_read or self.bytes_read or self.cache_hits or self.cache_evictions
         )
 
 

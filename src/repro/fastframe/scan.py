@@ -18,7 +18,10 @@ each window to fetch:
 * **ActivePeek** — same skipping decision, but computed with vectorized
   batch probes over the whole lookahead window, modelling the asynchronous
   lookahead thread of [50] whose batched bitmap iteration keeps bitmaps in
-  cache (§4.3).
+  cache (§4.3).  The lookahead lives entirely inside one window's
+  selection: a window's blocks are selected when that window is taken off
+  the cursor, never speculatively ahead of it, and nothing warms the
+  next window's pages.
 
 Skipping is always *conservative*: a block is skipped only when the index
 certifies it holds no row of any active group (and/or no row satisfying
@@ -77,37 +80,10 @@ class ScanCursor:
         return self.position >= self.order.size
 
     def next_window(self) -> np.ndarray:
-        """The next lookahead window of block ids (empty when exhausted).
-
-        When the scramble reads from an out-of-core block store, consuming
-        window k schedules async page warming for window k+1's blocks (the
-        other half of the peek/next pipelining split): the background
-        reader's I/O overlaps this window's ingest, and by the time the
-        scan demands k+1's blocks their pages are resident.
-        """
+        """The next lookahead window of block ids (empty when exhausted)."""
         window = self.order[self.position : self.position + self.window_blocks]
         self.position += window.size
-        store = getattr(self.scramble, "storage", None)
-        if store is not None and window.size:
-            upcoming = self.peek_window()
-            if upcoming.size:
-                store.prefetch_scramble_blocks(upcoming, self.scramble.block_size)
         return window
-
-    def peek_window(self) -> np.ndarray:
-        """The next window *without* consuming it (empty when exhausted).
-
-        The prefetch half of the lookahead split: a pipelined driver peeks
-        window k+1 to run block selection for it while window k's ingest
-        is still in flight, then consumes it with :meth:`next_window`.
-        Peeking never advances :attr:`position`, so accounting stays with
-        the consumer.
-        """
-        return self.order[self.position : self.position + self.window_blocks]
-
-    def peek_at_end(self) -> bool:
-        """Whether the *peeked* window would be the scan's last."""
-        return self.position + self.window_blocks >= self.order.size
 
     def windows(self):
         """Iterate ``(window, at_end)`` pairs until the scan is exhausted.

@@ -11,21 +11,20 @@ views of individual block files on demand.  A scramble without one
 attached gathers from the resident numpy arrays its
 :class:`~repro.fastframe.table.Table` already holds (the default).
 
-Three mechanisms make the mmap path fast rather than merely possible:
+Two properties make the mmap path usable rather than merely possible:
 
 * **Block cache** — an LRU over ``(store, column, block)`` keys with a
   byte budget, shared across every connection attached to the same
   store (and by default across stores), so N concurrent dashboards read
-  each hot block from disk once.
-* **Async prefetch** — a daemon reader thread warms the OS page cache
-  (``madvise WILLNEED`` plus a strided touch) for the blocks the next
-  scan window will want, scheduled from ``ScanCursor.next_window`` so
-  I/O overlaps ingest exactly like block selection already overlaps it.
-  All *accounting* stays on the scan thread, so the storage counters in
+  each hot block from disk once.  Every read happens on the scanning
+  thread, so the storage counters in
   :class:`~repro.fastframe.query.ExecutionMetrics` are deterministic.
 * **Delta-fold neutrality** — gathers produce the same float64/int32
   bytes that were spilled, so execution over an mmap-backed scramble is
   byte-identical to in-memory execution at any parallelism.
+
+A block file that vanishes or shrinks after the store was opened raises
+:class:`BlockStoreError` at the read that needs it.
 
 Which backend a connection uses, and its cache budget, are the
 ``storage`` and ``cache_bytes`` fields of
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import atexit
 import json
-import mmap as _mmap_module
 import os
 import shutil
 import tempfile
@@ -88,22 +86,21 @@ class BlockStoreError(RuntimeError):
 class StorageStats:
     """Cumulative I/O counters for one store (scan-thread only).
 
-    ``bytes_read``/``blocks_read`` charge at block-open granularity; the
-    prefetch thread never touches these fields, so per-query deltas are
-    deterministic at any parallelism.
+    ``bytes_read``/``blocks_read`` charge at block-open granularity; no
+    other thread reads a store, so per-query deltas are deterministic at
+    any parallelism.
     """
 
     blocks_read: int = 0
     bytes_read: int = 0
     cache_hits: int = 0
     cache_evictions: int = 0
-    prefetch_hits: int = 0
     #: Columns that were fully materialized via ``__array__``/``astype``
     #: (metadata builds over categorical codes do this; the value-gather
     #: path must not — the zero-copy benchmark flag checks this set).
     materialized_columns: set = field(default_factory=set)
 
-    _FIELDS = ("blocks_read", "bytes_read", "cache_hits", "cache_evictions", "prefetch_hits")
+    _FIELDS = ("blocks_read", "bytes_read", "cache_hits", "cache_evictions")
 
     def counters(self) -> tuple[int, ...]:
         return tuple(getattr(self, name) for name in self._FIELDS)
@@ -145,8 +142,9 @@ class BlockCache:
     Entries are ``np.memmap`` views of whole block files; evicting an
     entry drops the view (and with it the file handle).  Gathers copy
     out of the views, so no reference ever escapes the cache and
-    eviction is always safe.  All methods take the cache lock: demand
-    loads run on the scan thread, but the prefetcher peeks membership.
+    eviction is always safe.  All methods take the cache lock: the
+    process-wide cache is shared by connections scanning on different
+    threads.
     """
 
     def __init__(self, budget_bytes: int, max_entries: int = MAX_CACHE_ENTRIES) -> None:
@@ -164,10 +162,6 @@ class BlockCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key: tuple) -> bool:
-        with self._lock:
-            return key in self._entries
 
     def get(self, key: tuple) -> np.ndarray | None:
         """The cached view for ``key`` (promoted to MRU), or None."""
@@ -277,7 +271,16 @@ class BlockedColumnArray:
         rows = np.asarray(item)
         if rows.dtype == bool:
             rows = np.flatnonzero(rows)
-        return self._gather(rows.astype(np.int64, copy=False))
+        rows = rows.astype(np.int64, copy=False)
+        if rows.size:
+            # Same bounds and negative wrap as a resident array.
+            low, high = int(rows.min()), int(rows.max())
+            if low < -self.size or high >= self.size:
+                bad = low if low < -self.size else high
+                raise IndexError(f"row {bad} out of range for column of {self.size} rows")
+            if low < 0:
+                rows = np.where(rows < 0, rows + self.size, rows)
+        return self._gather(rows)
 
     def _gather(self, rows: np.ndarray) -> np.ndarray:
         out = np.empty(rows.size, dtype=self.dtype)
@@ -427,7 +430,6 @@ class MmapBlockStore:
         self,
         directory: str | os.PathLike,
         cache: BlockCache | None = None,
-        prefetch: bool = True,
     ) -> None:
         self.path = os.path.realpath(os.fspath(directory))
         manifest_path = os.path.join(self.path, MANIFEST_NAME)
@@ -454,10 +456,6 @@ class MmapBlockStore:
         self.stats = StorageStats()
         self._cache = cache if cache is not None else shared_block_cache()
         self._private_cache = cache is not None
-        #: Blocks scheduled for prefetch but not yet demanded; consumed
-        #: (and counted as ``prefetch_hits``) on the scan thread.
-        self._prefetch_marks: set[tuple[str, int]] = set()
-        self._prefetcher = _Prefetcher(self) if prefetch else None
         self._validate_blocks()
 
     def _validate_blocks(self) -> None:
@@ -533,12 +531,20 @@ class MmapBlockStore:
         return min(start + self.block_rows, self._num_rows) - start
 
     def _open_block(self, name: str, block_id: int) -> np.memmap:
-        return np.memmap(
-            _block_file(self.path, name, block_id),
-            dtype=np.dtype(self._columns[name]["dtype"]),
-            mode="r",
-            shape=(self._block_length(block_id),),
-        )
+        path = _block_file(self.path, name, block_id)
+        try:
+            return np.memmap(
+                path,
+                dtype=np.dtype(self._columns[name]["dtype"]),
+                mode="r",
+                shape=(self._block_length(block_id),),
+            )
+        except (OSError, ValueError) as error:
+            # Validated at open, then unlinked or truncated underneath us.
+            raise BlockStoreError(
+                f"block store at {self.path}: column {name!r} block {block_id} "
+                f"({os.path.basename(path)}) is unreadable: {error}"
+            ) from error
 
     def block(self, name: str, block_id: int) -> np.ndarray:
         """Zero-copy view of one block, through the cache (scan thread)."""
@@ -551,10 +557,6 @@ class MmapBlockStore:
             self.stats.cache_evictions += self._cache.put(key, view, view.nbytes)
         else:
             self.stats.cache_hits += 1
-        mark = (name, block_id)
-        if mark in self._prefetch_marks:
-            self._prefetch_marks.discard(mark)
-            self.stats.prefetch_hits += 1
         return view
 
     def set_cache_budget(self, cache_bytes: int) -> None:
@@ -570,115 +572,10 @@ class MmapBlockStore:
             self._cache = BlockCache(cache_bytes)
             self._private_cache = True
 
-    # -- prefetch ---------------------------------------------------------
-
-    def prefetch_scramble_blocks(
-        self, scramble_blocks: np.ndarray, scramble_block_size: int
-    ) -> None:
-        """Schedule page warming for the storage blocks a window will read.
-
-        Called from the scan thread with the *next* window's scramble
-        block ids (``ScanCursor.peek_window``).  Marks are recorded here
-        and consumed by :meth:`block`, so ``prefetch_hits`` counts are
-        independent of reader-thread timing.
-        """
-        if self._prefetcher is None:
-            return
-        scramble_blocks = np.asarray(scramble_blocks, dtype=np.int64)
-        if scramble_blocks.size == 0:
-            return
-        first = scramble_blocks * scramble_block_size // self.block_rows
-        last = np.minimum(
-            (scramble_blocks + 1) * scramble_block_size - 1, self._num_rows - 1
-        ) // self.block_rows
-        block_ids = np.unique(np.concatenate([first, last]))
-        fresh = []
-        for block_id in block_ids.tolist():
-            for name in self._columns:
-                mark = (name, block_id)
-                if mark in self._prefetch_marks:
-                    continue
-                if (self.path, name, block_id) in self._cache:
-                    continue
-                self._prefetch_marks.add(mark)
-                fresh.append(mark)
-        if fresh:
-            self._prefetcher.schedule(fresh)
-
     def close(self) -> None:
-        """Drop cached views and stop the prefetcher (idempotent)."""
-        if self._prefetcher is not None:
-            self._prefetcher.stop()
-            self._prefetcher = None
+        """Drop this store's cached views and forget it (idempotent)."""
         self._cache.drop_store(self.path)
         _OPEN_STORES.pop(self.path, None)
-
-
-class _Prefetcher:
-    """Daemon reader that warms the OS page cache for scheduled blocks.
-
-    The thread keeps no shared counters and never mutates the block
-    cache — its only effect is page residency, so demand reads stay
-    deterministic while their I/O overlaps ingest.  A new schedule
-    replaces any unprocessed one (the scan has moved on).
-    """
-
-    def __init__(self, store: MmapBlockStore) -> None:
-        self._store = store
-        self._cond = threading.Condition()
-        self._pending: list[tuple[str, int]] | None = None
-        self._stopped = False
-        self._thread: threading.Thread | None = None
-
-    def schedule(self, marks: list[tuple[str, int]]) -> None:
-        with self._cond:
-            if self._stopped:
-                return
-            self._pending = list(marks)
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._loop, name="repro-block-prefetch", daemon=True
-                )
-                self._thread.start()
-            self._cond.notify()
-
-    def stop(self) -> None:
-        with self._cond:
-            self._stopped = True
-            self._pending = None
-            self._cond.notify()
-
-    def _loop(self) -> None:
-        while True:
-            with self._cond:
-                while self._pending is None and not self._stopped:
-                    self._cond.wait()
-                if self._stopped:
-                    return
-                marks, self._pending = self._pending, None
-            for name, block_id in marks:
-                try:
-                    self._warm(name, block_id)
-                except (OSError, ValueError):
-                    pass  # advisory only; the demand read will surface errors
-
-    def _warm(self, name: str, block_id: int) -> None:
-        store = self._store
-        if (store.path, name, block_id) in store._cache:
-            return
-        view = store._open_block(name, block_id)
-        backing = getattr(view, "_mmap", None)
-        advised = False
-        if backing is not None and hasattr(backing, "madvise"):
-            try:
-                backing.madvise(_mmap_module.MADV_WILLNEED)
-                advised = True
-            except (AttributeError, OSError, ValueError):
-                advised = False
-        if not advised:
-            # Strided touch: one read per page faults the block in.
-            np.add.reduce(view.view(np.uint8)[:: _mmap_module.PAGESIZE or 4096])
-        del view
 
 
 _OPEN_STORES: dict[str, MmapBlockStore] = {}
@@ -688,7 +585,6 @@ _OPEN_STORES_LOCK = threading.Lock()
 def open_block_store(
     directory: str | os.PathLike,
     cache_bytes: int | None = None,
-    prefetch: bool = True,
 ) -> MmapBlockStore:
     """Open (or reuse) the store for a block directory.
 
@@ -700,7 +596,7 @@ def open_block_store(
     with _OPEN_STORES_LOCK:
         store = _OPEN_STORES.get(path)
         if store is None:
-            store = MmapBlockStore(path, prefetch=prefetch)
+            store = MmapBlockStore(path)
             _OPEN_STORES[path] = store
     if cache_bytes is not None:
         store.set_cache_budget(cache_bytes)
@@ -733,7 +629,6 @@ def table_from_store(store: MmapBlockStore) -> Table:
 def open_block_scramble(
     directory: str | os.PathLike,
     cache_bytes: int | None = None,
-    prefetch: bool = True,
 ):
     """Open a block directory as a fully out-of-core Scramble.
 
@@ -745,7 +640,7 @@ def open_block_scramble(
     """
     from repro.fastframe.scramble import Scramble
 
-    store = open_block_store(directory, cache_bytes=cache_bytes, prefetch=prefetch)
+    store = open_block_store(directory, cache_bytes=cache_bytes)
     return Scramble.from_storage(store, table_from_store(store))
 
 
@@ -765,7 +660,6 @@ def attach_block_storage(
     directory: str | os.PathLike | None = None,
     cache_bytes: int | None = None,
     block_rows: int = DEFAULT_STORE_BLOCK_ROWS,
-    prefetch: bool = True,
 ) -> MmapBlockStore:
     """Spill a scramble to a block directory and route gathers through it.
 
@@ -785,6 +679,6 @@ def attach_block_storage(
         directory = tempfile.mkdtemp(prefix="repro-blockstore-")
         _SPILL_DIRS.append(directory)
     write_block_store(directory, scramble, block_rows=block_rows)
-    store = open_block_store(directory, cache_bytes=cache_bytes, prefetch=prefetch)
+    store = open_block_store(directory, cache_bytes=cache_bytes)
     scramble.attach_storage(store)
     return store

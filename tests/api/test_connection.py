@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.api import Connection, GatherResult, QueryHandle, connect
 from repro.bounders import get_bounder
 from repro.fastframe import (
     AggregateFunction,
+    ApproximateExecutor,
     Eq,
     Query,
     Scramble,
@@ -391,8 +394,8 @@ class TestAbandonedRoundsMetrics:
     def _connect(scramble, strategy, parallelism):
         # ActivePeek probes the bitmap index every window — the counters
         # whose attribution the regression is about.  The scan+parallel
-        # leg instead probes through the predicate mask, with a lookahead
-        # selection prefetched (and pending) at abandonment time.
+        # leg instead probes through the predicate mask and abandons the
+        # threaded driver.
         return connect(
             scramble,
             delta=1e-6,
@@ -421,7 +424,7 @@ class TestAbandonedRoundsMetrics:
     @pytest.mark.parametrize(
         "strategy,parallelism",
         [("activepeek", 1), ("scan", 2)],
-        ids=["activepeek-serial", "scan-parallel-prefetch"],
+        ids=["activepeek-serial", "scan-parallel"],
     )
     def test_abandoned_rounds_does_not_double_count_next_metrics(
         self, strategy, parallelism
@@ -436,6 +439,48 @@ class TestAbandonedRoundsMetrics:
         assert after_abandonment.blocks_fetched == clean.blocks_fetched
         assert after_abandonment.values_gathered == clean.values_gathered
         assert after_abandonment.rows_read == clean.rows_read
+
+    @pytest.mark.parametrize("entry", ["result", "execute"])
+    def test_scan_that_raises_does_not_double_count_next_metrics(
+        self, monkeypatch, entry
+    ):
+        """result() and execute() seal a run whose scan raises, as rounds()
+        and gather() do: the probes its windows made before the error must
+        not be charged to the next query over the same scramble."""
+        import repro.fastframe.executor as executor_module
+
+        clean = self._follow_up_metrics("scan", 1, abandon=False)
+        scramble = self._make_scramble()
+        conn = self._connect(scramble, "scan", 1)
+        calls = itertools.count()
+        kernel = executor_module.partition_ingest
+
+        def failing(*args, **kwargs):
+            if next(calls) == 1:  # the second window's ingest
+                raise KeyError("injected kernel error")
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "partition_ingest", failing)
+        victim = self._victim(conn)
+        with pytest.raises(KeyError, match="injected kernel error"):
+            if entry == "result":
+                victim.result(start_block=0)
+            else:
+                ApproximateExecutor(
+                    scramble,
+                    conn.bounder,
+                    strategy=conn.strategy,
+                    delta=1e-6,
+                    round_rows=5_000,
+                    engine="pool",
+                    config=conn.config,
+                ).execute(victim.query, start_block=0)
+        monkeypatch.undo()
+
+        after_failure = self._victim(conn).result(start_block=0).metrics
+        assert clean.batch_probes > 0
+        assert after_failure.batch_probes == clean.batch_probes
+        assert after_failure.index_probes == clean.index_probes
 
     def test_abandonment_still_poisons_the_handle(self):
         scramble = self._make_scramble()

@@ -81,10 +81,9 @@ class TestConnectionLevelRecovery:
                 assert group.samples == other.samples
 
     def test_kernel_error_propagates_and_pool_survives(self, scramble, monkeypatch):
-        """The second partition task raises mid-window, after the next
-        window's blocks were prefetched: the error surfaces as is, and
-        a fresh gather afterwards still matches serial byte for byte —
-        prefetched probes reconciled, no counter stranded on the
+        """The second partition task raises mid-window: the error
+        surfaces as is, and a fresh gather afterwards still matches
+        serial byte for byte — no probe counter stranded on the
         scramble's indexes, the shared thread pool not poisoned."""
         import repro.fastframe.parallel as parallel
 

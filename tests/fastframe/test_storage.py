@@ -1,12 +1,12 @@
-"""Out-of-core block storage: parity, caching, prefetch, crash safety.
+"""Out-of-core block storage: parity, caching, crash safety.
 
 The storage layer's contract is strict: routing gathers through an
 mmap-backed block store must leave every query result — estimates,
 certified intervals, sample counts, δ spend — byte-identical to resident
 in-memory execution, at any parallelism, because the store
 serves the *same bytes* (float64/int32 round-trip exactly through the
-block files).  These tests pin that contract plus the cache/prefetch
-accounting and the partial-directory failure modes.
+block files).  These tests pin that contract plus the cache accounting
+and the failure modes of partial or vanishing block files.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from repro.fastframe.storage import (
     attach_block_storage,
     open_block_scramble,
     open_block_store,
-    table_from_store,
     write_block_store,
 )
 from repro.fastframe.table import Table
@@ -140,6 +140,35 @@ def test_blocked_column_matches_fancy_indexing(tmp_path):
         store.close()
 
 
+@pytest.mark.parametrize(
+    "rows_of",
+    [
+        lambda n: [-1],
+        lambda n: [0, -1, -n, 7],
+        lambda n: [n],
+        lambda n: [-n - 1],
+        lambda n: [5, n, 7],
+    ],
+    ids=["last", "negative-wrap", "n", "below-minus-n", "n-among-valid"],
+)
+def test_blocked_column_indexes_like_the_resident_array(tmp_path, rows_of):
+    scramble = _scramble(rows=3_000)
+    write_block_store(tmp_path, scramble, block_rows=256)
+    store = MmapBlockStore(tmp_path, cache=BlockCache(1 << 20))
+    try:
+        resident = scramble.table.continuous("DepDelay")
+        rows = np.array(rows_of(resident.size))
+        try:
+            expected = resident[rows]
+        except IndexError:
+            with pytest.raises(IndexError, match="out of range"):
+                store.continuous("DepDelay")[rows]
+        else:
+            np.testing.assert_array_equal(store.continuous("DepDelay")[rows], expected)
+    finally:
+        store.close()
+
+
 # ----------------------------------------------------------------------
 # Byte-identical execution parity
 # ----------------------------------------------------------------------
@@ -231,50 +260,36 @@ def test_cache_budget_is_enforced():
     a = np.zeros(10, dtype=np.float64)
     assert cache.put(("s", "c", 0), a, 80) == 0
     assert cache.put(("s", "c", 1), a, 80) == 1  # evicts block 0
-    assert ("s", "c", 0) not in cache
-    assert ("s", "c", 1) in cache
+    assert cache.get(("s", "c", 0)) is None
+    assert cache.get(("s", "c", 1)) is a
     assert cache.cached_bytes <= 100
 
 
 # ----------------------------------------------------------------------
-# Prefetch
+# Threads
 # ----------------------------------------------------------------------
 
 
-def test_prefetch_hits_are_deterministic_and_counted():
-    """Scans long enough for >1 lookahead window mark upcoming blocks;
-    demand access of a marked block counts once, on the scan thread."""
-    counters = []
-    for _ in range(2):
-        scramble = _scramble(rows=60_000)  # >1024 blocks => several windows
-        attach_block_storage(scramble, block_rows=4_096)
-        try:
-            _run_dashboard(scramble, start_block=2)
-            counters.append(scramble.storage.stats.prefetch_hits)
-        finally:
-            scramble.storage.close()
-            scramble.detach_storage()
-    assert counters[0] > 0
-    assert counters[0] == counters[1]
-
-
-def test_prefetch_disabled_reads_identical_bytes(tmp_path):
-    """Prefetch only warms OS pages: bytes_read/cache accounting must be
-    identical with and without it."""
-    resident = _scramble(rows=60_000)
+def test_mmap_scans_at_parallelism_one_start_no_thread(tmp_path):
+    """Every block read happens on the scanning thread: a multi-window
+    gather() and result() over a cold store start no thread of any kind."""
+    resident = _scramble(rows=60_000)  # >1024 blocks => several windows
     write_block_store(tmp_path, resident, block_rows=4_096)
-    stats = []
-    for prefetch in (True, False):
-        store = MmapBlockStore(
-            tmp_path, cache=BlockCache(1 << 24), prefetch=prefetch
+    before = set(threading.enumerate())
+    scramble = open_block_scramble(tmp_path, cache_bytes=1 << 24)
+    try:
+        _run_dashboard(scramble, start_block=2, parallelism=1)
+        conn = repro.connect(
+            scramble, delta=1e-6, rng=np.random.default_rng(5), parallelism=1
         )
-        try:
-            scramble = Scramble.from_storage(store, table_from_store(store))
-            _run_dashboard(scramble)
-            stats.append((store.stats.blocks_read, store.stats.bytes_read))
-        finally:
-            store.close()
-    assert stats[0] == stats[1]
+        conn.sql(
+            "SELECT Origin, AVG(DepDelay) FROM flights GROUP BY Origin",
+            stopping=SamplesTaken(20_000),
+        ).result(start_block=2)
+        assert scramble.storage.stats.blocks_read > 0
+        assert set(threading.enumerate()) - before == set()
+    finally:
+        scramble.storage.close()
 
 
 # ----------------------------------------------------------------------
@@ -316,6 +331,32 @@ def test_missing_dictionary_sidecar_is_rejected(tmp_path):
     os.remove(tmp_path / "Airline" / "dictionary.json")
     with pytest.raises(BlockStoreError, match="dictionary"):
         MmapBlockStore(tmp_path)
+
+
+def test_block_file_unlinked_after_open_raises_typed_error(tmp_path):
+    _spill(tmp_path)
+    scramble = open_block_scramble(tmp_path, cache_bytes=1 << 20)
+    try:
+        os.remove(tmp_path / "DepDelay" / "block-000003.bin")
+        conn = repro.connect(scramble, delta=1e-6, rng=np.random.default_rng(2))
+        handle = conn.sql(
+            "SELECT Airline, AVG(DepDelay) FROM flights GROUP BY Airline",
+            stopping=SamplesTaken(4_000),  # the whole table: every block
+        )
+        with pytest.raises(BlockStoreError, match="column 'DepDelay' block 3"):
+            handle.result(start_block=0)
+    finally:
+        scramble.storage.close()
+
+
+def test_block_file_truncated_after_open_raises_typed_error(tmp_path):
+    _spill(tmp_path)
+    store = MmapBlockStore(tmp_path, cache=BlockCache(1 << 20))
+    path = tmp_path / "DepDelay" / "block-000002.bin"
+    with open(path, "r+b") as handle:
+        handle.truncate(os.path.getsize(path) - 8)
+    with pytest.raises(BlockStoreError, match="column 'DepDelay' block 2"):
+        store.continuous("DepDelay")[np.arange(store.num_rows)]
 
 
 def test_foreign_directory_is_rejected(tmp_path):

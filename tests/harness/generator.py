@@ -65,8 +65,8 @@ def _case_bounder(rng: np.random.Generator) -> str:
 STRATEGIES = ("scan", "activesync", "activepeek")
 
 #: Lookahead window sizes (blocks).  Small windows force several passes
-#: per scan, exercising multi-window ingest, prefetch, and mid-scan
-#: rounds even on harness-scale tables.
+#: per scan, exercising multi-window ingest and mid-scan rounds even on
+#: harness-scale tables.
 WINDOW_BLOCKS = (48, 192, 1024)
 
 

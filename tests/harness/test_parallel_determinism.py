@@ -7,10 +7,9 @@ in serial order, the same seed and start block must produce
 **byte-identical** `ViewPool` state — *including the bounder pool* — and
 identical `ExecutionMetrics` (windows, values gathered, bounds
 recomputed, probe counts — everything but wall time) at ``parallelism``
-1, 2, and 4 — including when queries retire mid-scan and when the
-driver's lookahead prefetch is discarded.  Every delta-capable bounder
-family is pinned separately, and the worker payload for native-delta
-runs is asserted to carry no per-row value arrays
+1, 2, and 4 — including when queries retire mid-scan.  Every
+delta-capable bounder family is pinned separately, and the worker
+payload for native-delta runs is asserted to carry no per-row value arrays
 (``delta_bytes_returned`` stays O(views)-sized).
 """
 
@@ -82,7 +81,7 @@ def _executor(scramble, strategy_name, parallelism=None):
 
 def _dashboard_queries():
     """A retirement mix: one full-scan query, two that stop mid-scan, one
-    fixed-sample query — exercising live-set churn and prefetch discard."""
+    fixed-sample query — exercising live-set churn."""
     return [
         Query(AggregateFunction.AVG, "x", AbsoluteAccuracy(1e-9), group_by=("g",)),
         Query(AggregateFunction.AVG, "x", RelativeAccuracy(0.2)),
