@@ -27,6 +27,6 @@ setup(
     # What the test-suite imports beyond the package's own dependencies;
     # CI installs exactly this (`pip install -e ".[test]"`).
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        "test": ["pytest", "hypothesis"],
     },
 )

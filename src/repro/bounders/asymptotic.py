@@ -13,7 +13,7 @@ This module implements both asymptotic families so that the reproduction
 can quantify the paper's motivating claim: when used for early stopping,
 asymptotic CIs are tighter but *fail more often than δ*, producing subset /
 superset errors [52].  See :mod:`repro.experiments.coverage` for the
-Monte-Carlo failure-rate experiment and ``benchmarks/bench_coverage.py``.
+Monte-Carlo failure-rate experiment (``python -m repro coverage``).
 
 Both bounders set ``ssi = False``; the approximate executor refuses to pair
 them with guarantee-requiring workflows unless explicitly told otherwise.

@@ -22,6 +22,11 @@ Every command accepts ``--rows`` and ``--seed`` for the scramble size and
 reproducibility; table/figure commands accept ``--delta``.  Defaults are
 laptop-scale (500k rows); the paper-shape contrasts sharpen with
 ``--rows 2000000`` or more.
+
+``table5``, ``table6``, ``fig7a`` and ``coverage`` check their paper claim
+(answers match Exact, actual error ≤ requested, SSI miss rate ≤ δ) and exit
+1 with one ``repro: claim failed: …`` stderr line when it fails; bad input
+exits 2 with one ``repro: error: …`` line.
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ from repro.bounders.registry import available_bounders
 from repro.datasets import make_flights_scramble
 from repro.experiments import (
     ALL_QUERIES,
-    build_query,
     format_sweep,
     format_table5,
     format_table6,
+    run_coverage_experiment,
     run_table5,
     run_table6,
     sweep_fig6_selectivity,
@@ -46,10 +51,6 @@ from repro.experiments import (
     sweep_fig7b_having_threshold,
     sweep_fig8_min_dep_time,
     warm_metadata,
-)
-from repro.experiments.coverage import (
-    DEFAULT_COVERAGE_BOUNDERS,
-    run_coverage_experiment,
 )
 from repro.api import connect
 from repro.fastframe.config import STORAGE_BACKENDS
@@ -59,7 +60,24 @@ from repro.stopping import AbsoluteAccuracy, RelativeAccuracy, SamplesTaken
 
 __all__ = ["main", "build_parser", "parse_stopping"]
 
-_DEFAULT_DELTA = 1e-9  # see benchmarks/conftest.py for the rationale
+#: Not the paper's 1e-15, whose extra log factor turns early-stoppable
+#: queries into full scans at laptop scale and hides the bounder contrasts.
+_DEFAULT_DELTA = 1e-9
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the ``--rows`` / ``--reps`` / ``--trials`` counts."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _claim(failures: list[str], claim: str) -> int:
+    """0, or 1 after one stderr line naming every cell that broke ``claim``."""
+    if not failures:
+        return 0
+    print(f"repro: claim failed: {claim}: {', '.join(failures)}", file=sys.stderr)
+    return 1
 
 
 def parse_stopping(spec: str):
@@ -88,7 +106,7 @@ def parse_stopping(spec: str):
 
 def _add_scramble_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--rows", type=int, default=500_000, help="flights scramble size"
+        "--rows", type=_positive_int, default=500_000, help="flights scramble size"
     )
     parser.add_argument("--seed", type=int, default=0, help="generator seed")
 
@@ -119,12 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--queries", default=None,
         help="comma-separated subset (default: all nine)",
     )
-    table5.add_argument("--reps", type=int, default=3, help="runs per cell")
+    table5.add_argument("--reps", type=_positive_int, default=3, help="runs per cell")
 
     table6 = commands.add_parser("table6", help="sampling-strategy ablation table")
     _add_scramble_args(table6)
     _add_delta_arg(table6)
-    table6.add_argument("--reps", type=int, default=3, help="runs per cell")
+    table6.add_argument("--reps", type=_positive_int, default=3, help="runs per cell")
 
     for figure in ("fig6", "fig7a", "fig7b", "fig8"):
         sub = commands.add_parser(figure, help=f"parameter sweep behind {figure}")
@@ -134,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     coverage = commands.add_parser(
         "coverage", help="SSI vs asymptotic bounder miss rates"
     )
-    coverage.add_argument("--trials", type=int, default=400)
+    coverage.add_argument("--trials", type=_positive_int, default=400)
     coverage.add_argument("--seed", type=int, default=0)
 
     query = commands.add_parser("query", help="run one SQL query")
@@ -208,14 +226,20 @@ def _cmd_table5(args, out) -> int:
     names = tuple(args.queries.split(",")) if args.queries else None
     rows = run_table5(scramble, query_names=names, reps=args.reps, delta=args.delta)
     print(format_table5(rows), file=out)
-    return 0
+    return _check_answers(rows)
 
 
 def _cmd_table6(args, out) -> int:
     scramble = make_flights_scramble(rows=args.rows, seed=args.seed)
     rows = run_table6(scramble, reps=args.reps, delta=args.delta)
     print(format_table6(rows), file=out)
-    return 0
+    return _check_answers(rows)
+
+
+def _check_answers(rows) -> int:
+    wrong = [f"{row.query_name}/{cell.approach}" for row in rows
+             for cell in (row.baseline, *row.approaches) if not cell.correct]
+    return _claim(wrong, "answer differs from Exact")
 
 
 def _cmd_figure(args, out) -> int:
@@ -231,12 +255,18 @@ def _cmd_figure(args, out) -> int:
         "fig7b": sweep_fig7b_having_threshold,
         "fig8": sweep_fig8_min_dep_time,
     }[args.command]
-    print(format_sweep(sweep(scramble, delta=args.delta, seed=args.seed)), file=out)
-    return 0
+    result = sweep(scramble, delta=args.delta, seed=args.seed)
+    print(format_sweep(result), file=out)
+    if args.command != "fig7a":
+        return 0
+    over = [f"{line.approach}@eps={eps:g} ({actual:.3g})" for line in result.series
+            for eps, actual in zip(result.x_values, line.values) if actual > eps]
+    return _claim(over, "actual relative error above the requested one")
 
 
 def _cmd_coverage(args, out) -> int:
-    cells = run_coverage_experiment(trials=args.trials, seed=args.seed)
+    delta = 0.05  # coarse enough for a few hundred trials to resolve a miss
+    cells = run_coverage_experiment(delta=delta, trials=args.trials, seed=args.seed)
     header = f"{'bounder':<16} {'SSI':<4} {'m':>5} {'miss rate':>10} {'mean width':>11}"
     print(header, file=out)
     print("-" * len(header), file=out)
@@ -246,7 +276,9 @@ def _cmd_coverage(args, out) -> int:
             f"{cell.sample_size:>5d} {cell.miss_rate:>9.1%} {cell.mean_width:>11.2f}",
             file=out,
         )
-    return 0
+    over = [f"{cell.bounder}@m={cell.sample_size} ({cell.miss_rate:.1%})"
+            for cell in cells if cell.ssi and cell.miss_rate > delta]
+    return _claim(over, f"SSI miss rate above delta={delta:g}")
 
 
 def _print_groups(result, out) -> None:
@@ -356,24 +388,21 @@ _COMMANDS = {
 }
 
 
-#: Errors a SQL command raises on bad user input (unparsable SQL, no
-#: stopping condition, an unknown column or dictionary value).
+#: Errors a command raises on bad user input (unparsable SQL, no stopping
+#: condition, an unknown column, dictionary value or query name).
 _USER_INPUT_ERRORS = (SqlSyntaxError, SqlCompileError, KeyError)
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code.
 
-    A ``query`` / ``dashboard`` user-input error prints one
-    ``repro: error: …`` message to stderr and returns 2, argparse's
-    usage-error status, instead of a traceback.
+    A user-input error prints one ``repro: error: …`` message to stderr
+    and returns 2, argparse's usage-error status, instead of a traceback;
+    a failed paper claim returns 1 (see the module docstring).
     """
     args = build_parser().parse_args(argv)
-    command, out = _COMMANDS[args.command], out or sys.stdout
-    if args.command not in ("query", "dashboard"):
-        return command(args, out)
     try:
-        return command(args, out)
+        return _COMMANDS[args.command](args, out or sys.stdout)
     except _USER_INPUT_ERRORS as exc:
         print(f"repro: error: {exc.args[0]}", file=sys.stderr)
         return 2

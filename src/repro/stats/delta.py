@@ -74,7 +74,7 @@ def geometric_round_delta(delta: float, round_index: int) -> float:
     and the binding δ is ``Θ(δ/m^{log 2/ log growth})``-free — in practice a
     log-factor tighter than the arithmetic schedule's ``Θ(δ·B²/m²)`` at
     large ``m`` (see :func:`repro.stopping.optstop.optional_stopping`'s
-    ``schedule`` parameter and ``benchmarks/bench_optstop_schedules.py``).
+    ``schedule`` parameter and ``tests/stopping/test_schedules.py``).
     """
     if round_index < 1:
         raise ValueError(f"round_index must be >= 1, got {round_index}")

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -608,3 +611,51 @@ class TestGather:
                 solo.groups[key].interval.lo, rel=1e-9, abs=1e-9
             )
 
+
+
+#: Every ``repro`` module ``import repro.api`` loads.  A new entry is a
+#: deliberate widening of the served path's import surface; the experiment
+#: harness, the CLI and the dataset generators must never appear here.
+API_IMPORTS = (
+    "repro", "repro.api", "repro.api.builder", "repro.api.connection",
+    "repro.api.ledger", "repro.bounders", "repro.bounders.anderson",
+    "repro.bounders.asymptotic", "repro.bounders.base", "repro.bounders.bernstein",
+    "repro.bounders.hoeffding", "repro.bounders.pathology",
+    "repro.bounders.range_trim", "repro.bounders.registry", "repro.cdfbounds",
+    "repro.cdfbounds.dkw", "repro.cdfbounds.quantile", "repro.expressions",
+    "repro.expressions.bounds", "repro.expressions.expr", "repro.fastframe",
+    "repro.fastframe.bitmap", "repro.fastframe.catalog", "repro.fastframe.config",
+    "repro.fastframe.count", "repro.fastframe.exact", "repro.fastframe.executor",
+    "repro.fastframe.hypergeometric", "repro.fastframe.kernels",
+    "repro.fastframe.predicate", "repro.fastframe.query", "repro.fastframe.scan",
+    "repro.fastframe.scramble", "repro.fastframe.snowflake",
+    "repro.fastframe.storage", "repro.fastframe.table", "repro.fastframe.viewpool",
+    "repro.fastframe.window", "repro.sql", "repro.sql.ast", "repro.sql.compiler",
+    "repro.sql.lexer", "repro.sql.parser", "repro.stats", "repro.stats.delta",
+    "repro.stats.streaming", "repro.stopping", "repro.stopping.conditions",
+    "repro.stopping.optstop",
+)
+
+
+def test_import_surface_of_repro_api():
+    """A fresh interpreter's ``import repro.api`` loads exactly API_IMPORTS."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    )}
+    code = (
+        "import sys, repro.api\n"
+        "print('\\n'.join(sorted(m for m in sys.modules"
+        " if m == 'repro' or m.startswith('repro.'))))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout.split()
+    assert loaded == sorted(API_IMPORTS)
+    assert not [
+        name for name in loaded
+        if name.startswith(("repro.experiments", "repro.cli", "repro.datasets"))
+    ]

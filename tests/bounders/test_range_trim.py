@@ -11,6 +11,8 @@ from repro.bounders.base import ErrorBounder
 from repro.bounders.bernstein import EmpiricalBernsteinSerflingBounder
 from repro.bounders.hoeffding import HoeffdingSerflingBounder
 from repro.bounders.range_trim import RangeTrimBounder
+from repro.bounders.registry import get_bounder
+from repro.datasets.synthetic import DATASET_GENERATORS
 from repro.stats.streaming import MomentState
 
 value_lists = st.lists(
@@ -162,6 +164,28 @@ class TestPhosElimination:
         plain_ci = inner.confidence_interval(plain_state, 0, 1, 100_000, 0.05)
         trim_ci = trimmed.confidence_interval(trim_state, 0, 1, 100_000, 0.05)
         assert trim_ci.width <= plain_ci.width * 1.01
+
+    @pytest.mark.parametrize("regime,seed,slack", [
+        ("outlier", 23, 1.01), ("two-point", 29, 1.05),
+    ])
+    def test_realized_widths_by_regime(self, regime, seed, slack):
+        """5 000 of 500 000 rows at δ = 1e-9.  In the outlier-inflated range
+        Bernstein is under half Hoeffding's width (no PMA); in both regimes,
+        Hoeffding's optimal two-point case included, RangeTrim stays within
+        ``slack`` of its plain bounder."""
+        data, a, b = DATASET_GENERATORS[regime](500_000, np.random.default_rng(seed))
+        sample = data[np.random.default_rng(0).permutation(data.size)[:5_000]]
+        widths = {}
+        for name in ("hoeffding", "hoeffding+rt", "bernstein", "bernstein+rt"):
+            bounder = get_bounder(name)
+            state = bounder.init_state()
+            bounder.update_batch(state, sample)
+            interval = bounder.confidence_interval(state, a, b, data.size, 1e-9)
+            widths[name] = interval.width
+        for plain in ("hoeffding", "bernstein"):
+            assert widths[plain + "+rt"] <= widths[plain] * slack, widths
+        if regime == "outlier":
+            assert widths["bernstein"] < widths["hoeffding"] / 2, widths
 
 
 class TestCorrectness:

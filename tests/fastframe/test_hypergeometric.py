@@ -65,6 +65,21 @@ class TestExactCountInterval:
             assert exact.lo >= lemma5.lo - 1e-9
             assert exact.hi <= lemma5.hi + 1e-9
 
+    @pytest.mark.parametrize("in_view,covered", [
+        (12, 40_000), (4_000, 40_000), (150_000, 1_500_000),
+    ])
+    def test_dominates_lemma5_on_a_2m_row_scramble(self, in_view, covered):
+        """Sparse-early, moderate and dense-late scans of 2 M rows at δ = 1e-9.
+        Sparse early is the regime that bottlenecks GROUP BY queries
+        (§5.4.1): there exact inversion is over 10× tighter."""
+        state = _state(in_view, covered)
+        exact = hypergeometric_count_interval(state, 2_000_000, 1e-9)
+        lemma5 = count_interval(state, 2_000_000, 1e-9)
+        assert exact.lo >= lemma5.lo - 1e-9
+        assert exact.hi <= lemma5.hi + 1e-9
+        if in_view == 12:
+            assert exact.width < lemma5.width / 10.0
+
     def test_zero_in_view_small_upper_bound(self):
         """Seeing 0 of 1,000 covered rows certifies a tiny view."""
         ci = hypergeometric_count_interval(_state(0, 1_000), 100_000, 1e-6)

@@ -179,6 +179,24 @@ class TestFixedSizeInterval:
         )
         assert fixed.interval.width < stopped.interval.width
 
+    def test_anytime_guarantee_costs_at_most_twice_the_width(self):
+        """The δ-decay's price at the stopped sample count: OptStop's interval
+        is no narrower than the full-budget one-shot interval, and at most 2×
+        wider — the k² decay costs a log factor, not rate (§4.2)."""
+        data = np.minimum(np.random.default_rng(31).lognormal(0.0, 1.0, 400_000), 40.0)
+        stopped = optional_stopping(
+            data, get_bounder("bernstein+rt"), 0.0, 40.0, delta=1e-9,
+            should_stop=lambda interval, est: interval.width < 0.6,
+            batch_size=40_000, rng=np.random.default_rng(6),
+        )
+        one_shot = fixed_size_interval(
+            data, get_bounder("bernstein+rt"), stopped.samples, 0.0, 40.0, 1e-9,
+            rng=np.random.default_rng(6),
+        )
+        assert stopped.stopped_early and stopped.interval.width < 0.6
+        ratio = stopped.interval.width / one_shot.interval.width
+        assert 1.0 <= ratio <= 2.0
+
 
 class TestStreamBatches:
     def test_covers_data_exactly_once(self, rng):

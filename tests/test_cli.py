@@ -4,8 +4,16 @@ import io
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main, parse_stopping
+from repro.experiments import CoverageCell, SweepResult, SweepSeries, runner
 from repro.stopping import AbsoluteAccuracy, RelativeAccuracy, SamplesTaken
+
+#: Table/figure commands and the title their output starts with.
+_TITLES = {
+    "table6": "Table 6", "fig6": "Figure 6",
+    "fig7a": "Figure 7(a)", "fig7b": "Figure 7(b)",
+}
 
 
 class TestParseStopping:
@@ -48,6 +56,19 @@ class TestParser:
     def test_unknown_bounder_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["query", "SELECT 1", "--bounder", "nope"])
+
+    @pytest.mark.parametrize("argv", [
+        ["table5", "--reps", "0"],
+        ["table6", "--reps", "-1"],
+        ["coverage", "--trials", "0"],
+        ["fig6", "--rows", "0"],
+        ["query", "SELECT 1", "--rows", "ten"],
+    ], ids=["table5-reps", "table6-reps", "coverage-trials", "fig6-rows", "query-rows"])
+    def test_counts_must_be_positive(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -146,3 +167,66 @@ class TestCommands:
         )
         assert code == 0
         assert "Table 5" in out.getvalue() and "F-q1" in out.getvalue()
+
+    def test_unknown_query_name_is_a_usage_error(self, capsys):
+        code = main(
+            ["table5", "--rows", "20000", "--queries", "nope"], out=io.StringIO()
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: unknown query 'nope'")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", list(_TITLES))
+    def test_artifact_command_end_to_end(self, command, capsys):
+        """The artifact commands not run above (table5: test_table5_single_query,
+        fig8: test_fig8_small) exit 0 with their table on stdout only."""
+        reps = ["--reps", "1"] if command.startswith("table") else []
+        out = io.StringIO()
+        assert main([command, "--rows", "30000", *reps], out=out) == 0
+        assert out.getvalue().startswith(_TITLES[command])
+        assert capsys.readouterr().err == ""
+
+
+class TestClaimChecks:
+    """An artifact command whose paper claim fails prints one
+    ``repro: claim failed: …`` line to stderr and exits 1."""
+
+    @staticmethod
+    def _assert_claim_failed(code, capsys, cell):
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: claim failed: ") and err.count("\n") == 1
+        assert cell in err, err
+        return err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["table5", "--queries", "F-q1"], id="table5"),
+        pytest.param(["table6"], id="table6"),
+    ])
+    def test_wrong_answer(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(runner, "check_correctness", lambda *a, **k: False)
+        code = main(
+            [*argv, "--rows", "10000", "--reps", "1", "--delta", "1e-6"],
+            out=io.StringIO(),
+        )
+        self._assert_claim_failed(code, capsys, "F-q")
+
+    def test_fig7a_error_above_requested(self, monkeypatch, capsys):
+        sweep = SweepResult(
+            "Figure 7(a)", "eps", "error", [1.0, 0.1],
+            [SweepSeries("hoeffding", [0.5, 0.2]), SweepSeries("bernstein", [0.5, 0])],
+        )
+        monkeypatch.setattr(cli, "sweep_fig7a_relative_error", lambda *a, **k: sweep)
+        code = main(["fig7a", "--rows", "20000"], out=io.StringIO())
+        self._assert_claim_failed(code, capsys, "hoeffding@eps=0.1")
+
+    def test_ssi_miss_rate_above_delta(self, monkeypatch, capsys):
+        cells = [
+            CoverageCell("Hoeffding", 20, 10, misses=1, mean_width=1.0, ssi=True),
+            CoverageCell("CLT", 20, 10, misses=9, mean_width=0.1, ssi=False),
+        ]
+        monkeypatch.setattr(cli, "run_coverage_experiment", lambda **kwargs: cells)
+        code = main(["coverage"], out=io.StringIO())
+        err = self._assert_claim_failed(code, capsys, "Hoeffding@m=20")
+        assert "CLT" not in err  # only an SSI bounder promises ≤ δ
