@@ -22,8 +22,9 @@ from repro.bounders import (
     HoeffdingSerflingBounder,
     RangeTrimBounder,
 )
+from repro.api import connect
 from repro.datasets import make_flights_scramble
-from repro.fastframe import AggregateFunction, ApproximateExecutor, ExactExecutor, Query
+from repro.fastframe import AggregateFunction, ExactExecutor, Query
 from repro.stats.streaming import MomentState
 from repro.stopping import AbsoluteAccuracy
 
@@ -83,10 +84,14 @@ def main() -> None:
     exact = ExactExecutor(scramble).execute(query).scalar()
 
     for bounder in (BestOfBothBounder(), RangeTrimBounder(BestOfBothBounder())):
-        executor = ApproximateExecutor(
-            scramble, bounder, delta=1e-9, rng=np.random.default_rng(13)
+        conn = connect(
+            scramble,
+            bounder=bounder,
+            delta=1e-9,
+            max_queries=1,
+            rng=np.random.default_rng(13),
         )
-        result = executor.execute(query)
+        result = conn.query(query).result()
         group = result.scalar()
         print(
             f"{bounder.name:16s} rows={result.metrics.rows_read:9,d}  "

@@ -19,12 +19,11 @@ import os
 
 import numpy as np
 
-from repro.bounders import get_bounder
+from repro.api import connect
 from repro.datasets import make_flights_scramble
 from repro.expressions import col, derive_range_bounds
 from repro.fastframe import (
     AggregateFunction,
-    ApproximateExecutor,
     ExactExecutor,
     Query,
     RangeBounds,
@@ -60,11 +59,10 @@ def live_aggregate() -> None:
     )
 
     query = Query(AggregateFunction.AVG, expr, SamplesTaken(60_000), name="dispersion")
-    executor = ApproximateExecutor(
-        scramble, get_bounder("bernstein+rt"), delta=1e-9,
-        rng=np.random.default_rng(5),
+    conn = connect(
+        scramble, delta=1e-9, max_queries=1, rng=np.random.default_rng(5)
     )
-    approx = executor.execute(query).scalar()
+    approx = conn.query(query).result().scalar()
     exact = ExactExecutor(scramble).execute(query).scalar()
 
     print(f"\napproximate AVG((DepDelay-10)^2) = {approx.estimate:10.2f}")

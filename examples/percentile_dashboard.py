@@ -20,11 +20,10 @@ import os
 
 import numpy as np
 
-from repro.bounders import get_bounder
-from repro.fastframe import ApproximateExecutor, ExactExecutor, get_strategy
+from repro.api import connect
+from repro.fastframe import ExactExecutor
 from repro.fastframe.scramble import Scramble
 from repro.fastframe.table import Table
-from repro.sql import parse_query
 
 ROWS = int(os.environ.get("REPRO_EXAMPLE_ROWS", "400000"))
 
@@ -68,16 +67,17 @@ def main() -> None:
     scramble = build_requests(ROWS, seed=3)
 
     print(f"\n{SQL}\n")
-    query = parse_query(SQL)
-
-    executor = ApproximateExecutor(
+    conn = connect(
         scramble,
-        get_bounder("bernstein+rt"),  # quantile queries swap in DKW bounds
-        strategy=get_strategy("activesync"),
+        bounder="bernstein+rt",  # quantile queries swap in DKW bounds
+        strategy="activesync",
         delta=1e-6,
+        max_queries=1,
         rng=np.random.default_rng(11),
     )
-    result = executor.execute(query)
+    handle = conn.sql(SQL)
+    query = handle.query
+    result = handle.result()
 
     print("certified worst-p95 services (early-stopped):")
     for key in result.top_k(3):

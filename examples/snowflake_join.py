@@ -23,10 +23,9 @@ import os
 
 import numpy as np
 
-from repro.bounders import get_bounder
+from repro.api import connect
 from repro.fastframe import (
     AggregateFunction,
-    ApproximateExecutor,
     Dimension,
     ExactExecutor,
     ForeignKey,
@@ -92,12 +91,10 @@ def main() -> None:
         group_by=("airport.name",),
         name="delay-by-region",
     )
-    approx = ApproximateExecutor(
-        scramble,
-        get_bounder("bernstein+rt"),
-        delta=1e-9,
-        rng=np.random.default_rng(2),
-    ).execute(query)
+    conn = connect(
+        scramble, delta=1e-9, max_queries=1, rng=np.random.default_rng(2)
+    )
+    approx = conn.query(query).result()
     exact = ExactExecutor(scramble).execute(query)
 
     print(

@@ -15,10 +15,8 @@ import os
 
 import numpy as np
 
-from repro.bounders import get_bounder
+from repro.api import connect
 from repro.datasets import make_flights_scramble
-from repro.fastframe import ApproximateExecutor
-from repro.sql import parse_query
 from repro.stopping import RelativeAccuracy
 
 ROWS = int(os.environ.get("REPRO_EXAMPLE_ROWS", "500000"))
@@ -45,14 +43,12 @@ def main() -> None:
     scramble = make_flights_scramble(rows=ROWS, seed=0)
 
     for title, (sql, stopping) in QUERIES.items():
-        query = parse_query(sql, stopping=stopping, name=title)
-        executor = ApproximateExecutor(
-            scramble,
-            get_bounder("bernstein+rt"),
-            delta=1e-9,
-            rng=np.random.default_rng(1),
+        conn = connect(
+            scramble, delta=1e-9, max_queries=1, rng=np.random.default_rng(1)
         )
-        result = executor.execute(query)
+        handle = conn.sql(sql, stopping=stopping, name=title)
+        query = handle.query
+        result = handle.result()
         print(f"\n=== {title}")
         print(f"    SQL: {sql}")
         print(f"    stopping condition: {query.stopping!r}")

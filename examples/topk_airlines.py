@@ -16,15 +16,9 @@ import os
 
 import numpy as np
 
-from repro.bounders import get_bounder
+from repro.api import connect
 from repro.datasets import make_flights_scramble
-from repro.fastframe import (
-    AggregateFunction,
-    ApproximateExecutor,
-    ExactExecutor,
-    Query,
-    get_strategy,
-)
+from repro.fastframe import AggregateFunction, ExactExecutor, Query
 from repro.stopping import TopKSeparated
 
 ROWS = int(os.environ.get("REPRO_EXAMPLE_ROWS", "500000"))
@@ -45,14 +39,14 @@ def main() -> None:
     )
 
     for strategy_name in ("scan", "activesync", "activepeek"):
-        executor = ApproximateExecutor(
+        conn = connect(
             scramble,
-            get_bounder("bernstein+rt"),
-            strategy=get_strategy(strategy_name),
+            strategy=strategy_name,
             delta=1e-9,
+            max_queries=1,
             rng=np.random.default_rng(11),
         )
-        result = executor.execute(query)
+        result = conn.query(query).result()
         winner = result.top_k(1)[0]
         print(
             f"{strategy_name:11s}: worst airline = {winner[0]}  "

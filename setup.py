@@ -8,11 +8,22 @@ subpackage (including repro.fastframe.storage and friends added since the
 first export audit) lands in site-packages — a bare ``setup()`` would
 build an empty wheel that imports from nowhere.
 """
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# The one version literal lives in the package; read it without importing
+# the package (which needs numpy at build time).
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
 
 setup(
     name="repro",
-    version="3.0.0",
+    version=VERSION,
     description=(
         "Reproduction of 'Rapid Approximate Aggregation with "
         "Distribution-Sensitive Interval Guarantees' (ICDE 2021)"

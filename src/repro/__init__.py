@@ -77,7 +77,7 @@ from repro.fastframe import (
 from repro.sql import parse_query, parse_statements
 from repro.stats import DEFAULT_DELTA, DeltaBudget
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AggregateFunction",

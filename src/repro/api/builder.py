@@ -26,12 +26,18 @@ keyword                stopping condition
 ``above=t``/``below``  Í :class:`~repro.stopping.conditions.ThresholdSide`
 ``top=k``/``bottom``   Î :class:`~repro.stopping.conditions.TopKSeparated`
 ``ordered=True``       Ï :class:`~repro.stopping.conditions.GroupsOrdered`
-``stopping=cond``      any custom :class:`StoppingCondition`
+``stopping=cond``      any custom :class:`StoppingCondition` (it needs only
+                       ``active_mask``)
 =====================  =======================================================
+
+``samples=``, ``top=`` and ``bottom=`` take positive integers; ``rel=`` and
+``abs=`` positive numbers; ``above=`` / ``below=`` any real threshold.  A
+bool, or a value of the wrong kind, raises rather than being coerced.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import TYPE_CHECKING
 
 from repro.fastframe.predicate import And, Compare, Eq, Predicate
@@ -175,14 +181,12 @@ class QueryBuilder:
 
 
 def _stopping_from(stop: dict) -> StoppingCondition:
-    """Resolve the aggregate terminal's stopping keywords (exactly one)."""
-    # Identity checks, not equality: 0.0 == False, but above=0.0 is a
-    # perfectly good threshold and must count as a given specifier.
-    spec = {
-        key: value
-        for key, value in stop.items()
-        if value is not None and value is not False
-    }
+    """Resolve the aggregate terminal's stopping keywords (exactly one).
+
+    Values are checked, never coerced: a count takes an integer, a bound a
+    real number, neither a bool, and ``ordered=`` only ``True``.
+    """
+    spec = {key: value for key, value in stop.items() if value is not None}
     if len(spec) != 1:
         raise TypeError(
             "pass exactly one stopping specifier (rel=, abs=, samples=, "
@@ -196,20 +200,26 @@ def _stopping_from(stop: dict) -> StoppingCondition:
                 f"stopping= expects a StoppingCondition, got {type(value).__name__}"
             )
         return value
-    if key == "rel":
-        return RelativeAccuracy(float(value))
-    if key == "abs":
-        return AbsoluteAccuracy(float(value))
-    if key == "samples":
-        return SamplesTaken(int(value))
-    if key in ("above", "below"):
-        return ThresholdSide(float(value))
-    if key in ("top", "bottom"):
-        if int(value) < 1:
-            raise ValueError(
-                f"{key}= must be a positive integer, got {int(value)}"
-            )
-        return TopKSeparated(int(value), largest=(key == "top"))
     if key == "ordered":
+        if value is not True:
+            raise TypeError(f"ordered= takes only True, got {value!r}")
         return GroupsOrdered()
+    if key in ("samples", "top", "bottom"):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{key}= takes an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{key}= must be a positive integer, got {value}")
+        if key == "samples":
+            return SamplesTaken(int(value))
+        return TopKSeparated(int(value), largest=(key == "top"))
+    if key in ("rel", "abs", "above", "below"):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{key}= takes a number, got {value!r}")
+        if key in ("above", "below"):
+            return ThresholdSide(float(value))
+        if not value > 0.0:
+            raise ValueError(f"{key}= must be positive, got {value}")
+        if key == "rel":
+            return RelativeAccuracy(float(value))
+        return AbsoluteAccuracy(float(value))
     raise TypeError(f"unknown stopping specifier {key!r}")

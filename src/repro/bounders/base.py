@@ -53,7 +53,6 @@ the (possibly unknown) dataset size can be used safely (Theorem 3).
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from typing import Any, NamedTuple
 
@@ -126,23 +125,6 @@ class Interval(NamedTuple):
 
     def __contains__(self, value: object) -> bool:
         return self.lo <= float(value) <= self.hi  # type: ignore[arg-type]
-
-    def intersects(self, other: "Interval") -> bool:
-        """True if this interval overlaps ``other`` (closed intervals)."""
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def relative_error(self) -> float:
-        """The paper's relative-accuracy statistic for stopping condition Ì.
-
-        ``max{(hi - mid)/hi, (mid - lo)/lo}`` — the worst-case relative
-        deviation of the midpoint estimate from any value in the interval.
-        Returns ``inf`` when a bound touches zero or the signs disagree, in
-        which case no relative guarantee is possible.
-        """
-        mid = self.midpoint
-        if self.lo <= 0.0 <= self.hi:
-            return math.inf
-        return max(abs(self.hi - mid) / abs(self.hi), abs(mid - self.lo) / abs(self.lo))
 
 
 class BounderDelta:

@@ -30,14 +30,16 @@ against a :class:`~repro.fastframe.scramble.Scramble`:
 Two engines implement identical semantics (the parity test-suite pins
 their outputs to each other within floating-point tolerance), as two
 subclasses of :class:`QueryRun`.  The run's driver-facing methods —
-select, consume, the round cadence, snapshots, finalize — are written
-once on the base class and call one hook per engine-specific step of
-Algorithm 5: ``_init_views`` (allocate per-view state), ``_ingest`` (fold
-a partitioned window), ``_recompute_bounds`` (per-view CIs at the decayed
-δ), ``_refresh_active`` (active set + stopping test),
-``_active_key_codes`` / ``_group_snapshots`` (state reads for block
-selection and progressive rounds), ``_finalize_exhausted`` (mark views
-whose every row is settled; their aggregates are exact) and ``_results``.
+select, consume, the round cadence, the active-set refresh and stopping
+test, snapshots, finalize — are written once on the base class and call
+one hook per engine-specific step of Algorithm 5: ``_init_views``
+(allocate per-view state), ``_ingest`` (fold a partitioned window),
+``_recompute_bounds`` (per-view CIs at the decayed δ),
+``_snapshot_columns`` / ``_set_active`` (read the live views as
+:class:`~repro.stopping.conditions.SnapshotColumns`, write back the
+stopping condition's active mask), ``_active_key_codes`` (state read for
+block selection), ``_finalize_exhausted`` (mark views whose every row is
+settled; their aggregates are exact) and ``_results``.
 
 * ``engine="pool"`` (``_PoolRun``) — the vectorized core: all per-view
   state lives in a struct-of-arrays
@@ -119,7 +121,7 @@ from repro.fastframe.viewpool import ViewPool
 from repro.fastframe.window import WindowFrame
 from repro.stats.delta import DEFAULT_DELTA, DeltaBudget
 from repro.stats.streaming import MomentState
-from repro.stopping.conditions import GroupSnapshot, SamplesTaken
+from repro.stopping.conditions import GroupSnapshot, SamplesTaken, SnapshotColumns
 from repro.stopping.optstop import RunningIntersection
 
 __all__ = [
@@ -655,7 +657,24 @@ class QueryRun:
         (:meth:`repro.api.QueryHandle.rounds`); keys are decoded group-by
         values, values are :class:`~repro.stopping.conditions.GroupSnapshot`.
         """
-        return self._group_snapshots(self.group_keys())
+        columns = self._snapshot_columns()
+        keys = self.group_keys()
+        return {
+            keys[row]: GroupSnapshot(
+                interval=Interval(lo, hi),
+                estimate=estimate,
+                samples=samples,
+                exhausted=exhausted,
+            )
+            for row, lo, hi, estimate, samples, exhausted in zip(
+                columns.rows.tolist(),
+                columns.lo.tolist(),
+                columns.hi.tolist(),
+                columns.estimate.tolist(),
+                columns.samples.tolist(),
+                columns.exhausted.tolist(),
+            )
+        }
 
     def finalize(self, merge_index_counters: bool = True) -> QueryResult:
         """Seal the run and materialize its :class:`QueryResult`.
@@ -681,6 +700,20 @@ class QueryRun:
             query=self.query, groups=groups, metrics=self.metrics
         )
         return self._finalized
+
+    def _refresh_active(self) -> bool:
+        """One round's tail: mark the stopping condition's active views and
+        return whether the condition is satisfied.
+
+        The one place the rule "an exhausted view is never active" is
+        applied: no further sample can change an exact aggregate.
+        """
+        columns = self._snapshot_columns()
+        stopping = self.query.stopping
+        self._set_active(
+            columns.rows, stopping.active_mask(columns) & ~columns.exhausted
+        )
+        return stopping.satisfied_columns(columns)
 
     # -- engine hooks ---------------------------------------------------
     # The eight hooks the module docstring lists are the subclasses'; each
@@ -833,10 +866,12 @@ class _ScalarRun(QueryRun):
                 view.interval = avg_iv
         return recomputed
 
-    def _snapshots(self) -> dict[int, GroupSnapshot]:
+    def _snapshot_columns(self) -> SnapshotColumns:
+        """The scalar mirror of :meth:`ViewPool.snapshot_columns`: one row
+        per non-dropped view, ``rows`` indexing :attr:`views` in order."""
         a, b = self.bounds
-        snapshots = {}
-        for code, view in self.views.items():
+        live = []
+        for row, view in enumerate(self.views.values()):
             if view.dropped:
                 continue
             interval = view.interval
@@ -848,13 +883,29 @@ class _ScalarRun(QueryRun):
                     interval.lo if np.isfinite(interval.lo) else a,
                     interval.hi if np.isfinite(interval.hi) else b,
                 )
-            snapshots[code] = GroupSnapshot(
-                interval=interval,
-                estimate=self._estimate(view, interval),
-                samples=view.sample_moments.count,
-                exhausted=view.exhausted,
-            )
-        return snapshots
+            live.append((
+                row,
+                interval.lo,
+                interval.hi,
+                self._estimate(view, interval),
+                view.sample_moments.count,
+                view.exhausted,
+            ))
+        rows, lo, hi, estimate, samples, exhausted = zip(*live) if live else [()] * 6
+        return SnapshotColumns(
+            rows=np.array(rows, dtype=np.intp),
+            lo=np.array(lo, dtype=np.float64),
+            hi=np.array(hi, dtype=np.float64),
+            estimate=np.array(estimate, dtype=np.float64),
+            samples=np.array(samples, dtype=np.int64),
+            exhausted=np.array(exhausted, dtype=bool),
+        )
+
+    def _set_active(self, rows: np.ndarray, mask: np.ndarray) -> None:
+        flags = np.zeros(len(self.views), dtype=bool)
+        flags[rows[mask]] = True
+        for view, flag in zip(self.views.values(), flags.tolist()):
+            view.active = flag
 
     def _estimate(self, view: _ViewState, interval: Interval) -> float:
         if view.sample_moments.count > 0:
@@ -862,25 +913,6 @@ class _ScalarRun(QueryRun):
                 return self.bounder.estimate(view.bounder_state)
             return view.sample_moments.mean
         return interval.midpoint
-
-    def _refresh_active(self) -> bool:
-        snapshots = self._snapshots()
-        stopping = self.query.stopping
-        active = stopping.active_groups(snapshots)
-        for code, view in self.views.items():
-            if view.dropped or view.exhausted:
-                view.active = False
-                continue
-            view.active = code in active
-        return stopping.satisfied(snapshots)
-
-    def _group_snapshots(self, keys: list[tuple]) -> dict:
-        snapshots = self._snapshots()
-        return {
-            key: snapshots[code]
-            for key, code in zip(keys, self.views)
-            if code in snapshots
-        }
 
     def _finalize_exhausted(self) -> None:
         aggregate = self.query.aggregate
@@ -1038,33 +1070,12 @@ class _PoolRun(QueryRun):
             pool.iv_hi[idx] = avg_hi
         return recomputed
 
-    def _refresh_active(self) -> bool:
-        pool = self.pool
-        stopping = self.query.stopping
-        columns = pool.snapshot_columns(*self.bounds)
-        active = stopping.active_mask(columns)
-        pool.active[:] = False
-        pool.active[columns.rows] = active & ~pool.exhausted[columns.rows]
-        return stopping.satisfied_columns(columns)
+    def _snapshot_columns(self) -> SnapshotColumns:
+        return self.pool.snapshot_columns(*self.bounds)
 
-    def _group_snapshots(self, keys: list[tuple]) -> dict:
-        columns = self.pool.snapshot_columns(*self.bounds)
-        return {
-            keys[row]: GroupSnapshot(
-                interval=Interval(lo, hi),
-                estimate=estimate,
-                samples=samples,
-                exhausted=exhausted,
-            )
-            for row, lo, hi, estimate, samples, exhausted in zip(
-                columns.rows.tolist(),
-                columns.lo.tolist(),
-                columns.hi.tolist(),
-                columns.estimate.tolist(),
-                columns.samples.tolist(),
-                columns.exhausted.tolist(),
-            )
-        }
+    def _set_active(self, rows: np.ndarray, mask: np.ndarray) -> None:
+        self.pool.active[:] = False
+        self.pool.active[rows] = mask
 
     def _finalize_exhausted(self) -> None:
         pool = self.pool

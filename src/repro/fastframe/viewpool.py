@@ -289,10 +289,7 @@ class ViewPool:
         back to ``a`` / ``b``.  Estimates fall back to the interval
         midpoint until the view has a sample.  Snapshot columns are cached
         per pool row and refreshed incrementally: only ``snap_dirty`` rows
-        are recomputed per call.  The returned columns carry a ``rows``
-        attribute mapping each snapshot row back to its pool row, so
-        callers (stopping-condition refresh, progressive round reporting)
-        can write activity flags or decode group keys.
+        are recomputed per call.  The columns' ``rows`` are pool rows.
         """
         if self._snap_lo is None or self._snap_bounds != (a, b):
             self._snap_lo = np.empty(self.size)
@@ -319,16 +316,14 @@ class ViewPool:
             )
             self.snap_dirty[:] = False
         live = np.flatnonzero(~self.dropped)
-        columns = SnapshotColumns(
-            keys=self.codes[live],
+        return SnapshotColumns(
+            rows=live,
             lo=self._snap_lo[live],
             hi=self._snap_hi[live],
             estimate=self._snap_estimate[live],
             samples=self.sample.count[live],
             exhausted=self.exhausted[live],
         )
-        columns.rows = live  # pool row per snapshot row
-        return columns
 
     @staticmethod
     def _fold(

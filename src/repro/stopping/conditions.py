@@ -10,17 +10,14 @@ that should be prioritized for sampling because they are what currently
 prevents termination (§4.3).  Active scanning skips blocks containing no
 tuples of any active group.
 
-All conditions consume :class:`GroupSnapshot` views: the current confidence
-interval, point estimate, and sample count per group (a single-aggregate
-query is a one-group special case).
-
-The vectorized executor core evaluates conditions over
-:class:`SnapshotColumns` — the struct-of-arrays equivalent of a snapshot
-mapping — via :meth:`StoppingCondition.active_mask` /
-:meth:`StoppingCondition.satisfied_columns`.  The base class bridges both
-representations, so custom conditions written against the mapping API keep
-working inside the array engine; every built-in condition overrides the
-array path with pure numpy.
+Both executor engines evaluate conditions over :class:`SnapshotColumns`:
+one row per live group holding its current confidence interval, point
+estimate, sample count and exhaustion flag (a single-aggregate query is a
+one-group special case).  A condition implements
+:meth:`StoppingCondition.active_mask` in numpy; its termination test
+:meth:`StoppingCondition.satisfied_columns` defaults to "no group is
+active".  :class:`GroupSnapshot` is the per-group record of the
+progressive-round reports built from those columns.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Hashable, Mapping
 
 import numpy as np
 
@@ -47,12 +43,11 @@ __all__ = [
     "relative_error",
 ]
 
-GroupKey = Hashable
-
 
 @dataclass(frozen=True)
 class GroupSnapshot:
-    """Per-group view the executor exposes to stopping conditions.
+    """One group's row of :class:`SnapshotColumns`, as progressive rounds
+    report it.
 
     Attributes
     ----------
@@ -77,13 +72,13 @@ class GroupSnapshot:
 
 @dataclass
 class SnapshotColumns:
-    """Struct-of-arrays form of a group-snapshot mapping (one row per group).
+    """Struct-of-arrays snapshot of a run's live groups (one row per group).
 
     Attributes
     ----------
-    keys:
-        Per-row group identifiers (the executor passes combined group
-        codes; any hashable-convertible array works).
+    rows:
+        The engine's view index of each row (dropped views have no row),
+        so a caller can write activity flags or decode group keys.
     lo, hi:
         Confidence-interval endpoints.
     estimate:
@@ -94,7 +89,7 @@ class SnapshotColumns:
         Per-row exhaustion flags.
     """
 
-    keys: np.ndarray
+    rows: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     estimate: np.ndarray
@@ -103,19 +98,7 @@ class SnapshotColumns:
 
     @property
     def size(self) -> int:
-        return self.keys.size
-
-    def to_mapping(self) -> dict[GroupKey, GroupSnapshot]:
-        """Materialize the mapping view (compatibility bridge)."""
-        return {
-            int(self.keys[i]): GroupSnapshot(
-                interval=Interval(float(self.lo[i]), float(self.hi[i])),
-                estimate=float(self.estimate[i]),
-                samples=int(self.samples[i]),
-                exhausted=bool(self.exhausted[i]),
-            )
-            for i in range(self.size)
-        }
+        return self.rows.size
 
 
 def relative_error(interval: Interval, estimate: float) -> float:
@@ -139,50 +122,22 @@ class StoppingCondition(ABC):
     """Decides termination and sampling priority for a set of groups."""
 
     @abstractmethod
-    def active_groups(
-        self, groups: Mapping[GroupKey, GroupSnapshot]
-    ) -> set[GroupKey]:
-        """Groups to prioritize for sampling (§4.3's activeness rules).
+    def active_mask(self, columns: SnapshotColumns) -> np.ndarray:
+        """Boolean row mask over ``columns``: True = group is active, i.e.
+        prioritized for sampling (§4.3's activeness rules).
 
         Exhausted groups are never active — no further sample can change
-        their aggregate.
+        their aggregate; the executor enforces that whatever the mask says.
         """
 
-    def satisfied(self, groups: Mapping[GroupKey, GroupSnapshot]) -> bool:
+    def satisfied_columns(self, columns: SnapshotColumns) -> bool:
         """True once query processing may terminate.
 
         The default is "no group is active"; conditions whose termination
         test differs from their activeness rule (e.g. top-K separation)
         override this.
         """
-        return not self.active_groups(groups)
-
-    # -- struct-of-arrays flavour ---------------------------------------
-
-    def active_mask(self, columns: SnapshotColumns) -> np.ndarray:
-        """Boolean row mask over ``columns``: True = group is active.
-
-        The default materializes the mapping and delegates to
-        :meth:`active_groups`, so any custom condition participates in the
-        vectorized executor unchanged; built-ins override with numpy.
-        """
-        active = self.active_groups(columns.to_mapping())
-        return np.fromiter(
-            (int(key) in active for key in columns.keys),
-            dtype=bool,
-            count=columns.size,
-        )
-
-    def satisfied_columns(self, columns: SnapshotColumns) -> bool:
-        """Array-flavoured :meth:`satisfied` (same default rule)."""
-        if type(self).satisfied is StoppingCondition.satisfied:
-            return not self.active_mask(columns).any()
-        # The condition customizes `satisfied`; take the compatible route.
-        return self.satisfied(columns.to_mapping())
-
-    @staticmethod
-    def _live(groups: Mapping[GroupKey, GroupSnapshot]) -> dict[GroupKey, GroupSnapshot]:
-        return {key: snap for key, snap in groups.items() if not snap.exhausted}
+        return not self.active_mask(columns).any()
 
 
 class SamplesTaken(StoppingCondition):
@@ -197,11 +152,6 @@ class SamplesTaken(StoppingCondition):
         if m < 1:
             raise ValueError(f"requested sample count must be >= 1, got {m}")
         self.m = m
-
-    def active_groups(self, groups: Mapping[GroupKey, GroupSnapshot]) -> set[GroupKey]:
-        return {
-            key for key, snap in self._live(groups).items() if snap.samples < self.m
-        }
 
     def active_mask(self, columns: SnapshotColumns) -> np.ndarray:
         return (columns.samples < self.m) & ~columns.exhausted
@@ -218,13 +168,6 @@ class AbsoluteAccuracy(StoppingCondition):
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.epsilon = epsilon
 
-    def active_groups(self, groups: Mapping[GroupKey, GroupSnapshot]) -> set[GroupKey]:
-        return {
-            key
-            for key, snap in self._live(groups).items()
-            if snap.interval.width >= self.epsilon
-        }
-
     def active_mask(self, columns: SnapshotColumns) -> np.ndarray:
         return ((columns.hi - columns.lo) >= self.epsilon) & ~columns.exhausted
 
@@ -239,13 +182,6 @@ class RelativeAccuracy(StoppingCondition):
         if epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.epsilon = epsilon
-
-    def active_groups(self, groups: Mapping[GroupKey, GroupSnapshot]) -> set[GroupKey]:
-        return {
-            key
-            for key, snap in self._live(groups).items()
-            if relative_error(snap.interval, snap.estimate) >= self.epsilon
-        }
 
     def active_mask(self, columns: SnapshotColumns) -> np.ndarray:
         return (self._relative(columns) >= self.epsilon) & ~columns.exhausted
@@ -275,13 +211,6 @@ class ThresholdSide(StoppingCondition):
 
     def __init__(self, threshold: float) -> None:
         self.threshold = threshold
-
-    def active_groups(self, groups: Mapping[GroupKey, GroupSnapshot]) -> set[GroupKey]:
-        return {
-            key
-            for key, snap in self._live(groups).items()
-            if self.threshold in snap.interval
-        }
 
     def active_mask(self, columns: SnapshotColumns) -> np.ndarray:
         contains = (columns.lo <= self.threshold) & (self.threshold <= columns.hi)
@@ -319,22 +248,10 @@ class TopKSeparated(StoppingCondition):
         self.largest = largest
 
     def _ranked_order(self, estimate: np.ndarray) -> np.ndarray:
-        """Row order by estimate (descending for top-K), stable on ties.
-
-        The single ranking rule for both condition flavours: the mapping
-        path feeds its estimates through this same argsort, so tie-heavy
-        snapshots partition identically however they are represented.
-        """
+        """Row order by estimate (descending for top-K), stable on ties:
+        tied groups keep their row order, the order Python's ``sorted``
+        would give them."""
         return np.argsort(-estimate if self.largest else estimate, kind="stable")
-
-    def _partition(
-        self, groups: Mapping[GroupKey, GroupSnapshot]
-    ) -> tuple[list[GroupKey], list[GroupKey]]:
-        """Split keys into (selected top/bottom K, remainder) by estimate."""
-        keys = list(groups)
-        estimate = np.array([groups[key].estimate for key in keys], dtype=np.float64)
-        ranked = [keys[row] for row in self._ranked_order(estimate)]
-        return ranked[: self.k], ranked[self.k :]
 
     def _dominated(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Rows certifiably outside the top (bottom) K.
@@ -349,56 +266,6 @@ class TopKSeparated(StoppingCondition):
             return hi < bar
         bar = np.partition(hi, self.k - 1)[self.k - 1]
         return lo > bar
-
-    def satisfied(self, groups: Mapping[GroupKey, GroupSnapshot]) -> bool:
-        if len(groups) <= self.k:
-            return True
-        keys = list(groups)
-        lo = np.array([groups[key].interval.lo for key in keys], dtype=np.float64)
-        hi = np.array([groups[key].interval.hi for key in keys], dtype=np.float64)
-        order = self._ranked_order(
-            np.array([groups[key].estimate for key in keys], dtype=np.float64)
-        )
-        return bool(self._dominated(lo, hi)[order[self.k :]].all())
-
-    def active_groups(self, groups: Mapping[GroupKey, GroupSnapshot]) -> set[GroupKey]:
-        if len(groups) <= self.k:
-            return set()
-        selected, rest = self._partition(groups)
-        lo = np.array([groups[key].interval.lo for key in groups], dtype=np.float64)
-        hi = np.array([groups[key].interval.hi for key in groups], dtype=np.float64)
-        retired = {
-            key
-            for key, dominated in zip(groups, self._dominated(lo, hi))
-            if dominated
-        }
-        boundary_in = groups[selected[-1]].estimate
-        boundary_out = groups[rest[0]].estimate
-        midpoint = 0.5 * (boundary_in + boundary_out)
-        active: set[GroupKey] = set()
-        for key in selected:
-            snap = groups[key]
-            if snap.exhausted:
-                continue
-            crosses = (
-                snap.interval.lo <= midpoint
-                if self.largest
-                else snap.interval.hi >= midpoint
-            )
-            if crosses:
-                active.add(key)
-        for key in rest:
-            snap = groups[key]
-            if snap.exhausted or key in retired:
-                continue
-            crosses = (
-                snap.interval.hi >= midpoint
-                if self.largest
-                else snap.interval.lo <= midpoint
-            )
-            if crosses:
-                active.add(key)
-        return active
 
     def satisfied_columns(self, columns: SnapshotColumns) -> bool:
         if columns.size <= self.k:
@@ -441,33 +308,16 @@ class GroupsOrdered(StoppingCondition):
     group is active while its interval intersects any other group's.
     """
 
-    def active_groups(self, groups: Mapping[GroupKey, GroupSnapshot]) -> set[GroupKey]:
-        keys = list(groups)
-        if len(keys) < 2:
-            return set()
-        lows = np.array([groups[key].interval.lo for key in keys])
-        highs = np.array([groups[key].interval.hi for key in keys])
-        sorted_lows = np.sort(lows)
-        sorted_highs = np.sort(highs)
-        # Group i intersects group j iff lo_j <= hi_i and hi_j >= lo_i.  The
-        # count of such j (including i itself) is #{lo_j <= hi_i} minus
-        # #{hi_j < lo_i} — the latter set is contained in the former since
-        # hi_j < lo_i implies lo_j <= hi_j < lo_i <= hi_i.  Exact in
-        # O(G log G) via sorted ranks.
-        partners = np.searchsorted(sorted_lows, highs, side="right") - np.searchsorted(
-            sorted_highs, lows, side="left"
-        )
-        return {
-            key
-            for key, count in zip(keys, partners)
-            if count > 1 and not groups[key].exhausted
-        }
-
     def active_mask(self, columns: SnapshotColumns) -> np.ndarray:
         if columns.size < 2:
             return np.zeros(columns.size, dtype=bool)
         sorted_lows = np.sort(columns.lo)
         sorted_highs = np.sort(columns.hi)
+        # Group i intersects group j iff lo_j <= hi_i and hi_j >= lo_i.  The
+        # count of such j (including i itself) is #{lo_j <= hi_i} minus
+        # #{hi_j < lo_i} — the latter set is contained in the former since
+        # hi_j < lo_i implies lo_j <= hi_j < lo_i <= hi_i.  Exact in
+        # O(G log G) via sorted ranks.
         partners = np.searchsorted(
             sorted_lows, columns.hi, side="right"
         ) - np.searchsorted(sorted_highs, columns.lo, side="left")

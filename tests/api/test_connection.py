@@ -198,12 +198,42 @@ class TestBuilder:
             ({"bottom": 2}, TopKSeparated),
             ({"ordered": True}, GroupsOrdered),
             ({"stopping": SamplesTaken(10)}, SamplesTaken),
+            ({"top": np.int64(3)}, TopKSeparated),
+            ({"rel": np.float64(0.1)}, RelativeAccuracy),
         ],
     )
     def test_stopping_keywords(self, scramble, kwargs, expected):
         conn = _connect(scramble)
         handle = conn.table().group_by("g").avg("x", **kwargs)
         assert isinstance(handle.stopping, expected)
+
+    @pytest.mark.parametrize(
+        "kwargs,error",
+        [
+            ({"ordered": 0}, TypeError),
+            ({"ordered": 1}, TypeError),
+            ({"ordered": False}, TypeError),
+            ({"top": 2.7}, TypeError),
+            ({"bottom": 1.5}, TypeError),
+            ({"samples": 99.9}, TypeError),
+            ({"samples": True}, TypeError),
+            ({"top": True}, TypeError),
+            ({"rel": True}, TypeError),
+            ({"abs": False}, TypeError),
+            ({"above": True}, TypeError),
+            ({"below": False}, TypeError),
+            ({"rel": "0.1"}, TypeError),
+            ({"top": 0}, ValueError),
+            ({"samples": 0}, ValueError),
+            ({"rel": 0.0}, ValueError),
+            ({"abs": -1.0}, ValueError),
+        ],
+    )
+    def test_stopping_keywords_are_checked_not_coerced(self, scramble, kwargs, error):
+        conn = _connect(scramble)
+        (key,) = kwargs
+        with pytest.raises(error, match=rf"^{key}= "):
+            conn.table().group_by("g").avg("x", **kwargs)
 
     def test_exactly_one_stopping_specifier(self, scramble):
         conn = _connect(scramble)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,29 +21,6 @@ class TestInterval:
         assert -1.0 in interval
         assert 1.0 in interval
         assert 1.5 not in interval
-
-    def test_intersects(self):
-        assert Interval(0, 2).intersects(Interval(1, 3))
-        assert Interval(0, 2).intersects(Interval(2, 3))  # touching counts
-        assert not Interval(0, 1).intersects(Interval(2, 3))
-        assert Interval(0, 10).intersects(Interval(4, 5))  # containment
-
-    def test_intersects_symmetric(self):
-        a, b = Interval(0, 2), Interval(1, 3)
-        assert a.intersects(b) == b.intersects(a)
-
-    def test_relative_error_positive_interval(self):
-        interval = Interval(8.0, 12.0)
-        expected = max((12 - 10) / 12, (10 - 8) / 8)
-        assert interval.relative_error() == pytest.approx(expected)
-
-    def test_relative_error_straddles_zero(self):
-        assert Interval(-1.0, 1.0).relative_error() == math.inf
-        assert Interval(0.0, 1.0).relative_error() == math.inf
-
-    def test_relative_error_negative_interval(self):
-        interval = Interval(-12.0, -8.0)
-        assert math.isfinite(interval.relative_error())
 
     @given(
         st.floats(-1e6, 1e6, allow_nan=False),

@@ -91,7 +91,6 @@ class TestSnapshotClamp:
         pool.dropped[1] = True
         columns = pool.snapshot_columns(0.0, 10.0)
         np.testing.assert_array_equal(columns.rows, [0, 2])
-        np.testing.assert_array_equal(columns.keys, [2, 9])
 
 
 class TestSnapshotCache:

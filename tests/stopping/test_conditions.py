@@ -7,13 +7,21 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import connect
 from repro.bounders.base import Interval
+from repro.bounders.registry import get_bounder
+from repro.fastframe.executor import ApproximateExecutor, QueryRun
+from repro.fastframe.query import AggregateFunction, Query
+from repro.fastframe.scramble import Scramble
+from repro.fastframe.table import Table
 from repro.stopping.conditions import (
     AbsoluteAccuracy,
     GroupsOrdered,
     GroupSnapshot,
     RelativeAccuracy,
     SamplesTaken,
+    SnapshotColumns,
+    StoppingCondition,
     ThresholdSide,
     TopKSeparated,
     relative_error,
@@ -27,6 +35,29 @@ def snap(lo, hi, estimate=None, samples=100, exhausted=False):
     return GroupSnapshot(
         interval=interval, estimate=estimate, samples=samples, exhausted=exhausted
     )
+
+
+def columns_of(groups) -> SnapshotColumns:
+    """``SnapshotColumns`` over a ``{key: snap(...)}`` dict, rows in key order."""
+    snaps = list(groups.values())
+    return SnapshotColumns(
+        rows=np.arange(len(snaps)),
+        lo=np.array([s.interval.lo for s in snaps], dtype=np.float64),
+        hi=np.array([s.interval.hi for s in snaps], dtype=np.float64),
+        estimate=np.array([s.estimate for s in snaps], dtype=np.float64),
+        samples=np.array([s.samples for s in snaps], dtype=np.int64),
+        exhausted=np.array([s.exhausted for s in snaps], dtype=bool),
+    )
+
+
+def active_keys(cond, groups) -> set:
+    """The keys whose rows ``cond.active_mask`` marks active."""
+    keys = list(groups)
+    return {keys[row] for row in np.flatnonzero(cond.active_mask(columns_of(groups)))}
+
+
+def satisfied(cond, groups) -> bool:
+    return cond.satisfied_columns(columns_of(groups))
 
 
 class TestRelativeError:
@@ -52,18 +83,18 @@ class TestSamplesTaken:
     def test_active_until_m_reached(self):
         cond = SamplesTaken(100)
         groups = {"a": snap(0, 1, samples=50), "b": snap(0, 1, samples=150)}
-        assert cond.active_groups(groups) == {"a"}
-        assert not cond.satisfied(groups)
+        assert active_keys(cond, groups) == {"a"}
+        assert not satisfied(cond, groups)
 
     def test_satisfied_when_all_reach_m(self):
         cond = SamplesTaken(100)
         groups = {"a": snap(0, 1, samples=100)}
-        assert cond.satisfied(groups)
+        assert satisfied(cond, groups)
 
     def test_exhausted_groups_never_active(self):
         cond = SamplesTaken(100)
         groups = {"a": snap(0, 1, samples=10, exhausted=True)}
-        assert cond.satisfied(groups)
+        assert satisfied(cond, groups)
 
 
 class TestAbsoluteAccuracy:
@@ -74,12 +105,12 @@ class TestAbsoluteAccuracy:
     def test_active_while_wide(self):
         cond = AbsoluteAccuracy(1.0)
         groups = {"wide": snap(0, 5), "narrow": snap(0, 0.5)}
-        assert cond.active_groups(groups) == {"wide"}
+        assert active_keys(cond, groups) == {"wide"}
 
     def test_boundary_width_still_active(self):
         """Width == ε does not satisfy the strict < of condition Ë."""
         cond = AbsoluteAccuracy(1.0)
-        assert cond.active_groups({"g": snap(0, 1.0)}) == {"g"}
+        assert active_keys(cond, {"g": snap(0, 1.0)}) == {"g"}
 
 
 class TestRelativeAccuracy:
@@ -89,11 +120,11 @@ class TestRelativeAccuracy:
             "tight": snap(9, 11, estimate=10),
             "loose": snap(1, 30, estimate=10),
         }
-        assert cond.active_groups(groups) == {"loose"}
+        assert active_keys(cond, groups) == {"loose"}
 
     def test_zero_straddling_never_satisfies(self):
         cond = RelativeAccuracy(10.0)
-        assert cond.active_groups({"g": snap(-1, 1, estimate=0)}) == {"g"}
+        assert active_keys(cond, {"g": snap(-1, 1, estimate=0)}) == {"g"}
 
 
 class TestThresholdSide:
@@ -104,18 +135,18 @@ class TestThresholdSide:
             "below": snap(-3, -1),
             "unknown": snap(-1, 1),
         }
-        assert cond.active_groups(groups) == {"unknown"}
-        assert not cond.satisfied(groups)
+        assert active_keys(cond, groups) == {"unknown"}
+        assert not satisfied(cond, groups)
 
     def test_satisfied_when_all_sides_determined(self):
         cond = ThresholdSide(5.0)
         groups = {"a": snap(6, 8), "b": snap(0, 4)}
-        assert cond.satisfied(groups)
+        assert satisfied(cond, groups)
 
     def test_threshold_on_boundary_is_active(self):
         """Closed intervals: v ∈ [g_l, g_r] includes the endpoints."""
         cond = ThresholdSide(3.0)
-        assert cond.active_groups({"g": snap(3.0, 5.0)}) == {"g"}
+        assert active_keys(cond, {"g": snap(3.0, 5.0)}) == {"g"}
 
 
 class TestTopKSeparated:
@@ -126,8 +157,8 @@ class TestTopKSeparated:
     def test_trivially_satisfied_with_few_groups(self):
         cond = TopKSeparated(5)
         groups = {"a": snap(0, 10), "b": snap(0, 10)}
-        assert cond.satisfied(groups)
-        assert cond.active_groups(groups) == set()
+        assert satisfied(cond, groups)
+        assert active_keys(cond, groups) == set()
 
     def test_separated_top1(self):
         cond = TopKSeparated(1)
@@ -136,12 +167,12 @@ class TestTopKSeparated:
             "mid": snap(5, 8),
             "low": snap(0, 3),
         }
-        assert cond.satisfied(groups)
+        assert satisfied(cond, groups)
 
     def test_not_separated_when_overlapping(self):
         cond = TopKSeparated(1)
         groups = {"winner": snap(8, 12), "rival": snap(7, 9)}
-        assert not cond.satisfied(groups)
+        assert not satisfied(cond, groups)
 
     def test_active_groups_use_midpoint_rule(self):
         """§4.3 Î: active iff the inner bound crosses the midpoint between
@@ -152,7 +183,7 @@ class TestTopKSeparated:
             "second": snap(2, 7, estimate=5),  # hi 7 < 7.5? no: 7 <= 7.5 -> not crossing
             "third": snap(0, 8, estimate=4),   # hi 8 >= 7.5 -> active
         }
-        active = cond.active_groups(groups)
+        active = active_keys(cond, groups)
         assert "top" in active
         assert "third" in active
         assert "second" not in active
@@ -163,7 +194,7 @@ class TestTopKSeparated:
             "best": snap(0, 2, estimate=1),
             "rest": snap(5, 9, estimate=7),
         }
-        assert cond.satisfied(groups)
+        assert satisfied(cond, groups)
 
     def test_bottom_k_active_rule(self):
         cond = TopKSeparated(1, largest=False)
@@ -172,7 +203,7 @@ class TestTopKSeparated:
             "other": snap(3, 9, estimate=6),   # lo 3 <= 4 -> active
             "far": snap(8, 10, estimate=9),    # lo 8 > 4 -> inactive
         }
-        active = cond.active_groups(groups)
+        active = active_keys(cond, groups)
         assert active == {"best", "other"}
 
 
@@ -192,8 +223,8 @@ class TestTopKDominance:
         # midpoint between 2nd and 3rd estimates is 8.0, so the old rule
         # would keep "c" active; dominance (8.5 < 2nd-largest lo = 9.0)
         # retires it now.
-        assert not cond.satisfied(groups)
-        active = cond.active_groups(groups)
+        assert not satisfied(cond, groups)
+        active = active_keys(cond, groups)
         assert "c" not in active
         assert "d" in active
 
@@ -206,8 +237,8 @@ class TestTopKDominance:
             "b": snap(9.0, 11.5, estimate=10.0),
             "c": snap(2.0, 8.5, estimate=5.0),
         }
-        assert cond.satisfied(groups)
-        assert cond.active_groups(groups) == set()
+        assert satisfied(cond, groups)
+        assert active_keys(cond, groups) == set()
 
     def test_bottom_k_retirement_mirrors(self):
         cond = TopKSeparated(2, largest=False)
@@ -217,8 +248,8 @@ class TestTopKDominance:
             "d": snap(-9.2, -3.0, estimate=-6.0),
             "c": snap(-8.5, -2.0, estimate=-5.0),
         }
-        assert not cond.satisfied(groups)
-        active = cond.active_groups(groups)
+        assert not satisfied(cond, groups)
+        active = active_keys(cond, groups)
         assert "c" not in active
         assert "d" in active
 
@@ -232,87 +263,43 @@ class TestTopKDominance:
             "c": snap(0.0, 7.0),
             "d": snap(1.0, 6.0),
         }
-        assert cond.satisfied(groups)
+        assert satisfied(cond, groups)
 
 
 class TestTopKTieParity:
-    """S3: the mapping and columns paths share one stable ranking rule, so
-    tie-heavy snapshots partition identically in both representations."""
-
-    @staticmethod
-    def _columns_from(groups):
-        from repro.stopping.conditions import SnapshotColumns
-
-        keys = list(groups)
-        return SnapshotColumns(
-            keys=np.arange(len(keys)),
-            lo=np.array([groups[k].interval.lo for k in keys]),
-            hi=np.array([groups[k].interval.hi for k in keys]),
-            estimate=np.array([groups[k].estimate for k in keys]),
-            samples=np.array([groups[k].samples for k in keys]),
-            exhausted=np.array([groups[k].exhausted for k in keys]),
-        )
+    """Condition Î ranks groups with one stable rule, so tie-heavy
+    snapshots partition by row order."""
 
     def test_tie_heavy_partition_matches_ranked_order(self):
-        cond = TopKSeparated(3)
         rng = np.random.default_rng(17)
         # Estimates drawn from 4 distinct values over 12 groups: ties
-        # everywhere.  Ranking must be stable on insertion/row order.
+        # everywhere.  Ranking must be stable on row order, as Python's
+        # sorted() is.
         estimates = rng.choice([1.0, 2.0, 2.0, 5.0], size=12)
-        groups = {
-            f"g{i}": snap(e - 1.0, e + 1.0, estimate=float(e))
-            for i, e in enumerate(estimates)
-        }
-        selected, rest = cond._partition(groups)
-        keys = list(groups)
-        order = cond._ranked_order(np.asarray(estimates, dtype=np.float64))
-        assert selected == [keys[row] for row in order[:3]]
-        assert rest == [keys[row] for row in order[3:]]
-
-    @pytest.mark.parametrize("largest", [True, False])
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_mapping_and_columns_paths_agree(self, largest, seed):
-        """satisfied/active answers are identical across representations
-        on randomized tie-heavy snapshots."""
-        cond = TopKSeparated(2, largest=largest)
-        rng = np.random.default_rng(seed)
-        size = int(rng.integers(3, 10))
-        estimates = rng.choice([0.0, 1.0, 1.0, 3.0, 7.0], size=size)
-        widths = rng.uniform(0.1, 4.0, size=size)
-        groups = {
-            i: snap(
-                float(e - w),
-                float(e + w),
-                estimate=float(e),
-                exhausted=bool(rng.random() < 0.2),
+        for largest in (True, False):
+            order = TopKSeparated(3, largest=largest)._ranked_order(estimates)
+            expected = sorted(
+                range(12), key=lambda row: -estimates[row] if largest else estimates[row]
             )
-            for i, (e, w) in enumerate(zip(estimates, widths))
-        }
-        columns = self._columns_from(groups)
-        assert cond.satisfied(groups) == cond.satisfied_columns(columns)
-        active = cond.active_groups(groups)
-        mask = cond.active_mask(columns)
-        assert {i for i in groups if i in active} == {
-            int(i) for i in np.flatnonzero(mask)
-        }
+            assert order.tolist() == expected
 
 
 class TestGroupsOrdered:
     def test_satisfied_when_disjoint(self):
         cond = GroupsOrdered()
         groups = {"a": snap(0, 1), "b": snap(2, 3), "c": snap(4, 5)}
-        assert cond.satisfied(groups)
-        assert cond.active_groups(groups) == set()
+        assert satisfied(cond, groups)
+        assert active_keys(cond, groups) == set()
 
     def test_overlapping_pair_active(self):
         cond = GroupsOrdered()
         groups = {"a": snap(0, 2), "b": snap(1, 3), "c": snap(10, 11)}
-        assert cond.active_groups(groups) == {"a", "b"}
+        assert active_keys(cond, groups) == {"a", "b"}
 
     def test_containment_counts_as_overlap(self):
         cond = GroupsOrdered()
         groups = {"big": snap(0, 10), "inner": snap(4, 5), "out": snap(20, 21)}
-        assert cond.active_groups(groups) == {"big", "inner"}
+        assert active_keys(cond, groups) == {"big", "inner"}
 
     def test_non_adjacent_overlap_detected(self):
         """A wide interval overlapping a far one must be caught even when
@@ -324,16 +311,16 @@ class TestGroupsOrdered:
             "near": snap(1, 2),
             "far": snap(50, 60),
         }
-        assert cond.active_groups(groups) == {"wide", "near", "far"}
+        assert active_keys(cond, groups) == {"wide", "near", "far"}
 
     def test_touching_intervals_overlap(self):
         cond = GroupsOrdered()
         groups = {"a": snap(0, 1), "b": snap(1, 2)}
-        assert cond.active_groups(groups) == {"a", "b"}
+        assert active_keys(cond, groups) == {"a", "b"}
 
     def test_single_group_trivially_ordered(self):
         cond = GroupsOrdered()
-        assert cond.satisfied({"only": snap(0, 100)})
+        assert satisfied(cond, {"only": snap(0, 100)})
 
     def test_exhausted_groups_not_reported_active(self):
         cond = GroupsOrdered()
@@ -341,6 +328,86 @@ class TestGroupsOrdered:
             "done": snap(0, 2, exhausted=True),
             "live": snap(1, 3),
         }
-        assert cond.active_groups(groups) == {"live"}
+        assert active_keys(cond, groups) == {"live"}
         # but the overlap still prevents satisfaction
-        assert not cond.satisfied(groups)
+        assert not satisfied(cond, groups)
+
+
+class UntilSamples(StoppingCondition):
+    """A custom condition implementing only the one abstract method: a
+    group is active until it holds ``m`` samples, exhausted or not."""
+
+    def __init__(self, m: int) -> None:
+        self.m = m
+
+    def active_mask(self, columns: SnapshotColumns) -> np.ndarray:
+        return columns.samples < self.m
+
+
+@pytest.fixture(scope="module")
+def small_scramble():
+    rng = np.random.default_rng(3)
+    n = 12_000
+    table = Table(
+        continuous={"x": rng.gamma(2.0, 10.0, n)},
+        categorical={"g": rng.integers(0, 6, n).astype(str)},
+        range_pad=0.1,
+    )
+    # 5-row blocks: 5 120-row windows, so the scan takes several rounds.
+    return Scramble(table, block_size=5, rng=np.random.default_rng(4))
+
+
+class TestCustomCondition:
+    START_BLOCK = 7
+
+    @pytest.mark.parametrize("m", [1_500, 10**9])
+    def test_both_engines_run_it_and_agree(self, small_scramble, m):
+        outcomes = {}
+        for engine in ("scalar", "pool"):
+            conn = connect(
+                small_scramble,
+                delta=1e-6,
+                max_queries=1,
+                strategy="activesync",
+                rng=np.random.default_rng(0),
+                round_rows=2_000,
+                engine=engine,
+            )
+            handle = conn.table().group_by("g").avg("x", stopping=UntilSamples(m))
+            rounds = [update.groups for update in handle.rounds(self.START_BLOCK)]
+            outcomes[engine] = rounds, handle.result()
+        (scalar_rounds, scalar), (pool_rounds, pool) = outcomes.values()
+        assert len(scalar_rounds) == len(pool_rounds) > 1
+        for left, right in zip(scalar_rounds, pool_rounds):
+            assert left.keys() == right.keys()
+            for key, snapshot in left.items():
+                np.testing.assert_allclose(
+                    snapshot.interval, right[key].interval, rtol=1e-9, atol=1e-9
+                )
+                assert snapshot.exhausted == right[key].exhausted
+        assert scalar.metrics.rows_read == pool.metrics.rows_read
+        assert scalar.groups.keys() == pool.groups.keys()
+        for key, group in scalar.groups.items():
+            np.testing.assert_allclose(
+                group.interval, pool.groups[key].interval, rtol=1e-9, atol=1e-9
+            )
+            assert group.exhausted == pool.groups[key].exhausted == (m == 10**9)
+
+    @pytest.mark.parametrize("engine", ["scalar", "pool"])
+    def test_exhausted_views_are_never_active(self, small_scramble, engine):
+        executor = ApproximateExecutor(
+            small_scramble,
+            get_bounder("bernstein+rt"),
+            delta=1e-6,
+            round_rows=2_000,
+            engine=engine,
+        )
+        query = Query(AggregateFunction.AVG, "x", UntilSamples(10**9), group_by=("g",))
+        run = QueryRun(executor, query)
+        cursor = executor.cursor(self.START_BLOCK, run.window_blocks)
+        for _ in run.drive(cursor, executor.config):
+            pass
+        assert all(group.exhausted for group in run.finalize().groups.values())
+        # The condition still calls every group active; the run must not.
+        run._refresh_active()
+        assert run._active_key_codes() == []
