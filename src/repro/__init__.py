@@ -7,8 +7,9 @@ approximate query processing with sample-size-independent (SSI) guarantees:
 * :mod:`repro.api` — the connection/handle front door: :func:`connect`,
   lazy query handles, and shared-scan multi-query ``gather()``.
 * :mod:`repro.bounders` — Hoeffding-Serfling, empirical Bernstein-Serfling,
-  and Anderson/DKW error bounders; the **RangeTrim** meta-bounder (§3) that
-  eliminates phantom outlier sensitivity; PMA/PHOS pathology detectors.
+  and Anderson/DKW error bounders, all SSI; the **RangeTrim** meta-bounder
+  (§3) that eliminates phantom outlier sensitivity; PMA/PHOS pathology
+  detectors.
 * :mod:`repro.stopping` — the OptStop optional-stopping meta-algorithm
   (Algorithm 5) and stopping conditions Ê-Ï (§4.2).
 * :mod:`repro.fastframe` — the FastFrame sampling-optimized column store:
@@ -77,7 +78,7 @@ from repro.fastframe import (
 from repro.sql import parse_query, parse_statements
 from repro.stats import DEFAULT_DELTA, DeltaBudget
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "AggregateFunction",

@@ -83,7 +83,6 @@ def connect(
     max_queries: int = 100,
     strategy: SamplingStrategy | str | None = None,
     rng: np.random.Generator | None = None,
-    require_ssi: bool = True,
     parallelism: int | None = None,
     storage: str | None = None,
     cache_bytes: int | None = None,
@@ -115,10 +114,6 @@ def connect(
     rng:
         Randomness for scramble construction (when ``source`` is a table)
         and scan start positions.
-    require_ssi:
-        Multi-query guarantees need sample-size-independent bounders
-        (§1); pass ``False`` only for single-shot ad-hoc use of a
-        non-SSI bounder.
     parallelism, storage, cache_bytes:
         Execution settings (``None`` = unset), resolved here, once, into
         :attr:`Connection.config` — see
@@ -128,7 +123,7 @@ def connect(
     executor_kwargs:
         Passed through to each query's
         :class:`~repro.fastframe.executor.ApproximateExecutor`
-        (``round_rows``, ``alpha``, ``count_method``, ``engine``, …);
+        (``round_rows``, ``count_method``, ``engine``);
         a keyword it does not take raises :class:`TypeError` here.
     """
     return Connection(
@@ -139,7 +134,6 @@ def connect(
         max_queries=max_queries,
         strategy=strategy,
         rng=rng,
-        require_ssi=require_ssi,
         parallelism=parallelism,
         storage=storage,
         cache_bytes=cache_bytes,
@@ -380,7 +374,6 @@ class Connection:
         max_queries: int = 100,
         strategy: SamplingStrategy | str | None = None,
         rng: np.random.Generator | None = None,
-        require_ssi: bool = True,
         parallelism: int | None = None,
         storage: str | None = None,
         cache_bytes: int | None = None,
@@ -421,11 +414,10 @@ class Connection:
         #: resolution path on this connection runs under.
         self.config = config
         self.bounder = get_bounder(bounder) if isinstance(bounder, str) else bounder
-        if require_ssi and not self.bounder.ssi:
+        if not self.bounder.ssi:
             raise ValueError(
-                f"bounder {self.bounder.name!r} is not SSI; session-level "
-                "guarantees require sample-size-independent bounders (§1) — "
-                "pass require_ssi=False for single-shot ad-hoc use"
+                f"bounder {self.bounder.name!r} is not SSI; every interval "
+                "a connection issues must hold at any sample size (§1)"
             )
         self.strategy = (
             get_strategy(strategy) if isinstance(strategy, str) else strategy

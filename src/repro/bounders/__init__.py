@@ -2,12 +2,12 @@
 
 This subpackage implements the full §2.2.2 bounder interface, the three
 surveyed SSI bounders (Hoeffding-Serfling, empirical Bernstein-Serfling,
-Anderson/DKW), the RangeTrim meta-bounder of §3, pathology detectors for
-PMA and PHOS, and closed-form width/planning helpers.
+Anderson/DKW), the RangeTrim meta-bounder of §3, and pathology detectors
+for PMA and PHOS.  Every registered bounder is SSI (Definition 1): the
+§1 asymptotic intervals it is contrasted with are not offered.
 """
 
 from repro.bounders.anderson import AndersonBounder
-from repro.bounders.asymptotic import BootstrapBounder, CLTBounder, StudentTBounder
 from repro.bounders.base import BounderDelta, ErrorBounder, Interval
 from repro.bounders.bernstein import (
     BernsteinSerflingBounder,
@@ -21,17 +21,13 @@ from repro.bounders.registry import (
     EVALUATED_BOUNDERS,
     available_bounders,
     get_bounder,
-    native_delta_bounders,
     register_bounder,
 )
 
 __all__ = [
     "AndersonBounder",
     "BernsteinSerflingBounder",
-    "BootstrapBounder",
     "BounderDelta",
-    "CLTBounder",
-    "StudentTBounder",
     "EmpiricalBernsteinBounder",
     "EmpiricalBernsteinSerflingBounder",
     "ErrorBounder",
@@ -41,7 +37,6 @@ __all__ = [
     "Interval",
     "RangeTrimBounder",
     "available_bounders",
-    "native_delta_bounders",
     "exhibits_phos",
     "exhibits_pma",
     "get_bounder",

@@ -205,11 +205,11 @@ class ErrorBounder(ABC):
     requires_sample_memory: bool = False
 
     #: True for sample-size-independent bounders (Definition 1), whose
-    #: failure probability is below δ at *every* sample size.  Asymptotic
-    #: bounders (:mod:`repro.bounders.asymptotic`) set this to False: their
-    #: coverage only converges to 1 − δ as the sample grows, so they must
-    #: never drive early termination when correctness guarantees are
-    #: required (§1, "compactness without correctness").
+    #: failure probability is below δ at *every* sample size.  Every
+    #: registered bounder is; a custom one that sets this to False (an
+    #: asymptotic CLT or bootstrap interval, whose coverage only converges
+    #: to 1 − δ as the sample grows — §1, "compactness without
+    #: correctness") is rejected by :func:`repro.api.connect`.
     ssi: bool = True
 
     @abstractmethod

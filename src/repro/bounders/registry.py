@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.bounders.anderson import AndersonBounder
-from repro.bounders.asymptotic import BootstrapBounder, CLTBounder, StudentTBounder
 from repro.bounders.base import ErrorBounder
 from repro.bounders.bernstein import (
     EmpiricalBernsteinBounder,
@@ -25,7 +24,6 @@ from repro.bounders.range_trim import RangeTrimBounder
 __all__ = [
     "get_bounder",
     "available_bounders",
-    "native_delta_bounders",
     "register_bounder",
     "EVALUATED_BOUNDERS",
 ]
@@ -39,11 +37,6 @@ _REGISTRY: dict[str, Callable[[], ErrorBounder]] = {
     "bernstein-no-fpc": EmpiricalBernsteinBounder,
     "anderson": AndersonBounder,
     "anderson+rt": lambda: RangeTrimBounder(AndersonBounder()),
-    # Asymptotic (non-SSI) bounders — the intro's "compactness without
-    # correctness" family, available for the coverage experiments.
-    "clt": CLTBounder,
-    "student-t": StudentTBounder,
-    "bootstrap": BootstrapBounder,
 }
 
 #: The four approximate strategies evaluated head-to-head in Table 5.
@@ -67,21 +60,13 @@ def get_bounder(name: str) -> ErrorBounder:
 
 
 def available_bounders() -> tuple[str, ...]:
-    """Names accepted by :func:`get_bounder`."""
-    return tuple(sorted(_REGISTRY))
+    """Names accepted by :func:`get_bounder`.
 
-
-def native_delta_bounders() -> tuple[str, ...]:
-    """Registry names whose bounders ship worker-computable pool deltas.
-
-    These are the families implementing the mergeable-delta protocol
-    (``supports_delta`` is True): parallel ingest returns only O(views)
-    delta arrays for them, while the others fall back to shipping the
-    sorted per-row values for a main-process ``update_pool`` replay.
+    Every built-in is SSI and implements the mergeable-delta protocol
+    (``supports_delta``); only a :func:`register_bounder` factory can add
+    a scalar-only one, which the executor's loop fall-backs carry.
     """
-    return tuple(
-        name for name in sorted(_REGISTRY) if _REGISTRY[name]().supports_delta
-    )
+    return tuple(sorted(_REGISTRY))
 
 
 def register_bounder(name: str, factory: Callable[[], ErrorBounder]) -> None:

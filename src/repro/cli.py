@@ -9,8 +9,6 @@ against the synthetic flights scramble from a terminal:
     The speedup tables (bounder ablation / sampling-strategy ablation).
 ``fig6`` / ``fig7a`` / ``fig7b`` / ``fig8``
     The parameter sweeps behind each figure.
-``coverage``
-    The SSI-vs-asymptotic miss-rate experiment (the §1 motivation).
 ``query "SELECT …"``
     Parse, compile, and run one SQL query with certified intervals.
 ``dashboard "SELECT …; SELECT …"``
@@ -23,10 +21,10 @@ reproducibility; table/figure commands accept ``--delta``.  Defaults are
 laptop-scale (500k rows); the paper-shape contrasts sharpen with
 ``--rows 2000000`` or more.
 
-``table5``, ``table6``, ``fig7a`` and ``coverage`` check their paper claim
-(answers match Exact, actual error ≤ requested, SSI miss rate ≤ δ) and exit
-1 with one ``repro: claim failed: …`` stderr line when it fails; bad input
-exits 2 with one ``repro: error: …`` line.
+``table5``, ``table6`` and ``fig7a`` check their paper claim (answers
+match Exact, actual error ≤ requested) and exit 1 with one
+``repro: claim failed: …`` stderr line when it fails; bad input exits 2
+with one ``repro: error: …`` line.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from repro.experiments import (
     format_sweep,
     format_table5,
     format_table6,
-    run_coverage_experiment,
     run_table5,
     run_table6,
     sweep_fig6_selectivity,
@@ -66,7 +63,7 @@ _DEFAULT_DELTA = 1e-9
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the ``--rows`` / ``--reps`` / ``--trials`` counts."""
+    """argparse type of the ``--rows`` / ``--reps`` counts."""
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
@@ -149,12 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_scramble_args(sub)
         _add_delta_arg(sub)
 
-    coverage = commands.add_parser(
-        "coverage", help="SSI vs asymptotic bounder miss rates"
-    )
-    coverage.add_argument("--trials", type=_positive_int, default=400)
-    coverage.add_argument("--seed", type=int, default=0)
-
     query = commands.add_parser("query", help="run one SQL query")
     query.add_argument("sql", help="the SQL text (quote it)")
     _add_scramble_args(query)
@@ -215,7 +206,7 @@ def _cmd_list(args, out) -> int:
     print("bounders:", ", ".join(sorted(available_bounders())), file=out)
     print("strategies:", ", ".join(sorted(EVALUATED_STRATEGIES)), file=out)
     print(
-        "tables/figures: table5, table6, fig6, fig7a, fig7b, fig8, coverage",
+        "tables/figures: table5, table6, fig6, fig7a, fig7b, fig8",
         file=out,
     )
     return 0
@@ -264,23 +255,6 @@ def _cmd_figure(args, out) -> int:
     return _claim(over, "actual relative error above the requested one")
 
 
-def _cmd_coverage(args, out) -> int:
-    delta = 0.05  # coarse enough for a few hundred trials to resolve a miss
-    cells = run_coverage_experiment(delta=delta, trials=args.trials, seed=args.seed)
-    header = f"{'bounder':<16} {'SSI':<4} {'m':>5} {'miss rate':>10} {'mean width':>11}"
-    print(header, file=out)
-    print("-" * len(header), file=out)
-    for cell in cells:
-        print(
-            f"{cell.bounder:<16} {'yes' if cell.ssi else 'NO':<4} "
-            f"{cell.sample_size:>5d} {cell.miss_rate:>9.1%} {cell.mean_width:>11.2f}",
-            file=out,
-        )
-    over = [f"{cell.bounder}@m={cell.sample_size} ({cell.miss_rate:.1%})"
-            for cell in cells if cell.ssi and cell.miss_rate > delta]
-    return _claim(over, f"SSI miss rate above delta={delta:g}")
-
-
 def _print_groups(result, out) -> None:
     for key, group in sorted(result.groups.items(), key=lambda kv: -kv[1].estimate):
         label = ", ".join(map(str, key)) if key else "(all)"
@@ -298,7 +272,6 @@ def _cmd_query(args, out) -> int:
     warm_metadata(scramble, query)
     # A single-query connection hands the whole δ to the one query —
     # identical accounting to the pre-connection eager executor path.
-    # require_ssi=False: ad-hoc single queries may use non-SSI bounders.
     conn = connect(
         scramble,
         bounder=args.bounder,
@@ -307,7 +280,6 @@ def _cmd_query(args, out) -> int:
         max_queries=1,
         strategy=args.strategy,
         rng=np.random.default_rng(args.seed),
-        require_ssi=False,
     )
     result = conn.query(query).result()
     print(f"stopping: {query.stopping!r}", file=out)
@@ -382,7 +354,6 @@ _COMMANDS = {
     "fig7a": _cmd_figure,
     "fig7b": _cmd_figure,
     "fig8": _cmd_figure,
-    "coverage": _cmd_coverage,
     "query": _cmd_query,
     "dashboard": _cmd_dashboard,
 }

@@ -129,44 +129,3 @@ class BlockBitmapIndex:
         """Zero the probe counters (between experiment runs)."""
         self.probe_count = 0
         self.batch_probe_count = 0
-
-
-def block_group_presence(
-    indexes: dict[str, BlockBitmapIndex],
-    block_ids: np.ndarray,
-    group_columns: tuple[str, ...],
-    group_codes: tuple[int, ...],
-    batched: bool,
-) -> np.ndarray:
-    """Mask over ``block_ids``: may the block contain the given group?
-
-    A group keyed by multiple categorical columns is *possibly present* in
-    a block iff every per-column value is present (the conjunction is
-    conservative: the block might hold the values in different rows, which
-    merely costs a useless read, never a missed row).  Conversely a block
-    where any value is absent is *certified free* of the group — the basis
-    of both block skipping and the per-group covered-row accounting in the
-    executor.
-
-    Parameters
-    ----------
-    batched:
-        If True, use vectorized batch probes (ActivePeek); otherwise one
-        synchronous probe per block per column (ActiveSync).
-    """
-    block_ids = np.asarray(block_ids, dtype=np.int64)
-    mask = np.ones(block_ids.shape, dtype=bool)
-    for column, code in zip(group_columns, group_codes):
-        index = indexes[column]
-        if batched:
-            mask &= index.probe_batch(block_ids, code)
-        else:
-            column_mask = np.fromiter(
-                (index.probe(int(block), code) for block in block_ids),
-                dtype=bool,
-                count=block_ids.size,
-            )
-            mask &= column_mask
-        if not mask.any():
-            break
-    return mask

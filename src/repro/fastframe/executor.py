@@ -82,7 +82,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.bounders.base import ErrorBounder, Interval
+from repro.bounders.base import ErrorBounder, Interval, segment_bounds
 from repro.fastframe.bitmap import BlockBitmapIndex
 from repro.fastframe.config import ExecConfig
 from repro.fastframe.count import (
@@ -206,8 +206,6 @@ class ApproximateExecutor:
         Total error probability for the query (δ = 1e-15 in §5.2).
     round_rows:
         Rows read between bound recomputations (B in Algorithm 5).
-    alpha:
-        Theorem 3's split weight for the unknown-N bound (0.99 in §4.1).
     count_method:
         COUNT/selectivity bounding method, a key of :data:`COUNT_METHODS`:
         ``"serfling"`` (Lemma 5, the paper's default) or ``"exact"``
@@ -233,7 +231,6 @@ class ApproximateExecutor:
         strategy: SamplingStrategy | None = None,
         delta: float = DEFAULT_DELTA,
         round_rows: int = DEFAULT_ROUND_ROWS,
-        alpha: float = DEFAULT_ALPHA,
         count_method: str = "serfling",
         rng: np.random.Generator | None = None,
         engine: str = "auto",
@@ -253,7 +250,6 @@ class ApproximateExecutor:
         self.strategy = strategy or ScanStrategy()
         self.delta = delta
         self.round_rows = round_rows
-        self.alpha = alpha
         self.count_method = count_method
         self.engine = engine
         self.config = ExecConfig.resolve() if config is None else config
@@ -743,7 +739,7 @@ class QueryRun:
         if self.query.aggregate is AggregateFunction.COUNT:
             return budget.delta, None
         half = budget.split_even(2)
-        _, ci_budget = half.split_unknown_n(self.executor.alpha)
+        _, ci_budget = half.split_unknown_n(DEFAULT_ALPHA)
         return half.delta, ci_budget.delta
 
 
@@ -786,10 +782,7 @@ class _ScalarRun(QueryRun):
         segments: dict[int, np.ndarray | int] = {}
         if delta.n_in_view:
             view_idx = delta.view_idx
-            boundaries = np.flatnonzero(np.diff(view_idx)) + 1
-            starts = np.concatenate(([0], boundaries))
-            ends = np.concatenate((boundaries, [view_idx.size]))
-            for start, end in zip(starts, ends):
+            for start, end in zip(*segment_bounds(view_idx)):
                 segments[int(domain[view_idx[start]])] = (
                     delta.values[start:end] if needs_values else int(end - start)
                 )
@@ -851,7 +844,7 @@ class _ScalarRun(QueryRun):
                 view.interval = view.count_iv
                 continue
             n_plus = ex._upper_bound_population(
-                view.selectivity, scramble_rows, interval_delta, alpha=ex.alpha
+                view.selectivity, scramble_rows, interval_delta, alpha=DEFAULT_ALPHA
             )
             avg_iv = view.running.fold(
                 self.bounder.confidence_interval(
@@ -1053,7 +1046,7 @@ class _PoolRun(QueryRun):
             return recomputed
         n_plus = ex._upper_bound_population_batch(
             pool.in_view[idx], pool.covered[idx], scramble_rows,
-            interval_delta, alpha=ex.alpha,
+            interval_delta, alpha=DEFAULT_ALPHA,
         )
         avg_lo, avg_hi = self.bounder.confidence_interval_batch(
             pool.bounder_pool, a, b, n_plus, ci_delta, indices=idx

@@ -14,7 +14,7 @@ preserve guarantees (§4.1).
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Hashable
@@ -295,7 +295,15 @@ class QueryResult:
         }
 
     def top_k(self, k: int, largest: bool = True) -> list:
-        """Group keys of the k largest (or smallest) estimates, ranked."""
+        """Group keys of the k largest (or smallest) estimates, ranked.
+
+        ``k`` is a non-negative integer (not a bool); it is checked, never
+        coerced, so ``-1`` or ``1.5`` cannot slice a silent answer.
+        """
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise TypeError(f"top_k() k takes an integer, got {k!r}")
+        if k < 0:
+            raise ValueError(f"top_k() k must be >= 0, got {k}")
         ranked = sorted(
             self.groups.values(), key=lambda g: g.estimate, reverse=largest
         )
@@ -304,8 +312,3 @@ class QueryResult:
     def ordering(self) -> list:
         """All group keys ordered by descending estimate."""
         return self.top_k(len(self.groups))
-
-    def max_interval_width(self) -> float:
-        """Widest group CI (∞ if any group never gathered a sample)."""
-        widths = [result.interval.width for result in self.groups.values()]
-        return max(widths) if widths else math.inf

@@ -16,9 +16,8 @@ running intersection ``[max_k L_k, min_k R_k]`` is itself a valid (1 − δ)
 interval and is what gets tested against the stopping condition.
 
 This module provides a standalone driver for plain datasets (used by unit
-tests, examples, and the coverage experiments); the FastFrame executor
-embeds the same δ-decay and running-intersection logic for multi-group
-queries.
+tests); the FastFrame executor embeds the same δ-decay and
+running-intersection logic for multi-group queries.
 """
 
 from __future__ import annotations

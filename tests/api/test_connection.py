@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.api import Connection, GatherResult, QueryHandle, connect
-from repro.bounders import get_bounder
+from repro.bounders import HoeffdingSerflingBounder, get_bounder
 from repro.fastframe import (
     AggregateFunction,
     ApproximateExecutor,
@@ -77,12 +77,15 @@ class TestConnect:
         assert _connect(scramble, bounder=bounder).bounder is bounder
 
     def test_rejects_non_ssi_bounder(self, scramble):
-        with pytest.raises(ValueError, match="not SSI"):
-            _connect(scramble, bounder="clt")
+        """Every registered bounder is SSI, so only a custom instance can
+        declare otherwise — and nothing switches the check off."""
 
-    def test_require_ssi_escape_hatch(self, scramble):
-        conn = _connect(scramble, bounder="clt", require_ssi=False)
-        assert not conn.bounder.ssi
+        class Asymptotic(HoeffdingSerflingBounder):
+            name = "asymptotic"
+            ssi = False
+
+        with pytest.raises(ValueError, match="not SSI"):
+            _connect(scramble, bounder=Asymptotic())
 
     def test_strategy_by_name(self, scramble):
         conn = _connect(scramble, strategy="activepeek")
@@ -96,7 +99,9 @@ class TestConnect:
         with pytest.raises(ValueError, match="max_queries"):
             _connect(scramble, max_queries=0)
 
-    @pytest.mark.parametrize("keyword", ["task_timeout", "round_rowz"])
+    @pytest.mark.parametrize(
+        "keyword", ["task_timeout", "round_rowz", "alpha", "require_ssi"]
+    )
     def test_unknown_executor_keyword_fails_at_connect(self, scramble, keyword):
         """A misspelt or removed keyword fails at connect(), naming
         itself, before any handle is charged — not at the first
@@ -649,7 +654,7 @@ class TestGather:
 API_IMPORTS = (
     "repro", "repro.api", "repro.api.builder", "repro.api.connection",
     "repro.api.ledger", "repro.bounders", "repro.bounders.anderson",
-    "repro.bounders.asymptotic", "repro.bounders.base", "repro.bounders.bernstein",
+    "repro.bounders.base", "repro.bounders.bernstein",
     "repro.bounders.hoeffding", "repro.bounders.pathology",
     "repro.bounders.range_trim", "repro.bounders.registry", "repro.cdfbounds",
     "repro.cdfbounds.dkw", "repro.cdfbounds.quantile", "repro.expressions",

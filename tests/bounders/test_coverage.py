@@ -36,16 +36,7 @@ def failure_rate(bounder_name: str, data, a, b, m: int, seed: int) -> float:
     return failures / TRIALS
 
 
-#: The registry also holds asymptotic (non-SSI) bounders for the coverage
-#: experiments; Definition 1's guarantee only binds the SSI ones (the
-#: asymptotic bounders' *violations* are asserted in
-#: tests/experiments/test_coverage.py).
-SSI_BOUNDERS = sorted(
-    name for name in available_bounders() if get_bounder(name).ssi
-)
-
-
-@pytest.mark.parametrize("bounder_name", SSI_BOUNDERS)
+@pytest.mark.parametrize("bounder_name", available_bounders())
 @pytest.mark.parametrize("dataset_name", ["uniform", "clustered", "outlier"])
 def test_coverage_moderate_sample(bounder_name, dataset_name):
     rng = np.random.default_rng(99)

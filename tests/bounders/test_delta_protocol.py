@@ -19,14 +19,12 @@ import numpy as np
 import pytest
 
 from repro.bounders.anderson import AndersonBounder, CSRSamplePool
-from repro.bounders.registry import get_bounder, native_delta_bounders
+from repro.bounders.registry import available_bounders, get_bounder
 
-from tests.support import bounder_pool_bytes as _pool_bytes
+from tests.support import MinimalBounder, bounder_pool_bytes as _pool_bytes
 
 A, B = -5.0, 120.0
 DELTA = 1e-7
-
-NATIVE = sorted(native_delta_bounders())
 
 
 def _stream(rng, size, num_batches=5, max_batch=400):
@@ -38,7 +36,16 @@ def _stream(rng, size, num_batches=5, max_batch=400):
         yield indices, values
 
 
-@pytest.mark.parametrize("name", NATIVE)
+def test_every_registered_bounder_is_ssi_and_delta_capable():
+    """One kind of registered bounder: the loop fall-back exists only for
+    third-party bounders (``MinimalBounder`` below, the custom-bounder
+    example)."""
+    for name in available_bounders():
+        bounder = get_bounder(name)
+        assert bounder.ssi and bounder.supports_delta, name
+
+
+@pytest.mark.parametrize("name", available_bounders())
 def test_partition_merge_matches_update_pool(name):
     """Byte-identical pool evolution through either protocol entry."""
     size = 6
@@ -56,7 +63,7 @@ def test_partition_merge_matches_update_pool(name):
         assert _pool_bytes(via_update) == _pool_bytes(via_delta), name
 
 
-@pytest.mark.parametrize("name", NATIVE)
+@pytest.mark.parametrize("name", available_bounders())
 def test_delta_is_picklable_and_pure(name):
     """Deltas cross process boundaries; partitioning must not mutate the
     pool, so a pickled round-trip delta must merge identically."""
@@ -78,7 +85,7 @@ def test_delta_is_picklable_and_pure(name):
     assert _pool_bytes(pool) == _pool_bytes(reference)
 
 
-@pytest.mark.parametrize("name", NATIVE)
+@pytest.mark.parametrize("name", available_bounders())
 def test_empty_partition_is_a_noop(name):
     size = 3
     bounder = get_bounder(name)
@@ -212,7 +219,7 @@ def test_anderson_csr_bounds_match_scalar_states():
 
 
 def test_non_delta_bounder_raises_on_protocol_entry():
-    bounder = get_bounder("bootstrap")
+    bounder = MinimalBounder()
     assert not bounder.supports_delta
     with pytest.raises(NotImplementedError):
         bounder.partition_delta(np.array([0]), np.array([1.0]), 1)

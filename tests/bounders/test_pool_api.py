@@ -19,10 +19,6 @@ RTOL = 1e-9
 A, B = -5.0, 120.0
 DELTA = 1e-7
 
-#: Bounders with deterministic bounds (bootstrap is resampling-based; its
-#: pool path is the same loop as its scalar path, so parity is trivial).
-POOL_BOUNDERS = sorted(set(available_bounders()) - {"bootstrap"})
-
 
 def _indexed_stream(rng, size, num_batches=4, max_batch=600):
     """Yield (indices, values) batches: sorted indices, stream order kept."""
@@ -43,7 +39,7 @@ def _scalar_states(bounder, size, batches):
     return states
 
 
-@pytest.mark.parametrize("name", POOL_BOUNDERS)
+@pytest.mark.parametrize("name", available_bounders())
 def test_pool_matches_scalar_intervals(name):
     size = 7
     rng = np.random.default_rng(sum(map(ord, name)))
@@ -68,7 +64,7 @@ def test_pool_matches_scalar_intervals(name):
         assert hi[slot] == pytest.approx(expected.hi, rel=RTOL, abs=1e-9)
 
 
-@pytest.mark.parametrize("name", POOL_BOUNDERS)
+@pytest.mark.parametrize("name", available_bounders())
 def test_pool_subset_indices(name):
     """`indices` must bound exactly the requested slots, aligned."""
     size = 9

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fastframe.bitmap import BlockBitmapIndex, block_group_presence
+from repro.fastframe.bitmap import BlockBitmapIndex
 from repro.fastframe.scramble import Scramble
 from repro.fastframe.table import Table
 
@@ -77,37 +77,6 @@ class TestProbes:
 
 
 class TestGroupPresence:
-    def test_single_column_group(self, scramble, index):
-        indexes = {"g": index}
-        blocks = np.arange(scramble.num_blocks)
-        presence = block_group_presence(indexes, blocks, ("g",), (0,), batched=True)
-        np.testing.assert_array_equal(presence, index.probe_batch(blocks, 0))
-
-    def test_multi_column_conjunction_is_conservative(self, scramble, index):
-        """A block lacking either attribute value is certified group-free;
-        presence of both is necessary (but not sufficient) for the group."""
-        h_index = BlockBitmapIndex(scramble, "h")
-        indexes = {"g": index, "h": h_index}
-        blocks = np.arange(scramble.num_blocks)
-        presence = block_group_presence(
-            indexes, blocks, ("g", "h"), (0, 1), batched=True
-        )
-        g_codes = scramble.table.categorical("g").codes
-        h_codes = scramble.table.categorical("h").codes
-        for block in blocks:
-            rows = scramble.block_rows(int(block))
-            truly_present = bool(np.any((g_codes[rows] == 0) & (h_codes[rows] == 1)))
-            if truly_present:
-                assert presence[block]  # never misses a real group row
-
-    def test_batched_and_sync_agree(self, scramble, index):
-        h_index = BlockBitmapIndex(scramble, "h")
-        indexes = {"g": index, "h": h_index}
-        blocks = np.arange(0, scramble.num_blocks, 3)
-        batched = block_group_presence(indexes, blocks, ("g", "h"), (1, 0), batched=True)
-        sync = block_group_presence(indexes, blocks, ("g", "h"), (1, 0), batched=False)
-        np.testing.assert_array_equal(batched, sync)
-
     def test_empty_value_block_list(self, rng):
         """A value occurring in no blocks (possible after filtering) must
         probe to all-False, not crash."""

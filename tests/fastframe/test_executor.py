@@ -7,13 +7,20 @@ import copy
 import numpy as np
 import pytest
 
+from repro.bounders.base import Interval
 from repro.bounders.registry import get_bounder
 from repro.expressions import col
 from repro.fastframe.exact import ExactExecutor
 from repro.fastframe.executor import ApproximateExecutor, QueryRun
 from repro.fastframe.kernels import IngestDelta
 from repro.fastframe.predicate import Compare, Eq
-from repro.fastframe.query import AggregateFunction, Query
+from repro.fastframe.query import (
+    AggregateFunction,
+    ExecutionMetrics,
+    GroupResult,
+    Query,
+    QueryResult,
+)
 from repro.fastframe.scan import get_strategy
 from repro.fastframe.scramble import Scramble
 from repro.fastframe.table import Table
@@ -120,6 +127,25 @@ class TestGroupByAvg:
         exact = ExactExecutor(small_scramble).execute(query)
         result = make_executor(small_scramble).execute(query)
         assert result.top_k(1) == exact.top_k(1)
+
+    @pytest.mark.parametrize(
+        "k,error",
+        [(-1, ValueError), (True, TypeError), (1.5, TypeError), ("2", TypeError)],
+    )
+    def test_top_k_rejects_a_bad_k(self, k, error):
+        """``k`` is checked, never coerced: a negative, bool or float k
+        must not slice a silent answer out of the ranking."""
+        groups = {
+            (name,): GroupResult((name,), estimate, Interval(0.0, 9.0),
+                                 Interval(1.0, 1.0), samples=1)
+            for name, estimate in (("a", 1.0), ("b", 3.0), ("c", 2.0))
+        }
+        query = Query(AggregateFunction.AVG, "x", TopKSeparated(1))
+        result = QueryResult(query, groups, ExecutionMetrics())
+        assert result.top_k(0) == []
+        assert result.top_k(np.int64(2)) == [("b",), ("c",)]
+        with pytest.raises(error, match="k"):
+            result.top_k(k)
 
     @pytest.mark.parametrize("strategy", ["scan", "activesync", "activepeek"])
     def test_strategies_all_give_correct_answers(self, small_scramble, strategy):

@@ -16,7 +16,6 @@ Three safety nets around the native-delta fast path:
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 import threading
@@ -24,7 +23,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.bounders.base import ErrorBounder, validate_bound_args
 from repro.bounders.bernstein import EmpiricalBernsteinSerflingBounder
 from repro.bounders.range_trim import RangeTrimBounder
 from repro.bounders.registry import get_bounder
@@ -50,47 +48,10 @@ from repro.fastframe.viewpool import ViewPool
 from repro.fastframe.window import WindowFrame
 from repro.stopping.conditions import AbsoluteAccuracy, RelativeAccuracy
 
+from tests.support import MinimalBounder
+
 RTOL = 1e-9
 START_BLOCK = 2
-
-
-class MinimalBounder(ErrorBounder):
-    """A scalar-only Hoeffding-style bounder: the third-party shape.
-
-    Implements nothing but the abstract interface — no batch update, no
-    pool flavour, no mergeable delta — so every executor engine must
-    carry it through the base-class loop fall-backs.
-    """
-
-    name = "minimal"
-
-    def init_state(self):
-        return {"count": 0, "total": 0.0}
-
-    def update(self, state, value: float) -> None:
-        state["count"] += 1
-        state["total"] += value
-
-    def sample_count(self, state) -> int:
-        return state["count"]
-
-    def estimate(self, state) -> float:
-        return state["total"] / state["count"]
-
-    def _epsilon(self, state, a, b, delta):
-        return (b - a) * math.sqrt(math.log(1.0 / delta) / (2.0 * state["count"]))
-
-    def lbound(self, state, a, b, n, delta):
-        validate_bound_args(a, b, n, delta)
-        if state["count"] == 0:
-            return a
-        return self.estimate(state) - self._epsilon(state, a, b, delta)
-
-    def rbound(self, state, a, b, n, delta):
-        validate_bound_args(a, b, n, delta)
-        if state["count"] == 0:
-            return b
-        return self.estimate(state) + self._epsilon(state, a, b, delta)
 
 
 class BatchOnlyBounder(MinimalBounder):

@@ -41,6 +41,32 @@ def make_context(scramble, active_values=(), predicate_values=()):
     )
 
 
+def make_two_column_context(rng, active_groups, scramble=None):
+    """A ``GROUP BY g, h`` context: fresh indexes, so probe counters start
+    at zero; ``active_groups`` are (g, h) value pairs."""
+    if scramble is None:
+        table = Table(
+            continuous={"v": np.arange(1_000, dtype=float)},
+            categorical={
+                "g": rng.choice(["a", "b", "c", "d"], 1_000, p=[0.6, 0.25, 0.1, 0.05]),
+                "h": rng.choice(["x", "y"], 1_000, p=[0.85, 0.15]),
+            },
+        )
+        scramble = Scramble(table, block_size=10, rng=rng)
+    g = scramble.table.categorical("g")
+    h = scramble.table.categorical("h")
+    context = ScanContext(
+        indexes={
+            "g": BlockBitmapIndex(scramble, "g"),
+            "h": BlockBitmapIndex(scramble, "h"),
+        },
+        predicate_requirements={},
+        group_columns=("g", "h"),
+        active_groups=[(g.code_of(gv), h.code_of(hv)) for gv, hv in active_groups],
+    )
+    return scramble, context
+
+
 class TestGetStrategy:
     def test_lookup(self):
         assert isinstance(get_strategy("scan"), ScanStrategy)
@@ -144,6 +170,40 @@ class TestActiveStrategies:
                 np.any(codes[rows] == c_code)
             )
             assert mask[block] == expected
+
+    @pytest.mark.parametrize("strategy_cls", [ActiveSyncStrategy, ActivePeekStrategy])
+    def test_multi_column_conjunction_is_conservative(self, rng, strategy_cls):
+        """A two-column group is possibly present in a block iff both its
+        values are: a block lacking either is certified group-free, and
+        one holding both is fetched even if no single row carries both."""
+        scramble, context = make_two_column_context(rng, [("a", "y")])
+        window = np.arange(scramble.num_blocks)
+        mask = strategy_cls().select_blocks(window, context)
+        g_codes = scramble.table.categorical("g").codes
+        h_codes = scramble.table.categorical("h").codes
+        (g_code, h_code), = context.active_groups
+        for block in window:
+            rows = scramble.block_rows(int(block))
+            has_g = bool(np.any(g_codes[rows] == g_code))
+            has_h = bool(np.any(h_codes[rows] == h_code))
+            assert mask[block] == (has_g and has_h)
+            if np.any((g_codes[rows] == g_code) & (h_codes[rows] == h_code)):
+                assert mask[block]  # never misses a real group row
+        assert 0 < mask.sum() < window.size
+
+    def test_sync_and_peek_agree_on_multi_column_groups(self, rng):
+        scramble, context = make_two_column_context(
+            rng, [("b", "x"), ("d", "y"), ("c", "y")]
+        )
+        _, context_peek = make_two_column_context(
+            rng, [("b", "x"), ("d", "y"), ("c", "y")], scramble=scramble
+        )
+        window = np.arange(0, scramble.num_blocks, 3)
+        sync_mask = ActiveSyncStrategy().select_blocks(window, context)
+        peek_mask = ActivePeekStrategy().select_blocks(window, context_peek)
+        np.testing.assert_array_equal(sync_mask, peek_mask)
+        assert context.indexes["g"].batch_probe_count == 0
+        assert context_peek.indexes["g"].probe_count == 0
 
     def test_never_skips_needed_block(self, scramble, rng):
         """Soundness: every block holding a row of an active group is

@@ -35,9 +35,8 @@ from repro.stopping.conditions import (
     TopKSeparated,
 )
 
-#: Bounders the harness samples from — the SSI set the parity suite
-#: already pins pairwise (asymptotic/non-SSI bounders are out of scope
-#: for the multi-query guarantee).  Includes both O(m) shapes: plain
+#: Bounders the harness samples from — the set the parity suite already
+#: pins pairwise.  Includes both O(m) shapes: plain
 #: Anderson (pooled CSR sample buffers) and RangeTrim with an Anderson
 #: inner (CSR pools nested under the Algorithm 6 clip deltas).
 BOUNDERS = (

@@ -18,9 +18,15 @@ sampler) shows up as mass coverage loss, not a flaky borderline.
 Each configuration also asserts that a healthy fraction of runs stopped
 *early* — otherwise every interval would be the degenerate exact answer
 and the test would be vacuous.
+
+One case holds the contrast the contract exists for (§1): an asymptotic
+z-interval, computed in the test, undercovers on skewed data where the
+SSI bounder does not.
 """
 
 from __future__ import annotations
+
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -157,6 +163,35 @@ def test_intervals_cover_truth_at_least_one_minus_delta(
     # Non-vacuity: the guarantee must be tested on genuinely certified
     # (not exhausted-exact) intervals for a solid share of trials.
     assert early >= 0.3, f"only {early:.1%} of trials stopped early"
+
+
+def test_asymptotic_interval_undercovers_where_ssi_holds():
+    """§1's motivating claim: a CLT interval is "compact without
+    correctness".  On a heavy right-skew column (an Exponential(1) body,
+    0.5 % of rows at 1 000) at m = 30, the z-interval misses the true mean
+    in more than 2δ of the samples, while ``bernstein+rt`` — SSI, so valid
+    at every sample size — misses in at most δ of the same samples."""
+    delta, m, trials = 0.05, 30, 300
+    rng = np.random.default_rng(0)
+    outliers = 10  # 0.5 % of 2 000 rows
+    data = np.concatenate(
+        [rng.exponential(1.0, 2_000 - outliers), np.full(outliers, 1_000.0)]
+    )
+    rng.shuffle(data)
+    a, b, truth = float(data.min()), float(data.max()), float(data.mean())
+    z = NormalDist().inv_cdf(1.0 - delta / 2)
+    bounder = get_bounder("bernstein+rt")
+    z_misses = ssi_misses = 0
+    for _ in range(trials):
+        sample = rng.choice(data, size=m, replace=False)
+        half_width = z * sample.std(ddof=1) / np.sqrt(m)
+        z_misses += not sample.mean() - half_width <= truth <= sample.mean() + half_width
+        state = bounder.init_state()
+        bounder.update_batch(state, sample)
+        interval = bounder.confidence_interval(state, a, b, data.size, delta)
+        ssi_misses += not interval.lo <= truth <= interval.hi
+    assert z_misses / trials > 2 * delta, f"z-interval missed {z_misses}/{trials}"
+    assert ssi_misses / trials <= delta, f"bernstein+rt missed {ssi_misses}/{trials}"
 
 
 def test_true_aggregates_oracle_matches_numpy():

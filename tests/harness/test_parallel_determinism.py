@@ -36,13 +36,12 @@ from tests.support import bounder_pool_bytes as _bounder_pool_bytes
 PARALLELISMS = (1, 2, 4)
 START_BLOCK = 5
 
-#: One representative per delta-capable bounder family: Hoeffding,
-#: Bernstein, the asymptotic (CLT) family, RangeTrim composites over an
-#: O(1) and an O(m) inner, and the plain O(m) Anderson/CSR pool.
+#: One representative per bounder family: Hoeffding, Bernstein, RangeTrim
+#: composites over an O(1) and an O(m) inner, and the plain O(m)
+#: Anderson/CSR pool.
 FAMILY_BOUNDERS = (
     "hoeffding",
     "bernstein",
-    "clt",
     "bernstein+rt",
     "anderson",
     "anderson+rt",
@@ -262,7 +261,7 @@ def test_bounder_family_byte_identical_across_parallelism(
     shipped = snapshots[2][2]
     assert shipped > 0, f"{bounder_name}: no worker task shipped a delta"
     rows = family_scramble.num_rows
-    if bounder_name in ("hoeffding", "bernstein", "clt", "bernstein+rt"):
+    if bounder_name in ("hoeffding", "bernstein", "bernstein+rt"):
         assert shipped < rows, (bounder_name, shipped)  # O(views), not O(rows)
     else:
         # O(m) family: float64 samples ship (8 bytes/row at most once per

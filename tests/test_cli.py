@@ -6,7 +6,7 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main, parse_stopping
-from repro.experiments import CoverageCell, SweepResult, SweepSeries, runner
+from repro.experiments import SweepResult, SweepSeries, runner
 from repro.stopping import AbsoluteAccuracy, RelativeAccuracy, SamplesTaken
 
 #: Table/figure commands and the title their output starts with.
@@ -60,10 +60,9 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ["table5", "--reps", "0"],
         ["table6", "--reps", "-1"],
-        ["coverage", "--trials", "0"],
         ["fig6", "--rows", "0"],
         ["query", "SELECT 1", "--rows", "ten"],
-    ], ids=["table5-reps", "table6-reps", "coverage-trials", "fig6-rows", "query-rows"])
+    ], ids=["table5-reps", "table6-reps", "fig6-rows", "query-rows"])
     def test_counts_must_be_positive(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
@@ -77,12 +76,15 @@ class TestCommands:
         assert main(["list"], out=out) == 0
         text = out.getvalue()
         assert "F-q1" in text and "bernstein+rt" in text and "table5" in text
+        assert "coverage" not in text and "clt" not in text
 
-    def test_coverage_small(self):
-        out = io.StringIO()
-        assert main(["coverage", "--trials", "30"], out=out) == 0
-        text = out.getvalue()
-        assert "CLT" in text and "miss rate" in text
+    def test_coverage_command_is_gone(self, capsys):
+        """5.0 removed ``repro coverage`` with the asymptotic bounders;
+        the §1 undercoverage claim is a tier-1 test case now."""
+        with pytest.raises(SystemExit) as exc:
+            main(["coverage"], out=io.StringIO())
+        assert exc.value.code == 2
+        assert "invalid choice: 'coverage'" in capsys.readouterr().err
 
     def test_query_scalar(self):
         out = io.StringIO()
@@ -198,7 +200,6 @@ class TestClaimChecks:
         err = capsys.readouterr().err
         assert err.startswith("repro: claim failed: ") and err.count("\n") == 1
         assert cell in err, err
-        return err
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["table5", "--queries", "F-q1"], id="table5"),
@@ -220,13 +221,3 @@ class TestClaimChecks:
         monkeypatch.setattr(cli, "sweep_fig7a_relative_error", lambda *a, **k: sweep)
         code = main(["fig7a", "--rows", "20000"], out=io.StringIO())
         self._assert_claim_failed(code, capsys, "hoeffding@eps=0.1")
-
-    def test_ssi_miss_rate_above_delta(self, monkeypatch, capsys):
-        cells = [
-            CoverageCell("Hoeffding", 20, 10, misses=1, mean_width=1.0, ssi=True),
-            CoverageCell("CLT", 20, 10, misses=9, mean_width=0.1, ssi=False),
-        ]
-        monkeypatch.setattr(cli, "run_coverage_experiment", lambda **kwargs: cells)
-        code = main(["coverage"], out=io.StringIO())
-        err = self._assert_claim_failed(code, capsys, "Hoeffding@m=20")
-        assert "CLT" not in err  # only an SSI bounder promises ≤ δ

@@ -61,6 +61,20 @@ def test_package_exports_quickstart_symbols():
         assert name not in fastframe.__all__, name
     for module in ("stratified", "outlier_index", "priority", "planner"):
         assert importlib.util.find_spec(f"repro.fastframe.{module}") is None, module
+    # 5.0 removed the asymptotic (non-SSI) bounders and the coverage
+    # experiment that ran them: every registered bounder issues certificates.
+    import repro.bounders as bounders
+    import repro.experiments as experiments
+
+    for name in ("CLTBounder", "StudentTBounder", "BootstrapBounder"):
+        assert not hasattr(bounders, name), name
+        assert name not in bounders.__all__, name
+    assert "native_delta_bounders" not in bounders.__all__
+    assert not {"clt", "student-t", "bootstrap"} & set(bounders.available_bounders())
+    for name in ("CoverageCell", "measure_coverage", "run_coverage_experiment"):
+        assert name not in experiments.__all__, name
+    for module in ("repro.bounders.asymptotic", "repro.experiments.coverage"):
+        assert importlib.util.find_spec(module) is None, module
 
 
 @pytest.mark.parametrize("query_name", sorted(ALL_QUERIES))
