@@ -234,8 +234,8 @@ def run_range_trim() -> dict:
     """RangeTrim's record-only clip: cost and candidate rate per window.
 
     Replays windowed view-sorted streams through ``bernstein+rt``'s pool
-    and times the pure clip (``_clip_segments`` over the pool's
-    ``delta_context``) per window.  The first window meets fresh views —
+    and times the pure clip (``_clip_segments`` over the pool's extrema
+    and counts) per window.  The first window meets fresh views —
     every element is a candidate, the dense worst case; from the second
     on only elements beyond a view's carried extrema are.  Every window's
     clipped streams are asserted ``==`` the per-element reference.
@@ -251,7 +251,7 @@ def run_range_trim() -> dict:
         for _ in range(num_windows):
             indices = np.sort(rng.integers(0, views, window)).astype(np.int64)
             values = rng.normal(100.0, 15.0, window)
-            carry_min, carry_max, counts, _, _ = bounder.delta_context(pool)
+            carry_min, carry_max, counts = pool.min, pool.max, pool.count
             best = float("inf")
             for _ in range(REPS):
                 start = time.perf_counter()

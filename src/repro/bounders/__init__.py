@@ -8,7 +8,7 @@ for PMA and PHOS.  Every registered bounder is SSI (Definition 1): the
 """
 
 from repro.bounders.anderson import AndersonBounder
-from repro.bounders.base import BounderDelta, ErrorBounder, Interval
+from repro.bounders.base import ErrorBounder, Interval
 from repro.bounders.bernstein import (
     BernsteinSerflingBounder,
     EmpiricalBernsteinBounder,
@@ -27,7 +27,6 @@ from repro.bounders.registry import (
 __all__ = [
     "AndersonBounder",
     "BernsteinSerflingBounder",
-    "BounderDelta",
     "EmpiricalBernsteinBounder",
     "EmpiricalBernsteinSerflingBounder",
     "ErrorBounder",

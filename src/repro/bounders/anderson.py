@@ -24,10 +24,7 @@ per view; the pool flavour stores every view's samples in a single
 amortized-doubling reserved regions, CSR-style.  Ingest appends a whole
 window's per-view segments with one vectorized scatter, and the bound
 kernels batch ``np.partition`` row-wise over same-length segment groups
-instead of looping views.  The pool's mergeable delta
-(:class:`AndersonDelta`) is the per-view value segments themselves — the
-irreducible O(m) payload — with the per-row ``view_idx`` array compressed
-to per-segment ``(slot, length)`` pairs.
+instead of looping views.
 """
 
 from __future__ import annotations
@@ -37,19 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bounders.base import (
-    BounderDelta,
-    ErrorBounder,
-    segment_bounds,
-    validate_bound_args,
-)
+from repro.bounders.base import ErrorBounder, segment_bounds, validate_bound_args
 from repro.cdfbounds.dkw import dkw_epsilon
 
 __all__ = [
     "AndersonBounder",
     "SampleState",
     "CSRSamplePool",
-    "AndersonDelta",
     "CSRPoolBounderMixin",
     "anderson_lower_bound",
 ]
@@ -207,41 +198,14 @@ class CSRSamplePool:
         self._data = new_data
 
 
-class AndersonDelta(BounderDelta):
-    """Mergeable delta for the O(m) family: the value segments themselves.
-
-    Anderson's state *is* the sample, so the per-row values are the
-    irreducible payload; the delta compresses the per-row ``view_idx``
-    array into per-segment ``(slot, length)`` pairs — O(present views)
-    instead of O(rows) of int64.
-    """
-
-    __slots__ = ("slots", "seg_counts", "values")
-
-    def __init__(
-        self, slots: np.ndarray, seg_counts: np.ndarray, values: np.ndarray
-    ) -> None:
-        self.slots = slots
-        self.seg_counts = seg_counts
-        self.values = values
-
-    @property
-    def nbytes(self) -> int:
-        return self.slots.nbytes + self.seg_counts.nbytes + self.values.nbytes
-
-
 class CSRPoolBounderMixin:
     """Sample-state and pool plumbing of the full-sample families.
 
-    The scalar state is a :class:`SampleState`, the pool a
-    :class:`CSRSamplePool` and the mergeable delta an
-    :class:`AndersonDelta` — all family-agnostic, so the Anderson and
-    quantile bounders share ingest (a vectorized segment append), the
-    worker-side partition→merge pair and the count reads, and differ only
-    in their bound kernels.
+    The scalar state is a :class:`SampleState` and the pool a
+    :class:`CSRSamplePool` — both family-agnostic, so the Anderson and
+    quantile bounders share ingest (a vectorized segment append) and the
+    count reads, and differ only in their bound kernels.
     """
-
-    supports_delta = True
 
     def init_state(self) -> SampleState:
         return SampleState()
@@ -264,22 +228,13 @@ class CSRPoolBounderMixin:
     def pool_size(self, pool: CSRSamplePool) -> int:
         return pool.size
 
-    def partition_delta(
-        self, indices: np.ndarray, values: np.ndarray, size: int, context=None
-    ) -> AndersonDelta:
-        """Compress the sorted stream into per-view segments (pure)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        starts, ends = segment_bounds(indices)
-        return AndersonDelta(indices[starts], ends - starts, values)
-
-    def merge_delta(self, pool: CSRSamplePool, delta: AndersonDelta) -> None:
-        pool.append_segments(delta.slots, delta.seg_counts, delta.values)
-
     def update_pool(
         self, pool: CSRSamplePool, indices: np.ndarray, values: np.ndarray
     ) -> None:
-        self.merge_delta(pool, self.partition_delta(indices, values, pool.size))
+        """Append the sorted stream's per-view segments in one scatter."""
+        indices = np.asarray(indices, dtype=np.int64)
+        starts, ends = segment_bounds(indices)
+        pool.append_segments(indices[starts], ends - starts, values)
 
 
 def anderson_lower_bound(sample: np.ndarray, a: float, delta: float) -> float:

@@ -16,28 +16,9 @@ every view at once (``init_pool`` / ``update_pool`` /
 ``confidence_interval_batch``).  The base class provides loop fall-backs so
 any scalar bounder participates unchanged; the built-in bounders override
 them with numpy implementations whose per-slot results match the scalar
-path up to floating-point summation order.
-
-**Mergeable deltas.**  Pool ingest is further split at the pure/stateful
-boundary into a three-phase protocol so that the O(rows) half can run on
-an ingest thread:
-
-* ``delta_context(pool)`` — a read-only view of whatever
-  pool state the pure partition consults (``None`` for most families;
-  RangeTrim's clip needs the per-view extrema and counts);
-* ``partition_delta(indices, values, size, context)`` — a **pure
-  function** of one window's sorted ``(view_idx, values)`` stream that
-  pre-aggregates it into a :class:`BounderDelta` (per-view moments,
-  segmented extrema, or sample segments, per family);
-* ``merge_delta(pool, delta)`` — the O(views) scanning-thread fold.
-
-``update_pool(pool, indices, values)`` remains the mutate-in-place entry
-point and the **loop fall-back** for third-party bounders that implement
-only the scalar interface: bounders with ``supports_delta = False`` keep
-working unchanged (the executor replays their sorted values serially).
-For delta-capable bounders the serial path and the parallel workers run
-the *identical* partition→merge pair over the identical sorted stream, so
-results are bit-for-bit independent of where the partition ran.
+path up to floating-point summation order.  ``update_pool(pool, indices,
+values)`` is the one way a pool is fed, on whichever thread folds the
+window: serial and parallel ingest call it on the same sorted stream.
 
 :class:`ErrorBounder` is the abstract base class realizing this interface.
 A bounder is **SSI** (sample-size independent, Definition 1) when, for every
@@ -62,8 +43,6 @@ __all__ = [
     "Interval",
     "ErrorBounder",
     "MomentPoolBounderMixin",
-    "BounderDelta",
-    "MomentDelta",
     "validate_bound_args",
     "iter_segments",
     "segment_bounds",
@@ -75,8 +54,8 @@ def segment_bounds(sorted_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The ONE copy of the sorted-stream segmentation arithmetic: the loop
     fall-backs (:func:`iter_segments`) and every segment-shaped
-    ``partition_delta`` kernel (Anderson's sample segments, RangeTrim's
-    clip segments) share it.  The number of runs is bounded by the
+    ``update_pool`` (Anderson's sample segments, RangeTrim's clip
+    segments) share it.  The number of runs is bounded by the
     distinct views actually receiving rows, never the full view count.
     """
     if sorted_indices.size == 0:
@@ -125,47 +104,6 @@ class Interval(NamedTuple):
 
     def __contains__(self, value: object) -> bool:
         return self.lo <= float(value) <= self.hi  # type: ignore[arg-type]
-
-
-class BounderDelta:
-    """Base class for per-window mergeable bounder-state deltas.
-
-    A delta is the pure, pre-aggregated form of one window's sorted
-    ``(view_idx, values)`` stream for one bounder family — everything
-    :meth:`ErrorBounder.merge_delta` needs to fold the window into a pool
-    without replaying the per-row values.  Deltas expose :attr:`nbytes`
-    so the parallel driver can account what its ingest threads return
-    (:attr:`~repro.fastframe.query.ExecutionMetrics.delta_bytes_returned`).
-    """
-
-    __slots__ = ()
-
-    @property
-    def nbytes(self) -> int:
-        """Payload size in bytes (sum of the delta's array buffers)."""
-        raise NotImplementedError
-
-
-class MomentDelta(BounderDelta):
-    """Per-view batch moments: the delta of every ``MomentPool`` family.
-
-    Exactly the ``(counts, means, m2s)`` triple of
-    :meth:`repro.stats.streaming.MomentPool.batch_stats`; merging is one
-    vectorized Chan/Golub/LeVeque :meth:`~repro.stats.streaming.MomentPool.
-    merge_arrays` — the same float program ``update_pool`` runs in place,
-    so partition→merge is bit-identical to the mutate-in-place path.
-    """
-
-    __slots__ = ("counts", "means", "m2s")
-
-    def __init__(self, counts: np.ndarray, means: np.ndarray, m2s: np.ndarray):
-        self.counts = counts
-        self.means = means
-        self.m2s = m2s
-
-    @property
-    def nbytes(self) -> int:
-        return self.counts.nbytes + self.means.nbytes + self.m2s.nbytes
 
 
 def validate_bound_args(a: float, b: float, n: int, delta: float) -> None:
@@ -297,52 +235,6 @@ class ErrorBounder(ABC):
         values = np.asarray(values, dtype=np.float64)
         for start, end, slot in iter_segments(indices):
             self.update_batch(pool[slot], values[start:end])
-
-    # ------------------------------------------------------------------
-    # Mergeable-delta protocol — the worker-computable form of
-    # update_pool.  Families with supports_delta = True implement the
-    # pair; everything else keeps the loop fall-back above (the executor
-    # ships the sorted values and replays update_pool in place).
-    # ------------------------------------------------------------------
-
-    #: True when this bounder implements :meth:`partition_delta` /
-    #: :meth:`merge_delta` so pool ingest can be split into a pure
-    #: worker-side partition and an O(views) main-process merge.
-    supports_delta: bool = False
-
-    def delta_context(self, pool: Any) -> Any:
-        """Read-only view of the pool state :meth:`partition_delta`
-        consults (``None`` for stateless partitions).  Must stay valid
-        until the window's delta is merged; the executor guarantees no
-        pool mutation in between.
-        """
-        return None
-
-    def partition_delta(
-        self, indices: np.ndarray, values: np.ndarray, size: int, context: Any = None
-    ) -> BounderDelta:
-        """Pre-aggregate one window's sorted stream into a mergeable delta.
-
-        ``indices`` must be sorted ascending with ties in stream order
-        (the executor's stable sort guarantees this), ``size`` is the pool
-        slot count, and ``context`` is this bounder's
-        :meth:`delta_context`.  **Pure**: must not touch any pool state
-        (nor any state of the bounder itself), so it is safe to run on an
-        ingest thread.  The contract that keeps parallelism bit-identical:
-        ``merge_delta(pool, partition_delta(idx, vals, size, ctx))`` must
-        execute the same float program as ``update_pool(pool, idx, vals)``.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the mergeable-delta "
-            "protocol (supports_delta is False); use update_pool"
-        )
-
-    def merge_delta(self, pool: Any, delta: BounderDelta) -> None:
-        """Fold a :meth:`partition_delta` result into ``pool`` (O(views))."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the mergeable-delta "
-            "protocol (supports_delta is False); use update_pool"
-        )
 
     def pool_counts(self, pool: Any) -> np.ndarray:
         """Per-slot sample counts (int64 array)."""
@@ -497,9 +389,6 @@ class MomentPoolBounderMixin:
     sides share one vectorized ε kernel (:meth:`_epsilon_batch`).
     """
 
-    #: Moment-family deltas ride MomentPool's Chan/Golub/LeVeque merge.
-    supports_delta = True
-
     def init_pool(self, size: int):
         from repro.stats.streaming import MomentPool
 
@@ -510,22 +399,6 @@ class MomentPoolBounderMixin:
 
     def update_pool(self, pool, indices: np.ndarray, values: np.ndarray) -> None:
         pool.update_indexed(indices, values)
-
-    def partition_delta(
-        self, indices: np.ndarray, values: np.ndarray, size: int, context=None
-    ) -> MomentDelta:
-        """One window's per-view batch moments (pure; worker-safe).
-
-        ``update_indexed`` is exactly ``batch_stats`` + ``merge_arrays``,
-        so the partition→merge pair is bit-identical to
-        :meth:`update_pool`.
-        """
-        from repro.stats.streaming import MomentPool
-
-        return MomentDelta(*MomentPool.batch_stats(indices, values, size))
-
-    def merge_delta(self, pool, delta: MomentDelta) -> None:
-        pool.merge_arrays(delta.counts, delta.means, delta.m2s)
 
     def pool_counts(self, pool) -> np.ndarray:
         return pool.count.copy()

@@ -186,9 +186,9 @@ class EmpiricalBernsteinSerflingBounder(MomentPoolBounderMixin, ErrorBounder):
     paper's expository pseudocode (which tracks the raw second moment
     ``M2 = Σ v²``), the implementation uses Welford's numerically stable
     one-pass recurrence, as the paper recommends (§2.2.3, [17, 45, 67]).
-    Pool state is a :class:`~repro.stats.streaming.MomentPool`, with the
-    worker-computable mergeable delta (``partition_delta``/``merge_delta``)
-    inherited from :class:`~repro.bounders.base.MomentPoolBounderMixin`.
+    Pool state is a :class:`~repro.stats.streaming.MomentPool`, fed by the
+    vectorized ``update_pool`` inherited from
+    :class:`~repro.bounders.base.MomentPoolBounderMixin`.
     """
 
     name = "Bernstein"

@@ -97,8 +97,8 @@ class HoeffdingSerflingBounder(MomentPoolBounderMixin, ErrorBounder):
     State is an O(1) :class:`~repro.stats.streaming.MomentState` (only the
     count and running mean are consulted; the second moment is maintained so
     the same state type serves every O(1) bounder).  Pool state is a
-    :class:`~repro.stats.streaming.MomentPool`, with the worker-computable
-    mergeable delta (``partition_delta``/``merge_delta``) inherited from
+    :class:`~repro.stats.streaming.MomentPool`, fed by the vectorized
+    ``update_pool`` inherited from
     :class:`~repro.bounders.base.MomentPoolBounderMixin`.
 
     Parameters

@@ -16,9 +16,8 @@ executor's certified ``N⁺`` (monotone-safe, §3.3), which collapses to the
 exact population quantile at exhaustion.
 
 **Pooled state.**  The pool *is* Anderson's :class:`CSRSamplePool` — the
-flat CSR sample buffer and its O(views) mergeable delta
-(:class:`AndersonDelta`) are family-agnostic, so parallel workers ship
-quantile deltas through the identical partition→merge pair.  The bound
+flat CSR sample buffer and its segment-append ingest are family-agnostic
+(:class:`~repro.bounders.anderson.CSRPoolBounderMixin`).  The bound
 kernel groups views by equal sample count (``ε`` and the DKW ranks depend
 only on ``(m, p, δ)``), sorts each group's sample matrix row-wise once, and
 gathers both endpoints per row with per-slot ranks (the deterministic clamp
@@ -107,8 +106,8 @@ class QuantileBounder(CSRPoolBounderMixin, ErrorBounder):
         return float(np.partition(state.values, rank - 1)[rank - 1])
 
     # -- pool flavour ---------------------------------------------------
-    # The pool, the ingest scatter, and the mergeable delta are exactly
-    # Anderson's CSR machinery (the mixin); only the bound kernel differs.
+    # The pool and the ingest scatter are exactly Anderson's CSR machinery
+    # (the mixin); only the bound kernel differs.
 
     def _rank_arrays(
         self, m: int, n_rows: np.ndarray, delta: float

@@ -34,15 +34,10 @@ from typing import Any
 
 import numpy as np
 
-from repro.bounders.base import (
-    BounderDelta,
-    ErrorBounder,
-    segment_bounds,
-    validate_bound_args,
-)
+from repro.bounders.base import ErrorBounder, segment_bounds, validate_bound_args
 from repro.stats.streaming import ExtremaState
 
-__all__ = ["RangeTrimBounder", "RangeTrimState", "RangeTrimPool", "RangeTrimDelta"]
+__all__ = ["RangeTrimBounder", "RangeTrimState", "RangeTrimPool"]
 
 #: Recompute sets at or below this size take the scalar-dispatch mirror of
 #: the batch bound path (bit-identical; see ``_confidence_interval_small``).
@@ -67,47 +62,6 @@ class RangeTrimPool:
     min: np.ndarray
     max: np.ndarray
     count: np.ndarray
-
-
-class RangeTrimDelta(BounderDelta):
-    """Mergeable delta for Algorithm 6's composite clip state.
-
-    Carries the two inner-bounder deltas (built from the clipped streams)
-    plus the per-segment extrema and counts that update the pool's
-    running ``a'``/``b'``.  Building it needs the pool's *prior* extrema
-    and counts (the clip context), so :meth:`RangeTrimBounder.
-    partition_delta` takes them via ``delta_context`` — still pure: the
-    context is a read-only snapshot.
-    """
-
-    __slots__ = ("slots", "seg_min", "seg_max", "seg_counts", "left", "right")
-
-    def __init__(
-        self,
-        slots: np.ndarray,
-        seg_min: np.ndarray,
-        seg_max: np.ndarray,
-        seg_counts: np.ndarray,
-        left: BounderDelta,
-        right: BounderDelta,
-    ) -> None:
-        self.slots = slots
-        self.seg_min = seg_min
-        self.seg_max = seg_max
-        self.seg_counts = seg_counts
-        self.left = left
-        self.right = right
-
-    @property
-    def nbytes(self) -> int:
-        return (
-            self.slots.nbytes
-            + self.seg_min.nbytes
-            + self.seg_max.nbytes
-            + self.seg_counts.nbytes
-            + self.left.nbytes
-            + self.right.nbytes
-        )
 
 
 #: ``(is_candidate, running extremum, clip)`` ufuncs of the two clip sides:
@@ -332,70 +286,6 @@ class RangeTrimBounder(ErrorBounder):
     def pool_size(self, pool: RangeTrimPool) -> int:
         return pool.count.size
 
-    @property
-    def supports_delta(self) -> bool:
-        """Delta-capable exactly when the inner bounder is (the inner
-        deltas are components of :class:`RangeTrimDelta`)."""
-        return self.inner.supports_delta
-
-    def delta_context(self, pool: RangeTrimPool):
-        """The clip context: per-view extrema + counts, plus inner contexts.
-
-        Read-only references: both the serial path and an ingest thread
-        read them before the window's merge mutates the pool.
-        """
-        return (
-            pool.min,
-            pool.max,
-            pool.count,
-            self.inner.delta_context(pool.left),
-            self.inner.delta_context(pool.right),
-        )
-
-    def partition_delta(
-        self, indices: np.ndarray, values: np.ndarray, size: int, context=None
-    ) -> RangeTrimDelta:
-        """Segmented clip-then-partition (pure; Algorithm 6's O(rows) half).
-
-        ``indices`` must be sorted with ties in stream order.  Per segment
-        (= per view receiving rows this window): the first-ever sample only
-        seeds the extrema; every other sample is clipped against the
-        extrema of all *earlier* samples of its view (context carry +
-        exclusive running extrema) before entering the inner deltas.
-        """
-        if context is None:
-            raise ValueError(
-                "RangeTrimBounder.partition_delta requires the delta_context "
-                "(per-view extrema and counts) of the target pool"
-            )
-        carry_min, carry_max, pool_counts, left_ctx, right_ctx = context
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if indices.size == 0:
-            empty_i = np.zeros(0, dtype=np.int64)
-            empty_f = np.zeros(0, dtype=np.float64)
-            return RangeTrimDelta(
-                empty_i,
-                empty_f,
-                empty_f,
-                empty_i,
-                self.inner.partition_delta(empty_i, empty_f, size, left_ctx),
-                self.inner.partition_delta(empty_i, empty_f, size, right_ctx),
-            )
-        slots, starts, ends, fed_indices, fed_left, fed_right = self._clip_segments(
-            indices, values, carry_min, carry_max, pool_counts
-        )
-        left = self.inner.partition_delta(fed_indices, fed_left, size, left_ctx)
-        right = self.inner.partition_delta(fed_indices, fed_right, size, right_ctx)
-        return RangeTrimDelta(
-            slots,
-            np.minimum.reduceat(values, starts),
-            np.maximum.reduceat(values, starts),
-            ends - starts,
-            left,
-            right,
-        )
-
     @staticmethod
     def _clip_segments(
         indices: np.ndarray,
@@ -406,9 +296,8 @@ class RangeTrimBounder(ErrorBounder):
     ):
         """Algorithm 6's segmented clip over one sorted stream (pure).
 
-        The ONE copy of the pool clip, shared by :meth:`partition_delta`
-        (reading a context snapshot) and the legacy :meth:`update_pool`
-        fallback (reading the pool directly): segments the stream, clips
+        The O(rows) half of :meth:`update_pool`, which passes the pool's
+        own extrema and counts as the carries: segments the stream, clips
         each element against the exclusive prior extrema of its view
         (:func:`_record_clip`, per-view carries), and drops the first-ever
         sample of fresh views (Algorithm 4 lines 3-4: it only seeds the
@@ -428,37 +317,20 @@ class RangeTrimBounder(ErrorBounder):
         feed[seed_positions] = False
         return slots, starts, ends, indices[feed], left_values[feed], right_values[feed]
 
-    def merge_delta(self, pool: RangeTrimPool, delta: RangeTrimDelta) -> None:
-        """O(present views) fold: inner merges, then extrema and counts —
-        the same operations, in the same order, as the mutate-in-place
-        path, so partition→merge is bit-identical to :meth:`update_pool`."""
-        self.inner.merge_delta(pool.left, delta.left)
-        self.inner.merge_delta(pool.right, delta.right)
-        slots = delta.slots
-        pool.max[slots] = np.maximum(pool.max[slots], delta.seg_max)
-        pool.min[slots] = np.minimum(pool.min[slots], delta.seg_min)
-        pool.count[slots] += delta.seg_counts
-
     def update_pool(
         self, pool: RangeTrimPool, indices: np.ndarray, values: np.ndarray
     ) -> None:
         """Vectorized Algorithm 6 across views: segmented clip-then-feed.
 
-        With a delta-capable inner this *is* the partition→merge pair run
-        in place; the explicit loop below serves inners that implement
-        only the legacy mutate-in-place pool API.
+        ``indices`` must be sorted with ties in stream order.  Per segment
+        (= per view receiving rows this window): the first-ever sample only
+        seeds the extrema; every other sample is clipped against the
+        extrema of all *earlier* samples of its view before entering the
+        inner pools, and the extrema and counts fold in last.
         """
         indices = np.asarray(indices, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
         if indices.size == 0:
-            return
-        if self.supports_delta:
-            self.merge_delta(
-                pool,
-                self.partition_delta(
-                    indices, values, self.pool_size(pool), self.delta_context(pool)
-                ),
-            )
             return
         slots, starts, ends, fed_indices, fed_left, fed_right = self._clip_segments(
             indices, values, pool.min, pool.max, pool.count

@@ -62,9 +62,9 @@ def get_bounder(name: str) -> ErrorBounder:
 def available_bounders() -> tuple[str, ...]:
     """Names accepted by :func:`get_bounder`.
 
-    Every built-in is SSI and implements the mergeable-delta protocol
-    (``supports_delta``); only a :func:`register_bounder` factory can add
-    a scalar-only one, which the executor's loop fall-backs carry.
+    Every built-in is SSI and has a vectorized pool flavour; only a
+    :func:`register_bounder` factory can add a scalar-only one, which the
+    executor's loop fall-backs carry.
     """
     return tuple(sorted(_REGISTRY))
 

@@ -420,8 +420,8 @@ class QueryRun:
     """
 
     #: The struct-of-arrays view state when the run is on the pool engine.
-    #: The parallel driver partitions on ingest threads only for runs
-    #: that have one (a thread's delta merges into pool arrays).
+    #: The parallel driver offloads a window's ingest to a thread only for
+    #: runs that have one.
     pool: ViewPool | None = None
 
     def __new__(cls, executor: ApproximateExecutor, query: Query):
@@ -540,8 +540,7 @@ class QueryRun:
         rows or at scan end (``at_end=True``), one OptStop round runs.
         """
         # Both engines partition through the same fused kernel over the
-        # same domain; they differ only in the merge half
-        # (:meth:`consume_delta`'s ``_ingest`` hook).
+        # same domain; they differ only in the fold (the ``_ingest`` hook).
         delta = partition_ingest(
             frame.rows.size,
             frame.element_selector(mask),
@@ -550,7 +549,8 @@ class QueryRun:
             self.frame_values_of(frame),
             self.frame_combined_of(frame),
         )
-        self.consume_delta(delta, frame.window_rows, at_end)
+        self._ingest(delta, frame.window_rows)
+        self._end_window(delta.n_read, at_end)
 
     def frame_values_of(self, frame: WindowFrame):
         """Lazy pick-slicer over the frame's shared value array, or
@@ -571,34 +571,16 @@ class QueryRun:
             group_by, lambda rows: ex._combined_codes(group_by, rows)
         )[pick]
 
-    def consume_delta(
-        self, delta: IngestDelta, window_rows: int, at_end: bool
-    ) -> None:
-        """Phase 2 of a window from a pre-partitioned :class:`IngestDelta`.
-
-        The merge half of :meth:`consume`: the delta carries
-        this run's window slice already partitioned by view (built in
-        place by :meth:`consume`, or returned by a parallel ingest thread
-        that ran :func:`~repro.fastframe.kernels.partition_ingest` over the
-        frame's arrays).  Always called on the scanning thread: the pool
-        it mutates is unlocked.  For delta-capable bounders the thread may
-        also have pre-partitioned the bounder-state update
-        (``IngestDelta.bounder_delta``); when it did not,
-        :meth:`~repro.fastframe.viewpool.ViewPool.apply_ingest` runs the
-        *identical* ``partition_delta`` → ``merge_delta`` pair in place,
-        so serial and parallel execute the same float program.  Merging
-        deltas in window order is bit-identical to serial ingest because
-        the delta arrays are exactly what the serial path computes in
-        place.
-
-        Then the round cadence, shared by both engines: every
-        ``round_rows`` rows read or at scan end, one OptStop round —
-        recompute bounds, refresh the active set, test the stopping
-        condition.
+    def _end_window(self, n_read: int, at_end: bool) -> None:
+        """The tail of a window, once its slice is folded in: charge
+        ``n_read`` rows and advance the round cadence shared by both
+        engines — every ``round_rows`` rows read or at scan end, one
+        OptStop round (recompute bounds, refresh the active set, test the
+        stopping condition).  Always on the scanning thread; the parallel
+        driver calls it after the run's ingest task has returned.
         """
-        self.metrics.rows_read += delta.n_read
-        self._ingest(delta, window_rows)
-        self.rows_since_bound += delta.n_read
+        self.metrics.rows_read += n_read
+        self.rows_since_bound += n_read
         if at_end:
             self._scan_ended = True
 

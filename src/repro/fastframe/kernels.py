@@ -2,15 +2,16 @@
 
 Every engine in this codebase ultimately does the same thing to a scan
 window: slice it down to the run's elements (block mask ∧ predicate),
-gather the surviving values and combined group codes, stable-sort by
-group code, pre-aggregate per-view statistics, and optionally run the
-bounder's pure partition step.  Before this module existed that
+gather the surviving values and combined group codes, and stable-sort by
+group code into pool rows.  Before this module existed that
 arithmetic lived in three near-copies — the scalar engine, the ViewPool
 serial path, and the parallel worker — and every optimization (or bug
 fix) had to land three times and be parity-tested three ways.
 
-:func:`partition_ingest` is now the single entry point all three layers
-call.  The primitives it composes (:func:`slice_elements`,
+:func:`partition_ingest` is now the single entry point both engines
+call; the parallel driver calls its two halves, :func:`slice_elements`
+on the scanning thread and :func:`partition_slice` on an ingest thread.
+The primitives it composes (:func:`slice_elements`,
 :func:`partition_slice`, :func:`lookup_codes`, :class:`IngestDelta`,
 :class:`WindowSlice`) live here, so the arithmetic exists exactly once —
 in this module.
@@ -25,9 +26,9 @@ sweeps while producing byte-identical deltas:
   survives the slice (no block-mask restriction and an all-true
   predicate: the common full-scan case), the boolean gathers
   ``values[pick]`` / ``combined[pick]`` are replaced by zero-copy views
-  (``arr[:]``).  Nothing downstream mutates its inputs, so views are
-  safe — also in the parallel driver's deltas, whose frame arrays live
-  on in the same address space until the fold.
+  (``arr[:]``).  Nothing downstream mutates its inputs, and the fold
+  reads the delta while the window's frame is still alive, so views are
+  safe on either thread.
 * **Sort-fused value gather** — for multi-view value queries the legacy
   path gathered values twice (boolean gather, then permutation by sort
   order).  The kernel converts the pick mask to indices once and
@@ -53,11 +54,8 @@ filtered, single group, max cardinality, non-contiguous slices).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
-
-from repro.stats.streaming import MomentPool
 
 __all__ = [
     "BUCKET_MAX_CARDINALITY",
@@ -151,12 +149,11 @@ def group_order(
 
 @dataclass
 class IngestDelta:
-    """One (query, window) slice, partitioned and ready to merge.
+    """One (query, window) slice, partitioned and ready to fold.
 
-    The unit of work a parallel ingest task returns: everything
-    :meth:`~repro.fastframe.viewpool.ViewPool.apply_ingest` needs to
-    fold the window into the pool without touching the window's row
-    data again.
+    Everything :meth:`~repro.fastframe.viewpool.ViewPool.apply_ingest`
+    (or the scalar engine's ``_ingest``) needs to fold the window into a
+    run's view state without touching the window's frame again.
 
     Attributes
     ----------
@@ -171,71 +168,12 @@ class IngestDelta:
     values:
         Aggregated-column values aligned with ``view_idx``; ``None`` for
         COUNT queries.
-    counts, means, m2s:
-        Optional pre-aggregated per-view batch statistics
-        (:meth:`MomentPool.batch_stats` output for value queries, a
-        plain bincount for COUNT).  Workers precompute them; the serial
-        path leaves them ``None`` and :meth:`ensure_stats` fills them in
-        lazily.  Either way the arrays are the output of the same pure
-        function over the same inputs, so the merge is bit-identical.
-    bounder_delta:
-        Optional pre-partitioned bounder-state delta
-        (:meth:`~repro.bounders.base.ErrorBounder.partition_delta`
-        output).  A worker sets it — and drops :attr:`view_idx` /
-        :attr:`values` from the payload — when the run's bounder is
-        delta-capable and every view is settling; the serial path leaves
-        it ``None`` and ``apply_ingest`` runs the identical partition in
-        place.
     """
 
     n_read: int
     n_in_view: int
     view_idx: np.ndarray | None = None
     values: np.ndarray | None = None
-    counts: np.ndarray | None = None
-    means: np.ndarray | None = None
-    m2s: np.ndarray | None = None
-    bounder_delta: Any = None
-
-    @property
-    def needs_values(self) -> bool:
-        """True for value (non-COUNT) deltas, however they were shipped.
-
-        A worker-native delta omits :attr:`values`; its per-view means
-        (value queries always pre-aggregate stats) or bounder delta still
-        mark it as a value ingest.
-        """
-        return (
-            self.values is not None
-            or self.means is not None
-            or self.bounder_delta is not None
-        )
-
-    def payload_nbytes(self) -> int:
-        """Bytes of array payload this delta hands to the fold."""
-        total = 0
-        for array in (self.view_idx, self.values, self.counts, self.means, self.m2s):
-            if array is not None:
-                total += array.nbytes
-        if self.bounder_delta is not None:
-            total += self.bounder_delta.nbytes
-        return total
-
-    def ensure_stats(self, size: int, needs_values: bool) -> None:
-        """Fill :attr:`counts` (and value moments) if a worker didn't."""
-        if self.counts is not None or self.n_in_view == 0:
-            return
-        if self.view_idx is None:
-            raise ValueError(
-                "IngestDelta shipped without per-view statistics or row "
-                "arrays; a native delta must precompute counts"
-            )
-        if needs_values:
-            self.counts, self.means, self.m2s = MomentPool.batch_stats(
-                self.view_idx, self.values, size
-            )
-        else:
-            self.counts = np.bincount(self.view_idx, minlength=size)
 
 
 @dataclass
@@ -266,8 +204,8 @@ def slice_elements(n_rows: int, sel, predicate_of) -> WindowSlice:
     (``None`` when the run's mask is the union); ``predicate_of`` lazily
     supplies the predicate mask — evaluated only when the run read
     anything, exactly the serial lazy condition.  The ONE copy of this
-    arithmetic: the serial consume path and the parallel driver both
-    call it, so the engines cannot drift.
+    arithmetic: :func:`partition_ingest` and the parallel driver's
+    offload planning both call it, so the drivers cannot drift.
     """
     n_read = int(n_rows) if sel is None else int(np.count_nonzero(sel))
     pick = None
@@ -284,8 +222,6 @@ def partition_slice(
     codes: np.ndarray,
     values_of=None,
     combined_of=None,
-    *,
-    with_stats: bool = False,
 ) -> IngestDelta:
     """Partition a counted slice into an :class:`IngestDelta` (pure, fused).
 
@@ -327,15 +263,12 @@ def partition_slice(
             ordered_values = values_of(gather)
         else:
             ordered_values = None
-    delta = IngestDelta(
+    return IngestDelta(
         n_read=window_slice.n_read,
         n_in_view=n_in_view,
         view_idx=view_idx,
         values=ordered_values,
     )
-    if with_stats:
-        delta.ensure_stats(max(codes.size, 1), needs_values)
-    return delta
 
 
 def partition_ingest(
@@ -345,17 +278,12 @@ def partition_ingest(
     codes: np.ndarray,
     values_of=None,
     combined_of=None,
-    *,
-    with_stats: bool = False,
-    window_slice: WindowSlice | None = None,
-    bounder=None,
-    bounder_ctx=None,
-    native: bool = False,
 ) -> IngestDelta:
-    """The whole ingest hot path, fused: slice → gather → sort → stats.
+    """The whole partition hot path, fused: slice → gather → sort.
 
-    The single kernel entry point all three call layers use — the scalar
-    engine, the ViewPool serial path, and the parallel workers — so one
+    :func:`slice_elements` then :func:`partition_slice` — the kernel both
+    engines' ``consume`` call; the parallel driver slices on the scanning
+    thread and runs :func:`partition_slice` on an ingest thread, so one
     optimization lands everywhere and parity stays one test.
 
     Parameters
@@ -372,37 +300,7 @@ def partition_ingest(
         group domain for the scalar engine).
     values_of, combined_of:
         Lazy gathers as in :func:`partition_slice`.
-    with_stats:
-        Pre-aggregate per-view statistics (ingest threads pay this
-        O(rows) pass so the scanning thread's merge is O(views)).
-    window_slice:
-        A pre-counted :class:`WindowSlice` (drivers that sliced during
-        task planning pass it to avoid recounting); computed via
-        :func:`slice_elements` when ``None``.
-    bounder, bounder_ctx, native:
-        When ``native`` is true and the slice is non-empty, the
-        bounder's pure ``partition_delta`` runs over the sorted stream
-        and the O(rows) ``view_idx``/``values`` arrays are dropped from
-        the delta — the worker-native protocol from PR 5.  ``bounder``
-        may be ``None`` for COUNT-style native deltas that ship
-        pre-aggregated counts only.
     """
-    if window_slice is None:
-        window_slice = slice_elements(n_rows, sel, predicate_of)
-    delta = partition_slice(
-        window_slice,
-        codes,
-        values_of,
-        combined_of,
-        with_stats=with_stats or native,
+    return partition_slice(
+        slice_elements(n_rows, sel, predicate_of), codes, values_of, combined_of
     )
-    if native and delta.n_in_view:
-        if bounder is not None:
-            delta.bounder_delta = bounder.partition_delta(
-                delta.view_idx, delta.values, max(codes.size, 1), bounder_ctx
-            )
-        # Native protocol: per-view aggregates travel, O(rows) arrays
-        # don't.
-        delta.view_idx = None
-        delta.values = None
-    return delta

@@ -173,16 +173,11 @@ class ExecutionMetrics:
     record none); ``bounds_recomputed`` counts per-view OptStop bound
     recomputations (the incremental-rounds work metric).
 
-    Parallel-ingest accounting: ``delta_bytes_returned`` counts array
-    bytes the ingest threads' partition tasks hand back to the fold
-    (native bounder deltas are O(views); the loop-fallback path returns
-    the O(rows) sorted value arrays).  ``partition_wall_s`` /
-    ``merge_wall_s`` split the ingest wall between the threads'
-    partition stage (summed across tasks, so it can exceed elapsed time)
-    and the scanning thread's delta-merge stage.  All three are zero for
-    serial execution; the byte counter is deterministic at a fixed
-    parallelism, the walls are timing (excluded from determinism
-    contracts like ``wall_time_s``).
+    Parallel-ingest accounting: ``partition_wall_s`` is the wall the
+    ingest threads spent partitioning offloaded window slices and folding
+    them into their runs' pools, summed across tasks (so it can exceed
+    elapsed time).  Zero for serial execution; timing, so excluded from
+    determinism contracts like ``wall_time_s``.
 
     Out-of-core storage accounting (all zero for the in-memory backend):
     ``blocks_read`` / ``bytes_read`` count block-file opens charged by
@@ -200,9 +195,7 @@ class ExecutionMetrics:
     rounds: int = 0
     values_gathered: int = 0
     bounds_recomputed: int = 0
-    delta_bytes_returned: int = 0
     partition_wall_s: float = 0.0
-    merge_wall_s: float = 0.0
     wall_time_s: float = 0.0
     stopped_early: bool = False
     blocks_read: int = 0
@@ -213,6 +206,8 @@ class ExecutionMetrics:
     tasks_retried: int = 0
     inline_fallbacks: int = 0
     prefetch_hits: int = 0
+    delta_bytes_returned: int = 0
+    merge_wall_s: float = 0.0
 
     def merge_index_counters(self, indexes) -> None:
         """Pull probe counters from bitmap indexes into this record."""

@@ -38,24 +38,16 @@ Callers that write interval or counter arrays directly (outside the
 executor's ingest/recompute paths) must call :meth:`mark_dirty` for the
 touched rows, or the cached snapshot goes stale.
 
-**Parallel ingest.**  Folding one window into the pool is split into a
-pure *partition* step (the fused kernel in
-:mod:`repro.fastframe.kernels` — slice the window, gather the in-view
-elements, stable-sort by group code, map codes to pool rows,
-pre-aggregate per-view bincount statistics) and a stateful *merge* step
-(:meth:`ViewPool.apply_ingest`).  The partition step touches no pool
-state, so an ingest thread can run it over the window's arrays and hand
-the resulting :class:`IngestDelta` back; the scanning thread then merges
-deltas in deterministic window order (the pool itself is unlocked: only
-the scanning thread ever calls it).  For delta-capable bounders
-(``ErrorBounder.supports_delta``) the thread additionally runs the
-bounder's own pure ``partition_delta`` over the sorted stream and returns
-the O(views) :class:`~repro.bounders.base.BounderDelta` *instead of* the
-per-row ``view_idx``/``values`` arrays; :meth:`ViewPool.apply_ingest`
-folds it with ``merge_delta``.  Because the partition is a pure function
-of its input arrays and the merge consumes exactly the arrays the serial
-path would have computed in place, parallel ingest is bit-identical to
-serial ingest — the determinism suite pins this.
+**Ingest.**  Folding one window into the pool is a pure *partition* step
+(the fused kernel in :mod:`repro.fastframe.kernels` — slice the window,
+gather the in-view elements, stable-sort by group code, map codes to pool
+rows) followed by :meth:`ViewPool.apply_ingest`, which folds the sorted
+stream into the moment pools, the bounder pool (``update_pool``) and the
+selectivity counters.  Serial and parallel ingest run this one program:
+the parallel driver runs both steps for a run on an ingest thread, which
+then owns that run's pool until the window's round (the pool itself is
+unlocked; see :mod:`repro.fastframe.parallel`).  The determinism suite
+pins byte-identical pools at any parallelism.
 """
 
 from __future__ import annotations
@@ -147,43 +139,6 @@ class ViewPool:
         self.dirty |= mask
         self.snap_dirty |= mask
 
-    def settling_mask(self, freezes_groups: bool) -> np.ndarray:
-        """Views whose rows settle this window (Lemma 5's accounting).
-
-        The ONE copy of the eligibility arithmetic: :meth:`apply_ingest`
-        folds with it, and the parallel driver consults
-        ``settling_mask(...).all()`` to decide whether a worker may ship a
-        native bounder delta (computed over the *unmasked* stream, so only
-        valid when every view settles).
-        """
-        eligible = ~self.dropped & ~self.exhausted
-        if freezes_groups:
-            return eligible & self.active
-        return eligible
-
-    def _ingest_bounder(
-        self, bounder: ErrorBounder, view_idx: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Fold one sorted stream into the bounder pool, in place.
-
-        Delta-capable bounders run the identical partition→merge pair the
-        parallel workers use (so serial and parallel execute the same
-        float program); third-party bounders keep the mutate-in-place
-        ``update_pool`` loop fall-back.
-        """
-        if bounder.supports_delta:
-            bounder.merge_delta(
-                self.bounder_pool,
-                bounder.partition_delta(
-                    view_idx,
-                    values,
-                    self.size,
-                    bounder.delta_context(self.bounder_pool),
-                ),
-            )
-        else:
-            bounder.update_pool(self.bounder_pool, view_idx, values)
-
     def apply_ingest(
         self,
         bounder: ErrorBounder,
@@ -191,56 +146,38 @@ class ViewPool:
         window_rows: int,
         freezes_groups: bool,
     ) -> None:
-        """Merge one window's :class:`IngestDelta` into the pool.
+        """Fold one window's partitioned :class:`IngestDelta` into the pool.
 
-        The stateful half of ingest: bincount merges into the moment
-        pools, the bounder-pool delta merge (or ``update_pool`` replay for
-        non-delta bounders), selectivity counters, and the dirty masks.
-        The delta may come from the serial path (built in place by the
-        consuming run) or from a parallel worker — the arrays are
-        identical either way, so so is every resulting float.
+        The stateful half of ingest: per-view batch statistics merged into
+        the moment pools, the sorted stream fed to the bounder pool
+        through ``update_pool``, selectivity counters, and the dirty masks
+        — for Lemma 5's *settling* views only (not dropped, not exhausted,
+        and not frozen when the strategy freezes inactive groups).
         """
-        settling = self.settling_mask(freezes_groups)
-        needs_values = delta.needs_values
+        eligible = ~self.dropped & ~self.exhausted
+        settling = eligible & self.active if freezes_groups else eligible
         if delta.n_in_view:
             view_idx = delta.view_idx
+            values = delta.values
+            needs_values = values is not None
             # `settling ⊆ eligible`, so when every view settles (the common
             # case: nothing frozen or dropped) the O(rows) element masks can
             # be skipped entirely — decided by O(views) flag tests.
-            everything = bool(settling.all())
-            if everything:
-                delta.ensure_stats(self.size, needs_values)
+            if settling.all():
                 if needs_values:
                     # The all-read and sampled moments receive the same
-                    # batch — per-view statistics computed once (possibly
-                    # by a worker), merged twice.
-                    stats = (delta.counts, delta.means, delta.m2s)
+                    # batch — per-view statistics computed once, merged
+                    # twice.
+                    stats = MomentPool.batch_stats(view_idx, values, self.size)
                     self.all_read.merge_arrays(*stats)
                     self.sample.merge_arrays(*stats)
-                    if delta.bounder_delta is not None:
-                        bounder.merge_delta(self.bounder_pool, delta.bounder_delta)
-                    else:
-                        self._ingest_bounder(bounder, view_idx, delta.values)
+                    bounder.update_pool(self.bounder_pool, view_idx, values)
+                    counts = stats[0]
                 else:
-                    self.all_read.count += delta.counts
-                self.in_view += delta.counts
+                    counts = np.bincount(view_idx, minlength=self.size)
+                    self.all_read.count += counts
+                self.in_view += counts
             else:
-                if (
-                    delta.bounder_delta is not None
-                    or delta.view_idx is None
-                    or (needs_values and delta.values is None)
-                ):
-                    # A native delta is partitioned over the whole stream;
-                    # folding it while some views are frozen/dropped would
-                    # credit them rows they must not settle.  The driver
-                    # gates on settling_mask().all(), so this is protocol
-                    # misuse, not a recoverable state.
-                    raise ValueError(
-                        "native bounder delta received while not every view "
-                        "is settling; workers must ship row arrays here"
-                    )
-                values = delta.values
-                eligible = ~self.dropped & ~self.exhausted
                 elements_eligible = eligible[view_idx]
                 elements_settling = settling[view_idx]
                 identical = np.array_equal(elements_eligible, elements_settling)
@@ -251,7 +188,7 @@ class ViewPool:
                         stats = MomentPool.batch_stats(idx, vals, self.size)
                         self.all_read.merge_arrays(*stats)
                         self.sample.merge_arrays(*stats)
-                        self._ingest_bounder(bounder, idx, vals)
+                        bounder.update_pool(self.bounder_pool, idx, vals)
                     else:
                         self.all_read.update_indexed(
                             view_idx[elements_eligible], values[elements_eligible]
@@ -259,8 +196,8 @@ class ViewPool:
                         self.sample.update_indexed(
                             view_idx[elements_settling], values[elements_settling]
                         )
-                        self._ingest_bounder(
-                            bounder,
+                        bounder.update_pool(
+                            self.bounder_pool,
                             view_idx[elements_settling],
                             values[elements_settling],
                         )

@@ -15,6 +15,8 @@ import pytest
 
 from repro.bounders.registry import available_bounders, get_bounder
 
+from tests.support import bounder_pool_bytes
+
 RTOL = 1e-9
 A, B = -5.0, 120.0
 DELTA = 1e-7
@@ -83,6 +85,25 @@ def test_pool_subset_indices(name):
     lo, hi = bounder.confidence_interval_batch(pool, A, B, full_n, DELTA)
     assert np.allclose(lo_sub, lo[subset], rtol=RTOL)
     assert np.allclose(hi_sub, hi[subset], rtol=RTOL)
+
+
+def test_every_registered_bounder_is_ssi():
+    """One kind of registered bounder: certificates only (the loop
+    fall-backs exist for third-party bounders alone)."""
+    for name in available_bounders():
+        assert get_bounder(name).ssi, name
+
+
+@pytest.mark.parametrize("name", available_bounders())
+def test_empty_update_pool_is_a_noop(name):
+    """A window that leaves a run no in-view element must not move a
+    byte of its bounder pool."""
+    bounder = get_bounder(name)
+    pool = bounder.init_pool(3)
+    bounder.update_pool(pool, np.array([0, 1, 1]), np.array([1.0, 2.0, 3.0]))
+    before = bounder_pool_bytes(pool)
+    bounder.update_pool(pool, np.zeros(0, dtype=np.int64), np.zeros(0))
+    assert bounder_pool_bytes(pool) == before
 
 
 def test_range_trim_pool_seed_semantics():

@@ -1,4 +1,4 @@
-"""QuantileBounder: scalar/pool parity, delta protocol, and soundness.
+"""QuantileBounder: scalar/pool parity and soundness.
 
 The order-statistics family reuses Anderson's CSR sample pool, so the
 pool tests pin the batched rank kernel (one row-wise sort per equal-count
@@ -9,15 +9,12 @@ group) against the scalar order-statistic selection — exact equality, not
 from __future__ import annotations
 
 import math
-import pickle
 
 import numpy as np
 import pytest
 
 from repro.bounders.quantile import QuantileBounder
 from repro.cdfbounds.quantile import empirical_quantile, quantile_rank
-
-from tests.support import bounder_pool_bytes as _pool_bytes
 
 A, B = -10.0, 200.0
 DELTA = 1e-5
@@ -164,38 +161,3 @@ class TestPoolParity:
         assert list(lo) == [A, A]
         assert list(hi) == [B, B]
         assert list(bounder.estimate_batch(pool, fill=-1.0)) == [-1.0, -1.0]
-
-
-class TestDeltaProtocol:
-    def test_partition_merge_matches_update_pool(self):
-        rng = np.random.default_rng(13)
-        bounder = QuantileBounder(0.5)
-        size = 6
-        via_update = bounder.init_pool(size)
-        via_delta = bounder.init_pool(size)
-        for _ in range(5):
-            count = int(rng.integers(1, 400))
-            indices = np.sort(rng.integers(0, size, count)).astype(np.int64)
-            values = rng.uniform(A + 1.0, B - 20.0, count)
-            bounder.update_pool(via_update, indices, values)
-            delta = bounder.partition_delta(
-                indices, values, size, bounder.delta_context(via_delta)
-            )
-            bounder.merge_delta(via_delta, delta)
-            assert _pool_bytes(via_update) == _pool_bytes(via_delta)
-
-    def test_supports_delta_and_picklable(self):
-        bounder = QuantileBounder(0.9)
-        assert bounder.supports_delta
-        clone = pickle.loads(pickle.dumps(bounder))
-        assert clone.p == bounder.p
-        delta = bounder.partition_delta(
-            np.array([0, 0, 2], dtype=np.int64),
-            np.array([1.0, 2.0, 3.0]),
-            4,
-            None,
-        )
-        wire = pickle.loads(pickle.dumps(delta))
-        pool = bounder.init_pool(4)
-        bounder.merge_delta(pool, wire)
-        assert list(pool.count) == [2, 0, 1, 0]

@@ -127,9 +127,9 @@ def test_connection_ignores_the_environment_after_connect(monkeypatch):
     assert updates
     # Still the parallel driver, still resident arrays.
     assert all(u.storage is None for u in updates)
-    assert _handle(conn).result(start_block=1).metrics.delta_bytes_returned > 0
+    assert _handle(conn).result(start_block=1).metrics.partition_wall_s > 0
     batch = conn.gather([_handle(conn), _handle(conn)], start_block=1)
-    assert batch.metrics.delta_bytes_returned > 0
+    assert batch.metrics.partition_wall_s > 0
     assert scramble.storage is None
 
 
@@ -145,9 +145,9 @@ def test_serial_connection_stays_serial(monkeypatch):
     monkeypatch.setenv("REPRO_STORAGE", "mmap")
     updates = list(_handle(conn).rounds(start_block=1))
     assert updates
-    assert _handle(conn).result(start_block=1).metrics.delta_bytes_returned == 0
+    assert _handle(conn).result(start_block=1).metrics.partition_wall_s == 0
     batch = conn.gather([_handle(conn)], start_block=1)
-    assert batch.metrics.delta_bytes_returned == 0
+    assert batch.metrics.partition_wall_s == 0
     assert conn.scramble.storage is None
 
 

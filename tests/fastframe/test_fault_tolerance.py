@@ -1,7 +1,8 @@
 """Failure behaviour of the threaded parallel driver, through the public API.
 
-Ingest threads run only pure, deterministic kernels, so there is nothing
-to recover from: a kernel error is a bug and must surface unchanged from
+Ingest threads run only deterministic kernels, each on its own run's
+pool, so there is nothing to recover from: a kernel error is a bug and
+must surface unchanged from
 ``gather()``, leaving the process-wide thread pool and the scramble's
 shared probe counters fit for the next query — and a healthy gather at
 parallelism 2 must spend exactly the δ of the serial one.
@@ -101,14 +102,14 @@ class TestConnectionLevelRecovery:
         assert serial_batch.metrics.batch_probes > 0
 
         calls = itertools.count()
-        kernel = parallel.partition_ingest
+        kernel = parallel.partition_slice
 
         def failing(*args, **kwargs):
             if next(calls) == 1:
                 raise KeyError("injected kernel error")
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(parallel, "partition_ingest", failing)
+        monkeypatch.setattr(parallel, "partition_slice", failing)
         with pytest.raises(KeyError, match="injected kernel error"):
             self._gather(scramble, 2, queries)
         monkeypatch.undo()
@@ -118,7 +119,7 @@ class TestConnectionLevelRecovery:
         assert parallel_conn.spent_delta == serial_conn.spent_delta
         assert parallel_batch.metrics.batch_probes == serial_batch.metrics.batch_probes
         assert parallel_batch.metrics.index_probes == serial_batch.metrics.index_probes
-        assert parallel_batch.metrics.delta_bytes_returned > 0
+        assert parallel_batch.metrics.partition_wall_s > 0
         for left, right in zip(serial_batch, parallel_batch):
             assert left.metrics.batch_probes == right.metrics.batch_probes
             assert set(left.groups) == set(right.groups)

@@ -12,13 +12,11 @@ Two contracts are pinned here:
   rows filtered, single group, bucket-dtype boundaries, max cardinality,
   non-contiguous slices.
 
-* **Batching is invisible.**  Bundling several (query, window)
-  partitions into one worker task changes how deltas
-  travel, never the deltas or the fold order — pool state, results, and
+* **Batching is invisible.**  Bundling several runs' (query, window)
+  ingests into one thread task changes only how many share a round
+  trip, never the folds or the round order — pool state, results, and
   deterministic metrics must be byte-identical to serial at any
-  ``parallelism`` × batch size, including through whole-batch retry
-  and whole-batch inline-fallback recovery under injected mid-batch
-  worker crashes.
+  ``parallelism`` × batch size.
 """
 
 from __future__ import annotations
@@ -66,8 +64,6 @@ def _legacy_partition(
     codes: np.ndarray,
     values: np.ndarray | None,
     combined: np.ndarray | None,
-    *,
-    with_stats: bool = False,
 ) -> IngestDelta:
     """The pre-kernel composition, reimplemented verbatim: count the
     slice, boolean-gather values and codes, stable-argsort the raw int64
@@ -90,20 +86,15 @@ def _legacy_partition(
         order = np.argsort(view_combined, kind="stable")
         view_idx = lookup_codes(codes, view_combined[order])
         ordered_values = view_values[order] if view_values is not None else None
-    delta = IngestDelta(
+    return IngestDelta(
         n_read=n_read,
         n_in_view=n_in_view,
         view_idx=view_idx,
         values=ordered_values,
     )
-    if with_stats:
-        delta.ensure_stats(max(codes.size, 1), values is not None)
-    return delta
 
 
-def _fused_partition(
-    n_rows, sel, pred, codes, values, combined, *, with_stats=False, **kwargs
-) -> IngestDelta:
+def _fused_partition(n_rows, sel, pred, codes, values, combined) -> IngestDelta:
     return partition_ingest(
         n_rows,
         sel,
@@ -111,15 +102,13 @@ def _fused_partition(
         codes,
         values_of=None if values is None else lambda pick: values[pick],
         combined_of=None if combined is None else lambda pick: combined[pick],
-        with_stats=with_stats,
-        **kwargs,
     )
 
 
 def _assert_deltas_identical(fused: IngestDelta, legacy: IngestDelta) -> None:
     assert fused.n_read == legacy.n_read
     assert fused.n_in_view == legacy.n_in_view
-    for field in ("view_idx", "values", "counts", "means", "m2s"):
+    for field in ("view_idx", "values"):
         left = getattr(fused, field)
         right = getattr(legacy, field)
         if right is None:
@@ -163,7 +152,6 @@ def _case(n_rows: int, cardinality: int, sel_kind: str, pred_kind: str, seed: in
 class TestFusedEqualsComposed:
     """ISSUE acceptance: fused kernel ≡ composed legacy, byte for byte."""
 
-    @pytest.mark.parametrize("with_stats", [False, True])
     @pytest.mark.parametrize(
         "name, n_rows, cardinality, sel_kind, pred_kind",
         [
@@ -179,18 +167,14 @@ class TestFusedEqualsComposed:
             ("past-bucket-cap", 20_000, BUCKET_MAX_CARDINALITY + 1, "random", "random"),
         ],
     )
-    def test_edge_cases(self, name, n_rows, cardinality, sel_kind, pred_kind, with_stats):
+    def test_edge_cases(self, name, n_rows, cardinality, sel_kind, pred_kind):
         sel, pred, codes, values, combined = _case(
             n_rows, cardinality, sel_kind, pred_kind, seed=11
         )
         for use_values in (True, False):
             value_arr = values if use_values else None
-            fused = _fused_partition(
-                n_rows, sel, pred, codes, value_arr, combined, with_stats=with_stats
-            )
-            legacy = _legacy_partition(
-                n_rows, sel, pred, codes, value_arr, combined, with_stats=with_stats
-            )
+            fused = _fused_partition(n_rows, sel, pred, codes, value_arr, combined)
+            legacy = _legacy_partition(n_rows, sel, pred, codes, value_arr, combined)
             _assert_deltas_identical(fused, legacy)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -205,14 +189,9 @@ class TestFusedEqualsComposed:
                 n_rows, cardinality, sel_kind, pred_kind, seed=int(rng.integers(1 << 30))
             )
             use_values = bool(rng.integers(2))
-            with_stats = bool(rng.integers(2))
             value_arr = values if use_values else None
-            fused = _fused_partition(
-                n_rows, sel, pred, codes, value_arr, combined, with_stats=with_stats
-            )
-            legacy = _legacy_partition(
-                n_rows, sel, pred, codes, value_arr, combined, with_stats=with_stats
-            )
+            fused = _fused_partition(n_rows, sel, pred, codes, value_arr, combined)
+            legacy = _legacy_partition(n_rows, sel, pred, codes, value_arr, combined)
             _assert_deltas_identical(fused, legacy)
 
     def test_group_order_bucketing_matches_int64_sort(self):
@@ -237,22 +216,6 @@ class TestFusedEqualsComposed:
         codes = np.array([5], dtype=np.int64)
         borrowed = _fused_partition(n_rows, None, pred, codes, values, None)
         assert not borrowed.values.flags.owndata  # the zero-copy fast path
-
-    def test_native_drops_row_arrays(self):
-        """``native=True`` ships per-view aggregates only (worker-native
-        protocol): row arrays are dropped, stats are present."""
-        n_rows = 1_024
-        sel, pred, codes, values, combined = _case(n_rows, 16, "none", "all-true", 5)
-        delta = _fused_partition(
-            n_rows, sel, pred, codes, values, combined, native=True
-        )
-        assert delta.view_idx is None and delta.values is None
-        reference = _legacy_partition(
-            n_rows, sel, pred, codes, values, combined, with_stats=True
-        )
-        assert delta.counts.tobytes() == reference.counts.tobytes()
-        assert delta.means.tobytes() == reference.means.tobytes()
-        assert delta.m2s.tobytes() == reference.m2s.tobytes()
 
     def test_slice_elements_skips_predicate_when_nothing_read(self):
         called = []

@@ -1,17 +1,15 @@
-"""Compatibility paths of the worker-side bounder-kernel protocol.
-
-Three safety nets around the native-delta fast path:
+"""Safety nets around the threaded ingest of ``ParallelScanDriver``.
 
 * a **third-party bounder** implementing only the scalar §2.2.2 interface
   (``init_state``/``update``/``lbound``/``rbound``) must produce
   ≤1e-9-parity results through the scalar, pool, and ``parallelism=2``
-  engines — the loop fall-backs plus the return-the-sorted-values worker
-  protocol keep working unchanged;
-* the **thread boundary** of ``ParallelScanDriver``: ingest threads run
-  only the pure kernel, never the unlocked frame, store, cache or pool;
-* the worker **payload contract**: native deltas carry no per-row
-  arrays, and a run whose bounder lacks the protocol returns strictly
-  more bytes (``ExecutionMetrics.delta_bytes_returned``).
+  engines — the base class's loop fall-backs carry it, on an ingest
+  thread like any built-in;
+* the **thread boundary**: an ingest task folds only its own run's pool,
+  while the frame's memo dicts, the block store and its cache, block
+  selection, rounds and finalize stay on the scanning thread;
+* the **shared thread pool**: a scan that grows it must not cancel
+  another scan's queued tasks.
 """
 
 from __future__ import annotations
@@ -23,6 +21,8 @@ import threading
 import numpy as np
 import pytest
 
+import repro.fastframe.parallel as parallel
+from repro.bounders.base import ErrorBounder
 from repro.bounders.bernstein import EmpiricalBernsteinSerflingBounder
 from repro.bounders.range_trim import RangeTrimBounder
 from repro.bounders.registry import get_bounder
@@ -31,6 +31,7 @@ from repro.fastframe.executor import (
     ApproximateExecutor,
     QueryRun,
     ScanDriver,
+    _PoolRun,
     run_shared_scan,
     scan_driver,
 )
@@ -69,13 +70,6 @@ class BatchOnlyBounder(MinimalBounder):
         self.batches += 1
         state["count"] += values.size
         state["total"] += float(values.sum())
-
-
-class _NoDeltaRangeTrim(RangeTrimBounder):
-    """Delta-capable math with the protocol switched off — isolates the
-    loop-fallback + values-shipping path for payload comparisons."""
-
-    supports_delta = False
 
 
 @pytest.fixture(scope="module")
@@ -140,9 +134,7 @@ class TestThirdPartyBounderFallback:
             results[label] = executor.execute(_query(), start_block=START_BLOCK)
         _assert_parity(results["scalar"], results["pool"], "scalar-vs-pool")
         _assert_parity(results["scalar"], results["parallel"], "scalar-vs-parallel")
-        # The fallback protocol must have shipped the sorted per-row
-        # values (no native delta exists for this bounder).
-        assert results["parallel"].metrics.delta_bytes_returned > 0
+        assert results["parallel"].metrics.partition_wall_s > 0  # threads ran
 
     @pytest.mark.parametrize("wrap", [lambda inner: inner, RangeTrimBounder])
     def test_batch_only_bounder_ignores_moments_hand_down(self, scramble, wrap):
@@ -160,90 +152,20 @@ class TestThirdPartyBounderFallback:
         _assert_parity(results["loop"], results["batch"], "loop-vs-batch")
         assert batch_only.batches > 0
 
-    def test_fallback_deltas_keep_row_arrays(self, scramble, monkeypatch):
-        """Worker deltas for a non-delta bounder must carry view_idx and
-        values; apply_ingest replays them through update_pool."""
-        seen = []
-        original = QueryRun.consume_delta
+    def test_scalar_only_bounder_folds_on_ingest_threads(self, scramble, monkeypatch):
+        """The base ``update_pool`` loop is the path every pool takes, so a
+        scalar-only bounder is folded on the ingest threads too."""
+        threads = set()
+        original = ErrorBounder.update_pool
 
-        def spy(self, delta, window_rows, at_end):
-            seen.append(
-                (
-                    delta.bounder_delta is not None,
-                    delta.view_idx is not None,
-                    delta.values is not None,
-                )
-            )
-            return original(self, delta, window_rows, at_end)
+        def spy(self, pool, indices, values):
+            threads.add(threading.get_ident())
+            return original(self, pool, indices, values)
 
-        monkeypatch.setattr(QueryRun, "consume_delta", spy)
+        monkeypatch.setattr(ErrorBounder, "update_pool", spy)
         executor = _executor(scramble, MinimalBounder(), "pool", parallelism=2)
         executor.execute(_query(), start_block=START_BLOCK)
-        assert seen
-        assert all(not native for native, _, _ in seen)
-        assert all(has_idx and has_values for _, has_idx, has_values in seen)
-
-
-class TestNativeDeltaPayload:
-    def test_native_deltas_ship_no_row_arrays(self, scramble, monkeypatch):
-        seen = []
-        original = QueryRun.consume_delta
-
-        def spy(self, delta, window_rows, at_end):
-            seen.append(
-                (
-                    delta.bounder_delta is not None,
-                    delta.view_idx is not None,
-                    delta.values is not None,
-                )
-            )
-            return original(self, delta, window_rows, at_end)
-
-        monkeypatch.setattr(QueryRun, "consume_delta", spy)
-        bounder = RangeTrimBounder(EmpiricalBernsteinSerflingBounder())
-        executor = _executor(scramble, bounder, "pool", parallelism=2)
-        executor.execute(_query(), start_block=START_BLOCK)
-        native = [entry for entry in seen if entry[0]]
-        assert native, "no worker task shipped a native bounder delta"
-        assert all(
-            not has_idx and not has_values for _, has_idx, has_values in native
-        ), "a native delta carried per-row arrays"
-
-    @pytest.mark.parametrize("name", ["anderson", "anderson+rt"])
-    def test_native_delta_owns_the_values_it_keeps(self, scramble, name):
-        """A single-view all-pass window reaches the kernel as a zero-copy
-        view of the frame's value array; a bounder delta that keeps the
-        stream (Anderson's segments, RangeTrim's unclipped pass-through)
-        carries that view into the fold, which must still see exactly the
-        serial stream."""
-        query = Query(AggregateFunction.AVG, "x", AbsoluteAccuracy(1e-9))
-        results = {
-            parallelism: _executor(
-                scramble, get_bounder(name), "pool", parallelism
-            ).execute(query, start_block=START_BLOCK)
-            for parallelism in (1, 2)
-        }
-        assert results[2].metrics.delta_bytes_returned > 0
-        _assert_parity(results[1], results[2], f"{name}: serial-vs-parallel")
-
-    def test_native_payload_smaller_than_fallback(self, scramble):
-        def bytes_for(bounder):
-            executor = _executor(scramble, bounder, "pool", parallelism=2)
-            result = executor.execute(_query(), start_block=START_BLOCK)
-            return result, result.metrics.delta_bytes_returned
-
-        native_result, native_bytes = bytes_for(
-            RangeTrimBounder(EmpiricalBernsteinSerflingBounder())
-        )
-        fallback_result, fallback_bytes = bytes_for(
-            _NoDeltaRangeTrim(EmpiricalBernsteinSerflingBounder())
-        )
-        # Same math, same answers — only the wire format differs.
-        _assert_parity(native_result, fallback_result, "native-vs-fallback")
-        assert native_bytes > 0
-        assert fallback_bytes > native_bytes, (native_bytes, fallback_bytes)
-        # The fallback ships O(rows) of int64+float64; native is O(views).
-        assert native_bytes < fallback_bytes / 4, (native_bytes, fallback_bytes)
+        assert threads - {threading.get_ident()}, "no fold ran on an ingest thread"
 
 
 class TestDriverChoice:
@@ -262,11 +184,11 @@ class TestDriverChoice:
 
 
 class TestIngestThreads:
-    def test_threads_run_only_the_pure_kernel(self, tmp_path, monkeypatch):
-        """Everything unlocked — the block store and its cache, the
-        frame's memo dicts, the view pools, the runs — is touched by the
-        scanning thread alone; the offloaded partitions really ran on
-        other threads."""
+    def test_threads_fold_only_their_own_run(self, tmp_path, monkeypatch):
+        """Everything shared or ordered — the block store and its cache,
+        the frame's memo dicts, block selection, rounds and finalize — is
+        touched by the scanning thread alone, while an offloaded pool
+        run's fold (``ViewPool.apply_ingest``) runs on an ingest thread."""
         rng = np.random.default_rng(21)
         n = 40_000
         table = Table(
@@ -303,26 +225,28 @@ class TestIngestThreads:
         record(BlockedColumnArray, "__getitem__")
         for name in ("values", "combined_codes", "predicate_mask"):
             record(WindowFrame, name)
+        record(QueryRun, "select_blocks")
+        record(_PoolRun, "_recompute_bounds")
+        record(QueryRun, "_refresh_active")
+        record(QueryRun, "finalize")
         record(ViewPool, "apply_ingest")
-        record(QueryRun, "consume_delta")
-        import repro.fastframe.parallel as parallel
-
-        record(parallel, "partition_ingest")
 
         batch = run_shared_scan(runs, cursor, ExecConfig.resolve(parallelism=2))
         assert batch.blocks_read + batch.cache_hits > 0  # the store served
 
         scanning = {threading.get_ident()}
-        kernel_threads = callers.pop("partition_ingest")
-        assert kernel_threads - scanning, "no partition ran off the scanning thread"
+        fold_threads = callers.pop("apply_ingest")
+        assert fold_threads - scanning, "no offloaded fold ran on an ingest thread"
         assert set(callers) == {
             "block",
             "__getitem__",
             "values",
             "combined_codes",
             "predicate_mask",
-            "apply_ingest",
-            "consume_delta",
+            "select_blocks",
+            "_recompute_bounds",
+            "_refresh_active",
+            "finalize",
         }
         for name, threads in callers.items():
             assert threads == scanning, name
@@ -354,7 +278,7 @@ class TestIngestThreads:
         finally:
             sys.setswitchinterval(interval)
         for left, right in zip(serial, stressed):
-            assert right.metrics.delta_bytes_returned > 0
+            assert right.metrics.partition_wall_s > 0
             assert set(left.groups) == set(right.groups)
             for key, group in left.groups.items():
                 other = right.groups[key]
@@ -362,3 +286,46 @@ class TestIngestThreads:
                 assert group.count_interval == other.count_interval, key
                 assert group.estimate == other.estimate, key
                 assert group.samples == other.samples, key
+
+    @pytest.mark.parametrize("name", ["anderson", "anderson+rt"])
+    def test_zero_copy_stream_folds_like_serial(self, scramble, name):
+        """A single-view all-pass window reaches the kernel as a zero-copy
+        view of the frame's value array; a pool that keeps the stream
+        (Anderson's segments, RangeTrim's unclipped pass-through) must
+        still hold exactly the serial stream after a threaded fold."""
+        query = Query(AggregateFunction.AVG, "x", AbsoluteAccuracy(1e-9))
+        results = {
+            parallelism: _executor(
+                scramble, get_bounder(name), "pool", parallelism
+            ).execute(query, start_block=START_BLOCK)
+            for parallelism in (1, 2)
+        }
+        assert results[2].metrics.partition_wall_s > 0
+        _assert_parity(results[1], results[2], f"{name}: serial-vs-parallel")
+
+
+class TestSharedWorkerPool:
+    def test_growing_the_pool_keeps_queued_work(self):
+        """A scan that asks for more threads than the shared pool holds
+        must not cancel another scan's queued tasks: both threads of a
+        two-thread pool are busy, one more task waits in its queue, and a
+        scan on another thread grows the pool to three."""
+        parallel.shutdown_worker_pool()
+        release = threading.Event()
+        try:
+            pool = parallel._worker_pool(2)
+            busy = [pool.submit(release.wait) for _ in range(2)]
+            queued = pool.submit(lambda: "ran")
+            grower = threading.Thread(target=parallel._worker_pool, args=(3,))
+            grower.start()
+            grower.join(timeout=1.0)
+        finally:
+            release.set()
+        grower.join(timeout=10)
+        assert not grower.is_alive()
+        try:
+            assert queued.result(timeout=10) == "ran"
+            assert all(task.result(timeout=10) for task in busy)
+            assert parallel._worker_pool(3) is not pool
+        finally:
+            parallel.shutdown_worker_pool()

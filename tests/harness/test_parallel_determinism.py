@@ -1,16 +1,14 @@
 """Parallel ingest determinism: parallelism must not change a single byte.
 
-The parallel driver's contract is stronger than 1e-9 parity: because
-workers run only the pure partition half of ingest (including the
-bounder's ``partition_delta`` kernel) and the main process merges deltas
-in serial order, the same seed and start block must produce
-**byte-identical** `ViewPool` state — *including the bounder pool* — and
-identical `ExecutionMetrics` (windows, values gathered, bounds
-recomputed, probe counts — everything but wall time) at ``parallelism``
-1, 2, and 4 — including when queries retire mid-scan.  Every
-delta-capable bounder family is pinned separately, and the worker
-payload for native-delta runs is asserted to carry no per-row value arrays
-(``delta_bytes_returned`` stays O(views)-sized).
+The parallel driver's contract is stronger than 1e-9 parity: because an
+ingest thread runs the very partition kernel and ``ViewPool.apply_ingest``
+the serial path runs, on its own run's pool, and every round runs on the
+scanning thread in serial order, the same seed and start block must
+produce **byte-identical** `ViewPool` state — *including the bounder
+pool* — and identical `ExecutionMetrics` (windows, values gathered,
+bounds recomputed, probe counts — everything but wall time) at
+``parallelism`` 1, 2, and 4 — including when queries retire mid-scan.
+Every bounder family is pinned separately.
 """
 
 from __future__ import annotations
@@ -215,8 +213,7 @@ def test_bounder_family_byte_identical_across_parallelism(
     family_scramble, bounder_name
 ):
     """Each family's pool — moments, RangeTrim clip state, CSR sample
-    buffers — must evolve byte-identically at any parallelism, and
-    native-delta worker payloads must stay free of per-row arrays."""
+    buffers — must evolve byte-identically at any parallelism."""
     snapshots = {}
     for parallelism in PARALLELISMS:
         strategy = get_strategy("scan")
@@ -240,44 +237,26 @@ def test_bounder_family_byte_identical_across_parallelism(
         snapshots[parallelism] = (
             _pool_snapshot(run.pool),
             _metrics_snapshot(run.metrics),
-            run.metrics.delta_bytes_returned,
+            run.metrics.partition_wall_s,
         )
     ref_pool, ref_metrics, _ = snapshots[PARALLELISMS[0]]
     for parallelism in PARALLELISMS[1:]:
-        pool_bytes, metrics, _ = snapshots[parallelism]
+        pool_bytes, metrics, ingest_wall = snapshots[parallelism]
+        assert ingest_wall > 0, f"{bounder_name}: no window ran on a thread"
         assert pool_bytes == ref_pool, (
             f"{bounder_name}: pool state diverged at parallelism={parallelism}"
         )
         assert metrics == ref_metrics, (
             f"{bounder_name}: metrics diverged at parallelism={parallelism}"
         )
-    # Payload contract: serial ships nothing; worker runs ship the same
-    # bytes at any worker count (the offload split is parallelism-
-    # independent); and native families never ship the O(rows) int64
-    # view_idx column — Anderson's samples are the one irreducible
-    # O(rows) payload, everyone else stays O(views) per window.
-    assert snapshots[1][2] == 0
-    assert snapshots[2][2] == snapshots[4][2]
-    shipped = snapshots[2][2]
-    assert shipped > 0, f"{bounder_name}: no worker task shipped a delta"
-    rows = family_scramble.num_rows
-    if bounder_name in ("hoeffding", "bernstein", "bernstein+rt"):
-        assert shipped < rows, (bounder_name, shipped)  # O(views), not O(rows)
-    else:
-        # O(m) family: float64 samples ship (8 bytes/row at most once per
-        # row, ×2 for RangeTrim's two clipped streams), but never the
-        # int64 view_idx on top.
-        streams = 2 if bounder_name == "anderson+rt" else 1
-        assert shipped <= streams * 8 * rows + 64 * 16 * 40, (bounder_name, shipped)
 
 
 @pytest.mark.parametrize("aggregate", ["MEDIAN", "PERCENTILE"])
 def test_quantile_family_byte_identical_across_parallelism(
     family_scramble, aggregate
 ):
-    """The order-statistics family rides Anderson's CSR pool and delta
-    protocol; its per-query bounder must evolve byte-identically at any
-    parallelism, with native O(views)-shaped worker deltas."""
+    """The order-statistics family rides Anderson's CSR pool; its
+    per-query bounder must evolve byte-identically at any parallelism."""
     snapshots = {}
     for parallelism in PARALLELISMS[:2]:
         strategy = get_strategy("scan")
@@ -305,15 +284,11 @@ def test_quantile_family_byte_identical_across_parallelism(
         snapshots[parallelism] = (
             _pool_snapshot(run.pool),
             _metrics_snapshot(run.metrics),
-            run.metrics.delta_bytes_returned,
+            run.metrics.partition_wall_s,
         )
     assert snapshots[2][0] == snapshots[1][0], "quantile pool state diverged"
     assert snapshots[2][1] == snapshots[1][1], "quantile metrics diverged"
-    # Serial ships nothing; worker runs ship the float64 samples (the
-    # O(m) family's irreducible payload) but never the int64 view_idx.
-    assert snapshots[1][2] == 0
-    rows = family_scramble.num_rows
-    assert 0 < snapshots[2][2] <= 8 * rows + 64 * 16 * 40
+    assert snapshots[2][2] > 0, "no window ran on a thread"
 
 
 def test_rounds_stream_identical_across_parallelism(scramble):

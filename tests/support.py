@@ -13,8 +13,8 @@ from repro.stats.streaming import MomentPool
 def bounder_pool_bytes(pool) -> tuple:
     """Canonical byte snapshot of any built-in bounder pool.
 
-    Used by the delta-protocol unit tests and the parallel determinism
-    suite to assert byte-identical bounder-state evolution; extend it
+    Used by the pool-API unit tests and the parallel determinism suite
+    to assert byte-identical bounder-state evolution; extend it
     when a bounder family introduces a new pool type.
     """
     if isinstance(pool, MomentPool):
@@ -41,7 +41,7 @@ class MinimalBounder(ErrorBounder):
     """A scalar-only Hoeffding-style bounder: the third-party shape.
 
     Implements nothing but the abstract interface — no batch update, no
-    pool flavour, no mergeable delta — so every executor engine must
+    pool flavour — so every executor engine must
     carry it through the base-class loop fall-backs.
     """
 

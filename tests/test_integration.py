@@ -75,6 +75,18 @@ def test_package_exports_quickstart_symbols():
         assert name not in experiments.__all__, name
     for module in ("repro.bounders.asymptotic", "repro.experiments.coverage"):
         assert importlib.util.find_spec(module) is None, module
+    # The mergeable bounder-delta protocol went with the process workers:
+    # every pool is fed through update_pool, serial and threaded alike.
+    import repro.bounders.anderson as anderson
+    import repro.bounders.base as base
+    import repro.bounders.range_trim as range_trim
+
+    for name in ("BounderDelta", "MomentDelta", "RangeTrimDelta", "AndersonDelta"):
+        assert name not in bounders.__all__, name
+        for module in (base, anderson, range_trim):
+            assert not hasattr(module, name), (module.__name__, name)
+    for method in ("partition_delta", "merge_delta", "delta_context", "supports_delta"):
+        assert not hasattr(bounders.ErrorBounder, method), method
 
 
 @pytest.mark.parametrize("query_name", sorted(ALL_QUERIES))
