@@ -28,8 +28,10 @@ windowed sorted-stream ingest and the batched confidence-interval
 kernel, asserting ≤ 1e-9 parity between the layouts.  The ``anderson``
 JSON entry records both walls and the speedups.
 
-Part 5 (``quantile``) times the quantile bounder's pooled sample
-buffers and batched DKW-inversion bound kernel the same way.
+Part 5 (``quantile``) times the quantile bounder's pool kernels the way
+the executor calls them — append a window, then bound every view and read
+its estimate, window after window — against the per-view scalar calls,
+asserting exact parity every window.
 
 Emits ``BENCH_hot_path.json`` — the repository's performance trajectory
 (see PERFORMANCE.md) — and checks the emitted entries' keys, parity flags
@@ -379,14 +381,18 @@ def run_anderson() -> dict:
 
 
 def run_quantile() -> dict:
-    """Grouped quantile-rank kernel vs the per-view scalar loop.
+    """Quantile pool kernels vs the per-view scalar loop, called the way
+    the executor calls them.
 
-    The quantile family rides the same CSR pool as Anderson, but its
-    bound kernel selects order statistics: one row-wise ``np.sort`` per
-    equal-count group serves both CI endpoints.  The baseline is the
-    scalar reference — one ``QuantileBounder.confidence_interval`` call
-    per view.  Both paths pick elements of the same multiset, so parity
-    is asserted **exactly**, not to 1e-9.
+    Window after window, the stream is appended to the pool (and to one
+    ``SampleState`` per view); then the pool bounds every view with one
+    ``confidence_interval_batch`` and reads the snapshot's
+    ``estimate_batch``, and the scalar reference makes one
+    ``confidence_interval`` and one ``estimate`` call per view.  Each
+    side's wall sums those bound and estimate calls over all windows
+    (ingest is not timed).  Both sides pick the same order statistic of
+    the same multiset, so every window's parity is asserted **exactly**
+    (``==``), not to 1e-9.
     """
     from repro.bounders.quantile import QuantileBounder
 
@@ -405,37 +411,41 @@ def run_quantile() -> dict:
         n_plus = np.full(views, rows, dtype=np.int64)
 
         pool_s = scalar_s = float("inf")
-        pool_bounds = scalar_bounds = None
         for _ in range(REPS):
             pool = bounder.init_pool(views)
             states = [bounder.init_state() for _ in range(views)]
+            pool_rep = scalar_rep = 0.0
             for indices, values in windows:
                 bounder.update_pool(pool, indices, values)
+                start = time.perf_counter()
+                pool_lo, pool_hi = bounder.confidence_interval_batch(
+                    pool, a, b, n_plus, delta
+                )
+                pool_est = bounder.estimate_batch(pool, fill=np.nan)
+                pool_rep += time.perf_counter() - start
+
                 boundaries = np.flatnonzero(np.diff(indices)) + 1
                 for chunk, slot in zip(
                     np.split(values, boundaries), np.unique(indices)
                 ):
                     bounder.update_batch(states[slot], chunk)
+                start = time.perf_counter()
+                lo = np.empty(views)
+                hi = np.empty(views)
+                est = np.full(views, np.nan)
+                for slot, state in enumerate(states):
+                    interval = bounder.confidence_interval(state, a, b, rows, delta)
+                    lo[slot], hi[slot] = interval.lo, interval.hi
+                    if state.count:
+                        est[slot] = bounder.estimate(state)
+                scalar_rep += time.perf_counter() - start
 
-            start = time.perf_counter()
-            pool_bounds = bounder.confidence_interval_batch(
-                pool, a, b, n_plus, delta
-            )
-            pool_s = min(pool_s, time.perf_counter() - start)
+                assert np.array_equal(pool_lo, lo)
+                assert np.array_equal(pool_hi, hi)
+                assert np.array_equal(pool_est, est, equal_nan=True)
+            pool_s = min(pool_s, pool_rep)
+            scalar_s = min(scalar_s, scalar_rep)
 
-            start = time.perf_counter()
-            lo = np.empty(views)
-            hi = np.empty(views)
-            for slot in range(views):
-                interval = bounder.confidence_interval(
-                    states[slot], a, b, rows, delta
-                )
-                lo[slot], hi[slot] = interval.lo, interval.hi
-            scalar_bounds = (lo, hi)
-            scalar_s = min(scalar_s, time.perf_counter() - start)
-
-        assert np.array_equal(pool_bounds[0], scalar_bounds[0])
-        assert np.array_equal(pool_bounds[1], scalar_bounds[1])
         sweep.append(
             {
                 "views": views,
@@ -445,14 +455,15 @@ def run_quantile() -> dict:
             }
         )
         print(
-            f"quantile(p={p}) bound: pool {pool_s:.4f}s vs scalar "
-            f"{scalar_s:.4f}s ({sweep[-1]['speedup']}x) at {views} views"
+            f"quantile(p={p}) bound+estimate per window: pool {pool_s:.4f}s vs "
+            f"scalar {scalar_s:.4f}s ({sweep[-1]['speedup']}x) at {views} views"
         )
     return {
         "p": p,
         "rows": rows,
+        "windows": len(windows),
         "sweep": sweep,
-        "pool_parity": True,  # asserted exact (==) above
+        "pool_parity": True,  # asserted exact (==) every window above
     }
 
 
@@ -507,7 +518,7 @@ def check_payload(payload: dict) -> None:
         )
     _require(entry.get("layout_parity") is True, f"anderson: no parity: {entry}")
 
-    # The grouped quantile-rank entry must exist with its view sweep and
+    # The quantile kernels' entry must exist with its view sweep and
     # the asserted *exact* pool-vs-scalar parity flag (both paths select
     # order statistics of the same multiset: ==, not 1e-9).
     entry = payload["quantile"]

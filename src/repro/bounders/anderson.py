@@ -98,12 +98,14 @@ class CSRSamplePool:
     ``caps[i]`` elements.  Appends scatter a whole window's per-view
     segments in O(len) with no per-view Python loop; when any region
     overflows, the layout is rebuilt with doubled capacities for the
-    overflowing views (amortized O(1) per element).  Append order per view
-    is stream order, so slot ``i``'s contents are element-for-element what
-    the scalar :class:`SampleState` fed the same stream would hold.
+    overflowing views (amortized O(1) per element).  A slot's contents are
+    in stream order until :meth:`sort_segments` sorts the segment — the
+    same multiset the scalar :class:`SampleState` fed the same stream
+    would hold, element-for-element while unsorted.  An append marks its
+    slots unsorted again.
     """
 
-    __slots__ = ("size", "count", "_caps", "_starts", "_data")
+    __slots__ = ("size", "count", "_caps", "_starts", "_data", "_unsorted")
 
     def __init__(self, size: int) -> None:
         if size < 0:
@@ -113,11 +115,34 @@ class CSRSamplePool:
         self._caps = np.zeros(size, dtype=np.int64)
         self._starts = np.zeros(size, dtype=np.int64)
         self._data = np.empty(0, dtype=np.float64)
+        self._unsorted = np.zeros(size, dtype=bool)
 
     def values(self, slot: int) -> np.ndarray:
-        """View of one slot's samples in stream order (do not mutate)."""
+        """View of one slot's samples (do not mutate): stream order until
+        :meth:`sort_segments` sorts the segment."""
         start = int(self._starts[slot])
         return self._data[start : start + int(self.count[slot])]
+
+    def sort_segments(self, slots: np.ndarray) -> None:
+        """Sort the requested slots' segments in place, skipping any
+        already sorted since its last append.  Each segment is sorted as
+        a view of the flat buffer: no gather, no padding, no scatter."""
+        slots = np.asarray(slots, dtype=np.int64)
+        todo = slots[self._unsorted[slots]]
+        data = self._data
+        for start, count in zip(
+            self._starts[todo].tolist(), self.count[todo].tolist()
+        ):
+            data[start : start + count].sort()
+        self._unsorted[todo] = False
+
+    def order_statistics(self, slots: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """Per-slot 1-based order statistics ``x_(rank)`` of sorted slots.
+
+        Every slot must have been sorted by :meth:`sort_segments` since its
+        last append, and every rank must lie in ``[1, count]``.
+        """
+        return self._data[self._starts[slots] + ranks - 1]
 
     def matrix(self, slots: np.ndarray, m: int) -> np.ndarray:
         """Dense ``(len(slots), m)`` matrix of slots holding ``m`` samples.
@@ -154,6 +179,7 @@ class CSRSamplePool:
             self._starts[element_slots] + self.count[element_slots] + within
         ] = values
         self.count[slots] += seg_counts
+        self._unsorted[slots] = True
 
     #: Reserved elements granted to never-touched slots at the first
     #: relayout, so views whose first rows arrive a few windows late do

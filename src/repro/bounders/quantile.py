@@ -17,12 +17,16 @@ exact population quantile at exhaustion.
 
 **Pooled state.**  The pool *is* Anderson's :class:`CSRSamplePool` — the
 flat CSR sample buffer and its segment-append ingest are family-agnostic
-(:class:`~repro.bounders.anderson.CSRPoolBounderMixin`).  The bound
-kernel groups views by equal sample count (``ε`` and the DKW ranks depend
-only on ``(m, p, δ)``), sorts each group's sample matrix row-wise once, and
-gathers both endpoints per row with per-slot ranks (the deterministic clamp
-varies with each view's ``N⁺``).  Selected order statistics are identical
-bit-for-bit to the scalar path — both pick elements of the same multiset.
+(:class:`~repro.bounders.anderson.CSRPoolBounderMixin`).  The segments
+are kept sorted lazily: an append marks its slots unsorted, and each
+kernel first calls :meth:`CSRSamplePool.sort_segments` on the requested
+slots, which sorts only the marked segments in place — so the snapshot's
+estimate in the same round as a bound recompute sorts nothing.  The
+kernel then computes every slot's ranks in one vectorized pass over the
+per-slot ``m`` and ``N⁺`` and reads each endpoint with one gather at
+``start + rank − 1``.  Selected order statistics are identical bit-for-bit
+to the scalar path: both pick the same order statistic of the same
+multiset, and the ranks come from the same IEEE operations.
 """
 
 from __future__ import annotations
@@ -107,68 +111,69 @@ class QuantileBounder(CSRPoolBounderMixin, ErrorBounder):
 
     # -- pool flavour ---------------------------------------------------
     # The pool and the ingest scatter are exactly Anderson's CSR machinery
-    # (the mixin); only the bound kernel differs.
+    # (the mixin).  Every kernel sorts the requested segments in place
+    # (a no-op for a segment already sorted since its last append, e.g.
+    # by this round's bound recompute before the snapshot's estimate),
+    # then gathers each slot's order statistic by position.
 
     def _rank_arrays(
-        self, m: int, n_rows: np.ndarray, delta: float
+        self, m: np.ndarray, n_rows, delta: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized ``(_lower_rank, _upper_rank)`` over per-slot N⁺."""
-        eps = dkw_epsilon(m, delta, two_sided=False)
-        n_rows = np.maximum(n_rows.astype(np.int64), m)
+        """Vectorized ``(_lower_rank, _upper_rank)`` over per-slot m and N⁺.
+
+        The same IEEE operations as :func:`dkw_epsilon` and the scalar
+        ranks (one ``log``, then a division, ``sqrt``, multiply and
+        ``ceil`` per slot), so every rank equals the scalar one.  An empty
+        slot gets ranks outside ``[1, m]``, i.e. its endpoint fallback.
+        """
+        if not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must be in (0, 1), got {delta}")
+        eps = np.sqrt(math.log(1.0 / delta) / (2.0 * np.maximum(m, 1)))
+        n_rows = np.maximum(np.asarray(n_rows, dtype=np.int64), m)
         r = np.minimum(np.maximum(np.ceil(self.p * n_rows).astype(np.int64), 1), n_rows)
-        dkw_lo = int(math.ceil(m * (self.p - eps)))
-        dkw_hi = int(math.ceil(m * (self.p + eps)))
+        dkw_lo = np.ceil(m * (self.p - eps)).astype(np.int64)
+        dkw_hi = np.ceil(m * (self.p + eps)).astype(np.int64)
         lo = np.minimum(np.maximum(np.maximum(dkw_lo, r - (n_rows - m)), 0), m)
         det_hi = np.where(r <= m, r, m + 1)
-        hi = np.maximum(np.minimum(min(dkw_hi, m + 1), det_hi), 1)
+        hi = np.maximum(np.minimum(np.minimum(dkw_hi, m + 1), det_hi), 1)
         return lo, hi
 
     @staticmethod
-    def _select_rows(
-        sorted_rows: np.ndarray, ranks: np.ndarray, fallback: np.ndarray
+    def _sorted_counts(
+        pool: CSRSamplePool, indices: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sort the requested segments; return ``(indices, counts)``."""
+        if indices is None:
+            indices = np.arange(pool.size, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        pool.sort_segments(indices)
+        return indices, pool.count[indices]
+
+    @staticmethod
+    def _select(
+        pool: CSRSamplePool,
+        indices: np.ndarray,
+        m: np.ndarray,
+        ranks: np.ndarray,
+        fallback,
     ) -> np.ndarray:
-        """Per-row 1-based order statistics; out-of-range ranks → fallback."""
-        m = sorted_rows.shape[1]
-        in_range = (ranks >= 1) & (ranks <= m)
-        cols = np.clip(ranks, 1, m) - 1
-        picked = sorted_rows[np.arange(sorted_rows.shape[0]), cols]
-        return np.where(in_range, picked, fallback)
+        """Per-slot 1-based order statistics; out-of-range ranks → fallback."""
+        out = np.array(
+            np.broadcast_to(np.asarray(fallback, dtype=np.float64), indices.shape)
+        )
+        hit = (ranks >= 1) & (ranks <= m)
+        out[hit] = pool.order_statistics(indices[hit], ranks[hit])
+        return out
 
     def lbound_batch(self, pool: CSRSamplePool, a, b, n, delta, indices=None):
-        if indices is None:
-            indices = np.arange(pool.size, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        a_arr = np.broadcast_to(np.asarray(a, dtype=np.float64), indices.shape)
-        n_arr = np.broadcast_to(np.asarray(n, dtype=np.int64), indices.shape)
-        out = np.empty(indices.size, dtype=np.float64)
-        counts = pool.count[indices]
-        for m in np.unique(counts):
-            group = counts == m
-            if m == 0:
-                out[group] = a_arr[group]
-                continue
-            ranks, _ = self._rank_arrays(int(m), n_arr[group], delta)
-            sorted_rows = np.sort(pool.matrix(indices[group], int(m)), axis=1)
-            out[group] = self._select_rows(sorted_rows, ranks, a_arr[group])
-        return out
+        indices, m = self._sorted_counts(pool, indices)
+        ranks, _ = self._rank_arrays(m, n, delta)
+        return self._select(pool, indices, m, ranks, a)
 
     def rbound_batch(self, pool: CSRSamplePool, a, b, n, delta, indices=None):
-        if indices is None:
-            indices = np.arange(pool.size, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        b_arr = np.broadcast_to(np.asarray(b, dtype=np.float64), indices.shape)
-        n_arr = np.broadcast_to(np.asarray(n, dtype=np.int64), indices.shape)
-        out = np.empty(indices.size, dtype=np.float64)
-        counts = pool.count[indices]
-        for m in np.unique(counts):
-            group = counts == m
-            if m == 0:
-                out[group] = b_arr[group]
-                continue
-            _, ranks = self._rank_arrays(int(m), n_arr[group], delta)
-            sorted_rows = np.sort(pool.matrix(indices[group], int(m)), axis=1)
-            out[group] = self._select_rows(sorted_rows, ranks, b_arr[group])
-        return out
+        indices, m = self._sorted_counts(pool, indices)
+        _, ranks = self._rank_arrays(m, n, delta)
+        return self._select(pool, indices, m, ranks, b)
 
     def confidence_interval_batch(
         self,
@@ -179,43 +184,17 @@ class QuantileBounder(CSRPoolBounderMixin, ErrorBounder):
         delta: float,
         indices: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Both endpoints from ONE row-wise sort per equal-count group."""
-        if indices is None:
-            indices = np.arange(pool.size, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        half = delta / 2.0
-        a_arr = np.broadcast_to(np.asarray(a, dtype=np.float64), indices.shape)
-        b_arr = np.broadcast_to(np.asarray(b, dtype=np.float64), indices.shape)
-        n_arr = np.broadcast_to(np.asarray(n, dtype=np.int64), indices.shape)
-        lo = np.empty(indices.size, dtype=np.float64)
-        hi = np.empty(indices.size, dtype=np.float64)
-        counts = pool.count[indices]
-        for m in np.unique(counts):
-            group = counts == m
-            if m == 0:
-                lo[group] = a_arr[group]
-                hi[group] = b_arr[group]
-                continue
-            lo_ranks, hi_ranks = self._rank_arrays(int(m), n_arr[group], half)
-            sorted_rows = np.sort(pool.matrix(indices[group], int(m)), axis=1)
-            lo[group] = self._select_rows(sorted_rows, lo_ranks, a_arr[group])
-            hi[group] = self._select_rows(sorted_rows, hi_ranks, b_arr[group])
+        """Both endpoints from one in-place sort and one gather each."""
+        indices, m = self._sorted_counts(pool, indices)
+        lo_ranks, hi_ranks = self._rank_arrays(m, n, delta / 2.0)
+        lo = self._select(pool, indices, m, lo_ranks, a)
+        hi = self._select(pool, indices, m, hi_ranks, b)
         return self._clip_interval_arrays(lo, hi, a, b)
 
     def estimate_batch(
         self, pool: CSRSamplePool, indices: np.ndarray | None = None, fill: float = 0.0
     ) -> np.ndarray:
         """Per-slot sample ``p``-quantiles (``fill`` for empty slots)."""
-        if indices is None:
-            indices = np.arange(pool.size, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        out = np.full(indices.size, fill, dtype=np.float64)
-        counts = pool.count[indices]
-        for m in np.unique(counts):
-            group = counts == m
-            if m == 0:
-                continue
-            rank = quantile_rank(self.p, int(m))
-            matrix = np.partition(pool.matrix(indices[group], int(m)), rank - 1, axis=1)
-            out[group] = matrix[:, rank - 1]
-        return out
+        indices, m = self._sorted_counts(pool, indices)
+        ranks = np.minimum(np.maximum(np.ceil(self.p * m).astype(np.int64), 1), m)
+        return self._select(pool, indices, m, ranks, fill)

@@ -245,6 +245,63 @@ class TestCSRSamplePool:
         assert pool._data is before
         np.testing.assert_array_equal(pool.values(5), np.ones(4))
 
+    def test_sort_segments_sorts_only_flagged_slots(self):
+        """sort_segments sorts the requested slots appended to since their
+        last sort, in place: each keeps its multiset and count, and a
+        slot not requested keeps stream order."""
+        pool = CSRSamplePool(4)
+        pool.append_segments(
+            [0, 1, 2], [3, 2, 3], np.array([5.0, 1.0, 3.0, 9.0, 2.0, 8.0, 7.0, 6.0])
+        )
+        pool.sort_segments(np.array([0, 2, 3]))
+        np.testing.assert_array_equal(pool.values(0), [1.0, 3.0, 5.0])
+        np.testing.assert_array_equal(pool.values(1), [9.0, 2.0])  # stream order
+        np.testing.assert_array_equal(pool.values(2), [6.0, 7.0, 8.0])
+        assert pool.count.tolist() == [3, 2, 3, 0]
+        assert pool._unsorted.tolist() == [False, True, False, False]
+
+    def test_sorted_slot_is_not_sorted_again(self):
+        """A slot sorted since its last append is skipped: scribbling an
+        unsorted order into its segment survives a second sort call."""
+        pool = CSRSamplePool(2)
+        pool.append_segments([0, 1], [3, 2], np.array([3.0, 1.0, 2.0, 5.0, 4.0]))
+        pool.sort_segments(np.array([0, 1]))
+        pool.values(0)[:] = [9.0, 8.0, 7.0]  # not a real pool state: a probe
+        pool.sort_segments(np.array([0, 1]))
+        np.testing.assert_array_equal(pool.values(0), [9.0, 8.0, 7.0])
+
+    def test_append_flags_a_sorted_slot_again(self):
+        pool = CSRSamplePool(2)
+        pool.append_segments([0, 1], [2, 2], np.array([4.0, 2.0, 8.0, 6.0]))
+        pool.sort_segments(np.array([0, 1]))
+        pool.append_segments([0], [2], np.array([3.0, 1.0]))
+        assert pool._unsorted.tolist() == [True, False]
+        # Sorted prefix, then the new tail in stream order.
+        np.testing.assert_array_equal(pool.values(0), [2.0, 4.0, 3.0, 1.0])
+        pool.sort_segments(np.array([0, 1]))
+        np.testing.assert_array_equal(pool.values(0), [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(pool.values(1), [6.0, 8.0])
+
+    def test_sort_survives_rebuild(self):
+        """A relayout copies segments in order, so a sorted segment stays
+        sorted and keeps its flag."""
+        pool = CSRSamplePool(2)
+        pool.append_segments([0], [4], np.array([4.0, 3.0, 2.0, 1.0]))
+        pool.sort_segments(np.array([0]))
+        before = pool._data
+        first = pool.FRESH_RESERVE + 1
+        pool.append_segments([1], [first], np.arange(first, 0.0, -1.0))
+        assert pool._data is not before  # slot 1 forced a relayout
+        np.testing.assert_array_equal(pool.values(0), [1.0, 2.0, 3.0, 4.0])
+        assert pool._unsorted.tolist() == [False, True]
+
+    def test_order_statistics_gather_by_position(self):
+        pool = CSRSamplePool(3)
+        pool.append_segments([0, 2], [3, 2], np.array([30.0, 10.0, 20.0, 5.0, 4.0]))
+        pool.sort_segments(np.arange(3))
+        picked = pool.order_statistics(np.array([0, 0, 2]), np.array([1, 3, 2]))
+        np.testing.assert_array_equal(picked, [10.0, 30.0, 5.0])
+
     def test_empty_append_is_noop(self):
         pool = CSRSamplePool(2)
         pool.append_segments(

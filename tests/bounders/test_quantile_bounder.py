@@ -1,9 +1,12 @@
 """QuantileBounder: scalar/pool parity and soundness.
 
-The order-statistics family reuses Anderson's CSR sample pool, so the
-pool tests pin the batched rank kernel (one row-wise sort per equal-count
-group) against the scalar order-statistic selection — exact equality, not
-1e-9: both paths pick elements of the same multiset.
+The order-statistics family reuses Anderson's CSR sample pool.  Its pool
+kernels sort the requested segments in place (only those appended to
+since their last sort) and gather each endpoint by position, so the pool
+tests replay windowed streams and, after every window, pin both bound and
+estimate kernels against the scalar order-statistic selection — exact
+equality, not 1e-9: both paths pick the same order statistic of the same
+multiset.
 """
 
 from __future__ import annotations
@@ -20,25 +23,63 @@ A, B = -10.0, 200.0
 DELTA = 1e-5
 
 
-def _filled_pair(p, sizes, seed=0):
-    """A pool and matching scalar states fed the same per-view streams."""
+def _assert_matches_scalar(bounder, pool, states, n_rows, estimate_first):
+    """Pool kernels == scalar states on every slot, in either call order
+    (the executor bounds first and then snapshots the estimate)."""
+    if estimate_first:
+        est = bounder.estimate_batch(pool, fill=np.nan)
+    lo, hi = bounder.confidence_interval_batch(pool, A, B, n_rows, DELTA)
+    if not estimate_first:
+        est = bounder.estimate_batch(pool, fill=np.nan)
+    for slot, state in enumerate(states):
+        interval = bounder.confidence_interval(
+            state, A, B, int(n_rows[slot]), DELTA
+        )
+        assert (lo[slot], hi[slot]) == (interval.lo, interval.hi), slot
+        if state.count:
+            assert est[slot] == bounder.estimate(state), slot
+        else:
+            assert np.isnan(est[slot]), slot
+
+
+def _replay(p, plan, size, seed=0, n_rows=2_000):
+    """A pool and matching scalar states fed the same per-view streams.
+
+    ``plan`` holds one ``{slot: count}`` per window.  Every other value is
+    rounded up to a multiple of 40, so segments carry duplicated values.
+    After every window the pool kernels must equal the scalar states
+    exactly: a sorted segment that an append failed to mark unsorted
+    again would serve a wrong order statistic from its unsorted tail.
+    """
     rng = np.random.default_rng(seed)
     bounder = QuantileBounder(p)
-    pool = bounder.init_pool(len(sizes))
-    states = [bounder.init_state() for _ in sizes]
-    for _ in range(4):
-        indices, values = [], []
-        for slot, size in enumerate(sizes):
-            count = int(rng.integers(0, max(size, 1)))
-            chunk = rng.uniform(A + 1.0, B - 50.0, count)
+    pool = bounder.init_pool(size)
+    states = [bounder.init_state() for _ in range(size)]
+    n_rows = np.broadcast_to(np.asarray(n_rows, dtype=np.int64), (size,))
+    for step, window in enumerate(plan):
+        slots = sorted(slot for slot, count in window.items() if count)
+        counts = [window[slot] for slot in slots]
+        values = rng.uniform(A + 1.0, B - 50.0, sum(counts))
+        values[::2] = np.ceil(values[::2] / 40.0) * 40.0
+        for slot, chunk in zip(slots, np.split(values, np.cumsum(counts)[:-1])):
             bounder.update_batch(states[slot], chunk)
-            indices.extend([slot] * count)
-            values.extend(chunk)
-        if indices:
-            bounder.update_pool(
-                pool, np.array(indices, dtype=np.int64), np.array(values)
-            )
+        if slots:
+            indices = np.repeat(np.array(slots, dtype=np.int64), counts)
+            bounder.update_pool(pool, indices, values)
+        _assert_matches_scalar(
+            bounder, pool, states, n_rows, estimate_first=bool(step % 2)
+        )
     return bounder, pool, states
+
+
+def _filled_pair(p, sizes, seed=0, windows=4):
+    """:func:`_replay` of random per-window counts in ``[0, sizes[slot]]``."""
+    rng = np.random.default_rng(seed)
+    plan = [
+        {slot: int(rng.integers(0, size + 1)) for slot, size in enumerate(sizes)}
+        for _ in range(windows)
+    ]
+    return _replay(p, plan, len(sizes), seed)
 
 
 class TestValidation:
@@ -112,7 +153,7 @@ class TestScalar:
 
 
 class TestPoolParity:
-    """The grouped pool kernel must equal the scalar reference exactly."""
+    """The pool kernels must equal the scalar reference exactly."""
 
     def test_bounds_and_estimates_match_scalar(self):
         sizes = [0, 1, 7, 7, 120, 120, 120, 33]
@@ -127,6 +168,27 @@ class TestPoolParity:
                 if state.count:
                     est = bounder.estimate_batch(pool, indices=np.array([slot]))
                     assert est[0] == bounder.estimate(state)
+
+    def test_counts_zero_one_two_step_by_step(self):
+        """Slots holding 0, 1 and 2 samples, growing one window at a time
+        (checked after every window by the replay)."""
+        plan = [
+            {1: 1, 2: 2, 3: 1},
+            {2: 1, 3: 1, 4: 2},
+            {1: 1, 4: 1, 5: 7},
+            {},
+            {3: 2, 5: 1},
+        ]
+        for p in (0.1, 0.5, 0.95):
+            _, pool, _ = _replay(p, plan, size=6, seed=int(p * 100))
+            assert pool.count.tolist() == [0, 2, 3, 4, 3, 8]
+
+    def test_many_distinct_counts_step_by_step(self):
+        for p in (0.05, 0.5, 0.9):
+            _, pool, _ = _filled_pair(
+                p, list(range(60)), seed=int(p * 100), windows=6
+            )
+            assert np.unique(pool.count).size > 30
 
     def test_confidence_interval_batch_splits_delta(self):
         sizes = [50, 50, 9]

@@ -197,6 +197,51 @@ def test_exact_count_method_parity(parity_scramble, agg):
     _assert_parity(scalar, pool)
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("level", [None, 0.9], ids=["median", "p90"])
+def test_quantile_parity_every_round(parity_scramble, level, strategy):
+    """MEDIAN and PERCENTILE(0.9), pool forced against scalar, compared
+    with ``==`` (not 1e-9): both engines pick the same order statistic of
+    the same multiset.  Every ``rounds()`` update is compared, so the
+    pool's snapshot estimate — served from segments its bound recompute
+    sorted in the same round — is covered, and so is the final result.
+    Small windows give ten rounds; under the active strategies the median
+    retires twelve groups mid-scan, so later snapshots read segments that
+    no bound recompute touched."""
+    from repro.api import connect
+
+    def stream(engine):
+        scan = get_strategy(strategy)
+        scan.window_blocks = 32
+        conn = connect(
+            parity_scramble,
+            delta=DELTA,
+            strategy=scan,
+            round_rows=ROUND_ROWS,
+            engine=engine,
+            rng=np.random.default_rng(7),
+        )
+        table = conn.table().group_by("g")
+        if level is None:
+            handle = table.median("x", abs=6.0)
+        else:
+            handle = table.percentile("x", level, abs=12.0)
+        # Not the storage counters: under REPRO_STORAGE=mmap each
+        # connection's block cache has its own history.
+        updates = [
+            (update.round_index, update.rows_read, update.groups)
+            for update in handle.rounds(start_block=START_BLOCK)
+        ]
+        return updates, handle.result()
+
+    scalar_updates, scalar = stream("scalar")
+    pool_updates, pool = stream("pool")
+    assert len(scalar_updates) >= 5
+    assert pool_updates == scalar_updates
+    _assert_parity(scalar, pool)
+    assert pool.groups == scalar.groups
+
+
 @pytest.mark.parametrize("engine", ["scalar", "pool"])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_gather_matches_sequential(parity_scramble, engine, strategy):
