@@ -31,9 +31,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    # `import repro.api` imports scipy.stats / scipy.optimize at module
-    # level (hypergeometric COUNT bounds, expression range bounds), so
-    # scipy is a hard dependency.
+    # `import repro.api` imports scipy.optimize at module level
+    # (expression range bounds), so scipy is a hard dependency.
     install_requires=["numpy", "scipy"],
     # What the test-suite imports beyond the package's own dependencies;
     # CI installs exactly this (`pip install -e ".[test]"`).

@@ -123,8 +123,10 @@ def connect(
     executor_kwargs:
         Passed through to each query's
         :class:`~repro.fastframe.executor.ApproximateExecutor`
-        (``round_rows``, ``count_method``, ``engine``);
-        a keyword it does not take raises :class:`TypeError` here.
+        (``round_rows``, ``engine``); a keyword it does not take raises
+        :class:`TypeError` here.  A bad value raises the executor's own
+        error (``round_rows=0`` a :class:`ValueError`) at the first
+        resolution, before any δ is charged.
     """
     return Connection(
         source,
@@ -390,6 +392,27 @@ class Connection:
             )
         except TypeError as error:
             raise TypeError(f"connect() {error}") from None
+        self.bounder = get_bounder(bounder) if isinstance(bounder, str) else bounder
+        if not isinstance(self.bounder, ErrorBounder):
+            raise TypeError(
+                "connect() bounder must be an ErrorBounder or a registry "
+                f"name, got {type(bounder).__name__}"
+            )
+        if not self.bounder.ssi:
+            raise ValueError(
+                f"bounder {self.bounder.name!r} is not SSI; every interval "
+                "a connection issues must hold at any sample size (§1)"
+            )
+        self.strategy = (
+            get_strategy(strategy) if isinstance(strategy, str) else strategy
+        )
+        if self.strategy is not None and not isinstance(
+            self.strategy, SamplingStrategy
+        ):
+            raise TypeError(
+                "connect() strategy must be a SamplingStrategy, a strategy "
+                f"name or None, got {type(strategy).__name__}"
+            )
         config = ExecConfig.resolve(
             parallelism=parallelism, storage=storage, cache_bytes=cache_bytes
         )
@@ -413,15 +436,6 @@ class Connection:
         #: The resolved :class:`~repro.fastframe.config.ExecConfig` every
         #: resolution path on this connection runs under.
         self.config = config
-        self.bounder = get_bounder(bounder) if isinstance(bounder, str) else bounder
-        if not self.bounder.ssi:
-            raise ValueError(
-                f"bounder {self.bounder.name!r} is not SSI; every interval "
-                "a connection issues must hold at any sample size (§1)"
-            )
-        self.strategy = (
-            get_strategy(strategy) if isinstance(strategy, str) else strategy
-        )
         self.executor_kwargs = executor_kwargs
         self.ledger = DeltaLedger(delta, policy=policy, max_queries=max_queries)
 

@@ -14,7 +14,7 @@ from repro.bounders.bernstein import (
     EmpiricalBernsteinBounder,
     EmpiricalBernsteinSerflingBounder,
 )
-from repro.bounders.hoeffding import HoeffdingBounder, HoeffdingSerflingBounder
+from repro.bounders.hoeffding import HoeffdingSerflingBounder
 from repro.bounders.pathology import exhibits_phos, exhibits_pma, pathology_profile
 from repro.bounders.range_trim import RangeTrimBounder
 from repro.bounders.registry import (
@@ -31,7 +31,6 @@ __all__ = [
     "EmpiricalBernsteinSerflingBounder",
     "ErrorBounder",
     "EVALUATED_BOUNDERS",
-    "HoeffdingBounder",
     "HoeffdingSerflingBounder",
     "Interval",
     "RangeTrimBounder",

@@ -1,4 +1,4 @@
-"""Hoeffding and Hoeffding-Serfling error bounders (Algorithm 1, §2.2.3).
+"""Hoeffding-Serfling error bounder (Algorithm 1, §2.2.3).
 
 The Hoeffding-Serfling inequality [Serfling 1974] bounds the deviation of a
 without-replacement sample mean from the dataset mean for data in ``[a, b]``:
@@ -7,9 +7,9 @@ inverting it (at ``k = m``) gives the (1 − δ) confidence lower bound
     ĝ − (b − a) · sqrt( (1 − (m − 1)/N) · log(1/δ) / (2m) )
 
 and symmetrically for the upper bound.  The ``(1 − (m − 1)/N)`` factor is
-the finite-population (sampling-fraction) correction; dropping it recovers
-the classical Hoeffding bound for with-replacement sampling, which is also
-valid (but looser) without replacement.
+the finite-population (sampling-fraction) correction; dropping it would
+recover the classical with-replacement Hoeffding bound, which is valid
+without replacement too but never narrower, so it is not offered.
 
 CI widths depend only on the range size ``(b − a)`` and the sample count —
 never on the observed values — so this bounder exhibits both **PMA** and
@@ -32,16 +32,13 @@ from repro.stats.streaming import MomentPool, MomentState
 
 __all__ = [
     "HoeffdingSerflingBounder",
-    "HoeffdingBounder",
     "hoeffding_serfling_epsilon",
     "hoeffding_serfling_epsilon_batch",
 ]
 
 
-def hoeffding_serfling_epsilon(
-    m: int, n: int, a: float, b: float, delta: float, finite_population: bool = True
-) -> float:
-    """Half-width ε of the Hoeffding(-Serfling) bound for ``m`` of ``N`` samples.
+def hoeffding_serfling_epsilon(m: int, n: int, a: float, b: float, delta: float) -> float:
+    """Half-width ε of the Hoeffding-Serfling bound for ``m`` of ``N`` samples.
 
     Parameters
     ----------
@@ -53,25 +50,16 @@ def hoeffding_serfling_epsilon(
         Range bounds enclosing the data.
     delta:
         One-sided error probability.
-    finite_population:
-        If True (Serfling variant), apply the ``(1 − (m − 1)/N)`` sampling
-        fraction correction; if False, the classical Hoeffding bound.
     """
     if m < 1:
         return b - a
     m = min(m, n)
-    rho = 1.0 - (m - 1) / n if finite_population else 1.0
-    rho = max(rho, 0.0)
+    rho = max(1.0 - (m - 1) / n, 0.0)
     return (b - a) * math.sqrt(rho * math.log(1.0 / delta) / (2.0 * m))
 
 
 def hoeffding_serfling_epsilon_batch(
-    m: np.ndarray,
-    n: np.ndarray,
-    a,
-    b,
-    delta: float,
-    finite_population: bool = True,
+    m: np.ndarray, n: np.ndarray, a, b, delta: float
 ) -> np.ndarray:
     """Vectorized :func:`hoeffding_serfling_epsilon` over per-view arrays.
 
@@ -83,10 +71,7 @@ def hoeffding_serfling_epsilon_batch(
     n = np.asarray(n, dtype=np.float64)
     span = np.asarray(b, dtype=np.float64) - np.asarray(a, dtype=np.float64)
     m_eff = np.maximum(np.minimum(m, n), 1.0)
-    if finite_population:
-        rho = np.maximum(1.0 - (m_eff - 1.0) / n, 0.0)
-    else:
-        rho = np.ones_like(m_eff)
+    rho = np.maximum(1.0 - (m_eff - 1.0) / n, 0.0)
     eps = span * np.sqrt(rho * math.log(1.0 / delta) / (2.0 * m_eff))
     return np.where(m < 1, span, eps)
 
@@ -100,19 +85,9 @@ class HoeffdingSerflingBounder(MomentPoolBounderMixin, ErrorBounder):
     :class:`~repro.stats.streaming.MomentPool`, fed by the vectorized
     ``update_pool`` inherited from
     :class:`~repro.bounders.base.MomentPoolBounderMixin`.
-
-    Parameters
-    ----------
-    finite_population:
-        If True (default), include the Serfling sampling-fraction term,
-        valid for without-replacement samples from a finite dataset.  If
-        False, the plain Hoeffding bound (valid for both sampling modes,
-        per Table 2's "R*" annotation).
     """
 
-    def __init__(self, finite_population: bool = True) -> None:
-        self.finite_population = finite_population
-        self.name = "Hoeffding" if finite_population else "Hoeffding (no FPC)"
+    name = "Hoeffding"
 
     def init_state(self) -> MomentState:
         return MomentState()
@@ -131,9 +106,7 @@ class HoeffdingSerflingBounder(MomentPoolBounderMixin, ErrorBounder):
 
     def epsilon(self, state: MomentState, a: float, b: float, n: int, delta: float) -> float:
         """Half-width for the current state (symmetric error)."""
-        return hoeffding_serfling_epsilon(
-            state.count, n, a, b, delta, finite_population=self.finite_population
-        )
+        return hoeffding_serfling_epsilon(state.count, n, a, b, delta)
 
     def lbound(self, state: MomentState, a: float, b: float, n: int, delta: float) -> float:
         validate_bound_args(a, b, n, delta)
@@ -152,14 +125,4 @@ class HoeffdingSerflingBounder(MomentPoolBounderMixin, ErrorBounder):
     def _epsilon_batch(
         self, pool: MomentPool, indices: np.ndarray, a, b, n: np.ndarray, delta: float
     ) -> np.ndarray:
-        return hoeffding_serfling_epsilon_batch(
-            pool.count[indices], n, a, b, delta,
-            finite_population=self.finite_population,
-        )
-
-
-class HoeffdingBounder(HoeffdingSerflingBounder):
-    """Classical Hoeffding bounder (no finite-population correction)."""
-
-    def __init__(self) -> None:
-        super().__init__(finite_population=False)
+        return hoeffding_serfling_epsilon_batch(pool.count[indices], n, a, b, delta)

@@ -18,7 +18,7 @@ from repro.bounders.bernstein import (
     EmpiricalBernsteinBounder,
     EmpiricalBernsteinSerflingBounder,
 )
-from repro.bounders.hoeffding import HoeffdingBounder, HoeffdingSerflingBounder
+from repro.bounders.hoeffding import HoeffdingSerflingBounder
 from repro.bounders.range_trim import RangeTrimBounder
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
 
 _REGISTRY: dict[str, Callable[[], ErrorBounder]] = {
     "hoeffding": HoeffdingSerflingBounder,
-    "hoeffding-no-fpc": HoeffdingBounder,
     "hoeffding+rt": lambda: RangeTrimBounder(HoeffdingSerflingBounder()),
     "bernstein": EmpiricalBernsteinSerflingBounder,
     "bernstein+rt": lambda: RangeTrimBounder(EmpiricalBernsteinSerflingBounder()),

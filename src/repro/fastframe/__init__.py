@@ -24,7 +24,6 @@ from repro.fastframe.count import (
 from repro.fastframe.exact import ExactExecutor
 from repro.fastframe.executor import (
     AUTO_POOL_THRESHOLD,
-    COUNT_METHODS,
     DEFAULT_ROUND_ROWS,
     ENGINES,
     ApproximateExecutor,
@@ -33,12 +32,6 @@ from repro.fastframe.executor import (
 )
 from repro.fastframe.viewpool import ViewPool
 from repro.fastframe.window import WindowFrame
-from repro.fastframe.hypergeometric import (
-    hypergeometric_count_interval,
-    hypergeometric_count_interval_batch,
-    hypergeometric_upper_bound_population,
-    hypergeometric_upper_bound_population_batch,
-)
 from repro.fastframe.predicate import And, Compare, Eq, In, Not, Or, Predicate, TruePredicate
 from repro.fastframe.query import (
     AggregateFunction,
@@ -80,7 +73,6 @@ __all__ = [
     "BlockBitmapIndex",
     "BlockCache",
     "BlockStoreError",
-    "COUNT_METHODS",
     "Catalog",
     "CategoricalColumn",
     "ColumnKind",
@@ -125,10 +117,6 @@ __all__ = [
     "count_interval_batch",
     "denormalize",
     "get_strategy",
-    "hypergeometric_count_interval",
-    "hypergeometric_count_interval_batch",
-    "hypergeometric_upper_bound_population",
-    "hypergeometric_upper_bound_population_batch",
     "open_block_scramble",
     "open_block_store",
     "run_shared_scan",

@@ -11,7 +11,8 @@ a filter of unknown selectivity is applied.  Theorem 3 fixes this online:
 spend ``(1 − α)·δ`` on the event that the one-sided selectivity bound N⁺
 underestimates N, and ``α·δ`` on the CI computed *as if* the dataset had
 size N⁺ — sound because every bounder here satisfies the dataset-size
-monotonicity property (§3.3).  The paper fixes α = 0.99.
+monotonicity property (§3.3).  α is
+:data:`repro.stats.delta.UNKNOWN_N_ALPHA` (the paper's 0.99).
 
 SUM CIs compose a COUNT CI with an AVG CI by union bound (§4.1); the
 paper's ``[c_l·g_l, c_r·g_r]`` product assumes a non-negative mean, so
@@ -29,6 +30,7 @@ import numpy as np
 
 from repro.bounders.base import Interval
 from repro.bounders.hoeffding import hoeffding_serfling_epsilon
+from repro.stats.delta import UNKNOWN_N_ALPHA
 
 __all__ = [
     "SelectivityState",
@@ -39,12 +41,7 @@ __all__ = [
     "upper_bound_population_batch",
     "sum_interval",
     "sum_interval_batch",
-    "DEFAULT_ALPHA",
 ]
-
-#: Weight α of Theorem 3's δ split; the paper uses 0.99 throughout §5,
-#: "giving most of the weight to the confidence interval computation".
-DEFAULT_ALPHA = 0.99
 
 #: Batches at or below this size take a per-element Python-float mirror of
 #: the vectorized program (same IEEE-754 ops in the same order, so the
@@ -89,9 +86,7 @@ def selectivity_interval(
     r = state.covered
     if r == 0:
         return Interval(0.0, 1.0)
-    eps = hoeffding_serfling_epsilon(
-        r, scramble_rows, 0.0, 1.0, delta / 2.0, finite_population=True
-    )
+    eps = hoeffding_serfling_epsilon(r, scramble_rows, 0.0, 1.0, delta / 2.0)
     estimate = state.in_view / r
     return Interval(max(estimate - eps, 0.0), min(estimate + eps, 1.0))
 
@@ -111,15 +106,13 @@ def count_interval(
 
 
 def upper_bound_population(
-    state: SelectivityState,
-    scramble_rows: int,
-    delta: float,
-    alpha: float = DEFAULT_ALPHA,
+    state: SelectivityState, scramble_rows: int, delta: float
 ) -> int:
     """Theorem 3's N⁺: a high-probability upper bound on the view size.
 
     ``N⁺ = (m_v/r + sqrt(log(1/((1 − α)δ))/(2r) · (1 − (r − 1)/R))) · R``,
-    failing with probability at most ``(1 − α)·δ``.  The remaining ``α·δ``
+    failing with probability at most ``(1 − α)·δ`` (α =
+    :data:`~repro.stats.delta.UNKNOWN_N_ALPHA`).  The remaining ``α·δ``
     budget is what the caller should pass to the AVG bounder (use
     :meth:`repro.stats.delta.DeltaBudget.split_unknown_n`).
 
@@ -128,8 +121,7 @@ def upper_bound_population(
     r = state.covered
     if r == 0:
         return scramble_rows
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    alpha = UNKNOWN_N_ALPHA
     fpc = max(1.0 - (r - 1) / scramble_rows, 0.0)
     eps = math.sqrt(math.log(1.0 / ((1.0 - alpha) * delta)) / (2.0 * r) * fpc)
     n_plus = (state.in_view / r + eps) * scramble_rows
@@ -194,11 +186,9 @@ def upper_bound_population_batch(
     covered: np.ndarray,
     scramble_rows: int,
     delta: float,
-    alpha: float = DEFAULT_ALPHA,
 ) -> np.ndarray:
     """Vectorized :func:`upper_bound_population` (int64 array of N⁺)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    alpha = UNKNOWN_N_ALPHA
     in_view = np.asarray(in_view, dtype=np.int64)
     covered = np.asarray(covered, dtype=np.int64)
     if in_view.size <= _SCALAR_DISPATCH_MAX:

@@ -86,7 +86,6 @@ from repro.bounders.base import ErrorBounder, Interval, segment_bounds
 from repro.fastframe.bitmap import BlockBitmapIndex
 from repro.fastframe.config import ExecConfig
 from repro.fastframe.count import (
-    DEFAULT_ALPHA,
     SelectivityState,
     count_interval,
     count_interval_batch,
@@ -94,12 +93,6 @@ from repro.fastframe.count import (
     sum_interval_batch,
     upper_bound_population,
     upper_bound_population_batch,
-)
-from repro.fastframe.hypergeometric import (
-    hypergeometric_count_interval,
-    hypergeometric_count_interval_batch,
-    hypergeometric_upper_bound_population,
-    hypergeometric_upper_bound_population_batch,
 )
 from repro.fastframe.query import (
     AggregateFunction,
@@ -131,33 +124,11 @@ __all__ = [
     "scan_driver",
     "run_shared_scan",
     "DEFAULT_ROUND_ROWS",
-    "COUNT_METHODS",
     "ENGINES",
 ]
 
 #: Recompute bounds every 40,000 rows read, as in the paper (§4.2).
 DEFAULT_ROUND_ROWS = 40_000
-
-#: Selectivity/COUNT bounding methods: Lemma 5's Hoeffding-Serfling bound
-#: (the paper's choice, "a simple strategy", §4.1) or exact hypergeometric
-#: test inversion (the tailored alternative the paper mentions).  Each maps
-#: to a ``(count_interval, upper_bound_population, count_interval_batch,
-#: upper_bound_population_batch)`` tuple — scalar and vectorized flavours
-#: with identical signatures and guarantees.
-COUNT_METHODS = {
-    "serfling": (
-        count_interval,
-        upper_bound_population,
-        count_interval_batch,
-        upper_bound_population_batch,
-    ),
-    "exact": (
-        hypergeometric_count_interval,
-        hypergeometric_upper_bound_population,
-        hypergeometric_count_interval_batch,
-        hypergeometric_upper_bound_population_batch,
-    ),
-}
 
 #: Executor engines: ``"pool"`` is the vectorized struct-of-arrays core,
 #: ``"scalar"`` the per-view-object reference implementation it is
@@ -205,11 +176,8 @@ class ApproximateExecutor:
     delta:
         Total error probability for the query (δ = 1e-15 in §5.2).
     round_rows:
-        Rows read between bound recomputations (B in Algorithm 5).
-    count_method:
-        COUNT/selectivity bounding method, a key of :data:`COUNT_METHODS`:
-        ``"serfling"`` (Lemma 5, the paper's default) or ``"exact"``
-        (hypergeometric test inversion — tighter, more CPU per round).
+        Rows read between bound recomputations (B in Algorithm 5), an
+        integer ≥ 1.
     rng:
         Randomness for the scan start position.
     engine:
@@ -231,34 +199,29 @@ class ApproximateExecutor:
         strategy: SamplingStrategy | None = None,
         delta: float = DEFAULT_DELTA,
         round_rows: int = DEFAULT_ROUND_ROWS,
-        count_method: str = "serfling",
         rng: np.random.Generator | None = None,
         engine: str = "auto",
         config: ExecConfig | None = None,
     ) -> None:
-        if count_method not in COUNT_METHODS:
-            raise ValueError(
-                f"unknown count_method {count_method!r}; "
-                f"expected one of {sorted(COUNT_METHODS)}"
-            )
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
+            )
+        if (
+            isinstance(round_rows, bool)
+            or not isinstance(round_rows, (int, np.integer))
+            or round_rows < 1
+        ):
+            raise ValueError(
+                f"round_rows must be an integer >= 1, got {round_rows!r}"
             )
         self.scramble = scramble
         self.bounder = bounder
         self.strategy = strategy or ScanStrategy()
         self.delta = delta
         self.round_rows = round_rows
-        self.count_method = count_method
         self.engine = engine
         self.config = ExecConfig.resolve() if config is None else config
-        (
-            self._count_interval,
-            self._upper_bound_population,
-            self._count_interval_batch,
-            self._upper_bound_population_batch,
-        ) = COUNT_METHODS[count_method]
         self.rng = rng or np.random.default_rng()
 
     # ------------------------------------------------------------------
@@ -721,7 +684,7 @@ class QueryRun:
         if self.query.aggregate is AggregateFunction.COUNT:
             return budget.delta, None
         half = budget.split_even(2)
-        _, ci_budget = half.split_unknown_n(DEFAULT_ALPHA)
+        _, ci_budget = half.split_unknown_n()
         return half.delta, ci_budget.delta
 
 
@@ -801,10 +764,9 @@ class _ScalarRun(QueryRun):
         of activity.  Returns the number of views whose bounds were
         recomputed.
         """
-        ex = self.executor
         a, b = self.bounds
         aggregate = self.query.aggregate
-        scramble_rows = ex.scramble.num_rows
+        scramble_rows = self.executor.scramble.num_rows
         interval_delta, ci_delta = self._round_deltas(round_index)
         skip_frozen = round_index is not None and self.uses_active
         recomputed = 0
@@ -815,7 +777,7 @@ class _ScalarRun(QueryRun):
                 continue  # frozen views keep their last certified interval
             recomputed += 1
             view.count_iv = view.count_running.fold(
-                ex._count_interval(view.selectivity, scramble_rows, interval_delta)
+                count_interval(view.selectivity, scramble_rows, interval_delta)
             )
             if view.count_iv.hi < 1.0:
                 # Certified empty: the view contributes no row, so its
@@ -825,8 +787,8 @@ class _ScalarRun(QueryRun):
             if aggregate is AggregateFunction.COUNT:
                 view.interval = view.count_iv
                 continue
-            n_plus = ex._upper_bound_population(
-                view.selectivity, scramble_rows, interval_delta, alpha=DEFAULT_ALPHA
+            n_plus = upper_bound_population(
+                view.selectivity, scramble_rows, interval_delta
             )
             avg_iv = view.running.fold(
                 self.bounder.confidence_interval(
@@ -987,11 +949,10 @@ class _PoolRun(QueryRun):
         single shot) recomputes every surviving view regardless of the
         dirty mask.  Returns the number of pool rows recomputed.
         """
-        ex = self.executor
         pool = self.pool
         a, b = self.bounds
         aggregate = self.query.aggregate
-        scramble_rows = ex.scramble.num_rows
+        scramble_rows = self.executor.scramble.num_rows
         interval_delta, ci_delta = self._round_deltas(round_index)
         recompute = ~pool.dropped & ~pool.exhausted
         if round_index is not None:
@@ -1006,7 +967,7 @@ class _PoolRun(QueryRun):
         pool.dirty[idx] = False
         pool.snap_dirty[idx] = True
         recomputed = int(idx.size)
-        count_lo, count_hi = ex._count_interval_batch(
+        count_lo, count_hi = count_interval_batch(
             pool.in_view[idx], pool.covered[idx], scramble_rows, interval_delta
         )
         count_lo, count_hi = pool.fold_count(idx, count_lo, count_hi)
@@ -1026,9 +987,8 @@ class _PoolRun(QueryRun):
             pool.iv_lo[idx] = count_lo
             pool.iv_hi[idx] = count_hi
             return recomputed
-        n_plus = ex._upper_bound_population_batch(
-            pool.in_view[idx], pool.covered[idx], scramble_rows,
-            interval_delta, alpha=DEFAULT_ALPHA,
+        n_plus = upper_bound_population_batch(
+            pool.in_view[idx], pool.covered[idx], scramble_rows, interval_delta
         )
         avg_lo, avg_hi = self.bounder.confidence_interval_batch(
             pool.bounder_pool, a, b, n_plus, ci_delta, indices=idx

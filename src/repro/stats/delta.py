@@ -27,11 +27,19 @@ __all__ = [
     "optstop_round_delta",
     "geometric_round_delta",
     "DEFAULT_DELTA",
+    "UNKNOWN_N_ALPHA",
 ]
 
 #: The paper sets δ = 1e-15 throughout its evaluation (§5.2) so that results
 #: are "correct in an effectively deterministic manner".
 DEFAULT_DELTA = 1e-15
+
+#: Weight α of Theorem 3's unknown-N split: ``(1 − α)·δ`` for the event
+#: N > N⁺, ``α·δ`` for the conditional CI.  The paper uses α = 0.99
+#: throughout §5, "giving most of the weight to the confidence interval
+#: computation"; :meth:`DeltaBudget.split_unknown_n` and the N⁺ bound of
+#: :mod:`repro.fastframe.count` both read it here.
+UNKNOWN_N_ALPHA = 0.99
 
 #: 6/π², the normalizer making Σ_{k≥1} δ/k² telescope to δ (Theorem 4).
 _BASEL_NORMALIZER = 6.0 / (math.pi ** 2)
@@ -123,16 +131,14 @@ class DeltaBudget:
         """Budget for OptStop round ``k`` per Algorithm 5's δ-decay."""
         return DeltaBudget(optstop_round_delta(self.delta, round_index))
 
-    def split_unknown_n(self, alpha: float = 0.99) -> tuple[float, "DeltaBudget"]:
+    def split_unknown_n(self) -> tuple[float, "DeltaBudget"]:
         """Split for the unknown-dataset-size bound of Theorem 3.
 
         Returns ``(delta_for_n_plus, budget_for_ci)`` where the first
         element, ``(1 − α)·δ``, is spent on the event that the online upper
         bound N⁺ underestimates the true view size, and the returned budget,
-        ``α·δ``, is spent on the conditional confidence interval.  The paper
-        fixes α = 0.99 throughout §5, "giving most of the weight to the
-        confidence interval computation".
+        ``α·δ``, is spent on the conditional confidence interval
+        (α = :data:`UNKNOWN_N_ALPHA`).
         """
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        alpha = UNKNOWN_N_ALPHA
         return (1.0 - alpha) * self.delta, DeltaBudget(alpha * self.delta)

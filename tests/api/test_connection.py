@@ -91,6 +91,31 @@ class TestConnect:
         conn = _connect(scramble, strategy="activepeek")
         assert conn.strategy.name == "ActivePeek"
 
+    @pytest.mark.parametrize("bounder", [3, None])
+    def test_rejects_bounder_of_wrong_type(self, scramble, bounder):
+        with pytest.raises(TypeError, match="connect\\(\\) bounder"):
+            _connect(scramble, bounder=bounder)
+
+    def test_rejects_strategy_of_wrong_type(self, scramble):
+        """Checked at connect(), not at the first result()."""
+        with pytest.raises(TypeError, match="connect\\(\\) strategy"):
+            _connect(scramble, strategy=3)
+
+    def test_bad_bounder_name_fails_before_the_spill(self, table):
+        """An unknown name leaves the scramble resident, not store-backed."""
+        fresh = Scramble(table, rng=np.random.default_rng(1))
+        with pytest.raises(KeyError, match="nope"):
+            _connect(fresh, storage="mmap", bounder="nope")
+        assert fresh.storage is None
+
+    @pytest.mark.parametrize("round_rows", [0, -1, 1.5, True])
+    def test_rejects_bad_round_rows_before_any_charge(self, scramble, round_rows):
+        """A bad value surfaces at the first resolution, with no δ spent."""
+        conn = _connect(scramble, round_rows=round_rows)
+        with pytest.raises(ValueError, match="round_rows"):
+            conn.table().avg("x", abs=5.0).result(start_block=0)
+        assert conn.spent_delta == 0
+
     def test_ledger_validation_delegated(self, scramble):
         with pytest.raises(ValueError, match="policy"):
             _connect(scramble, policy="greedy")
@@ -661,7 +686,7 @@ API_IMPORTS = (
     "repro.expressions.bounds", "repro.expressions.expr", "repro.fastframe",
     "repro.fastframe.bitmap", "repro.fastframe.catalog", "repro.fastframe.config",
     "repro.fastframe.count", "repro.fastframe.exact", "repro.fastframe.executor",
-    "repro.fastframe.hypergeometric", "repro.fastframe.kernels",
+    "repro.fastframe.kernels",
     "repro.fastframe.predicate", "repro.fastframe.query", "repro.fastframe.scan",
     "repro.fastframe.scramble", "repro.fastframe.snowflake",
     "repro.fastframe.storage", "repro.fastframe.table", "repro.fastframe.viewpool",
@@ -683,12 +708,15 @@ def test_import_surface_of_repro_api():
     code = (
         "import sys, repro.api\n"
         "print('\\n'.join(sorted(m for m in sys.modules"
-        " if m == 'repro' or m.startswith('repro.'))))"
+        " if m == 'repro' or m.startswith('repro.') or m == 'scipy.stats')))"
     )
     loaded = subprocess.run(
         [sys.executable, "-c", code], env=env, check=True,
         capture_output=True, text=True,
     ).stdout.split()
+    # scipy.stats costs about half a second and a fifth of the resident
+    # set at import; nothing on the served path needs it.
+    assert "scipy.stats" not in loaded
     assert loaded == sorted(API_IMPORTS)
     assert not [
         name for name in loaded

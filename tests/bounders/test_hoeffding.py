@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bounders.hoeffding import (
-    HoeffdingBounder,
     HoeffdingSerflingBounder,
     hoeffding_serfling_epsilon,
 )
@@ -26,8 +25,10 @@ class TestEpsilonFormula:
         assert hoeffding_serfling_epsilon(m, n, a, b, delta) == pytest.approx(expected)
 
     def test_no_fpc_variant_is_wider(self):
+        """Classical Hoeffding (ρ = 1) is never narrower than the Serfling
+        bound, which is why only the Serfling version is offered."""
         with_fpc = hoeffding_serfling_epsilon(100, 1000, 0, 1, 0.05)
-        without = hoeffding_serfling_epsilon(100, 1000, 0, 1, 0.05, finite_population=False)
+        without = math.sqrt(math.log(1 / 0.05) / (2 * 100))
         assert without > with_fpc
 
     def test_scales_with_range(self):
@@ -138,19 +139,3 @@ class TestHoeffdingSerflingBounder:
         with pytest.raises(ValueError):
             self.bounder.lbound(state, 1.0, 0.0, 100, 0.05)
 
-
-class TestHoeffdingBounderNoFpc:
-    def test_is_looser_than_serfling(self, rng):
-        values = rng.uniform(0, 1, 200)
-        plain = HoeffdingBounder()
-        serfling = HoeffdingSerflingBounder()
-        plain_state = plain.init_state()
-        plain.update_batch(plain_state, values)
-        serf_state = serfling.init_state()
-        serfling.update_batch(serf_state, values)
-        plain_ci = plain.confidence_interval(plain_state, 0, 1, 400, 0.05)
-        serf_ci = serfling.confidence_interval(serf_state, 0, 1, 400, 0.05)
-        assert plain_ci.width >= serf_ci.width
-
-    def test_name(self):
-        assert "no FPC" in HoeffdingBounder().name

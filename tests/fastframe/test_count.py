@@ -107,16 +107,10 @@ class TestUpperBoundPopulation:
         fpc = 1 - 999 / R
         eps = math.sqrt(math.log(1 / ((1 - alpha) * delta)) / (2 * 1_000) * fpc)
         expected = math.ceil((0.1 + eps) * R)
-        assert upper_bound_population(state, R, delta, alpha) == expected
+        assert upper_bound_population(state, R, delta) == expected
 
     def test_no_coverage_returns_population(self):
         assert upper_bound_population(SelectivityState(), 5_000, 0.05) == 5_000
-
-    def test_rejects_bad_alpha(self):
-        state = SelectivityState()
-        state.observe(1, 10)
-        with pytest.raises(ValueError):
-            upper_bound_population(state, 100, 0.05, alpha=0.0)
 
     def test_monte_carlo_upper_bounds_true_n(self, rng):
         """N⁺ >= N with probability ≥ 1 − (1−α)δ."""

@@ -67,7 +67,7 @@ def parity_scramble():
     return Scramble(table, rng=np.random.default_rng(1))
 
 
-def _run(scramble, engine, agg, bounder, strategy, stopping, *, count_method="serfling",
+def _run(scramble, engine, agg, bounder, strategy, stopping, *,
          predicate=None, group_by=("g",)):
     kwargs = {} if predicate is None else {"predicate": predicate}
     column = None if agg is AggregateFunction.COUNT else "x"
@@ -78,7 +78,6 @@ def _run(scramble, engine, agg, bounder, strategy, stopping, *, count_method="se
         strategy=get_strategy(strategy),
         delta=DELTA,
         round_rows=ROUND_ROWS,
-        count_method=count_method,
         rng=np.random.default_rng(7),
         engine=engine,
     )
@@ -184,16 +183,6 @@ def test_scalar_aggregate_parity(parity_scramble):
                   "scan", AbsoluteAccuracy(1.0), group_by=())
     pool = _run(parity_scramble, "pool", AggregateFunction.AVG, "bernstein+rt",
                 "scan", AbsoluteAccuracy(1.0), group_by=())
-    _assert_parity(scalar, pool)
-
-
-@pytest.mark.parametrize("agg", [AggregateFunction.AVG, AggregateFunction.COUNT])
-def test_exact_count_method_parity(parity_scramble, agg):
-    stopping = AbsoluteAccuracy(3.0 if agg is AggregateFunction.AVG else 400.0)
-    scalar = _run(parity_scramble, "scalar", agg, "bernstein", "scan", stopping,
-                  count_method="exact")
-    pool = _run(parity_scramble, "pool", agg, "bernstein", "scan", stopping,
-                count_method="exact")
     _assert_parity(scalar, pool)
 
 

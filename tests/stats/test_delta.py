@@ -77,10 +77,6 @@ class TestDeltaBudget:
         assert ci_budget.delta == pytest.approx(0.099)
         assert n_plus_delta + ci_budget.delta == pytest.approx(0.1)
 
-    def test_split_unknown_n_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            DeltaBudget(0.1).split_unknown_n(alpha=1.0)
-
     def test_composed_budget_never_exceeds_total(self):
         """A realistic composition stays within the union bound."""
         total = DeltaBudget(1e-6)

@@ -89,6 +89,23 @@ def test_package_exports_quickstart_symbols():
         assert not hasattr(bounders.ErrorBounder, method), method
 
 
+def test_one_count_bound(small_scramble):
+    """The exact hypergeometric COUNT method and the no-FPC Hoeffding
+    bounder are gone: Lemma 5 is the only COUNT/N⁺ bound, and Hoeffding
+    always applies the Serfling correction."""
+    import repro.bounders as bounders
+    import repro.fastframe as fastframe
+
+    assert importlib.util.find_spec("repro.fastframe.hypergeometric") is None
+    assert "COUNT_METHODS" not in fastframe.__all__
+    assert not [name for name in fastframe.__all__ if "hypergeometric" in name]
+    assert "HoeffdingBounder" not in bounders.__all__
+    with pytest.raises(KeyError, match="hoeffding-no-fpc"):
+        get_bounder("hoeffding-no-fpc")
+    with pytest.raises(TypeError, match="count_method"):
+        repro.connect(small_scramble, count_method="serfling")
+
+
 @pytest.mark.parametrize("query_name", sorted(ALL_QUERIES))
 def test_every_flights_query_correct_with_best_bounder(small_scramble, query_name):
     """All nine paper queries give answers matching Exact under
