@@ -8,10 +8,9 @@ approximate query processing with sample-size-independent (SSI) guarantees:
   lazy query handles, and shared-scan multi-query ``gather()``.
 * :mod:`repro.bounders` — Hoeffding-Serfling, empirical Bernstein-Serfling,
   and Anderson/DKW error bounders, all SSI; the **RangeTrim** meta-bounder
-  (§3) that eliminates phantom outlier sensitivity; PMA/PHOS pathology
-  detectors.
-* :mod:`repro.stopping` — the OptStop optional-stopping meta-algorithm
-  (Algorithm 5) and stopping conditions Ê-Ï (§4.2).
+  (§3) that eliminates phantom outlier sensitivity.
+* :mod:`repro.stopping` — stopping conditions Ê-Ï (§4.2); the executor
+  runs OptStop (Algorithm 5) over them.
 * :mod:`repro.fastframe` — the FastFrame sampling-optimized column store:
   scrambles, block bitmap indexes, Scan/ActiveSync/ActivePeek strategies,
   COUNT/SUM interval composition, and the approximate query executor.

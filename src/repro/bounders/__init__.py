@@ -2,8 +2,8 @@
 
 This subpackage implements the full §2.2.2 bounder interface, the three
 surveyed SSI bounders (Hoeffding-Serfling, empirical Bernstein-Serfling,
-Anderson/DKW), the RangeTrim meta-bounder of §3, and pathology detectors
-for PMA and PHOS.  Every registered bounder is SSI (Definition 1): the
+Anderson/DKW), and the RangeTrim meta-bounder of §3, which removes the
+PHOS pathology.  Every registered bounder is SSI (Definition 1): the
 §1 asymptotic intervals it is contrasted with are not offered.
 """
 
@@ -15,7 +15,6 @@ from repro.bounders.bernstein import (
     EmpiricalBernsteinSerflingBounder,
 )
 from repro.bounders.hoeffding import HoeffdingSerflingBounder
-from repro.bounders.pathology import exhibits_phos, exhibits_pma, pathology_profile
 from repro.bounders.range_trim import RangeTrimBounder
 from repro.bounders.registry import (
     EVALUATED_BOUNDERS,
@@ -35,9 +34,6 @@ __all__ = [
     "Interval",
     "RangeTrimBounder",
     "available_bounders",
-    "exhibits_phos",
-    "exhibits_pma",
     "get_bounder",
-    "pathology_profile",
     "register_bounder",
 ]

@@ -30,6 +30,7 @@ with one ``repro: error: …`` line.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -63,10 +64,31 @@ _DEFAULT_DELTA = 1e-9
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the ``--rows`` / ``--reps`` counts."""
+    """argparse type of the counts: ``--rows``, ``--reps``,
+    ``--parallelism``, ``--cache-bytes``."""
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: an integer >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
+def _delta(text: str) -> float:
+    """argparse type of ``--delta``: a finite probability in (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
+    return value
 
 
 def _claim(failures: list[str], claim: str) -> int:
@@ -105,12 +127,12 @@ def _add_scramble_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--rows", type=_positive_int, default=500_000, help="flights scramble size"
     )
-    parser.add_argument("--seed", type=int, default=0, help="generator seed")
+    parser.add_argument("--seed", type=_seed, default=0, help="generator seed")
 
 
 def _add_delta_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--delta", type=float, default=_DEFAULT_DELTA,
+        "--delta", type=_delta, default=_DEFAULT_DELTA,
         help="query error probability (paper: 1e-15)",
     )
 
@@ -187,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     # default — repro.fastframe.config.ExecConfig documents each).
     # None of them changes a result.
     dashboard.add_argument(
-        "--parallelism", type=int, default=None,
+        "--parallelism", type=_positive_int, default=None,
         help="ingest threads (ExecConfig.parallelism)",
     )
     dashboard.add_argument(
@@ -195,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="column storage backend (ExecConfig.storage)",
     )
     dashboard.add_argument(
-        "--cache-bytes", type=int, default=None,
+        "--cache-bytes", type=_positive_int, default=None,
         help="private block-cache byte budget (ExecConfig.cache_bytes)",
     )
     return parser

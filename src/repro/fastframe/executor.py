@@ -115,7 +115,6 @@ from repro.fastframe.window import WindowFrame
 from repro.stats.delta import DEFAULT_DELTA, DeltaBudget
 from repro.stats.streaming import MomentState
 from repro.stopping.conditions import GroupSnapshot, SamplesTaken, SnapshotColumns
-from repro.stopping.optstop import RunningIntersection
 
 __all__ = [
     "ApproximateExecutor",
@@ -141,6 +140,34 @@ ENGINES = ("auto", "pool", "scalar")
 #: View count at which ``engine="auto"`` switches to the pool engine (the
 #: measured crossover sits between 10 and 100 views; see PERFORMANCE.md).
 AUTO_POOL_THRESHOLD = 32
+
+
+@dataclass
+class RunningIntersection:
+    """Maintains ``[max_k L_k, min_k R_k]`` across OptStop rounds.
+
+    Starts at the trivial interval and only ever tightens; Theorem 4
+    guarantees the intersection contains the true aggregate w.h.p. because
+    every round's interval does simultaneously.
+    """
+
+    lo: float = -np.inf
+    hi: float = np.inf
+
+    def fold(self, interval: Interval) -> Interval:
+        """Intersect with a new round's interval and return the result."""
+        self.lo = max(self.lo, interval.lo)
+        self.hi = min(self.hi, interval.hi)
+        if self.lo > self.hi:
+            # Only possible on the (< δ probability) failure event or from
+            # floating-point ties; collapse to the midpoint deterministically.
+            mid = 0.5 * (self.lo + self.hi)
+            self.lo = self.hi = mid
+        return Interval(self.lo, self.hi)
+
+    @property
+    def interval(self) -> Interval:
+        return Interval(self.lo, self.hi)
 
 
 @dataclass

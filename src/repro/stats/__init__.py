@@ -3,7 +3,6 @@
 from repro.stats.delta import (
     DEFAULT_DELTA,
     DeltaBudget,
-    geometric_round_delta,
     optstop_round_delta,
 )
 from repro.stats.streaming import ExtremaState, MomentPool, MomentState
@@ -14,6 +13,5 @@ __all__ = [
     "ExtremaState",
     "MomentPool",
     "MomentState",
-    "geometric_round_delta",
     "optstop_round_delta",
 ]

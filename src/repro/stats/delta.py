@@ -25,7 +25,6 @@ from dataclasses import dataclass
 __all__ = [
     "DeltaBudget",
     "optstop_round_delta",
-    "geometric_round_delta",
     "DEFAULT_DELTA",
     "UNKNOWN_N_ALPHA",
 ]
@@ -70,25 +69,6 @@ def optstop_round_delta(delta: float, round_index: int) -> float:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     return _BASEL_NORMALIZER * delta / (round_index ** 2)
-
-
-def geometric_round_delta(delta: float, round_index: int) -> float:
-    """Error probability for round ``k`` of a geometric OptStop schedule.
-
-    ``δ_k = δ·2^{−k}``, which telescopes to exactly δ over all rounds.  The
-    decay per round is faster than Algorithm 5's Basel decay, but a
-    geometric schedule recomputes bounds at exponentially spaced sample
-    counts, so after ``m`` samples only ``Θ(log m)`` rounds have occurred
-    and the binding δ is ``Θ(δ/m^{log 2/ log growth})``-free — in practice a
-    log-factor tighter than the arithmetic schedule's ``Θ(δ·B²/m²)`` at
-    large ``m`` (see :func:`repro.stopping.optstop.optional_stopping`'s
-    ``schedule`` parameter and ``tests/stopping/test_schedules.py``).
-    """
-    if round_index < 1:
-        raise ValueError(f"round_index must be >= 1, got {round_index}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return delta * (2.0 ** -round_index)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,9 @@
-"""Optional stopping (Algorithm 5) and stopping conditions Ê-Ï (S19-S20)."""
+"""Stopping conditions Ê-Ï (S19-S20).
+
+OptStop (Algorithm 5) itself, the per-round δ-decay and the running
+intersection of round intervals, runs inside the executor
+(:mod:`repro.fastframe.executor`).
+"""
 
 from repro.stopping.conditions import (
     AbsoluteAccuracy,
@@ -12,28 +17,16 @@ from repro.stopping.conditions import (
     TopKSeparated,
     relative_error,
 )
-from repro.stopping.optstop import (
-    DEFAULT_BATCH_SIZE,
-    OptStopResult,
-    RunningIntersection,
-    fixed_size_interval,
-    optional_stopping,
-)
 
 __all__ = [
     "AbsoluteAccuracy",
-    "DEFAULT_BATCH_SIZE",
     "GroupSnapshot",
     "GroupsOrdered",
-    "OptStopResult",
     "RelativeAccuracy",
-    "RunningIntersection",
     "SamplesTaken",
     "SnapshotColumns",
     "StoppingCondition",
     "ThresholdSide",
     "TopKSeparated",
-    "fixed_size_interval",
-    "optional_stopping",
     "relative_error",
 ]

@@ -680,9 +680,9 @@ API_IMPORTS = (
     "repro", "repro.api", "repro.api.builder", "repro.api.connection",
     "repro.api.ledger", "repro.bounders", "repro.bounders.anderson",
     "repro.bounders.base", "repro.bounders.bernstein",
-    "repro.bounders.hoeffding", "repro.bounders.pathology",
-    "repro.bounders.range_trim", "repro.bounders.registry", "repro.cdfbounds",
-    "repro.cdfbounds.dkw", "repro.cdfbounds.quantile", "repro.expressions",
+    "repro.bounders.hoeffding", "repro.bounders.range_trim",
+    "repro.bounders.registry", "repro.cdfbounds", "repro.cdfbounds.dkw",
+    "repro.cdfbounds.quantile", "repro.expressions",
     "repro.expressions.bounds", "repro.expressions.expr", "repro.fastframe",
     "repro.fastframe.bitmap", "repro.fastframe.catalog", "repro.fastframe.config",
     "repro.fastframe.count", "repro.fastframe.exact", "repro.fastframe.executor",
@@ -693,7 +693,6 @@ API_IMPORTS = (
     "repro.fastframe.window", "repro.sql", "repro.sql.ast", "repro.sql.compiler",
     "repro.sql.lexer", "repro.sql.parser", "repro.stats", "repro.stats.delta",
     "repro.stats.streaming", "repro.stopping", "repro.stopping.conditions",
-    "repro.stopping.optstop",
 )
 
 

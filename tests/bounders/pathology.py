@@ -1,5 +1,9 @@
 """Empirical detectors for the paper's bounder pathologies (§2.3).
 
+The Table 2 and Figure 3 oracle of ``test_pathology.py``: RangeTrim
+removes PHOS on the served path, and nothing there asks which pathology
+a bounder has.
+
 The paper defines two pathologies of conservative error bounders:
 
 * **PMA — pessimistic mass allocation (Definition 2)**: unseen probability
@@ -43,7 +47,6 @@ __all__ = [
     "exhibits_phos",
     "exhibits_pma",
     "pma_width_gap",
-    "pathology_profile",
 ]
 
 _DEFAULT_DELTA = 1e-6
@@ -154,11 +157,3 @@ def exhibits_pma(
         if curr > prev / 2.0:
             return True
     return False
-
-
-def pathology_profile(bounder: ErrorBounder) -> dict[str, bool]:
-    """The bounder's (PMA, PHOS) profile — one row of the paper's Table 2."""
-    return {
-        "pma": exhibits_pma(bounder),
-        "phos": exhibits_phos(bounder),
-    }

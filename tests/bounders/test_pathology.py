@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bounders.pathology import exhibits_phos, exhibits_pma, pma_width_gap
 from repro.bounders.registry import get_bounder
+from tests.bounders.pathology import exhibits_phos, exhibits_pma, pma_width_gap
 
 #: Table 2 of the paper, extended with the RangeTrim combinations the
 #: evaluation uses.  (Hoeffding+RT keeps PMA — RangeTrim only fixes PHOS.)

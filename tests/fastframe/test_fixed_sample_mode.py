@@ -63,7 +63,7 @@ class TestFixedSampleMode:
         assert result.metrics.rounds >= 2
         # ...yet the certified width matches a fresh single-shot interval
         # at the full per-view budget (no intersection of decayed rounds).
-        from repro.stopping.optstop import fixed_size_interval
+        from tests.stopping.reference import fixed_size_interval
 
         group = result.scalar()
         data = scramble.table.continuous("DepDelay")

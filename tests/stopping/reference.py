@@ -1,45 +1,59 @@
-"""The OptStop optional-stopping meta-algorithm (Algorithm 5, §4.2).
+"""Reference OptStop driver (Algorithm 5, §4.2) over in-memory arrays.
+
+The executor embeds Algorithm 5 for multi-group queries over a scramble:
+the decayed δ per round and the running intersection of every round's
+interval.  This module is the single-group form over a plain dataset,
+kept as a test oracle:
+
+* :func:`optional_stopping` samples without replacement in rounds of
+  ``B`` tuples, recomputes the bound with round ``k``'s decayed error
+  probability and tests the running intersection against a predicate;
+* :func:`fixed_size_interval` issues one full-budget interval from
+  exactly ``m`` samples (stopping condition Ê, no δ-decay), which
+  ``tests/fastframe/test_fixed_sample_mode.py`` compares the executor
+  against.
 
 Fixing a sample size ahead of time is impractical — it is usually unknown
-how many samples make a CI "just tight enough" for the downstream
-application.  OptStop instead keeps sampling in rounds of ``B`` tuples,
-recomputing confidence bounds after each round with a decayed error
-probability ``δ' = (6/π²)·(δ/k²)``, so that union bounding over rounds
-(Theorem 4, via the Basel identity Σ 1/k² = π²/6) keeps the overall failure
-probability below δ — the naive alternative of re-issuing fresh (1 − δ)
-intervals every round is *not* valid, a mistake the paper calls out in
-prior work [20].
-
-The intervals from different rounds may all be intersected: with
-probability ≥ 1 − δ *every* round's interval contains the truth, so the
-running intersection ``[max_k L_k, min_k R_k]`` is itself a valid (1 − δ)
-interval and is what gets tested against the stopping condition.
-
-This module provides a standalone driver for plain datasets (used by unit
-tests); the FastFrame executor embeds the same δ-decay and
-running-intersection logic for multi-group queries.
+how many samples make a CI "just tight enough".  Re-issuing fresh
+(1 − δ) intervals every round is *not* valid, a mistake the paper calls
+out in prior work [20]; the δ-decay ``δ′ = (6/π²)·(δ/k²)`` union bounds
+over rounds back to δ (Theorem 4, via the Basel identity
+Σ 1/k² = π²/6), so every round's interval and hence their intersection
+contain the truth with probability ≥ 1 − δ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from repro.bounders.base import ErrorBounder, Interval
-from repro.stats.delta import geometric_round_delta, optstop_round_delta
-
-__all__ = [
-    "OptStopResult",
-    "RunningIntersection",
-    "optional_stopping",
-    "DEFAULT_BATCH_SIZE",
-    "SCHEDULES",
-]
+from repro.fastframe.executor import RunningIntersection
+from repro.stats.delta import optstop_round_delta
 
 #: The paper recomputes bounds every B = 40,000 samples in its experiments.
 DEFAULT_BATCH_SIZE = 40_000
+
+
+def geometric_round_delta(delta: float, round_index: int) -> float:
+    """Error probability for round ``k`` of a geometric OptStop schedule.
+
+    ``δ_k = δ·2^{−k}``, which telescopes to exactly δ over all rounds.  The
+    decay per round is faster than Algorithm 5's Basel decay, but a
+    geometric schedule recomputes bounds at exponentially spaced sample
+    counts, so after ``m`` samples only ``Θ(log m)`` rounds have occurred
+    and the binding δ is ``Θ(δ/m^{log 2/ log growth})``-free — in practice a
+    log-factor tighter than the arithmetic schedule's ``Θ(δ·B²/m²)`` at
+    large ``m`` (see ``tests/stopping/test_schedules.py``).
+    """
+    if round_index < 1:
+        raise ValueError(f"round_index must be >= 1, got {round_index}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    return delta * (2.0 ** -round_index)
+
 
 #: Round schedules: ``(next_batch_size(round_index, base), round_delta)``.
 #: ``"arithmetic"`` is Algorithm 5 verbatim: fixed-size rounds with Basel
@@ -53,34 +67,6 @@ SCHEDULES = {
     "arithmetic": (lambda k, base: base, optstop_round_delta),
     "geometric": (lambda k, base: base * (2 ** (k - 1)), geometric_round_delta),
 }
-
-
-@dataclass
-class RunningIntersection:
-    """Maintains ``[max_k L_k, min_k R_k]`` across OptStop rounds.
-
-    Starts at the trivial interval and only ever tightens; Theorem 4
-    guarantees the intersection contains the true aggregate w.h.p. because
-    every round's interval does simultaneously.
-    """
-
-    lo: float = -np.inf
-    hi: float = np.inf
-
-    def fold(self, interval: Interval) -> Interval:
-        """Intersect with a new round's interval and return the result."""
-        self.lo = max(self.lo, interval.lo)
-        self.hi = min(self.hi, interval.hi)
-        if self.lo > self.hi:
-            # Only possible on the (< δ probability) failure event or from
-            # floating-point ties; collapse to the midpoint deterministically.
-            mid = 0.5 * (self.lo + self.hi)
-            self.lo = self.hi = mid
-        return Interval(self.lo, self.hi)
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.lo, self.hi)
 
 
 @dataclass
@@ -217,17 +203,3 @@ def fixed_size_interval(
         rounds=1,
         stopped_early=False,
     )
-
-
-def stream_batches(
-    data: np.ndarray, batch_size: int, rng: np.random.Generator
-) -> Iterable[np.ndarray]:
-    """Yield without-replacement sample batches covering ``data`` once.
-
-    Utility for callers driving their own round loop (e.g. coverage
-    simulations); semantics match :func:`optional_stopping`'s sampling.
-    """
-    data = np.asarray(data, dtype=np.float64)
-    order = rng.permutation(data.size)
-    for start in range(0, data.size, batch_size):
-        yield data[order[start : start + batch_size]]

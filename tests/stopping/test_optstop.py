@@ -9,13 +9,8 @@ import pytest
 
 from repro.bounders.base import Interval
 from repro.bounders.registry import get_bounder
-from repro.stopping.optstop import (
-    OptStopResult,
-    RunningIntersection,
-    fixed_size_interval,
-    optional_stopping,
-    stream_batches,
-)
+from repro.fastframe.executor import RunningIntersection
+from tests.stopping.reference import fixed_size_interval, optional_stopping
 
 
 class TestRunningIntersection:
@@ -197,15 +192,3 @@ class TestFixedSizeInterval:
         ratio = stopped.interval.width / one_shot.interval.width
         assert 1.0 <= ratio <= 2.0
 
-
-class TestStreamBatches:
-    def test_covers_data_exactly_once(self, rng):
-        data = np.arange(100.0)
-        batches = list(stream_batches(data, 7, rng))
-        combined = np.concatenate(batches)
-        assert combined.size == 100
-        np.testing.assert_array_equal(np.sort(combined), data)
-
-    def test_batch_sizes(self, rng):
-        batches = list(stream_batches(np.arange(10.0), 4, rng))
-        assert [b.size for b in batches] == [4, 4, 2]

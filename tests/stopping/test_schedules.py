@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.bounders import get_bounder
-from repro.stats.delta import geometric_round_delta, optstop_round_delta
-from repro.stopping.optstop import optional_stopping
+from repro.stats.delta import optstop_round_delta
+from tests.stopping.reference import geometric_round_delta, optional_stopping
 
 
 class TestGeometricDecay:

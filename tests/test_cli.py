@@ -62,12 +62,31 @@ class TestParser:
         ["table6", "--reps", "-1"],
         ["fig6", "--rows", "0"],
         ["query", "SELECT 1", "--rows", "ten"],
-    ], ids=["table5-reps", "table6-reps", "fig6-rows", "query-rows"])
+        ["dashboard", "SELECT 1", "--parallelism", "0"],
+        ["dashboard", "SELECT 1", "--cache-bytes", "-5"],
+    ], ids=["table5-reps", "table6-reps", "fig6-rows", "query-rows",
+            "dashboard-parallelism", "dashboard-cache-bytes"])
     def test_counts_must_be_positive(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["table5", "--delta", "0"], "in (0, 1)"),
+        (["query", "SELECT 1", "--delta", "2"], "in (0, 1)"),
+        (["dashboard", "SELECT 1", "--delta", "nan"], "in (0, 1)"),
+        (["fig6", "--delta", "inf"], "in (0, 1)"),
+        (["query", "SELECT 1", "--seed", "-1"], "non-negative integer"),
+    ], ids=["table5-delta-0", "query-delta-2", "dashboard-delta-nan",
+            "fig6-delta-inf", "query-seed"])
+    def test_bad_delta_or_seed_is_a_usage_error(self, argv, message, capsys):
+        """Exit 2 with argparse's usage line, not a traceback and exit 1,
+        which means a paper claim failed."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestCommands:

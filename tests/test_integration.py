@@ -106,6 +106,50 @@ def test_one_count_bound(small_scramble):
         repro.connect(small_scramble, count_method="serfling")
 
 
+
+#: Names ``repro.fastframe`` exported while nothing imported them through
+#: the package; each is still reachable through its submodule.
+_UNEXPORTED_FASTFRAME = (
+    "AUTO_POOL_THRESHOLD", "ActivePeekStrategy", "ActiveSyncStrategy",
+    "BlockBitmapIndex", "BlockCache", "Catalog", "CategoricalColumn",
+    "ColumnKind", "DEFAULT_BLOCK_SIZE", "DEFAULT_CACHE_BYTES",
+    "DEFAULT_ROUND_ROWS", "DEFAULT_STORE_BLOCK_ROWS", "ENGINES",
+    "EVALUATED_STRATEGIES", "ExecConfig", "ExecutionMetrics", "GroupResult",
+    "LOOKAHEAD_BATCH_BLOCKS", "Or", "Predicate", "QueryRun",
+    "SamplingStrategy", "ScanCursor", "SelectivityState", "TruePredicate",
+    "ViewPool", "WindowFrame", "count_interval", "count_interval_batch",
+    "denormalize", "open_block_store", "run_shared_scan",
+    "selectivity_interval", "sum_interval", "sum_interval_batch",
+    "upper_bound_population", "upper_bound_population_batch",
+)
+
+
+def test_src_holds_only_the_served_path():
+    """The in-memory OptStop driver and the PMA/PHOS detectors are test
+    oracles, not package modules: the executor runs Algorithm 5 and
+    RangeTrim removes PHOS on the served path."""
+    import repro.bounders as bounders
+    import repro.fastframe as fastframe
+    import repro.stats as stats
+    import repro.stopping as stopping
+
+    for module in ("repro.stopping.optstop", "repro.bounders.pathology"):
+        assert importlib.util.find_spec(module) is None, module
+    for name in (
+        "optional_stopping", "fixed_size_interval", "OptStopResult",
+        "RunningIntersection", "DEFAULT_BATCH_SIZE",
+    ):
+        assert not hasattr(stopping, name), name
+        assert name not in stopping.__all__, name
+    for name in ("exhibits_phos", "exhibits_pma", "pathology_profile"):
+        assert not hasattr(bounders, name), name
+        assert name not in bounders.__all__, name
+    assert "geometric_round_delta" not in stats.__all__
+    assert len(_UNEXPORTED_FASTFRAME) == 37
+    for name in _UNEXPORTED_FASTFRAME:
+        assert name not in fastframe.__all__, name
+    assert len(fastframe.__all__) == 23
+
 @pytest.mark.parametrize("query_name", sorted(ALL_QUERIES))
 def test_every_flights_query_correct_with_best_bounder(small_scramble, query_name):
     """All nine paper queries give answers matching Exact under
