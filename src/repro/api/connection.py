@@ -34,8 +34,8 @@ either allocation policy.
 from __future__ import annotations
 
 import inspect
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -156,7 +156,12 @@ class RoundUpdate:
     groups:
         Decoded group key →
         :class:`~repro.stopping.conditions.GroupSnapshot` (current
-        certified interval, estimate, sample count, exhaustion flag).
+        certified interval, estimate, sample count, exhaustion flag): a
+        read-only :class:`~repro.stopping.conditions.GroupSnapshots`
+        mapping, materialized on first access and equal to the plain
+        dict of its items.  Its ``.columns`` is the array view
+        (:class:`~repro.stopping.conditions.SnapshotColumns`), which
+        costs no per-group Python.
     storage:
         Cumulative :class:`~repro.fastframe.query.StorageCounters` as of
         this round (block reads, cache hits/evictions) —
@@ -166,7 +171,7 @@ class RoundUpdate:
 
     round_index: int
     rows_read: int
-    groups: dict
+    groups: Mapping
     storage: StorageCounters | None = None
 
 

@@ -114,7 +114,7 @@ from repro.fastframe.viewpool import ViewPool
 from repro.fastframe.window import WindowFrame
 from repro.stats.delta import DEFAULT_DELTA, DeltaBudget
 from repro.stats.streaming import MomentState
-from repro.stopping.conditions import GroupSnapshot, SamplesTaken, SnapshotColumns
+from repro.stopping.conditions import GroupSnapshots, SamplesTaken, SnapshotColumns
 
 __all__ = [
     "ApproximateExecutor",
@@ -314,18 +314,40 @@ class ApproximateExecutor:
         full = cache[key]
         return full if rows is None else full[rows]
 
-    def _split_combined(
-        self, combined: int, group_by: tuple[str, ...]
-    ) -> tuple[int, ...]:
-        """Invert the mixed-radix combination back to per-column codes."""
-        if not group_by:
-            return ()
-        cards = self._cardinalities(group_by)
-        codes = []
-        for card in reversed(cards):
-            codes.append(combined % card)
-            combined //= card
-        return tuple(reversed(codes))
+    def _group_keys(
+        self, group_by: tuple[str, ...]
+    ) -> tuple[list[tuple[int, ...]], list[tuple]]:
+        """``(codes, keys)`` of each group in :meth:`_group_domain`, in
+        domain order: the per-column dictionary codes (the mixed-radix
+        combination inverted) and the decoded group-by values.
+
+        Cached next to the domain, so both are rebuilt together after an
+        insert clears the scramble's metadata.
+        """
+        cache = self.scramble.metadata_cache
+        key = ("keys", group_by)
+        if key not in cache:
+            domain = self._group_domain(group_by)
+            remainder = domain.copy()
+            per_column = []
+            for card in reversed(self._cardinalities(group_by)):
+                per_column.append((remainder % card).tolist())
+                remainder //= card
+            codes = (
+                list(zip(*reversed(per_column)))
+                if group_by
+                else [()] * domain.size
+            )
+            table = self.scramble.table
+            dictionaries = [
+                table.categorical(column).dictionary for column in group_by
+            ]
+            keys = [
+                tuple(d[code] for d, code in zip(dictionaries, view_codes))
+                for view_codes in codes
+            ]
+            cache[key] = codes, keys
+        return cache[key]
 
     def _resolve_value_column(
         self, query: Query
@@ -472,10 +494,9 @@ class QueryRun:
         self.fixed_sample_mode = isinstance(query.stopping, SamplesTaken)
 
         #: Per-column codes of each view's group key, aligned with
-        #: :attr:`domain` (and so with the engine's view order).
-        self.key_codes = [
-            ex._split_combined(int(code), self.group_by) for code in self.domain
-        ]
+        #: :attr:`domain` (and so with the engine's view order); shared
+        #: through the scramble's metadata cache, so read-only.
+        self.key_codes, self._group_keys = ex._group_keys(self.group_by)
         self._init_views()
         self.view_budget = DeltaBudget(ex.delta).split_even(
             max(self.domain.size, 1)
@@ -486,7 +507,7 @@ class QueryRun:
         self.satisfied = False
         self._scan_ended = False
         self._finalized: QueryResult | None = None
-        self._group_keys: list[tuple] | None = None
+        self._round_columns: SnapshotColumns | None = None
 
     # -- driver interface ----------------------------------------------
 
@@ -604,45 +625,28 @@ class QueryRun:
         """Decoded GROUP BY key per view, aligned with :attr:`domain` (the
         pool's rows, the scalar ``views`` in order).
 
-        Decoded once per run, on first use: every round's
+        Decoded once per scramble and GROUP BY column set (see
+        :meth:`ApproximateExecutor._group_keys`): every round's
         :meth:`group_snapshots` and the final result reuse the list.
         """
-        if self._group_keys is None:
-            table = self.executor.scramble.table
-            dictionaries = [
-                table.categorical(column).dictionary for column in self.group_by
-            ]
-            self._group_keys = [
-                tuple(d[code] for d, code in zip(dictionaries, codes))
-                for codes in self.key_codes
-            ]
         return self._group_keys
 
-    def group_snapshots(self) -> dict:
-        """Decoded per-group snapshots of the run's current intervals.
+    def group_snapshots(self) -> GroupSnapshots:
+        """Decoded per-group snapshots of the run's intervals as of its
+        latest round.
 
         The progressive view a live dashboard renders between rounds
-        (:meth:`repro.api.QueryHandle.rounds`); keys are decoded group-by
-        values, values are :class:`~repro.stopping.conditions.GroupSnapshot`.
+        (:meth:`repro.api.QueryHandle.rounds`): a read-only
+        :class:`~repro.stopping.conditions.GroupSnapshots` mapping from
+        decoded group-by values to
+        :class:`~repro.stopping.conditions.GroupSnapshot`, built on first
+        access from the columns the round's stopping test read; its
+        ``.columns`` is the array view.
         """
-        columns = self._snapshot_columns()
-        keys = self.group_keys()
-        return {
-            keys[row]: GroupSnapshot(
-                interval=Interval(lo, hi),
-                estimate=estimate,
-                samples=samples,
-                exhausted=exhausted,
-            )
-            for row, lo, hi, estimate, samples, exhausted in zip(
-                columns.rows.tolist(),
-                columns.lo.tolist(),
-                columns.hi.tolist(),
-                columns.estimate.tolist(),
-                columns.samples.tolist(),
-                columns.exhausted.tolist(),
-            )
-        }
+        columns = self._round_columns
+        if columns is None:  # before the first round
+            columns = self._snapshot_columns()
+        return GroupSnapshots(columns, self.group_keys())
 
     def finalize(self, merge_index_counters: bool = True) -> QueryResult:
         """Seal the run and materialize its :class:`QueryResult`.
@@ -676,7 +680,7 @@ class QueryRun:
         The one place the rule "an exhausted view is never active" is
         applied: no further sample can change an exact aggregate.
         """
-        columns = self._snapshot_columns()
+        self._round_columns = columns = self._snapshot_columns()
         stopping = self.query.stopping
         self._set_active(
             columns.rows, stopping.active_mask(columns) & ~columns.exhausted
@@ -1069,7 +1073,8 @@ class _PoolRun(QueryRun):
         pool.iv_hi[idx] = exact
 
     def _results(self, keys: list[tuple]) -> dict:
-        """Materialize per-group results (the only O(views) Python loop).
+        """Materialize per-group results: one ``.tolist()`` per column,
+        zipped, so the O(views) loop touches only Python scalars.
 
         ``keys`` is the decoded group key per pool row
         (:meth:`QueryRun.group_keys`).
@@ -1106,17 +1111,24 @@ class _PoolRun(QueryRun):
                     samples > 0, pool.sample.mean[live] * count_estimate, estimate
                 )
         groups = {}
-        for position, row in enumerate(live):
+        for row, point, low, high, count_lo, count_hi, n, exhausted in zip(
+            live.tolist(),
+            estimate.tolist(),
+            lo.tolist(),
+            hi.tolist(),
+            pool.civ_lo[live].tolist(),
+            pool.civ_hi[live].tolist(),
+            samples.tolist(),
+            pool.exhausted[live].tolist(),
+        ):
             key = keys[row]
             groups[key] = GroupResult(
                 key=key,
-                estimate=float(estimate[position]),
-                interval=Interval(float(lo[position]), float(hi[position])),
-                count_interval=Interval(
-                    float(pool.civ_lo[row]), float(pool.civ_hi[row])
-                ),
-                samples=int(samples[position]),
-                exhausted=bool(pool.exhausted[row]),
+                estimate=point,
+                interval=Interval(low, high),
+                count_interval=Interval(count_lo, count_hi),
+                samples=n,
+                exhausted=exhausted,
             )
         return groups
 

@@ -9,6 +9,7 @@ from repro.stopping.conditions import (
     AbsoluteAccuracy,
     GroupsOrdered,
     GroupSnapshot,
+    GroupSnapshots,
     RelativeAccuracy,
     SamplesTaken,
     SnapshotColumns,
@@ -21,6 +22,7 @@ from repro.stopping.conditions import (
 __all__ = [
     "AbsoluteAccuracy",
     "GroupSnapshot",
+    "GroupSnapshots",
     "GroupsOrdered",
     "RelativeAccuracy",
     "SamplesTaken",

@@ -17,14 +17,17 @@ one-group special case).  A condition implements
 :meth:`StoppingCondition.active_mask` in numpy; its termination test
 :meth:`StoppingCondition.satisfied_columns` defaults to "no group is
 active".  :class:`GroupSnapshot` is the per-group record of the
-progressive-round reports built from those columns.
+progressive-round reports built from those columns, and
+:class:`GroupSnapshots` the read-only mapping that decodes one round's
+columns into those records on first access.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from repro.bounders.base import Interval
 
 __all__ = [
     "GroupSnapshot",
+    "GroupSnapshots",
     "SnapshotColumns",
     "StoppingCondition",
     "SamplesTaken",
@@ -99,6 +103,62 @@ class SnapshotColumns:
     @property
     def size(self) -> int:
         return self.rows.size
+
+
+class GroupSnapshots(Mapping):
+    """One round's decoded group key → :class:`GroupSnapshot` mapping.
+
+    Read-only and lazy: it holds the round's :class:`SnapshotColumns`
+    (its arrays made read-only) and the run's decoded key per view, and
+    builds the dict of :class:`GroupSnapshot` records on first
+    ``[]``/``iter``/``len``, then keeps it.  Iteration order is the
+    columns' row order, and a snapshot compares equal to the plain dict
+    of its items.  Struct-of-arrays readers use :attr:`columns` and never
+    pay the per-group decode.
+    """
+
+    def __init__(self, columns: SnapshotColumns, keys: Sequence) -> None:
+        for field_ in fields(columns):
+            getattr(columns, field_.name).flags.writeable = False
+        #: The round's live groups as read-only arrays; ``rows`` index
+        #: the key sequence the mapping was built with.
+        self.columns = columns
+        self._keys = keys
+        self._groups: dict | None = None
+
+    def _materialized(self) -> dict:
+        if self._groups is None:
+            keys = self._keys
+            columns = self.columns
+            self._groups = {
+                keys[row]: GroupSnapshot(
+                    interval=Interval(lo, hi),
+                    estimate=estimate,
+                    samples=samples,
+                    exhausted=exhausted,
+                )
+                for row, lo, hi, estimate, samples, exhausted in zip(
+                    columns.rows.tolist(),
+                    columns.lo.tolist(),
+                    columns.hi.tolist(),
+                    columns.estimate.tolist(),
+                    columns.samples.tolist(),
+                    columns.exhausted.tolist(),
+                )
+            }
+        return self._groups
+
+    def __getitem__(self, key) -> GroupSnapshot:
+        return self._materialized()[key]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._materialized())
+
+    def __len__(self) -> int:
+        return len(self._materialized())
+
+    def __repr__(self) -> str:
+        return f"GroupSnapshots({self._materialized()!r})"
 
 
 def relative_error(interval: Interval, estimate: float) -> float:
