@@ -412,34 +412,6 @@ class MomentPoolBounderMixin:
         """Per-slot one-sided half-widths; subclasses implement."""
         raise NotImplementedError
 
-    def _epsilon_one(self, pool, slot: int, a: float, b: float, n, delta: float) -> float:
-        """One lane of :meth:`_epsilon_batch` in scalar math, bit-identical.
-
-        Optional: families that implement it unlock the small-set scalar
-        dispatch (:attr:`supports_scalar_bounds`), which sidesteps numpy
-        call overhead when a round recomputes only a handful of views.
-        """
-        raise NotImplementedError
-
-    @property
-    def supports_scalar_bounds(self) -> bool:
-        """True when :meth:`_epsilon_one` is implemented by this family."""
-        return type(self)._epsilon_one is not MomentPoolBounderMixin._epsilon_one
-
-    def lbound_one(self, pool, slot: int, a: float, b: float, n, delta: float) -> float:
-        """One lane of :meth:`lbound_batch`, bit-identical scalar math."""
-        eps = self._epsilon_one(pool, slot, a, b, n, delta)
-        if int(pool.count[slot]) == 0:
-            return float(a)
-        return float(pool.mean[slot]) - eps
-
-    def rbound_one(self, pool, slot: int, a: float, b: float, n, delta: float) -> float:
-        """One lane of :meth:`rbound_batch`, bit-identical scalar math."""
-        eps = self._epsilon_one(pool, slot, a, b, n, delta)
-        if int(pool.count[slot]) == 0:
-            return float(b)
-        return float(pool.mean[slot]) + eps
-
     def _empty_slot_mask(self, pool, indices: np.ndarray) -> np.ndarray:
         """Slots that must report the trivial bounds (no samples yet)."""
         return pool.count[indices] == 0

@@ -42,7 +42,6 @@ __all__ = [
     "EmpiricalBernsteinBounder",
     "empirical_bernstein_serfling_epsilon",
     "empirical_bernstein_serfling_epsilon_batch",
-    "empirical_bernstein_serfling_epsilon_one",
     "bernstein_serfling_epsilon",
     "maurer_pontil_epsilon",
     "KAPPA_EMPIRICAL",
@@ -134,33 +133,6 @@ def empirical_bernstein_serfling_epsilon_batch(
     return np.where(m < 1, span, eps)
 
 
-def empirical_bernstein_serfling_epsilon_one(
-    m: float, n: float, sigma_hat: float, span: float, delta: float
-) -> float:
-    """One lane of :func:`empirical_bernstein_serfling_epsilon_batch`.
-
-    A scalar transliteration of the *batch* kernel — every operation is
-    the same IEEE-754 double operation, in the same order, as the
-    vectorized expression, so the small-set scalar dispatch in the pool
-    bound path returns exactly the bytes the batch kernel would.  (The
-    legacy :func:`empirical_bernstein_serfling_epsilon` associates the
-    range term differently and is *not* bit-interchangeable.)
-    """
-    if m < 1.0:
-        return span
-    m_eff = max(min(m, n), 1.0)
-    # _serfling_rho_batch, one lane.
-    if m_eff <= n / 2.0:
-        rho = 1.0 - (m_eff - 1.0) / n
-    else:
-        rho = (1.0 - m_eff / n) * (1.0 + 1.0 / max(m_eff, 1.0))
-    rho = max(rho, 0.0)
-    log_term = math.log(5.0 / delta)
-    return sigma_hat * math.sqrt(2.0 * rho * log_term / m_eff) + KAPPA_EMPIRICAL * span * (
-        log_term / m_eff
-    )
-
-
 def bernstein_serfling_epsilon(
     m: int, n: int, sigma: float, a: float, b: float, delta: float
 ) -> float:
@@ -232,18 +204,6 @@ class EmpiricalBernsteinSerflingBounder(MomentPoolBounderMixin, ErrorBounder):
     ) -> np.ndarray:
         return empirical_bernstein_serfling_epsilon_batch(
             pool.count[indices], n, pool.std_of(indices), a, b, delta
-        )
-
-    def _epsilon_one(
-        self, pool: MomentPool, slot: int, a: float, b: float, n, delta: float
-    ) -> float:
-        """One lane of :meth:`_epsilon_batch`, bit-identical (see
-        :func:`empirical_bernstein_serfling_epsilon_one`)."""
-        count = int(pool.count[slot])
-        variance = float(pool.m2[slot]) / max(count, 1)
-        sigma_hat = math.sqrt(max(variance, 0.0))
-        return empirical_bernstein_serfling_epsilon_one(
-            float(count), float(n), sigma_hat, float(b) - float(a), delta
         )
 
 

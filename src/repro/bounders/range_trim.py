@@ -39,14 +39,6 @@ from repro.stats.streaming import ExtremaState
 
 __all__ = ["RangeTrimBounder", "RangeTrimState", "RangeTrimPool"]
 
-#: Recompute sets at or below this size take the scalar-dispatch mirror of
-#: the batch bound path (bit-identical; see ``_confidence_interval_small``).
-#: numpy dispatch costs ~3-5µs per call regardless of array size, so a
-#: round that touches a handful of dirty views spends more time entering
-#: ufuncs than computing; the Python-float loop crosses over near ~40 slots.
-_SCALAR_DISPATCH_MAX = 16
-
-
 @dataclass
 class RangeTrimPool:
     """Struct-of-arrays bank of :class:`RangeTrimState` slots.
@@ -381,15 +373,6 @@ class RangeTrimBounder(ErrorBounder):
         if indices is None:
             indices = np.arange(pool.count.size, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int64)
-        if (
-            indices.size <= _SCALAR_DISPATCH_MAX
-            and np.ndim(a) == 0
-            and np.ndim(b) == 0
-            and getattr(self.inner, "supports_scalar_bounds", False)
-        ):
-            return self._confidence_interval_small(
-                pool, float(a), float(b), n, delta, indices
-            )
         a_arr = np.broadcast_to(np.asarray(a, dtype=np.float64), indices.shape)
         b_arr = np.broadcast_to(np.asarray(b, dtype=np.float64), indices.shape)
         trivial = pool.count[indices] < 2
@@ -406,44 +389,3 @@ class RangeTrimBounder(ErrorBounder):
         lo = np.where(trivial, a_arr, inner_lo)
         hi = np.where(trivial, b_arr, inner_hi)
         return self._clip_interval_arrays(lo, hi, a, b)
-
-    def _confidence_interval_small(
-        self, pool: RangeTrimPool, a: float, b: float, n, delta: float,
-        indices: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scalar-dispatch mirror of :meth:`confidence_interval_batch`.
-
-        Per-slot Python-float transliteration of the fused batch path —
-        same IEEE-754 operations in the same order, so the returned
-        arrays are bit-identical to the vectorized program (pinned by the
-        kernel test-suite).  Worth it because a round that recomputes
-        only a few dirty views pays numpy's per-call dispatch ~60 times
-        in the batch path; here it pays it twice.
-        """
-        n_arr = np.broadcast_to(np.asarray(n), indices.shape)
-        half = delta / 2.0
-        lo_out = np.empty(indices.size, dtype=np.float64)
-        hi_out = np.empty(indices.size, dtype=np.float64)
-        for position in range(indices.size):
-            slot = int(indices[position])
-            inner_n = max(n_arr[position] - 1, 1)
-            if int(pool.count[slot]) < 2:
-                lo, hi = a, b
-            else:
-                b_prime = float(pool.max[slot])
-                a_prime = float(pool.min[slot])
-                lo = self.inner.lbound_one(
-                    pool.left, slot, min(a, b_prime), b_prime, inner_n, half
-                )
-                hi = self.inner.rbound_one(
-                    pool.right, slot, a_prime, max(b, a_prime), inner_n, half
-                )
-            # _clip_interval_arrays, one lane.
-            lo = min(max(lo, a), b)
-            hi = min(max(hi, a), b)
-            if lo > hi:
-                mid = 0.5 * (lo + hi)
-                lo = hi = mid
-            lo_out[position] = lo
-            hi_out[position] = hi
-        return lo_out, hi_out

@@ -12,6 +12,8 @@ STORAGE_BACKENDS = ("memory", "mmap")
 
 
 def _positive_int(raw) -> int:
+    if isinstance(raw, bool):  # operator.index(True) == 1
+        raise TypeError
     value = int(raw) if isinstance(raw, str) else operator.index(raw)
     if value < 1:
         raise ValueError

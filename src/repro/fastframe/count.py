@@ -43,13 +43,6 @@ __all__ = [
     "sum_interval_batch",
 ]
 
-#: Batches at or below this size take a per-element Python-float mirror of
-#: the vectorized program (same IEEE-754 ops in the same order, so the
-#: results are bit-identical).  A round recomputing a few dirty views
-#: spends more on numpy call dispatch than on arithmetic otherwise.
-_SCALAR_DISPATCH_MAX = 16
-
-
 @dataclass
 class SelectivityState:
     """Covered-prefix counts for one aggregate view.
@@ -140,31 +133,6 @@ def count_interval_batch(
     """
     in_view = np.asarray(in_view, dtype=np.float64)
     covered = np.asarray(covered, dtype=np.float64)
-    if in_view.size <= _SCALAR_DISPATCH_MAX:
-        # Scalar-dispatch mirror: one lane of the batch program below,
-        # transliterated to Python floats (bit-identical results).
-        log_term = math.log(2.0 / delta)
-        lo_out = np.empty(in_view.size, dtype=np.float64)
-        hi_out = np.empty(in_view.size, dtype=np.float64)
-        for position in range(in_view.size):
-            m = float(in_view[position])
-            r = float(covered[position])
-            if r == 0.0:
-                lo_out[position] = 0.0
-                hi_out[position] = float(scramble_rows)
-                continue
-            r_safe = max(r, 1.0)
-            m_eff = min(r_safe, float(scramble_rows))
-            rho = max(1.0 - (m_eff - 1.0) / scramble_rows, 0.0)
-            eps = math.sqrt(rho * log_term / (2.0 * m_eff))
-            estimate = m / r_safe
-            sel_lo = max(estimate - eps, 0.0)
-            sel_hi = min(estimate + eps, 1.0)
-            lo = max(sel_lo * scramble_rows, m)
-            hi = min(sel_hi * scramble_rows, float(scramble_rows))
-            lo_out[position] = lo
-            hi_out[position] = max(hi, lo)
-        return lo_out, hi_out
     r_safe = np.maximum(covered, 1.0)
     m_eff = np.minimum(r_safe, scramble_rows)
     rho = np.maximum(1.0 - (m_eff - 1.0) / scramble_rows, 0.0)
@@ -191,22 +159,6 @@ def upper_bound_population_batch(
     alpha = UNKNOWN_N_ALPHA
     in_view = np.asarray(in_view, dtype=np.int64)
     covered = np.asarray(covered, dtype=np.int64)
-    if in_view.size <= _SCALAR_DISPATCH_MAX:
-        # Scalar-dispatch mirror of the batch program (bit-identical).
-        log_term = math.log(1.0 / ((1.0 - alpha) * delta))
-        out = np.empty(in_view.size, dtype=np.int64)
-        for position in range(in_view.size):
-            m = int(in_view[position])
-            if int(covered[position]) == 0:
-                out[position] = scramble_rows
-                continue
-            r = float(covered[position])
-            r_safe = max(r, 1.0)
-            fpc = max(1.0 - (r - 1.0) / scramble_rows, 0.0)
-            eps = math.sqrt(log_term / (2.0 * r_safe) * fpc)
-            n_plus = int(math.ceil((m / r_safe + eps) * scramble_rows))
-            out[position] = max(min(n_plus, scramble_rows), max(m, 1))
-        return out
     r = covered.astype(np.float64)
     r_safe = np.maximum(r, 1.0)
     fpc = np.maximum(1.0 - (r - 1.0) / scramble_rows, 0.0)

@@ -68,23 +68,25 @@ def test_pool_matches_scalar_intervals(name):
 
 @pytest.mark.parametrize("name", available_bounders())
 def test_pool_subset_indices(name):
-    """`indices` must bound exactly the requested slots, aligned."""
-    size = 9
-    rng = np.random.default_rng(0)
+    """`indices` must bound exactly the requested slots, aligned, and a
+    slot's interval must not depend on how many slots a round recomputes:
+    every subset size gives the full-pool call's bytes."""
+    size = 40
     bounder = get_bounder(name)
-    pool = bounder.init_pool(size)
-    for indices, values in _indexed_stream(rng, size):
-        bounder.update_pool(pool, indices, values)
-    subset = np.array([1, 4, 8])
-    n_plus = np.array([3_000, 4_000, 5_000])
-    lo_sub, hi_sub = bounder.confidence_interval_batch(
-        pool, A, B, n_plus, DELTA, indices=subset
-    )
-    full_n = np.full(size, 1)
-    full_n[subset] = n_plus
-    lo, hi = bounder.confidence_interval_batch(pool, A, B, full_n, DELTA)
-    assert np.allclose(lo_sub, lo[subset], rtol=RTOL)
-    assert np.allclose(hi_sub, hi[subset], rtol=RTOL)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        pool = bounder.init_pool(size)
+        for indices, values in _indexed_stream(rng, size):
+            bounder.update_pool(pool, indices, values)
+        full_n = rng.integers(1, 400_000, size)
+        lo, hi = bounder.confidence_interval_batch(pool, A, B, full_n, DELTA)
+        for subset_size in (1, 3, 16, 17):
+            subset = np.sort(rng.choice(size, subset_size, replace=False))
+            lo_sub, hi_sub = bounder.confidence_interval_batch(
+                pool, A, B, full_n[subset], DELTA, indices=subset
+            )
+            assert lo_sub.tobytes() == lo[subset].tobytes(), (seed, subset_size)
+            assert hi_sub.tobytes() == hi[subset].tobytes(), (seed, subset_size)
 
 
 def test_every_registered_bounder_is_ssi():

@@ -93,6 +93,16 @@ def test_garbage_fails_naming_its_source(monkeypatch, field, text, source):
     assert text in message
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("field", ["cache_bytes", "parallelism"])
+def test_bool_keyword_is_garbage(field, flag):
+    """``True`` is not the integer 1: ``cache_bytes=True`` must not get a
+    1-byte block cache, nor ``parallelism=True`` run serially."""
+    with pytest.raises(ValueError) as raised:
+        ExecConfig.resolve(**{field: flag})
+    assert str(raised.value).startswith(f"{field}={flag!r}:")
+
+
 @pytest.mark.parametrize("field", sorted(CASES))
 def test_explicit_wins_over_environment(monkeypatch, field):
     text, expected, garbage = CASES[field]

@@ -13,9 +13,11 @@ from repro.bounders.base import Interval
 from repro.fastframe.count import (
     SelectivityState,
     count_interval,
+    count_interval_batch,
     selectivity_interval,
     sum_interval,
     upper_bound_population,
+    upper_bound_population_batch,
 )
 
 
@@ -131,6 +133,31 @@ class TestUpperBoundPopulation:
         state = SelectivityState()
         state.observe(400, 400)
         assert upper_bound_population(state, 100_000, 0.5) >= 400
+
+
+class TestBatchSubsets:
+    @pytest.mark.parametrize("subset_size", [1, 3, 16, 17])
+    def test_view_bound_independent_of_batch_size(self, subset_size):
+        """A view's COUNT interval and N⁺ must not depend on how many views
+        a round recomputes: any subset gives the full batch's bytes."""
+        rng = np.random.default_rng(subset_size)
+        rows, delta, size = 400_000, 1e-9, 40
+        covered = rng.integers(0, 30_000, size)
+        covered[:3] = 0
+        in_view = (covered * rng.uniform(0.0, 1.0, size)).astype(np.int64)
+        lo, hi = count_interval_batch(in_view, covered, rows, delta)
+        n_plus = upper_bound_population_batch(in_view, covered, rows, delta)
+        subset = np.sort(rng.choice(size, subset_size, replace=False))
+        lo_sub, hi_sub = count_interval_batch(
+            in_view[subset], covered[subset], rows, delta
+        )
+        n_plus_sub = upper_bound_population_batch(
+            in_view[subset], covered[subset], rows, delta
+        )
+        assert lo_sub.tobytes() == lo[subset].tobytes()
+        assert hi_sub.tobytes() == hi[subset].tobytes()
+        assert n_plus_sub.dtype == n_plus.dtype
+        assert n_plus_sub.tobytes() == n_plus[subset].tobytes()
 
 
 class TestSumInterval:

@@ -26,10 +26,6 @@ import pytest
 
 from repro.bounders.bernstein import EmpiricalBernsteinSerflingBounder
 from repro.bounders.range_trim import RangeTrimBounder
-from repro.fastframe.count import (
-    count_interval_batch,
-    upper_bound_population_batch,
-)
 from repro.fastframe.config import ExecConfig
 from repro.fastframe.executor import ApproximateExecutor, QueryRun, run_shared_scan
 from repro.fastframe.kernels import (
@@ -347,66 +343,3 @@ class TestBatchedTaskParity:
         serial = _run(scramble, parallelism=1)
         batched = _run(scramble, parallelism=2, task_batch=task_batch)
         _assert_identical(serial, batched, f"task_batch={task_batch}")
-
-
-class TestScalarDispatchMirrors:
-    """Small recompute sets dispatch to Python-float transliterations of
-    the batch bound kernels; the mirrors must be BIT-identical lanes of
-    the vectorized programs (they feed the same pool intervals, so any
-    drift would make results depend on how many views a round touches).
-    """
-
-    @staticmethod
-    def _random_rt_pool(rng, size):
-        bounder = RangeTrimBounder(EmpiricalBernsteinSerflingBounder())
-        pool = bounder.init_pool(size)
-        for _ in range(int(rng.integers(1, 4))):
-            n_obs = int(rng.integers(0, 50))
-            if n_obs:
-                idx = np.sort(rng.integers(0, size, n_obs)).astype(np.int64)
-                bounder.update_pool(pool, idx, rng.normal(10.0, 5.0, n_obs))
-        return bounder, pool
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_range_trim_ci_scalar_dispatch_bit_identical(self, seed, monkeypatch):
-        import repro.bounders.range_trim as rt_module
-
-        rng = np.random.default_rng(seed)
-        for _ in range(40):
-            size = int(rng.integers(1, rt_module._SCALAR_DISPATCH_MAX + 1))
-            bounder, pool = self._random_rt_pool(rng, size)
-            n = rng.integers(1, 400_000, size).astype(np.int64)
-            delta = float(rng.uniform(1e-9, 0.2))
-            indices = np.arange(size, dtype=np.int64)
-            lo_s, hi_s = bounder.confidence_interval_batch(
-                pool, -50.0, 80.0, n, delta, indices=indices
-            )
-            monkeypatch.setattr(rt_module, "_SCALAR_DISPATCH_MAX", -1)
-            lo_b, hi_b = bounder.confidence_interval_batch(
-                pool, -50.0, 80.0, n, delta, indices=indices
-            )
-            monkeypatch.undo()
-            assert lo_s.tobytes() == lo_b.tobytes()
-            assert hi_s.tobytes() == hi_b.tobytes()
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_count_kernels_scalar_dispatch_bit_identical(self, seed, monkeypatch):
-        import repro.fastframe.count as count_module
-
-        rng = np.random.default_rng(100 + seed)
-        rows = 400_000
-        for _ in range(40):
-            size = int(rng.integers(1, count_module._SCALAR_DISPATCH_MAX + 1))
-            covered = rng.integers(0, 30_000, size).astype(np.int64)
-            in_view = (covered * rng.uniform(0.0, 1.0, size)).astype(np.int64)
-            delta = float(rng.uniform(1e-9, 0.2))
-            ci_s = count_interval_batch(in_view, covered, rows, delta)
-            nplus_s = upper_bound_population_batch(in_view, covered, rows, delta)
-            monkeypatch.setattr(count_module, "_SCALAR_DISPATCH_MAX", -1)
-            ci_b = count_interval_batch(in_view, covered, rows, delta)
-            nplus_b = upper_bound_population_batch(in_view, covered, rows, delta)
-            monkeypatch.undo()
-            assert ci_s[0].tobytes() == ci_b[0].tobytes()
-            assert ci_s[1].tobytes() == ci_b[1].tobytes()
-            assert nplus_s.dtype == nplus_b.dtype
-            assert nplus_s.tobytes() == nplus_b.tobytes()

@@ -150,6 +150,24 @@ def test_src_holds_only_the_served_path():
         assert name not in fastframe.__all__, name
     assert len(fastframe.__all__) == 23
 
+
+def test_one_bound_program_per_pool_kernel():
+    """The small-set Python-float forks of the RangeTrim, COUNT and N⁺
+    batch kernels are gone: each pool kernel is one numpy program."""
+    import repro.bounders.bernstein as bernstein
+    import repro.bounders.range_trim as range_trim
+    import repro.fastframe.count as count
+    from repro.bounders.base import MomentPoolBounderMixin
+
+    assert "empirical_bernstein_serfling_epsilon_one" not in bernstein.__all__
+    assert not hasattr(bernstein, "empirical_bernstein_serfling_epsilon_one")
+    for name in ("_epsilon_one", "supports_scalar_bounds", "lbound_one", "rbound_one"):
+        assert not hasattr(MomentPoolBounderMixin, name), name
+    for module in (range_trim, count):
+        assert not hasattr(module, "_SCALAR_DISPATCH_MAX"), module.__name__
+    assert not hasattr(range_trim.RangeTrimBounder, "_confidence_interval_small")
+
+
 @pytest.mark.parametrize("query_name", sorted(ALL_QUERIES))
 def test_every_flights_query_correct_with_best_bounder(small_scramble, query_name):
     """All nine paper queries give answers matching Exact under
