@@ -31,8 +31,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    # `import repro.api` imports scipy.optimize at module level
-    # (expression range bounds), so scipy is a hard dependency.
+    # scipy's optimizer bounds convex and concave expressions; it is
+    # imported only when such a bound is derived, not with `import repro.api`.
     install_requires=["numpy", "scipy"],
     # What the test-suite imports beyond the package's own dependencies;
     # CI installs exactly this (`pip install -e ".[test]"`).

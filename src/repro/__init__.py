@@ -16,10 +16,10 @@ approximate query processing with sample-size-independent (SSI) guarantees:
   COUNT/SUM interval composition, and the approximate query executor.
 * :mod:`repro.expressions` — derived range bounds for aggregates over
   arbitrary expressions (Appendix B).
-* :mod:`repro.datasets` — the synthetic Flights substitute and
-  microbenchmark distributions.
-* :mod:`repro.experiments` — queries F-q1..F-q9 and runners regenerating
-  every table and figure of the paper's evaluation.
+* :mod:`repro.datasets` — the synthetic Flights substitute, the paper's
+  nine Flights queries F-q1..F-q9 as SQL (:mod:`repro.datasets.queries`),
+  and microbenchmark distributions.  ``benchmarks/paper.py`` regenerates
+  every table and figure of the paper's evaluation through :func:`connect`.
 
 Quickstart — open a connection, ask lazily, resolve with guarantees::
 

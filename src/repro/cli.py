@@ -1,14 +1,10 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Regenerates the paper's evaluation artifacts and answers ad-hoc SQL queries
-against the synthetic flights scramble from a terminal:
+Answers ad-hoc SQL queries against the synthetic flights scramble from a
+terminal:
 
 ``list``
-    Available experiments, bounders, and sampling strategies.
-``table5`` / ``table6``
-    The speedup tables (bounder ablation / sampling-strategy ablation).
-``fig6`` / ``fig7a`` / ``fig7b`` / ``fig8``
-    The parameter sweeps behind each figure.
+    Available bounders and sampling strategies.
 ``query "SELECT …"``
     Parse, compile, and run one SQL query with certified intervals.
 ``dashboard "SELECT …; SELECT …"``
@@ -16,15 +12,11 @@ against the synthetic flights scramble from a terminal:
     (:meth:`repro.api.Connection.gather`), with a joint δ budget and a
     printed ledger + shared-cursor savings report.
 
-Every command accepts ``--rows`` and ``--seed`` for the scramble size and
-reproducibility; table/figure commands accept ``--delta``.  Defaults are
-laptop-scale (500k rows); the paper-shape contrasts sharpen with
-``--rows 2000000`` or more.
-
-``table5``, ``table6`` and ``fig7a`` check their paper claim (answers
-match Exact, actual error ≤ requested) and exit 1 with one
-``repro: claim failed: …`` stderr line when it fails; bad input exits 2
-with one ``repro: error: …`` line.
+``query`` and ``dashboard`` accept ``--rows``, ``--seed`` and ``--delta``
+for the scramble size, reproducibility and error probability; bad input
+exits 2 with one ``repro: error: …`` line.  The paper's Tables 5-6 and
+Figures 6-8 are regenerated by ``benchmarks/paper.py``, which reuses this
+module's argument types.
 """
 
 from __future__ import annotations
@@ -37,19 +29,6 @@ import numpy as np
 
 from repro.bounders.registry import available_bounders
 from repro.datasets import make_flights_scramble
-from repro.experiments import (
-    ALL_QUERIES,
-    format_sweep,
-    format_table5,
-    format_table6,
-    run_table5,
-    run_table6,
-    sweep_fig6_selectivity,
-    sweep_fig7a_relative_error,
-    sweep_fig7b_having_threshold,
-    sweep_fig8_min_dep_time,
-    warm_metadata,
-)
 from repro.api import connect
 from repro.fastframe.config import STORAGE_BACKENDS
 from repro.fastframe.scan import EVALUATED_STRATEGIES
@@ -64,8 +43,8 @@ _DEFAULT_DELTA = 1e-9
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the counts: ``--rows``, ``--reps``,
-    ``--parallelism``, ``--cache-bytes``."""
+    """argparse type of the counts: ``--rows``, ``--parallelism``,
+    ``--cache-bytes`` (and ``benchmarks/paper.py``'s ``--reps``)."""
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
@@ -89,14 +68,6 @@ def _delta(text: str) -> float:
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
     return value
-
-
-def _claim(failures: list[str], claim: str) -> int:
-    """0, or 1 after one stderr line naming every cell that broke ``claim``."""
-    if not failures:
-        return 0
-    print(f"repro: claim failed: {claim}: {', '.join(failures)}", file=sys.stderr)
-    return 1
 
 
 def parse_stopping(spec: str):
@@ -147,26 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("list", help="available experiments/bounders/strategies")
-
-    table5 = commands.add_parser("table5", help="bounder-ablation speedup table")
-    _add_scramble_args(table5)
-    _add_delta_arg(table5)
-    table5.add_argument(
-        "--queries", default=None,
-        help="comma-separated subset (default: all nine)",
-    )
-    table5.add_argument("--reps", type=_positive_int, default=3, help="runs per cell")
-
-    table6 = commands.add_parser("table6", help="sampling-strategy ablation table")
-    _add_scramble_args(table6)
-    _add_delta_arg(table6)
-    table6.add_argument("--reps", type=_positive_int, default=3, help="runs per cell")
-
-    for figure in ("fig6", "fig7a", "fig7b", "fig8"):
-        sub = commands.add_parser(figure, help=f"parameter sweep behind {figure}")
-        _add_scramble_args(sub)
-        _add_delta_arg(sub)
+    commands.add_parser("list", help="available bounders/strategies")
 
     query = commands.add_parser("query", help="run one SQL query")
     query.add_argument("sql", help="the SQL text (quote it)")
@@ -224,57 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list(args, out) -> int:
-    print("queries: ", ", ".join(sorted(ALL_QUERIES)), file=out)
     print("bounders:", ", ".join(sorted(available_bounders())), file=out)
     print("strategies:", ", ".join(sorted(EVALUATED_STRATEGIES)), file=out)
-    print(
-        "tables/figures: table5, table6, fig6, fig7a, fig7b, fig8",
-        file=out,
-    )
     return 0
-
-
-def _cmd_table5(args, out) -> int:
-    scramble = make_flights_scramble(rows=args.rows, seed=args.seed)
-    names = tuple(args.queries.split(",")) if args.queries else None
-    rows = run_table5(scramble, query_names=names, reps=args.reps, delta=args.delta)
-    print(format_table5(rows), file=out)
-    return _check_answers(rows)
-
-
-def _cmd_table6(args, out) -> int:
-    scramble = make_flights_scramble(rows=args.rows, seed=args.seed)
-    rows = run_table6(scramble, reps=args.reps, delta=args.delta)
-    print(format_table6(rows), file=out)
-    return _check_answers(rows)
-
-
-def _check_answers(rows) -> int:
-    wrong = [f"{row.query_name}/{cell.approach}" for row in rows
-             for cell in (row.baseline, *row.approaches) if not cell.correct]
-    return _claim(wrong, "answer differs from Exact")
-
-
-def _cmd_figure(args, out) -> int:
-    scramble = make_flights_scramble(rows=args.rows, seed=args.seed)
-    if args.command == "fig6":
-        wall, blocks = sweep_fig6_selectivity(scramble, delta=args.delta, seed=args.seed)
-        print(format_sweep(wall), file=out)
-        print("", file=out)
-        print(format_sweep(blocks), file=out)
-        return 0
-    sweep = {
-        "fig7a": sweep_fig7a_relative_error,
-        "fig7b": sweep_fig7b_having_threshold,
-        "fig8": sweep_fig8_min_dep_time,
-    }[args.command]
-    result = sweep(scramble, delta=args.delta, seed=args.seed)
-    print(format_sweep(result), file=out)
-    if args.command != "fig7a":
-        return 0
-    over = [f"{line.approach}@eps={eps:g} ({actual:.3g})" for line in result.series
-            for eps, actual in zip(result.x_values, line.values) if actual > eps]
-    return _claim(over, "actual relative error above the requested one")
 
 
 def _print_groups(result, out) -> None:
@@ -291,7 +195,6 @@ def _print_groups(result, out) -> None:
 def _cmd_query(args, out) -> int:
     query = parse_query(args.sql, stopping=args.stopping, name="cli")
     scramble = make_flights_scramble(rows=args.rows, seed=args.seed)
-    warm_metadata(scramble, query)
     # A single-query connection hands the whole δ to the one query —
     # identical accounting to the pre-connection eager executor path.
     conn = connect(
@@ -318,8 +221,6 @@ def _cmd_query(args, out) -> int:
 def _cmd_dashboard(args, out) -> int:
     queries = parse_statements(args.sql, stopping=args.stopping)
     scramble = make_flights_scramble(rows=args.rows, seed=args.seed)
-    for query in queries:
-        warm_metadata(scramble, query)
     conn = connect(
         scramble,
         bounder=args.bounder,
@@ -370,19 +271,13 @@ def _cmd_dashboard(args, out) -> int:
 
 _COMMANDS = {
     "list": _cmd_list,
-    "table5": _cmd_table5,
-    "table6": _cmd_table6,
-    "fig6": _cmd_figure,
-    "fig7a": _cmd_figure,
-    "fig7b": _cmd_figure,
-    "fig8": _cmd_figure,
     "query": _cmd_query,
     "dashboard": _cmd_dashboard,
 }
 
 
 #: Errors a command raises on bad user input (unparsable SQL, no stopping
-#: condition, an unknown column, dictionary value or query name).
+#: condition, an unknown column or dictionary value).
 _USER_INPUT_ERRORS = (SqlSyntaxError, SqlCompileError, KeyError)
 
 
@@ -390,8 +285,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code.
 
     A user-input error prints one ``repro: error: …`` message to stderr
-    and returns 2, argparse's usage-error status, instead of a traceback;
-    a failed paper claim returns 1 (see the module docstring).
+    and returns 2, argparse's usage-error status, instead of a traceback.
     """
     args = build_parser().parse_args(argv)
     try:

@@ -1,10 +1,12 @@
 """Dataset generators: the synthetic Flights substitute and microbenchmark
-distributions (S22-S23)."""
+distributions (S22-S23); the paper's nine Flights queries are in
+:mod:`repro.datasets.queries`."""
 
 from repro.datasets.flights import (
     DEFAULT_AIRLINES,
     AirlineSpec,
     FlightsConfig,
+    airports_by_selectivity,
     generate_flights,
     make_flights_scramble,
 )
@@ -24,6 +26,7 @@ __all__ = [
     "DATASET_GENERATORS",
     "DEFAULT_AIRLINES",
     "FlightsConfig",
+    "airports_by_selectivity",
     "clustered_data",
     "generate_flights",
     "lognormal_data",

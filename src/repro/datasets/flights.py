@@ -37,7 +37,13 @@ from repro.fastframe.catalog import RangeBounds
 from repro.fastframe.scramble import DEFAULT_BLOCK_SIZE, Scramble
 from repro.fastframe.table import Table
 
-__all__ = ["AirlineSpec", "FlightsConfig", "generate_flights", "make_flights_scramble"]
+__all__ = [
+    "AirlineSpec",
+    "FlightsConfig",
+    "airports_by_selectivity",
+    "generate_flights",
+    "make_flights_scramble",
+]
 
 
 @dataclass(frozen=True)
@@ -234,3 +240,23 @@ def make_flights_scramble(
     """
     table = generate_flights(rows=rows, seed=seed, config=config)
     return Scramble(table, block_size=block_size, rng=np.random.default_rng(seed + 1))
+
+
+def airports_by_selectivity(
+    scramble: Scramble, count: int = 8
+) -> list[tuple[str, float]]:
+    """(airport, selectivity) pairs spanning the selectivity spectrum.
+
+    F-q1's Figure 6 sweep varies the Origin filter value; with Zipf
+    airport popularity this spans orders of magnitude of selectivity.
+    Returns ``count`` airports evenly spaced in popularity rank order.
+    """
+    categorical = scramble.table.categorical("Origin")
+    counts = np.bincount(categorical.codes, minlength=categorical.cardinality)
+    ranked = np.argsort(counts)[::-1]
+    positions = np.linspace(0, categorical.cardinality - 1, count).astype(int)
+    return [
+        (categorical.dictionary[int(ranked[pos])], counts[ranked[pos]] / scramble.num_rows)
+        for pos in positions
+        if counts[ranked[pos]] > 0
+    ]

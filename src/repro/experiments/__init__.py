@@ -1,67 +1,2 @@
-"""Experiment harness: queries F-q1..F-q9, runners, sweeps, formatting (S24)."""
-
-from repro.experiments.format import format_sweep, format_table5, format_table6
-from repro.experiments.queries import (
-    ALL_QUERIES,
-    GROUP_BY_QUERIES,
-    build_query,
-    fq1,
-    fq2,
-    fq3,
-    fq4,
-    fq5,
-    fq6,
-    fq7,
-    fq8,
-    fq9,
-)
-from repro.experiments.runner import (
-    ApproachMeasurement,
-    QueryMeasurement,
-    check_correctness,
-    warm_metadata,
-    run_query_once,
-    run_table5,
-    run_table6,
-)
-from repro.experiments.sweeps import (
-    SweepResult,
-    SweepSeries,
-    airports_by_selectivity,
-    sweep_fig6_selectivity,
-    sweep_fig7a_relative_error,
-    sweep_fig7b_having_threshold,
-    sweep_fig8_min_dep_time,
-)
-
-__all__ = [
-    "ALL_QUERIES",
-    "ApproachMeasurement",
-    "GROUP_BY_QUERIES",
-    "QueryMeasurement",
-    "SweepResult",
-    "SweepSeries",
-    "airports_by_selectivity",
-    "build_query",
-    "check_correctness",
-    "warm_metadata",
-    "format_sweep",
-    "format_table5",
-    "format_table6",
-    "fq1",
-    "fq2",
-    "fq3",
-    "fq4",
-    "fq5",
-    "fq6",
-    "fq7",
-    "fq8",
-    "fq9",
-    "run_query_once",
-    "run_table5",
-    "run_table6",
-    "sweep_fig6_selectivity",
-    "sweep_fig7a_relative_error",
-    "sweep_fig7b_having_threshold",
-    "sweep_fig8_min_dep_time",
-]
+"""Compatibility shim: the paper's queries are :mod:`repro.datasets.queries`,
+and Tables 5-6 and Figures 6-8 are regenerated by ``benchmarks/paper.py``."""

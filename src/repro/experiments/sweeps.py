@@ -1,216 +1,9 @@
-"""Parameter sweeps regenerating the paper's figures (6, 7a, 7b, 8).
+"""Re-export of :func:`repro.datasets.airports_by_selectivity`.
 
-Each sweep varies one template parameter of a flights query (Table 4's
-"Parameters Varied" column) across the evaluated bounders and collects the
-series the corresponding figure plots.
+The frozen ``benchmarks/e2e/run.py`` imports it from here; delete this
+module when that benchmark is next changed.
 """
 
-from __future__ import annotations
+from repro.datasets.flights import airports_by_selectivity
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.bounders.registry import EVALUATED_BOUNDERS
-from repro.fastframe.exact import ExactExecutor
-from repro.fastframe.scramble import Scramble
-from repro.stats.delta import DEFAULT_DELTA
-from repro.stopping.conditions import relative_error
-from repro.experiments.queries import fq1, fq2, fq3
-from repro.experiments.runner import run_query_once
-
-__all__ = [
-    "SweepSeries",
-    "SweepResult",
-    "airports_by_selectivity",
-    "sweep_fig6_selectivity",
-    "sweep_fig7a_relative_error",
-    "sweep_fig7b_having_threshold",
-    "sweep_fig8_min_dep_time",
-]
-
-
-@dataclass
-class SweepSeries:
-    """One plotted line: an approach and its y-values over the sweep."""
-
-    approach: str
-    values: list[float] = field(default_factory=list)
-
-
-@dataclass
-class SweepResult:
-    """A figure's data: the x-axis and one series per approach."""
-
-    figure: str
-    x_label: str
-    y_label: str
-    x_values: list[float]
-    series: list[SweepSeries]
-    annotations: dict = field(default_factory=dict)
-
-    def series_by_name(self, approach: str) -> SweepSeries:
-        for series in self.series:
-            if series.approach == approach:
-                return series
-        raise KeyError(f"no series {approach!r} in {self.figure}")
-
-
-def airports_by_selectivity(
-    scramble: Scramble, count: int = 8
-) -> list[tuple[str, float]]:
-    """(airport, selectivity) pairs spanning the selectivity spectrum.
-
-    F-q1's Figure 6 sweep varies the Origin filter value; with Zipf
-    airport popularity this spans orders of magnitude of selectivity.
-    Returns ``count`` airports evenly spaced in popularity rank order.
-    """
-    categorical = scramble.table.categorical("Origin")
-    counts = np.bincount(categorical.codes, minlength=categorical.cardinality)
-    ranked = np.argsort(counts)[::-1]
-    positions = np.linspace(0, categorical.cardinality - 1, count).astype(int)
-    return [
-        (categorical.dictionary[int(ranked[pos])], counts[ranked[pos]] / scramble.num_rows)
-        for pos in positions
-        if counts[ranked[pos]] > 0
-    ]
-
-
-def sweep_fig6_selectivity(
-    scramble: Scramble,
-    epsilon: float = 0.5,
-    bounders: tuple[str, ...] = EVALUATED_BOUNDERS,
-    num_airports: int = 8,
-    delta: float = DEFAULT_DELTA,
-    seed: int = 0,
-) -> tuple[SweepResult, SweepResult]:
-    """Figure 6: wall time and blocks fetched vs. F-q1 filter selectivity.
-
-    Returns ``(wall_time_result, blocks_fetched_result)`` over airports of
-    varying selectivity (most→least popular).
-    """
-    airports = airports_by_selectivity(scramble, num_airports)
-    x_values = [selectivity for _, selectivity in airports]
-    time_series = [SweepSeries(name) for name in bounders]
-    block_series = [SweepSeries(name) for name in bounders]
-    for airport, _ in airports:
-        query = fq1(airport=airport, epsilon=epsilon)
-        for t_series, b_series in zip(time_series, block_series):
-            result = run_query_once(
-                scramble, query, t_series.approach, delta=delta, seed=seed
-            )
-            t_series.values.append(result.metrics.wall_time_s)
-            b_series.values.append(float(result.metrics.blocks_fetched))
-    return (
-        SweepResult(
-            figure="Figure 6 (wall time)",
-            x_label="query selectivity",
-            y_label="wall time (s)",
-            x_values=x_values,
-            series=time_series,
-        ),
-        SweepResult(
-            figure="Figure 6 (blocks fetched)",
-            x_label="query selectivity",
-            y_label="blocks fetched",
-            x_values=x_values,
-            series=block_series,
-        ),
-    )
-
-
-def sweep_fig7a_relative_error(
-    scramble: Scramble,
-    epsilons: tuple[float, ...] = (2.0, 1.5, 1.0, 0.75, 0.5, 0.25, 0.1, 0.05),
-    bounders: tuple[str, ...] = EVALUATED_BOUNDERS,
-    airport: str = "ORD",
-    delta: float = DEFAULT_DELTA,
-    seed: int = 0,
-) -> SweepResult:
-    """Figure 7(a): requested max relative error vs. actual relative error.
-
-    The actual error of each run's point estimate is measured against the
-    Exact aggregate; the paper's correctness claim is that it always falls
-    below the requested bound.
-    """
-    exact = ExactExecutor(scramble)
-    truth = exact.execute(fq1(airport=airport)).scalar().estimate
-    series = [SweepSeries(name) for name in bounders]
-    for epsilon in epsilons:
-        query = fq1(airport=airport, epsilon=epsilon)
-        for line in series:
-            result = run_query_once(scramble, query, line.approach, delta=delta, seed=seed)
-            estimate = result.scalar().estimate
-            line.values.append(abs(estimate - truth) / abs(truth))
-    return SweepResult(
-        figure="Figure 7(a)",
-        x_label="max relative error eps (requested)",
-        y_label="actual relative error",
-        x_values=list(epsilons),
-        series=series,
-        annotations={"truth": truth},
-    )
-
-
-def sweep_fig7b_having_threshold(
-    scramble: Scramble,
-    thresholds: tuple[float, ...] | None = None,
-    bounders: tuple[str, ...] = EVALUATED_BOUNDERS,
-    delta: float = DEFAULT_DELTA,
-    seed: int = 0,
-) -> SweepResult:
-    """Figure 7(b): blocks fetched vs. F-q2's HAVING threshold.
-
-    The annotation carries each airline's exact aggregate (the horizontal
-    bar overlay in the paper's figure): thresholds near an aggregate
-    require far more data to certify the group's side.
-    """
-    exact = ExactExecutor(scramble)
-    aggregates = {
-        key[0]: group.estimate for key, group in exact.execute(fq2()).groups.items()
-    }
-    if thresholds is None:
-        lo, hi = min(aggregates.values()), max(aggregates.values())
-        thresholds = tuple(np.round(np.linspace(0.0, hi + 1.0, 13), 2))
-    series = [SweepSeries(name) for name in bounders]
-    for threshold in thresholds:
-        query = fq2(thresh=float(threshold))
-        for line in series:
-            result = run_query_once(scramble, query, line.approach, delta=delta, seed=seed)
-            line.values.append(float(result.metrics.blocks_fetched))
-    return SweepResult(
-        figure="Figure 7(b)",
-        x_label="HAVING threshold for AVG delay",
-        y_label="blocks fetched",
-        x_values=list(map(float, thresholds)),
-        series=series,
-        annotations={"group_aggregates": aggregates},
-    )
-
-
-def sweep_fig8_min_dep_time(
-    scramble: Scramble,
-    min_dep_times: tuple[float, ...] = (1000, 1250, 1500, 1750, 2000, 2250),
-    bounders: tuple[str, ...] = EVALUATED_BOUNDERS,
-    delta: float = DEFAULT_DELTA,
-    seed: int = 0,
-) -> SweepResult:
-    """Figure 8: blocks fetched vs. F-q3's minimum departure time.
-
-    Later departure-time filters both sparsify the airline groups and
-    spread their mean delays apart, so blocks fetched trends downward
-    while the RangeTrim advantage over the plain bounders grows.
-    """
-    series = [SweepSeries(name) for name in bounders]
-    for min_dep_time in min_dep_times:
-        query = fq3(min_dep_time=float(min_dep_time))
-        for line in series:
-            result = run_query_once(scramble, query, line.approach, delta=delta, seed=seed)
-            line.values.append(float(result.metrics.blocks_fetched))
-    return SweepResult(
-        figure="Figure 8",
-        x_label="minimum departure time",
-        y_label="blocks fetched",
-        x_values=list(map(float, min_dep_times)),
-        series=series,
-    )
+__all__ = ["airports_by_selectivity"]

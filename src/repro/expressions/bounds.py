@@ -29,7 +29,6 @@ import itertools
 from typing import Mapping
 
 import numpy as np
-from scipy import optimize
 
 from repro.expressions.expr import Expression, _expr_curvature, _expr_monotone
 from repro.fastframe.catalog import RangeBounds
@@ -109,6 +108,10 @@ def _optimize_box(
     starts: int,
     seed: int,
 ) -> float:
+    # Imported here: only the convex/concave branch needs scipy, and
+    # loading it costs ``import repro.api`` about half a second.
+    from scipy import optimize
+
     columns = sorted(expr.columns())
     if not columns:
         return expr.evaluate_point({})

@@ -10,7 +10,7 @@ import pytest
 
 from repro.api import DeltaLedger, connect
 from repro.datasets import make_flights_scramble
-from repro.experiments import build_query
+from repro.datasets.queries import build_query
 from repro.fastframe import AggregateFunction, Eq, ExactExecutor, Query
 from repro.stopping import RelativeAccuracy
 

@@ -1,10 +1,15 @@
-"""Tests for the F-q1..F-q9 query builders (Figure 5 / Table 4)."""
+"""Tests for the F-q1..F-q9 query catalogue (Figure 5 / Table 4)."""
 
 from __future__ import annotations
 
+import inspect
+
+import numpy as np
 import pytest
 
-from repro.experiments.queries import ALL_QUERIES, GROUP_BY_QUERIES, build_query, fq1, fq3
+from repro.datasets import airports_by_selectivity
+from repro.datasets.queries import FIGURE5_SQL, GROUP_BY_QUERIES, build_query
+from repro.fastframe.exact import ExactExecutor
 from repro.fastframe.predicate import Compare, Eq
 from repro.fastframe.query import AggregateFunction
 from repro.stopping.conditions import (
@@ -13,14 +18,15 @@ from repro.stopping.conditions import (
     ThresholdSide,
     TopKSeparated,
 )
+from tests.support import paper_harness
 
 
 def test_all_nine_queries_defined():
-    assert set(ALL_QUERIES) == {f"F-q{i}" for i in range(1, 10)}
+    assert set(FIGURE5_SQL) == {f"F-q{i}" for i in range(1, 10)}
 
 
 def test_group_by_queries_subset():
-    assert set(GROUP_BY_QUERIES) <= set(ALL_QUERIES)
+    assert set(GROUP_BY_QUERIES) <= set(FIGURE5_SQL)
     for name in GROUP_BY_QUERIES:
         assert build_query(name).group_by, name
 
@@ -28,11 +34,13 @@ def test_group_by_queries_subset():
 def test_build_query_unknown():
     with pytest.raises(KeyError):
         build_query("F-q10")
+    with pytest.raises(TypeError, match="airport"):
+        build_query("F-q4", airport="SFO")
 
 
 def test_fq1_stopping_condition():
     """Table 4: F-q1 stops on relative accuracy (Ì)."""
-    query = fq1(airport="ORD", epsilon=0.25)
+    query = build_query("F-q1", airport="ORD", epsilon=0.25)
     assert isinstance(query.stopping, RelativeAccuracy)
     assert query.stopping.epsilon == 0.25
     assert isinstance(query.predicate, Eq)
@@ -48,7 +56,7 @@ def test_fq2_threshold():
 
 def test_fq3_bottom_two():
     """Table 4: F-q3 stops when the bottom 2 airlines separate (Î)."""
-    query = fq3(min_dep_time=1200)
+    query = build_query("F-q3", min_dep_time=1200)
     assert isinstance(query.stopping, TopKSeparated)
     assert query.stopping.k == 2
     assert not query.stopping.largest
@@ -95,3 +103,21 @@ def test_describe_mentions_pieces():
     text = build_query("F-q2").describe()
     assert "AVG(DepDelay)" in text
     assert "GROUP BY Airline" in text
+
+
+def test_templates_compile_at_sweep_parameters(small_scramble):
+    """Figures 6, 7(b) and 8 fill $airport, $thresh and $min_dep_time
+    with every value their sweeps use (fig7b's grid from the same exact
+    aggregates ``benchmarks/paper.py`` derives it from)."""
+    paper = paper_harness()
+    airports = [airport for airport, _ in airports_by_selectivity(small_scramble)]
+    for airport in (*airports, "O'Hare"):
+        assert build_query("F-q1", airport=airport).predicate.value == airport
+    exact = ExactExecutor(small_scramble).execute(build_query("F-q2"))
+    top = max(group.estimate for group in exact.groups.values())
+    for thresh in np.round(np.linspace(0.0, top + 1.0, 13), 2):
+        assert build_query("F-q2", thresh=thresh).stopping.threshold == thresh
+    sweep = inspect.signature(paper.sweep_fig8_min_dep_time)
+    for min_dep_time in sweep.parameters["min_dep_times"].default:
+        query = build_query("F-q3", min_dep_time=min_dep_time)
+        assert query.predicate.threshold == min_dep_time

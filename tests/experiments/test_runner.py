@@ -1,29 +1,23 @@
-"""Tests for the experiment runners: the full Table 5/6 grids and the
-Figure 7(a) sweep at test scale, with the paper's claims asserted."""
+"""Tests for ``benchmarks/paper.py``'s runners: the full Table 5/6 grids
+and the Figure 7(a) sweep at test scale, with the paper's claims asserted."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.api import connect
 from repro.bounders.registry import EVALUATED_BOUNDERS
-from repro.datasets import make_flights_scramble
-from repro.experiments.format import format_sweep, format_table5, format_table6
-from repro.experiments.queries import GROUP_BY_QUERIES, build_query
-from repro.experiments.runner import (
-    check_correctness,
-    run_query_once,
-    run_table5,
-    run_table6,
-    warm_metadata,
-)
-from repro.experiments.sweeps import (
-    airports_by_selectivity,
-    sweep_fig7a_relative_error,
-    sweep_fig8_min_dep_time,
-)
+from repro.datasets import airports_by_selectivity, make_flights_scramble
+from repro.datasets.queries import GROUP_BY_QUERIES, build_query
 from repro.fastframe.exact import ExactExecutor
+from tests.support import paper_harness
+
+paper = paper_harness()
+check_correctness = paper.check_correctness
+run_query_once = paper.run_query_once
 
 #: Moderate delta so the tiny test scramble can terminate early.
 TEST_DELTA = 1e-6
@@ -60,19 +54,24 @@ class TestCheckCorrectness:
 
 
 @pytest.fixture(scope="module")
-def table5_rows():
+def scramble_250k():
+    """At the 60k rows of ``small_scramble`` Bernstein and Hoeffding read
+    the same rows on every query; from 250k on Bernstein's edge shows on
+    F-q1 and F-q2."""
+    return make_flights_scramble(rows=250_000, seed=7)
+
+
+@pytest.fixture(scope="module")
+def table5_rows(scramble_250k):
     """The whole Table 5 grid (nine queries × the four evaluated bounders,
-    one run per cell) on a 250k-row scramble.  At the 60k rows of
-    ``small_scramble`` Bernstein and Hoeffding read the same rows on every
-    query; from here on Bernstein's edge shows on F-q1 and F-q2."""
-    scramble = make_flights_scramble(rows=250_000, seed=7)
-    return run_table5(scramble, reps=1, delta=TEST_DELTA)
+    one run per cell) on a 250k-row scramble."""
+    return paper.run_table5(scramble_250k, reps=1, delta=TEST_DELTA)
 
 
 @pytest.fixture(scope="module")
 def table6_rows(small_scramble):
     """The whole Table 6 grid: five GROUP BY queries × three strategies."""
-    return run_table6(small_scramble, reps=1, delta=TEST_DELTA)
+    return paper.run_table6(small_scramble, reps=1, delta=TEST_DELTA)
 
 
 class TestTables:
@@ -100,7 +99,7 @@ class TestTables:
                 assert b_rt < b < h and h_rt < h, (row.query_name, rows)
 
     def test_table5_formatting(self, table5_rows):
-        text = format_table5(table5_rows)
+        text = paper.format_table5(table5_rows)
         assert "Table 5" in text
         assert "F-q1" in text
         assert "Bernstein+RT" in text
@@ -120,7 +119,22 @@ class TestTables:
                 assert cell.blocks_fetched <= row.baseline.blocks_fetched
 
     def test_table6_formatting(self, table6_rows):
-        assert "Table 6" in format_table6(table6_rows)
+        assert "Table 6" in paper.format_table6(table6_rows)
+
+
+def test_bernstein_without_fpc_reads_fewer_rows(scramble_250k):
+    """Why the registry keeps ``bernstein-no-fpc``: at a small sampling
+    fraction Maurer-Pontil is narrower than the Serfling-corrected
+    Bernstein, so F-q1 stops on fewer rows (82 300 vs 124 250 here)."""
+
+    def rows_read(bounder):
+        conn = connect(
+            scramble_250k, bounder=bounder, delta=TEST_DELTA, policy="even",
+            max_queries=1, rng=np.random.default_rng(0),
+        )
+        return conn.query(build_query("F-q1")).result(0).metrics.rows_read
+
+    assert rows_read("bernstein-no-fpc") < rows_read("bernstein")
 
 
 class TestSweeps:
@@ -132,8 +146,8 @@ class TestSweeps:
 
     def test_fig7a_errors_within_requested(self, small_scramble):
         """§5.3: the observed error always falls within the requested bound."""
-        warm_metadata(small_scramble, build_query("F-q1"))
-        result = sweep_fig7a_relative_error(
+        paper.warm(small_scramble, build_query("F-q1"))
+        result = paper.sweep_fig7a_relative_error(
             small_scramble,
             epsilons=(2.0, 1.0, 0.5, 0.25, 0.1),
             delta=TEST_DELTA,
@@ -144,7 +158,7 @@ class TestSweeps:
                 assert actual <= requested, (series.approach, requested, actual)
 
     def test_fig8_series_shape(self, small_scramble):
-        result = sweep_fig8_min_dep_time(
+        result = paper.sweep_fig8_min_dep_time(
             small_scramble,
             min_dep_times=(1000, 2000),
             bounders=("bernstein+rt",),
@@ -153,10 +167,10 @@ class TestSweeps:
         series = result.series_by_name("bernstein+rt")
         assert len(series.values) == 2
         assert all(v > 0 for v in series.values)
-        assert "Figure 8" in format_sweep(result)
+        assert "Figure 8" in paper.format_sweep(result)
 
     def test_series_by_name_missing(self, small_scramble):
-        result = sweep_fig8_min_dep_time(
+        result = paper.sweep_fig8_min_dep_time(
             small_scramble,
             min_dep_times=(1000,),
             bounders=("bernstein+rt",),

@@ -1,8 +1,10 @@
-"""Tests for SQL→Query compilation, including all nine Figure 5 queries."""
+"""Tests for SQL→Query compilation, including all nine Figure 5 queries
+(compiled from :mod:`repro.datasets.queries`)."""
 
 import numpy as np
 import pytest
 
+from repro.datasets.queries import build_query
 from repro.expressions import Expression
 from repro.fastframe import AggregateFunction, And, Compare, Eq, In, Not
 from repro.sql import SqlCompileError, parse_query
@@ -13,107 +15,58 @@ from repro.stopping import (
     TopKSeparated,
 )
 
-#: The paper's Figure 5, verbatim (modulo whitespace), with the stopping
-#: condition Table 4 assigns to each.
-FIGURE5_SQL = {
-    "F-q1": "SELECT AVG(DepDelay) FROM flights WHERE Origin = 'ORD'",
-    "F-q2": (
-        "SELECT Airline FROM flights "
-        "GROUP BY Airline HAVING AVG(DepDelay) > 0"
-    ),
-    "F-q3": (
-        "SELECT Airline FROM flights WHERE DepTime > 10:50pm "
-        "GROUP BY Airline ORDER BY AVG(DepDelay) ASC LIMIT 2"
-    ),
-    "F-q4": (
-        "SELECT (CASE WHEN AVG(DepDelay) > 10 THEN 1 ELSE 0 END) "
-        "FROM flights WHERE Origin = 'ORD'"
-    ),
-    "F-q5": (
-        "SELECT Origin FROM flights "
-        "GROUP BY Origin HAVING AVG(DepDelay) < 0"
-    ),
-    "F-q6": (
-        "SELECT DayOfWeek, Origin FROM flights "
-        "WHERE DepTime > 1:50pm GROUP BY DayOfWeek, Origin "
-        "ORDER BY AVG(DepDelay) DESC LIMIT 5"
-    ),
-    "F-q7": (
-        "SELECT DayOfWeek, AVG(DepDelay) FROM flights "
-        "WHERE Airline = 'HP' GROUP BY DayOfWeek "
-        "ORDER BY AVG(DepDelay)"
-    ),
-    "F-q8": (
-        "SELECT Origin FROM flights GROUP BY Origin "
-        "ORDER BY AVG(DepDelay) DESC LIMIT 1"
-    ),
-    "F-q9": (
-        "SELECT Airline FROM flights GROUP BY Airline "
-        "ORDER BY AVG(DepDelay) DESC LIMIT 1"
-    ),
-}
-
 
 class TestFigure5:
+    """Every query of the catalogue compiles, at its defaults, to the
+    stopping condition Table 4 assigns it (the sweep parameters are
+    covered in ``tests/experiments/test_queries.py``)."""
+
     def test_fq1(self):
-        query = parse_query(FIGURE5_SQL["F-q1"], stopping=RelativeAccuracy(0.5))
+        query = build_query("F-q1")
         assert query.aggregate is AggregateFunction.AVG
         assert query.column == "DepDelay"
         assert isinstance(query.predicate, Eq)
         assert isinstance(query.stopping, RelativeAccuracy)
 
     def test_fq2(self):
-        query = parse_query(FIGURE5_SQL["F-q2"])
+        query = build_query("F-q2")
         assert query.group_by == ("Airline",)
         assert isinstance(query.stopping, ThresholdSide)
         assert query.stopping.threshold == 0.0
 
     def test_fq3(self):
-        query = parse_query(FIGURE5_SQL["F-q3"])
+        query = build_query("F-q3")
         assert isinstance(query.predicate, Compare)
         assert query.predicate.threshold == 2250.0
         assert isinstance(query.stopping, TopKSeparated)
         assert query.stopping.k == 2 and query.stopping.largest is False
 
     def test_fq4(self):
-        query = parse_query(FIGURE5_SQL["F-q4"])
+        query = build_query("F-q4")
         assert isinstance(query.stopping, ThresholdSide)
         assert query.stopping.threshold == 10.0
         assert query.group_by == ()
 
     def test_fq5(self):
-        query = parse_query(FIGURE5_SQL["F-q5"])
+        query = build_query("F-q5")
         assert query.group_by == ("Origin",)
         assert isinstance(query.stopping, ThresholdSide)
 
     def test_fq6(self):
-        query = parse_query(FIGURE5_SQL["F-q6"])
+        query = build_query("F-q6")
         assert query.group_by == ("DayOfWeek", "Origin")
         assert query.predicate.threshold == 1350.0
         assert query.stopping.k == 5 and query.stopping.largest is True
 
     def test_fq7(self):
-        query = parse_query(FIGURE5_SQL["F-q7"])
+        query = build_query("F-q7")
         assert isinstance(query.stopping, GroupsOrdered)
         assert isinstance(query.predicate, Eq)
 
     @pytest.mark.parametrize("name", ["F-q8", "F-q9"])
     def test_top1_queries(self, name):
-        query = parse_query(FIGURE5_SQL[name])
+        query = build_query(name)
         assert query.stopping.k == 1 and query.stopping.largest is True
-
-    def test_matches_programmatic_builders(self):
-        """SQL compilation and the handwritten builders agree on structure."""
-        from repro.experiments import build_query
-
-        sql_query = parse_query(FIGURE5_SQL["F-q3"])
-        built = build_query("F-q3")
-        assert sql_query.aggregate is built.aggregate
-        assert sql_query.column == built.column
-        assert sql_query.group_by == built.group_by
-        assert type(sql_query.stopping) is type(built.stopping)
-        assert sql_query.stopping.k == built.stopping.k
-        assert sql_query.predicate.threshold == built.predicate.threshold
 
 
 class TestPredicateLowering:
@@ -288,7 +241,7 @@ class TestEndToEnd:
         from repro.fastframe import ApproximateExecutor, ExactExecutor
 
         scramble = make_flights_scramble(rows=40_000, seed=0)
-        query = parse_query(FIGURE5_SQL["F-q2"])
+        query = build_query("F-q2")
         executor = ApproximateExecutor(
             scramble,
             get_bounder("bernstein+rt"),

@@ -2,12 +2,31 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 from repro.bounders.anderson import CSRSamplePool
 from repro.bounders.base import ErrorBounder, validate_bound_args
 from repro.bounders.range_trim import RangeTrimPool
 from repro.stats.streaming import MomentPool
+
+
+@functools.cache
+def paper_harness():
+    """``benchmarks/paper.py``, the Table 5/6 and Figure 6-8 script.
+
+    It is a script beside the package, not an importable module, so it is
+    loaded by file path, once (monkeypatches then reach every caller).
+    """
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "paper.py"
+    spec = importlib.util.spec_from_file_location("paper", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module
+    spec.loader.exec_module(module)
+    return module
 
 
 def bounder_pool_bytes(pool) -> tuple:

@@ -1,15 +1,18 @@
-"""Tests for the command-line interface."""
+"""Tests for the command-line interfaces: ``python -m repro`` and the
+artifact commands of ``benchmarks/paper.py``, which shares its argument
+types (``paper`` below)."""
 
 import io
 
 import pytest
 
-from repro import cli
 from repro.cli import build_parser, main, parse_stopping
-from repro.experiments import SweepResult, SweepSeries, runner
 from repro.stopping import AbsoluteAccuracy, RelativeAccuracy, SamplesTaken
+from tests.support import paper_harness
 
-#: Table/figure commands and the title their output starts with.
+paper = paper_harness()
+
+#: paper.py's table/figure commands and the title their output starts with.
 _TITLES = {
     "table6": "Table 6", "fig6": "Figure 6",
     "fig7a": "Figure 7(a)", "fig7b": "Figure 7(b)",
@@ -40,13 +43,20 @@ class TestParseStopping:
             parse_stopping(spec)
 
 
+def _parser_for(argv):
+    """paper.py's parser for its commands, the package CLI's otherwise."""
+    if argv[0] in ("table5", "table6", "fig6"):
+        return paper.build_parser()
+    return build_parser()
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
     def test_table5_defaults(self):
-        args = build_parser().parse_args(["table5"])
+        args = paper.build_parser().parse_args(["table5"])
         assert args.rows == 500_000 and args.reps == 3
 
     def test_query_requires_sql(self):
@@ -68,7 +78,7 @@ class TestParser:
             "dashboard-parallelism", "dashboard-cache-bytes"])
     def test_counts_must_be_positive(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv)
+            _parser_for(argv).parse_args(argv)
         assert exc.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
 
@@ -84,7 +94,7 @@ class TestParser:
         """Exit 2 with argparse's usage line, not a traceback and exit 1,
         which means a paper claim failed."""
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv)
+            _parser_for(argv).parse_args(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
@@ -94,7 +104,8 @@ class TestCommands:
         out = io.StringIO()
         assert main(["list"], out=out) == 0
         text = out.getvalue()
-        assert "F-q1" in text and "bernstein+rt" in text and "table5" in text
+        assert "bernstein+rt" in text and "activepeek" in text
+        assert "table5" not in text and "F-q1" not in text
         assert "coverage" not in text and "clt" not in text
 
     def test_coverage_command_is_gone(self, capsys):
@@ -104,6 +115,14 @@ class TestCommands:
             main(["coverage"], out=io.StringIO())
         assert exc.value.code == 2
         assert "invalid choice: 'coverage'" in capsys.readouterr().err
+
+    def test_artifact_commands_are_gone(self, capsys):
+        """Tables 5-6 and Figures 6-8 left the package for
+        ``benchmarks/paper.py``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["table5"], out=io.StringIO())
+        assert exc.value.code == 2
+        assert "invalid choice: 'table5'" in capsys.readouterr().err
 
     def test_query_scalar(self):
         out = io.StringIO()
@@ -166,7 +185,7 @@ class TestCommands:
 
     def test_fig8_small(self):
         out = io.StringIO()
-        code = main(
+        code = paper.main(
             ["fig8", "--rows", "20000", "--delta", "1e-6"],
             out=out,
         )
@@ -176,7 +195,7 @@ class TestCommands:
 
     def test_table5_single_query(self):
         out = io.StringIO()
-        code = main(
+        code = paper.main(
             [
                 "table5",
                 "--rows", "30000",
@@ -190,7 +209,7 @@ class TestCommands:
         assert "Table 5" in out.getvalue() and "F-q1" in out.getvalue()
 
     def test_unknown_query_name_is_a_usage_error(self, capsys):
-        code = main(
+        code = paper.main(
             ["table5", "--rows", "20000", "--queries", "nope"], out=io.StringIO()
         )
         assert code == 2
@@ -204,7 +223,7 @@ class TestCommands:
         fig8: test_fig8_small) exit 0 with their table on stdout only."""
         reps = ["--reps", "1"] if command.startswith("table") else []
         out = io.StringIO()
-        assert main([command, "--rows", "30000", *reps], out=out) == 0
+        assert paper.main([command, "--rows", "30000", *reps], out=out) == 0
         assert out.getvalue().startswith(_TITLES[command])
         assert capsys.readouterr().err == ""
 
@@ -225,18 +244,19 @@ class TestClaimChecks:
         pytest.param(["table6"], id="table6"),
     ])
     def test_wrong_answer(self, argv, monkeypatch, capsys):
-        monkeypatch.setattr(runner, "check_correctness", lambda *a, **k: False)
-        code = main(
+        monkeypatch.setattr(paper, "check_correctness", lambda *a, **k: False)
+        code = paper.main(
             [*argv, "--rows", "10000", "--reps", "1", "--delta", "1e-6"],
             out=io.StringIO(),
         )
         self._assert_claim_failed(code, capsys, "F-q")
 
     def test_fig7a_error_above_requested(self, monkeypatch, capsys):
-        sweep = SweepResult(
+        sweep = paper.SweepResult(
             "Figure 7(a)", "eps", "error", [1.0, 0.1],
-            [SweepSeries("hoeffding", [0.5, 0.2]), SweepSeries("bernstein", [0.5, 0])],
+            [paper.SweepSeries("hoeffding", [0.5, 0.2]),
+             paper.SweepSeries("bernstein", [0.5, 0])],
         )
-        monkeypatch.setattr(cli, "sweep_fig7a_relative_error", lambda *a, **k: sweep)
-        code = main(["fig7a", "--rows", "20000"], out=io.StringIO())
+        monkeypatch.setattr(paper, "sweep_fig7a_relative_error", lambda *a, **k: sweep)
+        code = paper.main(["fig7a", "--rows", "20000"], out=io.StringIO())
         self._assert_claim_failed(code, capsys, "hoeffding@eps=0.1")

@@ -14,8 +14,11 @@ import pytest
 
 import repro
 from repro.bounders import EVALUATED_BOUNDERS, get_bounder
-from repro.experiments import ALL_QUERIES, build_query, check_correctness
+from repro.datasets.queries import FIGURE5_SQL, build_query
 from repro.fastframe import ApproximateExecutor, ExactExecutor, get_strategy
+from tests.support import paper_harness
+
+check_correctness = paper_harness().check_correctness
 
 DELTA = 1e-6
 
@@ -62,19 +65,17 @@ def test_package_exports_quickstart_symbols():
     for module in ("stratified", "outlier_index", "priority", "planner"):
         assert importlib.util.find_spec(f"repro.fastframe.{module}") is None, module
     # 5.0 removed the asymptotic (non-SSI) bounders and the coverage
-    # experiment that ran them: every registered bounder issues certificates.
+    # experiment that ran them (pinned with the rest of the old harness in
+    # test_paper_harness_is_outside_the_package): every registered bounder
+    # issues certificates.
     import repro.bounders as bounders
-    import repro.experiments as experiments
 
     for name in ("CLTBounder", "StudentTBounder", "BootstrapBounder"):
         assert not hasattr(bounders, name), name
         assert name not in bounders.__all__, name
     assert "native_delta_bounders" not in bounders.__all__
     assert not {"clt", "student-t", "bootstrap"} & set(bounders.available_bounders())
-    for name in ("CoverageCell", "measure_coverage", "run_coverage_experiment"):
-        assert name not in experiments.__all__, name
-    for module in ("repro.bounders.asymptotic", "repro.experiments.coverage"):
-        assert importlib.util.find_spec(module) is None, module
+    assert importlib.util.find_spec("repro.bounders.asymptotic") is None
     # The mergeable bounder-delta protocol went with the process workers:
     # every pool is fed through update_pool, serial and threaded alike.
     import repro.bounders.anderson as anderson
@@ -151,6 +152,24 @@ def test_src_holds_only_the_served_path():
     assert len(fastframe.__all__) == 23
 
 
+def test_paper_harness_is_outside_the_package():
+    """The Table 5/6 and Figure 6-8 harness is ``benchmarks/paper.py`` and
+    the query builders are SQL in ``repro.datasets.queries``; only the
+    re-export the frozen ``benchmarks/e2e/run.py`` imports is left."""
+    import repro.experiments as experiments
+    import repro.experiments.sweeps as sweeps
+
+    for module in ("runner", "format", "queries", "coverage"):
+        assert importlib.util.find_spec(f"repro.experiments.{module}") is None, module
+    assert [name for name in vars(experiments) if not name.startswith("__")] == [
+        "sweeps"
+    ]
+    assert sweeps.__all__ == ["airports_by_selectivity"]
+    assert [name for name in vars(sweeps) if not name.startswith("__")] == [
+        "airports_by_selectivity"
+    ]
+
+
 def test_one_bound_program_per_pool_kernel():
     """The small-set Python-float forks of the RangeTrim, COUNT and N⁺
     batch kernels are gone: each pool kernel is one numpy program."""
@@ -168,7 +187,7 @@ def test_one_bound_program_per_pool_kernel():
     assert not hasattr(range_trim.RangeTrimBounder, "_confidence_interval_small")
 
 
-@pytest.mark.parametrize("query_name", sorted(ALL_QUERIES))
+@pytest.mark.parametrize("query_name", sorted(FIGURE5_SQL))
 def test_every_flights_query_correct_with_best_bounder(small_scramble, query_name):
     """All nine paper queries give answers matching Exact under
     Bernstein+RT with ActivePeek — §5.4's headline correctness claim."""
