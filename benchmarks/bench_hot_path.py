@@ -66,8 +66,10 @@ import time
 import numpy as np
 
 from repro.bounders.registry import get_bounder
-from repro.fastframe.executor import ApproximateExecutor
+from repro.fastframe.config import ExecConfig
+from repro.fastframe.executor import _PoolRun, _ScalarRun
 from repro.fastframe.query import AggregateFunction, Query
+from repro.fastframe.scan import ScanCursor
 from repro.fastframe.scramble import Scramble
 from repro.fastframe.table import Table
 from repro.stopping.conditions import AbsoluteAccuracy
@@ -89,14 +91,16 @@ def _scramble_with_groups(groups: int) -> Scramble:
     return Scramble(table, rng=np.random.default_rng(groups + 1))
 
 
-def _executor(scramble: Scramble, engine: str) -> ApproximateExecutor:
-    return ApproximateExecutor(
-        scramble,
-        get_bounder(BOUNDER),
-        delta=DELTA,
-        rng=np.random.default_rng(2),
-        engine=engine,
-    )
+#: The two engines, by name; each is timed by constructing its run class.
+ENGINES = {"scalar": _ScalarRun, "pool": _PoolRun}
+
+
+def _execute(scramble: Scramble, engine: str, query: Query, config: ExecConfig):
+    """Run ``query`` to completion on one engine, scanning from block 0."""
+    run = ENGINES[engine](scramble, query, bounder=get_bounder(BOUNDER), delta=DELTA)
+    for _ in run.drive(ScanCursor(scramble, 0, run.window_blocks), config):
+        pass
+    return run.finalize()
 
 
 def _time_engines_paired(
@@ -111,11 +115,11 @@ def _time_engines_paired(
     """
     scalar_best = pool_best = float("inf")
     rounds = 0
+    config = ExecConfig.resolve()
     for _ in range(REPS):
-        for engine in ("scalar", "pool"):
-            executor = _executor(scramble, engine)
+        for engine in ENGINES:
             start = time.perf_counter()
-            result = executor.execute(query, start_block=0)
+            result = _execute(scramble, engine, query, config)
             elapsed = time.perf_counter() - start
             assert result.metrics.rows_read == scramble.num_rows  # full scan
             if engine == "scalar":
@@ -134,7 +138,7 @@ def run() -> dict:
         query = Query(AggregateFunction.AVG, "x", query_target, group_by=("g",))
         # Warm load-time metadata (bitmap index, group domain, combined
         # codes) so timings measure query execution, not catalog builds.
-        _executor(scramble, "pool").execute(query, start_block=0)
+        _execute(scramble, "pool", query, ExecConfig.resolve())
 
         scalar_s, pool_s, rounds = _time_engines_paired(scramble, query)
         entry = {

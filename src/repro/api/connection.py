@@ -33,7 +33,6 @@ either allocation policy.
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 
@@ -43,18 +42,14 @@ from repro.api.ledger import DeltaLedger, QueryLedgerEntry
 from repro.bounders.base import ErrorBounder
 from repro.bounders.registry import get_bounder
 from repro.fastframe.config import ExecConfig
-from repro.fastframe.executor import (
-    ApproximateExecutor,
-    QueryRun,
-    run_shared_scan,
-)
+from repro.fastframe.executor import DEFAULT_ROUND_ROWS, QueryRun, run_shared_scan
 from repro.fastframe.query import (
     ExecutionMetrics,
     Query,
     QueryResult,
     StorageCounters,
 )
-from repro.fastframe.scan import SamplingStrategy, get_strategy
+from repro.fastframe.scan import SamplingStrategy, ScanCursor, get_strategy
 from repro.fastframe.scramble import Scramble
 from repro.fastframe.table import Table
 from repro.sql.compiler import parse_statements
@@ -86,7 +81,7 @@ def connect(
     parallelism: int | None = None,
     storage: str | None = None,
     cache_bytes: int | None = None,
-    **executor_kwargs,
+    round_rows: int = DEFAULT_ROUND_ROWS,
 ) -> "Connection":
     """Open a :class:`Connection` over a scramble (or a table to scramble).
 
@@ -120,27 +115,59 @@ def connect(
         :class:`~repro.fastframe.config.ExecConfig` for meanings,
         environment variables and defaults.  None of them changes a
         result or the δ accounting.
-    executor_kwargs:
-        Passed through to each query's
-        :class:`~repro.fastframe.executor.ApproximateExecutor`
-        (``round_rows``, ``engine``); a keyword it does not take raises
-        :class:`TypeError` here.  A bad value raises the executor's own
-        error (``round_rows=0`` a :class:`ValueError`) at the first
-        resolution, before any δ is charged.
+    round_rows:
+        Rows read between bound recomputations (B in Algorithm 5, 40 000
+        in the paper), an integer ≥ 1; anything else raises
+        :class:`ValueError` here.
     """
-    return Connection(
-        source,
-        bounder=bounder,
-        delta=delta,
-        policy=policy,
-        max_queries=max_queries,
-        strategy=strategy,
-        rng=rng,
-        parallelism=parallelism,
-        storage=storage,
-        cache_bytes=cache_bytes,
-        **executor_kwargs,
+    from repro.fastframe.storage import attach_block_storage
+
+    if (
+        isinstance(round_rows, bool)
+        or not isinstance(round_rows, (int, np.integer))
+        or round_rows < 1
+    ):
+        raise ValueError(
+            f"connect() round_rows must be an integer >= 1, got {round_rows!r}"
+        )
+    if isinstance(bounder, str):
+        bounder = get_bounder(bounder)
+    elif not isinstance(bounder, ErrorBounder):
+        raise TypeError(
+            "connect() bounder must be an ErrorBounder or a registry "
+            f"name, got {type(bounder).__name__}"
+        )
+    if not bounder.ssi:
+        raise ValueError(
+            f"bounder {bounder.name!r} is not SSI; every interval "
+            "a connection issues must hold at any sample size (§1)"
+        )
+    if isinstance(strategy, str):
+        strategy = get_strategy(strategy)
+    elif strategy is not None and not isinstance(strategy, SamplingStrategy):
+        raise TypeError(
+            "connect() strategy must be a SamplingStrategy, a strategy "
+            f"name or None, got {type(strategy).__name__}"
+        )
+    config = ExecConfig.resolve(
+        parallelism=parallelism, storage=storage, cache_bytes=cache_bytes
     )
+    rng = rng or np.random.default_rng()
+    if isinstance(source, Table):
+        source = Scramble(source, rng=rng)
+    elif not isinstance(source, Scramble):
+        raise TypeError(
+            f"connect() expects a Scramble or a Table, got {type(source).__name__}"
+        )
+    if source.storage is not None or config.storage == "mmap":
+        # A scramble that is already store-backed (open_block_scramble,
+        # or a prior connection's spill) keeps serving every gather
+        # from that store whatever was asked for; attach is idempotent
+        # and only applies the cache budget then.
+        attach_block_storage(source, cache_bytes=config.cache_bytes)
+        config = replace(config, storage="mmap")
+    ledger = DeltaLedger(delta, policy=policy, max_queries=max_queries)
+    return Connection(source, bounder, strategy, config, ledger, rng, round_rows)
 
 
 @dataclass(frozen=True)
@@ -361,88 +388,29 @@ class GatherResult:
         return 1.0 - self.rows_read_shared / sequential
 
 
+@dataclass(eq=False, repr=False)
 class Connection:
     """One scramble, one joint δ budget, many lazy queries.
 
-    Construct through :func:`connect`.  The connection owns the
+    Construct through :func:`connect`, which validates and resolves every
+    setting into these fields.  The connection owns the
     :class:`~repro.api.ledger.DeltaLedger` that every resolution
     path (:meth:`QueryHandle.result`, :meth:`QueryHandle.rounds`,
     :meth:`gather`) charges before executing, so the §4.1 union bound
     holds jointly across everything the connection ever runs.
     """
 
-    def __init__(
-        self,
-        source: Scramble | Table,
-        *,
-        bounder: ErrorBounder | str = DEFAULT_BOUNDER,
-        delta: float = DEFAULT_DELTA,
-        policy: str = "even",
-        max_queries: int = 100,
-        strategy: SamplingStrategy | str | None = None,
-        rng: np.random.Generator | None = None,
-        parallelism: int | None = None,
-        storage: str | None = None,
-        cache_bytes: int | None = None,
-        **executor_kwargs,
-    ) -> None:
-        from repro.fastframe.storage import attach_block_storage
-
-        try:
-            # Every handle builds its executor from these keywords: check
-            # them before anything happens, not at the first result()
-            # after a δ charge.
-            inspect.signature(ApproximateExecutor).bind_partial(
-                source, bounder, **executor_kwargs
-            )
-        except TypeError as error:
-            raise TypeError(f"connect() {error}") from None
-        self.bounder = get_bounder(bounder) if isinstance(bounder, str) else bounder
-        if not isinstance(self.bounder, ErrorBounder):
-            raise TypeError(
-                "connect() bounder must be an ErrorBounder or a registry "
-                f"name, got {type(bounder).__name__}"
-            )
-        if not self.bounder.ssi:
-            raise ValueError(
-                f"bounder {self.bounder.name!r} is not SSI; every interval "
-                "a connection issues must hold at any sample size (§1)"
-            )
-        self.strategy = (
-            get_strategy(strategy) if isinstance(strategy, str) else strategy
-        )
-        if self.strategy is not None and not isinstance(
-            self.strategy, SamplingStrategy
-        ):
-            raise TypeError(
-                "connect() strategy must be a SamplingStrategy, a strategy "
-                f"name or None, got {type(strategy).__name__}"
-            )
-        config = ExecConfig.resolve(
-            parallelism=parallelism, storage=storage, cache_bytes=cache_bytes
-        )
-        self.rng = rng or np.random.default_rng()
-        if isinstance(source, Scramble):
-            self.scramble = source
-        elif isinstance(source, Table):
-            self.scramble = Scramble(source, rng=self.rng)
-        else:
-            raise TypeError(
-                f"connect() expects a Scramble or a Table, got "
-                f"{type(source).__name__}"
-            )
-        if self.scramble.storage is not None or config.storage == "mmap":
-            # A scramble that is already store-backed (open_block_scramble,
-            # or a prior connection's spill) keeps serving every gather
-            # from that store whatever was asked for; attach is idempotent
-            # and only applies the cache budget then.
-            attach_block_storage(self.scramble, cache_bytes=config.cache_bytes)
-            config = replace(config, storage="mmap")
-        #: The resolved :class:`~repro.fastframe.config.ExecConfig` every
-        #: resolution path on this connection runs under.
-        self.config = config
-        self.executor_kwargs = executor_kwargs
-        self.ledger = DeltaLedger(delta, policy=policy, max_queries=max_queries)
+    scramble: Scramble
+    bounder: ErrorBounder
+    #: ``None`` runs plain Scan.
+    strategy: SamplingStrategy | None
+    #: The resolved :class:`~repro.fastframe.config.ExecConfig` every
+    #: resolution path on this connection runs under.
+    config: ExecConfig
+    ledger: DeltaLedger
+    #: Draws each resolution's start block when none is pinned.
+    rng: np.random.Generator
+    round_rows: int
 
     # ------------------------------------------------------------------
     # Handle construction (all lazy, nothing charged here)
@@ -573,36 +541,37 @@ class Connection:
         Returns ``(runs, cursor, start_block)``.  Every run is built (and
         thereby validated: resolving columns, building the view pool —
         anything that can fail) against the *previewed* δ allocations
-        BEFORE anything is charged: a capacity overflow or a bad query
-        (e.g. an unknown column surfacing at resolution) must neither
-        strand spent δ on the ledger nor poison its co-gathered handles.
-        Allocation is deterministic in charge order, so the previewed δs
-        are exactly what charge() then records.
+        BEFORE anything is charged: a capacity overflow, a bad start
+        block or a bad query (e.g. an unknown column surfacing at
+        resolution) must neither strand spent δ on the ledger nor poison
+        its co-gathered handles.  Allocation is deterministic in charge
+        order, so the previewed δs are exactly what charge() then records.
         """
+        if start_block is not None and (
+            isinstance(start_block, bool)
+            or not isinstance(start_block, (int, np.integer))
+        ):
+            raise TypeError(
+                f"start_block must be an integer or None, got {start_block!r}"
+            )
         deltas = self.ledger.preview(len(handles))
         runs = [
-            QueryRun(self._executor(delta), handle.query)
+            QueryRun(
+                self.scramble,
+                handle.query,
+                bounder=self.bounder,
+                delta=delta,
+                strategy=self.strategy,
+                round_rows=self.round_rows,
+            )
             for handle, delta in zip(handles, deltas)
         ]
         if start_block is None:
             start_block = int(self.rng.integers(self.scramble.num_blocks))
-        cursor = runs[0].executor.cursor(
-            start_block, window_blocks=runs[0].window_blocks
-        )
+        cursor = ScanCursor(self.scramble, start_block, runs[0].window_blocks)
         for handle in handles:
             handle._entry = self.ledger.charge(handle.name)
         return runs, cursor, start_block
-
-    def _executor(self, delta: float) -> ApproximateExecutor:
-        return ApproximateExecutor(
-            self.scramble,
-            self.bounder,
-            strategy=self.strategy,
-            delta=delta,
-            rng=self.rng,
-            config=self.config,
-            **self.executor_kwargs,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

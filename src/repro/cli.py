@@ -81,14 +81,17 @@ def parse_stopping(spec: str):
         )
     try:
         value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad stopping value in {spec!r}") from None
-    if kind in ("rel", "relative"):
-        return RelativeAccuracy(value)
-    if kind in ("abs", "absolute"):
-        return AbsoluteAccuracy(value)
-    if kind == "samples":
-        return SamplesTaken(int(value))
+        if kind in ("rel", "relative"):
+            return RelativeAccuracy(value)
+        if kind in ("abs", "absolute"):
+            return AbsoluteAccuracy(value)
+        if kind == "samples":
+            # 1e4 is a count, 1.5 / inf / nan are rejected by SamplesTaken.
+            return SamplesTaken(int(value) if value.is_integer() else value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(
+            f"bad stopping value in {spec!r}: {error}"
+        ) from None
     raise argparse.ArgumentTypeError(
         f"unknown stopping kind {kind!r}; expected rel, abs, or samples"
     )

@@ -13,7 +13,6 @@ import; everything else is reached through its submodule.
 
 from repro.fastframe.catalog import RangeBounds
 from repro.fastframe.exact import ExactExecutor
-from repro.fastframe.executor import ApproximateExecutor
 from repro.fastframe.predicate import And, Compare, Eq, In, Not
 from repro.fastframe.query import AggregateFunction, Query, QueryResult, StorageCounters
 from repro.fastframe.scan import ScanStrategy, get_strategy
@@ -31,7 +30,6 @@ from repro.fastframe.table import Table
 __all__ = [
     "AggregateFunction",
     "And",
-    "ApproximateExecutor",
     "BlockStoreError",
     "Compare",
     "Dimension",

@@ -1,7 +1,8 @@
 """The approximate query executor (§4): rounds, views, early termination.
 
-:class:`ApproximateExecutor` runs a :class:`~repro.fastframe.query.Query`
-against a :class:`~repro.fastframe.scramble.Scramble`:
+A :class:`QueryRun` executes a :class:`~repro.fastframe.query.Query`
+against a :class:`~repro.fastframe.scramble.Scramble`
+(:func:`repro.api.connect` builds one per resolved query):
 
 1. The scramble is consumed in scan order from a random start position,
    in lookahead windows of 1024 blocks; the sampling strategy (Scan /
@@ -41,20 +42,19 @@ stopping condition's active mask), ``_active_key_codes`` (state read for
 block selection), ``_finalize_exhausted`` (mark views whose every row is
 settled; their aggregates are exact) and ``_results``.
 
-* ``engine="pool"`` (``_PoolRun``) — the vectorized core: all per-view
-  state lives in a struct-of-arrays
-  :class:`~repro.fastframe.viewpool.ViewPool`; ingest is a few
-  ``np.bincount`` passes per window and each round is a fixed number of
-  array expressions over all views at once ("the per-view bounder state is
-  updated vectorized", §4.2).
-* ``engine="scalar"`` (``_ScalarRun``) — the reference implementation: one
-  ``_ViewState`` object per view, Python loops over views.  Kept as the
-  executable specification the pool engine is tested against, and for
-  few-view workloads where the loop is the faster of the two.
+* ``_PoolRun`` — the vectorized core: all per-view state lives in a
+  struct-of-arrays :class:`~repro.fastframe.viewpool.ViewPool`; ingest is
+  a few ``np.bincount`` passes per window and each round is a fixed
+  number of array expressions over all views at once ("the per-view
+  bounder state is updated vectorized", §4.2).
+* ``_ScalarRun`` — the reference implementation: one ``_ViewState``
+  object per view, Python loops over views.  Kept as the executable
+  specification the pool engine is tested against, and for few-view
+  workloads where the loop is the faster of the two.
 
-``QueryRun(executor, query)`` is the one constructor and the one place
-the choice is made: the default ``engine="auto"`` picks per query — pool
-at or above :data:`AUTO_POOL_THRESHOLD` aggregate views, scalar below.
+``QueryRun(scramble, query, ...)`` is the one constructor and the one
+place the choice is made, per query: pool at or above
+:data:`AUTO_POOL_THRESHOLD` aggregate views, scalar below.
 
 Error-probability accounting (δ = 1e-15 by default, as in §5.2):
 ``δ → ÷ #aggregate-views (§4.1) → × 6/π²k⁻² per round (Alg. 5) →
@@ -83,7 +83,6 @@ from typing import Callable
 import numpy as np
 
 from repro.bounders.base import ErrorBounder, Interval, segment_bounds
-from repro.fastframe.bitmap import BlockBitmapIndex
 from repro.fastframe.config import ExecConfig
 from repro.fastframe.count import (
     SelectivityState,
@@ -112,33 +111,25 @@ from repro.fastframe.storage import storage_tracker
 from repro.fastframe.kernels import IngestDelta, partition_ingest
 from repro.fastframe.viewpool import ViewPool
 from repro.fastframe.window import WindowFrame
-from repro.stats.delta import DEFAULT_DELTA, DeltaBudget
+from repro.stats.delta import DeltaBudget
 from repro.stats.streaming import MomentState
 from repro.stopping.conditions import GroupSnapshots, SamplesTaken, SnapshotColumns
 
 __all__ = [
-    "ApproximateExecutor",
     "QueryRun",
     "ScanDriver",
     "scan_driver",
     "run_shared_scan",
     "DEFAULT_ROUND_ROWS",
-    "ENGINES",
 ]
 
 #: Recompute bounds every 40,000 rows read, as in the paper (§4.2).
 DEFAULT_ROUND_ROWS = 40_000
 
-#: Executor engines: ``"pool"`` is the vectorized struct-of-arrays core,
-#: ``"scalar"`` the per-view-object reference implementation it is
-#: parity-tested against, and ``"auto"`` (the default) picks per query:
-#: pool at or above :data:`AUTO_POOL_THRESHOLD` views, scalar below, where
-#: the constant-factor overhead of array machinery still loses to a short
-#: Python loop.
-ENGINES = ("auto", "pool", "scalar")
-
-#: View count at which ``engine="auto"`` switches to the pool engine (the
-#: measured crossover sits between 10 and 100 views; see PERFORMANCE.md).
+#: View count at which :class:`QueryRun` switches from the scalar engine
+#: to the pool engine: below it the constant-factor overhead of array
+#: machinery still loses to a short Python loop (the measured crossover
+#: sits between 10 and 100 views; see PERFORMANCE.md).
 AUTO_POOL_THRESHOLD = 32
 
 
@@ -188,223 +179,11 @@ class _ViewState:
     dropped: bool = False
 
 
-class ApproximateExecutor:
-    """Executes approximate aggregate queries with SSI guarantees.
-
-    Parameters
-    ----------
-    scramble:
-        The pre-shuffled table (Definition 4).
-    bounder:
-        Any SSI range-based error bounder; per-group states are created
-        from it.
-    strategy:
-        Block-selection strategy; defaults to plain Scan.
-    delta:
-        Total error probability for the query (δ = 1e-15 in §5.2).
-    round_rows:
-        Rows read between bound recomputations (B in Algorithm 5), an
-        integer ≥ 1.
-    rng:
-        Randomness for the scan start position.
-    engine:
-        ``"pool"`` for the vectorized struct-of-arrays core, ``"scalar"``
-        for the per-view-object reference implementation, or ``"auto"``
-        (default) to pick per query by view count.  Semantics are identical
-        within floating-point tolerance.
-    config:
-        The :class:`~repro.fastframe.config.ExecConfig` that
-        :meth:`execute` drives the scan under (``None`` resolves one from
-        the environment here, once).  Results and every metric except
-        wall time are bit-identical under any configuration.
-    """
-
-    def __init__(
-        self,
-        scramble: Scramble,
-        bounder: ErrorBounder,
-        strategy: SamplingStrategy | None = None,
-        delta: float = DEFAULT_DELTA,
-        round_rows: int = DEFAULT_ROUND_ROWS,
-        rng: np.random.Generator | None = None,
-        engine: str = "auto",
-        config: ExecConfig | None = None,
-    ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        if (
-            isinstance(round_rows, bool)
-            or not isinstance(round_rows, (int, np.integer))
-            or round_rows < 1
-        ):
-            raise ValueError(
-                f"round_rows must be an integer >= 1, got {round_rows!r}"
-            )
-        self.scramble = scramble
-        self.bounder = bounder
-        self.strategy = strategy or ScanStrategy()
-        self.delta = delta
-        self.round_rows = round_rows
-        self.engine = engine
-        self.config = ExecConfig.resolve() if config is None else config
-        self.rng = rng or np.random.default_rng()
-
-    # ------------------------------------------------------------------
-    # Metadata (bitmap indexes, group domains) — catalog-style state a
-    # deployed system builds once at load time.  Cached on the *scramble*
-    # so it is shared by every executor (any bounder/strategy combination)
-    # over the same data, exactly like a real system's load-time indexes.
-    # ------------------------------------------------------------------
-
-    def index_for(self, column: str) -> BlockBitmapIndex:
-        """The (lazily built, scramble-cached) bitmap index for a column."""
-        cache = self.scramble.metadata_cache
-        key = ("bitmap", column)
-        if key not in cache:
-            cache[key] = BlockBitmapIndex(self.scramble, column)
-        return cache[key]
-
-    def _group_domain(self, group_by: tuple[str, ...]) -> np.ndarray:
-        """Combined codes of the groups actually present in the data.
-
-        Cached per GROUP BY column set.  A real system reads this from its
-        dictionary/bitmap metadata; it is not charged to query metrics.
-        """
-        cache = self.scramble.metadata_cache
-        key = ("domain", group_by)
-        if key not in cache:
-            combined = self._combined_codes(group_by, rows=None)
-            cache[key] = np.unique(combined)
-        return cache[key]
-
-    def _cardinalities(self, group_by: tuple[str, ...]) -> tuple[int, ...]:
-        return tuple(
-            self.scramble.table.categorical(column).cardinality for column in group_by
-        )
-
-    def _combined_codes(
-        self, group_by: tuple[str, ...], rows: np.ndarray | None
-    ) -> np.ndarray:
-        """Row-aligned combined group codes (mixed-radix over the columns).
-
-        The full-table array is computed once per GROUP BY column set and
-        cached on the scramble (invalidated by inserts, like the bitmap
-        indexes); per-window calls just slice it.
-        """
-        if not group_by:
-            length = self.scramble.num_rows if rows is None else len(rows)
-            return np.zeros(length, dtype=np.int64)
-        cache = self.scramble.metadata_cache
-        key = ("combined", group_by)
-        if key not in cache:
-            combined = None
-            # column_codes reads through the attached block store when one
-            # is present; this is a one-time load-level metadata build (the
-            # array is cached on the scramble), not a per-window gather.
-            for column, card in zip(group_by, self._cardinalities(group_by)):
-                codes = self.scramble.column_codes(column)
-                combined = (
-                    codes.astype(np.int64)
-                    if combined is None
-                    else combined * card + np.asarray(codes)
-                )
-            cache[key] = combined
-        full = cache[key]
-        return full if rows is None else full[rows]
-
-    def _group_keys(
-        self, group_by: tuple[str, ...]
-    ) -> tuple[list[tuple[int, ...]], list[tuple]]:
-        """``(codes, keys)`` of each group in :meth:`_group_domain`, in
-        domain order: the per-column dictionary codes (the mixed-radix
-        combination inverted) and the decoded group-by values.
-
-        Cached next to the domain, so both are rebuilt together after an
-        insert clears the scramble's metadata.
-        """
-        cache = self.scramble.metadata_cache
-        key = ("keys", group_by)
-        if key not in cache:
-            domain = self._group_domain(group_by)
-            remainder = domain.copy()
-            per_column = []
-            for card in reversed(self._cardinalities(group_by)):
-                per_column.append((remainder % card).tolist())
-                remainder //= card
-            codes = (
-                list(zip(*reversed(per_column)))
-                if group_by
-                else [()] * domain.size
-            )
-            table = self.scramble.table
-            dictionaries = [
-                table.categorical(column).dictionary for column in group_by
-            ]
-            keys = [
-                tuple(d[code] for d, code in zip(dictionaries, view_codes))
-                for view_codes in codes
-            ]
-            cache[key] = codes, keys
-        return cache[key]
-
-    def _resolve_value_column(
-        self, query: Query
-    ) -> tuple[Callable[[np.ndarray], np.ndarray] | None, tuple[float, float]]:
-        """Value accessor + range bounds for the aggregated column.
-
-        Accepts a continuous column name or any expression object exposing
-        ``evaluate(table, rows)`` and ``range_bounds(bounds_by_column)``
-        (see :mod:`repro.expressions`, Appendix B).
-        """
-        table = self.scramble.table
-        if query.aggregate is AggregateFunction.COUNT:
-            return None, (0.0, 1.0)
-        column = query.column
-        if isinstance(column, str):
-            bounds = table.catalog.bounds(column)
-            # The gather provider: store-backed (zero-copy mmap block
-            # views) when the scramble has storage attached, the resident
-            # array otherwise — identical bytes either way.
-            values = self.scramble.column_values(column)
-            return (lambda rows: values[rows]), (bounds.a, bounds.b)
-        bounds_by_column = {
-            name: table.catalog.bounds(name) for name in column.columns()
-        }
-        derived = column.range_bounds(bounds_by_column)
-        return (lambda rows: column.evaluate(table, rows)), (derived.a, derived.b)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-
-    def execute(self, query: Query, start_block: int | None = None) -> QueryResult:
-        """Run a query to its stopping condition (or data exhaustion)."""
-        run = QueryRun(self, query)
-        cursor = self.cursor(start_block, window_blocks=run.window_blocks)
-        for _ in run.drive(cursor, self.config):
-            pass
-        return run.finalize()
-
-    def cursor(
-        self, start_block: int | None = None, window_blocks: int | None = None
-    ) -> ScanCursor:
-        """A fresh scan cursor (random start position unless pinned)."""
-        if start_block is None:
-            start_block = int(self.rng.integers(self.scramble.num_blocks))
-        return ScanCursor(
-            self.scramble,
-            start_block,
-            window_blocks or self.strategy.window_blocks,
-        )
-
-
 class QueryRun:
     """The steppable execution state of one query over a scramble.
 
     A run is the executor's unit of progress: it owns the per-view state
-    (laid out by the engine subclass ``QueryRun(executor, query)``
+    (laid out by the engine subclass ``QueryRun(scramble, query, ...)``
     resolves to — see the module docstring), the δ budget, and the round
     counters — but *not* the scan position.  Each window is processed in
     two phases: :meth:`select_blocks` computes the run's
@@ -413,10 +192,10 @@ class QueryRun:
     That split makes the same state machine serve both flavours of the
     one window loop (:class:`ScanDriver`):
 
-    * :meth:`drive` (behind :meth:`ApproximateExecutor.execute` and the
-      connection's ``result()``/``rounds()``) — one run, one private
-      :class:`~repro.fastframe.scan.ScanCursor`; the solo driver builds
-      each frame over the run's own mask and charges it to the run;
+    * :meth:`drive` (behind the connection's ``result()``/``rounds()``)
+      — one run, one private :class:`~repro.fastframe.scan.ScanCursor`;
+      the solo driver builds each frame over the run's own mask and
+      charges it to the run;
     * :func:`run_shared_scan` — many runs (one per dashboard query) fed
       from a **single shared cursor**: the driver unions the runs' masks,
       materializes one frame per window (value arrays, combined group
@@ -436,34 +215,43 @@ class QueryRun:
     #: runs that have one.
     pool: ViewPool | None = None
 
-    def __new__(cls, executor: ApproximateExecutor, query: Query):
+    def __new__(cls, scramble: Scramble, query: Query, **_):
         if cls is QueryRun:
             # The one place an engine is chosen.
-            engine = executor.engine
-            if engine == "auto":
-                views = executor._group_domain(query.group_by).size
-                engine = "pool" if views >= AUTO_POOL_THRESHOLD else "scalar"
-            cls = _PoolRun if engine == "pool" else _ScalarRun
+            views = scramble.group_domain(query.group_by).size
+            cls = _PoolRun if views >= AUTO_POOL_THRESHOLD else _ScalarRun
         return super().__new__(cls)
 
-    def __init__(self, executor: ApproximateExecutor, query: Query) -> None:
-        ex = executor
-        self.executor = ex
+    def __init__(
+        self,
+        scramble: Scramble,
+        query: Query,
+        *,
+        bounder: ErrorBounder,
+        delta: float,
+        strategy: SamplingStrategy | None = None,
+        round_rows: int = DEFAULT_ROUND_ROWS,
+    ) -> None:
+        """Per-view states come from ``bounder``; ``delta`` is the query's
+        total error probability, ``strategy`` defaults to plain Scan and
+        ``round_rows`` is B in Algorithm 5 (rows between recomputations)."""
+        self.scramble = scramble
         self.query = query
+        self.round_rows = round_rows
         self.metrics = ExecutionMetrics()
         self._start_time = time.perf_counter()
 
         # The quantile family certifies order statistics, not means, so
         # each MEDIAN/PERCENTILE query gets its own DKW-inversion bounder
-        # at the query's level p; everything else shares the executor's.
+        # at the query's level p; everything else shares the connection's.
         if query.aggregate.is_quantile:
             from repro.bounders.quantile import QuantileBounder
 
             self.bounder: ErrorBounder = QuantileBounder(query.quantile_p)
         else:
-            self.bounder = ex.bounder
+            self.bounder = bounder
 
-        self.values_of, self.bounds = ex._resolve_value_column(query)
+        self.values_of, self.bounds = self._resolve_value_column()
         # Frame memoization key for the aggregated column: queries over the
         # same named column share one gathered value array per window.
         if query.aggregate is AggregateFunction.COUNT:
@@ -475,18 +263,18 @@ class QueryRun:
         self.group_by = query.group_by
         # Building the domain also caches the scramble's full-table
         # combined codes, so per-window frame slices never pay that build.
-        self.domain = ex._group_domain(self.group_by)
+        self.domain = scramble.group_domain(self.group_by)
         self.indexes = {
-            column: ex.index_for(column) for column in self.group_by
+            column: scramble.bitmap_index(column) for column in self.group_by
         }
         self.predicate_requirements = query.predicate.categorical_requirements(
-            ex.scramble.table
+            scramble.table
         )
         for column in self.predicate_requirements:
-            self.indexes.setdefault(column, ex.index_for(column))
+            self.indexes.setdefault(column, scramble.bitmap_index(column))
 
-        self.strategy = ex.strategy
-        self.uses_active = ex.strategy.uses_active_groups
+        self.strategy = strategy = strategy or ScanStrategy()
+        self.uses_active = strategy.uses_active_groups
         self.freezes_groups = self.uses_active and bool(self.group_by)
         # Condition Ê: with a fixed requested sample count, Algorithm 5's
         # δ-decay is unnecessary (§4.2) — rounds only check sample counts,
@@ -496,9 +284,9 @@ class QueryRun:
         #: Per-column codes of each view's group key, aligned with
         #: :attr:`domain` (and so with the engine's view order); shared
         #: through the scramble's metadata cache, so read-only.
-        self.key_codes, self._group_keys = ex._group_keys(self.group_by)
+        self.key_codes, self._group_keys = scramble.group_keys(self.group_by)
         self._init_views()
-        self.view_budget = DeltaBudget(ex.delta).split_even(
+        self.view_budget = DeltaBudget(delta).split_even(
             max(self.domain.size, 1)
         )
 
@@ -508,6 +296,32 @@ class QueryRun:
         self._scan_ended = False
         self._finalized: QueryResult | None = None
         self._round_columns: SnapshotColumns | None = None
+
+    def _resolve_value_column(
+        self,
+    ) -> tuple[Callable[[np.ndarray], np.ndarray] | None, tuple[float, float]]:
+        """Value accessor + range bounds for the aggregated column.
+
+        Accepts a continuous column name or any expression object exposing
+        ``evaluate(table, rows)`` and ``range_bounds(bounds_by_column)``
+        (see :mod:`repro.expressions`, Appendix B).
+        """
+        table = self.scramble.table
+        if self.query.aggregate is AggregateFunction.COUNT:
+            return None, (0.0, 1.0)
+        column = self.query.column
+        if isinstance(column, str):
+            bounds = table.catalog.bounds(column)
+            # The gather provider: store-backed (zero-copy mmap block
+            # views) when the scramble has storage attached, the resident
+            # array otherwise — identical bytes either way.
+            values = self.scramble.column_values(column)
+            return (lambda rows: values[rows]), (bounds.a, bounds.b)
+        bounds_by_column = {
+            name: table.catalog.bounds(name) for name in column.columns()
+        }
+        derived = column.range_bounds(bounds_by_column)
+        return (lambda rows: column.evaluate(table, rows)), (derived.a, derived.b)
 
     # -- driver interface ----------------------------------------------
 
@@ -577,9 +391,9 @@ class QueryRun:
         if self.domain.size <= 1:
             return None
         group_by = self.group_by
-        ex = self.executor
+        scramble = self.scramble
         return lambda pick: frame.combined_codes(
-            group_by, lambda rows: ex._combined_codes(group_by, rows)
+            group_by, lambda rows: scramble.combined_codes(group_by, rows)
         )[pick]
 
     def _end_window(self, n_read: int, at_end: bool) -> None:
@@ -595,7 +409,7 @@ class QueryRun:
         if at_end:
             self._scan_ended = True
 
-        if self.rows_since_bound >= self.executor.round_rows or at_end:
+        if self.rows_since_bound >= self.round_rows or at_end:
             self.rows_since_bound = 0
             self.round_index += 1
             self.metrics.rounds = self.round_index
@@ -626,7 +440,7 @@ class QueryRun:
         pool's rows, the scalar ``views`` in order).
 
         Decoded once per scramble and GROUP BY column set (see
-        :meth:`ApproximateExecutor._group_keys`): every round's
+        :meth:`~repro.fastframe.scramble.Scramble.group_keys`): every round's
         :meth:`group_snapshots` and the final result reuse the list.
         """
         return self._group_keys
@@ -797,7 +611,7 @@ class _ScalarRun(QueryRun):
         """
         a, b = self.bounds
         aggregate = self.query.aggregate
-        scramble_rows = self.executor.scramble.num_rows
+        scramble_rows = self.scramble.num_rows
         interval_delta, ci_delta = self._round_deltas(round_index)
         skip_frozen = round_index is not None and self.uses_active
         recomputed = 0
@@ -884,7 +698,7 @@ class _ScalarRun(QueryRun):
 
     def _finalize_exhausted(self) -> None:
         aggregate = self.query.aggregate
-        scramble_rows = self.executor.scramble.num_rows
+        scramble_rows = self.scramble.num_rows
         for view in self.views.values():
             if view.dropped:
                 continue
@@ -932,7 +746,7 @@ class _ScalarRun(QueryRun):
         count_estimate = (
             view.selectivity.in_view
             / max(view.selectivity.covered, 1)
-            * self.executor.scramble.num_rows
+            * self.scramble.num_rows
         )
         if aggregate is AggregateFunction.COUNT:
             estimate = count_estimate
@@ -983,7 +797,7 @@ class _PoolRun(QueryRun):
         pool = self.pool
         a, b = self.bounds
         aggregate = self.query.aggregate
-        scramble_rows = self.executor.scramble.num_rows
+        scramble_rows = self.scramble.num_rows
         interval_delta, ci_delta = self._round_deltas(round_index)
         recompute = ~pool.dropped & ~pool.exhausted
         if round_index is not None:
@@ -1046,7 +860,7 @@ class _PoolRun(QueryRun):
     def _finalize_exhausted(self) -> None:
         pool = self.pool
         aggregate = self.query.aggregate
-        done = ~pool.dropped & (pool.covered >= self.executor.scramble.num_rows)
+        done = ~pool.dropped & (pool.covered >= self.scramble.num_rows)
         if not done.any():
             return
         pool.exhausted |= done
@@ -1092,7 +906,7 @@ class _PoolRun(QueryRun):
         count_estimate = (
             pool.in_view[live]
             / np.maximum(pool.covered[live], 1)
-            * self.executor.scramble.num_rows
+            * self.scramble.num_rows
         )
         if aggregate is AggregateFunction.COUNT:
             estimate = count_estimate
@@ -1133,23 +947,6 @@ class _PoolRun(QueryRun):
         return groups
 
 
-def validate_shared_runs(runs: list[QueryRun], cursor: ScanCursor) -> None:
-    """Check a run batch is drivable from one cursor (shared preflight)."""
-    if not runs:
-        raise ValueError("run_shared_scan requires at least one QueryRun")
-    scramble = cursor.scramble
-    for run in runs:
-        if run.executor.scramble is not scramble:
-            raise ValueError(
-                "all runs in a shared scan must target the cursor's scramble"
-            )
-        if run.window_blocks != cursor.window_blocks:
-            raise ValueError(
-                "all runs in a shared scan must use the cursor's window size "
-                f"({run.window_blocks} != {cursor.window_blocks})"
-            )
-
-
 class ScanDriver:
     """The window loop: one cursor, the runs it feeds, their accounting.
 
@@ -1174,7 +971,18 @@ class ScanDriver:
     """
 
     def __init__(self, runs: list[QueryRun], cursor: ScanCursor, solo=False) -> None:
-        validate_shared_runs(runs, cursor)
+        if not runs:
+            raise ValueError("run_shared_scan requires at least one QueryRun")
+        for run in runs:
+            if run.scramble is not cursor.scramble:
+                raise ValueError(
+                    "all runs in a shared scan must target the cursor's scramble"
+                )
+            if run.window_blocks != cursor.window_blocks:
+                raise ValueError(
+                    "all runs in a shared scan must use the cursor's window size "
+                    f"({run.window_blocks} != {cursor.window_blocks})"
+                )
         if solo and len(runs) != 1:
             raise ValueError("solo mode drives exactly one run")
         self.runs = list(runs)
@@ -1252,7 +1060,7 @@ class ScanDriver:
         if not self.solo:
             # Solo accounting leaves the scramble-shared counters for the
             # run's own finalize().
-            indexes: dict[str, BlockBitmapIndex] = {}
+            indexes = {}
             for run in self.runs:
                 indexes.update(run.indexes)
             metrics.merge_index_counters(indexes.values())
@@ -1271,9 +1079,7 @@ def scan_driver(runs, cursor, config: ExecConfig, solo: bool = False) -> ScanDri
 
 
 def run_shared_scan(
-    runs: list[QueryRun],
-    cursor: ScanCursor,
-    config: ExecConfig | None = None,
+    runs: list[QueryRun], cursor: ScanCursor, config: ExecConfig
 ) -> ExecutionMetrics:
     """Drive many query runs from one scan cursor (the gather hot loop).
 
@@ -1301,14 +1107,10 @@ def run_shared_scan(
     stopping condition before the scramble ran out;
     ``bounds_recomputed`` sums the runs' incremental round work.
 
-    ``config.parallelism`` above 1 (``None`` takes the config the runs'
-    executor was built with) routes the same loop through
+    ``config.parallelism`` above 1 routes the same loop through
     :class:`~repro.fastframe.parallel.ParallelScanDriver`: per-query
     window slices are partitioned on ingest threads and folded back in
     deterministic order, so results and metrics (except wall time) are
     bit-identical to the serial :class:`ScanDriver`.
     """
-    validate_shared_runs(runs, cursor)
-    if config is None:
-        config = runs[0].executor.config
     return scan_driver(runs, cursor, config).run()

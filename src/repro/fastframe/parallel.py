@@ -251,9 +251,8 @@ class ParallelScanDriver(ScanDriver):
             values = frame.values(run.value_key, run.values_of)
         if run.frame_combined_of(frame) is not None:
             group_by = run.group_by
-            ex = run.executor
             combined = frame.combined_codes(
-                group_by, lambda rows: ex._combined_codes(group_by, rows)
+                group_by, lambda rows: run.scramble.combined_codes(group_by, rows)
             )
         return run, window_slice, values, combined, frame.window_rows
 

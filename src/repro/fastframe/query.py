@@ -251,8 +251,8 @@ class QueryResult:
     ``delta`` is the error probability the execution was charged.  It is
     populated by :class:`repro.api.Connection`, which allocates each query
     a slice of the joint session budget; a bare
-    :class:`~repro.fastframe.executor.ApproximateExecutor` run leaves it
-    ``None`` (the executor's own ``delta`` applies).
+    :class:`~repro.fastframe.executor.QueryRun` leaves it ``None`` (the
+    run's own ``delta`` applies).
     """
 
     query: Query

@@ -53,8 +53,9 @@ class Scramble:
         self.permutation = rng.permutation(table.num_rows)
         self.table = table.take(self.permutation)
         self.block_size = block_size
-        #: Load-time metadata shared by every executor over this scramble
-        #: (bitmap indexes, group domains); see ApproximateExecutor.
+        #: Load-time metadata shared by every query over this scramble
+        #: (bitmap indexes, group domains, combined codes, decoded keys);
+        #: filled by the metadata methods below, cleared by insert_rows.
         self.metadata_cache: dict = {}
         #: Attached out-of-core block store (None ⇒ in-memory arrays);
         #: see repro.fastframe.storage.
@@ -115,6 +116,97 @@ class Scramble:
         if self.storage is not None:
             return self.storage.codes(name)
         return self.table.categorical(name).codes
+
+    # ------------------------------------------------------------------
+    # Load-time metadata: catalog-style state a deployed system builds
+    # once, shared by every query over the same data (any bounder or
+    # strategy combination).
+    # ------------------------------------------------------------------
+
+    def bitmap_index(self, column: str):
+        """The (lazily built, cached) bitmap index for a column."""
+        key = ("bitmap", column)
+        if key not in self.metadata_cache:
+            # The bitmap module imports this one.
+            from repro.fastframe.bitmap import BlockBitmapIndex
+
+            self.metadata_cache[key] = BlockBitmapIndex(self, column)
+        return self.metadata_cache[key]
+
+    def group_domain(self, group_by: tuple[str, ...]) -> np.ndarray:
+        """Combined codes of the groups actually present in the data.
+
+        Cached per GROUP BY column set.  A real system reads this from its
+        dictionary/bitmap metadata; it is not charged to query metrics.
+        """
+        key = ("domain", group_by)
+        if key not in self.metadata_cache:
+            self.metadata_cache[key] = np.unique(self.combined_codes(group_by))
+        return self.metadata_cache[key]
+
+    def combined_codes(
+        self, group_by: tuple[str, ...], rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Row-aligned combined group codes (mixed-radix over the columns).
+
+        The full-table array is computed once per GROUP BY column set and
+        cached (invalidated by inserts, like the bitmap indexes);
+        per-window calls just slice it.
+        """
+        if not group_by:
+            length = self.num_rows if rows is None else len(rows)
+            return np.zeros(length, dtype=np.int64)
+        key = ("combined", group_by)
+        if key not in self.metadata_cache:
+            combined = None
+            # column_codes reads through the attached block store when one
+            # is present; this is a one-time load-level metadata build (the
+            # array is cached here), not a per-window gather.
+            for column in group_by:
+                codes = self.column_codes(column)
+                card = self.table.categorical(column).cardinality
+                combined = (
+                    codes.astype(np.int64)
+                    if combined is None
+                    else combined * card + np.asarray(codes)
+                )
+            self.metadata_cache[key] = combined
+        full = self.metadata_cache[key]
+        return full if rows is None else full[rows]
+
+    def group_keys(
+        self, group_by: tuple[str, ...]
+    ) -> tuple[list[tuple[int, ...]], list[tuple]]:
+        """``(codes, keys)`` of each group in :meth:`group_domain`, in
+        domain order: the per-column dictionary codes (the mixed-radix
+        combination inverted) and the decoded group-by values.
+
+        Cached next to the domain, so both are rebuilt together after an
+        insert clears the metadata.
+        """
+        key = ("keys", group_by)
+        if key not in self.metadata_cache:
+            domain = self.group_domain(group_by)
+            columns = [self.table.categorical(column) for column in group_by]
+            remainder = domain.copy()
+            per_column = []
+            for column in reversed(columns):
+                per_column.append((remainder % column.cardinality).tolist())
+                remainder //= column.cardinality
+            codes = (
+                list(zip(*reversed(per_column)))
+                if group_by
+                else [()] * domain.size
+            )
+            keys = [
+                tuple(
+                    column.dictionary[code]
+                    for column, code in zip(columns, view_codes)
+                )
+                for view_codes in codes
+            ]
+            self.metadata_cache[key] = codes, keys
+        return self.metadata_cache[key]
 
     @property
     def num_rows(self) -> int:

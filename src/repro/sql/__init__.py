@@ -14,7 +14,7 @@ Quick use::
         "SELECT Origin FROM flights GROUP BY Origin "
         "HAVING AVG(DepDelay) < 0"
     )
-    result = executor.execute(query)
+    result = connection.query(query).result()
 """
 
 from repro.sql.ast import SelectStatement

@@ -200,6 +200,14 @@ class StoppingCondition(ABC):
         return not self.active_mask(columns).any()
 
 
+def _count(value, name: str):
+    """``value`` if it is an integer >= 1 (``int`` or ``np.integer``, not
+    ``bool``), else a :class:`ValueError` naming the parameter."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 class SamplesTaken(StoppingCondition):
     """Condition Ê: stop once every group has ``m`` contributing samples.
 
@@ -209,9 +217,7 @@ class SamplesTaken(StoppingCondition):
     """
 
     def __init__(self, m: int) -> None:
-        if m < 1:
-            raise ValueError(f"requested sample count must be >= 1, got {m}")
-        self.m = m
+        self.m = _count(m, "requested sample count")
 
     def active_mask(self, columns: SnapshotColumns) -> np.ndarray:
         return (columns.samples < self.m) & ~columns.exhausted
@@ -224,7 +230,7 @@ class AbsoluteAccuracy(StoppingCondition):
     """Condition Ë: stop once every group's CI width is below ``epsilon``."""
 
     def __init__(self, epsilon: float) -> None:
-        if epsilon <= 0.0:
+        if not epsilon > 0.0:  # also NaN
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.epsilon = epsilon
 
@@ -239,7 +245,7 @@ class RelativeAccuracy(StoppingCondition):
     """Condition Ì: stop once every group's relative error is below ``epsilon``."""
 
     def __init__(self, epsilon: float) -> None:
-        if epsilon <= 0.0:
+        if not epsilon > 0.0:  # also NaN
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.epsilon = epsilon
 
@@ -270,6 +276,8 @@ class ThresholdSide(StoppingCondition):
     """
 
     def __init__(self, threshold: float) -> None:
+        if math.isnan(threshold):
+            raise ValueError("threshold must not be NaN")
         self.threshold = threshold
 
     def active_mask(self, columns: SnapshotColumns) -> np.ndarray:
@@ -302,9 +310,7 @@ class TopKSeparated(StoppingCondition):
     """
 
     def __init__(self, k: int, largest: bool = True) -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
+        self.k = _count(k, "k")
         self.largest = largest
 
     def _ranked_order(self, estimate: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from repro.api import Connection, GatherResult, QueryHandle, connect
 from repro.bounders import HoeffdingSerflingBounder, get_bounder
 from repro.fastframe import (
     AggregateFunction,
-    ApproximateExecutor,
     Eq,
     Query,
     Scramble,
@@ -29,6 +28,7 @@ from repro.stopping import (
     ThresholdSide,
     TopKSeparated,
 )
+from tests.support import execute, forced_engine
 
 
 @pytest.fixture(scope="module")
@@ -110,11 +110,9 @@ class TestConnect:
 
     @pytest.mark.parametrize("round_rows", [0, -1, 1.5, True])
     def test_rejects_bad_round_rows_before_any_charge(self, scramble, round_rows):
-        """A bad value surfaces at the first resolution, with no δ spent."""
-        conn = _connect(scramble, round_rows=round_rows)
-        with pytest.raises(ValueError, match="round_rows"):
-            conn.table().avg("x", abs=5.0).result(start_block=0)
-        assert conn.spent_delta == 0
+        """A bad value fails at connect(), before any handle exists."""
+        with pytest.raises(ValueError, match="connect\\(\\) round_rows"):
+            _connect(scramble, round_rows=round_rows)
 
     def test_ledger_validation_delegated(self, scramble):
         with pytest.raises(ValueError, match="policy"):
@@ -125,18 +123,21 @@ class TestConnect:
             _connect(scramble, max_queries=0)
 
     @pytest.mark.parametrize(
-        "keyword", ["task_timeout", "round_rowz", "alpha", "require_ssi"]
+        "keyword", ["task_timeout", "round_rowz", "alpha", "require_ssi", "engine"]
     )
     def test_unknown_executor_keyword_fails_at_connect(self, scramble, keyword):
-        """A misspelt or removed keyword fails at connect(), naming
-        itself, before any handle is charged — not at the first
-        result(), phrased about a class the caller never called."""
+        """A misspelt or removed keyword (``engine`` among them) fails at
+        connect(), naming itself, before any handle is charged — not at
+        the first result()."""
         with pytest.raises(TypeError, match=f"connect\\(\\).*'{keyword}'"):
             _connect(scramble, **{keyword: 30})
 
     def test_executor_keywords_still_accepted(self, scramble):
-        conn = _connect(scramble, round_rows=5_000, engine="pool")
-        assert conn.executor_kwargs == {"round_rows": 5_000, "engine": "pool"}
+        """``round_rows`` is connect()'s own keyword now; the executor
+        passthrough and its class are gone."""
+        conn = _connect(scramble, round_rows=5_000)
+        assert conn.round_rows == 5_000
+        assert not hasattr(conn, "executor_kwargs")
         result = conn.table().avg("x", abs=5.0).result(start_block=0)
         assert result.metrics.rows_read > 0
 
@@ -314,6 +315,29 @@ class TestHandleResolution:
         assert handle.result() is first
         assert conn.queries_run == 1  # no double charge
 
+    @pytest.mark.parametrize("path", ["result", "rounds", "gather"])
+    @pytest.mark.parametrize("start_block", [1.5, True, "3"])
+    def test_non_integer_start_block_rejected_before_any_charge(
+        self, scramble, path, start_block
+    ):
+        """Every resolution path checks the start block before charging:
+        a non-integer is a TypeError (not a scan from ``int(start_block)``),
+        an out-of-range one still an IndexError."""
+        conn = _connect(scramble)
+        handle = conn.table().avg("x", rel=0.5)
+        resolve = {
+            "result": handle.result,
+            "rounds": handle.rounds,
+            "gather": lambda block: conn.gather(handle, block),
+        }[path]
+        with pytest.raises(TypeError, match="start_block"):
+            resolve(start_block)
+        with pytest.raises(IndexError):
+            resolve(scramble.num_blocks)
+        assert conn.queries_run == 0
+        assert conn.spent_delta == 0
+        assert handle.result(start_block=np.int64(1)).groups
+
     def test_ledger_settles_cost_counters(self, scramble):
         conn = _connect(scramble)
         handle = conn.table().avg("x", rel=0.5)
@@ -437,6 +461,11 @@ class TestAbandonedRoundsMetrics:
     accounting when the generator is closed.
     """
 
+    @pytest.fixture(autouse=True)
+    def _pool_engine(self):
+        with forced_engine("pool"):
+            yield
+
     @staticmethod
     def _make_scramble():
         # > 1 lookahead window (25,600 rows at the default geometry), so a
@@ -464,7 +493,6 @@ class TestAbandonedRoundsMetrics:
             delta=1e-6,
             strategy=strategy,
             round_rows=5_000,
-            engine="pool",
             parallelism=parallelism,
             rng=np.random.default_rng(3),
         )
@@ -507,8 +535,8 @@ class TestAbandonedRoundsMetrics:
     def test_scan_that_raises_does_not_double_count_next_metrics(
         self, monkeypatch, entry
     ):
-        """result() and execute() seal a run whose scan raises, as rounds()
-        and gather() do: the probes its windows made before the error must
+        """result() and a bare run's drive() seal a run whose scan raises,
+        as rounds() and gather() do: the probes its windows made before the error must
         not be charged to the next query over the same scramble."""
         import repro.fastframe.executor as executor_module
 
@@ -529,15 +557,16 @@ class TestAbandonedRoundsMetrics:
             if entry == "result":
                 victim.result(start_block=0)
             else:
-                ApproximateExecutor(
+                execute(
                     scramble,
                     conn.bounder,
+                    victim.query,
+                    start_block=0,
+                    config=conn.config,
                     strategy=conn.strategy,
                     delta=1e-6,
                     round_rows=5_000,
-                    engine="pool",
-                    config=conn.config,
-                ).execute(victim.query, start_block=0)
+                )
         monkeypatch.undo()
 
         after_failure = self._victim(conn).result(start_block=0).metrics

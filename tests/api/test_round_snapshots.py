@@ -14,6 +14,7 @@ from repro.api import connect
 from repro.datasets import make_flights_scramble
 from repro.fastframe import ExactExecutor
 from repro.stopping import RelativeAccuracy
+from tests.support import forced_engine
 
 #: Below one window's rows, so every window of a 60k-row scan ends a
 #: round (three rounds instead of the default cadence's two).
@@ -26,7 +27,7 @@ FQ6 = (
 )
 
 #: One statement per engine and pool family: 10 views (scalar engine
-#: under engine="auto"), 200 views (moment pool), the CSR quantile pool,
+#: by the view-count choice), 200 views (moment pool), the CSR quantile pool,
 #: and FQ6's 1 400 views.
 STATEMENTS = {
     "airline-avg": "SELECT Airline, AVG(DepDelay) FROM flights GROUP BY Airline",
@@ -140,8 +141,9 @@ class TestPlainPythonTypes:
     )
     def test_result_and_snapshot_fields(self, small_scramble, engine, aggregate):
         text = f"SELECT Airline, {aggregate} FROM flights GROUP BY Airline"
-        handle = _handle(small_scramble, text, engine=engine)
-        updates = list(handle.rounds(START_BLOCK))
+        handle = _handle(small_scramble, text)
+        with forced_engine(engine):
+            updates = list(handle.rounds(START_BLOCK))
         result = handle.result()
 
         scalars = {"estimate": float, "samples": int, "exhausted": bool}

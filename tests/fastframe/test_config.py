@@ -19,6 +19,7 @@ import repro
 from repro.datasets import make_flights_scramble
 from repro.fastframe.config import ExecConfig
 from repro.stopping import SamplesTaken
+from tests.support import forced_engine
 
 ENV = {
     "parallelism": "REPRO_PARALLELISM",
@@ -126,19 +127,18 @@ def test_connection_ignores_the_environment_after_connect(monkeypatch):
     values that would *raise* if anything re-read them."""
     monkeypatch.setenv("REPRO_PARALLELISM", "2")
     scramble = make_flights_scramble(rows=20_000, seed=3)
-    conn = repro.connect(
-        scramble, delta=1e-6, rng=np.random.default_rng(17), engine="pool"
-    )
+    conn = repro.connect(scramble, delta=1e-6, rng=np.random.default_rng(17))
     assert conn.config == ExecConfig(parallelism=2)
     monkeypatch.setenv("REPRO_PARALLELISM", "two")
     monkeypatch.setenv("REPRO_STORAGE", "tape")
 
-    updates = list(_handle(conn).rounds(start_block=1))
-    assert updates
-    # Still the parallel driver, still resident arrays.
-    assert all(u.storage is None for u in updates)
-    assert _handle(conn).result(start_block=1).metrics.partition_wall_s > 0
-    batch = conn.gather([_handle(conn), _handle(conn)], start_block=1)
+    with forced_engine("pool"):  # only pool runs are offloaded to threads
+        updates = list(_handle(conn).rounds(start_block=1))
+        assert updates
+        # Still the parallel driver, still resident arrays.
+        assert all(u.storage is None for u in updates)
+        assert _handle(conn).result(start_block=1).metrics.partition_wall_s > 0
+        batch = conn.gather([_handle(conn), _handle(conn)], start_block=1)
     assert batch.metrics.partition_wall_s > 0
     assert scramble.storage is None
 
@@ -148,15 +148,15 @@ def test_serial_connection_stays_serial(monkeypatch):
         make_flights_scramble(rows=20_000, seed=3),
         delta=1e-6,
         rng=np.random.default_rng(17),
-        engine="pool",
     )
     assert conn.config == ExecConfig()
     monkeypatch.setenv("REPRO_PARALLELISM", "2")
     monkeypatch.setenv("REPRO_STORAGE", "mmap")
-    updates = list(_handle(conn).rounds(start_block=1))
-    assert updates
-    assert _handle(conn).result(start_block=1).metrics.partition_wall_s == 0
-    batch = conn.gather([_handle(conn)], start_block=1)
+    with forced_engine("pool"):
+        updates = list(_handle(conn).rounds(start_block=1))
+        assert updates
+        assert _handle(conn).result(start_block=1).metrics.partition_wall_s == 0
+        batch = conn.gather([_handle(conn)], start_block=1)
     assert batch.metrics.partition_wall_s == 0
     assert conn.scramble.storage is None
 

@@ -16,11 +16,7 @@ import numpy as np
 import pytest
 
 from repro.bounders.registry import get_bounder
-from repro.fastframe.executor import (
-    AUTO_POOL_THRESHOLD,
-    ApproximateExecutor,
-    QueryRun,
-)
+from repro.fastframe.executor import AUTO_POOL_THRESHOLD, QueryRun
 from repro.fastframe.predicate import Eq
 from repro.fastframe.query import AggregateFunction, Query
 from repro.fastframe.scan import get_strategy
@@ -34,6 +30,7 @@ from repro.stopping.conditions import (
     ThresholdSide,
     TopKSeparated,
 )
+from tests.support import RUN_CLASSES, execute, forced_engine
 
 RTOL = 1e-9
 ATOL = 1e-9
@@ -72,16 +69,16 @@ def _run(scramble, engine, agg, bounder, strategy, stopping, *,
     kwargs = {} if predicate is None else {"predicate": predicate}
     column = None if agg is AggregateFunction.COUNT else "x"
     query = Query(agg, column, stopping, group_by=group_by, **kwargs)
-    executor = ApproximateExecutor(
+    return execute(
         scramble,
         get_bounder(bounder),
+        query,
+        engine=engine,
+        start_block=START_BLOCK,
         strategy=get_strategy(strategy),
         delta=DELTA,
         round_rows=ROUND_ROWS,
-        rng=np.random.default_rng(7),
-        engine=engine,
     )
-    return executor.execute(query, start_block=START_BLOCK)
 
 
 def _interval_close(left, right):
@@ -207,7 +204,6 @@ def test_quantile_parity_every_round(parity_scramble, level, strategy):
             delta=DELTA,
             strategy=scan,
             round_rows=ROUND_ROWS,
-            engine=engine,
             rng=np.random.default_rng(7),
         )
         table = conn.table().group_by("g")
@@ -217,9 +213,11 @@ def test_quantile_parity_every_round(parity_scramble, level, strategy):
             handle = table.percentile("x", level, abs=12.0)
         # Not the storage counters: under REPRO_STORAGE=mmap each
         # connection's block cache has its own history.
+        with forced_engine(engine):
+            rounds = handle.rounds(start_block=START_BLOCK)
         updates = [
             (update.round_index, update.rows_read, update.groups)
-            for update in handle.rounds(start_block=START_BLOCK)
+            for update in rounds
         ]
         return updates, handle.result()
 
@@ -253,15 +251,15 @@ def test_gather_matches_sequential(parity_scramble, engine, strategy):
             policy="harmonic",
             strategy=strategy,
             round_rows=ROUND_ROWS,
-            engine=engine,
             rng=np.random.default_rng(7),
         )
 
     batched = connection()
-    batch = batched.gather(dashboard(batched), start_block=START_BLOCK)
     sequential = connection()
-    for gathered, handle in zip(batch.results, dashboard(sequential)):
-        _assert_parity(handle.result(start_block=START_BLOCK), gathered)
+    with forced_engine(engine):
+        batch = batched.gather(dashboard(batched), start_block=START_BLOCK)
+        for gathered, handle in zip(batch.results, dashboard(sequential)):
+            _assert_parity(handle.result(start_block=START_BLOCK), gathered)
     # The shared cursor fetches the union of the queries' blocks: never
     # more than the sequential total, never less than the costliest query.
     sequential_rows = sum(
@@ -294,15 +292,15 @@ def test_gather_shares_value_gathering(parity_scramble, engine):
             delta=DELTA,
             policy="harmonic",
             round_rows=ROUND_ROWS,
-            engine=engine,
             rng=np.random.default_rng(7),
         )
 
     batched = connection()
-    batch = batched.gather(dashboard(batched), start_block=START_BLOCK)
     sequential = connection()
     seq_handles = dashboard(sequential)
-    results = [handle.result(start_block=START_BLOCK) for handle in seq_handles]
+    with forced_engine(engine):
+        batch = batched.gather(dashboard(batched), start_block=START_BLOCK)
+        results = [handle.result(start_block=START_BLOCK) for handle in seq_handles]
     sequential_values = sum(r.metrics.values_gathered for r in results)
     assert 0 < batch.values_gathered < sequential_values
     # Shared runs never gather privately; solo runs always do.
@@ -336,11 +334,6 @@ def test_gather_mixed_stopping_saves_rows(parity_scramble):
     assert batch.savings > 0.0
 
 
-def test_unknown_engine_rejected(parity_scramble):
-    with pytest.raises(ValueError, match="engine"):
-        ApproximateExecutor(parity_scramble, get_bounder("bernstein"), engine="simd")
-
-
 def test_auto_engine_matches_both(parity_scramble):
     """`auto` must route to one of the two parity-locked engines."""
     stopping = AbsoluteAccuracy(3.0)
@@ -359,9 +352,10 @@ def _run_engine_override(scramble, engine, stopping):
     [(AUTO_POOL_THRESHOLD, True), (AUTO_POOL_THRESHOLD - 1, False)],
 )
 def test_auto_threshold_selects_engine(views, auto_is_pool):
-    """`auto` is the pool engine from exactly AUTO_POOL_THRESHOLD views up
-    and the scalar engine one view below; `pool` / `scalar` override it;
-    whichever engine runs, the intervals agree."""
+    """`QueryRun` is the pool engine from exactly AUTO_POOL_THRESHOLD
+    views up and the scalar engine one view below; `_PoolRun` /
+    `_ScalarRun` by name override it; whichever engine runs, the
+    intervals agree."""
     rng = np.random.default_rng(5)
     n = 12_000
     table = Table(
@@ -374,10 +368,14 @@ def test_auto_threshold_selects_engine(views, auto_is_pool):
     query = Query(AggregateFunction.AVG, "x", stopping, group_by=("g",))
     on_pool = {"auto": auto_is_pool, "pool": True, "scalar": False}
     for engine, expected in on_pool.items():
-        executor = ApproximateExecutor(scramble, get_bounder("bernstein+rt"), engine=engine)
-        run = QueryRun(executor, query)
+        bounder = get_bounder("bernstein+rt")
+        run = RUN_CLASSES[engine](scramble, query, bounder=bounder, delta=DELTA)
+        # The same choice through the QueryRun constructor a connection uses.
+        with forced_engine(engine):
+            forced = QueryRun(scramble, query, bounder=bounder, delta=DELTA)
         assert run.domain.size == views
         assert (run.pool is not None) == expected, engine
+        assert type(forced) is type(run), engine
     scalar = _run_engine_override(scramble, "scalar", stopping)
     for engine in ("auto", "pool"):
         _assert_parity(scalar, _run_engine_override(scramble, engine, stopping))

@@ -11,7 +11,7 @@ from repro.bounders.base import Interval
 from repro.bounders.registry import get_bounder
 from repro.expressions import col
 from repro.fastframe.exact import ExactExecutor
-from repro.fastframe.executor import ApproximateExecutor, QueryRun
+from repro.fastframe.executor import _ScalarRun
 from repro.fastframe.kernels import IngestDelta
 from repro.fastframe.predicate import Compare, Eq
 from repro.fastframe.query import (
@@ -30,18 +30,21 @@ from repro.stopping.conditions import (
     ThresholdSide,
     TopKSeparated,
 )
+from tests.support import execute
 
 DELTA = 1e-6  # moderate δ so tests exercise non-trivial intervals quickly
 
 
-def make_executor(scramble, bounder="bernstein+rt", strategy="scan", seed=3):
-    return ApproximateExecutor(
+def run_query(scramble, query, bounder="bernstein+rt", strategy="scan", seed=3, **kw):
+    return execute(
         scramble,
         get_bounder(bounder),
+        query,
         strategy=get_strategy(strategy),
         delta=DELTA,
         round_rows=4_000,
         rng=np.random.default_rng(seed),
+        **kw,
     )
 
 
@@ -54,14 +57,14 @@ class TestScalarAvg:
             predicate=Eq("Origin", "ORD"),
         )
         exact = ExactExecutor(small_scramble).execute(query).scalar()
-        result = make_executor(small_scramble).execute(query).scalar()
+        result = run_query(small_scramble, query).scalar()
         assert result.interval.lo - 1e-9 <= exact.estimate <= result.interval.hi + 1e-9
 
     def test_all_bounders_sound(self, small_scramble):
         query = Query(AggregateFunction.AVG, "DepDelay", AbsoluteAccuracy(3.0))
         exact = ExactExecutor(small_scramble).execute(query).scalar()
         for name in ("hoeffding", "hoeffding+rt", "bernstein", "bernstein+rt"):
-            result = make_executor(small_scramble, bounder=name).execute(query).scalar()
+            result = run_query(small_scramble, query, bounder=name).scalar()
             assert (
                 result.interval.lo - 1e-9
                 <= exact.estimate
@@ -70,7 +73,7 @@ class TestScalarAvg:
 
     def test_stops_early_when_achievable(self, small_scramble):
         query = Query(AggregateFunction.AVG, "DepDelay", AbsoluteAccuracy(8.0))
-        result = make_executor(small_scramble).execute(query)
+        result = run_query(small_scramble, query)
         assert result.metrics.stopped_early
         assert result.metrics.rows_read < small_scramble.num_rows
         assert result.scalar().interval.width < 8.0
@@ -78,14 +81,14 @@ class TestScalarAvg:
     def test_unachievable_target_degenerates_to_exact(self, small_scramble):
         query = Query(AggregateFunction.AVG, "DepDelay", AbsoluteAccuracy(1e-9))
         exact = ExactExecutor(small_scramble).execute(query).scalar()
-        result = make_executor(small_scramble).execute(query).scalar()
+        result = run_query(small_scramble, query).scalar()
         assert result.exhausted
         assert result.interval.lo == pytest.approx(exact.estimate, rel=1e-9)
         assert result.interval.width == pytest.approx(0.0, abs=1e-9)
 
     def test_fixed_sample_count_condition(self, small_scramble):
         query = Query(AggregateFunction.AVG, "DepDelay", SamplesTaken(5_000))
-        result = make_executor(small_scramble).execute(query)
+        result = run_query(small_scramble, query)
         assert result.scalar().samples >= 5_000
         assert result.metrics.stopped_early
 
@@ -99,7 +102,7 @@ class TestGroupByAvg:
             group_by=("Airline",),
         )
         exact = ExactExecutor(small_scramble).execute(query)
-        result = make_executor(small_scramble).execute(query)
+        result = run_query(small_scramble, query)
         truth_above = {k for k, g in exact.groups.items() if g.estimate > 0}
         assert result.keys_above(0.0) == truth_above
 
@@ -111,7 +114,7 @@ class TestGroupByAvg:
             group_by=("Airline",),
         )
         exact = ExactExecutor(small_scramble).execute(query)
-        result = make_executor(small_scramble).execute(query)
+        result = run_query(small_scramble, query)
         assert set(result.groups) == set(exact.groups)
         for key, group in exact.groups.items():
             interval = result.groups[key].interval
@@ -125,7 +128,7 @@ class TestGroupByAvg:
             group_by=("Airline",),
         )
         exact = ExactExecutor(small_scramble).execute(query)
-        result = make_executor(small_scramble).execute(query)
+        result = run_query(small_scramble, query)
         assert result.top_k(1) == exact.top_k(1)
 
     @pytest.mark.parametrize(
@@ -156,7 +159,7 @@ class TestGroupByAvg:
             group_by=("Airline",),
         )
         exact = ExactExecutor(small_scramble).execute(query)
-        result = make_executor(small_scramble, strategy=strategy).execute(query)
+        result = run_query(small_scramble, query, strategy=strategy)
         truth_above = {k for k, g in exact.groups.items() if g.estimate > 0}
         assert result.keys_above(0.0) == truth_above
 
@@ -170,8 +173,8 @@ class TestGroupByAvg:
             predicate=Eq("Airline", "HP"),
             group_by=("Airline",),
         )
-        scan = make_executor(small_scramble, strategy="scan").execute(query)
-        peek = make_executor(small_scramble, strategy="activepeek").execute(query)
+        scan = run_query(small_scramble, query, strategy="scan")
+        peek = run_query(small_scramble, query, strategy="activepeek")
         assert peek.metrics.blocks_fetched <= scan.metrics.blocks_fetched
         assert peek.metrics.blocks_skipped > 0
 
@@ -184,7 +187,7 @@ class TestGroupByAvg:
             group_by=("DayOfWeek",),
         )
         exact = ExactExecutor(small_scramble).execute(query)
-        result = make_executor(small_scramble).execute(query)
+        result = run_query(small_scramble, query)
         for key, group in exact.groups.items():
             interval = result.groups[key].interval
             assert interval.lo - 1e-9 <= group.estimate <= interval.hi + 1e-9
@@ -199,7 +202,7 @@ class TestCountAndSum:
             predicate=Eq("Airline", "WN"),
         )
         exact = ExactExecutor(small_scramble).execute(query).scalar()
-        result = make_executor(small_scramble).execute(query).scalar()
+        result = run_query(small_scramble, query).scalar()
         assert result.interval.lo <= exact.estimate <= result.interval.hi
         assert result.interval.width < 4_000.0
 
@@ -211,7 +214,7 @@ class TestCountAndSum:
             group_by=("Airline",),
         )
         exact = ExactExecutor(small_scramble).execute(query)
-        result = make_executor(small_scramble).execute(query)
+        result = run_query(small_scramble, query)
         for key, group in exact.groups.items():
             interval = result.groups[key].interval
             assert interval.lo <= group.estimate <= interval.hi, key
@@ -224,7 +227,7 @@ class TestCountAndSum:
             predicate=Eq("Airline", "WN"),
         )
         exact = ExactExecutor(small_scramble).execute(query).scalar()
-        result = make_executor(small_scramble).execute(query).scalar()
+        result = run_query(small_scramble, query).scalar()
         assert result.interval.lo <= exact.estimate <= result.interval.hi
 
 
@@ -235,14 +238,14 @@ class TestExpressionAggregates:
         expr = col("DepDelay") * 2.0 + 10.0
         query = Query(AggregateFunction.AVG, expr, AbsoluteAccuracy(8.0))
         exact = ExactExecutor(small_scramble).execute(query).scalar()
-        result = make_executor(small_scramble).execute(query).scalar()
+        result = run_query(small_scramble, query).scalar()
         assert result.interval.lo - 1e-9 <= exact.estimate <= result.interval.hi + 1e-9
 
     def test_convex_expression(self, small_scramble):
         expr = (col("DepDelay") - 5.0) ** 2
         query = Query(AggregateFunction.AVG, expr, SamplesTaken(10_000))
         exact = ExactExecutor(small_scramble).execute(query).scalar()
-        result = make_executor(small_scramble).execute(query).scalar()
+        result = run_query(small_scramble, query).scalar()
         assert result.interval.lo - 1e-6 <= exact.estimate <= result.interval.hi + 1e-6
 
 
@@ -258,13 +261,12 @@ class TestScalarSharedMoments:
             categorical={"g": rng.integers(0, 3, n).astype(str)},
         )
         scramble = Scramble(table, rng=np.random.default_rng(1))
-        executor = ApproximateExecutor(
-            scramble, get_bounder("bernstein+rt"), delta=DELTA, engine="scalar"
-        )
         query = Query(
             AggregateFunction.AVG, "x", AbsoluteAccuracy(1e-9), group_by=("g",)
         )
-        run = QueryRun(executor, query)
+        run = _ScalarRun(
+            scramble, query, bounder=get_bounder("bernstein+rt"), delta=DELTA
+        )
 
         def ingest(view_idx, values):
             run._ingest(
@@ -308,19 +310,19 @@ class TestEdgeCases:
             AbsoluteAccuracy(1.0),
             predicate=Compare("v", ">", 1e12),
         )
-        result = make_executor(scramble).execute(query)
+        result = run_query(scramble, query)
         assert result.groups == {}
 
     def test_deterministic_given_seed(self, small_scramble):
         query = Query(AggregateFunction.AVG, "DepDelay", AbsoluteAccuracy(5.0))
-        first = make_executor(small_scramble, seed=9).execute(query)
-        second = make_executor(small_scramble, seed=9).execute(query)
+        first = run_query(small_scramble, query, seed=9)
+        second = run_query(small_scramble, query, seed=9)
         assert first.metrics.rows_read == second.metrics.rows_read
         assert first.scalar().interval == second.scalar().interval
 
     def test_start_block_override(self, small_scramble):
         query = Query(AggregateFunction.AVG, "DepDelay", AbsoluteAccuracy(5.0))
-        result = make_executor(small_scramble).execute(query, start_block=0)
+        result = run_query(small_scramble, query, start_block=0)
         assert result.scalar().samples > 0
 
     def test_metrics_populated(self, small_scramble):
@@ -330,7 +332,7 @@ class TestEdgeCases:
             AbsoluteAccuracy(6.0),
             group_by=("Airline",),
         )
-        result = make_executor(small_scramble, strategy="activepeek").execute(query)
+        result = run_query(small_scramble, query, strategy="activepeek")
         metrics = result.metrics
         assert metrics.rows_read > 0
         assert metrics.blocks_fetched > 0
@@ -345,7 +347,7 @@ class TestEdgeCases:
             AbsoluteAccuracy(10.0),
             group_by=("Airline",),
         )
-        result = make_executor(small_scramble).execute(query)
+        result = run_query(small_scramble, query)
         with pytest.raises(ValueError):
             result.scalar()
 

@@ -21,6 +21,7 @@ from repro.fastframe.scan import get_strategy
 from repro.fastframe.scramble import Scramble
 from repro.fastframe.table import Table
 from repro.stopping.conditions import AbsoluteAccuracy, RelativeAccuracy
+from tests.support import forced_engine
 
 START_BLOCK = 2
 
@@ -56,13 +57,13 @@ class TestConnectionLevelRecovery:
             scramble,
             delta=1e-6,
             round_rows=5_000,
-            engine="pool",
             strategy=strategy,
             rng=np.random.default_rng(3),
             parallelism=parallelism,
         )
         handles = [conn.query(query) for query in queries or _queries()]
-        batch = conn.gather(handles, start_block=START_BLOCK)
+        with forced_engine("pool"):
+            batch = conn.gather(handles, start_block=START_BLOCK)
         return conn, batch
 
     def test_gather_delta_spend_identical_under_faults(self, scramble):

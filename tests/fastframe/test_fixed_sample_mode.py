@@ -10,9 +10,10 @@ the decayed-and-intersected alternative would typically be at round k > 1.
 import numpy as np
 import pytest
 
+from repro.api import connect
 from repro.bounders import get_bounder
 from repro.datasets import make_flights_scramble
-from repro.fastframe import AggregateFunction, ApproximateExecutor, ExactExecutor, Query
+from repro.fastframe import AggregateFunction, ExactExecutor, Query
 from repro.stopping import AbsoluteAccuracy, SamplesTaken
 
 
@@ -21,13 +22,10 @@ def scramble():
     return make_flights_scramble(rows=120_000, seed=0)
 
 
-def _run(scramble, stopping, seed=0, **kwargs):
-    executor = ApproximateExecutor(
-        scramble, get_bounder("bernstein+rt"), delta=1e-9,
-        round_rows=10_000, rng=np.random.default_rng(seed), **kwargs,
-    )
+def _run(scramble, stopping):
+    conn = connect(scramble, delta=1e-9, max_queries=1, round_rows=10_000)
     query = Query(AggregateFunction.AVG, "DepDelay", stopping)
-    return executor.execute(query, start_block=0)
+    return conn.query(query).result(start_block=0)
 
 
 class TestFixedSampleMode:

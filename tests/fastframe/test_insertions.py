@@ -151,8 +151,8 @@ class TestScrambleInsert:
     def test_query_correct_after_insert(self):
         """End-to-end: intervals issued after insertion enclose the new
         exact mean (bounds were widened, bitmaps rebuilt)."""
-        from repro.bounders import get_bounder
-        from repro.fastframe import AggregateFunction, ApproximateExecutor, Eq, Query
+        from repro.api import connect
+        from repro.fastframe import AggregateFunction, Eq, Query
         from repro.stopping import SamplesTaken
 
         rng = np.random.default_rng(2)
@@ -169,9 +169,7 @@ class TestScrambleInsert:
         query = Query(
             AggregateFunction.AVG, "x", SamplesTaken(8_000), predicate=Eq("g", "c")
         )
-        result = ApproximateExecutor(
-            scramble, get_bounder("bernstein+rt"), delta=1e-6,
-            rng=np.random.default_rng(5),
-        ).execute(query)
+        conn = connect(scramble, delta=1e-6, max_queries=1, rng=np.random.default_rng(5))
+        result = conn.query(query).result()
         group = result.scalar()
         assert group.interval.lo - 1e-6 <= 500.0 <= group.interval.hi + 1e-6

@@ -27,7 +27,7 @@ import pytest
 from repro.bounders.bernstein import EmpiricalBernsteinSerflingBounder
 from repro.bounders.range_trim import RangeTrimBounder
 from repro.fastframe.config import ExecConfig
-from repro.fastframe.executor import ApproximateExecutor, QueryRun, run_shared_scan
+from repro.fastframe.executor import _PoolRun, run_shared_scan
 from repro.fastframe.kernels import (
     BUCKET_MAX_CARDINALITY,
     IngestDelta,
@@ -38,7 +38,7 @@ from repro.fastframe.kernels import (
 )
 from repro.fastframe.parallel import ParallelScanDriver
 from repro.fastframe.query import AggregateFunction, Query
-from repro.fastframe.scan import get_strategy
+from repro.fastframe.scan import ScanCursor, get_strategy
 from repro.fastframe.scramble import Scramble
 from repro.fastframe.table import Table
 from repro.stopping.conditions import (
@@ -244,18 +244,13 @@ def scramble():
     return Scramble(table, rng=np.random.default_rng(30))
 
 
-def _executor(scramble) -> ApproximateExecutor:
+def _pool_runs(scramble) -> list[_PoolRun]:
+    """The :func:`_queries`, each on the pool engine."""
     strategy = get_strategy("scan")
     strategy.window_blocks = 256
-    return ApproximateExecutor(
-        scramble,
-        RangeTrimBounder(EmpiricalBernsteinSerflingBounder()),
-        strategy=strategy,
-        delta=1e-6,
-        round_rows=5_000,
-        rng=np.random.default_rng(3),
-        engine="pool",
-    )
+    bounder = RangeTrimBounder(EmpiricalBernsteinSerflingBounder())
+    options = dict(bounder=bounder, strategy=strategy, delta=1e-6, round_rows=5_000)
+    return [_PoolRun(scramble, query, **options) for query in _queries()]
 
 
 def _queries():
@@ -301,9 +296,8 @@ def _run(scramble, parallelism, task_batch=None):
     """One shared scan.  Batch size is not a user-facing option (the
     driver sizes batches itself), so a test that needs a specific size
     pins it on the driver object it constructs."""
-    executor = _executor(scramble)
-    runs = [QueryRun(executor, query) for query in _queries()]
-    cursor = executor.cursor(START_BLOCK, window_blocks=runs[0].window_blocks)
+    runs = _pool_runs(scramble)
+    cursor = ScanCursor(scramble, START_BLOCK, runs[0].window_blocks)
     config = ExecConfig.resolve(parallelism=parallelism)
     if task_batch is None:
         batch = run_shared_scan(runs, cursor, config)

@@ -28,7 +28,6 @@ from repro.bounders.range_trim import RangeTrimBounder
 from repro.bounders.registry import get_bounder
 from repro.fastframe.config import ExecConfig
 from repro.fastframe.executor import (
-    ApproximateExecutor,
     QueryRun,
     ScanDriver,
     _PoolRun,
@@ -37,7 +36,7 @@ from repro.fastframe.executor import (
 )
 from repro.fastframe.parallel import ParallelScanDriver
 from repro.fastframe.query import AggregateFunction, Query
-from repro.fastframe.scan import get_strategy
+from repro.fastframe.scan import ScanCursor, get_strategy
 from repro.fastframe.scramble import Scramble
 from repro.fastframe.storage import (
     BlockedColumnArray,
@@ -49,7 +48,7 @@ from repro.fastframe.viewpool import ViewPool
 from repro.fastframe.window import WindowFrame
 from repro.stopping.conditions import AbsoluteAccuracy, RelativeAccuracy
 
-from tests.support import MinimalBounder
+from tests.support import MinimalBounder, execute
 
 RTOL = 1e-9
 START_BLOCK = 2
@@ -84,23 +83,32 @@ def scramble():
     return Scramble(table, rng=np.random.default_rng(12))
 
 
-def _executor(scramble, bounder, engine, parallelism=None):
+def _options(bounder):
     strategy = get_strategy("scan")
     strategy.window_blocks = 256
-    return ApproximateExecutor(
-        scramble,
-        bounder,
-        strategy=strategy,
-        delta=1e-6,
-        round_rows=5_000,
-        rng=np.random.default_rng(3),
-        engine=engine,
-        config=ExecConfig.resolve(parallelism=parallelism),
-    )
+    return dict(bounder=bounder, strategy=strategy, delta=1e-6, round_rows=5_000)
 
 
 def _query():
     return Query(AggregateFunction.AVG, "x", AbsoluteAccuracy(0.5), group_by=("g",))
+
+
+def _execute(scramble, bounder, engine, parallelism=None, query=None):
+    """``query`` (default :func:`_query`) run to completion on ``engine``."""
+    return execute(
+        scramble,
+        query=query or _query(),
+        engine=engine,
+        start_block=START_BLOCK,
+        config=ExecConfig.resolve(parallelism=parallelism),
+        **_options(bounder),
+    )
+
+
+def _pool_runs(scramble, bounder, queries):
+    """Pool-engine runs of ``queries`` and a cursor to drive them."""
+    runs = [_PoolRun(scramble, query, **_options(bounder)) for query in queries]
+    return runs, ScanCursor(scramble, START_BLOCK, runs[0].window_blocks)
 
 
 def _assert_parity(reference, other, context):
@@ -130,8 +138,7 @@ class TestThirdPartyBounderFallback:
             ("pool", "pool", 1),
             ("parallel", "pool", 2),
         ):
-            executor = _executor(scramble, MinimalBounder(), engine, parallelism)
-            results[label] = executor.execute(_query(), start_block=START_BLOCK)
+            results[label] = _execute(scramble, MinimalBounder(), engine, parallelism)
         _assert_parity(results["scalar"], results["pool"], "scalar-vs-pool")
         _assert_parity(results["scalar"], results["parallel"], "scalar-vs-parallel")
         assert results["parallel"].metrics.partition_wall_s > 0  # threads ran
@@ -144,9 +151,7 @@ class TestThirdPartyBounderFallback:
         bounder sees."""
         batch_only = BatchOnlyBounder()
         results = {
-            label: _executor(scramble, wrap(inner), "scalar", 1).execute(
-                _query(), start_block=START_BLOCK
-            )
+            label: _execute(scramble, wrap(inner), "scalar", 1)
             for label, inner in (("loop", MinimalBounder()), ("batch", batch_only))
         }
         _assert_parity(results["loop"], results["batch"], "loop-vs-batch")
@@ -163,8 +168,7 @@ class TestThirdPartyBounderFallback:
             return original(self, pool, indices, values)
 
         monkeypatch.setattr(ErrorBounder, "update_pool", spy)
-        executor = _executor(scramble, MinimalBounder(), "pool", parallelism=2)
-        executor.execute(_query(), start_block=START_BLOCK)
+        _execute(scramble, MinimalBounder(), "pool", parallelism=2)
         assert threads - {threading.get_ident()}, "no fold ran on an ingest thread"
 
 
@@ -173,10 +177,8 @@ class TestDriverChoice:
     def test_parallelism_picks_the_class(self, scramble, solo):
         """Serial execution is the plain base loop — it never builds the
         parallel driver's per-window bookkeeping."""
-        executor = _executor(scramble, get_bounder("bernstein+rt"), "pool")
         for parallelism, expected in ((1, ScanDriver), (2, ParallelScanDriver)):
-            run = QueryRun(executor, _query())
-            cursor = executor.cursor(START_BLOCK, window_blocks=run.window_blocks)
+            [run], cursor = _pool_runs(scramble, get_bounder("bernstein+rt"), [_query()])
             config = ExecConfig.resolve(parallelism=parallelism)
             driver = scan_driver([run], cursor, config, solo=solo)
             assert type(driver) is expected
@@ -198,17 +200,11 @@ class TestIngestThreads:
         )
         scramble = Scramble(table, rng=np.random.default_rng(22))
         attach_block_storage(scramble, directory=tmp_path / "store")
-        executor = _executor(
-            scramble, RangeTrimBounder(EmpiricalBernsteinSerflingBounder()), "pool"
+        runs, cursor = _pool_runs(
+            scramble,
+            RangeTrimBounder(EmpiricalBernsteinSerflingBounder()),
+            [_query(), Query(AggregateFunction.AVG, "x", RelativeAccuracy(0.2))],
         )
-        runs = [
-            QueryRun(executor, query)
-            for query in (
-                _query(),
-                Query(AggregateFunction.AVG, "x", RelativeAccuracy(0.2)),
-            )
-        ]
-        cursor = executor.cursor(START_BLOCK, window_blocks=runs[0].window_blocks)
 
         callers: dict = {}
 
@@ -262,11 +258,9 @@ class TestIngestThreads:
         )
 
         def gather(parallelism):
-            executor = _executor(
-                scramble, RangeTrimBounder(EmpiricalBernsteinSerflingBounder()), "pool"
+            runs, cursor = _pool_runs(
+                scramble, RangeTrimBounder(EmpiricalBernsteinSerflingBounder()), queries
             )
-            runs = [QueryRun(executor, query) for query in queries]
-            cursor = executor.cursor(START_BLOCK, window_blocks=runs[0].window_blocks)
             run_shared_scan(runs, cursor, ExecConfig.resolve(parallelism=parallelism))
             return [run.finalize(merge_index_counters=False) for run in runs]
 
@@ -295,9 +289,9 @@ class TestIngestThreads:
         still hold exactly the serial stream after a threaded fold."""
         query = Query(AggregateFunction.AVG, "x", AbsoluteAccuracy(1e-9))
         results = {
-            parallelism: _executor(
-                scramble, get_bounder(name), "pool", parallelism
-            ).execute(query, start_block=START_BLOCK)
+            parallelism: _execute(
+                scramble, get_bounder(name), "pool", parallelism, query=query
+            )
             for parallelism in (1, 2)
         }
         assert results[2].metrics.partition_wall_s > 0

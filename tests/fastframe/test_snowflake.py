@@ -138,10 +138,9 @@ class TestQueryOverJoinedView:
     def test_group_by_dimension_attribute(self):
         """The extensibility claim end-to-end: AVG over the fact measure
         grouped by a joined dimension attribute, with certified intervals."""
-        from repro.bounders import get_bounder
+        from repro.api import connect
         from repro.fastframe import (
             AggregateFunction,
-            ApproximateExecutor,
             ExactExecutor,
             Query,
             Scramble,
@@ -157,10 +156,8 @@ class TestQueryOverJoinedView:
             GroupsOrdered(),
             group_by=("airport.state",),
         )
-        approx = ApproximateExecutor(
-            scramble, get_bounder("bernstein+rt"), delta=1e-6,
-            rng=np.random.default_rng(5),
-        ).execute(query)
+        conn = connect(scramble, delta=1e-6, max_queries=1, rng=np.random.default_rng(5))
+        approx = conn.query(query).result()
         exact = ExactExecutor(scramble).execute(query)
         assert approx.ordering() == exact.ordering()
         for key, group in exact.groups.items():
@@ -169,13 +166,8 @@ class TestQueryOverJoinedView:
             assert interval.lo - slack <= group.estimate <= interval.hi + slack
 
     def test_predicate_on_dimension_attribute(self):
-        from repro.bounders import get_bounder
-        from repro.fastframe import (
-            AggregateFunction,
-            ApproximateExecutor,
-            Query,
-            Scramble,
-        )
+        from repro.api import connect
+        from repro.fastframe import AggregateFunction, Query, Scramble
         from repro.stopping import SamplesTaken
 
         fact, dimension = _star_schema(rows=30_000, seed=6)
@@ -187,10 +179,8 @@ class TestQueryOverJoinedView:
             SamplesTaken(4_000),
             predicate=Eq("airport.state", "CA"),
         )
-        result = ApproximateExecutor(
-            scramble, get_bounder("bernstein+rt"), delta=1e-6,
-            rng=np.random.default_rng(8),
-        ).execute(query)
+        conn = connect(scramble, delta=1e-6, max_queries=1, rng=np.random.default_rng(8))
+        result = conn.query(query).result()
         group = result.scalar()
         values = view.continuous("DepDelay")
         state = view.categorical("airport.state")

@@ -35,6 +35,7 @@ from repro.fastframe.storage import (
 )
 from repro.fastframe.table import Table
 from repro.stopping import SamplesTaken
+from tests.support import forced_engine
 
 ROWS = 20_000
 
@@ -188,8 +189,9 @@ def test_attached_mmap_matches_memory(parallelism):
 
 @pytest.mark.parametrize("engine", ["scalar", "pool"])
 def test_engine_parity_under_mmap(engine):
-    baseline = _run_dashboard(_scramble(), storage="memory", engine=engine)
-    batch = _run_dashboard(_scramble(), storage="mmap", engine=engine)
+    with forced_engine(engine):
+        baseline = _run_dashboard(_scramble(), storage="memory")
+        batch = _run_dashboard(_scramble(), storage="mmap")
     _assert_identical(baseline, batch)
 
 

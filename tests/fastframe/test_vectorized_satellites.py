@@ -12,10 +12,12 @@ import pytest
 
 from repro.bounders.registry import get_bounder
 from repro.fastframe.bitmap import BlockBitmapIndex
-from repro.fastframe.executor import ApproximateExecutor
+from repro.fastframe.executor import QueryRun
 from repro.fastframe.predicate import Eq, In
+from repro.fastframe.query import AggregateFunction, Query
 from repro.fastframe.scramble import Scramble
 from repro.fastframe.table import CategoricalColumn, Table
+from repro.stopping.conditions import AbsoluteAccuracy
 
 
 @pytest.fixture()
@@ -108,30 +110,39 @@ class TestPredicateCodeCache:
 
 class TestCombinedCodeCache:
     def test_combined_codes_cached_on_scramble(self, small_scramble):
-        executor = ApproximateExecutor(small_scramble, get_bounder("bernstein"))
-        full = executor._combined_codes(("g",), rows=None)
+        full = small_scramble.combined_codes(("g",))
         assert ("combined", ("g",)) in small_scramble.metadata_cache
-        again = executor._combined_codes(("g",), rows=None)
+        again = small_scramble.combined_codes(("g",))
         assert again is full  # same cached array, not recomputed
         window = np.array([3, 10, 500])
-        sliced = executor._combined_codes(("g",), rows=window)
+        sliced = small_scramble.combined_codes(("g",), rows=window)
         assert sliced.tolist() == full[window].tolist()
 
     def test_cache_shared_across_executors(self, small_scramble):
-        first = ApproximateExecutor(small_scramble, get_bounder("bernstein"))
-        second = ApproximateExecutor(small_scramble, get_bounder("hoeffding"))
-        assert first._combined_codes(("g",), None) is second._combined_codes(("g",), None)
+        """Runs with different bounders read one domain, one bitmap index
+        and one decoded key list off the scramble."""
+        query = Query(
+            AggregateFunction.AVG, "x", AbsoluteAccuracy(1.0), group_by=("g",)
+        )
+        first, second = (
+            QueryRun(small_scramble, query, bounder=get_bounder(name), delta=1e-6)
+            for name in ("bernstein", "hoeffding")
+        )
+        assert first.domain is second.domain
+        assert first.indexes["g"] is second.indexes["g"]
+        assert first.group_keys() is second.group_keys()
 
     def test_insert_invalidates_cache(self, small_scramble):
-        executor = ApproximateExecutor(small_scramble, get_bounder("bernstein"))
-        executor._combined_codes(("g",), None)
+        small_scramble.bitmap_index("g")
+        small_scramble.group_keys(("g",))
+        assert len(small_scramble.metadata_cache) == 4
         small_scramble.insert_rows(
             continuous={"x": np.array([1.0])},
             categorical={"g": ["0"]},
             rng=np.random.default_rng(5),
         )
-        assert ("combined", ("g",)) not in small_scramble.metadata_cache
-        fresh = executor._combined_codes(("g",), None)
+        assert small_scramble.metadata_cache == {}
+        fresh = small_scramble.combined_codes(("g",))
         assert fresh.size == small_scramble.num_rows
 
 

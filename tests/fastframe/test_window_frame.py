@@ -12,20 +12,17 @@ import numpy as np
 import pytest
 
 from repro.bounders.registry import get_bounder
-from repro.fastframe.executor import (
-    ApproximateExecutor,
-    QueryRun,
-    run_shared_scan,
-    scan_driver,
-)
+from repro.fastframe.config import ExecConfig
+from repro.fastframe.executor import run_shared_scan, scan_driver
 from repro.fastframe.predicate import Eq, TruePredicate
 from repro.fastframe.query import AggregateFunction, Query
-from repro.fastframe.scan import get_strategy
+from repro.fastframe.scan import ScanCursor, get_strategy
 from repro.fastframe.scramble import Scramble
 from repro.fastframe.storage import attach_block_storage
 from repro.fastframe.table import Table
 from repro.fastframe.window import WindowFrame
 from repro.stopping.conditions import AbsoluteAccuracy, ThresholdSide
+from tests.support import RUN_CLASSES, execute
 
 DELTA = 1e-6
 ROUND_ROWS = 3_000
@@ -47,16 +44,24 @@ def scramble():
     return Scramble(table, rng=np.random.default_rng(1))
 
 
-def _executor(scramble, engine="pool", strategy="scan", bounder="bernstein+rt"):
-    return ApproximateExecutor(
-        scramble,
-        get_bounder(bounder),
-        strategy=get_strategy(strategy),
-        delta=DELTA,
-        round_rows=ROUND_ROWS,
-        rng=np.random.default_rng(7),
-        engine=engine,
-    )
+def _options(strategy):
+    return dict(strategy=get_strategy(strategy), delta=DELTA, round_rows=ROUND_ROWS)
+
+
+def _run(scramble, query, engine="pool", strategy="scan"):
+    """A fresh run (no scan yet) on ``engine``."""
+    bounder = get_bounder("bernstein+rt")
+    return RUN_CLASSES[engine](scramble, query, bounder=bounder, **_options(strategy))
+
+
+def _execute(scramble, query, engine="pool", strategy="scan"):
+    """``query`` run to completion from ``START_BLOCK``."""
+    return execute(scramble, get_bounder("bernstein+rt"), query, engine=engine,
+                   start_block=START_BLOCK, **_options(strategy))
+
+
+def _cursor(run, start_block=START_BLOCK):
+    return ScanCursor(run.scramble, start_block, run.window_blocks)
 
 
 def _window(scramble, n_blocks=64, start=0):
@@ -172,9 +177,8 @@ class TestSharedValueGathering:
 
     def test_shared_scan_gathers_each_column_once_per_window(self, scramble):
         queries = self._full_scan_queries()
-        runs = [QueryRun(_executor(scramble), q) for q in queries]
-        cursor = runs[0].executor.cursor(START_BLOCK)
-        metrics = run_shared_scan(runs, cursor)
+        runs = [_run(scramble, q) for q in queries]
+        metrics = run_shared_scan(runs, _cursor(runs[0]), ExecConfig.resolve())
         # Both queries aggregate "x": the union frames gather it once per
         # window — num_rows elements over the full scan, not 2×.
         assert metrics.values_gathered == scramble.num_rows
@@ -184,7 +188,7 @@ class TestSharedValueGathering:
     def test_solo_runs_gather_per_query(self, scramble, tmp_path):
         total = 0
         for query in self._full_scan_queries():
-            result = _executor(scramble).execute(query, start_block=START_BLOCK)
+            result = _execute(scramble, query)
             assert result.metrics.values_gathered == scramble.num_rows
             total += result.metrics.values_gathered
         assert total == 2 * scramble.num_rows
@@ -196,9 +200,10 @@ class TestSharedValueGathering:
         attach_block_storage(stored, directory=tmp_path)
         query = self._full_scan_queries()[0]
 
-        solo_run = QueryRun(_executor(stored), query)
-        cursor = solo_run.executor.cursor(START_BLOCK)
-        driver = scan_driver([solo_run], cursor, solo_run.executor.config, solo=True)
+        solo_run = _run(stored, query)
+        driver = scan_driver(
+            [solo_run], _cursor(solo_run), ExecConfig.resolve(), solo=True
+        )
         driver.run()
         solo = solo_run.finalize()
         assert driver.metrics.rows_read == driver.metrics.values_gathered == 0
@@ -206,8 +211,8 @@ class TestSharedValueGathering:
         assert solo.metrics.values_gathered == stored.num_rows
         assert solo.metrics.storage_snapshot()
 
-        batch_run = QueryRun(_executor(stored), query)
-        batch = run_shared_scan([batch_run], batch_run.executor.cursor(START_BLOCK))
+        batch_run = _run(stored, query)
+        batch = run_shared_scan([batch_run], _cursor(batch_run), ExecConfig.resolve())
         gathered = batch_run.finalize(merge_index_counters=False)
         assert batch.rows_read == batch.values_gathered == stored.num_rows
         assert batch.storage_snapshot()
@@ -221,7 +226,7 @@ class TestSharedValueGathering:
         query = Query(
             AggregateFunction.COUNT, None, AbsoluteAccuracy(1e-9), group_by=("g",)
         )
-        result = _executor(scramble).execute(query, start_block=START_BLOCK)
+        result = _execute(scramble, query)
         assert result.metrics.values_gathered == 0
 
     def test_distinct_columns_gather_separately(self, scramble):
@@ -230,9 +235,8 @@ class TestSharedValueGathering:
             Query(AggregateFunction.AVG, "x", target, group_by=("g",)),
             Query(AggregateFunction.AVG, "y", target, group_by=("g",)),
         ]
-        runs = [QueryRun(_executor(scramble), q) for q in queries]
-        cursor = runs[0].executor.cursor(START_BLOCK)
-        metrics = run_shared_scan(runs, cursor)
+        runs = [_run(scramble, q) for q in queries]
+        metrics = run_shared_scan(runs, _cursor(runs[0]), ExecConfig.resolve())
         assert metrics.values_gathered == 2 * scramble.num_rows
 
 
@@ -243,8 +247,8 @@ class TestIncrementalRounds:
         query = Query(
             AggregateFunction.AVG, "x", AbsoluteAccuracy(1e-9), group_by=("g",)
         )
-        pool = _executor(scramble, engine="pool").execute(query, START_BLOCK)
-        scalar = _executor(scramble, engine="scalar").execute(query, START_BLOCK)
+        pool = _execute(scramble, query, engine="pool")
+        scalar = _execute(scramble, query, engine="scalar")
         assert pool.metrics.bounds_recomputed > 0
         assert pool.metrics.bounds_recomputed == scalar.metrics.bounds_recomputed
 
@@ -258,12 +262,8 @@ class TestIncrementalRounds:
             ThresholdSide(21.0),
             group_by=("g",),
         )
-        pool = _executor(scramble, engine="pool", strategy="activepeek").execute(
-            query, START_BLOCK
-        )
-        scalar = _executor(scramble, engine="scalar", strategy="activepeek").execute(
-            query, START_BLOCK
-        )
+        pool = _execute(scramble, query, engine="pool", strategy="activepeek")
+        scalar = _execute(scramble, query, engine="scalar", strategy="activepeek")
         assert 0 < pool.metrics.bounds_recomputed <= scalar.metrics.bounds_recomputed
         assert set(pool.groups) == set(scalar.groups)
         for key, left in pool.groups.items():
@@ -276,13 +276,11 @@ class TestIncrementalRounds:
         counters did not change, at the next round's smaller decayed δ,
         yields a wider interval whose running-intersection fold is a
         no-op — certified intervals are bit-identical either way."""
-        executor = _executor(scramble, engine="pool")
         query = Query(
             AggregateFunction.AVG, "x", AbsoluteAccuracy(1e-9), group_by=("g",)
         )
-        run = QueryRun(executor, query)
-        cursor = executor.cursor(START_BLOCK, window_blocks=run.window_blocks)
-        for _ in run.drive(cursor, executor.config):
+        run = _run(scramble, query)
+        for _ in run.drive(_cursor(run), ExecConfig.resolve()):
             if run.round_index >= 2:
                 break
         pool = run.pool
@@ -299,13 +297,11 @@ class TestIncrementalRounds:
             np.testing.assert_array_equal(getattr(pool, name), expected, err_msg=name)
 
     def test_dirty_rows_consumed_by_recompute(self, scramble):
-        executor = _executor(scramble, engine="pool")
         query = Query(
             AggregateFunction.AVG, "x", AbsoluteAccuracy(1e-9), group_by=("g",)
         )
-        run = QueryRun(executor, query)
-        cursor = executor.cursor(START_BLOCK, window_blocks=run.window_blocks)
-        for _ in run.drive(cursor, executor.config):
+        run = _run(scramble, query)
+        for _ in run.drive(_cursor(run), ExecConfig.resolve()):
             if run.round_index >= 1:
                 break
         # The round just recomputed every dirty row and cleared the mask.
@@ -321,11 +317,10 @@ class TestFramePathParity:
         query = Query(
             AggregateFunction.AVG, "x", AbsoluteAccuracy(1e-9), group_by=("g",)
         )
-        executor = _executor(scramble)
-        solo = QueryRun(executor, query)
-        shared = QueryRun(_executor(scramble), query)
-        cursor = executor.cursor(0, window_blocks=solo.window_blocks)
-        window = next(solo.drive(cursor, executor.config))
+        solo = _run(scramble, query)
+        shared = _run(scramble, query)
+        cursor = _cursor(solo, 0)
+        window = next(solo.drive(cursor, ExecConfig.resolve()))
         mask = shared.select_blocks(window)
         frame = WindowFrame(scramble, window, mask)
         shared.consume(frame, mask, at_end=cursor.exhausted)

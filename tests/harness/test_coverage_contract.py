@@ -33,12 +33,13 @@ import pytest
 
 from repro.bounders.registry import get_bounder
 from repro.fastframe.config import ExecConfig
-from repro.fastframe.executor import ApproximateExecutor
 from repro.fastframe.query import AggregateFunction, Query
 from repro.fastframe.scan import get_strategy
 from repro.fastframe.scramble import Scramble
 from repro.fastframe.table import Table
 from repro.stopping.conditions import AbsoluteAccuracy, RelativeAccuracy
+
+from tests.support import execute
 
 from .generator import GeneratedCase
 
@@ -104,17 +105,17 @@ def _run_trials(aggregate: AggregateFunction, engine: str, parallelism: int):
     stopped_early = 0
     for seed in range(TRIALS):
         case = _trial_case(seed, aggregate)
-        executor = ApproximateExecutor(
+        result = execute(
             case.scramble,
             get_bounder(case.bounder),
+            case.query,
+            engine=engine,
+            start_block=case.start_block,
+            config=ExecConfig.resolve(parallelism=parallelism),
             strategy=case.strategy(),
             delta=case.delta,
             round_rows=case.round_rows,
-            rng=np.random.default_rng(case.seed),
-            engine=engine,
-            config=ExecConfig.resolve(parallelism=parallelism),
         )
-        result = executor.execute(case.query, start_block=case.start_block)
         stopped_early += int(result.metrics.stopped_early)
         truths = case.true_aggregates()
         trial_ok = True

@@ -18,9 +18,9 @@ import pytest
 
 from repro.bounders.registry import get_bounder
 from repro.fastframe.config import ExecConfig
-from repro.fastframe.executor import ApproximateExecutor, QueryRun, run_shared_scan
+from repro.fastframe.executor import _PoolRun, run_shared_scan
 from repro.fastframe.query import AggregateFunction, ExecutionMetrics, Query
-from repro.fastframe.scan import get_strategy
+from repro.fastframe.scan import ScanCursor, get_strategy
 from repro.fastframe.scramble import Scramble
 from repro.fastframe.table import Table
 from repro.stopping.conditions import (
@@ -30,6 +30,7 @@ from repro.stopping.conditions import (
 )
 
 from tests.support import bounder_pool_bytes as _bounder_pool_bytes
+from tests.support import execute, forced_engine
 
 PARALLELISMS = (1, 2, 4)
 START_BLOCK = 5
@@ -61,19 +62,23 @@ def scramble():
     return Scramble(table, rng=np.random.default_rng(1))
 
 
-def _executor(scramble, strategy_name, parallelism=None):
+def _options(strategy_name="scan", bounder="bernstein+rt", window_blocks=512,
+             round_rows=6_000):
     strategy = get_strategy(strategy_name)
-    strategy.window_blocks = 512  # several windows per scan
-    return ApproximateExecutor(
-        scramble,
-        get_bounder("bernstein+rt"),
+    strategy.window_blocks = window_blocks  # several windows per scan
+    return dict(
+        bounder=get_bounder(bounder),
         strategy=strategy,
         delta=1e-6,
-        round_rows=6_000,
-        rng=np.random.default_rng(7),
-        engine="pool",
-        config=ExecConfig.resolve(parallelism=parallelism),
+        round_rows=round_rows,
     )
+
+
+def _pool_runs(scramble, queries, **options):
+    """Pool-engine runs of ``queries`` and a cursor from ``START_BLOCK``."""
+    options = _options(**options)
+    runs = [_PoolRun(scramble, query, **options) for query in queries]
+    return runs, ScanCursor(scramble, START_BLOCK, runs[0].window_blocks)
 
 
 def _dashboard_queries():
@@ -135,9 +140,9 @@ def _metrics_snapshot(metrics: ExecutionMetrics) -> tuple:
 def test_shared_scan_byte_identical_across_parallelism(scramble, strategy_name):
     snapshots = {}
     for parallelism in PARALLELISMS:
-        executor = _executor(scramble, strategy_name)
-        runs = [QueryRun(executor, query) for query in _dashboard_queries()]
-        cursor = executor.cursor(START_BLOCK, window_blocks=runs[0].window_blocks)
+        runs, cursor = _pool_runs(
+            scramble, _dashboard_queries(), strategy_name=strategy_name
+        )
         batch = run_shared_scan(runs, cursor, ExecConfig.resolve(parallelism=parallelism))
         for run in runs:
             run.finalize(merge_index_counters=False)
@@ -162,9 +167,7 @@ def test_shared_scan_byte_identical_across_parallelism(scramble, strategy_name):
 def test_mid_scan_retirement_happens(scramble):
     """The determinism fixture must actually exercise live-set churn:
     some queries retire while others keep scanning."""
-    executor = _executor(scramble, "scan")
-    runs = [QueryRun(executor, query) for query in _dashboard_queries()]
-    cursor = executor.cursor(START_BLOCK, window_blocks=runs[0].window_blocks)
+    runs, cursor = _pool_runs(scramble, _dashboard_queries())
     batch = run_shared_scan(runs, cursor, ExecConfig.resolve(parallelism=2))
     rows = [run.metrics.rows_read for run in runs]
     assert max(rows) == scramble.num_rows  # the full-scan anchor
@@ -175,11 +178,14 @@ def test_mid_scan_retirement_happens(scramble):
 def test_solo_execute_byte_identical_across_parallelism(scramble):
     results = []
     for parallelism in PARALLELISMS:
-        executor = _executor(scramble, "scan", parallelism)
         query = Query(
             AggregateFunction.AVG, "x", RelativeAccuracy(0.1), group_by=("g",)
         )
-        results.append(executor.execute(query, start_block=START_BLOCK))
+        config = ExecConfig.resolve(parallelism=parallelism)
+        results.append(execute(
+            scramble, query=query, engine="pool", start_block=START_BLOCK,
+            config=config, **_options(),
+        ))
     reference = results[0]
     for result in results[1:]:
         assert _metrics_snapshot(result.metrics) == _metrics_snapshot(
@@ -216,22 +222,13 @@ def test_bounder_family_byte_identical_across_parallelism(
     buffers — must evolve byte-identically at any parallelism."""
     snapshots = {}
     for parallelism in PARALLELISMS:
-        strategy = get_strategy("scan")
-        strategy.window_blocks = 192  # several windows per scan
-        executor = ApproximateExecutor(
-            family_scramble,
-            get_bounder(bounder_name),
-            strategy=strategy,
-            delta=1e-6,
-            round_rows=4_000,
-            rng=np.random.default_rng(9),
-            engine="pool",
-        )
         query = Query(
             AggregateFunction.AVG, "x", AbsoluteAccuracy(1e-9), group_by=("g",)
         )
-        run = QueryRun(executor, query)
-        cursor = executor.cursor(START_BLOCK, window_blocks=run.window_blocks)
+        [run], cursor = _pool_runs(
+            family_scramble, [query], bounder=bounder_name, window_blocks=192,
+            round_rows=4_000,
+        )
         run_shared_scan([run], cursor, ExecConfig.resolve(parallelism=parallelism))
         run.finalize(merge_index_counters=False)
         snapshots[parallelism] = (
@@ -259,17 +256,6 @@ def test_quantile_family_byte_identical_across_parallelism(
     per-query bounder must evolve byte-identically at any parallelism."""
     snapshots = {}
     for parallelism in PARALLELISMS[:2]:
-        strategy = get_strategy("scan")
-        strategy.window_blocks = 192
-        executor = ApproximateExecutor(
-            family_scramble,
-            get_bounder("bernstein+rt"),
-            strategy=strategy,
-            delta=1e-6,
-            round_rows=4_000,
-            rng=np.random.default_rng(9),
-            engine="pool",
-        )
         query = Query(
             AggregateFunction[aggregate],
             "x",
@@ -277,8 +263,9 @@ def test_quantile_family_byte_identical_across_parallelism(
             group_by=("g",),
             percentile=0.75 if aggregate == "PERCENTILE" else None,
         )
-        run = QueryRun(executor, query)
-        cursor = executor.cursor(START_BLOCK, window_blocks=run.window_blocks)
+        [run], cursor = _pool_runs(
+            family_scramble, [query], window_blocks=192, round_rows=4_000
+        )
         run_shared_scan([run], cursor, ExecConfig.resolve(parallelism=parallelism))
         run.finalize(merge_index_counters=False)
         snapshots[parallelism] = (
@@ -300,13 +287,13 @@ def test_rounds_stream_identical_across_parallelism(scramble):
             scramble,
             delta=1e-6,
             round_rows=6_000,
-            engine="pool",
-            strategy=_executor(scramble, "scan").strategy,
+            strategy=_options()["strategy"],
             rng=np.random.default_rng(3),
             parallelism=parallelism,
         )
         handle = conn.table().group_by("g").avg("x", rel=0.1)
-        updates = list(handle.rounds(start_block=START_BLOCK))
+        with forced_engine("pool"):
+            updates = list(handle.rounds(start_block=START_BLOCK))
         streams.append(
             [
                 (

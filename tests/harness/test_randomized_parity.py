@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.api import connect
+from tests.support import forced_engine
 
 from .generator import random_case
 
@@ -36,16 +37,16 @@ NUM_CASES = 200
 RTOL = 1e-9
 ATOL = 1e-9
 
-#: Engine configurations: label -> connect() overrides.  "parallel" is the
-#: pool engine driven by the multi-process ingest pipeline.
+#: Engine configurations: label -> (forced engine, connect() overrides).
+#: "parallel" is the pool engine driven by the threaded ingest driver.
 ENGINES = {
-    "scalar": {"engine": "scalar"},
-    "pool": {"engine": "pool"},
-    "parallel": {"engine": "pool", "parallelism": 2},
+    "scalar": ("scalar", {}),
+    "pool": ("pool", {}),
+    "parallel": ("pool", {"parallelism": 2}),
 }
 
 
-def _run_engine(case, overrides):
+def _run_engine(case, engine, overrides):
     conn = connect(
         case.scramble,
         bounder=case.bounder,
@@ -58,7 +59,8 @@ def _run_engine(case, overrides):
         **overrides,
     )
     handle = conn.query(case.query)
-    result = handle.result(start_block=case.start_block)
+    with forced_engine(engine):
+        result = handle.result(start_block=case.start_block)
     return handle, result
 
 
@@ -98,8 +100,8 @@ def _assert_result_parity(case, label, left, right) -> None:
 def test_generated_case_parity(seed):
     case = random_case(seed)
     results = {
-        label: _run_engine(case, overrides)
-        for label, overrides in ENGINES.items()
+        label: _run_engine(case, engine, overrides)
+        for label, (engine, overrides) in ENGINES.items()
     }
     _, reference = results["scalar"]
     for label in ("pool", "parallel"):

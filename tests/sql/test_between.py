@@ -48,9 +48,9 @@ class TestCompilation:
             )
 
     def test_executes_end_to_end(self):
-        from repro.bounders import get_bounder
+        from repro.api import connect
         from repro.datasets import make_flights_scramble
-        from repro.fastframe import ApproximateExecutor, ExactExecutor
+        from repro.fastframe import ExactExecutor
 
         scramble = make_flights_scramble(rows=30_000, seed=0)
         query = parse_query(
@@ -58,10 +58,8 @@ class TestCompilation:
             "WHERE DepTime BETWEEN 12:00pm AND 6:00pm",
             stopping=RelativeAccuracy(0.5),
         )
-        approx = ApproximateExecutor(
-            scramble, get_bounder("bernstein+rt"), delta=1e-6,
-            rng=np.random.default_rng(1),
-        ).execute(query)
+        conn = connect(scramble, delta=1e-6, max_queries=1, rng=np.random.default_rng(1))
+        approx = conn.query(query).result()
         truth = ExactExecutor(scramble).execute(query).scalar().estimate
         interval = approx.scalar().interval
         slack = 1e-9 * max(1.0, abs(truth))

@@ -175,22 +175,17 @@ class TestQuantileCompilation:
         assert query.stopping.threshold == 25.0
 
     def test_median_sql_matches_exact(self):
-        from repro.bounders import get_bounder
+        from repro.api import connect
         from repro.datasets import make_flights_scramble
-        from repro.fastframe import ApproximateExecutor, ExactExecutor
+        from repro.fastframe import ExactExecutor
 
         scramble = make_flights_scramble(rows=20_000, seed=0)
         query = parse_query(
             "SELECT Airline, MEDIAN(DepDelay) FROM flights GROUP BY Airline",
             stopping=RelativeAccuracy(0.25),
         )
-        executor = ApproximateExecutor(
-            scramble,
-            get_bounder("bernstein+rt"),
-            delta=1e-6,
-            rng=np.random.default_rng(0),
-        )
-        approx = executor.execute(query)
+        conn = connect(scramble, delta=1e-6, max_queries=1, rng=np.random.default_rng(0))
+        approx = conn.query(query).result()
         exact = ExactExecutor(scramble).execute(query)
         assert set(approx.groups) == set(exact.groups)
         for key, truth in exact.groups.items():
@@ -236,19 +231,14 @@ class TestCompileErrors:
 
 class TestEndToEnd:
     def test_sql_query_executes_and_matches_exact(self):
-        from repro.bounders import get_bounder
+        from repro.api import connect
         from repro.datasets import make_flights_scramble
-        from repro.fastframe import ApproximateExecutor, ExactExecutor
+        from repro.fastframe import ExactExecutor
 
         scramble = make_flights_scramble(rows=40_000, seed=0)
         query = build_query("F-q2")
-        executor = ApproximateExecutor(
-            scramble,
-            get_bounder("bernstein+rt"),
-            delta=1e-6,
-            rng=np.random.default_rng(0),
-        )
-        approx = executor.execute(query)
+        conn = connect(scramble, delta=1e-6, max_queries=1, rng=np.random.default_rng(0))
+        approx = conn.query(query).result()
         exact = ExactExecutor(scramble).execute(query)
         exact_above = {k for k, g in exact.groups.items() if g.estimate > 0.0}
         assert approx.keys_above(0.0) == exact_above

@@ -10,8 +10,9 @@ import pytest
 from repro.api import connect
 from repro.bounders.base import Interval
 from repro.bounders.registry import get_bounder
-from repro.fastframe.executor import ApproximateExecutor, QueryRun
+from repro.fastframe.config import ExecConfig
 from repro.fastframe.query import AggregateFunction, Query
+from repro.fastframe.scan import ScanCursor
 from repro.fastframe.scramble import Scramble
 from repro.fastframe.table import Table
 from repro.stopping.conditions import (
@@ -26,6 +27,7 @@ from repro.stopping.conditions import (
     TopKSeparated,
     relative_error,
 )
+from tests.support import RUN_CLASSES, forced_engine
 
 
 def snap(lo, hi, estimate=None, samples=100, exhausted=False):
@@ -73,6 +75,37 @@ class TestRelativeError:
 
     def test_negative_interval_finite(self):
         assert math.isfinite(relative_error(Interval(-12, -8), -10.0))
+
+
+#: A NaN ε or m would make every group inactive, a fractional or boolean
+#: count be truncated or read as 1, an infinite one overflow: all fail
+#: at construction.
+REJECTED = [
+    (SamplesTaken, math.nan), (SamplesTaken, math.inf), (SamplesTaken, 1.5),
+    (SamplesTaken, True), (SamplesTaken, 0), (SamplesTaken, "10"),
+    (TopKSeparated, 1.5), (TopKSeparated, True), (TopKSeparated, 0),
+    (AbsoluteAccuracy, math.nan), (AbsoluteAccuracy, -1.0),
+    (RelativeAccuracy, math.nan), (RelativeAccuracy, 0.0), (ThresholdSide, math.nan),
+]
+ACCEPTED = [
+    (SamplesTaken, 10_000), (SamplesTaken, np.int64(5)), (TopKSeparated, np.int32(2)),
+    (AbsoluteAccuracy, math.inf), (ThresholdSide, 0), (ThresholdSide, -math.inf),
+]
+
+
+def _case_ids(cases):
+    return [f"{make.__name__}-{value!r}" for make, value in cases]
+
+
+@pytest.mark.parametrize("make,value", REJECTED, ids=_case_ids(REJECTED))
+def test_bad_parameter_rejected(make, value):
+    with pytest.raises(ValueError):
+        make(value)
+
+
+@pytest.mark.parametrize("make,value", ACCEPTED, ids=_case_ids(ACCEPTED))
+def test_good_parameter_accepted(make, value):
+    make(value)
 
 
 class TestSamplesTaken:
@@ -371,10 +404,11 @@ class TestCustomCondition:
                 strategy="activesync",
                 rng=np.random.default_rng(0),
                 round_rows=2_000,
-                engine=engine,
             )
             handle = conn.table().group_by("g").avg("x", stopping=UntilSamples(m))
-            rounds = [update.groups for update in handle.rounds(self.START_BLOCK)]
+            with forced_engine(engine):
+                updates = handle.rounds(self.START_BLOCK)
+            rounds = [update.groups for update in updates]
             outcomes[engine] = rounds, handle.result()
         (scalar_rounds, scalar), (pool_rounds, pool) = outcomes.values()
         assert len(scalar_rounds) == len(pool_rounds) > 1
@@ -395,17 +429,16 @@ class TestCustomCondition:
 
     @pytest.mark.parametrize("engine", ["scalar", "pool"])
     def test_exhausted_views_are_never_active(self, small_scramble, engine):
-        executor = ApproximateExecutor(
+        query = Query(AggregateFunction.AVG, "x", UntilSamples(10**9), group_by=("g",))
+        run = RUN_CLASSES[engine](
             small_scramble,
-            get_bounder("bernstein+rt"),
+            query,
+            bounder=get_bounder("bernstein+rt"),
             delta=1e-6,
             round_rows=2_000,
-            engine=engine,
         )
-        query = Query(AggregateFunction.AVG, "x", UntilSamples(10**9), group_by=("g",))
-        run = QueryRun(executor, query)
-        cursor = executor.cursor(self.START_BLOCK, run.window_blocks)
-        for _ in run.drive(cursor, executor.config):
+        cursor = ScanCursor(small_scramble, self.START_BLOCK, run.window_blocks)
+        for _ in run.drive(cursor, ExecConfig.resolve()):
             pass
         assert all(group.exhausted for group in run.finalize().groups.values())
         # The condition still calls every group active; the run must not.

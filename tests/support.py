@@ -2,16 +2,59 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib.util
 import math
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
+
+import repro.fastframe.executor as executor_module
 from repro.bounders.anderson import CSRSamplePool
 from repro.bounders.base import ErrorBounder, validate_bound_args
 from repro.bounders.range_trim import RangeTrimPool
+from repro.fastframe.config import ExecConfig
+from repro.fastframe.executor import QueryRun, _PoolRun, _ScalarRun
+from repro.fastframe.scan import ScanCursor
+from repro.stats.delta import DEFAULT_DELTA
 from repro.stats.streaming import MomentPool
+
+#: The run class behind each engine name; ``"auto"`` picks by view count.
+RUN_CLASSES = {"auto": QueryRun, "pool": _PoolRun, "scalar": _ScalarRun}
+
+
+def execute(scramble, bounder, query, *, engine="auto", start_block=None,
+            config=None, rng=None, delta=DEFAULT_DELTA, **run_kwargs):
+    """Run ``query`` to completion on a bare run (no connection, no ledger).
+
+    ``start_block=None`` draws it from ``rng``, as a connection does;
+    ``config=None`` resolves the environment's, so the parallel and mmap
+    CI legs cover every caller.  ``run_kwargs`` go to the run.
+    """
+    run = RUN_CLASSES[engine](
+        scramble, query, bounder=bounder, delta=delta, **run_kwargs
+    )
+    if start_block is None:
+        rng = rng or np.random.default_rng()
+        start_block = int(rng.integers(scramble.num_blocks))
+    cursor = ScanCursor(scramble, start_block, run.window_blocks)
+    for _ in run.drive(cursor, config or ExecConfig.resolve()):
+        pass
+    return run.finalize()
+
+
+@contextlib.contextmanager
+def forced_engine(engine: str):
+    """Every :class:`QueryRun` built inside the block (a connection's too)
+    runs on ``engine``: the view-count threshold is moved to force it."""
+    threshold = {
+        "auto": executor_module.AUTO_POOL_THRESHOLD, "pool": 0, "scalar": math.inf
+    }[engine]
+    with mock.patch.object(executor_module, "AUTO_POOL_THRESHOLD", threshold):
+        yield
 
 
 @functools.cache

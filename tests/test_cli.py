@@ -34,6 +34,7 @@ class TestParseStopping:
         stopping = parse_stopping("samples:10000")
         assert isinstance(stopping, SamplesTaken)
         assert stopping.m == 10_000
+        assert type(parse_stopping("samples:1e4").m) is int
 
     @pytest.mark.parametrize("spec", ["rel", "nope:1", "rel:abc", ""])
     def test_rejected(self, spec):
@@ -97,6 +98,21 @@ class TestParser:
             _parser_for(argv).parse_args(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["query", "dashboard"])
+    @pytest.mark.parametrize("spec", [
+        "samples:inf", "samples:1.5", "samples:nan", "samples:0",
+        "rel:nan", "abs:nan", "abs:-1",
+    ])
+    def test_bad_stopping_value_is_a_usage_error(self, command, spec, capsys):
+        """A count that is not a positive integer or a NaN ε exits 2 at
+        parse time — not an OverflowError traceback, a truncated
+        ``SamplesTaken(m=1)`` or a query that stops at its first round."""
+        argv = [command, "SELECT 1", "--stopping", spec]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"bad stopping value in {spec!r}" in capsys.readouterr().err
 
 
 class TestCommands:

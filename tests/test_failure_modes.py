@@ -12,7 +12,6 @@ from repro.bounders import get_bounder
 from repro.datasets import make_flights_scramble
 from repro.fastframe import (
     AggregateFunction,
-    ApproximateExecutor,
     Compare,
     Eq,
     ExactExecutor,
@@ -21,6 +20,7 @@ from repro.fastframe import (
     Table,
 )
 from repro.stopping import AbsoluteAccuracy, RelativeAccuracy, SamplesTaken
+from tests.support import execute
 
 
 @pytest.fixture(scope="module")
@@ -71,18 +71,16 @@ class TestQueryMisuse:
             AggregateFunction.AVG, "DepDelay", SamplesTaken(100),
             predicate=Eq("Origin", "NOT_AN_AIRPORT"),
         )
-        executor = ApproximateExecutor(scramble, get_bounder("bernstein"))
         with pytest.raises(KeyError, match="not in the column dictionary"):
-            executor.execute(query)
+            execute(scramble, get_bounder("bernstein"), query)
 
     def test_group_by_continuous_column_rejected(self, scramble):
         query = Query(
             AggregateFunction.AVG, "DepDelay", SamplesTaken(100),
             group_by=("DepTime",),  # continuous, not categorical
         )
-        executor = ApproximateExecutor(scramble, get_bounder("bernstein"))
         with pytest.raises(KeyError, match="no categorical column"):
-            executor.execute(query)
+            execute(scramble, get_bounder("bernstein"), query)
 
     def test_bad_stopping_parameters(self):
         with pytest.raises(ValueError):
@@ -98,10 +96,10 @@ class TestDegenerateData:
         table = Table(continuous={"x": np.full(50_000, 7.0)})
         scramble = Scramble(table, rng=np.random.default_rng(0))
         query = Query(AggregateFunction.AVG, "x", AbsoluteAccuracy(0.5))
-        result = ApproximateExecutor(
-            scramble, get_bounder("bernstein+rt"), delta=1e-9,
-            round_rows=5_000, rng=np.random.default_rng(1),
-        ).execute(query, start_block=0)
+        result = execute(
+            scramble, get_bounder("bernstein+rt"), query, start_block=0,
+            delta=1e-9, round_rows=5_000,
+        )
         group = result.scalar()
         assert group.interval.lo <= 7.0 <= group.interval.hi
         assert result.metrics.stopped_early
@@ -109,9 +107,10 @@ class TestDegenerateData:
     def test_single_row_table(self):
         table = Table(continuous={"x": np.array([3.0])})
         scramble = Scramble(table, rng=np.random.default_rng(0))
-        approx = ApproximateExecutor(
-            scramble, get_bounder("bernstein+rt"), delta=1e-6
-        ).execute(Query(AggregateFunction.AVG, "x", SamplesTaken(1)))
+        approx = execute(
+            scramble, get_bounder("bernstein+rt"),
+            Query(AggregateFunction.AVG, "x", SamplesTaken(1)), delta=1e-6,
+        )
         assert approx.scalar().interval.lo == pytest.approx(3.0)
         assert approx.scalar().interval.hi == pytest.approx(3.0)
 
@@ -120,10 +119,10 @@ class TestDegenerateData:
             AggregateFunction.AVG, "DepDelay", SamplesTaken(100),
             predicate=Compare("DepTime", ">", 1e12),
         )
-        approx = ApproximateExecutor(
-            scramble, get_bounder("bernstein+rt"), delta=1e-6,
+        approx = execute(
+            scramble, get_bounder("bernstein+rt"), query, delta=1e-6,
             rng=np.random.default_rng(0),
-        ).execute(query)
+        )
         # The only view is certified empty and dropped, matching Exact.
         exact = ExactExecutor(scramble).execute(query)
         assert len(approx.groups) == len(exact.groups) == 0
@@ -133,10 +132,11 @@ class TestDegenerateData:
         rng = np.random.default_rng(2)
         table = Table(continuous={"x": rng.choice([0.0, 1.0], size=40_000)})
         scramble = Scramble(table, rng=np.random.default_rng(3))
-        result = ApproximateExecutor(
-            scramble, get_bounder("hoeffding"), delta=1e-6,
-            rng=np.random.default_rng(4),
-        ).execute(Query(AggregateFunction.AVG, "x", AbsoluteAccuracy(0.05)))
+        result = execute(
+            scramble, get_bounder("hoeffding"),
+            Query(AggregateFunction.AVG, "x", AbsoluteAccuracy(0.05)),
+            delta=1e-6, rng=np.random.default_rng(4),
+        )
         truth = float(table.continuous("x").mean())
         group = result.scalar()
         # ulp slack: the run exhausts the data and both sides reduce to the
@@ -147,17 +147,13 @@ class TestDegenerateData:
 class TestExecutorMisuse:
     def test_bad_start_block(self, scramble):
         query = Query(AggregateFunction.AVG, "DepDelay", SamplesTaken(10))
-        executor = ApproximateExecutor(scramble, get_bounder("bernstein"))
         with pytest.raises(IndexError):
-            executor.execute(query, start_block=10**9)
+            execute(scramble, get_bounder("bernstein"), query, start_block=10**9)
 
     def test_delta_validated_at_bound_time(self, scramble):
-        executor = ApproximateExecutor(
-            scramble, get_bounder("bernstein"), delta=2.0
-        )
         query = Query(AggregateFunction.AVG, "DepDelay", SamplesTaken(10))
         with pytest.raises(ValueError, match="delta"):
-            executor.execute(query)
+            execute(scramble, get_bounder("bernstein"), query, delta=2.0)
 
 
 class TestSqlExpressionIntegration:
@@ -170,10 +166,10 @@ class TestSqlExpressionIntegration:
             "SELECT AVG(2 * DepDelay + 10) FROM flights",
             stopping=RelativeAccuracy(0.5),
         )
-        approx = ApproximateExecutor(
-            scramble, get_bounder("bernstein+rt"), delta=1e-6,
+        approx = execute(
+            scramble, get_bounder("bernstein+rt"), query, delta=1e-6,
             rng=np.random.default_rng(5),
-        ).execute(query)
+        )
         truth = float(2.0 * scramble.table.continuous("DepDelay").mean() + 10.0)
         group = approx.scalar()
         slack = 1e-9 * max(1.0, abs(truth))

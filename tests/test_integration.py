@@ -15,8 +15,8 @@ import pytest
 import repro
 from repro.bounders import EVALUATED_BOUNDERS, get_bounder
 from repro.datasets.queries import FIGURE5_SQL, build_query
-from repro.fastframe import ApproximateExecutor, ExactExecutor, get_strategy
-from tests.support import paper_harness
+from repro.fastframe import ExactExecutor, get_strategy
+from tests.support import execute, paper_harness
 
 check_correctness = paper_harness().check_correctness
 
@@ -27,9 +27,11 @@ def test_package_exports_quickstart_symbols():
     assert repro.__version__
     for name in ("connect", "ExactExecutor", "Query", "get_bounder"):
         assert hasattr(repro, name)
-    # 2.0 removed the eager top-level constructors; connect() is the door.
+    # 2.0 removed the eager top-level constructors and 5.x the executor
+    # class behind them; connect() is the door.
     for name in ("ApproximateExecutor", "Session"):
         assert not hasattr(repro, name)
+        assert not hasattr(repro.fastframe, name)
     # The out-of-core storage surface must survive packaging: everything
     # the examples and benches import off the top-level package.
     for name in (
@@ -114,8 +116,8 @@ _UNEXPORTED_FASTFRAME = (
     "AUTO_POOL_THRESHOLD", "ActivePeekStrategy", "ActiveSyncStrategy",
     "BlockBitmapIndex", "BlockCache", "Catalog", "CategoricalColumn",
     "ColumnKind", "DEFAULT_BLOCK_SIZE", "DEFAULT_CACHE_BYTES",
-    "DEFAULT_ROUND_ROWS", "DEFAULT_STORE_BLOCK_ROWS", "ENGINES",
-    "EVALUATED_STRATEGIES", "ExecConfig", "ExecutionMetrics", "GroupResult",
+    "DEFAULT_ROUND_ROWS", "DEFAULT_STORE_BLOCK_ROWS", "EVALUATED_STRATEGIES",
+    "ExecConfig", "ExecutionMetrics", "GroupResult",
     "LOOKAHEAD_BATCH_BLOCKS", "Or", "Predicate", "QueryRun",
     "SamplingStrategy", "ScanCursor", "SelectivityState", "TruePredicate",
     "ViewPool", "WindowFrame", "count_interval", "count_interval_batch",
@@ -146,10 +148,10 @@ def test_src_holds_only_the_served_path():
         assert not hasattr(bounders, name), name
         assert name not in bounders.__all__, name
     assert "geometric_round_delta" not in stats.__all__
-    assert len(_UNEXPORTED_FASTFRAME) == 37
+    assert len(_UNEXPORTED_FASTFRAME) == 36
     for name in _UNEXPORTED_FASTFRAME:
         assert name not in fastframe.__all__, name
-    assert len(fastframe.__all__) == 23
+    assert len(fastframe.__all__) == 22
 
 
 def test_paper_harness_is_outside_the_package():
@@ -193,14 +195,14 @@ def test_every_flights_query_correct_with_best_bounder(small_scramble, query_nam
     Bernstein+RT with ActivePeek — §5.4's headline correctness claim."""
     query = build_query(query_name)
     exact = ExactExecutor(small_scramble).execute(query)
-    executor = ApproximateExecutor(
+    result = execute(
         small_scramble,
         get_bounder("bernstein+rt"),
+        query,
         strategy=get_strategy("activepeek"),
         delta=DELTA,
         rng=np.random.default_rng(1),
     )
-    result = executor.execute(query)
     assert check_correctness(query, result, exact, epsilon_slack=1e-9), query_name
 
 
@@ -208,13 +210,13 @@ def test_every_flights_query_correct_with_best_bounder(small_scramble, query_nam
 def test_every_bounder_correct_on_threshold_query(small_scramble, bounder_name):
     query = build_query("F-q2")
     exact = ExactExecutor(small_scramble).execute(query)
-    executor = ApproximateExecutor(
+    result = execute(
         small_scramble,
         get_bounder(bounder_name),
+        query,
         delta=DELTA,
         rng=np.random.default_rng(2),
     )
-    result = executor.execute(query)
     assert check_correctness(query, result, exact), bounder_name
 
 
@@ -225,13 +227,14 @@ def test_bernstein_reads_less_than_hoeffding_on_easy_query(small_scramble):
     query = build_query("F-q2")
 
     def rows_for(name):
-        executor = ApproximateExecutor(
+        result = execute(
             small_scramble,
             get_bounder(name),
+            query,
             delta=DELTA,
             rng=np.random.default_rng(3),
         )
-        return executor.execute(query).metrics.rows_read
+        return result.metrics.rows_read
 
     assert rows_for("bernstein+rt") <= rows_for("hoeffding")
 
@@ -243,11 +246,11 @@ def test_repeated_runs_always_sound(small_scramble):
     query = build_query("F-q1", epsilon=1.0)
     exact = ExactExecutor(small_scramble).execute(query).scalar().estimate
     for seed in range(8):
-        executor = ApproximateExecutor(
+        group = execute(
             small_scramble,
             get_bounder("bernstein+rt"),
+            query,
             delta=DELTA,
             rng=np.random.default_rng(seed),
-        )
-        group = executor.execute(query).scalar()
+        ).scalar()
         assert group.interval.lo - 1e-9 <= exact <= group.interval.hi + 1e-9
