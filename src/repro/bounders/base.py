@@ -18,7 +18,9 @@ any scalar bounder participates unchanged; the built-in bounders override
 them with numpy implementations whose per-slot results match the scalar
 path up to floating-point summation order.  ``update_pool(pool, indices,
 values)`` is the one way a pool is fed, on whichever thread folds the
-window: serial and parallel ingest call it on the same sorted stream.
+window: serial and parallel ingest call it on the same sorted stream
+(through ``update_pool_with_stats`` when the caller already reduced the
+stream's per-slot moments; the result is byte-identical).
 
 :class:`ErrorBounder` is the abstract base class realizing this interface.
 A bounder is **SSI** (sample-size independent, Definition 1) when, for every
@@ -236,6 +238,20 @@ class ErrorBounder(ABC):
         for start, end, slot in iter_segments(indices):
             self.update_batch(pool[slot], values[start:end])
 
+    def update_pool_with_stats(
+        self, pool: Any, indices: np.ndarray, values: np.ndarray, stats
+    ) -> None:
+        """:meth:`update_pool` for a caller that already holds the stream's
+        per-slot :meth:`~repro.stats.streaming.MomentPool.batch_stats`
+        ``(counts, means, m2s)`` over the pool's size.
+
+        The pool mirror of :meth:`update_batch_with_moments`: the view
+        pool reduces each window's stream once for its own moments and
+        hands the result down.  Moment-pool bounders merge it instead of
+        reducing ``values`` again; everything else ignores it here.
+        """
+        self.update_pool(pool, indices, values)
+
     def pool_counts(self, pool: Any) -> np.ndarray:
         """Per-slot sample counts (int64 array)."""
         return np.array([self.sample_count(state) for state in pool], dtype=np.int64)
@@ -399,6 +415,10 @@ class MomentPoolBounderMixin:
 
     def update_pool(self, pool, indices: np.ndarray, values: np.ndarray) -> None:
         pool.update_indexed(indices, values)
+
+    def update_pool_with_stats(self, pool, indices, values, stats) -> None:
+        # update_indexed is merge_arrays(batch_stats(...)): bit-identical.
+        pool.merge_arrays(*stats)
 
     def pool_counts(self, pool) -> np.ndarray:
         return pool.count.copy()

@@ -34,8 +34,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.bounders.base import ErrorBounder, segment_bounds, validate_bound_args
-from repro.stats.streaming import ExtremaState
+from repro.bounders.base import (
+    ErrorBounder,
+    MomentPoolBounderMixin,
+    segment_bounds,
+    validate_bound_args,
+)
+from repro.stats.streaming import ExtremaState, MomentPool
 
 __all__ = ["RangeTrimBounder", "RangeTrimState", "RangeTrimPool"]
 
@@ -116,6 +121,17 @@ def _record_clip(values: np.ndarray, carry, side, indices: np.ndarray | None = N
     return clipped
 
 
+def _replace_slots(stats, redone, slots: np.ndarray):
+    """Per-slot ``(counts, means, m2s)``: ``stats``, with ``slots`` taken
+    from ``redone``."""
+    out = []
+    for kept, fresh in zip(stats, redone):
+        kept = kept.copy()
+        kept[slots] = fresh[slots]
+        out.append(kept)
+    return tuple(out)
+
+
 @dataclass
 class RangeTrimState:
     """Composite state: two inner-bounder states plus running extrema.
@@ -191,9 +207,9 @@ class RangeTrimBounder(ErrorBounder):
     def update_batch_with_moments(
         self, state: RangeTrimState, values: np.ndarray, moments
     ) -> None:
-        """:meth:`update_batch`, reusing the caller's batch moments when the
-        batch holds no record on either side — both clipped streams then
-        *are* the raw batch, so both inner states take the hand-down."""
+        """:meth:`update_batch`, reusing the caller's batch moments on each
+        side whose clip changes nothing — a side without a record *is* the
+        raw batch, so its inner state takes the hand-down."""
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return
@@ -206,14 +222,13 @@ class RangeTrimBounder(ErrorBounder):
         extrema = state.extrema
         left = _record_clip(values, extrema.max, _CLIP_AT_MAX)
         right = _record_clip(values, extrema.min, _CLIP_AT_MIN)
-        if moments is not None and left is values and right is values:
-            # No record: the extrema stand and both streams are the batch.
-            self.inner.update_batch_with_moments(state.left, values, moments)
-            self.inner.update_batch_with_moments(state.right, values, moments)
-        else:
-            self.inner.update_batch(state.left, left)
-            self.inner.update_batch(state.right, right)
-            extrema.update_batch(values)
+        for inner_state, clipped in ((state.left, left), (state.right, right)):
+            if moments is not None and clipped is values:
+                self.inner.update_batch_with_moments(inner_state, values, moments)
+            else:
+                self.inner.update_batch(inner_state, clipped)
+        if left is not values or right is not values:
+            extrema.update_batch(values)  # without a record the extrema stand
         state.count += values.size
 
     def sample_count(self, state: RangeTrimState) -> int:
@@ -331,6 +346,57 @@ class RangeTrimBounder(ErrorBounder):
         self.inner.update_pool(pool.right, fed_indices, fed_right)
         pool.max[slots] = np.maximum(pool.max[slots], np.maximum.reduceat(values, starts))
         pool.min[slots] = np.minimum(pool.min[slots], np.minimum.reduceat(values, starts))
+        pool.count[slots] += ends - starts
+
+    def update_pool_with_stats(
+        self, pool: RangeTrimPool, indices: np.ndarray, values: np.ndarray, stats
+    ) -> None:
+        """:meth:`update_pool` reusing the stream's per-view moments.
+
+        A view whose segment holds no record on a side (its max does not
+        beat the carried max, for ``S_l``) and that is not fresh feeds that
+        side its raw segment — exactly the values ``stats`` reduced, so
+        the hand-down is byte-identical to reducing them again.  Only the
+        views holding a record on some side, and fresh views (whose first
+        sample is dropped), are clipped and reduced; under a scramble
+        those are the few views with few samples.  An inner bounder whose
+        pool is not a moment pool (Anderson's sample buffers) needs every
+        clipped value, so it takes :meth:`update_pool`.
+        """
+        if not isinstance(self.inner, MomentPoolBounderMixin):
+            self.update_pool(pool, indices, values)
+            return
+        indices = np.asarray(indices, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        if indices.size == 0:
+            return
+        starts, ends = segment_bounds(indices)
+        slots = indices[starts]
+        seg_max = np.maximum.reduceat(values, starts)
+        seg_min = np.minimum.reduceat(values, starts)
+        redo = (
+            (seg_max > pool.max[slots])
+            | (seg_min < pool.min[slots])
+            | (pool.count[slots] == 0)
+        )
+        left_stats = right_stats = stats
+        if redo.any():
+            redo_slots = slots[redo]
+            picked = np.flatnonzero(np.repeat(redo, ends - starts))
+            _, _, _, fed_indices, fed_left, fed_right = self._clip_segments(
+                indices[picked], values[picked], pool.min, pool.max, pool.count
+            )
+            size = pool.count.size
+            left_stats = _replace_slots(
+                stats, MomentPool.batch_stats(fed_indices, fed_left, size), redo_slots
+            )
+            right_stats = _replace_slots(
+                stats, MomentPool.batch_stats(fed_indices, fed_right, size), redo_slots
+            )
+        self.inner.update_pool_with_stats(pool.left, None, None, left_stats)
+        self.inner.update_pool_with_stats(pool.right, None, None, right_stats)
+        pool.max[slots] = np.maximum(pool.max[slots], seg_max)
+        pool.min[slots] = np.minimum(pool.min[slots], seg_min)
         pool.count[slots] += ends - starts
 
     def lbound_batch(self, pool: RangeTrimPool, a, b, n, delta, indices=None):

@@ -27,6 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.fastframe.catalog import RangeBounds
+from repro.fastframe.table import row_count
 
 __all__ = ["Expression", "Col", "Const", "col"]
 
@@ -130,8 +131,7 @@ class Const(Expression):
         self.value = float(value)
 
     def evaluate(self, table, rows=None) -> np.ndarray:
-        length = table.num_rows if rows is None else len(rows)
-        return np.full(length, self.value)
+        return np.full(row_count(table.num_rows, rows), self.value)
 
     def evaluate_point(self, point: Mapping[str, float]) -> float:
         return self.value

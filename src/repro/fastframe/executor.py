@@ -361,21 +361,56 @@ class QueryRun:
         ``mask`` is this run's :meth:`select_blocks` result (a subset of
         the frame's union mask).  Value arrays, combined group codes, and
         predicate masks come from the frame's shared materializations —
-        the run never touches the scramble here.  Every ``round_rows``
-        rows or at scan end (``at_end=True``), one OptStop round runs.
+        the run never touches the scramble here — and so, in a multi-run
+        scan, does the partitioned stream itself (:meth:`_shared_delta`).
+        Every ``round_rows`` rows or at scan end (``at_end=True``), one
+        OptStop round runs.
         """
+        if frame.deltas is None:
+            delta = self._partition(frame, mask)
+        else:
+            delta = self._shared_delta(frame, mask)
+        self._ingest(delta, frame.window_rows)
+        self._end_window(delta.n_read, at_end)
+
+    def _partition(self, frame: WindowFrame, mask: np.ndarray) -> IngestDelta:
+        """This run's slice of ``frame``, partitioned by view."""
         # Both engines partition through the same fused kernel over the
         # same domain; they differ only in the fold (the ``_ingest`` hook).
-        delta = partition_ingest(
-            frame.rows.size,
+        return partition_ingest(
+            frame.n_rows,
             frame.element_selector(mask),
             lambda: frame.predicate_mask(self.query.predicate),
             self.domain,
             self.frame_values_of(frame),
             self.frame_combined_of(frame),
         )
-        self._ingest(delta, frame.window_rows)
-        self._end_window(delta.n_read, at_end)
+
+    def _shared_delta(self, frame: WindowFrame, mask: np.ndarray) -> IngestDelta:
+        """:meth:`_partition` through the frame's memo of a multi-run scan.
+
+        The partitioned stream is a pure function of the block mask, the
+        predicate, the GROUP BY (hence the view domain) and the value
+        column, so runs that agree on all four fold one read-only delta.
+        A COUNT run needs only the view indices and takes them from any
+        run with the same slice and grouping.
+        """
+        streams = frame.deltas.setdefault(
+            (mask.tobytes(), self.query.predicate, self.group_by), {}
+        )
+        delta = streams.get(self.value_key)
+        if delta is not None:
+            return delta
+        if self.value_key is None and streams:
+            some = next(iter(streams.values()))
+            delta = IngestDelta(some.n_read, some.n_in_view, some.view_idx)
+        else:
+            delta = self._partition(frame, mask)
+            for array in (delta.view_idx, delta.values):
+                if array is not None:
+                    array.flags.writeable = False
+        streams[self.value_key] = delta
+        return delta
 
     def frame_values_of(self, frame: WindowFrame):
         """Lazy pick-slicer over the frame's shared value array, or
@@ -566,16 +601,9 @@ class _ScalarRun(QueryRun):
         ``None`` for COUNT queries, which only need segment lengths).
         """
         bounder = self.bounder
-        domain = self.domain
         freezes_groups = self.freezes_groups
         needs_values = self.query.aggregate is not AggregateFunction.COUNT
-        segments: dict[int, np.ndarray | int] = {}
-        if delta.n_in_view:
-            view_idx = delta.view_idx
-            for start, end in zip(*segment_bounds(view_idx)):
-                segments[int(domain[view_idx[start]])] = (
-                    delta.values[start:end] if needs_values else int(end - start)
-                )
+        segments, segment_moments = self._segments(delta, needs_values)
 
         for code, view in self.views.items():
             if view.dropped or view.exhausted:
@@ -586,8 +614,12 @@ class _ScalarRun(QueryRun):
                 in_view = 0 if values is None else values.size
                 if in_view:
                     # One reduction of the segment serves every moment
-                    # consumer below (bit-equal to each reducing it itself).
-                    moments = MomentState.batch_moments(values)
+                    # consumer below, and every run sharing the delta
+                    # (bit-equal to each reducing it itself).
+                    moments = segment_moments.get(code)
+                    if moments is None:
+                        moments = MomentState.batch_moments(values)
+                        segment_moments[code] = moments
                     view.all_read_moments.merge_moments(*moments)
             else:
                 values = None
@@ -600,6 +632,23 @@ class _ScalarRun(QueryRun):
             if in_view and needs_values:
                 view.sample_moments.merge_moments(*moments)
                 bounder.update_batch_with_moments(view.bounder_state, values, moments)
+
+    def _segments(self, delta: IngestDelta, needs_values: bool) -> tuple[dict, dict]:
+        """``(segments, moments)`` of a delta, memoized on it for every run
+        that shares it: view code → its value segment (its row count for
+        COUNT), and view code → the segment's batch moments, filled as the
+        views ask for them."""
+        if delta.segments is None:
+            domain = self.domain
+            segments: dict[int, np.ndarray | int] = {}
+            if delta.n_in_view:
+                view_idx = delta.view_idx
+                for start, end in zip(*segment_bounds(view_idx)):
+                    segments[int(domain[view_idx[start]])] = (
+                        delta.values[start:end] if needs_values else int(end - start)
+                    )
+            delta.segments, delta.moments = segments, {}
+        return delta.segments, delta.moments
 
     def _recompute_bounds(self, round_index: int | None) -> int:
         """One OptStop round: per-view CIs at the decayed δ (Algorithm 5).
@@ -1026,7 +1075,9 @@ class ScanDriver:
         # A lone run's mask is the union itself, which the frame's
         # element_selector then recognises by identity.
         union = masks[0] if len(masks) == 1 else np.logical_or.reduce(masks)
-        frame = WindowFrame(self.cursor.scramble, window, union)
+        frame = WindowFrame(
+            self.cursor.scramble, window, union, shared=not self.solo
+        )
         self._ingest(frame, at_end, live, masks)
         if self.solo:
             metrics = live[0].metrics
@@ -1035,7 +1086,7 @@ class ScanDriver:
             fetched = int(union.sum())
             metrics.blocks_fetched += fetched
             metrics.blocks_skipped += int(window.size - fetched)
-            metrics.rows_read += frame.rows.size
+            metrics.rows_read += frame.n_rows
             metrics.rounds += 1
         metrics.values_gathered += frame.values_gathered
         self._storage_tracker.drain(metrics)

@@ -53,7 +53,7 @@ filtered, single group, max cardinality, non-contiguous slices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,12 +168,18 @@ class IngestDelta:
     values:
         Aggregated-column values aligned with ``view_idx``; ``None`` for
         COUNT queries.
+    segments, moments:
+        The scalar engine's per-view split of the stream and its batch
+        moments, filled on first use (``QueryRun._segments``) so runs
+        sharing the delta split and reduce it once.
     """
 
     n_read: int
     n_in_view: int
     view_idx: np.ndarray | None = None
     values: np.ndarray | None = None
+    segments: dict | None = field(default=None, repr=False, compare=False)
+    moments: dict | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -289,7 +295,7 @@ def partition_ingest(
     Parameters
     ----------
     n_rows:
-        Fetched elements of the window (``frame.rows.size``).
+        Fetched elements of the window (``frame.n_rows``).
     sel:
         The run's boolean element selector (``None`` when the run's
         block mask is the window union).

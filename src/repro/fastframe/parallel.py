@@ -240,7 +240,7 @@ class ParallelScanDriver(ScanDriver):
         if run.pool is None:
             return None
         window_slice = slice_elements(
-            frame.rows.size,
+            frame.n_rows,
             frame.element_selector(mask),
             lambda: frame.predicate_mask(run.query.predicate),
         )

@@ -7,6 +7,10 @@ execution).  Equality/membership predicates over categorical columns
 additionally expose their matched dictionary codes so the scan strategies
 can consult block bitmap indexes to skip blocks that cannot satisfy the
 filter (§4.3, and the Scan strategy note in §5.2).
+
+Predicates compare and hash by value: two separately parsed
+``Origin = 'ORD'`` filters are equal, so a window frame evaluates their
+mask once (:meth:`~repro.fastframe.window.WindowFrame.predicate_mask`).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.fastframe.table import Table
+from repro.fastframe.table import Table, row_count
 
 __all__ = ["Predicate", "Eq", "In", "Compare", "And", "Or", "Not", "TruePredicate"]
 
@@ -48,6 +52,32 @@ class Predicate(ABC):
     def __invert__(self) -> "Predicate":
         return Not(self)
 
+    def _identity(self) -> tuple | None:
+        """The fields that decide which rows match, for value equality.
+
+        ``None`` (the default) keeps object identity, so a predicate class
+        that does not name its fields never shares a mask with another
+        instance.
+        """
+        return None
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        key = self._identity()
+        return key is not None and key == other._identity()
+
+    def __hash__(self) -> int:
+        # Hashed once per window by the frame's mask memo: computed once.
+        try:
+            return self._hash
+        except AttributeError:
+            key = self._identity()
+            self._hash = id(self) if key is None else hash((type(self).__name__, key))
+            return self._hash
+
 
 def _column_slice(table: Table, name: str, rows: slice | np.ndarray | None) -> np.ndarray:
     from repro.fastframe.catalog import ColumnKind
@@ -65,8 +95,10 @@ class TruePredicate(Predicate):
     """The always-true filter (queries without a WHERE clause)."""
 
     def mask(self, table: Table, rows: slice | np.ndarray | None = None) -> np.ndarray:
-        reference = _column_slice(table, table.columns()[0], rows)
-        return np.ones(reference.shape, dtype=bool)
+        return np.ones(row_count(table.num_rows, rows), dtype=bool)
+
+    def _identity(self) -> tuple:
+        return ()
 
     def __repr__(self) -> str:
         return "TRUE"
@@ -99,6 +131,9 @@ class Eq(Predicate):
 
     def categorical_requirements(self, table: Table) -> dict[str, set[int]]:
         return {self.column: {self._code(table)}}
+
+    def _identity(self) -> tuple:
+        return (self.column, self.value)
 
     def __repr__(self) -> str:
         return f"{self.column} = {self.value!r}"
@@ -136,6 +171,9 @@ class In(Predicate):
     def categorical_requirements(self, table: Table) -> dict[str, set[int]]:
         return {self.column: self._codes(table)}
 
+    def _identity(self) -> tuple:
+        return (self.column, self.values)
+
     def __repr__(self) -> str:
         return f"{self.column} IN {self.values!r}"
 
@@ -164,6 +202,9 @@ class Compare(Predicate):
         values = _column_slice(table, self.column, rows)
         return self._OPS[self.op](values, self.threshold)
 
+    def _identity(self) -> tuple:
+        return (self.column, self.op, self.threshold)
+
     def __repr__(self) -> str:
         return f"{self.column} {self.op} {self.threshold}"
 
@@ -191,6 +232,9 @@ class And(Predicate):
             for column, codes in part.categorical_requirements(table).items():
                 merged[column] = merged[column] & codes if column in merged else set(codes)
         return merged
+
+    def _identity(self) -> tuple:
+        return self.parts
 
     def __repr__(self) -> str:
         return "(" + " AND ".join(map(repr, self.parts)) + ")"
@@ -222,6 +266,9 @@ class Or(Predicate):
             for column in shared
         }
 
+    def _identity(self) -> tuple:
+        return self.parts
+
     def __repr__(self) -> str:
         return "(" + " OR ".join(map(repr, self.parts)) + ")"
 
@@ -234,6 +281,9 @@ class Not(Predicate):
 
     def mask(self, table: Table, rows: slice | np.ndarray | None = None) -> np.ndarray:
         return ~self.inner.mask(table, rows)
+
+    def _identity(self) -> tuple:
+        return (self.inner,)
 
     def __repr__(self) -> str:
         return f"NOT ({self.inner!r})"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fastframe.table import Table
+from repro.fastframe.table import Table, row_count
 
 __all__ = ["Scramble", "DEFAULT_BLOCK_SIZE"]
 
@@ -145,7 +145,7 @@ class Scramble:
         return self.metadata_cache[key]
 
     def combined_codes(
-        self, group_by: tuple[str, ...], rows: np.ndarray | None = None
+        self, group_by: tuple[str, ...], rows: slice | np.ndarray | None = None
     ) -> np.ndarray:
         """Row-aligned combined group codes (mixed-radix over the columns).
 
@@ -154,8 +154,7 @@ class Scramble:
         per-window calls just slice it.
         """
         if not group_by:
-            length = self.num_rows if rows is None else len(rows)
-            return np.zeros(length, dtype=np.int64)
+            return np.zeros(row_count(self.num_rows, rows), dtype=np.int64)
         key = ("combined", group_by)
         if key not in self.metadata_cache:
             combined = None
@@ -236,12 +235,14 @@ class Scramble:
         only need the count (the last block may be short).
         """
         block_ids = np.asarray(block_ids, dtype=np.int64)
-        if block_ids.size == 0:
+        return block_ids.size * self.block_size - self._short_rows(block_ids)
+
+    def _short_rows(self, block_ids: np.ndarray) -> int:
+        """Rows the (short) last block lacks, times its count in ``block_ids``."""
+        short = self.num_blocks * self.block_size - self.num_rows
+        if short == 0 or block_ids.size == 0:
             return 0
-        starts = block_ids * self.block_size
-        return int(
-            (np.minimum(starts + self.block_size, self.num_rows) - starts).sum()
-        )
+        return short * int(np.count_nonzero(block_ids == self.num_blocks - 1))
 
     def rows_of_blocks(self, block_ids: np.ndarray) -> np.ndarray:
         """Row indices of a set of blocks, in block order.
@@ -255,7 +256,9 @@ class Scramble:
         starts = block_ids * self.block_size
         offsets = np.arange(self.block_size, dtype=np.int64)
         rows = (starts[:, None] + offsets[None, :]).ravel()
-        return rows[rows < self.num_rows]
+        if self._short_rows(block_ids):
+            rows = rows[rows < self.num_rows]
+        return rows
 
     def insert_rows(
         self,

@@ -234,6 +234,7 @@ class BlockedColumnArray:
     Fancy indexing gathers through the block cache; each touched block
     is served as a zero-copy ``np.memmap`` view and only the requested
     rows are copied out (exactly what in-memory ``values[rows]`` copies).
+    A unit-step slice copies one block slice per block instead.
     ``__array__`` materializes the full column — legitimate for one-time
     metadata builds (bitmap indexes, combined group codes) but flagged
     in the store stats so benchmarks can assert the value-gather path
@@ -258,6 +259,8 @@ class BlockedColumnArray:
     def __getitem__(self, item):
         if isinstance(item, slice):
             start, stop, step = item.indices(self.size)
+            if step == 1:
+                return self._gather_range(start, stop)
             return self[np.arange(start, stop, step, dtype=np.int64)]
         if np.isscalar(item) or getattr(item, "ndim", None) == 0:
             row = int(item)
@@ -299,9 +302,25 @@ class BlockedColumnArray:
             out[start:stop] = block[rows[start:stop] - block_id * block_rows]
         return out
 
+    def _gather_range(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start:stop`` as one block-slice copy per block: the same
+        bytes and the same cache lookups, in the same block order, as
+        :meth:`_gather` of ``arange(start, stop)``, without the index
+        array or the fancy gather."""
+        out = np.empty(max(stop - start, 0), dtype=self.dtype)
+        if out.size == 0:
+            return out
+        block_rows = self._store.block_rows
+        for block_id in range(start // block_rows, (stop - 1) // block_rows + 1):
+            base = block_id * block_rows
+            lo, hi = max(start, base), min(stop, base + block_rows)
+            block = self._store.block(self.name, block_id)
+            out[lo - start : hi - start] = block[lo - base : hi - base]
+        return out
+
     def __array__(self, dtype=None, copy=None):
         self._store.stats.materialized_columns.add(self.name)
-        full = self._gather(np.arange(self.size, dtype=np.int64))
+        full = self._gather_range(0, self.size)
         if dtype is not None and np.dtype(dtype) != self.dtype:
             return full.astype(dtype)
         return full

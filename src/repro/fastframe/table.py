@@ -16,7 +16,18 @@ import numpy as np
 
 from repro.fastframe.catalog import Catalog, ColumnKind
 
-__all__ = ["Table", "CategoricalColumn"]
+__all__ = ["Table", "CategoricalColumn", "row_count"]
+
+
+def row_count(num_rows: int, rows) -> int:
+    """Rows a table of ``num_rows`` rows yields for a row selector:
+    ``None`` (all rows), a slice, an index array or a boolean mask."""
+    if rows is None:
+        return num_rows
+    if isinstance(rows, slice):
+        return len(range(*rows.indices(num_rows)))
+    rows = np.asarray(rows)
+    return int(np.count_nonzero(rows)) if rows.dtype == bool else rows.size
 
 
 @dataclass

@@ -42,7 +42,8 @@ touched rows, or the cached snapshot goes stale.
 (the fused kernel in :mod:`repro.fastframe.kernels` — slice the window,
 gather the in-view elements, stable-sort by group code, map codes to pool
 rows) followed by :meth:`ViewPool.apply_ingest`, which folds the sorted
-stream into the moment pools, the bounder pool (``update_pool``) and the
+stream into the moment pools, the bounder pool (``update_pool``, or
+``update_pool_with_stats`` with the moments it already reduced) and the
 selectivity counters.  Serial and parallel ingest run this one program:
 the parallel driver runs both steps for a run on an ingest thread, which
 then owns that run's pool until the window's round (the pool itself is
@@ -149,8 +150,10 @@ class ViewPool:
         """Fold one window's partitioned :class:`IngestDelta` into the pool.
 
         The stateful half of ingest: per-view batch statistics merged into
-        the moment pools, the sorted stream fed to the bounder pool
-        through ``update_pool``, selectivity counters, and the dirty masks
+        the moment pools and handed down with the sorted stream to the
+        bounder pool (``update_pool_with_stats``, so a moment-state bounder
+        reduces the stream no second time), selectivity counters, and the
+        dirty masks
         — for Lemma 5's *settling* views only (not dropped, not exhausted,
         and not frozen when the strategy freezes inactive groups).
         """
@@ -171,7 +174,9 @@ class ViewPool:
                     stats = MomentPool.batch_stats(view_idx, values, self.size)
                     self.all_read.merge_arrays(*stats)
                     self.sample.merge_arrays(*stats)
-                    bounder.update_pool(self.bounder_pool, view_idx, values)
+                    bounder.update_pool_with_stats(
+                        self.bounder_pool, view_idx, values, stats
+                    )
                     counts = stats[0]
                 else:
                     counts = np.bincount(view_idx, minlength=self.size)
@@ -188,7 +193,9 @@ class ViewPool:
                         stats = MomentPool.batch_stats(idx, vals, self.size)
                         self.all_read.merge_arrays(*stats)
                         self.sample.merge_arrays(*stats)
-                        bounder.update_pool(self.bounder_pool, idx, vals)
+                        bounder.update_pool_with_stats(
+                            self.bounder_pool, idx, vals, stats
+                        )
                     else:
                         self.all_read.update_indexed(
                             view_idx[elements_eligible], values[elements_eligible]

@@ -15,9 +15,19 @@ the runs' block-fetch masks and builds one frame over the union:
   once per distinct aggregate column however many queries consume it;
 * :meth:`combined_codes` — per-(GROUP BY column set) combined mixed-radix
   group codes;
-* :meth:`predicate_mask` — per-predicate boolean masks (every
-  ``TruePredicate`` shares one entry; other predicates are keyed by
-  object identity).
+* :meth:`predicate_mask` — per-predicate boolean masks, keyed by the
+  predicate's value (two separately parsed ``Origin = 'ORD'`` filters
+  share one mask);
+* :attr:`deltas` — in a multi-run scan, each distinct partitioned
+  stream (:class:`~repro.fastframe.kernels.IngestDelta`), keyed by the
+  consuming run (:meth:`~repro.fastframe.executor.QueryRun.consume`).
+
+A window whose fetched blocks form one contiguous run (every full scan
+except the window that wraps around the scramble's end) is read as
+``slice(r0, r1)``: resident columns then come back as zero-copy views and
+block-store columns as one block-slice copy per block, with the same
+bytes as the index gather.  Every array the frame hands out is read-only,
+because it is shared by every run that consumes the window.
 
 Each run then slices its private view through :meth:`element_selector`:
 its block mask is a subset of the union, and because the union preserves
@@ -42,14 +52,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fastframe.predicate import Predicate, TruePredicate
+from repro.fastframe.predicate import Predicate
 
 __all__ = ["WindowFrame"]
 
-#: All ``TruePredicate`` instances share one mask entry — distinct queries
-#: without a WHERE clause each carry their own instance, but the mask is
-#: the same all-ones array.
-_TRUE_PREDICATE_KEY = "TRUE"
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, flagged read-only (views stay views; the base is untouched)."""
+    array.flags.writeable = False
+    return array
 
 
 class WindowFrame:
@@ -64,10 +75,17 @@ class WindowFrame:
     union_mask:
         Boolean fetch mask over ``window`` — the union of every consuming
         run's block mask (a solo run passes its own mask).
+    shared:
+        True when several runs consume the frame: :attr:`deltas` is then a
+        memo of partitioned streams, ``None`` otherwise.
     """
 
     def __init__(
-        self, scramble, window: np.ndarray, union_mask: np.ndarray
+        self,
+        scramble,
+        window: np.ndarray,
+        union_mask: np.ndarray,
+        shared: bool = False,
     ) -> None:
         self.scramble = scramble
         self.window = np.asarray(window, dtype=np.int64)
@@ -78,20 +96,48 @@ class WindowFrame:
                 f"window shape {self.window.shape}"
             )
         #: Fetched block ids (the union across consuming runs).
-        self.blocks = self.window[self.union_mask]
-        #: Union-fetched row ids, in block (scan) order.
-        self.rows = scramble.rows_of_blocks(self.blocks)
+        self.blocks = blocks = self.window[self.union_mask]
+        self._rows: np.ndarray | None = None
+        first, last = (int(blocks[0]), int(blocks[-1])) if blocks.size else (0, -1)
+        # The O(1) span test rejects a block-skipping window before the
+        # O(blocks) check that the run really is consecutive.
+        if last - first == blocks.size - 1 and (
+            blocks.size < 3 or (np.diff(blocks) == 1).all()
+        ):
+            start = first * scramble.block_size
+            stop = min((last + 1) * scramble.block_size, scramble.num_rows)
+            #: What the gathers index with: ``slice(r0, r1)`` for one
+            #: contiguous run of blocks, else the row ids (:attr:`rows`).
+            self.row_key = slice(start, stop)
+            #: Union-fetched rows (``rows.size`` without building ``rows``).
+            self.n_rows = stop - start
+        else:
+            self._rows = scramble.rows_of_blocks(blocks)
+            self.row_key = self._rows
+            self.n_rows = int(self._rows.size)
         #: Total rows spanned by the window, fetched or skipped — Lemma 5's
         #: covered-row accounting input, identical for every consuming run.
         self.window_rows = scramble.count_rows_of_blocks(self.window)
         #: Value elements gathered by :meth:`values` (one count per
         #: distinct column/expression, not per consuming query).
         self.values_gathered = 0
+        #: Partitioned streams of a multi-run scan, keyed by the consuming
+        #: run's (block mask, predicate, GROUP BY, value column); ``None``
+        #: on a one-run scan, which never builds a key.
+        self.deltas: dict | None = {} if shared else None
         self._values: dict = {}
         self._combined: dict = {}
         self._masks: dict = {}
-        self._mask_refs: list = []  # keep id()-keyed predicates alive
         self._block_of_row: np.ndarray | None = None
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Union-fetched row ids, in block (scan) order (built on demand
+        for a contiguous window)."""
+        if self._rows is None:
+            key = self.row_key
+            self._rows = np.arange(key.start, key.stop, dtype=np.int64)
+        return self._rows
 
     # -- per-run slicing ------------------------------------------------
 
@@ -140,8 +186,9 @@ class WindowFrame:
         """Union value array for an aggregate column, gathered once.
 
         ``key`` identifies the column (``("column", name)``) or expression
-        (``("expression", id(expr))``); ``gather`` maps row ids to values
-        and is only called on the first request for a key.
+        (``("expression", id(expr))``); ``gather`` maps a row selector
+        (:attr:`row_key`: a slice or row ids) to values and is only called
+        on the first request for a key.
 
         The gather is union-sized (all fetched rows, not just one query's
         predicate-passing rows): that is what lets queries with
@@ -151,28 +198,24 @@ class WindowFrame:
         itself — for the cross-query sharing.
         """
         if key not in self._values:
-            self._values[key] = gather(self.rows)
-            self.values_gathered += int(self.rows.size)
+            self._values[key] = _read_only(gather(self.row_key))
+            self.values_gathered += self.n_rows
         return self._values[key]
 
     def combined_codes(self, group_by: tuple[str, ...], provider) -> np.ndarray:
         """Union combined group codes for one GROUP BY column set."""
         if group_by not in self._combined:
-            self._combined[group_by] = provider(self.rows)
+            self._combined[group_by] = _read_only(provider(self.row_key))
         return self._combined[group_by]
 
     def predicate_mask(self, predicate: Predicate) -> np.ndarray:
         """Union predicate mask, evaluated once per distinct predicate.
 
-        Every ``TruePredicate`` shares one entry; other predicates are
-        keyed by object identity.
+        Keyed by the predicate's value: equal predicates (every
+        ``TruePredicate``, or one filter parsed twice) share one entry.
         """
-        if isinstance(predicate, TruePredicate):
-            key = _TRUE_PREDICATE_KEY
-        else:
-            key = id(predicate)
-        if key not in self._masks:
-            self._masks[key] = predicate.mask(self.scramble.table, self.rows)
-            if key is not _TRUE_PREDICATE_KEY:
-                self._mask_refs.append(predicate)
-        return self._masks[key]
+        mask = self._masks.get(predicate)
+        if mask is None:
+            mask = _read_only(predicate.mask(self.scramble.table, self.row_key))
+            self._masks[predicate] = mask
+        return mask

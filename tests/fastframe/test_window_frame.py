@@ -19,7 +19,7 @@ from repro.fastframe.query import AggregateFunction, Query
 from repro.fastframe.scan import ScanCursor, get_strategy
 from repro.fastframe.scramble import Scramble
 from repro.fastframe.storage import attach_block_storage
-from repro.fastframe.table import Table
+from repro.fastframe.table import Table, row_count
 from repro.fastframe.window import WindowFrame
 from repro.stopping.conditions import AbsoluteAccuracy, ThresholdSide
 from tests.support import RUN_CLASSES, execute
@@ -159,8 +159,11 @@ class TestFrameMemoization:
         calls = []
 
         def provider(rows):
-            calls.append(len(rows))
-            return np.zeros(len(rows), dtype=np.int64)
+            # The frame passes its row selector (a slice for this
+            # contiguous window).
+            n = row_count(scramble.num_rows, rows)
+            calls.append(n)
+            return np.zeros(n, dtype=np.int64)
 
         frame.combined_codes(("g",), provider)
         frame.combined_codes(("g",), provider)
