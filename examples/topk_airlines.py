@@ -5,7 +5,10 @@ top-1-separated stopping condition (Î): the scan terminates as soon as
 the leader's confidence interval clears every rival's, so the returned
 airline is the true maximizer w.h.p. even though only a fraction of the
 data was read.  Active scanning focuses I/O on the airlines whose
-intervals still straddle the separation boundary (§4.3).
+intervals still straddle the separation boundary (§4.3).  ActiveSync and
+ActivePeek fetch the same blocks; ActiveSync's "sync probes" figure is the
+per-block probe count of §5.2's synchronous strategy, modelled rather than
+issued one by one.
 
 Run:  python examples/topk_airlines.py
 """
@@ -53,7 +56,7 @@ def main() -> None:
             f"rows={result.metrics.rows_read:,}  "
             f"blocks fetched={result.metrics.blocks_fetched:,}  "
             f"skipped={result.metrics.blocks_skipped:,}  "
-            f"sync probes={result.metrics.index_probes:,}  "
+            f"sync probes (modelled)={result.metrics.index_probes:,}  "
             f"batch probes={result.metrics.batch_probes:,}"
         )
 

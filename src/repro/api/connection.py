@@ -301,11 +301,10 @@ class QueryHandle:
             finally:
                 # Abandoned (or crashed) mid-stream: closing the driver
                 # now, not whenever the iterator is collected, seals the
-                # run (QueryRun.drive's finally), so the scramble-shared
-                # probe counters are merged into THIS execution's metrics.
-                # The handle stays charged-but-unresolved per the
-                # consumed-handle contract — only its accounting is
-                # closed out.  (A no-op after a completed scan.)
+                # run (QueryRun.drive's finally).  The handle stays
+                # charged-but-unresolved per the consumed-handle contract —
+                # only its accounting is closed out.  (A no-op after a
+                # completed scan.)
                 pass_iter.close()
             self._settle(run.finalize())
 
@@ -492,10 +491,8 @@ class Connection:
                 )
         runs, cursor, start_block = self._begin(handles, start_block)
         metrics = run_shared_scan(runs, cursor, self.config)
-        # Index-probe counters were merged into the gather metrics.
         results = [
-            handle._settle(run.finalize(merge_index_counters=False))
-            for handle, run in zip(handles, runs)
+            handle._settle(run.finalize()) for handle, run in zip(handles, runs)
         ]
         return GatherResult(
             handles=tuple(handles),

@@ -5,8 +5,8 @@ against a :class:`~repro.fastframe.scramble.Scramble`
 (:func:`repro.api.connect` builds one per resolved query):
 
 1. The scramble is consumed in scan order from a random start position,
-   in lookahead windows of 1024 blocks; the sampling strategy (Scan /
-   ActiveSync / ActivePeek) decides which blocks of each window to fetch.
+   in lookahead windows of 1024 blocks; the sampling strategy (Scan or
+   active scanning) decides which blocks of each window to fetch.
 2. Each window's fetched rows, value arrays, combined group codes, and
    predicate masks are materialized **once** in a
    :class:`~repro.fastframe.window.WindowFrame`; every consuming query
@@ -38,8 +38,8 @@ one hook per engine-specific step of Algorithm 5: ``_init_views``
 ``_recompute_bounds`` (per-view CIs at the decayed δ),
 ``_snapshot_columns`` / ``_set_active`` (read the live views as
 :class:`~repro.stopping.conditions.SnapshotColumns`, write back the
-stopping condition's active mask), ``_active_key_codes`` (state read for
-block selection), ``_finalize_exhausted`` (mark views whose every row is
+stopping condition's active mask), ``active_views`` (the mask block
+selection reads), ``_finalize_exhausted`` (mark views whose every row is
 settled; their aggregates are exact) and ``_results``.
 
 * ``_PoolRun`` — the vectorized core: all per-view state lives in a
@@ -100,12 +100,7 @@ from repro.fastframe.query import (
     Query,
     QueryResult,
 )
-from repro.fastframe.scan import (
-    SamplingStrategy,
-    ScanContext,
-    ScanCursor,
-    ScanStrategy,
-)
+from repro.fastframe.scan import SamplingStrategy, ScanCursor, ScanStrategy
 from repro.fastframe.scramble import Scramble
 from repro.fastframe.storage import storage_tracker
 from repro.fastframe.kernels import IngestDelta, partition_ingest
@@ -338,18 +333,13 @@ class QueryRun:
     def select_blocks(self, window: np.ndarray) -> np.ndarray:
         """Phase 1 of a window: this run's block-fetch mask, charged.
 
-        Computed from the run's own state (strategy, active groups,
+        Computed from the run's own state (strategy, active views,
         predicate requirements) without touching the scramble's data, so a
         shared-scan driver can collect every run's mask first and fetch
-        the union once.
+        the union once.  The strategy charges its index probes to this
+        run's metrics.
         """
-        context = ScanContext(
-            indexes=self.indexes,
-            predicate_requirements=self.predicate_requirements,
-            group_columns=self.group_by,
-            active_groups=self._active_key_codes() if self.uses_active else [],
-        )
-        mask = self.strategy.select_blocks(window, context)
+        mask = self.strategy.select_blocks(window, self)
         fetched = int(mask.sum())
         self.metrics.blocks_fetched += fetched
         self.metrics.blocks_skipped += int(window.size - fetched)
@@ -461,9 +451,7 @@ class QueryRun:
         callers can read run state between windows: the solo flavour of
         whichever :class:`ScanDriver` :func:`scan_driver` picks.  Closing
         the generator, or an error mid-scan, seals the run with
-        :meth:`finalize` — which merges the scramble-shared bitmap probe
-        counters into this run, so none is left on the scramble's indexes
-        for whichever query runs next.
+        :meth:`finalize`.
         """
         try:
             yield from scan_driver([self], cursor, config, solo=True).windows()
@@ -497,13 +485,8 @@ class QueryRun:
             columns = self._snapshot_columns()
         return GroupSnapshots(columns, self.group_keys())
 
-    def finalize(self, merge_index_counters: bool = True) -> QueryResult:
-        """Seal the run and materialize its :class:`QueryResult`.
-
-        ``merge_index_counters=False`` leaves the (scramble-shared) bitmap
-        probe counters untouched so a shared-scan driver can attribute them
-        to the whole gather instead of whichever run finalizes first.
-        """
+    def finalize(self) -> QueryResult:
+        """Seal the run and materialize its :class:`QueryResult`."""
         if self._finalized is not None:
             return self._finalized
         if self.fixed_sample_mode:
@@ -514,8 +497,6 @@ class QueryRun:
         self.metrics.stopped_early = self.satisfied and not self._scan_ended
         self._finalize_exhausted()
         groups = self._results(self.group_keys())
-        if merge_index_counters:
-            self.metrics.merge_index_counters(self.indexes.values())
         self.metrics.wall_time_s = time.perf_counter() - self._start_time
         self._finalized = QueryResult(
             query=self.query, groups=groups, metrics=self.metrics
@@ -580,12 +561,11 @@ class _ScalarRun(QueryRun):
             for code, key_codes in zip(self.domain, self.key_codes)
         }
 
-    def _active_key_codes(self) -> list[tuple[int, ...]]:
-        return [
-            view.key_codes
-            for view in self.views.values()
-            if view.active and not view.dropped
-        ]
+    def active_views(self) -> np.ndarray:
+        return np.array(
+            [view.active and not view.dropped for view in self.views.values()],
+            dtype=bool,
+        )
 
     def _ingest(self, delta: IngestDelta, window_rows: int) -> None:
         """Fold one partitioned window slice into the per-view states.
@@ -823,9 +803,8 @@ class _PoolRun(QueryRun):
                 pool.bounder_pool, indices=rows
             )
 
-    def _active_key_codes(self) -> list[tuple[int, ...]]:
-        active_rows = np.flatnonzero(self.pool.active & ~self.pool.dropped)
-        return [self.key_codes[i] for i in active_rows]
+    def active_views(self) -> np.ndarray:
+        return self.pool.active & ~self.pool.dropped
 
     def _ingest(self, delta: IngestDelta, window_rows: int) -> None:
         self.pool.apply_ingest(
@@ -1007,8 +986,7 @@ class ScanDriver:
     record is written.  :func:`run_shared_scan` documents what the batch
     metrics mean.  ``solo=True`` is the one-run flavour with a query's own
     accounting (:meth:`QueryRun.drive`): the frame's gathers and block I/O
-    are charged to the run, the run is not sealed on retirement and the
-    scramble-shared bitmap counters are left for ``run.finalize()``;
+    are charged to the run and the run is not sealed on retirement;
     nobody reads a solo driver's batch metrics, so they stay untouched.
 
     This is the lean serial loop.  The parallel driver subclasses it, not
@@ -1046,15 +1024,9 @@ class ScanDriver:
 
     def run(self) -> ExecutionMetrics:
         """Process every window to completion; return the batch metrics."""
-        try:
-            for _ in self.windows():
-                pass
-        finally:
-            # Also when a window raises: finish() takes the scramble-shared
-            # probe counters, which would otherwise be charged to whichever
-            # query next runs over this scramble.
-            metrics = self.finish()
-        return metrics
+        for _ in self.windows():
+            pass
+        return self.finish()
 
     def windows(self):
         """Generator driving one window per iteration (the rounds() hook):
@@ -1099,22 +1071,14 @@ class ScanDriver:
                 # Seal the run the moment it retires so its wall time
                 # spans construction → retirement, not the whole batch
                 # (finalize is cached; later calls return this result).
-                run.finalize(merge_index_counters=False)
+                run.finalize()
 
     def finish(self) -> ExecutionMetrics:
         """Seal and return the batch metrics."""
         metrics = self.metrics
         metrics.stopped_early = all(run.satisfied for run in self.runs)
-        metrics.bounds_recomputed = sum(
-            run.metrics.bounds_recomputed for run in self.runs
-        )
-        if not self.solo:
-            # Solo accounting leaves the scramble-shared counters for the
-            # run's own finalize().
-            indexes = {}
-            for run in self.runs:
-                indexes.update(run.indexes)
-            metrics.merge_index_counters(indexes.values())
+        for name in ("bounds_recomputed", "index_probes", "batch_probes"):
+            setattr(metrics, name, sum(getattr(run.metrics, name) for run in self.runs))
         metrics.wall_time_s = time.perf_counter() - self._start_time
         return metrics
 
@@ -1149,14 +1113,13 @@ def run_shared_scan(
     exhausted).
 
     Per-run results are untouched by the sharing: call
-    ``run.finalize(merge_index_counters=False)`` on each run afterwards to
-    collect per-query results whose intervals match sequential execution
+    ``run.finalize()`` on each run afterwards to collect per-query results whose intervals match sequential execution
     from the same start block exactly.
 
     ``metrics.rounds`` counts shared passes (windows taken off the
     cursor); ``stopped_early`` is True when every run satisfied its
     stopping condition before the scramble ran out;
-    ``bounds_recomputed`` sums the runs' incremental round work.
+    ``bounds_recomputed`` and the probe counters sum the runs'.
 
     ``config.parallelism`` above 1 routes the same loop through
     :class:`~repro.fastframe.parallel.ParallelScanDriver`: per-query

@@ -222,7 +222,7 @@ class ParallelScanDriver(ScanDriver):
                 if run.finished and not self.solo:
                     # Seal the run the moment it retires (wall time spans
                     # construction → retirement; finalize is cached).
-                    run.finalize(merge_index_counters=False)
+                    run.finalize()
         finally:
             # Even on error, no task may outlive the window: it would still
             # be writing its run's pool.

@@ -164,9 +164,11 @@ class ExecutionMetrics:
     """Cost counters for one query execution (§5.3's metrics).
 
     ``blocks_fetched`` is the paper's CPU-independent comparison metric;
-    ``rows_read`` counts tuples examined; ``index_probes`` counts
-    synchronous single-block bitmap queries (ActiveSync cost) and
-    ``batch_probes`` counts vectorized lookahead batches (ActivePeek cost).
+    ``rows_read`` counts tuples examined; ``index_probes`` is ActiveSync's
+    modelled count of synchronous single-block bitmap probes and
+    ``batch_probes`` counts batched lookahead probes (predicates, and one
+    per window under ActivePeek) — both charged by this run's strategy
+    (:mod:`repro.fastframe.scan`).
     ``values_gathered`` counts aggregate-column value elements gathered
     from the scramble (per window-frame materialization — in a shared
     scan the batch metrics carry the union's gathers and per-run metrics
@@ -208,13 +210,6 @@ class ExecutionMetrics:
     prefetch_hits: int = 0
     delta_bytes_returned: int = 0
     merge_wall_s: float = 0.0
-
-    def merge_index_counters(self, indexes) -> None:
-        """Pull probe counters from bitmap indexes into this record."""
-        for index in indexes:
-            self.index_probes += index.probe_count
-            self.batch_probes += index.batch_probe_count
-            index.reset_counters()
 
     def storage_snapshot(self) -> "StorageCounters":
         """The out-of-core storage counters as one frozen record (truthy

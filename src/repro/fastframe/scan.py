@@ -1,4 +1,4 @@
-"""Sampling strategies: Scan, ActiveSync, ActivePeek (§4.3, §5.2).
+"""Sampling strategies: Scan and active scanning (§4.3, §5.2).
 
 All strategies consume the scramble in scan order (wrapping from a random
 start) in lookahead *windows* of 1024 blocks and decide which blocks of
@@ -10,18 +10,18 @@ each window to fetch:
   predicate, such as the one appearing in F-q1").  It never consults
   active groups, so with sparse bottleneck groups it degenerates toward
   Exact.
-* **ActiveSync** — additionally skips blocks containing no tuples of any
-  *active* group, probing the bitmap index synchronously per block.  Each
-  per-block probe is charged; in the paper these probes "typically result
-  in cache misses", and in this reproduction they are Python-level loop
-  iterations — both models make the probe the unit of overhead.
-* **ActivePeek** — same skipping decision, but computed with vectorized
-  batch probes over the whole lookahead window, modelling the asynchronous
-  lookahead thread of [50] whose batched bitmap iteration keeps bitmaps in
-  cache (§4.3).  The lookahead lives entirely inside one window's
-  selection: a window's blocks are selected when that window is taken off
-  the cursor, never speculatively ahead of it, and nothing warms the
-  next window's pages.
+* **Active scanning** — additionally skips blocks containing no tuples of
+  any *active* group.  One class, :class:`ActiveStrategy`, selects the
+  blocks for both of the paper's names, ``activesync`` and
+  ``activepeek``, vectorized over the window.  The names differ only in
+  the probe cost they charge, which models §5.2 rather than this
+  process's wall time: ActiveSync's ``index_probes`` are the synchronous
+  per-block probes an early-exit loop over the active groups (most
+  frequent first) would issue, each of which "typically result[s] in
+  cache misses"; ActivePeek's ``batch_probes`` charge one batched
+  lookahead probe per window, the asynchronous thread of [50] whose
+  bitmaps stay in cache (§4.3).  A window's blocks are selected when that
+  window is taken off the cursor, never speculatively ahead of it.
 
 Skipping is always *conservative*: a block is skipped only when the index
 certifies it holds no row of any active group (and/or no row satisfying
@@ -31,19 +31,16 @@ the predicate), so no needed tuple is ever missed.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fastframe.bitmap import LOOKAHEAD_BATCH_BLOCKS, BlockBitmapIndex
+from repro.fastframe.bitmap import LOOKAHEAD_BATCH_BLOCKS
 
 __all__ = [
-    "ScanContext",
     "ScanCursor",
     "SamplingStrategy",
     "ScanStrategy",
-    "ActiveSyncStrategy",
-    "ActivePeekStrategy",
+    "ActiveStrategy",
     "get_strategy",
     "EVALUATED_STRATEGIES",
 ]
@@ -98,31 +95,6 @@ class ScanCursor:
             yield window, self.exhausted
 
 
-@dataclass
-class ScanContext:
-    """Everything a strategy may consult when selecting blocks.
-
-    Attributes
-    ----------
-    indexes:
-        Bitmap index per indexed categorical column.
-    predicate_requirements:
-        Per-column sets of dictionary codes a matching row must carry
-        (from :meth:`Predicate.categorical_requirements`); empty disables
-        predicate-based skipping.
-    group_columns:
-        The GROUP BY columns (empty for scalar queries).
-    active_groups:
-        Dictionary codes (one tuple per group, aligned with
-        ``group_columns``) of the currently active groups.
-    """
-
-    indexes: dict[str, BlockBitmapIndex]
-    predicate_requirements: dict[str, set[int]]
-    group_columns: tuple[str, ...]
-    active_groups: list[tuple[int, ...]]
-
-
 class SamplingStrategy(ABC):
     """Chooses which blocks of a lookahead window to fetch."""
 
@@ -135,33 +107,24 @@ class SamplingStrategy(ABC):
     uses_active_groups: bool = False
 
     @abstractmethod
-    def select_blocks(self, window: np.ndarray, context: ScanContext) -> np.ndarray:
-        """Boolean mask over ``window``: True = fetch the block."""
+    def select_blocks(self, window: np.ndarray, run) -> np.ndarray:
+        """Boolean mask over ``window``: True = fetch the block.
 
-    def _predicate_mask(
-        self, window: np.ndarray, context: ScanContext, batched: bool
-    ) -> np.ndarray:
+        ``run`` is the asking :class:`~repro.fastframe.executor.QueryRun`:
+        the strategy reads its predicate requirements, GROUP BY and active
+        views, and charges its index probes to ``run.metrics``.
+        """
+
+    def _predicate_mask(self, window: np.ndarray, run) -> np.ndarray:
         """Blocks that may contain predicate-satisfying rows.
 
         A block can be skipped when, for some constrained column, *none*
-        of the required codes appear in it.
+        of the required codes appear in it: one batched probe per column.
         """
         mask = np.ones(window.shape, dtype=bool)
-        for column, codes in context.predicate_requirements.items():
-            if column not in context.indexes:
-                continue
-            index = context.indexes[column]
-            if batched:
-                # One multi-code batch probe for the whole window instead
-                # of a probe per required code.
-                column_mask = index.probe_batch_any(window, sorted(codes))
-            else:
-                column_mask = np.zeros(window.shape, dtype=bool)
-                for code in sorted(codes):
-                    for position, block in enumerate(window):
-                        if not column_mask[position]:
-                            column_mask[position] = index.probe(int(block), code)
-            mask &= column_mask
+        for column, codes in run.predicate_requirements.items():
+            run.metrics.batch_probes += 1
+            mask &= run.indexes[column].probe_batch_any(window, sorted(codes))
             if not mask.any():
                 break
         return mask
@@ -171,102 +134,72 @@ class ScanStrategy(SamplingStrategy):
     """Sequential scan; skips only predicate-certified-empty blocks."""
 
     name = "Scan"
-    uses_active_groups = False
 
-    def select_blocks(self, window: np.ndarray, context: ScanContext) -> np.ndarray:
-        return self._predicate_mask(window, context, batched=True)
+    def select_blocks(self, window: np.ndarray, run) -> np.ndarray:
+        return self._predicate_mask(window, run)
 
 
-class ActiveSyncStrategy(SamplingStrategy):
-    """Active scanning with synchronous per-block index probes.
+class ActiveStrategy(SamplingStrategy):
+    """Active scanning: also skip blocks that hold no active view.
 
-    For each block, active groups are probed one at a time (most-frequent
-    group first, early-exiting on the first hit — the favourable order for
-    a system that knows per-value block counts); the block is skipped when
-    every active group is certified absent.
+    A block is fetched iff the predicate allows it and it lists a view the
+    run still needs in the scramble's block → view table
+    (:meth:`~repro.fastframe.scramble.Scramble.block_views`).  No state
+    outlives a window, so a view the stopping condition re-activates
+    is fetched again from the next window on.  ``name`` picks the probe
+    cost charged (module docstring).
     """
 
-    name = "ActiveSync"
     uses_active_groups = True
 
-    def select_blocks(self, window: np.ndarray, context: ScanContext) -> np.ndarray:
-        mask = self._predicate_mask(window, context, batched=False)
-        if not context.group_columns:
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.sync_probes = name == "ActiveSync"
+
+    def select_blocks(self, window: np.ndarray, run) -> np.ndarray:
+        mask = self._predicate_mask(window, run)
+        if not run.group_by:
             return mask
-        if not context.active_groups:
+        active = run.active_views()
+        if not active.any():
             return np.zeros(window.shape, dtype=bool)
-        ordered_groups = _order_by_frequency(context)
-        indexes = [context.indexes[column] for column in context.group_columns]
-        for position, block in enumerate(window):
-            if not mask[position]:
-                continue
-            block = int(block)
-            present = False
-            for codes in ordered_groups:
-                if all(
-                    index.probe(block, code) for index, code in zip(indexes, codes)
-                ):
-                    present = True
-                    break
-            mask[position] = present
-        return mask
-
-
-class ActivePeekStrategy(SamplingStrategy):
-    """Active scanning with batched lookahead probes (the paper's best).
-
-    The whole window is probed per (group, column) with one vectorized
-    batch operation; a block survives if some active group is possibly
-    present in it.
-    """
-
-    name = "ActivePeek"
-    uses_active_groups = True
-
-    def select_blocks(self, window: np.ndarray, context: ScanContext) -> np.ndarray:
-        mask = self._predicate_mask(window, context, batched=True)
-        if not context.group_columns:
-            return mask
-        if not context.active_groups:
-            return np.zeros(window.shape, dtype=bool)
-        if len(context.group_columns) == 1:
-            # Single GROUP BY column: "block holds some active group" is a
-            # plain multi-code membership test — one merged batch probe for
-            # the whole window, however many groups are active.
-            index = context.indexes[context.group_columns[0]]
-            any_active = index.probe_batch_any(
-                window, [codes[0] for codes in context.active_groups]
-            )
-            return mask & any_active
-        any_active = np.zeros(window.shape, dtype=bool)
-        for codes in context.active_groups:
-            remaining = mask & ~any_active
-            if not remaining.any():
-                break
-            group_mask = remaining.copy()
-            for column, code in zip(context.group_columns, codes):
-                index = context.indexes[column]
-                group_mask &= index.probe_batch(window, code)
-                if not group_mask.any():
-                    break
-            any_active |= group_mask
-        return mask & any_active
-
-
-def _order_by_frequency(context: ScanContext) -> list[tuple[int, ...]]:
-    """Active groups ordered by descending block frequency (probe order)."""
-    first_index = context.indexes[context.group_columns[0]]
-
-    def frequency(codes: tuple[int, ...]) -> int:
-        return first_index.block_count_of(codes[0])
-
-    return sorted(context.active_groups, key=frequency, reverse=True)
+        indptr, views, probe_order = run.scramble.block_views(run.group_by)
+        if self.sync_probes:
+            # Per view, what the early-exit loop probes on a block whose
+            # first present active view it is: 1 + its rank among the
+            # active views in probe order.  Inactive views get ``absent``,
+            # one past every active view, so a block's minimum says both
+            # whether it lists an active view and what it costs.
+            in_order = active[probe_order]
+            ranks = in_order.cumsum()
+            absent = int(ranks[-1]) + 1
+            # int32: numpy gathers int64 values by int32 indices far slower.
+            per_view = np.empty(active.size, dtype=np.int32)
+            per_view[probe_order] = np.where(in_order, ranks, absent)
+            reduce = np.minimum
+        else:
+            run.metrics.batch_probes += 1
+            per_view, reduce = active, np.logical_or
+        # One gather and one segmented reduction per contiguous span of
+        # the window (it wraps at most once).
+        per_block = np.empty(window.shape, dtype=per_view.dtype)
+        cuts = ((window[1:] - window[:-1] != 1).nonzero()[0] + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, window.size]):
+            bounds = indptr[window[lo] : window[hi - 1] + 2]
+            span = per_view.take(views[bounds[0] : bounds[-1]])
+            # Every block lists >= 1 view, so no reduceat segment is empty.
+            per_block[lo:hi] = reduce.reduceat(span, bounds[:-1] - bounds[0])
+        if not self.sync_probes:
+            return mask & per_block
+        probes = np.minimum(per_block, absent - 1)[mask].sum()
+        run.metrics.index_probes += int(probes)
+        return mask & (per_block < absent)
 
 
 _STRATEGIES = {
     "scan": ScanStrategy,
-    "activesync": ActiveSyncStrategy,
-    "activepeek": ActivePeekStrategy,
+    "activesync": lambda: ActiveStrategy("ActiveSync"),
+    "activepeek": lambda: ActiveStrategy("ActivePeek"),
 }
 
 #: Strategy names compared in Table 6.

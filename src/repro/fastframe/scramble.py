@@ -54,7 +54,8 @@ class Scramble:
         self.table = table.take(self.permutation)
         self.block_size = block_size
         #: Load-time metadata shared by every query over this scramble
-        #: (bitmap indexes, group domains, combined codes, decoded keys);
+        #: (bitmap indexes, group domains, combined codes, decoded keys,
+        #: block → view tables);
         #: filled by the metadata methods below, cleared by insert_rows.
         self.metadata_cache: dict = {}
         #: Attached out-of-core block store (None ⇒ in-memory arrays);
@@ -131,6 +132,17 @@ class Scramble:
             from repro.fastframe.bitmap import BlockBitmapIndex
 
             self.metadata_cache[key] = BlockBitmapIndex(self, column)
+        return self.metadata_cache[key]
+
+    def block_views(self, group_by: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+        """The (lazily built, cached) block → view table of a GROUP BY that
+        active scanning reads; see
+        :func:`repro.fastframe.bitmap.block_view_table`."""
+        key = ("block_views", group_by)
+        if key not in self.metadata_cache:
+            from repro.fastframe.bitmap import block_view_table
+
+            self.metadata_cache[key] = block_view_table(self, group_by)
         return self.metadata_cache[key]
 
     def group_domain(self, group_by: tuple[str, ...]) -> np.ndarray:

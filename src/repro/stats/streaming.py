@@ -324,11 +324,3 @@ class MomentPool:
         """
         variance = self.m2[indices] / np.maximum(self.count[indices], 1)
         return np.sqrt(np.maximum(variance, 0.0))
-
-    def state_of(self, index: int) -> MomentState:
-        """Scalar :class:`MomentState` copy of one slot (tests/debugging)."""
-        return MomentState(
-            count=int(self.count[index]),
-            mean=float(self.mean[index]),
-            m2=float(self.m2[index]),
-        )

@@ -574,6 +574,31 @@ class TestAbandonedRoundsMetrics:
         assert after_failure.batch_probes == clean.batch_probes
         assert after_failure.index_probes == clean.index_probes
 
+    def test_interleaved_queries_keep_their_own_probe_counts(self):
+        """Regression: probe counters lived on the scramble-shared bitmap
+        index and were merged at finalize(), so a query that finished
+        while another was mid-scan took that one's probes too.  Each run
+        now charges its own metrics where it probes."""
+
+        def counting(conn):
+            return conn.table().where("h", "2").count(abs=1e-9)
+
+        def solo(build):
+            conn = self._connect(self._make_scramble(), "scan", 1)
+            return build(conn).result(start_block=0).metrics
+
+        conn = self._connect(self._make_scramble(), "scan", 1)
+        first = self._victim(conn)
+        iterator = first.rounds(start_block=0)
+        next(iterator)  # one window probed, the scan still open
+        second = counting(conn).result(start_block=0).metrics
+        for _ in iterator:
+            pass
+        interleaved = first.result().metrics
+        assert solo(self._victim).batch_probes > 0
+        assert interleaved.batch_probes == solo(self._victim).batch_probes
+        assert second.batch_probes == solo(counting).batch_probes
+
     def test_abandonment_still_poisons_the_handle(self):
         scramble = self._make_scramble()
         conn = self._connect(scramble, "activepeek", 1)

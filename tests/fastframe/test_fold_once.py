@@ -265,7 +265,7 @@ def test_shared_runs_match_each_run_alone(flights, storage, parallelism, monkeyp
                          strategy=get_strategy("scan"), round_rows=ROUND_ROWS)
         assert _drive([alone], config, solo=True) == [rounds]
         assert _result_bytes(alone.finalize()) == _result_bytes(
-            run.finalize(merge_index_counters=False)
+            run.finalize()
         )
 
 

@@ -305,7 +305,7 @@ def _run(scramble, parallelism, task_batch=None):
         driver = ParallelScanDriver(runs, cursor, config)
         driver._batch_size = lambda n_offload: task_batch
         batch = driver.run()
-    results = [run.finalize(merge_index_counters=False) for run in runs]
+    results = [run.finalize() for run in runs]
     return (
         [_pool_snapshot(run.pool) for run in runs],
         results,

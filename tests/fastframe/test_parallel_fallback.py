@@ -262,7 +262,7 @@ class TestIngestThreads:
                 scramble, RangeTrimBounder(EmpiricalBernsteinSerflingBounder()), queries
             )
             run_shared_scan(runs, cursor, ExecConfig.resolve(parallelism=parallelism))
-            return [run.finalize(merge_index_counters=False) for run in runs]
+            return [run.finalize() for run in runs]
 
         serial = gather(1)
         interval = sys.getswitchinterval()

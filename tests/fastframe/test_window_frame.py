@@ -216,7 +216,7 @@ class TestSharedValueGathering:
 
         batch_run = _run(stored, query)
         batch = run_shared_scan([batch_run], _cursor(batch_run), ExecConfig.resolve())
-        gathered = batch_run.finalize(merge_index_counters=False)
+        gathered = batch_run.finalize()
         assert batch.rows_read == batch.values_gathered == stored.num_rows
         assert batch.storage_snapshot()
         assert gathered.metrics.values_gathered == 0

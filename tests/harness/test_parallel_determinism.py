@@ -145,7 +145,7 @@ def test_shared_scan_byte_identical_across_parallelism(scramble, strategy_name):
         )
         batch = run_shared_scan(runs, cursor, ExecConfig.resolve(parallelism=parallelism))
         for run in runs:
-            run.finalize(merge_index_counters=False)
+            run.finalize()
         snapshots[parallelism] = (
             [_pool_snapshot(run.pool) for run in runs],
             [_metrics_snapshot(run.metrics) for run in runs],
@@ -230,7 +230,7 @@ def test_bounder_family_byte_identical_across_parallelism(
             round_rows=4_000,
         )
         run_shared_scan([run], cursor, ExecConfig.resolve(parallelism=parallelism))
-        run.finalize(merge_index_counters=False)
+        run.finalize()
         snapshots[parallelism] = (
             _pool_snapshot(run.pool),
             _metrics_snapshot(run.metrics),
@@ -267,7 +267,7 @@ def test_quantile_family_byte_identical_across_parallelism(
             family_scramble, [query], window_blocks=192, round_rows=4_000
         )
         run_shared_scan([run], cursor, ExecConfig.resolve(parallelism=parallelism))
-        run.finalize(merge_index_counters=False)
+        run.finalize()
         snapshots[parallelism] = (
             _pool_snapshot(run.pool),
             _metrics_snapshot(run.metrics),

@@ -443,4 +443,4 @@ class TestCustomCondition:
         assert all(group.exhausted for group in run.finalize().groups.values())
         # The condition still calls every group active; the run must not.
         run._refresh_active()
-        assert run._active_key_codes() == []
+        assert not run.active_views().any()
