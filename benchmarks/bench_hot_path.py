@@ -9,18 +9,19 @@ Part 1 times a full-scan AVG GROUP BY query (an unachievable accuracy
 target, so every row is ingested and every round recomputes bounds for
 every view) at 1, 10, 100, and 1000 groups, for both executor engines.
 
-Part 2 times the fused ingest kernel
-(``repro/fastframe/kernels.partition_ingest``) across group cardinalities
-straddling the bucketing threshold.  The ``kernel`` JSON entry records the
-sweep.  (The comparison against a reimplementation of the pre-kernel
-composed passes was deleted once its 4-5x was on record in
-PERFORMANCE.md; ``tests/fastframe/test_kernels.py`` pins the bytes.)
+Part 2 times the ingest kernel (``repro/fastframe/kernels.
+partition_ingest``: slice → gather, in stream order) and the memoized
+``IngestDelta.grouped()`` sort across group cardinalities.  The ``kernel``
+JSON entry records the sweep; ``tests/fastframe/test_kernels.py`` pins
+the bytes.
 
-Part 3 times RangeTrim's record-only clip (``RangeTrimBounder.
-_clip_segments``) at 10 / 200 / 1 400 views: ns per row and candidates
-per row for the first window (fresh views: every element is a candidate)
-and in steady state, asserting the clipped streams ``==`` a per-element
-Algorithm 6 loop.  The ``range_trim`` JSON entry records both.
+Part 3 times RangeTrim's fold of a stream-order window
+(``RangeTrimBounder.update_pool_with_stats``: each side's moments derived
+from the window's by the seed and record corrections) at 10 / 200 / 1 400
+views: ns per row in the first window (fresh views) and in steady state,
+and candidates per row, asserting both sides within 1e-9 of a
+per-element Algorithm 6 loop.  The ``range_trim`` JSON entry records
+both.
 
 Part 4 times Anderson's pooled CSR sample buffers against the per-view
 buffer baseline (one ``SampleState`` per view, the pre-CSR pool layout):
@@ -58,6 +59,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import sys
@@ -168,14 +170,16 @@ def run() -> dict:
 
 
 def run_kernel() -> dict:
-    """The fused ingest kernel across the bucketing crossover.
+    """The ingest kernel across group cardinalities.
 
-    Times :func:`~repro.fastframe.kernels.partition_ingest` (one fused
-    slice → gather → sort → lookup pass, with low-cardinality bucketing)
-    on the full-scan all-pass slice, across group cardinalities
-    straddling ``BUCKET_MAX_CARDINALITY``.
+    Times :func:`~repro.fastframe.kernels.partition_ingest` (slice →
+    gather of values and pool-row ranks, in stream order) on the
+    full-scan all-pass slice, with ranks in the narrowest unsigned dtype
+    as the scramble caches them, and separately the memoized
+    ``IngestDelta.grouped()`` sort that only order-needing consumers (the
+    scalar engine, the CSR sample pools) pay.
     """
-    from repro.fastframe.kernels import BUCKET_MAX_CARDINALITY, partition_ingest
+    from repro.fastframe.kernels import partition_ingest
 
     rng = np.random.default_rng(77)
     n = min(ROWS, 200_000)
@@ -183,69 +187,54 @@ def run_kernel() -> dict:
     pred = np.ones(n, dtype=bool)  # all-pass: the full-scan hot case
 
     sweep = []
-    for groups in (8, 256, 4096, BUCKET_MAX_CARDINALITY, 2 * BUCKET_MAX_CARDINALITY):
-        codes = np.arange(groups, dtype=np.int64)
-        combined = rng.integers(0, groups, n).astype(np.int64)
-        fused_s = float("inf")
+    for groups in (8, 256, 4096, 65_536, 131_072):
+        ranks = rng.integers(0, groups, n).astype(np.min_scalar_type(groups - 1))
+        kernel_s = grouped_s = float("inf")
         for _ in range(REPS):
             start = time.perf_counter()
             delta = partition_ingest(
                 n,
                 None,
                 lambda: pred,
-                codes,
                 values_of=lambda pick: values[pick],
-                combined_of=lambda pick: combined[pick],
+                ranks_of=lambda pick: ranks[pick],
             )
-            fused_s = min(fused_s, time.perf_counter() - start)
+            middle = time.perf_counter()
+            delta.grouped()
+            kernel_s = min(kernel_s, middle - start)
+            grouped_s = min(grouped_s, time.perf_counter() - middle)
         assert delta.n_in_view == n
         sweep.append(
             {
                 "groups": groups,
-                "bucketed": groups <= BUCKET_MAX_CARDINALITY,
-                "fused_s": round(fused_s, 6),
-                "ns_per_row": round(1e9 * fused_s / n, 2),
+                "rank_dtype": str(ranks.dtype),
+                "ns_per_row": round(1e9 * kernel_s / n, 2),
+                "grouped_ns_per_row": round(1e9 * grouped_s / n, 2),
             }
         )
         print(
-            f"kernel: groups={groups:>6}  fused={fused_s:.4f}s  "
-            f"({sweep[-1]['ns_per_row']} ns/row)"
-            f"{'  (bucketed)' if sweep[-1]['bucketed'] else ''}"
+            f"kernel: groups={groups:>6}  {sweep[-1]['ns_per_row']} ns/row "
+            f"(+ grouped() {sweep[-1]['grouped_ns_per_row']} ns/row, "
+            f"{ranks.dtype} ranks)"
         )
-    return {
-        "rows": n,
-        "bucket_max_cardinality": BUCKET_MAX_CARDINALITY,
-        "sweep": sweep,
-    }
-
-
-def _reference_clip(indices, values, carry_min, carry_max, counts):
-    """Per-element Algorithm 6 over one sorted stream: the fed elements'
-    view, ``min(v, prior max)`` and ``max(v, prior min)``, in plain Python."""
-    run_min, run_max = carry_min.tolist(), carry_max.tolist()
-    seen = counts.tolist()
-    fed, left, right = [], [], []
-    for view, value in zip(indices.tolist(), values.tolist()):
-        if seen[view]:
-            fed.append(view)
-            left.append(min(value, run_max[view]))
-            right.append(max(value, run_min[view]))
-        seen[view] += 1
-        run_max[view] = max(run_max[view], value)
-        run_min[view] = min(run_min[view], value)
-    return np.array(fed, dtype=np.int64), np.array(left), np.array(right)
+    return {"rows": n, "sweep": sweep}
 
 
 def run_range_trim() -> dict:
-    """RangeTrim's record-only clip: cost and candidate rate per window.
+    """RangeTrim's fold of a stream-order window: cost and record rate.
 
-    Replays windowed view-sorted streams through ``bernstein+rt``'s pool
-    and times the pure clip (``_clip_segments`` over the pool's extrema
-    and counts) per window.  The first window meets fresh views —
-    every element is a candidate, the dense worst case; from the second
-    on only elements beyond a view's carried extrema are.  Every window's
-    clipped streams are asserted ``==`` the per-element reference.
+    Replays windowed stream-order windows through ``bernstein+rt``'s pool
+    and times ``update_pool_with_stats`` per window — each side's moments
+    derived from the window's by the seed and record corrections — with
+    the window's per-view moments precomputed, as the view pool hands
+    them down.  The first window meets fresh views; from the second on a
+    view's strict new records are about ``m / (n + 1)`` of its rows.
+    Every window's two sides are asserted within 1e-9 of a per-element
+    Algorithm 6 loop.
     """
+    from repro.fastframe.kernels import IngestDelta
+    from repro.stats.streaming import MomentPool
+
     bounder = get_bounder("bernstein+rt")
     window = 25_000
     num_windows = max(2, min(ROWS, 200_000) // window)
@@ -253,41 +242,44 @@ def run_range_trim() -> dict:
     for views in (10, 200, 1400):
         rng = np.random.default_rng(views)
         pool = bounder.init_pool(views)
-        ns_per_row, candidates_per_row = [], []
+        reference = [bounder.init_state() for _ in range(views)]
+        ns_per_row, records_per_row = [], []
         for _ in range(num_windows):
-            indices = np.sort(rng.integers(0, views, window)).astype(np.int64)
+            indices = rng.integers(0, views, window).astype(np.intp)
             values = rng.normal(100.0, 15.0, window)
-            carry_min, carry_max, counts = pool.min, pool.max, pool.count
-            best = float("inf")
-            for _ in range(REPS):
-                start = time.perf_counter()
-                clipped = bounder._clip_segments(
-                    indices, values, carry_min, carry_max, counts
-                )
-                best = min(best, time.perf_counter() - start)
-            expected = _reference_clip(indices, values, carry_min, carry_max, counts)
-            for got, want in zip(clipped[3:], expected):
-                assert np.array_equal(got, want)
-            candidates = np.count_nonzero(
-                (values > carry_max[indices]) | (values < carry_min[indices])
+            stream = IngestDelta(window, window, indices, values)
+            stats = MomentPool.batch_stats(indices, values, views)
+            records = np.count_nonzero(
+                (values > pool.max[indices]) | (values < pool.min[indices])
             )
+            best = float("inf")
+            for rep in range(REPS):
+                trial = pool if rep == REPS - 1 else copy.deepcopy(pool)
+                start = time.perf_counter()
+                bounder.update_pool_with_stats(trial, stream, stats)
+                best = min(best, time.perf_counter() - start)
+            for view, value in zip(indices.tolist(), values.tolist()):
+                bounder.update(reference[view], value)
+            for view, state in enumerate(reference):
+                for side in ("left", "right"):
+                    got, want = getattr(pool, side), getattr(state, side)
+                    assert got.count[view] == want.count
+                    assert np.isclose(got.mean[view], want.mean, rtol=1e-9, atol=1e-9)
+                    assert np.isclose(got.m2[view], want.m2, rtol=1e-9, atol=1e-9)
             ns_per_row.append(1e9 * best / window)
-            candidates_per_row.append(int(candidates) / window)
-            bounder.update_pool(pool, indices, values)
+            records_per_row.append(int(records) / window)
         entry = {
             "views": views,
             "first_window_ns_per_row": round(ns_per_row[0], 2),
-            "first_window_candidates_per_row": round(candidates_per_row[0], 5),
             "steady_ns_per_row": round(float(np.median(ns_per_row[1:])), 2),
             "steady_candidates_per_row": round(
-                float(np.mean(candidates_per_row[1:])), 5
+                float(np.mean(records_per_row[1:])), 5
             ),
         }
         sweep.append(entry)
         print(
-            f"range-trim clip: views={views:>5}  first window "
-            f"{entry['first_window_ns_per_row']} ns/row "
-            f"({entry['first_window_candidates_per_row']} cand/row), steady "
+            f"range-trim fold: views={views:>5}  first window "
+            f"{entry['first_window_ns_per_row']} ns/row, steady "
             f"{entry['steady_ns_per_row']} ns/row "
             f"({entry['steady_candidates_per_row']} cand/row)"
         )
@@ -295,7 +287,7 @@ def run_range_trim() -> dict:
         "window_rows": window,
         "windows": num_windows,
         "sweep": sweep,
-        "stream_parity": True,  # asserted == per window above
+        "side_parity": True,  # asserted ≤1e-9 per window above
     }
 
 
@@ -481,29 +473,28 @@ def check_payload(payload: dict) -> None:
     sweep lengths.  None is a timing, so they run on every invocation and
     exit non-zero (the wall-clock targets in :func:`main` stay advisory
     unless ``BENCH_HOT_PATH_STRICT=1``)."""
-    # The unified ingest kernel's entry must exist with its bucketing
-    # sweep (byte identity with the composed passes is pinned by
+    # The ingest kernel's entry must exist with its cardinality sweep
+    # (byte identity with the composed passes is pinned by
     # tests/fastframe/test_kernels.py).
     entry = payload["kernel"]
-    for key in ("bucket_max_cardinality", "sweep"):
-        _require(key in entry, f"kernel: missing metric {key}: {entry}")
+    _require("sweep" in entry, f"kernel: missing metric sweep: {entry}")
     _require(len(entry["sweep"]) >= 3, f"kernel: short sweep: {entry}")
-    _require(
-        any(point["bucketed"] for point in entry["sweep"]),
-        f"kernel: no bucketed point: {entry}",
-    )
+    for point in entry["sweep"]:
+        _require(
+            point["ns_per_row"] > 0 and point["grouped_ns_per_row"] > 0,
+            f"kernel: {point}",
+        )
 
-    # The record-only clip's entry must exist with its asserted ==
-    # stream-parity flag (clipped streams vs the per-element Algorithm 6
-    # loop), and steady-state windows must see far fewer candidates than
-    # the all-candidates first window.
+    # RangeTrim's fold entry must exist with its asserted ≤1e-9 side
+    # parity flag (both sides vs the per-element Algorithm 6 loop), and
+    # steady-state windows must see few candidates.
     entry = payload["range_trim"]
-    _require(entry.get("stream_parity") is True, f"range_trim: no parity: {entry}")
+    _require(entry.get("side_parity") is True, f"range_trim: no parity: {entry}")
     _require(len(entry["sweep"]) >= 3, f"range_trim: short sweep: {entry}")
     for point in entry["sweep"]:
         _require(
-            point["first_window_candidates_per_row"] == 1.0
-            and point["steady_candidates_per_row"] < 0.5
+            point["steady_candidates_per_row"] < 0.5
+            and point["first_window_ns_per_row"] > 0
             and point["steady_ns_per_row"] > 0,
             f"range_trim: {point}",
         )
@@ -558,7 +549,7 @@ def main() -> int:
         # Shared CI runners are noisy; only fail the build when asked to
         # enforce the target (BENCH_HOT_PATH_STRICT=1).
         failed = True
-    # Low-cardinality floor: the bucketing kernel exists so the pool
+    # Low-cardinality floor: the narrow-rank kernel exists so the pool
     # engine stops losing to the scalar loop at tiny group counts
     # (historically 0.62x at 1 group).  Pool must stay >= 0.9x scalar.
     for entry in payload["results"]:

@@ -15,7 +15,7 @@ nothing until resolved.  A handle resolves three ways:
 * :meth:`Connection.gather` — the headline: run N handles off **one**
   shared scan cursor.  Each pass over the scramble materializes one
   :class:`~repro.fastframe.window.WindowFrame` over the union of the
-  queries' block masks — row ids, value arrays, combined group codes,
+  queries' block masks — row ids, value arrays, pool-row ranks,
   and predicate masks are gathered once per window, however many queries
   consume them — and feeds every unfinished query's view pool from it.
   A block wanted by k queries is charged to the batch's I/O accounting

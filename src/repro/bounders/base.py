@@ -17,10 +17,11 @@ every view at once (``init_pool`` / ``update_pool`` /
 any scalar bounder participates unchanged; the built-in bounders override
 them with numpy implementations whose per-slot results match the scalar
 path up to floating-point summation order.  ``update_pool(pool, indices,
-values)`` is the one way a pool is fed, on whichever thread folds the
-window: serial and parallel ingest call it on the same sorted stream
-(through ``update_pool_with_stats`` when the caller already reduced the
-stream's per-slot moments; the result is byte-identical).
+values)`` takes a stream sorted by slot; the executor feeds a window
+through ``update_pool_with_stats(pool, stream, stats)``, handing down the
+stream in scan order with its per-slot moments, so a bounder that only
+needs moments never sorts.  Serial and parallel ingest make the same
+call on the same stream, on whichever thread folds the window.
 
 :class:`ErrorBounder` is the abstract base class realizing this interface.
 A bounder is **SSI** (sample-size independent, Definition 1) when, for every
@@ -46,8 +47,10 @@ __all__ = [
     "ErrorBounder",
     "MomentPoolBounderMixin",
     "validate_bound_args",
+    "grouped_rows",
     "iter_segments",
     "segment_bounds",
+    "view_order",
 ]
 
 
@@ -74,6 +77,29 @@ def segment_bounds(sorted_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.concatenate(([0], boundaries))
     ends = np.concatenate((boundaries, [sorted_indices.size]))
     return starts, ends
+
+
+def view_order(views: np.ndarray) -> np.ndarray:
+    """Stable permutation grouping equal ``views`` (slot numbers).
+
+    Sorts on the slots narrowed to the smallest unsigned dtype that holds
+    them: up to 65 536 slots numpy's stable argsort is then a one- or
+    two-pass radix sort, several times faster than on ``intp``.
+    """
+    if views.size < 2:
+        return np.arange(views.size)
+    key = views.astype(np.min_scalar_type(int(views.max())))
+    return np.argsort(key, kind="stable")
+
+
+def grouped_rows(stream, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stream's rows sorted by slot (``stream.grouped()``), without the
+    rows of slots whose ``counts`` entry is zero."""
+    indices, values = stream.grouped()
+    if int(counts.sum()) != indices.size:
+        keep = counts[indices] > 0
+        indices, values = indices[keep], values[keep]
+    return indices, values
 
 
 def iter_segments(sorted_indices: np.ndarray):
@@ -229,28 +255,29 @@ class ErrorBounder(ABC):
     def update_pool(self, pool: Any, indices: np.ndarray, values: np.ndarray) -> None:
         """Fold ``values[j]`` into pool slot ``indices[j]`` for all j.
 
-        ``indices`` must be sorted ascending with ties in stream order (the
-        executor's stable sort by group code guarantees this); order matters
-        for stream-sensitive bounders like RangeTrim.
+        ``indices`` must be sorted ascending with ties in stream order
+        (``IngestDelta.grouped()`` is); order matters for stream-sensitive
+        bounders like RangeTrim.
         """
         indices = np.asarray(indices, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
         for start, end, slot in iter_segments(indices):
             self.update_batch(pool[slot], values[start:end])
 
-    def update_pool_with_stats(
-        self, pool: Any, indices: np.ndarray, values: np.ndarray, stats
-    ) -> None:
-        """:meth:`update_pool` for a caller that already holds the stream's
-        per-slot :meth:`~repro.stats.streaming.MomentPool.batch_stats`
-        ``(counts, means, m2s)`` over the pool's size.
+    def update_pool_with_stats(self, pool: Any, stream, stats) -> None:
+        """Fold one window's stream, given its per-slot moments.
 
-        The pool mirror of :meth:`update_batch_with_moments`: the view
-        pool reduces each window's stream once for its own moments and
-        hands the result down.  Moment-pool bounders merge it instead of
-        reducing ``values`` again; everything else ignores it here.
+        ``stream`` is an :class:`~repro.fastframe.kernels.IngestDelta`:
+        ``view_idx`` / ``values`` in stream order, and ``grouped()`` for
+        the same rows stably sorted by slot.  ``stats`` is its per-slot
+        :meth:`~repro.stats.streaming.MomentPool.batch_stats` ``(counts,
+        means, m2s)`` over the pool's size, with every slot that must not
+        take this window emptied; the stream's rows of those slots are
+        ignored.  Moment-pool bounders merge ``stats`` without reading
+        the rows; this default — for bounders that need every value in
+        order — feeds :meth:`update_pool` the grouped rows.
         """
-        self.update_pool(pool, indices, values)
+        self.update_pool(pool, *grouped_rows(stream, stats[0]))
 
     def pool_counts(self, pool: Any) -> np.ndarray:
         """Per-slot sample counts (int64 array)."""
@@ -416,7 +443,7 @@ class MomentPoolBounderMixin:
     def update_pool(self, pool, indices: np.ndarray, values: np.ndarray) -> None:
         pool.update_indexed(indices, values)
 
-    def update_pool_with_stats(self, pool, indices, values, stats) -> None:
+    def update_pool_with_stats(self, pool, stream, stats) -> None:
         # update_indexed is merge_arrays(batch_stats(...)): bit-identical.
         pool.merge_arrays(*stats)
 

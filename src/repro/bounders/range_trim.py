@@ -37,8 +37,10 @@ import numpy as np
 from repro.bounders.base import (
     ErrorBounder,
     MomentPoolBounderMixin,
+    grouped_rows,
     segment_bounds,
     validate_bound_args,
+    view_order,
 )
 from repro.stats.streaming import ExtremaState, MomentPool
 
@@ -67,46 +69,34 @@ _CLIP_AT_MAX = (np.greater, np.maximum, np.minimum)
 _CLIP_AT_MIN = (np.less, np.minimum, np.maximum)
 
 
-def _record_clip(values: np.ndarray, carry, side, indices: np.ndarray | None = None):
-    """One side of Algorithm 6's clip over a stream, touching records only.
+#: A view's two sides come from the window's moments by correction unless
+#: the correction could lose digits the direct pass keeps: when the terms
+#: it sums exceed this multiple of what the side's inner state will hold
+#: after the merge (its M2, or its mean's scale ``|μ| + σ``), the view is
+#: clipped and reduced directly.  Each summed term ``t`` carries an error
+#: of at most about ε·|t|, so the merged state stays within
+#: ``CANCELLATION_LIMIT`` · ε of its own scale (PERFORMANCE.md,
+#: "Sort-free ingest").
+CANCELLATION_LIMIT = 16.0
 
-    Each element is clipped against the running extremum of its view
-    *before* it: ``carry`` (the extremum carried from earlier windows),
-    then the view's earlier elements of this stream.  ``indices`` is the
-    view per element of a view-sorted stream and ``carry`` the per-view
-    array it indexes; a single-view stream passes ``indices=None`` and a
-    float ``carry``.
+#: Records are peeled one per view per pass (:func:`_window_records`); a
+#: view still holding candidates after this many passes (sorted or
+#: monotone input, where every row is a record) is reduced directly.  A
+#: shuffled window of ``m`` rows holds about ``ln m`` records per view.
+RECORD_PASSES = 32
 
-    The clip changes ``v`` only where ``v`` is a strict new record of its
-    view, and a record must beat the carry, so one compare against the
-    carry finds every *candidate*; the exclusive running extremum is then
-    computed over the candidates alone — an element at or inside the carry
-    can neither be clipped nor move the extremum a later candidate is
-    clipped against.  Under a scramble a view holding ``n`` earlier samples
-    yields ``m / (n + 1)`` expected candidates from ``m`` new ones whatever
-    the data; when every element is a candidate (fresh views, sorted
-    input) this is the dense segmented scan.  Max/min prefixes round
-    nothing, so the result equals the per-element clip exactly.  Returns
-    ``values`` itself (not a copy) when there is no candidate.
+
+def _clip_records(records, views, carry, side):
+    """Algorithm 6's clip of view-grouped rows (pure): each row against
+    the running extremum of its view before it — ``carry``, then the
+    view's earlier rows.  ``views`` is ``None`` for one view, with a float
+    ``carry``; else ``carry`` is the per-view array it indexes.  Max/min
+    prefixes round nothing, so this equals the per-element clip exactly.
     """
-    is_candidate, extremum, clip = side
-    mask = is_candidate(values, carry if indices is None else carry[indices])
-    hits = np.count_nonzero(mask)
-    if hits == 0:
-        return values
-    if hits == values.size:
-        # Fresh views, sorted input: the dense scan, no gather or scatter.
-        records, views = values, indices
-    else:
-        candidates = np.flatnonzero(mask)
-        records = values[candidates]
-        views = None if indices is None else indices[candidates]
-    # Exclusive running extremum per view: the carry for a view's first
-    # candidate, the inclusive scan shifted by one for the rest (every
-    # candidate already beats the carry, so the carry drops out of it).
+    _, extremum, clip = side
     if views is None:
         prior = np.full(records.size, carry)
-        runs = ((0, records.size),) if records.size > 1 else ()
+        runs = ((0, records.size),)
     else:
         prior = carry[views]
         starts, ends = segment_bounds(views)
@@ -114,22 +104,197 @@ def _record_clip(values: np.ndarray, carry, side, indices: np.ndarray | None = N
         runs = zip(starts[longer].tolist(), ends[longer].tolist())
     for start, end in runs:
         extremum.accumulate(records[start : end - 1], out=prior[start + 1 : end])
-    if records is values:
-        return clip(records, prior)
+        prior[start + 1 : end] = extremum(prior[start + 1 : end], prior[start])
+    return clip(records, prior)
+
+
+def _record_clip(values: np.ndarray, carry, side, indices: np.ndarray | None = None):
+    """One side of Algorithm 6's clip over a stream grouped by view.
+
+    The clip changes ``v`` only where ``v`` is a strict new record of its
+    view, and a record must beat the carry, so one compare against the
+    carry finds every *candidate*; only those are clipped
+    (:func:`_clip_records`).  ``indices`` is the view per element and
+    ``carry`` the per-view array it indexes; a single-view stream passes
+    ``indices=None`` and a float ``carry``.  Returns ``values`` itself
+    (not a copy) when there is no candidate.
+    """
+    mask = side[0](values, carry if indices is None else carry[indices])
+    candidates = np.flatnonzero(mask)
+    if candidates.size == 0:
+        return values
+    views = None if indices is None else indices[candidates]
     clipped = values.copy()
-    clipped[candidates] = clip(records, prior)
+    clipped[candidates] = _clip_records(values[candidates], views, carry, side)
     return clipped
 
 
-def _replace_slots(stats, redone, slots: np.ndarray):
-    """Per-slot ``(counts, means, m2s)``: ``stats``, with ``slots`` taken
-    from ``redone``."""
+def _window_records(view_idx, values, taking, carry, side):
+    """Every strict new record of one window on one side: ``(rows,
+    views, priors, unresolved)`` — stream positions, views and the
+    extremum each record is clipped to — with ``carry`` (a working copy)
+    advanced to each view's new extremum.
+
+    A record must beat the carried extremum, so one compare finds the
+    candidates; they are grouped by view, stream order kept.  Each pass
+    then peels the first candidate of every view — a record, clipped to
+    the carry — makes it the carry, and keeps only the candidates that
+    beat it.  Under a scramble the candidates shrink geometrically; the
+    views still holding some after :data:`RECORD_PASSES` passes are
+    returned in ``unresolved``.
+    """
+    is_candidate = side[0]
+    rows = np.flatnonzero(is_candidate(values, carry[view_idx]))
+    views = view_idx[rows]
+    if not taking.all():
+        keep = taking[views]
+        rows, views = rows[keep], views[keep]
+    order = view_order(views)
+    rows, views = rows[order], views[order]
+    raw = values[rows]
+    found = [(rows[:0], views[:0], raw[:0])]
+    for _ in range(RECORD_PASSES):
+        if rows.size == 0:
+            break
+        heads = np.empty(rows.size, dtype=bool)
+        heads[0] = True
+        np.not_equal(views[1:], views[:-1], out=heads[1:])
+        head_views = views[heads]
+        found.append((rows[heads], head_views, carry[head_views]))
+        carry[head_views] = raw[heads]
+        keep = is_candidate(raw, carry[views]) & ~heads
+        rows, views, raw = rows[keep], views[keep], raw[keep]
+    return (*(np.concatenate(column) for column in zip(*found)), views)
+
+
+def _fold_sides(view_idx, values, stats, count, lo, hi, inner):
+    """Algorithm 6 over one window, from the window's moments: the
+    per-view ``(counts, means, m2s)`` the left and the right inner pool
+    take (pure but for ``count`` / ``lo`` / ``hi``, updated in place).
+
+    ``view_idx`` / ``values`` are the window's rows in stream order;
+    ``stats`` are their per-view
+    :meth:`~repro.stats.streaming.MomentPool.batch_stats`, and a view
+    whose count is zero takes no part (its rows are ignored).  ``count``,
+    ``lo`` and ``hi`` are the per-view sample counts and carried extrema;
+    ``inner`` the left and right inner moment states (``count`` / ``m2``
+    per view), which the guard weighs the correction's error against.
+
+    Per view, with ``n`` rows of mean ``μ`` and centred second moment
+    ``M2``, a fresh view (no sample yet) first drops its first row
+    ``x₁``, which only seeds the extrema (Algorithm 4 lines 3-4)::
+
+        μ ← μ + (μ − x₁)/(n − 1),    M2 ← M2 − (x₁ − μ)(x₁ − μ_new).
+
+    Each side's clip then changes only the view's strict new records
+    (:func:`_window_records`).  With ``cᵢ`` the clipped row (a record's
+    prior extremum), ``dᵢ = cᵢ − xᵢ`` and ``m`` rows::
+
+        μ′ = μ + Σd/m,    M2′ = M2 + m(μ − μ′)² + Σ d(c + x − 2μ′),
+
+    since ``Σ(c − μ′)² − Σ(x − μ′)² = Σ d(c + x − 2μ′)``, zero but at the
+    records, and ``Σ(x − μ′)² = M2 + m(μ − μ′)²``.  A view failing the
+    :data:`CANCELLATION_LIMIT` guard, or with more than
+    :data:`RECORD_PASSES` records, is clipped and reduced directly
+    instead (:func:`_direct_sides`).
+    """
+    counts, means, m2s = stats
+    present = counts > 0
+    if not present.any():
+        return stats, stats
+    size = counts.size
+    m, mean, m2 = counts, means, m2s
+    # Σ|terms| behind M2 and behind the mean, for the guard.
+    magnitude, spread = m2s, np.abs(means)
+    fresh = present & (count == 0)
+    seeds = np.zeros(0, dtype=np.intp)
+    if fresh.any():
+        slots = np.flatnonzero(fresh)
+        # Each fresh view's first row in stream order.
+        first = np.full(size, values.size, dtype=np.intp)
+        np.minimum.at(first, view_idx, np.arange(values.size))
+        seeds = first[slots]
+        seed = values[seeds]
+        lo[slots] = hi[slots] = seed
+        m, mean, m2 = counts.copy(), means.copy(), m2s.copy()
+        magnitude, spread = m2s.copy(), spread.copy()
+        m[slots] -= 1
+        kept = m[slots] > 0
+        rest = np.maximum(m[slots], 1)
+        old = means[slots]
+        mean[slots] = np.where(kept, old + (old - seed) / rest, 0.0)
+        drop = (seed - old) * (seed - mean[slots])
+        m2[slots] = np.where(kept, m2s[slots] - drop, 0.0)
+        magnitude[slots] += np.abs(drop)
+        spread[slots] += np.abs(old - seed) / rest
+    rest = np.maximum(m, 1)
+    sides, found, direct = [], [], np.zeros(size, dtype=bool)
+    for side, carry, held in zip((_CLIP_AT_MAX, _CLIP_AT_MIN), (hi, lo), inner):
+        work = carry.copy()
+        rows, views, prior, unresolved = _window_records(
+            view_idx, values, present, work, side
+        )
+        found.append((side, carry, work, rows, views, prior, unresolved))
+        direct[unresolved] = True
+        if rows.size == 0 and not seeds.size:
+            sides.append((m, mean, m2))  # the window itself, exactly
+            continue
+        raw = values[rows]
+        d = prior - raw
+        shifted = np.bincount(views, d, size)
+        side_mean = mean + shifted / rest
+        terms = d * (prior + raw - 2.0 * side_mean[views])
+        shift = m * (mean - side_mean) ** 2
+        side_m2 = np.maximum(m2 + shift + np.bincount(views, terms, size), 0.0)
+        # What the inner state holds after the merge, roughly: its M2 and
+        # the mean's scale; an error in this window's mean moves the
+        # merged mean by its share of the samples.
+        merged_m2 = side_m2 + held.m2
+        merged = m + held.count
+        scale = np.abs(side_mean) + np.sqrt(merged_m2 / np.maximum(merged, 1))
+        summed = magnitude + shift + np.bincount(views, np.abs(terms), size)
+        direct |= (m > 0) & (
+            (summed > CANCELLATION_LIMIT * merged_m2)
+            | (
+                (spread + np.abs(shifted) / rest) * m
+                > CANCELLATION_LIMIT * scale * merged
+            )
+        )
+        sides.append((m, side_mean, side_m2))
+    if direct.any():
+        sides = _direct_sides(view_idx, values, sides, direct, seeds, found)
+    hi[:], lo[:] = found[0][2], found[1][2]
+    count += counts
+    return sides
+
+
+def _direct_sides(view_idx, values, sides, redo, seeds, found):
+    """``sides`` with the ``redo`` views' stats replaced by the direct
+    pass: each side's clipped stream of their rows (records replaced by
+    their priors; a view with unresolved records clipped by a full scan),
+    seeds dropped, reduced in stream order."""
+    size = redo.size
+    rows = np.flatnonzero(redo[view_idx])
+    views, raw = view_idx[rows], values[rows]
+    seeds = seeds[redo[view_idx[seeds]]]
+    feed = np.ones(rows.size, dtype=bool)
+    feed[np.searchsorted(rows, seeds)] = False
     out = []
-    for kept, fresh in zip(stats, redone):
-        kept = kept.copy()
-        kept[slots] = fresh[slots]
-        out.append(kept)
-    return tuple(out)
+    for kept, (side, carry, work, rec_rows, rec_views, prior, unresolved) in zip(
+        sides, found
+    ):
+        clipped = raw.copy()
+        mine = redo[rec_views]
+        clipped[np.searchsorted(rows, rec_rows[mine])] = prior[mine]
+        if unresolved.size:
+            # Too many records to peel (monotone input): scan these views.
+            scan = np.flatnonzero(np.isin(views, unresolved))
+            scan = scan[view_order(views[scan])]
+            clipped[scan] = _clip_records(raw[scan], views[scan], carry, side)
+            side[1].at(work, views[scan], raw[scan])
+        direct = MomentPool.batch_stats(views[feed], clipped[feed], size)
+        out.append(tuple(np.where(redo, new, old) for new, old in zip(direct, kept)))
+    return out
 
 
 @dataclass
@@ -209,7 +374,13 @@ class RangeTrimBounder(ErrorBounder):
     ) -> None:
         """:meth:`update_batch`, reusing the caller's batch moments on each
         side whose clip changes nothing — a side without a record *is* the
-        raw batch, so its inner state takes the hand-down."""
+        raw batch, so its inner state takes the hand-down.
+
+        A side with a record is clipped and reduced directly.  The pool
+        path's correction (:func:`_fold_sides`) is a fixed cost of about a
+        hundred array operations per window, which one view's batch does
+        not amortize (PERFORMANCE.md, "Sort-free ingest").
+        """
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return
@@ -293,111 +464,63 @@ class RangeTrimBounder(ErrorBounder):
     def pool_size(self, pool: RangeTrimPool) -> int:
         return pool.count.size
 
-    @staticmethod
-    def _clip_segments(
-        indices: np.ndarray,
-        values: np.ndarray,
-        carry_min: np.ndarray,
-        carry_max: np.ndarray,
-        counts: np.ndarray,
-    ):
-        """Algorithm 6's segmented clip over one sorted stream (pure).
-
-        The O(rows) half of :meth:`update_pool`, which passes the pool's
-        own extrema and counts as the carries: segments the stream, clips
-        each element against the exclusive prior extrema of its view
-        (:func:`_record_clip`, per-view carries), and drops the first-ever
-        sample of fresh views (Algorithm 4 lines 3-4: it only seeds the
-        extrema).  Returns ``(slots, starts, ends, fed_indices, fed_left,
-        fed_right)``: the stream's segmentation, then the two clipped
-        streams the inner bounders are fed with their view per element.
-        """
-        starts, ends = segment_bounds(indices)
-        slots = indices[starts]
-        left_values = _record_clip(values, carry_max, _CLIP_AT_MAX, indices)
-        right_values = _record_clip(values, carry_min, _CLIP_AT_MIN, indices)
-        seed_positions = starts[counts[slots] == 0]
-        if seed_positions.size == 0:
-            # No fresh view (the steady state): every element feeds.
-            return slots, starts, ends, indices, left_values, right_values
-        feed = np.ones(indices.size, dtype=bool)
-        feed[seed_positions] = False
-        return slots, starts, ends, indices[feed], left_values[feed], right_values[feed]
-
     def update_pool(
         self, pool: RangeTrimPool, indices: np.ndarray, values: np.ndarray
     ) -> None:
-        """Vectorized Algorithm 6 across views: segmented clip-then-feed.
+        """Vectorized Algorithm 6 across views.
 
-        ``indices`` must be sorted with ties in stream order.  Per segment
-        (= per view receiving rows this window): the first-ever sample only
-        seeds the extrema; every other sample is clipped against the
-        extrema of all *earlier* samples of its view before entering the
-        inner pools, and the extrema and counts fold in last.
+        ``indices`` must be sorted with ties in stream order.  Per view
+        receiving rows: the first-ever sample only seeds the extrema;
+        every other sample is clipped against the extrema of all *earlier*
+        samples of its view before entering the inner pools, and the
+        extrema and counts fold in last.  Over a moment pool this is
+        :meth:`update_pool_with_stats`'s kernel on the stream's moments.
         """
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.intp)
         values = np.asarray(values, dtype=np.float64)
         if indices.size == 0:
             return
-        slots, starts, ends, fed_indices, fed_left, fed_right = self._clip_segments(
-            indices, values, pool.min, pool.max, pool.count
-        )
-        self.inner.update_pool(pool.left, fed_indices, fed_left)
-        self.inner.update_pool(pool.right, fed_indices, fed_right)
+        if isinstance(self.inner, MomentPoolBounderMixin):
+            stats = MomentPool.batch_stats(indices, values, pool.count.size)
+            self._fold_moments(pool, indices, values, stats)
+            return
+        starts, ends = segment_bounds(indices)
+        slots = indices[starts]
+        left = _record_clip(values, pool.max, _CLIP_AT_MAX, indices)
+        right = _record_clip(values, pool.min, _CLIP_AT_MIN, indices)
+        seeds = starts[pool.count[slots] == 0]
+        if seeds.size:
+            feed = np.ones(indices.size, dtype=bool)
+            feed[seeds] = False
+            indices, left, right = indices[feed], left[feed], right[feed]
+        self.inner.update_pool(pool.left, indices, left)
+        self.inner.update_pool(pool.right, indices, right)
         pool.max[slots] = np.maximum(pool.max[slots], np.maximum.reduceat(values, starts))
         pool.min[slots] = np.minimum(pool.min[slots], np.minimum.reduceat(values, starts))
         pool.count[slots] += ends - starts
 
-    def update_pool_with_stats(
-        self, pool: RangeTrimPool, indices: np.ndarray, values: np.ndarray, stats
-    ) -> None:
-        """:meth:`update_pool` reusing the stream's per-view moments.
+    def update_pool_with_stats(self, pool: RangeTrimPool, stream, stats) -> None:
+        """Fold one window's stream-order rows, given their per-view moments.
 
-        A view whose segment holds no record on a side (its max does not
-        beat the carried max, for ``S_l``) and that is not fresh feeds that
-        side its raw segment — exactly the values ``stats`` reduced, so
-        the hand-down is byte-identical to reducing them again.  Only the
-        views holding a record on some side, and fresh views (whose first
-        sample is dropped), are clipped and reduced; under a scramble
-        those are the few views with few samples.  An inner bounder whose
-        pool is not a moment pool (Anderson's sample buffers) needs every
-        clipped value, so it takes :meth:`update_pool`.
+        Over a moment pool, each side's moments are derived from the
+        window's by correcting for the view's seed and records alone
+        (:func:`_fold_sides`): no sort, no clipped copy, no second
+        reduction.  An inner bounder whose pool keeps every value
+        (Anderson's sample buffers) is fed the clipped rows, grouped by
+        view, through :meth:`update_pool`.
         """
-        if not isinstance(self.inner, MomentPoolBounderMixin):
-            self.update_pool(pool, indices, values)
-            return
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if indices.size == 0:
-            return
-        starts, ends = segment_bounds(indices)
-        slots = indices[starts]
-        seg_max = np.maximum.reduceat(values, starts)
-        seg_min = np.minimum.reduceat(values, starts)
-        redo = (
-            (seg_max > pool.max[slots])
-            | (seg_min < pool.min[slots])
-            | (pool.count[slots] == 0)
+        if isinstance(self.inner, MomentPoolBounderMixin):
+            self._fold_moments(pool, stream.view_idx, stream.values, stats)
+        else:
+            self.update_pool(pool, *grouped_rows(stream, stats[0]))
+
+    def _fold_moments(self, pool: RangeTrimPool, view_idx, values, stats) -> None:
+        sides = _fold_sides(
+            view_idx, values, stats, pool.count, pool.min, pool.max,
+            (pool.left, pool.right),
         )
-        left_stats = right_stats = stats
-        if redo.any():
-            redo_slots = slots[redo]
-            picked = np.flatnonzero(np.repeat(redo, ends - starts))
-            _, _, _, fed_indices, fed_left, fed_right = self._clip_segments(
-                indices[picked], values[picked], pool.min, pool.max, pool.count
-            )
-            size = pool.count.size
-            left_stats = _replace_slots(
-                stats, MomentPool.batch_stats(fed_indices, fed_left, size), redo_slots
-            )
-            right_stats = _replace_slots(
-                stats, MomentPool.batch_stats(fed_indices, fed_right, size), redo_slots
-            )
-        self.inner.update_pool_with_stats(pool.left, None, None, left_stats)
-        self.inner.update_pool_with_stats(pool.right, None, None, right_stats)
-        pool.max[slots] = np.maximum(pool.max[slots], seg_max)
-        pool.min[slots] = np.minimum(pool.min[slots], seg_min)
-        pool.count[slots] += ends - starts
+        self.inner.update_pool_with_stats(pool.left, None, sides[0])
+        self.inner.update_pool_with_stats(pool.right, None, sides[1])
 
     def lbound_batch(self, pool: RangeTrimPool, a, b, n, delta, indices=None):
         if indices is None:

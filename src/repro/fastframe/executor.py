@@ -7,7 +7,7 @@ against a :class:`~repro.fastframe.scramble.Scramble`
 1. The scramble is consumed in scan order from a random start position,
    in lookahead windows of 1024 blocks; the sampling strategy (Scan or
    active scanning) decides which blocks of each window to fetch.
-2. Each window's fetched rows, value arrays, combined group codes, and
+2. Each window's fetched rows, value arrays, pool-row ranks, and
    predicate masks are materialized **once** in a
    :class:`~repro.fastframe.window.WindowFrame`; every consuming query
    run slices its private view of the frame (its block mask is a subset
@@ -256,8 +256,8 @@ class QueryRun:
         else:
             self.value_key = ("expression", id(query.column))
         self.group_by = query.group_by
-        # Building the domain also caches the scramble's full-table
-        # combined codes, so per-window frame slices never pay that build.
+        # Building the domain also caches the scramble's rank column, so
+        # per-window frame slices never pay that build.
         self.domain = scramble.group_domain(self.group_by)
         self.indexes = {
             column: scramble.bitmap_index(column) for column in self.group_by
@@ -349,10 +349,11 @@ class QueryRun:
         """Phase 2 of a window: ingest this run's slice of a shared frame.
 
         ``mask`` is this run's :meth:`select_blocks` result (a subset of
-        the frame's union mask).  Value arrays, combined group codes, and
+        the frame's union mask).  Value arrays, pool-row ranks, and
         predicate masks come from the frame's shared materializations —
-        the run never touches the scramble here — and so, in a multi-run
-        scan, does the partitioned stream itself (:meth:`_shared_delta`).
+        the run never touches the scramble's data here — and so, in a
+        multi-run scan, does the partitioned stream itself
+        (:meth:`_shared_delta`).
         Every ``round_rows`` rows or at scan end (``at_end=True``), one
         OptStop round runs.
         """
@@ -364,16 +365,15 @@ class QueryRun:
         self._end_window(delta.n_read, at_end)
 
     def _partition(self, frame: WindowFrame, mask: np.ndarray) -> IngestDelta:
-        """This run's slice of ``frame``, partitioned by view."""
-        # Both engines partition through the same fused kernel over the
-        # same domain; they differ only in the fold (the ``_ingest`` hook).
+        """This run's slice of ``frame``, in stream order."""
+        # Both engines partition through the same kernel; they differ
+        # only in the fold (the ``_ingest`` hook).
         return partition_ingest(
             frame.n_rows,
             frame.element_selector(mask),
             lambda: frame.predicate_mask(self.query.predicate),
-            self.domain,
             self.frame_values_of(frame),
-            self.frame_combined_of(frame),
+            self.frame_ranks_of(frame),
         )
 
     def _shared_delta(self, frame: WindowFrame, mask: np.ndarray) -> IngestDelta:
@@ -410,16 +410,23 @@ class QueryRun:
             return None
         return lambda pick: frame.values(self.value_key, self.values_of)[pick]
 
-    def frame_combined_of(self, frame: WindowFrame):
-        """Lazy pick-slicer over the frame's combined group codes, or
-        ``None`` for single-view runs (which need no partitioning)."""
-        if self.domain.size <= 1:
+    def frame_ranks_of(self, frame: WindowFrame):
+        """Lazy pick-slicer over the frame's pool-row ranks, or ``None``
+        for single-view runs (which need no ranks).
+
+        Checks first that the scramble's groups are still the ones this
+        run was planned over: after an insert that adds a group the
+        rebuilt ranks index another domain, and folding by them would
+        credit rows to the wrong views
+        (:class:`~repro.fastframe.scramble.StaleGroupDomain`).
+        """
+        if not self.group_by:
             return None
         group_by = self.group_by
-        scramble = self.scramble
-        return lambda pick: frame.combined_codes(
-            group_by, lambda rows: scramble.combined_codes(group_by, rows)
-        )[pick]
+        ranks = self.scramble.group_ranks(group_by, self.domain)
+        if self.domain.size <= 1:
+            return None
+        return lambda pick: frame.combined_codes(group_by, ranks.__getitem__)[pick]
 
     def _end_window(self, n_read: int, at_end: bool) -> None:
         """The tail of a window, once its slice is folded in: charge
@@ -571,14 +578,15 @@ class _ScalarRun(QueryRun):
         """Fold one partitioned window slice into the per-view states.
 
         The scalar mirror of :meth:`ViewPool.apply_ingest`: it consumes
-        the same :class:`IngestDelta` the fused
+        the same :class:`IngestDelta` the
         :func:`~repro.fastframe.kernels.partition_ingest` kernel produces
         for the pool engine, so the two engines share every byte of
-        slicing/gather/sort arithmetic and differ only in how per-view
-        state is stored.  The delta's ``view_idx`` is sorted with ties in
-        stream order, so each view's value segment arrives in exactly the
-        order the seed's per-view loop fed it (``delta.values`` is
-        ``None`` for COUNT queries, which only need segment lengths).
+        slicing/gather arithmetic and differ only in how per-view state
+        is stored.  Each view's value segment comes off the delta's
+        memoized :meth:`~repro.fastframe.kernels.IngestDelta.grouped`
+        sort, in stream order — the order the seed's per-view loop fed it
+        (``delta.values`` is ``None`` for COUNT queries, which only need
+        per-view row counts and never sort).
         """
         bounder = self.bounder
         freezes_groups = self.freezes_groups
@@ -616,17 +624,19 @@ class _ScalarRun(QueryRun):
     def _segments(self, delta: IngestDelta, needs_values: bool) -> tuple[dict, dict]:
         """``(segments, moments)`` of a delta, memoized on it for every run
         that shares it: view code → its value segment (its row count for
-        COUNT), and view code → the segment's batch moments, filled as the
-        views ask for them."""
+        COUNT, counted without a sort), and view code → the segment's
+        batch moments, filled as the views ask for them."""
         if delta.segments is None:
             domain = self.domain
             segments: dict[int, np.ndarray | int] = {}
-            if delta.n_in_view:
-                view_idx = delta.view_idx
+            if delta.n_in_view and not needs_values:
+                counts = np.bincount(delta.view_idx, minlength=domain.size)
+                for row in np.flatnonzero(counts):
+                    segments[int(domain[row])] = int(counts[row])
+            elif delta.n_in_view:
+                view_idx, values = delta.grouped()
                 for start, end in zip(*segment_bounds(view_idx)):
-                    segments[int(domain[view_idx[start]])] = (
-                        delta.values[start:end] if needs_values else int(end - start)
-                    )
+                    segments[int(domain[view_idx[start]])] = values[start:end]
             delta.segments, delta.moments = segments, {}
         return delta.segments, delta.moments
 
@@ -1101,7 +1111,7 @@ def run_shared_scan(
     Each pass takes the next lookahead window off the shared cursor,
     collects every unfinished run's block mask, fetches the **union**
     once, and materializes one :class:`WindowFrame` over it — value
-    arrays, combined group codes, and predicate masks are gathered once
+    arrays, pool-row ranks, and predicate masks are gathered once
     per window, however many queries consume them.  Each run then slices
     its private view out of the frame, so a block wanted by k queries is
     fetched once, a column aggregated by k queries is gathered once, and

@@ -1,54 +1,38 @@
-"""The fused per-(query, window) ingest kernel — one copy for every layer.
+"""The per-(query, window) ingest kernel — one copy for every layer.
 
-Every engine in this codebase ultimately does the same thing to a scan
-window: slice it down to the run's elements (block mask ∧ predicate),
-gather the surviving values and combined group codes, and stable-sort by
-group code into pool rows.  Before this module existed that
-arithmetic lived in three near-copies — the scalar engine, the ViewPool
-serial path, and the parallel worker — and every optimization (or bug
-fix) had to land three times and be parity-tested three ways.
+Every engine in this codebase does the same thing to a scan window: slice
+it down to the run's elements (block mask ∧ predicate) and gather the
+surviving values and pool rows.  :func:`partition_ingest` is the single
+entry point both engines call; the parallel driver calls its two halves,
+:func:`slice_elements` on the scanning thread and :func:`partition_slice`
+on an ingest thread.
 
-:func:`partition_ingest` is now the single entry point both engines
-call; the parallel driver calls its two halves, :func:`slice_elements`
-on the scanning thread and :func:`partition_slice` on an ingest thread.
-The primitives it composes (:func:`slice_elements`,
-:func:`partition_slice`, :func:`lookup_codes`, :class:`IngestDelta`,
-:class:`WindowSlice`) live here, so the arithmetic exists exactly once —
-in this module.
+Stream order
+------------
 
-Fusion
-------
+The kernel does not sort.  Each row's pool row is read off the
+scramble's cached rank column
+(:meth:`~repro.fastframe.scramble.Scramble.group_ranks`), so a window's
+:class:`IngestDelta` is ``view_idx`` / ``values`` in the order the scan
+read them — a slice and a gather, and for an all-pass contiguous window
+zero-copy views of the frame's arrays.  Folding a view's rows needs only
+that view's rows in stream order, which the stream already has:
 
-Relative to the composed legacy passes the kernel removes whole array
-sweeps while producing byte-identical deltas:
-
-* **All-pass gather elision** — when every element of the window
-  survives the slice (no block-mask restriction and an all-true
-  predicate: the common full-scan case), the boolean gathers
-  ``values[pick]`` / ``combined[pick]`` are replaced by zero-copy views
-  (``arr[:]``).  Nothing downstream mutates its inputs, and the fold
-  reads the delta while the window's frame is still alive, so views are
-  safe on either thread.
-* **Sort-fused value gather** — for multi-view value queries the legacy
-  path gathered values twice (boolean gather, then permutation by sort
-  order).  The kernel converts the pick mask to indices once and
-  gathers values directly in sorted order (``full[pick_idx[order]]``)
-  — one gather instead of two, identical floats.
-* **Low-cardinality bucketing** — the stable sort by combined group
-  code is replaced, when the pool domain is small, by a counting sort:
-  codes are first ranked into the dense pool domain
-  (:func:`lookup_codes`), the ranks are narrowed to ``uint8``/``uint16``
-  and stable-argsorted — numpy's stable integer argsort is a radix
-  sort, so this is 1–2 counting passes instead of 8 for the legacy
-  ``int64`` sort.  Ranking is a strictly monotone map of the codes, so
-  the stable permutation — and therefore every downstream byte — is
-  identical to the legacy sort.  ``BUCKET_MAX_CARDINALITY`` caps the
-  path; ``benchmarks/bench_hot_path.py`` measures the crossover.
+* COUNT pools and the moment-family pools reduce it with ``bincount``
+  (:meth:`~repro.stats.streaming.MomentPool.batch_stats`), and RangeTrim
+  over a moment pool derives its two sides from those moments plus the
+  view's records (:mod:`repro.bounders.range_trim`) — none of them sorts;
+* consumers that need each view's rows contiguous — the scalar engine's
+  per-view segments, the CSR sample pools (Anderson, quantile) and
+  RangeTrim over Anderson — call :meth:`IngestDelta.grouped`, a stable
+  radix argsort on the narrow ranks, run once per delta and memoized, so
+  runs sharing a delta in a multi-run scan share the sort too.
 
 Determinism contract: for the same inputs the kernel returns the same
-bytes as the composed legacy passes — ``tests/fastframe/test_kernels.py``
-pins fused ≡ composed across the edge cases (empty partition, all rows
-filtered, single group, max cardinality, non-contiguous slices).
+bytes on any thread and any storage backend;
+``tests/fastframe/test_kernels.py`` pins it against the composed passes
+across the edge cases (empty partition, all rows filtered, single group,
+dtype boundaries, non-contiguous slices).
 """
 
 from __future__ import annotations
@@ -57,22 +41,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.bounders.base import view_order
+
 __all__ = [
-    "BUCKET_MAX_CARDINALITY",
     "IngestDelta",
     "WindowSlice",
     "lookup_codes",
-    "group_order",
     "slice_elements",
     "partition_slice",
     "partition_ingest",
 ]
-
-#: Largest pool domain partitioned by counting sort (rank + narrow-dtype
-#: radix argsort) instead of the general stable sort on int64 codes.
-#: Ranks fit uint8 up to 256 views and uint16 up to 65536; beyond that
-#: the narrowing pass stops paying for itself.
-BUCKET_MAX_CARDINALITY = 65536
 
 #: Zero-copy gather key for the all-pass fast path (``arr[_ALL]`` is a
 #: view, not a copy).
@@ -84,9 +62,8 @@ def lookup_codes(codes: np.ndarray, combined: np.ndarray) -> np.ndarray:
 
     Raises :class:`KeyError` when any code is outside the domain — an
     unguarded ``searchsorted`` would silently return a neighboring view's
-    row and corrupt its counters (e.g. when an insert widens a dictionary
-    after the pool was built).  Module-level so ingest threads can map
-    codes without holding a :class:`~repro.fastframe.viewpool.ViewPool`.
+    row and corrupt its counters.  Called once per GROUP BY, when the
+    scramble builds its rank column.
     """
     combined = np.asarray(combined, dtype=np.int64)
     if codes.size == 0:
@@ -120,36 +97,9 @@ def lookup_codes(codes: np.ndarray, combined: np.ndarray) -> np.ndarray:
     return idx
 
 
-def group_order(
-    view_combined: np.ndarray, codes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stable grouping permutation and sorted pool rows for a slice.
-
-    Returns ``(order, view_idx)`` such that ``view_combined[order]`` is
-    sorted ascending with ties in stream order (the order the
-    order-sensitive bounder pools require) and ``view_idx`` maps each
-    sorted element to its pool row.
-
-    Small domains take the counting-sort path: rank every code into the
-    dense domain first, then stable-argsort the narrowed ranks — numpy's
-    stable integer argsort is a radix sort, so ``uint8``/``uint16`` keys
-    cost 1–2 counting passes instead of 8 for int64 codes.  The ranking
-    is strictly monotone over the sorted unique domain, so the stable
-    permutation is byte-identical to the legacy sort on the raw codes.
-    """
-    size = codes.size
-    if 1 < size <= BUCKET_MAX_CARDINALITY:
-        ranks = lookup_codes(codes, view_combined)
-        key_dtype = np.uint8 if size <= 256 else np.uint16
-        order = np.argsort(ranks.astype(key_dtype), kind="stable")
-        return order, ranks[order]
-    order = np.argsort(view_combined, kind="stable")
-    return order, lookup_codes(codes, view_combined[order])
-
-
 @dataclass
 class IngestDelta:
-    """One (query, window) slice, partitioned and ready to fold.
+    """One (query, window) slice, ready to fold.
 
     Everything :meth:`~repro.fastframe.viewpool.ViewPool.apply_ingest`
     (or the scalar engine's ``_ingest``) needs to fold the window into a
@@ -162,8 +112,7 @@ class IngestDelta:
     n_in_view:
         Rows that additionally pass the run's predicate.
     view_idx:
-        Pool row per in-view element, sorted ascending with ties in
-        stream order (the order the bounder pools require); ``None``
+        Pool row (``intp``) per in-view element, in stream order; ``None``
         when ``n_in_view == 0``.
     values:
         Aggregated-column values aligned with ``view_idx``; ``None`` for
@@ -180,6 +129,21 @@ class IngestDelta:
     values: np.ndarray | None = None
     segments: dict | None = field(default=None, repr=False, compare=False)
     moments: dict | None = field(default=None, repr=False, compare=False)
+    _grouped: tuple | None = field(default=None, repr=False, compare=False)
+
+    def grouped(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(view_idx, values)`` stably sorted by view: each view's rows
+        contiguous, in stream order (memoized).
+
+        The sort key is the ranks narrowed to the smallest unsigned dtype
+        that holds them (:func:`~repro.bounders.base.view_order`), so up
+        to 65 536 views it is a one- or two-pass radix sort.
+        """
+        if self._grouped is None:
+            order = view_order(self.view_idx)
+            values = None if self.values is None else self.values[order]
+            self._grouped = self.view_idx[order], values
+        return self._grouped
 
 
 @dataclass
@@ -209,9 +173,9 @@ def slice_elements(n_rows: int, sel, predicate_of) -> WindowSlice:
     ``sel`` is the run's element selector over the window's fetched rows
     (``None`` when the run's mask is the union); ``predicate_of`` lazily
     supplies the predicate mask — evaluated only when the run read
-    anything, exactly the serial lazy condition.  The ONE copy of this
-    arithmetic: :func:`partition_ingest` and the parallel driver's
-    offload planning both call it, so the drivers cannot drift.
+    anything.  The ONE copy of this arithmetic: :func:`partition_ingest`
+    and the parallel driver's offload planning both call it, so the
+    drivers cannot drift.
     """
     n_read = int(n_rows) if sel is None else int(np.count_nonzero(sel))
     pick = None
@@ -224,68 +188,40 @@ def slice_elements(n_rows: int, sel, predicate_of) -> WindowSlice:
 
 
 def partition_slice(
-    window_slice: WindowSlice,
-    codes: np.ndarray,
-    values_of=None,
-    combined_of=None,
+    window_slice: WindowSlice, values_of=None, ranks_of=None
 ) -> IngestDelta:
-    """Partition a counted slice into an :class:`IngestDelta` (pure, fused).
+    """Gather a counted slice into a stream-order :class:`IngestDelta`.
 
-    ``values_of`` / ``combined_of`` lazily gather the slice's value and
-    combined-code arrays from a gather key (``None`` for COUNT queries /
-    single-view pools); they are only invoked when the slice has in-view
-    elements — again the serial lazy condition, shared by every engine.
-    The gather key is a boolean pick mask, an int64 index array, or
-    ``slice(None)`` — all three index an ndarray the same way, and the
-    kernel picks whichever does the least work:
-
-    * all elements pass → ``slice(None)`` (zero-copy view, no gather);
-    * multi-view value query → the pick mask is converted to indices once
-      and values are gathered directly in sorted order (one gather
-      instead of gather-then-permute).
+    ``values_of`` / ``ranks_of`` lazily gather the slice's values and
+    pool rows from a gather key (``None`` for COUNT queries / single-view
+    pools); they are only invoked when the slice has in-view elements.
+    The key is the pick mask's indices, or ``slice(None)`` when every
+    element passes — then the gathers are zero-copy views.
     """
     n_in_view = window_slice.n_in_view
-    needs_values = values_of is not None
     if n_in_view == 0:
         return IngestDelta(n_read=window_slice.n_read, n_in_view=0)
     pick = window_slice.pick
     if n_in_view == pick.size:
-        # All-pass fast path: every element of the window survives the
-        # slice, so gathers degrade to zero-copy views.
         pick = _ALL
-    if combined_of is None or codes.size <= 1:
-        # Single view: no partitioning needed, keep stream order.
-        view_idx = np.zeros(n_in_view, dtype=np.int64)
-        ordered_values = values_of(pick) if needs_values else None
     else:
-        if needs_values and pick is not _ALL:
-            # Indices instead of a mask, so the value gather below can
-            # fuse with the sort permutation (one gather, not two).
-            pick = np.flatnonzero(pick)
-        view_combined = combined_of(pick)
-        sort_order, view_idx = group_order(view_combined, codes)
-        if needs_values:
-            gather = sort_order if pick is _ALL else pick[sort_order]
-            ordered_values = values_of(gather)
-        else:
-            ordered_values = None
-    return IngestDelta(
-        n_read=window_slice.n_read,
-        n_in_view=n_in_view,
-        view_idx=view_idx,
-        values=ordered_values,
-    )
+        # Indices, not the mask: two take-gathers beat two boolean ones.
+        pick = np.flatnonzero(pick)
+    values = None if values_of is None else values_of(pick)
+    delta = IngestDelta(window_slice.n_read, n_in_view, values=values)
+    if ranks_of is None:
+        # Single view: the stream is already grouped.
+        delta.view_idx = np.zeros(n_in_view, dtype=np.intp)
+        delta._grouped = delta.view_idx, values
+    else:
+        delta.view_idx = ranks_of(pick).astype(np.intp)
+    return delta
 
 
 def partition_ingest(
-    n_rows: int,
-    sel,
-    predicate_of,
-    codes: np.ndarray,
-    values_of=None,
-    combined_of=None,
+    n_rows: int, sel, predicate_of, values_of=None, ranks_of=None
 ) -> IngestDelta:
-    """The whole partition hot path, fused: slice → gather → sort.
+    """The whole partition hot path: slice → gather, in stream order.
 
     :func:`slice_elements` then :func:`partition_slice` — the kernel both
     engines' ``consume`` call; the parallel driver slices on the scanning
@@ -301,12 +237,9 @@ def partition_ingest(
         block mask is the window union).
     predicate_of:
         Lazily supplies the predicate mask over the window's elements.
-    codes:
-        The pool's sorted combined group-code domain (the run's full
-        group domain for the scalar engine).
-    values_of, combined_of:
+    values_of, ranks_of:
         Lazy gathers as in :func:`partition_slice`.
     """
     return partition_slice(
-        slice_elements(n_rows, sel, predicate_of), codes, values_of, combined_of
+        slice_elements(n_rows, sel, predicate_of), values_of, ranks_of
     )

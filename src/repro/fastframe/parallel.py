@@ -12,12 +12,12 @@ selected when it is taken off the cursor, never ahead of it.
 
 **A task owns its run's fold.**  Once a window's
 :class:`~repro.fastframe.window.WindowFrame` is materialized, each pool
-run's ingest of it (predicate slice, gather, stable sort by group code,
+run's ingest of it (predicate slice, gather of values and pool rows,
 fold into its :class:`~repro.fastframe.viewpool.ViewPool`) is independent
 of every other run's.  The scanning thread counts each pool run's slice;
 for a run with at least :data:`MIN_OFFLOAD_ELEMENTS` in-view elements it
 materializes every frame array the run reads (predicate mask, value
-array, combined group codes), groups those runs into *task batches*
+array, pool-row ranks), groups those runs into *task batches*
 (``ceil(runs / workers)`` per task, so one window costs one task per
 thread) and submits the batches to a persistent thread pool.  Per run, a
 task runs :func:`~repro.fastframe.kernels.partition_slice` and then the
@@ -47,9 +47,9 @@ state and metrics across ``parallelism`` 1/2/4.
 **Why the unlocked state is safe.**
 
 * A task touches only its own run's pool.  Everything else it reads is
-  handed to it: materialized ndarrays, the counted
-  :class:`~repro.fastframe.kernels.WindowSlice` and the pool's code
-  domain — never the frame's memo dicts, the block store or its cache.
+  handed to it: materialized ndarrays and the counted
+  :class:`~repro.fastframe.kernels.WindowSlice` — never the frame's memo
+  dicts, the block store or its cache.
   (Bounders are stateless, so tasks of runs sharing one may call its
   ``update_pool`` on their own pools at once.)
 * No two tasks share a run: a run is ingested once per window, and the
@@ -83,7 +83,7 @@ from repro.fastframe.window import WindowFrame
 __all__ = ["ParallelScanDriver", "MIN_OFFLOAD_ELEMENTS", "shutdown_worker_pool"]
 
 #: In-view elements below which a run's window slice is ingested inline
-#: — at this size the sort and fold cost less than a task round trip.
+#: — at this size the fold costs less than a task round trip.
 MIN_OFFLOAD_ELEMENTS = 256
 
 
@@ -138,7 +138,7 @@ def shutdown_worker_pool() -> None:
 def _ingest_batch_task(items: list) -> list:
     """Thread body: ingest a batch of runs' slices of one window.
 
-    Per item ``(run, window_slice, values, combined, window_rows)``: runs
+    Per item ``(run, window_slice, values, ranks, window_rows)``: runs
     :func:`~repro.fastframe.kernels.partition_slice` over the arrays the
     scanning thread materialized, then ``run._ingest`` — the two calls the
     serial ``consume`` makes.  Returns ``(n_read, seconds)`` per item;
@@ -147,12 +147,11 @@ def _ingest_batch_task(items: list) -> list:
     """
     results = []
     last = time.perf_counter()
-    for run, window_slice, values, combined, window_rows in items:
+    for run, window_slice, values, ranks, window_rows in items:
         delta = partition_slice(
             window_slice,
-            run.pool.codes,
             None if values is None else values.__getitem__,
-            None if combined is None else combined.__getitem__,
+            None if ranks is None else ranks.__getitem__,
         )
         run._ingest(delta, window_rows)
         now = time.perf_counter()
@@ -233,7 +232,7 @@ class ParallelScanDriver(ScanDriver):
 
         Counts the run's slice; above the cutoff, materializes the frame
         arrays its partition reads under the run's own lazy conditions
-        (``frame_values_of`` / ``frame_combined_of`` return ``None``
+        (``frame_values_of`` / ``frame_ranks_of`` return ``None``
         exactly when the run needs no such array), so ``values_gathered``
         matches the serial loop bit for bit.
         """
@@ -246,15 +245,12 @@ class ParallelScanDriver(ScanDriver):
         )
         if window_slice.n_in_view < MIN_OFFLOAD_ELEMENTS:
             return None
-        values = combined = None
-        if run.frame_values_of(frame) is not None:
-            values = frame.values(run.value_key, run.values_of)
-        if run.frame_combined_of(frame) is not None:
-            group_by = run.group_by
-            combined = frame.combined_codes(
-                group_by, lambda rows: run.scramble.combined_codes(group_by, rows)
-            )
-        return run, window_slice, values, combined, frame.window_rows
+        # Each lazy slicer, keyed with the whole window, is the frame's
+        # union array itself.
+        values_of, ranks_of = run.frame_values_of(frame), run.frame_ranks_of(frame)
+        values = None if values_of is None else values_of(slice(None))
+        ranks = None if ranks_of is None else ranks_of(slice(None))
+        return run, window_slice, values, ranks, frame.window_rows
 
     def _batch_size(self, n_offload: int) -> int:
         """Runs per task for a window with ``n_offload`` offloaded runs:

@@ -16,12 +16,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fastframe.table import Table, row_count
+from repro.fastframe.kernels import lookup_codes
+from repro.fastframe.table import Table
 
-__all__ = ["Scramble", "DEFAULT_BLOCK_SIZE"]
+__all__ = ["Scramble", "StaleGroupDomain", "DEFAULT_BLOCK_SIZE"]
 
 #: Block size used in the paper's experiments (§4.3): 25 rows per block.
 DEFAULT_BLOCK_SIZE = 25
+
+
+class StaleGroupDomain(KeyError):
+    """A query planned over a GROUP BY domain that an insert has changed.
+
+    A ``KeyError``, like the domain lookup that raises it: the rows of the
+    new groups have no pool row in the planned query's state.
+    """
 
 
 class Scramble:
@@ -54,7 +63,7 @@ class Scramble:
         self.table = table.take(self.permutation)
         self.block_size = block_size
         #: Load-time metadata shared by every query over this scramble
-        #: (bitmap indexes, group domains, combined codes, decoded keys,
+        #: (bitmap indexes, group domains and ranks, decoded keys,
         #: block → view tables);
         #: filled by the metadata methods below, cleared by insert_rows.
         self.metadata_cache: dict = {}
@@ -148,42 +157,75 @@ class Scramble:
     def group_domain(self, group_by: tuple[str, ...]) -> np.ndarray:
         """Combined codes of the groups actually present in the data.
 
-        Cached per GROUP BY column set.  A real system reads this from its
-        dictionary/bitmap metadata; it is not charged to query metrics.
+        Cached per GROUP BY column set, built with :meth:`group_ranks`.
+        A real system reads this from its dictionary/bitmap metadata; it
+        is not charged to query metrics.
         """
         key = ("domain", group_by)
         if key not in self.metadata_cache:
-            self.metadata_cache[key] = np.unique(self.combined_codes(group_by))
+            self._build_groups(group_by)
         return self.metadata_cache[key]
 
-    def combined_codes(
-        self, group_by: tuple[str, ...], rows: slice | np.ndarray | None = None
+    def group_ranks(
+        self, group_by: tuple[str, ...], domain: np.ndarray | None = None
     ) -> np.ndarray:
+        """Row-aligned pool row of every row: its group's position in
+        :meth:`group_domain`, in the narrowest unsigned dtype that holds it.
+
+        Built once per GROUP BY column set, next to the domain, and cached
+        until an insert clears the metadata; a window's ranks are a slice
+        of it.  ``domain`` is the caller's plan-time domain: when an insert
+        has since changed the groups present, the rebuilt ranks index a
+        different domain, so the call raises :class:`StaleGroupDomain`
+        rather than let a stale pool fold a row into another group's view.
+        """
+        key = ("ranks", group_by)
+        if key not in self.metadata_cache:
+            self._build_groups(group_by)
+        current = self.metadata_cache[("domain", group_by)]
+        if domain is not None and domain is not current and not np.array_equal(
+            domain, current
+        ):
+            raise StaleGroupDomain(
+                f"the groups of {list(group_by)} changed since the query was "
+                f"planned ({domain.size} -> {current.size} groups); plan it again"
+            )
+        return self.metadata_cache[key]
+
+    def _build_groups(self, group_by: tuple[str, ...]) -> None:
+        """Cache the domain and the rank column of one GROUP BY together
+        (one transient int64 combined-code column, dropped after)."""
+        if not group_by:
+            # One view; untouched zeros cost no memory until read.
+            domain = np.zeros(1, dtype=np.int64)
+            ranks = np.zeros(self.num_rows, dtype=np.uint8)
+        else:
+            combined = self.combined_codes(group_by)
+            domain = np.unique(combined)
+            ranks = lookup_codes(domain, combined)
+            ranks = ranks.astype(np.min_scalar_type(domain.size - 1))
+        self.metadata_cache[("domain", group_by)] = domain
+        self.metadata_cache[("ranks", group_by)] = ranks
+
+    def combined_codes(self, group_by: tuple[str, ...]) -> np.ndarray:
         """Row-aligned combined group codes (mixed-radix over the columns).
 
-        The full-table array is computed once per GROUP BY column set and
-        cached (invalidated by inserts, like the bitmap indexes);
-        per-window calls just slice it.
+        Computed on each call (not cached: queries read the narrower
+        :meth:`group_ranks`).  Reads through the attached block store when
+        one is present.
         """
         if not group_by:
-            return np.zeros(row_count(self.num_rows, rows), dtype=np.int64)
-        key = ("combined", group_by)
-        if key not in self.metadata_cache:
-            combined = None
-            # column_codes reads through the attached block store when one
-            # is present; this is a one-time load-level metadata build (the
-            # array is cached here), not a per-window gather.
-            for column in group_by:
-                codes = self.column_codes(column)
-                card = self.table.categorical(column).cardinality
-                combined = (
-                    codes.astype(np.int64)
-                    if combined is None
-                    else combined * card + np.asarray(codes)
-                )
-            self.metadata_cache[key] = combined
-        full = self.metadata_cache[key]
-        return full if rows is None else full[rows]
+            return np.zeros(self.num_rows, dtype=np.int64)
+        combined = None
+        for column in group_by:
+            codes = np.asarray(self.column_codes(column))
+            card = self.table.categorical(column).cardinality
+            combined = (
+                codes.astype(np.int64)
+                if combined is None
+                else combined * card + codes
+            )
+        return combined
 
     def group_keys(
         self, group_by: tuple[str, ...]

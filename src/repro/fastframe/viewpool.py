@@ -4,7 +4,8 @@ The seed executor kept one ``_ViewState`` object per aggregate view and
 drove both ingest and bound recomputation with Python loops over every
 view — interpreter overhead that dominates wall time for high-cardinality
 GROUP BYs.  :class:`ViewPool` stores the same state as parallel numpy
-arrays, one row per view, indexed by combined (mixed-radix) group code:
+arrays, one row per view, in the order of the sorted combined
+(mixed-radix) group codes of the GROUP BY's domain:
 
 * sample and all-read moments (:class:`~repro.stats.streaming.MomentPool`);
 * selectivity counters ``in_view`` / ``covered`` (Lemma 5's m_v and r);
@@ -39,12 +40,14 @@ executor's ingest/recompute paths) must call :meth:`mark_dirty` for the
 touched rows, or the cached snapshot goes stale.
 
 **Ingest.**  Folding one window into the pool is a pure *partition* step
-(the fused kernel in :mod:`repro.fastframe.kernels` — slice the window,
-gather the in-view elements, stable-sort by group code, map codes to pool
-rows) followed by :meth:`ViewPool.apply_ingest`, which folds the sorted
-stream into the moment pools, the bounder pool (``update_pool``, or
-``update_pool_with_stats`` with the moments it already reduced) and the
-selectivity counters.  Serial and parallel ingest run this one program:
+(the kernel in :mod:`repro.fastframe.kernels` — slice the window, gather
+the in-view values and their pool rows off the scramble's rank column, in
+stream order, no sort) followed by :meth:`ViewPool.apply_ingest`, which
+reduces the stream once with ``bincount`` into per-view (count, mean, M2),
+merges those into the moment pools and hands them with the stream to the
+bounder pool (``update_pool_with_stats``).  Frozen, dropped and exhausted
+views are left out by masking their slots, never by filtering rows.
+Serial and parallel ingest run this one program:
 the parallel driver runs both steps for a run on an ingest thread, which
 then owns that run's pool until the window's round (the pool itself is
 unlocked; see :mod:`repro.fastframe.parallel`).  The determinism suite
@@ -64,6 +67,14 @@ from repro.stats.streaming import MomentPool
 from repro.stopping.conditions import SnapshotColumns
 
 __all__ = ["ViewPool"]
+
+
+def _only(stats: tuple, keep: np.ndarray) -> tuple:
+    """Per-slot ``(counts, means, m2s)`` with the slots outside ``keep``
+    emptied (``stats`` itself when every slot is kept)."""
+    if keep.all():
+        return stats
+    return tuple(np.where(keep, column, 0) for column in stats)
 
 
 @dataclass
@@ -147,74 +158,35 @@ class ViewPool:
         window_rows: int,
         freezes_groups: bool,
     ) -> None:
-        """Fold one window's partitioned :class:`IngestDelta` into the pool.
+        """Fold one window's stream-order :class:`IngestDelta` into the pool.
 
-        The stateful half of ingest: per-view batch statistics merged into
-        the moment pools and handed down with the sorted stream to the
-        bounder pool (``update_pool_with_stats``, so a moment-state bounder
-        reduces the stream no second time), selectivity counters, and the
-        dirty masks
-        — for Lemma 5's *settling* views only (not dropped, not exhausted,
-        and not frozen when the strategy freezes inactive groups).
+        The stateful half of ingest: one :meth:`MomentPool.batch_stats`
+        over the stream gives every view's (count, mean, M2); the all-read
+        moments take the *eligible* views' (not dropped, not exhausted),
+        and the sample moments, the bounder pool
+        (``update_pool_with_stats``) and Lemma 5's selectivity counters
+        take the *settling* views' — eligible, and not frozen when the
+        strategy freezes inactive groups.  Each view's statistics depend
+        on its own rows only, so leaving a view out is a mask over slots,
+        not over rows; the bounder ignores the stream rows of views whose
+        count it is handed as zero.
         """
         eligible = ~self.dropped & ~self.exhausted
         settling = eligible & self.active if freezes_groups else eligible
         if delta.n_in_view:
-            view_idx = delta.view_idx
-            values = delta.values
-            needs_values = values is not None
-            # `settling ⊆ eligible`, so when every view settles (the common
-            # case: nothing frozen or dropped) the O(rows) element masks can
-            # be skipped entirely — decided by O(views) flag tests.
-            if settling.all():
-                if needs_values:
-                    # The all-read and sampled moments receive the same
-                    # batch — per-view statistics computed once, merged
-                    # twice.
-                    stats = MomentPool.batch_stats(view_idx, values, self.size)
-                    self.all_read.merge_arrays(*stats)
-                    self.sample.merge_arrays(*stats)
-                    bounder.update_pool_with_stats(
-                        self.bounder_pool, view_idx, values, stats
-                    )
-                    counts = stats[0]
-                else:
-                    counts = np.bincount(view_idx, minlength=self.size)
-                    self.all_read.count += counts
-                self.in_view += counts
+            if delta.values is None:
+                counts = np.bincount(delta.view_idx, minlength=self.size)
+                self.all_read.count += np.where(eligible, counts, 0)
             else:
-                elements_eligible = eligible[view_idx]
-                elements_settling = settling[view_idx]
-                identical = np.array_equal(elements_eligible, elements_settling)
-                if needs_values:
-                    if identical:
-                        idx = view_idx[elements_settling]
-                        vals = values[elements_settling]
-                        stats = MomentPool.batch_stats(idx, vals, self.size)
-                        self.all_read.merge_arrays(*stats)
-                        self.sample.merge_arrays(*stats)
-                        bounder.update_pool_with_stats(
-                            self.bounder_pool, idx, vals, stats
-                        )
-                    else:
-                        self.all_read.update_indexed(
-                            view_idx[elements_eligible], values[elements_eligible]
-                        )
-                        self.sample.update_indexed(
-                            view_idx[elements_settling], values[elements_settling]
-                        )
-                        bounder.update_pool(
-                            self.bounder_pool,
-                            view_idx[elements_settling],
-                            values[elements_settling],
-                        )
-                else:
-                    self.all_read.count += np.bincount(
-                        view_idx[elements_eligible], minlength=self.size
-                    )
-                self.in_view += np.bincount(
-                    view_idx[elements_settling], minlength=self.size
+                stats = MomentPool.batch_stats(
+                    delta.view_idx, delta.values, self.size
                 )
+                self.all_read.merge_arrays(*_only(stats, eligible))
+                stats = _only(stats, settling)
+                self.sample.merge_arrays(*stats)
+                bounder.update_pool_with_stats(self.bounder_pool, delta, stats)
+                counts = stats[0]
+            self.in_view += np.where(settling, counts, 0)
         # Lemma 5's covered-row accounting: the whole window settles for
         # every non-frozen surviving view (rows read, plus rows of skipped
         # blocks the bitmap index certifies hold no tuple of the view).

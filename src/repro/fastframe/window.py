@@ -13,8 +13,8 @@ the runs' block-fetch masks and builds one frame over the union:
 * ``rows`` — the union-fetched row ids, in scan (block) order;
 * :meth:`values` — per-column (or per-expression) value arrays, gathered
   once per distinct aggregate column however many queries consume it;
-* :meth:`combined_codes` — per-(GROUP BY column set) combined mixed-radix
-  group codes;
+* :meth:`combined_codes` — per-(GROUP BY column set) pool-row ranks, a
+  slice of the scramble's cached rank column;
 * :meth:`predicate_mask` — per-predicate boolean masks, keyed by the
   predicate's value (two separately parsed ``Origin = 'ORD'`` filters
   share one mask);
@@ -32,8 +32,8 @@ because it is shared by every run that consumes the window.
 Each run then slices its private view through :meth:`element_selector`:
 its block mask is a subset of the union, and because the union preserves
 window order, ``rows[selector]`` is exactly what the run's own
-``rows_of_blocks`` call used to return — the ingest arithmetic (stable
-sorts, moment updates) consumes bit-identical arrays, so sharing the
+``rows_of_blocks`` call used to return — the ingest arithmetic (moment
+folds, record clips) consumes bit-identical arrays, so sharing the
 gather cannot change any answer.  The solo execution path drives the same
 frame (with its own mask as the union), so there is one code path and no
 parity fork.
@@ -203,7 +203,12 @@ class WindowFrame:
         return self._values[key]
 
     def combined_codes(self, group_by: tuple[str, ...], provider) -> np.ndarray:
-        """Union combined group codes for one GROUP BY column set."""
+        """Union group codes for one GROUP BY column set, sliced once.
+
+        ``provider`` maps the row selector to the codes the runs fold by:
+        the scramble's pool-row ranks
+        (:meth:`~repro.fastframe.scramble.Scramble.group_ranks`).
+        """
         if group_by not in self._combined:
             self._combined[group_by] = _read_only(provider(self.row_key))
         return self._combined[group_by]

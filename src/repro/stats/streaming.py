@@ -203,14 +203,13 @@ class MomentPool:
         (Chan/Golub/LeVeque): the residual sum recovers the accuracy the
         sequential summation loses relative to numpy's pairwise ``mean``,
         and its square corrects the second moment.  A single-slot pool
-        short-circuits to the pairwise path directly; sorted indices (the
-        hot-path case — every pool ingest stream is group-sorted) take a
-        segmented ``np.add.reduceat`` pass instead of weighted bincounts,
-        touching only the slots actually present.  Both engines' ingest
-        paths always see sorted streams, so serial and parallel runs take
-        the same branch and pool state stays byte-identical.
+        short-circuits to the pairwise path directly; otherwise weighted
+        ``bincount`` passes reduce the stream in whatever order it
+        arrives — each slot's values are summed in stream order, so a
+        stream and its stable sort by slot give the same bytes, and serial
+        and parallel runs fold identical pools.
         """
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.intp)
         values = np.asarray(values, dtype=np.float64)
         if size == 1:
             counts = np.array([values.size], dtype=np.int64)
@@ -219,34 +218,6 @@ class MomentPool:
             mean = float(values.mean())
             m2 = float(np.square(values - mean).sum())
             return counts, np.array([mean]), np.array([m2])
-        if values.size == 0:
-            zero = np.zeros(size)
-            return np.zeros(size, dtype=np.int64), zero, zero.copy()
-        if indices.size > 1 and bool((indices[1:] >= indices[:-1]).all()):
-            changed = np.empty(indices.size, dtype=bool)
-            changed[0] = True
-            np.not_equal(indices[1:], indices[:-1], out=changed[1:])
-            starts = np.flatnonzero(changed)
-            slots = indices[starts]
-            seg_counts = np.empty(starts.size, dtype=np.int64)
-            np.subtract(starts[1:], starts[:-1], out=seg_counts[:-1])
-            seg_counts[-1] = indices.size - starts[-1]
-            seg_sums = np.add.reduceat(values, starts)
-            seg_mean = seg_sums / seg_counts
-            deviations = values - np.repeat(seg_mean, seg_counts)
-            seg_residual = np.add.reduceat(deviations, starts)
-            seg_mean += seg_residual / seg_counts
-            seg_m2 = (
-                np.add.reduceat(deviations * deviations, starts)
-                - seg_residual * seg_residual / seg_counts
-            )
-            counts = np.zeros(size, dtype=np.int64)
-            counts[slots] = seg_counts
-            batch_mean = np.zeros(size)
-            batch_mean[slots] = seg_mean
-            batch_m2 = np.zeros(size)
-            batch_m2[slots] = np.maximum(seg_m2, 0.0)
-            return counts, batch_mean, batch_m2
         counts = np.bincount(indices, minlength=size)
         sums = np.bincount(indices, weights=values, minlength=size)
         safe_counts = np.maximum(counts, 1)
@@ -288,6 +259,8 @@ class MomentPool:
             present = counts > 0
         if not present.any():
             return
+        if present.all():
+            present = slice(None)  # every slot: views, not gathers
         n = counts[present]
         old_count = self.count[present]
         fresh = old_count == 0

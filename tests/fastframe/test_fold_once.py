@@ -5,8 +5,9 @@ stream in a multi-run scan.
 Every piece is a pure saving, so every check here is byte identity
 against the path it replaces:
 
-(a) ``update_pool_with_stats`` leaves a ``RangeTrimPool`` equal by
-    ``tobytes()`` to ``update_pool`` on the same sorted stream;
+(a) ``update_pool_with_stats`` on a stream-order window leaves a
+    ``RangeTrimPool`` equal by ``tobytes()`` to ``update_pool`` on the
+    same rows grouped by view;
 (b) the dashboard's runs (plus a duplicate FQ9) give, in one shared scan,
     every round, result and metric they give alone, under both storage
     backends and both drivers, with fewer partitions than runs per window;
@@ -37,6 +38,7 @@ from repro.bounders.registry import get_bounder
 from repro.datasets.flights import make_flights_scramble
 from repro.fastframe.config import ExecConfig
 from repro.fastframe.executor import QueryRun, scan_driver
+from repro.fastframe.kernels import IngestDelta
 from repro.fastframe.predicate import Compare, Eq, TruePredicate
 from repro.fastframe.scan import ScanCursor, get_strategy
 from repro.fastframe.storage import (
@@ -63,8 +65,9 @@ _VALUES = st.sampled_from([-3.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 7.0, 1e6])
 
 @st.composite
 def _windows(draw):
-    """``(pool size, windows)``: each window a sorted (indices, values)
-    stream, as partition_ingest hands it to ``ViewPool.apply_ingest``."""
+    """``(pool size, windows)``: each window a stream-order ``(indices,
+    values)`` pair, as partition_ingest hands it to
+    ``ViewPool.apply_ingest``."""
     size = draw(st.integers(1, 6))
     windows = []
     for _ in range(draw(st.integers(1, 4))):
@@ -73,21 +76,25 @@ def _windows(draw):
         )
         order = draw(st.sampled_from(["stream", "ascending", "descending"]))
         if order != "stream":
-            # Pre-sorted segments: every element a record on one side.
+            # Pre-sorted values: every element a record on one side.
             pairs.sort(key=lambda pair: pair[1], reverse=order == "descending")
-        pairs.sort(key=lambda pair: pair[0])  # stable: ties keep stream order
-        indices = np.array([i for i, _ in pairs], dtype=np.int64)
+        indices = np.array([i for i, _ in pairs], dtype=np.intp)
         values = np.array([v for _, v in pairs], dtype=np.float64)
         windows.append((indices, values))
     return size, windows
 
 
 def _assert_hand_down_identical(bounder, size, windows):
+    """The stream-order hand-down leaves the pool ``update_pool`` leaves
+    on the same rows grouped by view — each view sees its rows in the
+    same order either way."""
     direct, handed = bounder.init_pool(size), bounder.init_pool(size)
     for indices, values in windows:
-        bounder.update_pool(direct, indices, values)
+        stream = IngestDelta(indices.size, indices.size, indices, values)
+        if indices.size:
+            bounder.update_pool(direct, *stream.grouped())
         stats = MomentPool.batch_stats(indices, values, size)
-        bounder.update_pool_with_stats(handed, indices, values, stats)
+        bounder.update_pool_with_stats(handed, stream, stats)
         assert bounder_pool_bytes(handed) == bounder_pool_bytes(direct)
 
 
@@ -107,11 +114,12 @@ def test_anderson_inner_falls_back_to_update_pool(case):
 
 
 def test_steady_state_window_hands_down_without_reducing(monkeypatch):
-    """A window with no record and no fresh view reduces nothing more."""
+    """A window with no record and no fresh view reduces and sorts
+    nothing more: each side takes the window's moments as they are."""
     bounder = RangeTrimBounder(EmpiricalBernsteinSerflingBounder())
     pool = bounder.init_pool(2)
     bounder.update_pool(pool, np.array([0, 0, 1, 1]), np.array([0.0, 9.0, 0.0, 9.0]))
-    indices, values = np.array([0, 0, 1]), np.array([1.0, 2.0, 3.0])
+    indices, values = np.array([1, 0, 0]), np.array([3.0, 1.0, 2.0])
     stats = MomentPool.batch_stats(indices, values, 2)
     calls = []
     original = MomentPool.batch_stats
@@ -119,8 +127,11 @@ def test_steady_state_window_hands_down_without_reducing(monkeypatch):
         MomentPool, "batch_stats",
         staticmethod(lambda *args: calls.append(args) or original(*args)),
     )
-    bounder.update_pool_with_stats(pool, indices, values, stats)
-    assert calls == []
+    stream = IngestDelta(3, 3, indices, values)
+    before = pool.left.m2.copy()
+    bounder.update_pool_with_stats(pool, stream, stats)
+    assert calls == [] and stream._grouped is None
+    assert pool.left.m2.tobytes() != before.tobytes()  # the window did fold
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -338,10 +349,9 @@ def test_frames_match_the_row_gather(flights, storage):
         gathered = frame.values(("column", "DepDelay"), lambda key: values[key])
         assert gathered.tobytes() == values[rows].tobytes()
         assert frame.values_gathered == rows.size
-        codes = frame.combined_codes(
-            group_by, lambda key: scramble.combined_codes(group_by, key)
-        )
-        assert codes.tobytes() == scramble.combined_codes(group_by, rows).tobytes()
+        ranks = scramble.group_ranks(group_by)
+        codes = frame.combined_codes(group_by, ranks.__getitem__)
+        assert codes.tobytes() == ranks[rows].tobytes()
         assert (
             frame.predicate_mask(predicate).tobytes()
             == predicate.mask(scramble.table, rows).tobytes()

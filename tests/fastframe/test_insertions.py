@@ -6,7 +6,7 @@ import pytest
 
 from repro.fastframe import Table
 from repro.fastframe.catalog import RangeBounds
-from repro.fastframe.scramble import Scramble
+from repro.fastframe.scramble import Scramble, StaleGroupDomain
 from repro.fastframe.table import CategoricalColumn
 
 
@@ -173,3 +173,70 @@ class TestScrambleInsert:
         result = conn.query(query).result()
         group = result.scalar()
         assert group.interval.lo - 1e-6 <= 500.0 <= group.interval.hi + 1e-6
+
+
+class TestStalePlan:
+    """A handle planned before an insert that adds a group never folds a
+    row into another group's view: the rebuilt rank column indexes the new
+    domain, so the planned run refuses it with a typed error."""
+
+    def _scramble(self):
+        rng = np.random.default_rng(11)
+        n = 6_000
+        table = Table(
+            continuous={"x": rng.normal(10.0, 2.0, size=n)},
+            categorical={
+                "g": rng.choice(["a", "b", "c"], size=n),
+                # Enough groups that a pool run is exercised too.
+                "h": rng.choice([f"h{i:02d}" for i in range(12)], size=n),
+            },
+        )
+        return Scramble(table, block_size=25, rng=np.random.default_rng(12))
+
+    @pytest.mark.parametrize("engine", ["pool", "scalar"])
+    def test_new_group_after_planning_raises(self, engine):
+        from repro.api import connect
+        from tests.support import forced_engine
+
+        scramble = self._scramble()
+        conn = connect(scramble, delta=1e-6, max_queries=2)
+        with forced_engine(engine):
+            handle = conn.table().group_by("g", "h").avg("x", abs=1e-9)
+            rounds = handle.rounds(0)  # planned over 36 groups
+        # A new value of the *last* GROUP BY column lands in the middle of
+        # the mixed-radix domain: every later group's rank moves by one.
+        scramble.insert_rows(
+            continuous={"x": np.full(400, 1_000.0)},
+            categorical={"g": ["a"] * 400, "h": ["h99"] * 400},
+            rng=np.random.default_rng(13),
+        )
+        assert scramble.group_domain(("g", "h")).size == 37
+        with pytest.raises(StaleGroupDomain, match="plan it again"):
+            for _ in rounds:
+                pass
+        assert isinstance(StaleGroupDomain("x"), KeyError)
+
+    def test_insert_without_new_group_folds_correctly(self):
+        """Same groups after the insert: the rebuilt ranks index the same
+        domain, so the planned run folds every row into its own view."""
+        from repro.api import connect
+
+        scramble = self._scramble()
+        conn = connect(scramble, delta=1e-6, max_queries=2)
+        handle = conn.table().group_by("g", "h").count(abs=1e-9)
+        rounds = handle.rounds(0)
+        scramble.insert_rows(
+            continuous={"x": np.full(50, 3.0)},
+            categorical={"g": ["b"] * 50, "h": ["h03"] * 50},
+            rng=np.random.default_rng(14),
+        )
+        for _ in rounds:
+            pass
+        result = handle.result()
+        codes = scramble.table.categorical("g").decode(
+            scramble.table.categorical("g").codes
+        )
+        hs = scramble.table.categorical("h").decode(scramble.table.categorical("h").codes)
+        for key, group in result.groups.items():
+            exact = sum(1 for g, h in zip(codes, hs) if (g, h) == key)
+            assert group.interval.lo <= exact <= group.interval.hi, key

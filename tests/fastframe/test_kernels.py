@@ -1,16 +1,16 @@
-"""Property suite for the fused ingest kernel and batched worker tasks.
+"""Property suite for the ingest kernel and batched worker tasks.
 
 Two contracts are pinned here:
 
-* **Fused ≡ composed.**  :func:`repro.fastframe.kernels.partition_ingest`
-  replaced three near-copies of the slice → gather → stable sort →
-  bincount hot path with one fused pass (all-pass gather elision,
-  sort-fused value gather, low-cardinality bucketing).  Every fusion is
-  an *optimization*, not an algorithm change: against a faithful
-  reimplementation of the legacy composed passes the kernel must return
-  byte-identical deltas across every edge case — empty partition, all
-  rows filtered, single group, bucket-dtype boundaries, max cardinality,
-  non-contiguous slices.
+* **Kernel ≡ composed.**  :func:`repro.fastframe.kernels.partition_ingest`
+  is slice → gather in stream order, with each row's pool row read off a
+  precomputed rank column (all-pass gather elision included).  Against a
+  faithful reimplementation of the composed passes — boolean-gather the
+  values and codes, rank every code with the checked lookup — the kernel
+  must return byte-identical deltas across every edge case: empty
+  partition, all rows filtered, single group, rank-dtype boundaries,
+  max cardinality, non-contiguous slices.  Its memoized ``grouped()``
+  must equal the int64 stable sort of the same stream.
 
 * **Batching is invisible.**  Bundling several runs' (query, window)
   ingests into one thread task changes only how many share a round
@@ -29,9 +29,7 @@ from repro.bounders.range_trim import RangeTrimBounder
 from repro.fastframe.config import ExecConfig
 from repro.fastframe.executor import _PoolRun, run_shared_scan
 from repro.fastframe.kernels import (
-    BUCKET_MAX_CARDINALITY,
     IngestDelta,
-    group_order,
     lookup_codes,
     partition_ingest,
     slice_elements,
@@ -49,11 +47,11 @@ from repro.stopping.conditions import (
 from tests.support import bounder_pool_bytes
 
 # ----------------------------------------------------------------------
-# Part 1 — fused kernel ≡ composed legacy passes, byte for byte
+# Part 1 — kernel ≡ composed passes, byte for byte
 # ----------------------------------------------------------------------
 
 
-def _legacy_partition(
+def _composed_partition(
     n_rows: int,
     sel,
     pred,
@@ -61,10 +59,9 @@ def _legacy_partition(
     values: np.ndarray | None,
     combined: np.ndarray | None,
 ) -> IngestDelta:
-    """The pre-kernel composition, reimplemented verbatim: count the
-    slice, boolean-gather values and codes, stable-argsort the raw int64
-    codes, permute values by the sort order, rank codes into the domain.
-    No elision, no index fusion, no bucketing — the reference bytes."""
+    """The composition, reimplemented verbatim: count the slice,
+    boolean-gather values and codes, rank every code into the domain.
+    No elision, no rank column — the reference bytes."""
     n_read = int(n_rows) if sel is None else int(np.count_nonzero(sel))
     pick = None
     n_in_view = 0
@@ -75,38 +72,38 @@ def _legacy_partition(
         return IngestDelta(n_read=n_read, n_in_view=0)
     view_values = values[pick].copy() if values is not None else None
     if combined is None or codes.size <= 1:
-        view_idx = np.zeros(n_in_view, dtype=np.int64)
-        ordered_values = view_values
+        view_idx = np.zeros(n_in_view, dtype=np.intp)
     else:
-        view_combined = combined[pick]
-        order = np.argsort(view_combined, kind="stable")
-        view_idx = lookup_codes(codes, view_combined[order])
-        ordered_values = view_values[order] if view_values is not None else None
+        view_idx = lookup_codes(codes, combined[pick]).astype(np.intp)
     return IngestDelta(
         n_read=n_read,
         n_in_view=n_in_view,
         view_idx=view_idx,
-        values=ordered_values,
+        values=view_values,
     )
 
 
 def _fused_partition(n_rows, sel, pred, codes, values, combined) -> IngestDelta:
+    ranks = None
+    if combined is not None:
+        # The scramble's rank column: ranks in the narrowest dtype.
+        ranks = lookup_codes(codes, combined)
+        ranks = ranks.astype(np.min_scalar_type(codes.size - 1))
     return partition_ingest(
         n_rows,
         sel,
         lambda: pred,
-        codes,
         values_of=None if values is None else lambda pick: values[pick],
-        combined_of=None if combined is None else lambda pick: combined[pick],
+        ranks_of=None if ranks is None else lambda pick: ranks[pick],
     )
 
 
-def _assert_deltas_identical(fused: IngestDelta, legacy: IngestDelta) -> None:
-    assert fused.n_read == legacy.n_read
-    assert fused.n_in_view == legacy.n_in_view
+def _assert_deltas_identical(fused: IngestDelta, composed: IngestDelta) -> None:
+    assert fused.n_read == composed.n_read
+    assert fused.n_in_view == composed.n_in_view
     for field in ("view_idx", "values"):
         left = getattr(fused, field)
-        right = getattr(legacy, field)
+        right = getattr(composed, field)
         if right is None:
             assert left is None, field
         else:
@@ -146,7 +143,7 @@ def _case(n_rows: int, cardinality: int, sel_kind: str, pred_kind: str, seed: in
 
 
 class TestFusedEqualsComposed:
-    """ISSUE acceptance: fused kernel ≡ composed legacy, byte for byte."""
+    """The kernel ≡ the composed passes, byte for byte."""
 
     @pytest.mark.parametrize(
         "name, n_rows, cardinality, sel_kind, pred_kind",
@@ -159,8 +156,8 @@ class TestFusedEqualsComposed:
             ("non-contiguous", 4_096, 16, "non-contiguous", "random"),
             ("uint8-boundary", 4_096, 256, "none", "all-true"),
             ("uint16-entry", 4_096, 257, "random", "random"),
-            ("max-cardinality", 20_000, BUCKET_MAX_CARDINALITY, "none", "all-true"),
-            ("past-bucket-cap", 20_000, BUCKET_MAX_CARDINALITY + 1, "random", "random"),
+            ("max-cardinality", 20_000, 65_536, "none", "all-true"),
+            ("past-bucket-cap", 20_000, 65_537, "random", "random"),
         ],
     )
     def test_edge_cases(self, name, n_rows, cardinality, sel_kind, pred_kind):
@@ -170,8 +167,8 @@ class TestFusedEqualsComposed:
         for use_values in (True, False):
             value_arr = values if use_values else None
             fused = _fused_partition(n_rows, sel, pred, codes, value_arr, combined)
-            legacy = _legacy_partition(n_rows, sel, pred, codes, value_arr, combined)
-            _assert_deltas_identical(fused, legacy)
+            composed = _composed_partition(n_rows, sel, pred, codes, value_arr, combined)
+            _assert_deltas_identical(fused, composed)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_randomized_property_sweep(self, seed):
@@ -187,22 +184,23 @@ class TestFusedEqualsComposed:
             use_values = bool(rng.integers(2))
             value_arr = values if use_values else None
             fused = _fused_partition(n_rows, sel, pred, codes, value_arr, combined)
-            legacy = _legacy_partition(n_rows, sel, pred, codes, value_arr, combined)
-            _assert_deltas_identical(fused, legacy)
+            composed = _composed_partition(n_rows, sel, pred, codes, value_arr, combined)
+            _assert_deltas_identical(fused, composed)
 
     def test_group_order_bucketing_matches_int64_sort(self):
-        """The counting-sort path's permutation is the int64 stable
-        sort's permutation — including ties, at both dtype boundaries."""
+        """``grouped()`` sorts on the narrowed ranks; its permutation is
+        the int64 stable sort's — ties in stream order, at both dtype
+        boundaries and past them — and it runs once per delta."""
         rng = np.random.default_rng(3)
-        for cardinality in (2, 255, 256, 257, 4_000, BUCKET_MAX_CARDINALITY):
-            codes = np.arange(cardinality, dtype=np.int64) * 5 + 1
-            combined = rng.choice(codes, size=9_000).astype(np.int64)
-            order, view_idx = group_order(combined, codes)
-            reference = np.argsort(combined, kind="stable")
-            assert np.array_equal(order, reference), cardinality
-            assert np.array_equal(
-                view_idx, lookup_codes(codes, combined[reference])
-            ), cardinality
+        for cardinality in (2, 255, 256, 257, 4_000, 65_536, 65_537):
+            view_idx = rng.integers(0, cardinality, size=9_000).astype(np.intp)
+            values = rng.normal(size=view_idx.size)
+            delta = IngestDelta(view_idx.size, view_idx.size, view_idx, values)
+            grouped_idx, grouped_values = delta.grouped()
+            reference = np.argsort(view_idx, kind="stable")
+            assert grouped_idx.tobytes() == view_idx[reference].tobytes()
+            assert grouped_values.tobytes() == values[reference].tobytes()
+            assert delta.grouped()[0] is grouped_idx, cardinality
 
     def test_all_pass_returns_views_and_own_arrays_copies(self):
         """The all-pass elision hands out views into the window buffers."""

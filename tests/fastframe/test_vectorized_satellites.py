@@ -110,14 +110,17 @@ class TestPredicateCodeCache:
 
 
 class TestCombinedCodeCache:
-    def test_combined_codes_cached_on_scramble(self, small_scramble):
-        full = small_scramble.combined_codes(("g",))
-        assert ("combined", ("g",)) in small_scramble.metadata_cache
-        again = small_scramble.combined_codes(("g",))
-        assert again is full  # same cached array, not recomputed
-        window = np.array([3, 10, 500])
-        sliced = small_scramble.combined_codes(("g",), rows=window)
-        assert sliced.tolist() == full[window].tolist()
+    def test_group_ranks_cached_on_scramble(self, small_scramble):
+        """The scramble caches each row's pool row in the narrowest
+        unsigned dtype, not the int64 combined codes it is built from."""
+        ranks = small_scramble.group_ranks(("g",))
+        assert ("ranks", ("g",)) in small_scramble.metadata_cache
+        assert not any(key[0] == "combined" for key in small_scramble.metadata_cache)
+        assert small_scramble.group_ranks(("g",)) is ranks  # not recomputed
+        assert ranks.dtype == np.uint8
+        domain = small_scramble.group_domain(("g",))
+        combined = small_scramble.combined_codes(("g",))
+        np.testing.assert_array_equal(domain[ranks], combined)
 
     def test_cache_shared_across_executors(self, small_scramble):
         """Runs with different bounders read one domain, one bitmap index
@@ -143,7 +146,7 @@ class TestCombinedCodeCache:
             rng=np.random.default_rng(5),
         )
         assert small_scramble.metadata_cache == {}
-        fresh = small_scramble.combined_codes(("g",))
+        fresh = small_scramble.group_ranks(("g",))
         assert fresh.size == small_scramble.num_rows
 
 
